@@ -62,6 +62,7 @@ from .graphs import (
     is_irreducible,
     is_irreducible_power_oracle,
     parse_graph,
+    support_components,
 )
 from .matrixio import (
     format_matrix_text,
@@ -106,7 +107,7 @@ __all__ = [
     "format_matrix_text", "matrix_to_json_dict",
     # graphs
     "Graph", "ComponentSplit", "parse_graph", "components", "adjacency",
-    "apply_permutation", "is_irreducible", "is_irreducible_power_oracle",
+    "apply_permutation", "is_irreducible", "is_irreducible_power_oracle", "support_components",
     # edm
     "Edm", "EdmRejection", "GramFactor", "SphericalCertificate", "DeltaMatrix",
     "DeltaDimReport", "validate_edm", "require_edm", "gram_factor",

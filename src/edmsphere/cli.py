@@ -25,7 +25,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matrixio
 from .decomposition import (
     crosspolytope_recognize,
     kuperberg_decompose,
@@ -44,7 +44,6 @@ from .edm import (
 )
 from .errors import ConsistencyError, FormatError, PreconditionError
 from .graphs import parse_graph
-from .matrixio import format_matrix_text, load_matrix
 from .orthorep import construct_orthorep, minimality_bound, verify_sign_pattern
 from .tolerances import TOL_PROFILE_ENV, Tolerances, from_profile
 
@@ -54,7 +53,7 @@ FAULT = 1
 
 
 def _jsonable(obj):
-    """Recursively convert to strict-JSON-safe values (no NaN/Infinity tokens)."""
+    """Recursively convert to strict-JSON-safe values: arrays to lists, no NaN/Infinity tokens."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -70,13 +69,24 @@ def _jsonable(obj):
     return obj
 
 
-def _digest(path: str) -> str:
+def _read_input(path: str, ctx) -> str:
+    """Read an input file once; its report digest covers exactly the bytes parsed."""
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    ctx["inputs"][path] = hashlib.sha256(data).hexdigest()
+    return data.decode("utf-8")
 
 
-def _listify(M) -> list:
-    return [[float(x) for x in row] for row in np.asarray(M, dtype=float)]
+def _load_edm(path: str, tol, ctx):
+    """Read, digest, parse and validate a matrix file: an Edm or an EdmRejection."""
+    return validate_edm(matrixio.parse_matrix(_read_input(path, ctx)), tol)
+
+
+def _rejected(res, **extra):
+    """Handler return for a matrix that is not an EDM."""
+    print(f"rejected: {res.reason} ({res.detail})", file=sys.stderr)
+    result = {"edm": False, "reason": res.reason, "detail": res.detail, **extra}
+    return "rejected", result, {}, REJECTED, None
 
 
 def _resolve_tolerances(args) -> tuple[Tolerances, str]:
@@ -96,7 +106,7 @@ def _spherical_dict(cert) -> dict:
         "residual": cert.residual,
         "etw": cert.etw,
         "radius": cert.radius,
-        "w": None if cert.w is None else [float(x) for x in cert.w],
+        "w": cert.w,
     }
     if cert.status == SPHERICAL:
         out["note"] = "radius is the circumradius of the sphere through the points in their affine hull"
@@ -106,18 +116,9 @@ def _spherical_dict(cert) -> dict:
 # each handler: (args, tol, ctx) -> (status, result, checks, exit_code, raw_stdout)
 
 def cmd_validate(args, tol, ctx):
-    ctx["inputs"][args.matrix] = _digest(args.matrix)
-    M = load_matrix(args.matrix)
-    res = validate_edm(M, tol)
+    res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
-        result = {
-            "edm": False,
-            "reason": res.reason,
-            "detail": res.detail,
-            "witness_eigenvalue": res.witness_eigenvalue,
-        }
-        print(f"rejected: {res.reason} ({res.detail})", file=sys.stderr)
-        return "rejected", result, {}, REJECTED, None
+        return _rejected(res, witness_eigenvalue=res.witness_eigenvalue)
     cert = spherical_certificate(res)
     result = {
         "edm": True,
@@ -128,32 +129,20 @@ def cmd_validate(args, tol, ctx):
     }
     checks = {}
     if cert.unit_spherical:
-        rep = embedding_dim_via_delta(res, cert)
-        checks["delta_dimension"] = {
-            "dimension": rep.dimension,
-            "used_perron": rep.used_perron,
-            "lambda_max": rep.lambda_max,
-            "multiplicity": rep.multiplicity,
-            "lambda_max_ok": rep.lambda_max_ok,
-            "eigvec_residual": rep.eigvec_residual,
-            "eigvec_ok": rep.eigvec_ok,
-            "note": rep.note,
-        }
+        checks["delta_dimension"] = asdict(embedding_dim_via_delta(res, cert))
     return "ok", result, checks, OK, None
 
 
 def cmd_orthorep(args, tol, ctx):
-    ctx["inputs"][args.graph] = _digest(args.graph)
-    with open(args.graph, "r", encoding="utf-8") as fh:
-        G = parse_graph(fh.read())
+    G = parse_graph(_read_input(args.graph, ctx))
     rep = construct_orthorep(G, tol)
     result = {
         "n": rep.n,
         "k": rep.k,
         "d": rep.d,
-        "points": _listify(rep.points),
-        "edm": _listify(rep.edm.dist2),
-        "w": None if rep.w is None else [float(x) for x in rep.w],
+        "points": rep.points,
+        "edm": rep.edm.dist2,
+        "w": rep.w,
     }
     sign = verify_sign_pattern(rep.edm, G, tol)
     bound = minimality_bound(rep, tol)
@@ -186,21 +175,18 @@ def cmd_orthorep(args, tol, ctx):
 
 
 def cmd_decompose(args, tol, ctx):
-    ctx["inputs"][args.matrix] = _digest(args.matrix)
-    M = load_matrix(args.matrix)
-    res = validate_edm(M, tol)
+    res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
-        print(f"rejected: {res.reason} ({res.detail})", file=sys.stderr)
-        return "rejected", {"edm": False, "reason": res.reason, "detail": res.detail}, {}, REJECTED, None
+        return _rejected(res)
     dec = kuperberg_decompose(res, tol)
     result = {
         "permutation": list(dec.permutation),
         "blocks": [
             {
                 "indices": list(b.indices),
-                "edm": _listify(b.edm.dist2),
+                "edm": b.edm.dist2,
                 "simplex": b.certificate.is_simplex,
-                "w": [float(x) for x in b.certificate.w],
+                "w": b.certificate.w,
                 "origin": b.certificate.origin_position,
             }
             for b in dec.blocks
@@ -253,12 +239,13 @@ def cmd_gen(args, tol, ctx):
         params = {"n": args.n, "r": args.r, "seed": args.seed}
     else:  # argparse choices make this unreachable
         raise PreconditionError(f"unknown kind {kind!r}")
-    text = format_matrix_text(edm.dist2, comment=header)
+    text = matrixio.format_matrix_text(edm.dist2, comment=header)
     if not args.out:
         # documented exception: raw matrix text instead of a JSON report
         return "ok", None, None, OK, text
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    data = text.encode("utf-8")
+    with open(args.out, "wb") as fh:
+        fh.write(data)
     cert = spherical_certificate(edm)
     result = {
         "kind": kind,
@@ -269,7 +256,7 @@ def cmd_gen(args, tol, ctx):
         "radius": cert.radius,
         "unit_spherical": cert.unit_spherical,
         "out": args.out,
-        "sha256": _digest(args.out),
+        "sha256": hashlib.sha256(data).hexdigest(),
     }
     return "ok", result, {}, OK, None
 
@@ -283,12 +270,9 @@ def cmd_check_rankin(args, tol, ctx):
 
 
 def _check_rankin_file(args, tol, ctx):
-    ctx["inputs"][args.matrix] = _digest(args.matrix)
-    M = load_matrix(args.matrix)
-    res = validate_edm(M, tol)
+    res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
-        print(f"rejected: {res.reason} ({res.detail})", file=sys.stderr)
-        return "rejected", {"edm": False, "reason": res.reason, "detail": res.detail}, {}, REJECTED, None
+        return _rejected(res)
     n, r = res.n, res.embedding_dim
     result = {"mode": "file", "n": n, "r": r}
     code = OK
@@ -427,26 +411,23 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     ctx = {"inputs": {}}
     profile = "default"
+    tol_dict = None  # stays None when the tolerances themselves are invalid
     raw = None
     try:
         tol, profile = _resolve_tolerances(args)
-        status, result, checks, code, raw = args.handler(args, tol, ctx)
         tol_dict = asdict(tol)
+        status, result, checks, code, raw = args.handler(args, tol, ctx)
     except FormatError as exc:
         status, result, checks, code = "precondition-failed", {"error": str(exc)}, {}, REJECTED
-        tol_dict = _tol_dict_safe(args)
         print(f"input format error: {exc}", file=sys.stderr)
     except (PreconditionError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         status, result, checks, code = "precondition-failed", {"error": str(exc)}, {}, REJECTED
-        tol_dict = _tol_dict_safe(args)
         print(f"precondition failed: {exc}", file=sys.stderr)
     except ConsistencyError as exc:
         status, result, checks, code = "inconsistent", {"error": str(exc)}, {}, FAULT
-        tol_dict = _tol_dict_safe(args)
         print(f"internal inconsistency: {exc}", file=sys.stderr)
     except Exception as exc:  # pragma: no cover - final safety net
         status, result, checks, code = "error", {"error": f"{type(exc).__name__}: {exc}"}, {}, FAULT
-        tol_dict = _tol_dict_safe(args)
         traceback.print_exc()
     if raw is not None:
         sys.stdout.write(raw)
@@ -465,14 +446,6 @@ def main(argv=None) -> int:
     }
     print(json.dumps(_jsonable(report), indent=2))
     return code
-
-
-def _tol_dict_safe(args):
-    try:
-        tol, _ = _resolve_tolerances(args)
-        return asdict(tol)
-    except Exception:
-        return None
 
 
 if __name__ == "__main__":

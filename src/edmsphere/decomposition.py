@@ -26,15 +26,14 @@ from .edm import (
     Edm,
     EdmRejection,
     SphericalCertificate,
+    _crosspolytope_dist2,
     delta_of,
-    gen_crosspolytope,
-    min_offdiagonal,
     nonnegative_delta,
     spherical_certificate,
     validate_edm,
 )
 from .errors import ConsistencyError, PreconditionError
-from .graphs import Graph, apply_permutation, components, is_irreducible
+from .graphs import apply_permutation, support_components
 from .spectral import perron
 from .tolerances import Tolerances, scale
 
@@ -60,18 +59,6 @@ def _require_unit_spherical(D: Edm, what: str) -> SphericalCertificate:
             f"{what} requires circumradius 1, got radius {cert.radius:.17g}"
         )
     return cert
-
-
-def _support_split(delta: np.ndarray, tol: Tolerances):
-    """Connected components of the support graph of a snapped Delta."""
-    n = delta.shape[0]
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if delta[i - 1, j - 1] > tol.support
-    ]
-    return components(Graph.from_edges(n, edges))
 
 
 @dataclass(eq=False)
@@ -133,14 +120,14 @@ def certify_simplex(D: Edm, tol: Tolerances | None = None) -> SimplexCertificate
         raise ConsistencyError(
             f"lambda_max(Delta) = {pd.lambda_max:.17g} for a unit spherical input; expected 1"
         )
-    zero_mask = np.all(delta <= tol.support, axis=1)
-    core_idx = np.flatnonzero(~zero_mask)
-    zero_rows = tuple(int(i) + 1 for i in np.flatnonzero(zero_mask))
-    core = delta[np.ix_(core_idx, core_idx)]
-    irr = core_idx.size > 0 and is_irreducible(core, tol)
-
-    if irr:
-        core_pd = perron(core, tol)
+    # One traversal of the support: zero rows of Delta are its isolated nodes,
+    # and the core (Delta without them) is irreducible iff one component remains.
+    split = support_components(delta, tol)
+    zero_rows = split.isolated
+    if split.nontrivial_count == 1:
+        core_idx = np.asarray(split.nontrivial[0]) - 1
+        # With no zero rows the core is Delta itself, whose Perron data is in hand.
+        core_pd = perron(delta[np.ix_(core_idx, core_idx)], tol) if zero_rows else pd
         if abs(core_pd.lambda_max - 1.0) > tol.cluster:
             raise ConsistencyError(
                 f"core lambda_max = {core_pd.lambda_max:.17g}, expected 1"
@@ -173,13 +160,12 @@ def certify_simplex(D: Edm, tol: Tolerances | None = None) -> SimplexCertificate
     origin = None
     if is_simplex:
         origin = "interior" if float(w.min()) > tol.sign else "boundary"
-    ncomp = _support_split(delta, tol).nontrivial_count
     return SimplexCertificate(
         is_simplex=is_simplex, n=n, method="rank", lambda_max=pd.lambda_max,
         w=w, origin_position=origin, zero_rows=zero_rows, irreducible_core=False,
         residual=cert.residual,
         detail=(
-            f"support splits into {ncomp} nontrivial component(s) plus "
+            f"support splits into {split.nontrivial_count} nontrivial component(s) plus "
             f"{len(zero_rows)} zero row(s); embedding dimension {D.embedding_dim} "
             f"vs n - 1 = {n - 1}"
         ),
@@ -327,7 +313,7 @@ def kuperberg_decompose(D: Edm, tol: Tolerances | None = None) -> Decomposition:
     _require_unit_spherical(D, "kuperberg_decompose")
     dm = delta_of(D)
     delta = nonnegative_delta(dm, tol)
-    split = _support_split(delta, tol)
+    split = support_components(delta, tol)
     members = [list(c) for c in split.nontrivial]
     if not members:
         raise ConsistencyError(
@@ -440,17 +426,17 @@ def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> Crosspolyt
         except PreconditionError as exc:
             return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                        max_deviation=None, reason=str(exc))
-        dev = float(np.max(np.abs(D.dist2 - gen_crosspolytope(1, D.tol).dist2)))
+        dev = float(np.max(np.abs(D.dist2 - _crosspolytope_dist2(1))))
         if dev > tol.sign:
             return CrosspolytopeResult(
                 ok=False, r=r, permutation=None, max_deviation=dev,
                 reason=f"2-point matrix deviates from the antipodal form by {dev:g}",
             )
         return CrosspolytopeResult(ok=True, r=r, permutation=(1, 2), max_deviation=dev)
-    if min_offdiagonal(D.dist2) < 2.0 - tol.sign:
+    if D.min_offdiagonal < 2.0 - tol.sign:
         return CrosspolytopeResult(
             ok=False, r=r, permutation=None, max_deviation=None,
-            reason=f"min squared distance {min_offdiagonal(D.dist2):.17g} is below 2",
+            reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
         )
     try:
         dec = kuperberg_decompose(D, tol)
@@ -462,7 +448,7 @@ def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> Crosspolyt
         # n = 2r with n - r = r blocks of >= 2 nodes each leaves no slack.
         raise ConsistencyError(f"blocks {bad} do not have order 2 although n = 2r")
     Dp = apply_permutation(D.dist2, dec.permutation)
-    dev = float(np.max(np.abs(Dp - gen_crosspolytope(r, D.tol).dist2)))
+    dev = float(np.max(np.abs(Dp - _crosspolytope_dist2(r))))
     if dev > tol.sign:
         return CrosspolytopeResult(
             ok=False, r=r, permutation=dec.permutation, max_deviation=dev,

@@ -8,16 +8,20 @@ sphericity through the solve D w = e (circumradius (2 e^T w)^(-1/2)), forms
 the shifted matrix Delta = D/2 + I - E whose top eigenvalue controls the
 embedding dimension of unit spherical EDMs, and generates canonical
 configurations (regular simplices, crosspolytopes, random sphere samples).
+
+The PSD and rank rules live in `spectral` (`EigenSystem.psd`,
+`EigenSystem.rank_mask`); `validate_edm` applies both to its one eigensystem
+of B, which the returned `Edm` keeps for later stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .spectral import eig, is_psd, numerical_rank, perron, sign_normalize, solve_linear
+from .spectral import EigenSystem, eig, perron, solve_linear
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -57,21 +61,26 @@ NOT_EDM = "not-edm"
 class Edm:
     """A validated EDM: zero diagonal, nonnegative entries, PSD double-centering.
 
-    `embedding_dim` is the numerical rank of the centered Gram matrix, cached
-    at validation time together with the tolerance record that produced it.
+    Stores what validation established, so no later stage recomputes it:
+    `dist2` (symmetrized, diagonal exactly zero), `gram_eig` (the
+    eigensystem of the centroid Gram matrix B that decided the PSD verdict),
+    `embedding_dim` (the rank of B by that eigensystem's rank rule),
+    `min_offdiagonal` and the `tol` record all were decided with; plus the
+    sphericity certificate, solved on the first `spherical_certificate` call.
+    The fields are read-only: mutating one leaves the others describing a
+    different matrix.
     """
 
     dist2: np.ndarray
     embedding_dim: int
     tol: Tolerances
+    gram_eig: EigenSystem
+    min_offdiagonal: float
+    _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.dist2.shape[0]
-
-    @property
-    def min_offdiagonal(self) -> float:
-        return min_offdiagonal(self.dist2)
 
 
 @dataclass(eq=False)
@@ -95,6 +104,10 @@ def min_offdiagonal(M: np.ndarray) -> float:
         return float("inf")
     mask = ~np.eye(n, dtype=bool)
     return float(M[mask].min())
+
+
+def _centroid(n: int) -> np.ndarray:
+    return np.full(n, 1.0 / n) if n else np.zeros(0)
 
 
 def centering_gram(D: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -141,12 +154,11 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
     if diag_max > tol.psd * s:
         return EdmRejection("nonzero-diagonal", f"max|diagonal| = {diag_max:g}")
     np.fill_diagonal(D, 0.0)
-    if n >= 2:
-        off_min = min_offdiagonal(D)
-        if off_min < -tol.psd * s:
-            return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
-    B = centering_gram(D, np.full(n, 1.0 / n)) if n else np.zeros((0, 0))
-    psd = is_psd(B, tol)
+    off_min = min_offdiagonal(D)  # +inf below order 2
+    if off_min < -tol.psd * s:
+        return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
+    es = eig(centering_gram(D, _centroid(n)), tol)
+    psd = es.psd()
     if not psd:
         return EdmRejection(
             "not-psd",
@@ -154,7 +166,7 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
             witness_eigenvalue=psd.min_eigenvalue,
             witness_vector=psd.witness,
         )
-    return Edm(dist2=D, embedding_dim=numerical_rank(B, tol), tol=tol)
+    return Edm(dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, min_offdiagonal=off_min)
 
 
 def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
@@ -206,27 +218,25 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     """
     tol = D.tol
     n = D.n
+    centroid = _centroid(n)
     if s is None:
         cert = spherical_certificate(D)
-        if cert.unit_spherical:
-            s = 2.0 * cert.w
-        else:
-            s = np.full(n, 1.0 / n) if n else np.zeros(0)
+        s = 2.0 * cert.w if cert.unit_spherical else centroid
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.shape[0] != n:
         raise PreconditionError(f"centering vector length {s.shape[0]} != order {n}")
     if n and abs(float(s.sum()) - 1.0) > tol.solve:
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
-    B = centering_gram(D.dist2, s) if n else np.zeros((0, 0))
-    psd = is_psd(B, tol)
+    B = centering_gram(D.dist2, s)
+    # At the centroid B is bit for bit the matrix validate_edm decomposed.
+    es = D.gram_eig if np.array_equal(s, centroid) else eig(B, tol)
+    psd = es.psd()
     if not psd:
         raise ConsistencyError(
             f"centered matrix of a validated EDM is not PSD (eigenvalue {psd.min_eigenvalue:g})"
         )
-    es = eig(B, tol)
-    keep = es.values > tol.rank * scale(B)
-    cols = es.vectors[:, keep]
-    P = cols * np.sqrt(es.values[keep])
+    keep = es.rank_mask()
+    P = es.vectors[:, keep] * np.sqrt(es.values[keep])
     return GramFactor(gram=B, config=P, centering=s)
 
 
@@ -256,10 +266,17 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     still checked defensively through the solve residual.  A consistent
     solve classifies by e^T w: spherical (with radius) when e^T w exceeds
     the PSD slack, non-spherical otherwise.
+
+    The solve runs once per `Edm`; later calls return the same certificate.
     """
+    if D._certificate is None:
+        D._certificate = _solve_certificate(D)
+    return D._certificate
+
+
+def _solve_certificate(D: Edm) -> SphericalCertificate:
     tol = D.tol
-    n = D.n
-    sol = solve_linear(D.dist2, np.ones(n), tol)
+    sol = solve_linear(D.dist2, np.ones(D.n), tol)
     if not sol.consistent:
         return SphericalCertificate(
             status=E_NOT_IN_COLSPACE, w=None, etw=None, radius=None,
@@ -402,10 +419,14 @@ def gen_crosspolytope(r: int, tol: Tolerances = DEFAULT_TOL) -> Edm:
     """
     if r < 1:
         raise PreconditionError(f"crosspolytope dimension must be >= 1, got {r}")
+    return require_edm(_crosspolytope_dist2(r), tol)
+
+
+def _crosspolytope_dist2(r: int) -> np.ndarray:
+    """The canonical crosspolytope pattern: 4 within each antipodal pair, 2 across pairs."""
     n = 2 * r
     pair = 2.0 * (np.ones((2, 2)) - np.eye(2))  # adds 2 on top of the global 2
-    D = 2.0 * (np.ones((n, n)) - np.eye(n)) + np.kron(np.eye(r), pair)
-    return require_edm(D, tol)
+    return 2.0 * (np.ones((n, n)) - np.eye(n)) + np.kron(np.eye(r), pair)
 
 
 def gen_random_spherical(n: int, r: int, seed, tol: Tolerances = DEFAULT_TOL):

@@ -19,6 +19,7 @@ __all__ = [
     "parse_graph",
     "ComponentSplit",
     "components",
+    "support_components",
     "adjacency",
     "apply_permutation",
     "is_irreducible",
@@ -108,33 +109,40 @@ class ComponentSplit:
         return tuple(c for c in self.components if len(c) >= 2)
 
 
-def components(G: Graph) -> ComponentSplit:
-    """Split `G` into connected components by traversal.
+def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
+    """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support."""
+    return _split(_support_adjacency(M, tol))
 
-    Deterministic: components are discovered from the smallest unvisited
-    node, members are ascending, isolated nodes trail in ascending order.
+
+def components(G: Graph) -> ComponentSplit:
+    """Split `G` into connected components, ordered as `ComponentSplit` documents."""
+    return _split(adjacency(G) > 0)
+
+
+def _split(S: np.ndarray) -> ComponentSplit:
+    """Components of the graph with boolean adjacency `S`, in `ComponentSplit` order.
+
+    The one traversal behind `components`, `support_components` and `is_irreducible`.
     """
-    n = G.node_count
-    neighbors: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, j in G.edges:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
-    seen = [False] * (n + 1)
+    n = S.shape[0]
+    rows, cols = np.nonzero(S)  # row-major: u's neighbours are cols[bounds[u]:bounds[u + 1]]
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    seen = [False] * n
     comps: list[tuple] = []
-    for start in range(1, n + 1):
+    for start in range(n):
         if seen[start]:
             continue
-        stack = [start]
         seen[start] = True
-        comp = []
+        stack, members = [start], []
         while stack:
             u = stack.pop()
-            comp.append(u)
-            for v in neighbors[u]:
+            members.append(u + 1)
+            for v in cols[bounds[u]:bounds[u + 1]]:
                 if not seen[v]:
                     seen[v] = True
                     stack.append(v)
-        comps.append(tuple(sorted(comp)))
+        comps.append(tuple(sorted(members)))
     nontrivial = [c for c in comps if len(c) >= 2]
     isolated = [c[0] for c in comps if len(c) == 1]
     order: list[int] = []
@@ -152,9 +160,9 @@ def components(G: Graph) -> ComponentSplit:
 def adjacency(G: Graph) -> np.ndarray:
     """0/1 symmetric adjacency matrix with zero diagonal."""
     A = np.zeros((G.node_count, G.node_count))
-    for i, j in G.edges:
-        A[i - 1, j - 1] = 1.0
-        A[j - 1, i - 1] = 1.0
+    if G.edges:
+        i, j = (np.array(list(G.edges)) - 1).T
+        A[i, j] = A[j, i] = 1.0
     return A
 
 
@@ -192,17 +200,7 @@ def is_irreducible(M, tol: Tolerances = DEFAULT_TOL) -> bool:
         return False
     if n == 1:
         return float(M[0, 0]) > tol.support
-    S = _support_adjacency(M, tol)
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        u = stack.pop()
-        for v in np.flatnonzero(S[u]):
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return bool(seen.all())
+    return len(support_components(M, tol).components) == 1
 
 
 def is_irreducible_power_oracle(M, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -152,9 +152,8 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     if isinstance(res, EdmRejection):
         raise ConsistencyError(f"constructed matrix rejected as an EDM: {res.reason} ({res.detail})")
     edm = res
-    B = np.eye(n) - delta
-    es = eig(B, tol)
-    keep = es.values > tol.rank * scale(B)
+    es = eig(np.eye(n) - delta, tol)
+    keep = es.rank_mask()
     P = es.vectors[:, keep] * np.sqrt(es.values[keep])
     d = int(np.count_nonzero(keep))
     rep = OrthoRep(
@@ -233,28 +232,24 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
     n = M.shape[0]
     if n != G.node_count:
         raise ValueError(f"matrix order {n} != graph node count {G.node_count}")
-    edge_bad = []
-    nonedge_bad = []
-    min_excess = float("inf")
-    max_dev = 0.0
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            dij = float(M[i - 1, j - 1])
-            if G.has_edge(i, j):
-                min_excess = min(min_excess, dij - 2.0)
-                if not dij > 2.0 + tol.sign:
-                    edge_bad.append((i, j, dij))
-            else:
-                max_dev = max(max_dev, abs(dij - 2.0))
-                if abs(dij - 2.0) > tol.sign:
-                    nonedge_bad.append((i, j, dij))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    A = adjacency(G) > 0
+    edge, nonedge = upper & A, upper & ~A
+    dev = M - 2.0
+    edge_bad = _pairs(M, edge & ~(M > 2.0 + tol.sign))
+    nonedge_bad = _pairs(M, nonedge & (np.abs(dev) > tol.sign))
     return SignPatternReport(
         ok=not edge_bad and not nonedge_bad,
-        edge_violations=tuple(edge_bad),
-        nonedge_violations=tuple(nonedge_bad),
-        min_edge_excess=min_excess,
-        max_nonedge_dev=max_dev,
+        edge_violations=edge_bad,
+        nonedge_violations=nonedge_bad,
+        min_edge_excess=float(dev[edge].min()) if edge.any() else float("inf"),
+        max_nonedge_dev=float(np.abs(dev[nonedge]).max()) if nonedge.any() else 0.0,
     )
+
+
+def _pairs(M: np.ndarray, mask: np.ndarray) -> tuple:
+    """(i, j, M_ij) for every set entry of `mask`, 1-based, in row-major order."""
+    return tuple((int(i) + 1, int(j) + 1, float(M[i, j])) for i, j in zip(*np.nonzero(mask)))
 
 
 @dataclass(eq=False)

@@ -6,6 +6,10 @@ matrices, embedding dimensions) consumes the five operations here:
 are pure functions of their inputs and deterministic for identical input
 bits, so results are safe to share across threads.
 
+The PSD rule (slack ``tol.psd * scale``) and the rank rule (cut
+``tol.rank * scale``) live here and nowhere else, as `EigenSystem.psd` and
+`EigenSystem.rank_mask`; every caller holding an eigensystem reads them.
+
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
 mirrors the lower triangle so the stored matrix is exactly symmetric.
@@ -76,16 +80,40 @@ class EigenSystem:
 
     `values` are non-increasing; `vectors[:, i]` is the orthonormal
     eigenvector for `values[i]`, sign-normalized for determinism.
-    `tolerance` records the thresholds used downstream.
+    `tolerance` records the thresholds used downstream and `scale` is
+    scale(M) of the decomposed matrix, the unit of the PSD slack and the
+    rank cut.
     """
 
     values: np.ndarray
     vectors: np.ndarray
     tolerance: Tolerances
+    scale: float
 
     @property
     def order(self) -> int:
         return self.values.shape[0]
+
+    def psd(self) -> PsdResult:
+        """The PSD rule: min eigenvalue >= -tol.psd * scale; witness the violation otherwise."""
+        lam_min = float(self.values[-1]) if self.order else 0.0
+        if lam_min >= -self.tolerance.psd * self.scale:
+            return PsdResult(ok=True, min_eigenvalue=lam_min)
+        return PsdResult(ok=False, min_eigenvalue=lam_min, witness=self.vectors[:, -1].copy())
+
+    def rank_mask(self) -> np.ndarray:
+        """The rank rule: eigenvalues beyond the cut tol.rank * scale count as dimensions.
+
+        Magnitude decides, except for a matrix the PSD rule accepts: its
+        negative eigenvalues are rounding noise within the PSD slack, so
+        only eigenvalues above the cut count.
+        """
+        cut = self.tolerance.rank * self.scale
+        return self.values > cut if self.psd() else np.abs(self.values) > cut
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.rank_mask()))
 
     def reconstruction_residual(self, M) -> float:
         """max|V diag(values) V^T - M|, the invariant checked by the test suite."""
@@ -122,10 +150,10 @@ def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
         raise SpectralError(f"eigendecomposition failed to converge: {exc}") from exc
     values = values[::-1].copy()
     vectors = vectors[:, ::-1]
-    cols = np.empty_like(vectors)
-    for j in range(vectors.shape[1]):
-        cols[:, j] = sign_normalize(vectors[:, j])
-    return EigenSystem(values=values, vectors=cols, tolerance=tol)
+    if vectors.size:  # sign_normalize on every column at once
+        lead = np.argmax(np.abs(vectors), axis=0)
+        vectors = vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return EigenSystem(values=values, vectors=vectors, tolerance=tol, scale=scale(S))
 
 
 @dataclass(eq=False)
@@ -141,20 +169,13 @@ class PsdResult:
 
 
 def is_psd(M, tol: Tolerances = DEFAULT_TOL) -> PsdResult:
-    """Test min eigenvalue >= -tol.psd * scale(M); witness the violation otherwise."""
-    es = eig(M, tol)
-    if es.order == 0:
-        return PsdResult(ok=True, min_eigenvalue=0.0)
-    lam_min = float(es.values[-1])
-    if lam_min >= -tol.psd * scale(M):
-        return PsdResult(ok=True, min_eigenvalue=lam_min)
-    return PsdResult(ok=False, min_eigenvalue=lam_min, witness=es.vectors[:, -1].copy())
+    """Test min eigenvalue >= -tol.psd * scale(M) (`EigenSystem.psd`)."""
+    return eig(M, tol).psd()
 
 
 def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count eigenvalues with |lambda| > tol.rank * scale(M)."""
-    es = eig(M, tol)
-    return int(np.count_nonzero(np.abs(es.values) > tol.rank * scale(M)))
+    """Count eigenvalues beyond the rank cut tol.rank * scale(M) (`EigenSystem.rank_mask`)."""
+    return eig(M, tol).rank
 
 
 @dataclass(eq=False)
@@ -211,20 +232,19 @@ class LinearSolution:
 def solve_linear(M, b, tol: Tolerances = DEFAULT_TOL) -> LinearSolution:
     """Minimum-norm solution of M x = b through the spectral pseudoinverse.
 
-    Eigenvalues with |lambda| <= tol.rank * scale(M) are treated as zero.
-    The result is flagged inconsistent when the residual max|M x - b|
-    exceeds ``tol.solve * scale(M)``, i.e. when b has a component outside
-    the column space of M.
+    Eigenvalues outside `EigenSystem.rank_mask` are treated as zero.  The
+    result is flagged inconsistent when the residual max|M x - b| exceeds
+    ``tol.solve * scale(M)``, i.e. when b has a component outside the column
+    space of M.
     """
     S = as_symmetric(M, tol)
     es = eig(S, tol)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape[0] != es.order:
         raise ValueError(f"shape mismatch: matrix order {es.order}, vector length {b.shape[0]}")
-    s = scale(S)
-    keep = np.abs(es.values) > tol.rank * s
+    keep = es.rank_mask()
     inv = np.zeros_like(es.values)
     inv[keep] = 1.0 / es.values[keep]
     x = es.vectors @ (inv * (es.vectors.T @ b))
     residual = float(np.max(np.abs(S @ x - b))) if b.size else 0.0
-    return LinearSolution(x=x, residual=residual, consistent=residual <= tol.solve * s)
+    return LinearSolution(x=x, residual=residual, consistent=residual <= tol.solve * es.scale)

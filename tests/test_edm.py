@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 import helpers
 from edmsphere import (
+    DEFAULT_TOL,
     E_NOT_IN_COLSPACE,
     NON_SPHERICAL,
     SPHERICAL,
@@ -82,6 +83,18 @@ class TestValidateEdm:
         D = helpers.edm_from_points(np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.9]]))
         D[0, 1] += 5e-13  # below symmetry tolerance
         assert isinstance(validate_edm(D), Edm)
+
+    def test_rank_ignores_negative_eigenvalues_the_psd_slack_accepts(self):
+        # +-e1, +-e2 with B shifted by -1e-6 v v^T, v orthogonal to the points
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        B = X @ X.T - 1e-6 * np.outer(v, v)
+        D = np.diag(B)[:, None] + np.diag(B)[None, :] - 2.0 * B
+        assert validate_edm(D).reason == "not-psd"
+        res = validate_edm(D, DEFAULT_TOL.with_overrides(psd=1e-5))
+        assert res.embedding_dim == 2
+        assert gram_factor(res).config.shape[1] == 2
+        assert gram_factor(res, np.full(4, 0.25)).config.shape[1] == 2
 
     def test_zero_matrix_is_edm(self):
         res = validate_edm(np.zeros((3, 3)))

@@ -1,0 +1,144 @@
+"""Eigendecomposition counts: each spectral fact is computed once and reused.
+
+`numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
+what the analysis needs with every consistency check kept: one eigh of B per
+validation, one solve of D w = e per Edm, one Perron analysis of Delta, and
+for each Kuperberg block its own validation, sphericity solve and Perron
+analysis of the block's Delta (plus one of its core when the block holds
+zero rows of Delta).
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+
+import helpers
+from edmsphere import (
+    Graph,
+    apply_permutation,
+    certify_simplex,
+    construct_orthorep,
+    crosspolytope_recognize,
+    embedding_dim_via_delta,
+    gen_unit_simplex,
+    gram_factor,
+    kuperberg_decompose,
+    spherical_certificate,
+    validate_edm,
+)
+from edmsphere.cli import main
+
+
+@pytest.fixture
+def eighs(monkeypatch):
+    """The orders of the matrices passed to numpy.linalg.eigh, in call order."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.asarray(a).shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def relabelled(D, seed):
+    order = np.random.default_rng(seed).permutation(D.shape[0]) + 1
+    return apply_permutation(D, order)
+
+
+def cross(r):
+    n = 2 * r
+    D = 2.0 * (np.ones((n, n)) - np.eye(n)) + np.kron(np.eye(r), [[0.0, 2.0], [2.0, 0.0]])
+    return relabelled(D, r)
+
+
+def composition(orders, lone=0):
+    return relabelled(helpers.compose_block_edm(orders, lone), len(orders) + lone)
+
+
+def unit_sphere(n, r):
+    return helpers.edm_from_points(helpers.random_sphere_points(np.random.default_rng(n), n, r))
+
+
+def gaussian_cloud(n, r):
+    return helpers.edm_from_points(np.random.default_rng(n).standard_normal((n, r)))
+
+
+NOT_PSD = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("D", [cross(5), composition([3, 2], 2), unit_sphere(16, 8),
+                               gaussian_cloud(16, 8), NOT_PSD])
+def test_validate_edm_is_one_eigh(eighs, D):
+    validate_edm(D)
+    assert len(eighs) == 1
+
+
+@pytest.mark.parametrize("D, expected", [
+    (cross(8), 4),                       # B, D w = e, Delta, B at s = 2w
+    (composition([4, 3, 2, 2]), 4),
+    (unit_sphere(16, 8), 3),             # Delta skipped: some distance < 2
+    (gaussian_cloud(16, 8), 2),          # non-spherical: gram_factor reuses B's eigh
+])
+def test_dense_certify_chain(eighs, D, expected):
+    edm = validate_edm(D)
+    cert = spherical_certificate(edm)
+    if cert.unit_spherical:
+        embedding_dim_via_delta(edm, cert)
+    gram_factor(edm)
+    assert len(eighs) == expected
+
+
+def test_certificate_is_solved_once(eighs):
+    edm = validate_edm(cross(4))
+    first = spherical_certificate(edm)
+    assert spherical_certificate(edm) is first
+    assert len(eighs) == 2
+
+
+def test_gram_factor_reuses_validation_eigensystem(eighs):
+    edm = validate_edm(gaussian_cloud(12, 5))
+    gf = gram_factor(edm, np.full(12, 1.0 / 12))
+    assert len(eighs) == 1
+    assert gf.config.shape == (12, 5)
+
+
+@pytest.mark.parametrize("r", [2, 3, 6])
+def test_crosspolytope_recognize(eighs, r):
+    edm = validate_edm(cross(r))
+    eighs.clear()
+    assert crosspolytope_recognize(edm)
+    assert len(eighs) == 3 * r + 1
+
+
+@pytest.mark.parametrize("orders, lone, expected", [
+    ([3, 3, 2], 0, 3 * 3 + 1),
+    ([3, 2], 2, 3 * 2 + 1 + 1),  # the last block holds the zero rows
+])
+def test_kuperberg_decompose(eighs, orders, lone, expected):
+    edm = validate_edm(composition(orders, lone))
+    eighs.clear()
+    kuperberg_decompose(edm)
+    assert len(eighs) == expected
+
+
+def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
+    edm = gen_unit_simplex(6)
+    eighs.clear()
+    assert certify_simplex(edm).method == "perron"
+    assert len(eighs) == 2  # D w = e and Delta
+
+
+def test_check_rankin_sample_two_per_trial(eighs):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
+    assert len(eighs) == 2 * 5
+
+
+def test_construct_orthorep_connected(eighs):
+    construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
+    assert len(eighs) == 3  # Perron of the adjacency, B of D, I - Delta

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import helpers
 from edmsphere import FormatError, Graph, adjacency, apply_permutation, components, parse_graph
-from edmsphere.graphs import is_irreducible, is_irreducible_power_oracle
+from edmsphere.graphs import is_irreducible, is_irreducible_power_oracle, support_components
 
 
 class TestGraph:
@@ -90,6 +90,14 @@ class TestComponents:
         assert sorted(split.permutation) == list(range(1, n + 1))
         firsts = [c[0] for c in split.components]
         assert firsts == sorted(firsts)
+        # components are the connected pieces: no edge between two, each one
+        # connected by the power oracle
+        label = {v: k for k, c in enumerate(split.components) for v in c}
+        assert all(label[i] == label[j] for i, j in chosen)
+        A = adjacency(Graph.from_edges(n, chosen))
+        for c in split.nontrivial:
+            idx = np.asarray(c) - 1
+            assert is_irreducible_power_oracle(A[np.ix_(idx, idx)])
 
 
 def test_adjacency(example_graph):
@@ -136,6 +144,14 @@ class TestIrreducible:
         assert not is_irreducible(M)
         M2 = np.array([[0.0, 1e-6], [1e-6, 0.0]])
         assert is_irreducible(M2)
+
+    def test_support_components_match_graph_components(self):
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 7, 15):
+            G = Graph.from_edges(n, helpers.random_graph_edges(rng, n, 0.15))
+            W = adjacency(G) * rng.uniform(0.5, 2.0, size=(n, n))
+            np.fill_diagonal(W, 3.0)  # the diagonal is not an edge
+            assert support_components(W + W.T) == components(G)
 
     def test_weighted_agrees_with_unit_entries(self):
         M = np.array(

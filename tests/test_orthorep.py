@@ -119,6 +119,31 @@ class TestSignPattern:
         rpt = verify_sign_pattern(EXAMPLE_EDM, example_graph)
         assert rpt.ok
 
+    def test_matches_pairwise_reference(self):
+        # every pair checked one by one, violations in row-major i < j order
+        rng = np.random.default_rng(11)
+        for n, p in [(1, 0.5), (2, 1.0), (6, 0.0), (9, 0.3), (14, 0.6)]:
+            G = Graph.from_edges(n, helpers.random_graph_edges(rng, n, p))
+            M = 2.0 + rng.choice([0.0, 5e-8, -5e-8, 1e-3, -1e-3, 0.5], size=(n, n))
+            edge_bad, nonedge_bad, excess, dev = [], [], [np.inf], [0.0]
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    dij = M[i - 1, j - 1]
+                    if G.has_edge(i, j):
+                        excess.append(dij - 2.0)
+                        if not dij > 2.0 + 1e-7:
+                            edge_bad.append((i, j, dij))
+                    else:
+                        dev.append(abs(dij - 2.0))
+                        if abs(dij - 2.0) > 1e-7:
+                            nonedge_bad.append((i, j, dij))
+            rpt = verify_sign_pattern(M, G)
+            assert rpt.edge_violations == tuple(edge_bad)
+            assert rpt.nonedge_violations == tuple(nonedge_bad)
+            assert rpt.min_edge_excess == min(excess)
+            assert rpt.max_nonedge_dev == max(dev)
+            assert rpt.ok == (not edge_bad and not nonedge_bad)
+
     def test_order_mismatch(self, example_graph):
         with pytest.raises(ValueError, match="order"):
             verify_sign_pattern(np.zeros((3, 3)), example_graph)

@@ -99,6 +99,14 @@ class TestEig:
         n = M.shape[0]
         npt.assert_allclose(es.vectors.T @ es.vectors, np.eye(n), atol=1e-10)
 
+    @given(sym_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_columnwise_sign_normalize(self, M):
+        # reference: numpy's eigenvectors, descending, one sign_normalize per column
+        _, V = np.linalg.eigh(as_symmetric(M))
+        ref = np.column_stack([sign_normalize(V[:, j]) for j in reversed(range(V.shape[1]))])
+        npt.assert_array_equal(eig(M).vectors, ref)
+
     def test_deterministic_for_identical_bits(self):
         rng = np.random.default_rng(11)
         M = rng.standard_normal((6, 6))
@@ -137,6 +145,11 @@ class TestNumericalRank:
 
     def test_zero(self):
         assert numerical_rank(np.zeros((3, 3))) == 0
+
+    def test_negative_eigenvalue_within_psd_slack_is_not_a_dimension(self):
+        M = np.diag([1.0, -1e-6])
+        assert numerical_rank(M) == 2  # not PSD: magnitude decides
+        assert numerical_rank(M, Tolerances(psd=1e-5)) == 1  # PSD within the slack
 
 
 class TestPerron:
