@@ -44,7 +44,7 @@ from .edm import (
 )
 from .errors import ConsistencyError, FormatError, PreconditionError
 from .graphs import parse_graph
-from .orthorep import construct_orthorep, minimality_bound, verify_sign_pattern
+from .orthorep import construct_orthorep, minimality_bound
 from .tolerances import TOL_PROFILE_ENV, Tolerances, from_profile
 
 OK = 0
@@ -89,9 +89,18 @@ def _rejected(res, **extra):
     return "rejected", result, {}, REJECTED, None
 
 
+def _write_out(path, result, checks) -> None:
+    """The --out file of orthorep and decompose: the result as indented JSON."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_jsonable(result), fh, indent=2)
+            fh.write("\n")
+        checks["out"] = path
+
+
 def _resolve_tolerances(args) -> tuple[Tolerances, str]:
     profile = args.tol_profile or os.environ.get(TOL_PROFILE_ENV, "default")
-    base = from_profile(profile)  # ValueError on unknown names
+    base = from_profile(profile)  # PreconditionError on unknown names
     tol = base.with_overrides(
         psd=args.tol_psd, rank=args.tol_rank, cluster=args.tol_cluster,
         sign=args.tol_sign, unit=args.tol_unit,
@@ -144,12 +153,11 @@ def cmd_orthorep(args, tol, ctx):
         "edm": rep.edm.dist2,
         "w": rep.w,
     }
-    sign = verify_sign_pattern(rep.edm, G, tol)
+    sign = rep.sign_pattern
     bound = minimality_bound(rep, tol)
-    gram = rep.points @ rep.points.T
     checks = {
         "unit_spherical": rep.unit_spherical,
-        "unit_rows_max_dev": float(np.max(np.abs(np.diag(gram) - 1.0))) if rep.n else 0.0,
+        "unit_rows_max_dev": rep.unit_rows_max_dev,
         "sign_pattern": {
             "ok": sign.ok,
             "min_edge_excess": sign.min_edge_excess,
@@ -166,11 +174,7 @@ def cmd_orthorep(args, tol, ctx):
         },
         "note": rep.note,
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(result), fh, indent=2)
-            fh.write("\n")
-        checks["out"] = args.out
+    _write_out(args.out, result, checks)
     return "ok", result, checks, OK, None
 
 
@@ -203,11 +207,7 @@ def cmd_decompose(args, tol, ctx):
         "block_lambda_max": [b.certificate.lambda_max for b in dec.blocks],
         "block_methods": [b.certificate.method for b in dec.blocks],
     }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(result), fh, indent=2)
-            fh.write("\n")
-        checks["out"] = args.out
+    _write_out(args.out, result, checks)
     return "ok", result, checks, OK, None
 
 
@@ -234,6 +234,8 @@ def cmd_gen(args, tol, ctx):
     elif kind == "random-sphere":
         if args.n is None or args.r is None:
             raise PreconditionError("gen random-sphere needs -n and -r")
+        if args.seed < 0:
+            raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
         edm, _ = gen_random_spherical(args.n, args.r, args.seed, tol)
         header = f"gen random-sphere n={args.n} r={args.r} seed={args.seed}"
         params = {"n": args.n, "r": args.r, "seed": args.seed}
@@ -315,6 +317,8 @@ def _check_rankin_sample(args, tol):
         raise PreconditionError(f"--sample needs r >= 2, got {r}")
     if args.trials < 1:
         raise PreconditionError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
     master = np.random.SeedSequence(args.seed)
     children = master.spawn(args.trials)
     per_trial = []
@@ -420,13 +424,13 @@ def main(argv=None) -> int:
     except FormatError as exc:
         status, result, checks, code = "precondition-failed", {"error": str(exc)}, {}, REJECTED
         print(f"input format error: {exc}", file=sys.stderr)
-    except (PreconditionError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+    except (PreconditionError, FileNotFoundError, IsADirectoryError, PermissionError, UnicodeDecodeError) as exc:
         status, result, checks, code = "precondition-failed", {"error": str(exc)}, {}, REJECTED
         print(f"precondition failed: {exc}", file=sys.stderr)
     except ConsistencyError as exc:
         status, result, checks, code = "inconsistent", {"error": str(exc)}, {}, FAULT
         print(f"internal inconsistency: {exc}", file=sys.stderr)
-    except Exception as exc:  # pragma: no cover - final safety net
+    except Exception as exc:  # any other fault, a plain ValueError included
         status, result, checks, code = "error", {"error": f"{type(exc).__name__}: {exc}"}, {}, FAULT
         traceback.print_exc()
     if raw is not None:

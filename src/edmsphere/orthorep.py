@@ -4,13 +4,16 @@ An orthonormal representation assigns each node of a graph G a unit vector
 so that adjacent nodes get vectors at negative inner product and
 non-adjacent nodes get orthogonal ones.  With k the number of connected
 components of G holding at least one edge, the minimum dimension is n - k,
-achieved by the spectral construction below: normalize the adjacency block
-of each such component by its top eigenvalue, assemble the blocks into
-Delta, and read the points off a factorization of B = I - Delta.  The
-companion squared-distance matrix D = 2(E - I) + 2 Delta is unit spherical
-with circumcenter weight vector built from the per-block Perron vectors,
-and the multiplicity of lambda_max(Delta) certifies that no smaller
-dimension is possible.
+achieved by the spectral construction below.  One eigendecomposition of the
+adjacency block A_c of each such component gives its top eigenvalue
+lambda_c and positive Perron vector, the spectrum mu / lambda_c of the
+Delta block A_c / lambda_c, and the spectrum 1 - mu / lambda_c of the block
+of B = I - Delta, all on the eigenvectors of A_c.  The points factor B block
+by block, so each component spans its own coordinates.  The companion
+squared-distance matrix D = 2(E - I) + 2 Delta is unit spherical with
+circumcenter weight vector built from the Perron vectors, and the
+multiplicity of lambda_max(Delta) certifies that no smaller dimension is
+possible.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import Edm, EdmRejection, require_edm, validate_edm
+from .edm import Edm, EdmRejection, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, adjacency, components
-from .spectral import eig, perron
+from .spectral import EigenSystem, eig
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -48,7 +51,8 @@ class OrthoRep:
     d : int
         Representation dimension, n - k (n for the edgeless graph).
     points : (n, d) ndarray
-        Unit rows; row i represents node i+1.
+        Unit rows; row i represents node i+1.  Block-diagonal: each
+        component's columns in split order, then one per isolated node.
     edm : Edm
         The companion squared-distance matrix 2(E - I) + 2 Delta.
     w : (n,) ndarray or None
@@ -60,6 +64,10 @@ class OrthoRep:
     adjacency_lambda_max : tuple of float
         Top adjacency eigenvalue of each nontrivial component, in split
         order; the normalizers of the Delta blocks.
+    delta_spectra : tuple of EigenSystem
+        Each Delta block's spectrum mu / lambda_c on the eigenvectors of A_c.
+    sign_pattern, unit_rows_max_dev : SignPatternReport, float
+        The self-checks: D against the edges; max | |p_i|^2 - 1 |.
     note : str or None
     """
 
@@ -73,28 +81,14 @@ class OrthoRep:
     delta: np.ndarray
     unit_spherical: bool
     adjacency_lambda_max: tuple
+    delta_spectra: tuple
+    sign_pattern: SignPatternReport | None = None  # filled by the self-check
+    unit_rows_max_dev: float | None = None  # filled by the self-check
     note: str | None = None
 
     @property
     def n(self) -> int:
         return self.graph.node_count
-
-
-def _edgeless_rep(G: Graph, split: ComponentSplit, tol: Tolerances) -> OrthoRep:
-    # No edges: the standard basis is optimal and d = n cannot be improved
-    # (any two distinct nodes need independent vectors).
-    n = G.node_count
-    D = 2.0 * (np.ones((n, n)) - np.eye(n))
-    edm = require_edm(D, tol)
-    # D = 2(E - I) is invertible for n >= 2 with D w = e at w = e / (2(n-1)).
-    w = np.full(n, 1.0 / (2.0 * (n - 1))) if n >= 2 else None
-    return OrthoRep(
-        graph=G, split=split, k=0, d=n,
-        points=np.eye(n), edm=edm, w=w,
-        delta=np.zeros((n, n)), unit_spherical=False,
-        adjacency_lambda_max=(),
-        note="graph has no edges; standard basis, dimension n, sphere is not unit",
-    )
 
 
 def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
@@ -103,7 +97,8 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     Per component with at least one edge, the adjacency block is scaled by
     its top eigenvalue so the block of Delta has top eigenvalue exactly 1
     with a positive eigenvector; isolated nodes contribute zero rows.  The
-    points are an eigenfactorization of B = I - Delta, of rank n - k.
+    points factor B = I - Delta, of rank n - k, block by block off one
+    eigendecomposition per component; an isolated node gets a unit column.
 
     Parameters
     ----------
@@ -124,71 +119,87 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     """
     split = components(G)
     k = split.nontrivial_count
-    if k == 0:
-        return _edgeless_rep(G, split, tol)
     n = G.node_count
     A = adjacency(G)
     delta = np.zeros((n, n))
     xi = np.zeros(n)
-    lams = []
+    lams, spectra, blocks = [], [], []
     for comp in split.nontrivial:
         idx = np.asarray(comp, dtype=int) - 1
         Asub = A[np.ix_(idx, idx)]
-        pd = perron(Asub, tol)
-        if not pd.lambda_max > 0.0:
+        es = eig(Asub, tol)
+        lam = float(es.values[0])
+        if not lam > 0.0:
             raise ConsistencyError(
-                f"component {comp} has an edge but adjacency eigenvalue {pd.lambda_max:g}"
+                f"component {comp} has an edge but adjacency eigenvalue {lam:g}"
             )
-        if np.any(pd.xi <= 0.0):
+        if np.any(es.vectors[:, 0] <= 0.0):
             raise ConsistencyError(
                 f"leading eigenvector of connected component {comp} is not positive"
             )
-        delta[np.ix_(idx, idx)] = Asub / pd.lambda_max
-        xi[idx] = pd.xi
-        lams.append(pd.lambda_max)
-    w = xi / (2.0 * xi.sum())
+        delta[np.ix_(idx, idx)] = Asub / lam
+        xi[idx] = es.vectors[:, 0]
+        lams.append(lam)
+        # lambda_c >= 1 once the component has an edge, so the blocks of Delta
+        # and of B = I - Delta have entries of magnitude <= 1: scale 1
+        spectra.append(EigenSystem(es.values / lam, es.vectors, tol, 1.0))
+        b = EigenSystem(1.0 - es.values[::-1] / lam, es.vectors[:, ::-1], tol, 1.0)
+        blocks.append((idx, b))
     D = 2.0 * (np.ones((n, n)) - np.eye(n)) + 2.0 * delta
     res = validate_edm(D, tol)
     if isinstance(res, EdmRejection):
         raise ConsistencyError(f"constructed matrix rejected as an EDM: {res.reason} ({res.detail})")
-    edm = res
-    es = eig(np.eye(n) - delta, tol)
-    keep = es.rank_mask()
-    P = es.vectors[:, keep] * np.sqrt(es.values[keep])
-    d = int(np.count_nonzero(keep))
+    iso = np.asarray(split.isolated, dtype=int) - 1
+    P = np.zeros((n, sum(b.rank for _, b in blocks) + iso.size))
+    col = 0
+    for idx, b in blocks:
+        keep = b.rank_mask()
+        P[idx, col:col + b.rank] = b.vectors[:, keep] * np.sqrt(b.values[keep])
+        col += b.rank
+    P[iso, col + np.arange(iso.size)] = 1.0
+    if k:
+        w, note = xi / (2.0 * xi.sum()), None
+    else:
+        # No edges: the standard basis is optimal and d = n cannot be improved
+        # (any two distinct nodes need independent vectors).  D = 2(E - I) is
+        # invertible for n >= 2 with D w = e at w = e / (2(n-1)).
+        w = np.full(n, 1.0 / (2.0 * (n - 1))) if n >= 2 else None
+        note = "graph has no edges; standard basis, dimension n, sphere is not unit"
     rep = OrthoRep(
-        graph=G, split=split, k=k, d=d, points=P, edm=edm, w=w,
-        delta=delta, unit_spherical=True, adjacency_lambda_max=tuple(lams),
+        graph=G, split=split, k=k, d=P.shape[1], points=P, edm=res, w=w, delta=delta,
+        unit_spherical=k > 0, adjacency_lambda_max=tuple(lams), delta_spectra=tuple(spectra),
+        note=note,
     )
     _check_construction(rep, tol)
     return rep
 
 
 def _check_construction(rep: OrthoRep, tol: Tolerances) -> None:
-    """Post-conditions of the spectral construction; ConsistencyError on failure."""
+    """Post-conditions of the spectral construction, kept on `rep`; ConsistencyError on failure."""
     n = rep.n
     problems = []
     if rep.d != n - rep.k:
         problems.append(f"rank of B is {rep.d}, expected n - k = {n - rep.k}")
-    if rep.edm.embedding_dim != n - rep.k:
-        problems.append(
-            f"embedding dimension of D is {rep.edm.embedding_dim}, expected {n - rep.k}"
-        )
-    Ddw = rep.edm.dist2 @ rep.w
-    solve_res = float(np.max(np.abs(Ddw - 1.0)))
-    if solve_res > tol.solve * scale(rep.edm.dist2):
-        problems.append(f"max|D w - e| = {solve_res:g}")
-    etw = float(rep.w.sum())
-    if abs(2.0 * etw - 1.0) > tol.unit:
-        problems.append(f"2 e^T w = {2.0 * etw:.17g}, expected 1")
-    sign = verify_sign_pattern(rep.edm, rep.graph, tol)
+    if rep.unit_spherical:  # edgeless: the basis vectors' affine hull misses the origin
+        if rep.edm.embedding_dim != n - rep.k:
+            problems.append(
+                f"embedding dimension of D is {rep.edm.embedding_dim}, expected {n - rep.k}"
+            )
+        Ddw = rep.edm.dist2 @ rep.w
+        solve_res = float(np.max(np.abs(Ddw - 1.0)))
+        if solve_res > tol.solve * scale(rep.edm.dist2):
+            problems.append(f"max|D w - e| = {solve_res:g}")
+        etw = float(rep.w.sum())
+        if abs(2.0 * etw - 1.0) > tol.unit:
+            problems.append(f"2 e^T w = {2.0 * etw:.17g}, expected 1")
+    sign = rep.sign_pattern = verify_sign_pattern(rep.edm, rep.graph, tol)
     if not sign.ok:
         problems.append(
             f"sign pattern: {len(sign.edge_violations)} edge and "
             f"{len(sign.nonedge_violations)} non-edge violations"
         )
-    gram = rep.points @ rep.points.T
-    unit_dev = float(np.max(np.abs(np.diag(gram) - 1.0))) if n else 0.0
+    sq = np.einsum("ij,ij->i", rep.points, rep.points)  # row sums of squares, O(nd)
+    unit_dev = rep.unit_rows_max_dev = float(np.max(np.abs(sq - 1.0), initial=0.0))
     if unit_dev > tol.sign:
         problems.append(f"max | |p_i|^2 - 1 | = {unit_dev:g}")
     if problems:
@@ -275,9 +286,9 @@ class MinimalityReport:
 def minimality_bound(rep: OrthoRep, tol: Tolerances | None = None) -> MinimalityReport:
     """Certify d = n - k is minimal by per-block top-eigenvalue multiplicity.
 
-    Runs a Perron analysis on each diagonal block of the representation's
+    Reads the stored spectrum of each diagonal block of the representation's
     Delta (normalized component adjacencies, top eigenvalue 1 each) and sums
-    the multiplicities at the global maximum.
+    the multiplicities at the global maximum (`EigenSystem.multiplicity`).
 
     Returns
     -------
@@ -286,28 +297,15 @@ def minimality_bound(rep: OrthoRep, tol: Tolerances | None = None) -> Minimality
         constructed case m = k, where dimension n - m equals n - k.
     """
     tol = rep.edm.tol if tol is None else tol
-    n = rep.n
-    if rep.k == 0:
-        return MinimalityReport(
-            m=0, k=0, dimension=n, lambda_global=0.0,
-            block_lambda_max=(), bound_ok=True, tight=True,
-        )
-    per_block = []
-    for comp in rep.split.nontrivial:
-        idx = np.asarray(comp, dtype=int) - 1
-        sub = np.maximum(rep.delta[np.ix_(idx, idx)], 0.0)
-        per_block.append(perron(sub, tol))
-    lam_global = max(pd.lambda_max for pd in per_block)
-    m = sum(
-        pd.multiplicity for pd in per_block
-        if pd.lambda_max >= lam_global - tol.cluster
-    )
+    tops = tuple(float(es.values[0]) for es in rep.delta_spectra)
+    lam_global = max(tops, default=0.0)
+    m = sum(es.multiplicity(tol.cluster) for es in rep.delta_spectra)
     return MinimalityReport(
         m=m,
         k=rep.k,
-        dimension=n - m,
+        dimension=rep.n - m,
         lambda_global=lam_global,
-        block_lambda_max=tuple(pd.lambda_max for pd in per_block),
+        block_lambda_max=tops,
         bound_ok=m <= rep.k,
         tight=m == rep.k,
     )

@@ -6,9 +6,10 @@ matrices, embedding dimensions) consumes the five operations here:
 are pure functions of their inputs and deterministic for identical input
 bits, so results are safe to share across threads.
 
-The PSD rule (slack ``tol.psd * scale``) and the rank rule (cut
-``tol.rank * scale``) live here and nowhere else, as `EigenSystem.psd` and
-`EigenSystem.rank_mask`; every caller holding an eigensystem reads them.
+The PSD rule (slack ``tol.psd * scale``), the rank rule (cut
+``tol.rank * scale``) and the cluster rule (band ``tol.cluster`` below the
+top) live here and nowhere else, as `EigenSystem.psd`, `.rank_mask` and
+`.multiplicity`; every caller holding an eigensystem reads them.
 
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
@@ -115,6 +116,11 @@ class EigenSystem:
     def rank(self) -> int:
         return int(np.count_nonzero(self.rank_mask()))
 
+    def multiplicity(self, band: float | None = None) -> int:
+        """The cluster rule: count eigenvalues >= the largest - band (default tol.cluster)."""
+        band = self.tolerance.cluster if band is None else band
+        return int(np.count_nonzero(self.values >= self.values[0] - band))
+
     def reconstruction_residual(self, M) -> float:
         """max|V diag(values) V^T - M|, the invariant checked by the test suite."""
         rebuilt = (self.vectors * self.values) @ self.vectors.T
@@ -143,7 +149,11 @@ def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     SpectralError
         If the underlying solver fails to converge.
     """
-    S = as_symmetric(M, tol)
+    return _decompose(as_symmetric(M, tol), tol)
+
+
+def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
+    """`eig` of a matrix `as_symmetric` has already canonicalized."""
     try:
         values, vectors = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:
@@ -214,10 +224,8 @@ def perron(M, tol: Tolerances = DEFAULT_TOL) -> PerronData:
     S = as_symmetric(M, tol)
     if S.size and float(S.min()) < 0.0:
         raise ValueError(f"perron requires nonnegative entries, found {S.min():g}")
-    es = eig(S, tol)
-    lam = float(es.values[0])
-    multiplicity = int(np.count_nonzero(es.values >= lam - tol.cluster))
-    return PerronData(lambda_max=lam, multiplicity=multiplicity, xi=es.vectors[:, 0].copy())
+    es = _decompose(S, tol)
+    return PerronData(float(es.values[0]), es.multiplicity(), es.vectors[:, 0].copy())
 
 
 @dataclass(eq=False)
@@ -238,7 +246,7 @@ def solve_linear(M, b, tol: Tolerances = DEFAULT_TOL) -> LinearSolution:
     space of M.
     """
     S = as_symmetric(M, tol)
-    es = eig(S, tol)
+    es = _decompose(S, tol)
     b = np.asarray(b, dtype=float).reshape(-1)
     if b.shape[0] != es.order:
         raise ValueError(f"shape mismatch: matrix order {es.order}, vector length {b.shape[0]}")

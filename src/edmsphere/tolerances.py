@@ -16,6 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import PreconditionError
+
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
@@ -95,7 +97,7 @@ def from_profile(name: str) -> Tolerances:
         return PROFILES[name]
     except KeyError:
         known = ", ".join(sorted(PROFILES))
-        raise ValueError(f"unknown tolerance profile {name!r} (known: {known})") from None
+        raise PreconditionError(f"unknown tolerance profile {name!r} (known: {known})") from None
 
 
 def profile_from_env(environ: dict[str, str] | None = None) -> Tolerances:

@@ -282,6 +282,33 @@ class TestTolerances:
         assert "unknown tolerance profile" in report["result"]["error"]
 
 
+class TestExitCodes:
+    def test_internal_value_error_is_a_fault(self, capsys, graph_file, monkeypatch):
+        import edmsphere.cli as cli
+
+        def broken(rep, tol=None):
+            raise ValueError("broken minimality")
+
+        monkeypatch.setattr(cli, "minimality_bound", broken)
+        code, report, _ = run_json(capsys, ["orthorep", graph_file])
+        assert code == 1
+        assert report["status"] == "error"
+        assert "broken minimality" in report["result"]["error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "latin1.txt"],
+        ["orthorep", "latin1.txt"],
+        ["gen", "random-sphere", "-n", "5", "-r", "2", "--seed", "-1", "--out", "o.txt"],
+        ["check-rankin", "--sample", "3", "--trials", "2", "--seed", "-1"],
+    ])
+    def test_bad_input_is_rejected(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe1\n0\n")
+        code, report, _ = run_json(capsys, argv)
+        assert code == 2
+        assert report["status"] == "precondition-failed"
+
+
 def test_failure_reports_are_valid_json(capsys, tmp_path):
     # every non-crash path must still emit one well-formed report
     for argv in (

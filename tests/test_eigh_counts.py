@@ -10,6 +10,7 @@ zero rows of Delta).
 
 import contextlib
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from edmsphere import (
     gen_unit_simplex,
     gram_factor,
     kuperberg_decompose,
+    minimality_bound,
     spherical_certificate,
     validate_edm,
 )
@@ -141,4 +143,26 @@ def test_check_rankin_sample_two_per_trial(eighs):
 
 def test_construct_orthorep_connected(eighs):
     construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
-    assert len(eighs) == 3  # Perron of the adjacency, B of D, I - Delta
+    assert len(eighs) == 2  # the adjacency, B of D
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_construct_orthorep_k_components(eighs, k):
+    # k triangles and two isolated nodes: one eigh per component, one of B
+    edges = [(3 * c + a, 3 * c + b) for c in range(k) for a, b in [(1, 2), (1, 3), (2, 3)]]
+    construct_orthorep(Graph.from_edges(3 * k + 2, edges))
+    assert len(eighs) == k + 1
+
+
+def test_minimality_bound_reads_stored_spectra(eighs):
+    rep = construct_orthorep(Graph.from_edges(7, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]))
+    eighs.clear()
+    assert minimality_bound(rep).tight
+    assert len(eighs) == 0
+
+
+def test_cli_orthorep_example(eighs):
+    graph = Path(__file__).with_name("golden") / "example.graph"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["orthorep", str(graph)]) == 0
+    assert len(eighs) == 3  # two single-edge components, B of D

@@ -47,6 +47,11 @@ class TestExampleGraph:
         for i, j in [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)]:
             assert abs(gram[i, j]) <= 1e-8
 
+    def test_points_block_diagonal(self, example_graph):
+        # columns: component {1,2}, component {3,4}, then isolated node 5
+        rep = construct_orthorep(example_graph)
+        npt.assert_array_equal(rep.points, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
+
     def test_certificate_round_trip(self, example_graph):
         rep = construct_orthorep(example_graph)
         cert = spherical_certificate(rep.edm)
@@ -89,6 +94,7 @@ class TestEdgeless:
         npt.assert_allclose(rep.w, np.full(3, 0.25), atol=1e-15)
         assert not rep.unit_spherical
         assert rep.note is not None and "no edges" in rep.note
+        assert rep.sign_pattern.ok and rep.unit_rows_max_dev == 0.0
 
     def test_single_node(self):
         rep = construct_orthorep(Graph.from_edges(1, []))
@@ -183,11 +189,29 @@ class TestRandomGraphs:
         edges = helpers.random_graph_edges(rng, n, 0.4)
         G = Graph.from_edges(n, edges)
         rep = construct_orthorep(G)
-        k = components(G).nontrivial_count
+        split = components(G)
+        k = split.nontrivial_count
         assert rep.k == k
         assert rep.d == n - k
         rpt = verify_sign_pattern(rep.edm, G)
         assert rpt.ok
+        assert rep.sign_pattern.ok
+        assert rep.unit_rows_max_dev <= 1e-12
+        P = rep.points
+        npt.assert_allclose(P @ P.T, np.eye(n) - rep.delta, rtol=0, atol=1e-12)
+        # block-diagonal: each component owns |c| - 1 columns in split order,
+        # then each isolated node a unit column
+        own = np.zeros(P.shape, dtype=bool)
+        col = 0
+        for comp in split.nontrivial:
+            own[np.ix_(np.asarray(comp) - 1, range(col, col + len(comp) - 1))] = True
+            col += len(comp) - 1
+        for i in split.isolated:
+            npt.assert_array_equal(P[i - 1], np.eye(rep.d)[col])
+            own[i - 1, col] = True
+            col += 1
+        assert col == rep.d
+        assert not np.any(P[~own])
         if k > 0:
             # unit spherical: circumcenter lies in the affine hull, so the
             # affine embedding dimension equals the span dimension d

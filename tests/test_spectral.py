@@ -179,6 +179,12 @@ class TestPerron:
         pd = perron(np.diag([1.0, 1.0 - 1e-10, 0.5]))
         assert pd.multiplicity == 2  # default band 1e-8 absorbs 1e-10
 
+    def test_multiplicity_band(self):
+        es = eig(np.diag([1.0, 1.0 - 1e-10, 0.5]))
+        assert es.multiplicity() == 2  # default band tol.cluster = 1e-8
+        assert es.multiplicity(band=1e-12) == 1
+        assert es.multiplicity(band=0.6) == 3
+
 
 class TestSolveLinear:
     def test_invertible_system(self):
