@@ -9,7 +9,8 @@ an internal fault, including results that would contradict theory.
 Tolerances come from the profile named by the EDM_SPHERE_TOL_PROFILE
 environment variable (default, strict, loose), overridable per run with
 --tol-profile and per threshold with --tol-psd, --tol-rank, --tol-cluster,
---tol-sign, --tol-unit.
+--tol-sign, --tol-unit; an override that is negative or not finite is
+rejected with exit 2.
 """
 
 from __future__ import annotations
@@ -101,11 +102,14 @@ def _write_out(path, result, checks) -> None:
 def _resolve_tolerances(args) -> tuple[Tolerances, str]:
     profile = args.tol_profile or os.environ.get(TOL_PROFILE_ENV, "default")
     base = from_profile(profile)  # PreconditionError on unknown names
-    tol = base.with_overrides(
-        psd=args.tol_psd, rank=args.tol_rank, cluster=args.tol_cluster,
-        sign=args.tol_sign, unit=args.tol_unit,
-    )
-    return tol, profile
+    overrides = {
+        "psd": args.tol_psd, "rank": args.tol_rank, "cluster": args.tol_cluster,
+        "sign": args.tol_sign, "unit": args.tol_unit,
+    }
+    for name, value in overrides.items():
+        if value is not None and not (np.isfinite(value) and value >= 0.0):
+            raise PreconditionError(f"--tol-{name} must be finite and >= 0, got {value!r}")
+    return base.with_overrides(**overrides), profile
 
 
 def _spherical_dict(cert) -> dict:

@@ -11,17 +11,20 @@ configurations (regular simplices, crosspolytopes, random sphere samples).
 
 The PSD and rank rules live in `spectral` (`EigenSystem.psd`,
 `EigenSystem.rank_mask`); `validate_edm` applies both to its one eigensystem
-of B, which the returned `Edm` keeps for later stages.
+of B, which the returned `Edm` keeps for later stages.  The sphericity solve
+reads it too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so
+D w = e is solved on an orthonormal basis of e, g and B's eigenvectors above
+the rank cut, and its residual is checked against the full D.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .spectral import EigenSystem, eig, perron, solve_linear
+from .spectral import EigenSystem, eig, perron
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -111,13 +114,19 @@ def _centroid(n: int) -> np.ndarray:
 
 
 def centering_gram(D: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """B = -1/2 (I - e s^T) D (I - s e^T), the Gram matrix of D centered at s."""
+    """B = -1/2 (I - e s^T) D (I - s e^T), the Gram matrix of D centered at s.
+
+    For symmetric D this is B_ij = -1/2 ((D_ij - (u_i + u_j)) + s^T u) with
+    u = D s: O(n^2), and exactly symmetric, since D is and u_i + u_j = u_j + u_i.
+    """
     D = np.asarray(D, dtype=float)
     s = np.asarray(s, dtype=float).reshape(-1)
-    n = D.shape[0]
-    J = np.eye(n) - np.outer(np.ones(n), s)
-    B = -0.5 * J @ D @ J.T
-    return (B + B.T) / 2.0  # kill rounding skew; exact symmetry for eigh
+    u = D @ s
+    B = u[:, None] + u[None, :]
+    np.subtract(D, B, out=B)
+    B += s @ u
+    B *= -0.5
+    return B
 
 
 def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
@@ -261,11 +270,19 @@ class SphericalCertificate:
 def spherical_certificate(D: Edm) -> SphericalCertificate:
     """Solve D w = e and classify the configuration's sphericity.
 
+    w is the minimum-norm solution under D's own rank cut tol.rank *
+    scale(D).  It is found on an orthonormal basis Q of e, g = diag(B) and
+    the eigenvectors of the Gram matrix B above its rank cut (kept by
+    validation), whose span holds D's column space since D = g e^T + e g^T
+    - 2B: one eigendecomposition of Q^T D Q, of order at most rank(B) + 2
+    (Q is the identity when rank(B) + 2 >= n).  The residual max|D w - e|
+    is measured against the full D.
+
     Any nonzero EDM has e in its column space, so "e-not-in-colspace" only
     arises for the all-zero (all-points-coincident) degenerate input; it is
-    still checked defensively through the solve residual.  A consistent
-    solve classifies by e^T w: spherical (with radius) when e^T w exceeds
-    the PSD slack, non-spherical otherwise.
+    still checked defensively through that residual (above tol.solve *
+    scale(D)).  A consistent solve classifies by e^T w: spherical (with
+    radius) when e^T w exceeds the PSD slack, non-spherical otherwise.
 
     The solve runs once per `Edm`; later calls return the same certificate.
     """
@@ -276,23 +293,57 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
 
 def _solve_certificate(D: Edm) -> SphericalCertificate:
     tol = D.tol
-    sol = solve_linear(D.dist2, np.ones(D.n), tol)
-    if not sol.consistent:
+    e = np.ones(D.n)
+    Q = _certificate_basis(D)
+    M = D.dist2 if Q.shape[1] == D.n else Q.T @ (D.dist2 @ Q)  # Q = I: no product by it
+    es = replace(eig(0.5 * (M + M.T), tol), scale=scale(D.dist2))  # D's own rank cut
+    keep = es.rank_mask()
+    inv = np.zeros_like(es.values)
+    inv[keep] = 1.0 / es.values[keep]
+    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ e))))
+    residual = float(np.max(np.abs(D.dist2 @ w - e))) if D.n else 0.0
+    if residual > tol.solve * es.scale:
         return SphericalCertificate(
             status=E_NOT_IN_COLSPACE, w=None, etw=None, radius=None,
-            unit_spherical=False, residual=sol.residual,
+            unit_spherical=False, residual=residual,
         )
-    etw = float(sol.x.sum())
+    etw = float(w.sum())
     if etw <= tol.psd:
         return SphericalCertificate(
-            status=NON_SPHERICAL, w=sol.x, etw=etw, radius=None,
-            unit_spherical=False, residual=sol.residual,
+            status=NON_SPHERICAL, w=w, etw=etw, radius=None,
+            unit_spherical=False, residual=residual,
         )
     radius = float(np.sqrt(1.0 / (2.0 * etw)))
     return SphericalCertificate(
-        status=SPHERICAL, w=sol.x, etw=etw, radius=radius,
-        unit_spherical=abs(2.0 * etw - 1.0) <= tol.unit, residual=sol.residual,
+        status=SPHERICAL, w=w, etw=etw, radius=radius,
+        unit_spherical=abs(2.0 * etw - 1.0) <= tol.unit, residual=residual,
     )
+
+
+def _certificate_basis(D: Edm) -> np.ndarray:
+    """Orthonormal columns spanning e, B's eigenvectors above the rank cut and g = diag(B).
+
+    D = g e^T + e g^T - 2B (Gower 1985), so these hold the column space of
+    D.  e and g are orthogonalized in turn against the columns before them,
+    in two passes; a vector that loses more than 1 - 1/sqrt(2) of its norm in
+    the second pass already lay in their span up to rounding and is dropped
+    (Kahan and Parlett's "twice is enough").  With rank(B) + 2 >= n the
+    basis is the identity.
+    """
+    n = D.n
+    es = D.gram_eig
+    Q = es.vectors[:, es.rank_mask()]
+    if Q.shape[1] + 2 >= n:
+        return np.eye(n)
+    u = D.dist2.mean(axis=1)
+    g = u - 0.5 * u.mean()  # diag(B) at the centroid, as D has a zero diagonal
+    for v in (np.ones(n), g):
+        h1 = v - Q @ (Q.T @ v)
+        h2 = h1 - Q @ (Q.T @ h1)
+        norm = float(np.linalg.norm(h2))
+        if norm > float(np.linalg.norm(h1)) / np.sqrt(2.0):
+            Q = np.column_stack([Q, h2 / norm])
+    return Q
 
 
 @dataclass(eq=False)
@@ -453,8 +504,11 @@ def gen_random_spherical(n: int, r: int, seed, tol: Tolerances = DEFAULT_TOL):
         X[bad] = rng.standard_normal((int(bad.sum()), r))
         norms = np.linalg.norm(X, axis=1)
     X /= norms[:, None]
-    diff = X[:, None, :] - X[None, :, :]
-    D = np.einsum("ijk,ijk->ij", diff, diff)  # bitwise symmetric, zero diagonal
+    D = np.empty((n, n))
+    for i in range(0, n, 16):  # 16 rows of differences at a time, not an n x n x r tensor
+        diff = X[i:i + 16, None, :] - X[None, :, :]
+        D[i:i + 16] = np.einsum("ijk,ijk->ij", diff, diff)  # bitwise symmetric, zero diagonal
+        del diff  # one block alive at a time
     edm = validate_edm(D, tol)
     if isinstance(edm, EdmRejection):
         raise ConsistencyError(f"sampled sphere configuration rejected: {edm.reason} ({edm.detail})")

@@ -281,6 +281,25 @@ class TestTolerances:
         assert report["status"] == "precondition-failed"
         assert "unknown tolerance profile" in report["result"]["error"]
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("validate", "--tol-rank", "nan"),     # was status ok with embedding_dim 0
+        ("orthorep", "--tol-cluster", "-1"),   # was status ok with minimality m = 0
+        ("orthorep", "--tol-sign", "-1"),      # was exit 1, an internal fault
+        ("validate", "--tol-psd", "inf"),
+    ])
+    def test_bad_override_is_rejected(self, capsys, matrix_file, graph_file, command, flag, value):
+        path = matrix_file if command == "validate" else graph_file
+        code, report, _ = run_json(capsys, [command, path, flag, value])
+        assert code == 2
+        assert report["status"] == "precondition-failed"
+        assert flag in report["result"]["error"]
+
+    def test_zero_override_is_legal(self, capsys, matrix_file):
+        code, report, _ = run_json(capsys, ["validate", matrix_file, "--tol-cluster", "0"])
+        assert code == 0
+        assert report["tolerances"]["cluster"] == 0.0
+        assert report["result"]["embedding_dim"] == 3
+
 
 class TestExitCodes:
     def test_internal_value_error_is_a_fault(self, capsys, graph_file, monkeypatch):

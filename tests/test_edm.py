@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -10,6 +12,7 @@ from edmsphere import (
     DEFAULT_TOL,
     E_NOT_IN_COLSPACE,
     NON_SPHERICAL,
+    PROFILES,
     SPHERICAL,
     ConsistencyError,
     Edm,
@@ -25,11 +28,12 @@ from edmsphere import (
     gram_factor,
     min_offdiagonal,
     require_edm,
+    solve_linear,
     spherical_certificate,
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import nonnegative_delta
+from edmsphere.edm import _certificate_basis, nonnegative_delta
 
 COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])  # points 0, 1, 2
 TRIANGLE_VIOLATOR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
@@ -328,6 +332,119 @@ class TestGenerators:
             gen_random_spherical(3, 0, 0)
 
 
+def _certificate_families():
+    rng = np.random.default_rng(11)
+    X = helpers.random_sphere_points(rng, 12, 4)
+    jitter = rng.standard_normal((12, 1))
+    wide = helpers.random_sphere_points(rng, 40, 20)
+    cross = helpers.permute_1based(gen_crosspolytope(3).dist2, [4, 1, 6, 2, 5, 3])
+    return {
+        "sphere": helpers.edm_from_points(X),
+        "sphere-40": helpers.edm_from_points(wide),
+        "scaled-sphere": 37.5 * helpers.edm_from_points(X),
+        "cloud": helpers.edm_from_points(rng.standard_normal((12, 4))),
+        # radial jitter: within rounding of the sphere, and decisively off it (at 1e-3 the
+        # e^T w of either solve is rounding noise of the size of the strict tol.psd)
+        "nearly-spherical": helpers.edm_from_points(X * (1.0 + 1e-13 * jitter)),
+        "off-sphere": helpers.edm_from_points(X * (1.0 + 3e-2 * jitter)),
+        "crosspolytope": cross,
+        "composition": helpers.compose_block_edm([3, 2, 2], 1),
+        "coincident": helpers.edm_from_points(np.vstack([X, X[:3]])),
+        "zero": np.zeros((5, 5)),
+        "n1": np.zeros((1, 1)),
+        "n2": np.array([[0.0, 3.0], [3.0, 0.0]]),
+    }
+
+
+FAMILIES = _certificate_families()
+EXPECTED_STATUS = {
+    "sphere": SPHERICAL, "sphere-40": SPHERICAL, "scaled-sphere": SPHERICAL, "cloud": NON_SPHERICAL,
+    "nearly-spherical": SPHERICAL, "off-sphere": NON_SPHERICAL, "crosspolytope": SPHERICAL, "composition": SPHERICAL,
+    "coincident": SPHERICAL, "zero": E_NOT_IN_COLSPACE, "n1": E_NOT_IN_COLSPACE, "n2": SPHERICAL,
+}
+
+
+class TestCertificateSolve:
+    """The sphericity solve on B's eigenbasis against the full spectral solve of D w = e."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_full_solve(self, name, profile):
+        tol = PROFILES[profile]
+        edm = require_edm(FAMILIES[name], tol)
+        cert = spherical_certificate(edm)
+        sol = solve_linear(edm.dist2, np.ones(edm.n), tol)
+        assert (cert.status != E_NOT_IN_COLSPACE) == sol.consistent
+        assert cert.status == EXPECTED_STATUS[name]
+        if not sol.consistent:
+            assert cert.w is None and not cert.unit_spherical
+            return
+        etw = float(sol.x.sum())
+        assert cert.status == (SPHERICAL if etw > tol.psd else NON_SPHERICAL)
+        assert cert.unit_spherical == (cert.status == SPHERICAL and abs(2.0 * etw - 1.0) <= tol.unit)
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(sol.x))))
+        assert float(np.max(np.abs(cert.w - sol.x))) <= bound
+        assert cert.residual == float(np.max(np.abs(edm.dist2 @ cert.w - 1.0)))  # against the full D
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_basis_is_orthonormal_and_holds_the_column_space(self, name):
+        edm = require_edm(FAMILIES[name])
+        Q = _certificate_basis(edm)
+        assert Q.shape[0] == edm.n and Q.shape[1] <= edm.embedding_dim + 2
+        npt.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-14)
+        D = edm.dist2
+        assert float(np.max(np.abs(D - Q @ (Q.T @ D)))) <= 1e-12 * max(1.0, float(np.max(D)))
+
+    def test_relabelled_crosspolytope_is_minimum_norm(self):
+        cert = spherical_certificate(require_edm(FAMILIES["crosspolytope"]))
+        npt.assert_allclose(cert.w, np.full(6, 1.0 / 12.0), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["sphere", "cloud", "off-sphere", "composition", "coincident"])
+    def test_verdict_survives_relabelling(self, name):
+        D = FAMILIES[name]
+        edm = require_edm(D)
+        cert = spherical_certificate(edm)
+        order = np.random.default_rng(5).permutation(D.shape[0]) + 1
+        moved = require_edm(helpers.permute_1based(D, order))
+        other = spherical_certificate(moved)
+        assert (moved.embedding_dim, other.status, other.unit_spherical) == (
+            edm.embedding_dim, cert.status, cert.unit_spherical)
+        npt.assert_allclose(other.w, cert.w[order - 1], rtol=0,
+                            atol=1e-9 * max(1.0, float(np.max(np.abs(cert.w)))))
+
+
+def _centering_oracle(D, s):
+    J = np.eye(D.shape[0]) - np.outer(np.ones(D.shape[0]), s)
+    return -0.5 * J @ D @ J.T
+
+
 def test_centering_gram_matches_oracle(example_edm):
     B = centering_gram(example_edm.dist2, np.full(5, 0.2))
     npt.assert_allclose(B, helpers.centered_gram_oracle(example_edm.dist2), atol=1e-12)
+
+
+@pytest.mark.parametrize("centroid", [True, False])
+def test_centering_gram_is_symmetric_and_matches_jdj(centroid):
+    rng = np.random.default_rng(3)
+    D = FAMILIES["cloud"]
+    s = np.full(12, 1.0 / 12) if centroid else rng.dirichlet(np.ones(12))
+    B = centering_gram(D, s)
+    npt.assert_array_equal(B, B.T)
+    npt.assert_allclose(B, _centering_oracle(D, s), rtol=0, atol=1e-12 * np.max(D))
+
+
+class TestRandomSphericalDistances:
+    @pytest.mark.parametrize("n, r", [(7, 3), (16, 15), (37, 5)])  # below, at and past one 16-row block
+    def test_bitwise_equal_to_the_difference_tensor(self, n, r):
+        edm, X = gen_random_spherical(n, r, n * r)
+        diff = X[:, None, :] - X[None, :, :]
+        npt.assert_array_equal(edm.dist2, np.einsum("ijk,ijk->ij", diff, diff))
+
+    def test_peak_memory_stays_below_the_tensor(self):
+        tracemalloc.start()
+        try:
+            gen_random_spherical(200, 100, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6  # the 200 x 200 x 100 difference tensor alone is 32 MB

@@ -2,7 +2,8 @@
 
 `numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
-validation, one solve of D w = e per Edm, one Perron analysis of Delta, and
+validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
+most rank(B) + 2), one Perron analysis of Delta, and
 for each Kuperberg block its own validation, sphericity solve and Perron
 analysis of the block's Delta (plus one of its core when the block holds
 zero rows of Delta).
@@ -81,7 +82,7 @@ def test_validate_edm_is_one_eigh(eighs, D):
 
 
 @pytest.mark.parametrize("D, expected", [
-    (cross(8), 4),                       # B, D w = e, Delta, B at s = 2w
+    (cross(8), 3),                       # B, D w = e, Delta; 2w is bitwise e/n, so B is reused
     (composition([4, 3, 2, 2]), 4),
     (unit_sphere(16, 8), 3),             # Delta skipped: some distance < 2
     (gaussian_cloud(16, 8), 2),          # non-spherical: gram_factor reuses B's eigh
@@ -93,6 +94,16 @@ def test_dense_certify_chain(eighs, D, expected):
         embedding_dim_via_delta(edm, cert)
     gram_factor(edm)
     assert len(eighs) == expected
+
+
+@pytest.mark.parametrize("D", [cross(8), composition([4, 3, 2, 2]), unit_sphere(16, 8),
+                               gaussian_cloud(16, 8), gaussian_cloud(16, 15)])
+def test_certificate_eigh_order(eighs, D):
+    edm = validate_edm(D)
+    eighs.clear()
+    spherical_certificate(edm)
+    assert len(eighs) == 1
+    assert eighs[0] <= edm.embedding_dim + 2
 
 
 def test_certificate_is_solved_once(eighs):

@@ -10,6 +10,10 @@ code and any --out file must match tests/golden/reports.json, with only
 After an intended change to the reports, re-record with
 
     PYTHONPATH=src python tests/test_golden_reports.py
+
+which prints, for each case that changed, every changed JSON path with its
+absolute difference, flags every change that is not a float moving, and ends
+with the largest float difference.
 """
 
 from __future__ import annotations
@@ -82,13 +86,73 @@ def test_report_matches_recording(case, recorded, tmp_path):
     assert run_case(CASES[case], tmp_path) == recorded[case]
 
 
+def changes(old, new, path="$"):
+    """(path, |float difference| or None) for each leaf where `new` differs from `old`.
+
+    Report texts are compared as JSON when both parse, else token by token;
+    None marks a change that is not a float moving (a string, a key, a
+    length, a type, an exit code).
+    """
+    if isinstance(old, str) and isinstance(new, str) and old != new:
+        try:
+            return changes(json.loads(old), json.loads(new), path)
+        except ValueError:
+            a, b = old.split(), new.split()
+            if len(a) != len(b):
+                return [(path, None)]
+            return [c for i, (x, y) in enumerate(zip(a, b)) for c in _token_change(x, y, f"{path}[{i}]")]
+    if isinstance(old, dict) and isinstance(new, dict):
+        found = []
+        for key in sorted(old.keys() | new.keys()):
+            sub = f"{path}.{key}"
+            found += changes(old[key], new[key], sub) if key in old and key in new else [(sub, None)]
+        return found
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [c for i, (x, y) in enumerate(zip(old, new)) for c in changes(x, y, f"{path}[{i}]")]
+    if old == new and type(old) is type(new):
+        return []
+    if all(isinstance(v, float) for v in (old, new)):
+        return [(path, abs(new - old))]
+    return [(path, None)]
+
+
+def _token_change(a, b, path):
+    if a == b:
+        return []
+    try:
+        return [(path, abs(float(b) - float(a)))]
+    except ValueError:
+        return [(path, None)]
+
+
+def test_changes_lists_float_and_other_changes():
+    old = {"exit": 0, "stdout": '{"a": [1.0, 2.0], "b": "x"}', "files": {"m.txt": "2\n0.0 1.5\n"}}
+    new = {"exit": 2, "stdout": '{"a": [1.0, 2.5], "b": "y", "c": 1}', "files": {"m.txt": "2\n0.0 1.25\n"}}
+    assert changes(old, new) == [
+        ("$.exit", None), ("$.files.m.txt[2]", 0.25),
+        ("$.stdout.a[1]", 0.5), ("$.stdout.b[0]", None), ("$.stdout.c", None),
+    ]
+    assert changes(old, old) == []
+
+
 if __name__ == "__main__":
     import tempfile
 
+    with open(GOLDEN / "reports.json", encoding="utf-8") as fh:
+        before = json.load(fh)
     reports = {}
     for case, argv in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             reports[case] = run_case(argv, tmp)
+    largest = 0.0
+    for case in sorted(before.keys() | reports.keys()):
+        diff = changes(before.get(case), reports.get(case), case)
+        if diff:
+            print(f"{case}: {len(diff)} changed", file=sys.stderr)
+        for path, delta in diff:
+            print(f"  {path}: " + ("NOT A FLOAT CHANGE" if delta is None else f"{delta:.3g}"), file=sys.stderr)
+            largest = max(largest, delta or 0.0)
+    print(f"largest float difference {largest:.3g}", file=sys.stderr)
     with open(GOLDEN / "reports.json", "w", encoding="utf-8") as fh:
         json.dump(reports, fh, indent=1, sort_keys=True)
         fh.write("\n")
