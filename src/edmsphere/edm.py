@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .spectral import EigenSystem, eig, perron
+from .spectral import EigenSystem, _decompose, perron
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -66,18 +66,21 @@ class Edm:
 
     Stores what validation established, so no later stage recomputes it:
     `dist2` (symmetrized, diagonal exactly zero), `gram_eig` (the
-    eigensystem of the centroid Gram matrix B that decided the PSD verdict),
-    `embedding_dim` (the rank of B by that eigensystem's rank rule),
-    `min_offdiagonal` and the `tol` record all were decided with; plus the
-    sphericity certificate, solved on the first `spherical_certificate` call.
-    The fields are read-only: mutating one leaves the others describing a
-    different matrix.
+    eigensystem of the Gram matrix B of D centered at `centering` that
+    decided the PSD verdict), `embedding_dim` (the rank of B by that
+    eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
+    decided with; plus the sphericity certificate, solved on the first
+    `spherical_certificate` call.  `validate_edm` centers at the centroid
+    e/n; `construct_orthorep` builds its Edm at the circumcenter 2w, where B
+    is I - Delta and its eigensystem is known block by block.  The fields are
+    read-only: mutating one leaves the others describing a different matrix.
     """
 
     dist2: np.ndarray
     embedding_dim: int
     tol: Tolerances
     gram_eig: EigenSystem
+    centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
 
@@ -116,16 +119,18 @@ def _centroid(n: int) -> np.ndarray:
 def centering_gram(D: np.ndarray, s: np.ndarray) -> np.ndarray:
     """B = -1/2 (I - e s^T) D (I - s e^T), the Gram matrix of D centered at s.
 
-    For symmetric D this is B_ij = -1/2 ((D_ij - (u_i + u_j)) + s^T u) with
+    For symmetric D this is B_ij = 1/2 (((u_i + u_j) - D_ij) - s^T u) with
     u = D s: O(n^2), and exactly symmetric, since D is and u_i + u_j = u_j + u_i.
+    Subtracting rather than negating keeps exact zeros at +0.0, the bits an
+    eigensolver would see after `spectral.as_symmetric`.
     """
     D = np.asarray(D, dtype=float)
     s = np.asarray(s, dtype=float).reshape(-1)
     u = D @ s
     B = u[:, None] + u[None, :]
-    np.subtract(D, B, out=B)
-    B += s @ u
-    B *= -0.5
+    B -= D
+    B -= s @ u
+    B *= 0.5
     return B
 
 
@@ -166,7 +171,8 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
     off_min = min_offdiagonal(D)  # +inf below order 2
     if off_min < -tol.psd * s:
         return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
-    es = eig(centering_gram(D, _centroid(n)), tol)
+    centroid = _centroid(n)
+    es = _decompose(centering_gram(D, centroid), tol)
     psd = es.psd()
     if not psd:
         return EdmRejection(
@@ -175,7 +181,10 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
             witness_eigenvalue=psd.min_eigenvalue,
             witness_vector=psd.witness,
         )
-    return Edm(dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, min_offdiagonal=off_min)
+    return Edm(
+        dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, centering=centroid,
+        min_offdiagonal=off_min,
+    )
 
 
 def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
@@ -237,8 +246,9 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     if n and abs(float(s.sum()) - 1.0) > tol.solve:
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
     B = centering_gram(D.dist2, s)
-    # At the centroid B is bit for bit the matrix validate_edm decomposed.
-    es = D.gram_eig if np.array_equal(s, centroid) else eig(B, tol)
+    # At the stored centering B is the matrix gram_eig decomposes: bit for bit
+    # after validate_edm, up to rounding for a constructed representation.
+    es = D.gram_eig if np.array_equal(s, D.centering) else _decompose(B, tol)
     psd = es.psd()
     if not psd:
         raise ConsistencyError(
@@ -272,17 +282,20 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
 
     w is the minimum-norm solution under D's own rank cut tol.rank *
     scale(D).  It is found on an orthonormal basis Q of e, g = diag(B) and
-    the eigenvectors of the Gram matrix B above its rank cut (kept by
-    validation), whose span holds D's column space since D = g e^T + e g^T
-    - 2B: one eigendecomposition of Q^T D Q, of order at most rank(B) + 2
-    (Q is the identity when rank(B) + 2 >= n).  The residual max|D w - e|
-    is measured against the full D.
+    the eigenvectors of the Gram matrix B above its rank cut (the Edm's
+    `gram_eig`, centered at `centering`), whose span holds D's column space
+    since D = g e^T + e g^T - 2B: one eigendecomposition of Q^T D Q, of
+    order at most rank(B) + 2 (Q is the identity when rank(B) + 2 >= n).
+    The residual max|D w - e| is measured against the full D.
 
     Any nonzero EDM has e in its column space, so "e-not-in-colspace" only
     arises for the all-zero (all-points-coincident) degenerate input; it is
     still checked defensively through that residual (above tol.solve *
     scale(D)).  A consistent solve classifies by e^T w: spherical (with
-    radius) when e^T w exceeds the PSD slack, non-spherical otherwise.
+    radius) when e^T w * scale(D) exceeds the PSD slack tol.psd,
+    non-spherical otherwise.  w scales as 1/D, so scaling D up to cD keeps
+    the verdict; scaling D down to entries below 1 is not covered, because
+    scale() floors at 1.
 
     The solve runs once per `Edm`; later calls return the same certificate.
     """
@@ -296,7 +309,7 @@ def _solve_certificate(D: Edm) -> SphericalCertificate:
     e = np.ones(D.n)
     Q = _certificate_basis(D)
     M = D.dist2 if Q.shape[1] == D.n else Q.T @ (D.dist2 @ Q)  # Q = I: no product by it
-    es = replace(eig(0.5 * (M + M.T), tol), scale=scale(D.dist2))  # D's own rank cut
+    es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D.dist2))  # D's own rank cut
     keep = es.rank_mask()
     inv = np.zeros_like(es.values)
     inv[keep] = 1.0 / es.values[keep]
@@ -308,7 +321,7 @@ def _solve_certificate(D: Edm) -> SphericalCertificate:
             unit_spherical=False, residual=residual,
         )
     etw = float(w.sum())
-    if etw <= tol.psd:
+    if etw * es.scale <= tol.psd:  # w scales as 1/D: compare e^T w in D's own unit
         return SphericalCertificate(
             status=NON_SPHERICAL, w=w, etw=etw, radius=None,
             unit_spherical=False, residual=residual,
@@ -323,20 +336,26 @@ def _solve_certificate(D: Edm) -> SphericalCertificate:
 def _certificate_basis(D: Edm) -> np.ndarray:
     """Orthonormal columns spanning e, B's eigenvectors above the rank cut and g = diag(B).
 
-    D = g e^T + e g^T - 2B (Gower 1985), so these hold the column space of
-    D.  e and g are orthogonalized in turn against the columns before them,
-    in two passes; a vector that loses more than 1 - 1/sqrt(2) of its norm in
-    the second pass already lay in their span up to rounding and is dropped
-    (Kahan and Parlett's "twice is enough").  With rank(B) + 2 >= n the
-    basis is the identity.
+    B is the Gram matrix `gram_eig` decomposed, centered at s = `D.centering`,
+    and g = D s - 1/2 s^T D s.  D = g e^T + e g^T - 2B (Gower 1985), so these
+    hold the column space of D.  e and g are orthogonalized in turn against
+    the columns before them, in two passes; a vector that loses more than
+    1 - 1/sqrt(2) of its norm in the second pass already lay in their span up
+    to rounding and is dropped (Kahan and Parlett's "twice is enough").  With
+    rank(B) + 2 >= n the basis is the identity.
     """
     n = D.n
     es = D.gram_eig
     Q = es.vectors[:, es.rank_mask()]
     if Q.shape[1] + 2 >= n:
         return np.eye(n)
-    u = D.dist2.mean(axis=1)
-    g = u - 0.5 * u.mean()  # diag(B) at the centroid, as D has a zero diagonal
+    s = D.centering
+    if np.array_equal(s, _centroid(n)):  # as row means, so a validated D's w keeps its bits
+        u = D.dist2.mean(axis=1)
+        g = u - 0.5 * u.mean()
+    else:
+        u = D.dist2 @ s
+        g = u - 0.5 * (s @ u)
     for v in (np.ones(n), g):
         h1 = v - Q @ (Q.T @ v)
         h2 = h1 - Q @ (Q.T @ h1)

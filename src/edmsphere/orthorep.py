@@ -14,6 +14,13 @@ squared-distance matrix D = 2(E - I) + 2 Delta is unit spherical with
 circumcenter weight vector built from the Perron vectors, and the
 multiplicity of lambda_max(Delta) certifies that no smaller dimension is
 possible.
+
+D is certified by construction rather than validated again: centered at
+its circumcenter 2w its Gram matrix is B = I - Delta = P P^T, whose
+eigensystem the blocks already hold, so the Edm takes that eigensystem and
+the check is the reconstruction residual max|D - 2(E - P P^T)|, block by
+block.  Only the edgeless graph, whose points have no centering at the
+origin, validates D from scratch.
 """
 
 from __future__ import annotations
@@ -22,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import Edm, EdmRejection, validate_edm
+from .edm import Edm, EdmRejection, min_offdiagonal, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, adjacency, components
-from .spectral import EigenSystem, eig
+from .spectral import EigenSystem, _decompose
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -99,6 +106,10 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     with a positive eigenvector; isolated nodes contribute zero rows.  The
     points factor B = I - Delta, of rank n - k, block by block off one
     eigendecomposition per component; an isolated node gets a unit column.
+    With an edge, the returned Edm of D is centered at 2w, where its Gram
+    matrix is B, and carries B's eigensystem assembled from the blocks
+    (`Edm.centering`, `Edm.gram_eig`); no eigendecomposition of order n is
+    made.  The edgeless graph validates D with `validate_edm`.
 
     Parameters
     ----------
@@ -112,10 +123,11 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     Raises
     ------
     ConsistencyError
-        If any post-condition fails: D w = e, 2 e^T w = 1, rank(B) = n - k,
-        unit rows, or the inner-product sign pattern.  These cannot fail for
-        exact arithmetic, so a failure is a numerical diagnostic, reported
-        rather than silently returned.
+        If any post-condition fails: B PSD, the reconstruction residual
+        max|D - 2(E - P P^T)| <= tol.recon * n * scale(D), D w = e,
+        2 e^T w = 1, rank(B) = n - k, unit rows, or the inner-product sign
+        pattern.  These cannot fail for exact arithmetic, so a failure is a
+        numerical diagnostic, reported rather than silently returned.
     """
     split = components(G)
     k = split.nontrivial_count
@@ -127,7 +139,7 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     for comp in split.nontrivial:
         idx = np.asarray(comp, dtype=int) - 1
         Asub = A[np.ix_(idx, idx)]
-        es = eig(Asub, tol)
+        es = _decompose(Asub, tol)
         lam = float(es.values[0])
         if not lam > 0.0:
             raise ConsistencyError(
@@ -146,38 +158,85 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
         b = EigenSystem(1.0 - es.values[::-1] / lam, es.vectors[:, ::-1], tol, 1.0)
         blocks.append((idx, b))
     D = 2.0 * (np.ones((n, n)) - np.eye(n)) + 2.0 * delta
-    res = validate_edm(D, tol)
-    if isinstance(res, EdmRejection):
-        raise ConsistencyError(f"constructed matrix rejected as an EDM: {res.reason} ({res.detail})")
     iso = np.asarray(split.isolated, dtype=int) - 1
     P = np.zeros((n, sum(b.rank for _, b in blocks) + iso.size))
+    R = D - 2.0  # D - 2(E - P P^T): P P^T vanishes off the diagonal blocks
     col = 0
     for idx, b in blocks:
         keep = b.rank_mask()
-        P[idx, col:col + b.rank] = b.vectors[:, keep] * np.sqrt(b.values[keep])
+        Pc = b.vectors[:, keep] * np.sqrt(b.values[keep])
+        P[idx, col:col + b.rank] = Pc
+        R[np.ix_(idx, idx)] += 2.0 * (Pc @ Pc.T)
         col += b.rank
     P[iso, col + np.arange(iso.size)] = 1.0
+    R[iso, iso] += 2.0
+    recon = float(np.max(np.abs(R), initial=0.0))
     if k:
         w, note = xi / (2.0 * xi.sum()), None
+        res = _circumcenter_edm(D, 2.0 * w, blocks, iso, tol)
     else:
         # No edges: the standard basis is optimal and d = n cannot be improved
         # (any two distinct nodes need independent vectors).  D = 2(E - I) is
-        # invertible for n >= 2 with D w = e at w = e / (2(n-1)).
+        # invertible for n >= 2 with D w = e at w = e / (2(n-1)).  The points
+        # have no centering at the origin (their affine hull misses it), so
+        # P P^T is not a Gram matrix of D and D is validated from scratch.
         w = np.full(n, 1.0 / (2.0 * (n - 1))) if n >= 2 else None
         note = "graph has no edges; standard basis, dimension n, sphere is not unit"
+        res = validate_edm(D, tol)
+        if isinstance(res, EdmRejection):
+            raise ConsistencyError(f"constructed matrix rejected as an EDM: {res.reason} ({res.detail})")
     rep = OrthoRep(
         graph=G, split=split, k=k, d=P.shape[1], points=P, edm=res, w=w, delta=delta,
         unit_spherical=k > 0, adjacency_lambda_max=tuple(lams), delta_spectra=tuple(spectra),
         note=note,
     )
-    _check_construction(rep, tol)
+    _check_construction(rep, tol, recon)
     return rep
 
 
-def _check_construction(rep: OrthoRep, tol: Tolerances) -> None:
-    """Post-conditions of the spectral construction, kept on `rep`; ConsistencyError on failure."""
+def _circumcenter_edm(D: np.ndarray, s: np.ndarray, blocks: list, iso: np.ndarray,
+                      tol: Tolerances) -> Edm:
+    """The Edm of D centered at its circumcenter s = 2w, with no eigendecomposition.
+
+    There B = I - Delta = P P^T, block diagonal, so its eigensystem is the
+    blocks' spectra 1 - mu / lambda_c on their eigenvectors plus eigenvalue 1
+    on each isolated node, sorted descending; the PSD and rank rules read it
+    as they read the eigensystem `validate_edm` computes.
+    """
+    n = D.shape[0]
+    values = np.ones(n)
+    vectors = np.zeros((n, n))
+    col = 0
+    for idx, b in blocks:
+        values[col:col + idx.size] = b.values
+        vectors[idx, col:col + idx.size] = b.vectors
+        col += idx.size
+    vectors[iso, col + np.arange(iso.size)] = 1.0
+    order = np.argsort(-values, kind="stable")
+    gram = EigenSystem(values[order], vectors[:, order], tol, 1.0)  # scale(I - Delta) = 1
+    psd = gram.psd()
+    if not psd:
+        raise ConsistencyError(
+            f"constructed matrix rejected as an EDM: not-psd "
+            f"(I - Delta has eigenvalue {psd.min_eigenvalue:g})"
+        )
+    return Edm(
+        dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=s,
+        min_offdiagonal=min_offdiagonal(D),
+    )
+
+
+def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
+    """Post-conditions of the spectral construction, kept on `rep`; ConsistencyError on failure.
+
+    `recon` is max|D - 2(E - P P^T)|, bounded by tol.recon * n * scale(D).
+    """
     n = rep.n
     problems = []
+    unit = scale(rep.edm.dist2)
+    bound = tol.recon * n * unit
+    if recon > bound:
+        problems.append(f"reconstruction max|D - 2(E - P P^T)| = {recon:g} > {bound:g}")
     if rep.d != n - rep.k:
         problems.append(f"rank of B is {rep.d}, expected n - k = {n - rep.k}")
     if rep.unit_spherical:  # edgeless: the basis vectors' affine hull misses the origin
@@ -187,7 +246,7 @@ def _check_construction(rep: OrthoRep, tol: Tolerances) -> None:
             )
         Ddw = rep.edm.dist2 @ rep.w
         solve_res = float(np.max(np.abs(Ddw - 1.0)))
-        if solve_res > tol.solve * scale(rep.edm.dist2):
+        if solve_res > tol.solve * unit:
             problems.append(f"max|D w - e| = {solve_res:g}")
         etw = float(rep.w.sum())
         if abs(2.0 * etw - 1.0) > tol.unit:

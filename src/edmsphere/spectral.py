@@ -14,6 +14,9 @@ top) live here and nowhere else, as `EigenSystem.psd`, `.rank_mask` and
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
 mirrors the lower triangle so the stored matrix is exactly symmetric.
+Callers inside the package that build a matrix exactly symmetric (a double
+centering, 0.5 (M + M^T), a principal block of an adjacency matrix) skip it
+and call `_decompose`, which checks finiteness only.
 """
 
 from __future__ import annotations
@@ -153,7 +156,14 @@ def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
 
 
 def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
-    """`eig` of a matrix `as_symmetric` has already canonicalized."""
+    """`eig` of a matrix that is already exactly symmetric: canonicalized or symmetric by construction.
+
+    Only finiteness is checked again (ValueError as in `as_symmetric`): a
+    matrix built from finite data, such as a Gram matrix of a finite D with
+    entries near the float maximum, can still overflow.
+    """
+    if S.size and not np.all(np.isfinite(S)):
+        raise ValueError("matrix contains NaN or Inf entries")
     try:
         values, vectors = np.linalg.eigh(S)
     except np.linalg.LinAlgError as exc:

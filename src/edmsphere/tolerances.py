@@ -56,7 +56,9 @@ class Tolerances:
     symmetry : float
         Allowed asymmetry max|M - M^T| relative to scale(M) at construction.
     recon : float
-        Eigendecomposition reconstruction residual bound is recon * n * scale.
+        Reconstruction residual bound recon * n * scale: for an
+        eigendecomposition in the tests, and in `construct_orthorep` for the
+        constructed distances, max|D - 2(E - P P^T)| <= recon * n * scale(D).
     """
 
     psd: float = 1e-9

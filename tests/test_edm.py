@@ -34,6 +34,7 @@ from edmsphere import (
     validate_edm,
 )
 from edmsphere.edm import _certificate_basis, nonnegative_delta
+from edmsphere.spectral import as_symmetric
 
 COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])  # points 0, 1, 2
 TRIANGLE_VIOLATOR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
@@ -433,6 +434,15 @@ def test_centering_gram_is_symmetric_and_matches_jdj(centroid):
     npt.assert_allclose(B, _centering_oracle(D, s), rtol=0, atol=1e-12 * np.max(D))
 
 
+@pytest.mark.parametrize("D", [helpers.compose_block_edm([2, 2, 2, 2]), gen_crosspolytope(4).dist2,
+                               FAMILIES["cloud"]])
+def test_centering_gram_is_already_canonical(D):
+    # eigensolvers take B without as_symmetric, so it must hold the same bits,
+    # signs of zero included: these compositions have exact zeros in B
+    B = centering_gram(D, np.full(D.shape[0], 1.0 / D.shape[0]))
+    assert B.tobytes() == as_symmetric(B).tobytes()
+
+
 class TestRandomSphericalDistances:
     @pytest.mark.parametrize("n, r", [(7, 3), (16, 15), (37, 5)])  # below, at and past one 16-row block
     def test_bitwise_equal_to_the_difference_tensor(self, n, r):
@@ -448,3 +458,57 @@ class TestRandomSphericalDistances:
         finally:
             tracemalloc.stop()
         assert peak < 4e6  # the 200 x 200 x 100 difference tensor alone is 32 MB
+
+
+SCALED_FAMILIES = {name: FAMILIES[name] for name in
+                   ["sphere", "sphere-40", "cloud", "off-sphere", "crosspolytope", "composition"]}
+SCALED_FAMILIES["unit-simplex"] = gen_unit_simplex(5).dist2
+
+
+class TestScaleInvariance:
+    """D -> cD keeps EDM-ness, rank and sphericity and multiplies the radius by sqrt(c)."""
+
+    @given(name=st.sampled_from(sorted(SCALED_FAMILIES)), c=st.floats(1.0, 1e12))
+    @settings(max_examples=60, deadline=None)
+    def test_verdicts_survive_scaling_up(self, name, c):
+        D = SCALED_FAMILIES[name]
+        edm, scaled = require_edm(D), validate_edm(c * D)
+        assert not isinstance(scaled, EdmRejection)
+        assert scaled.embedding_dim == edm.embedding_dim
+        cert, other = spherical_certificate(edm), spherical_certificate(scaled)
+        assert other.status == cert.status
+        if cert.status == SPHERICAL:
+            npt.assert_allclose(other.radius, np.sqrt(c) * cert.radius, rtol=1e-9)
+
+    @pytest.mark.parametrize("gamma", [1e10, 1e12])
+    def test_large_regular_simplex_is_spherical(self, gamma):
+        # e^T w = n / (gamma (n - 1)) falls below the absolute tol.psd at gamma ~ 1e9
+        cert = spherical_certificate(gen_regular_simplex(5, gamma))
+        assert cert.status == SPHERICAL
+        npt.assert_allclose(cert.radius, np.sqrt(gamma * 4 / 10), rtol=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="scale() floors at 1, so the rank cut tol.rank * scale "
+                       "does not shrink with a D below 1 (ROADMAP item 4): embedding_dim 0")
+    def test_rank_survives_scaling_down(self):
+        assert validate_edm(1e-9 * gen_unit_simplex(4).dist2).embedding_dim == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestOverflow:
+    """A finite D near the float maximum overflows the matrices built from it: ValueError, not an answer."""
+
+    SIMPLEX = np.ones((4, 4)) - np.eye(4)
+
+    def test_validation_gram(self):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            validate_edm(1.7e308 * self.SIMPLEX)  # u_i + u_j overflows
+
+    def test_certificate_solve(self):
+        edm = require_edm(1e308 * self.SIMPLEX)  # its Gram matrix is finite
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            spherical_certificate(edm)  # M + M^T overflows
+
+    def test_off_centroid_gram(self):
+        edm = require_edm(1e308 * self.SIMPLEX)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            gram_factor(edm, np.array([0.5, 0.5, 0.0, 0.0]))

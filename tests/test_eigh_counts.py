@@ -6,7 +6,9 @@ validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
 most rank(B) + 2), one Perron analysis of Delta, and
 for each Kuperberg block its own validation, sphericity solve and Perron
 analysis of the block's Delta (plus one of its core when the block holds
-zero rows of Delta).
+zero rows of Delta).  An orthonormal representation costs one eigh per
+component adjacency: the eigensystem of its B = I - Delta is assembled from
+those, and only the edgeless graph validates its D.
 """
 
 import contextlib
@@ -154,15 +156,28 @@ def test_check_rankin_sample_two_per_trial(eighs):
 
 def test_construct_orthorep_connected(eighs):
     construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
-    assert len(eighs) == 2  # the adjacency, B of D
+    assert len(eighs) == 1  # the adjacency; B = I - Delta is known from it
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_construct_orthorep_k_components(eighs, k):
-    # k triangles and two isolated nodes: one eigh per component, one of B
+    # k triangles and two isolated nodes: one eigh per component, none of B
     edges = [(3 * c + a, 3 * c + b) for c in range(k) for a, b in [(1, 2), (1, 3), (2, 3)]]
     construct_orthorep(Graph.from_edges(3 * k + 2, edges))
-    assert len(eighs) == k + 1
+    assert len(eighs) == k
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_construct_orthorep_edgeless(eighs, n):
+    construct_orthorep(Graph.from_edges(n, []))
+    assert eighs == [n]  # validate_edm of D = 2(E - I): no admissible centering at the origin
+
+
+def test_gram_factor_reuses_orthorep_eigensystem(eighs):
+    rep = construct_orthorep(Graph.from_edges(7, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]))
+    eighs.clear()
+    assert gram_factor(rep.edm, rep.edm.centering).config.shape == (7, rep.d)
+    assert len(eighs) == 0  # at the circumcenter 2w, B = I - Delta
 
 
 def test_minimality_bound_reads_stored_spectra(eighs):
@@ -176,4 +191,4 @@ def test_cli_orthorep_example(eighs):
     graph = Path(__file__).with_name("golden") / "example.graph"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["orthorep", str(graph)]) == 0
-    assert len(eighs) == 3  # two single-edge components, B of D
+    assert len(eighs) == 2  # two single-edge components

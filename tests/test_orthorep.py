@@ -5,14 +5,18 @@ import pytest
 import helpers
 from conftest import EXAMPLE_EDGES, EXAMPLE_EDM, EXAMPLE_W
 from edmsphere import (
+    ConsistencyError,
+    EigenSystem,
     Graph,
     components,
     construct_orthorep,
+    gram_factor,
     minimality_bound,
     spherical_certificate,
     validate_edm,
     verify_sign_pattern,
 )
+from edmsphere import orthorep as orthorep_module
 
 SQRT2 = np.sqrt(2.0)
 
@@ -181,13 +185,17 @@ class TestMinimality:
         assert rpt.tight
 
 
+def _random_graph(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    return Graph.from_edges(n, helpers.random_graph_edges(rng, n, 0.4))
+
+
 class TestRandomGraphs:
     @pytest.mark.parametrize("seed", range(30))
     def test_invariants(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 12))
-        edges = helpers.random_graph_edges(rng, n, 0.4)
-        G = Graph.from_edges(n, edges)
+        G = _random_graph(seed)
+        n = G.node_count
         rep = construct_orthorep(G)
         split = components(G)
         k = split.nontrivial_count
@@ -238,3 +246,84 @@ def test_constructed_edm_is_valid_edm(example_graph):
     rep = construct_orthorep(example_graph)
     res = validate_edm(rep.edm.dist2)
     assert res and res.embedding_dim == 3
+
+
+def _tree_edges(rng, nodes, chords):
+    """A random tree on `nodes` plus `chords` random extra edges."""
+    edges = {tuple(sorted((nodes[i], nodes[int(rng.integers(0, i))]))) for i in range(1, len(nodes))}
+    for _ in range(chords):
+        u, v = rng.choice(nodes, size=2, replace=False)
+        edges.add((int(min(u, v)), int(max(u, v))))
+    return sorted(edges)
+
+
+def _shaped_graph(kind, n, seed=3):
+    """A relabelled path, star, sparse graph (a tree plus n/4 chords) or
+    many components of 2 to 8 nodes plus n/8 isolated nodes."""
+    rng = np.random.default_rng(seed)
+    label = [int(x) for x in rng.permutation(n) + 1]
+    if kind == "path":
+        edges = [(label[i], label[i + 1]) for i in range(n - 1)]
+    elif kind == "star":
+        edges = [(label[0], label[i]) for i in range(1, n)]
+    elif kind == "sparse":
+        edges = _tree_edges(rng, label, n // 4)
+    else:
+        edges, pos = [], 0
+        while pos < n - n // 8 - 1:
+            size = min(int(rng.integers(2, 9)), n - n // 8 - pos)
+            edges += _tree_edges(rng, label[pos:pos + size], int(rng.integers(0, 3)))
+            pos += size
+    return Graph.from_edges(n, [(min(u, v), max(u, v)) for u, v in edges])
+
+
+class TestEdmByConstruction:
+    """The Edm built from the component spectra agrees with validating its D from scratch."""
+
+    @staticmethod
+    def assert_matches_validation(rep):
+        ref = validate_edm(rep.edm.dist2)
+        es = rep.edm.gram_eig
+        if rep.k:  # the assembled eigensystem of B = I - Delta, in the EigenSystem order
+            assert np.all(np.diff(es.values) <= 0.0)
+            assert es.reconstruction_residual(np.eye(rep.n) - rep.delta) <= 1e-12
+        assert rep.edm.embedding_dim == ref.embedding_dim
+        assert rep.edm.min_offdiagonal == ref.min_offdiagonal
+        assert bool(rep.edm.gram_eig.psd()) == bool(ref.gram_eig.psd())
+        mine, theirs = spherical_certificate(rep.edm), spherical_certificate(ref)
+        assert (mine.status, mine.unit_spherical) == (theirs.status, theirs.unit_spherical)
+        npt.assert_allclose(mine.w, theirs.w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs(self, seed):  # the graphs of TestRandomGraphs
+        self.assert_matches_validation(construct_orthorep(_random_graph(seed)))
+
+    @pytest.mark.parametrize("n", [40, 150])
+    @pytest.mark.parametrize("kind", ["path", "star", "sparse", "many"])
+    def test_benchmark_shapes(self, kind, n):
+        rep = construct_orthorep(_shaped_graph(kind, n))
+        assert rep.k > (1 if kind == "many" else 0)
+        self.assert_matches_validation(rep)
+
+    def test_centering_is_the_circumcenter(self):
+        rep = construct_orthorep(_shaped_graph("many", 40))
+        npt.assert_array_equal(rep.edm.centering, 2.0 * rep.w)
+        gf = gram_factor(rep.edm, rep.edm.centering)  # reads gram_eig: B = I - Delta
+        npt.assert_allclose(gf.config @ gf.config.T, np.eye(rep.n) - rep.delta, rtol=0, atol=1e-12)
+        npt.assert_array_equal(validate_edm(rep.edm.dist2).centering, np.full(rep.n, 1.0 / rep.n))
+
+    def test_reconstruction_residual_catches_a_perturbed_eigensystem(self, monkeypatch):
+        decompose = orthorep_module._decompose
+
+        def perturbed(S, tol):
+            # lambda_c and the Perron vector, hence D and w, stay exact; the
+            # points move by ~1e-8, below the unit-row and sign checks
+            es = decompose(S, tol)
+            values = es.values.copy()
+            values[1:] += 1e-8
+            return EigenSystem(values, es.vectors, es.tolerance, es.scale)
+
+        monkeypatch.setattr(orthorep_module, "_decompose", perturbed)
+        with pytest.raises(ConsistencyError, match="reconstruction") as info:
+            construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
+        assert ";" not in str(info.value)  # the only failed check
