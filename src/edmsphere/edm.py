@@ -14,7 +14,10 @@ The PSD and rank rules live in `spectral` (`EigenSystem.psd`,
 of B, which the returned `Edm` keeps for later stages.  The sphericity solve
 reads it too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so
 D w = e is solved on an orthonormal basis of e, g and B's eigenvectors above
-the rank cut, and its residual is checked against the full D.
+the rank cut, and its residual is checked against the full D.  The Gram
+matrix at another centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs
+from B's kept ones (`_gram_eig_at`), for `gram_factor` and, at s = 2w where it
+is I - Delta, for `embedding_dim_via_delta`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .spectral import EigenSystem, _decompose, perron
+from .spectral import EigenSystem, _decompose, _sign_normalize_columns, perron
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -70,10 +73,12 @@ class Edm:
     decided the PSD verdict), `embedding_dim` (the rank of B by that
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
-    `spherical_certificate` call.  `validate_edm` centers at the centroid
-    e/n; `construct_orthorep` builds its Edm at the circumcenter 2w, where B
-    is I - Delta and its eigensystem is known block by block.  The fields are
-    read-only: mutating one leaves the others describing a different matrix.
+    `spherical_certificate` call, and the Gram eigenpairs at the last other
+    centering asked for (`_gram_eig_at`).  `validate_edm` centers at the
+    centroid e/n; `construct_orthorep` builds its Edm at the circumcenter 2w,
+    where B is I - Delta and its eigensystem is known block by block.  The
+    fields are read-only: mutating one leaves the others describing a
+    different matrix.
     """
 
     dist2: np.ndarray
@@ -83,6 +88,7 @@ class Edm:
     centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
+    _gram_at: tuple[np.ndarray, EigenSystem] | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -218,14 +224,16 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
         Centering vector with e^T s = 1.  When omitted: 2w if the spherical
         certificate puts the points on a unit circumradius sphere (so the
         recovered points are the unit vectors themselves, centered at the
-        sphere's center), else e/n.
+        sphere's center; the Edm's own centering when it is 2w within
+        tol.solve), else e/n.
 
     Returns
     -------
     GramFactor
         `config` keeps the eigenvector columns with eigenvalue above the
         rank cut, ordered by descending eigenvalue and sign-normalized, each
-        scaled by the eigenvalue's square root.
+        scaled by the eigenvalue's square root: the principal axes about s,
+        read off the Edm's Gram eigensystem (`_gram_eig_at`).
 
     Raises
     ------
@@ -239,16 +247,14 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     centroid = _centroid(n)
     if s is None:
         cert = spherical_certificate(D)
-        s = 2.0 * cert.w if cert.unit_spherical else centroid
+        s = _circumcenter(D, cert) if cert.unit_spherical else centroid
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.shape[0] != n:
         raise PreconditionError(f"centering vector length {s.shape[0]} != order {n}")
     if n and abs(float(s.sum()) - 1.0) > tol.solve:
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
     B = centering_gram(D.dist2, s)
-    # At the stored centering B is the matrix gram_eig decomposes: bit for bit
-    # after validate_edm, up to rounding for a constructed representation.
-    es = D.gram_eig if np.array_equal(s, D.centering) else _decompose(B, tol)
+    es = _gram_eig_at(D, s, B)
     psd = es.psd()
     if not psd:
         raise ConsistencyError(
@@ -257,6 +263,66 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     keep = es.rank_mask()
     P = es.vectors[:, keep] * np.sqrt(es.values[keep])
     return GramFactor(gram=B, config=P, centering=s)
+
+
+def _circumcenter(D: Edm, cert: SphericalCertificate) -> np.ndarray:
+    """2w of a unit spherical certificate, or the Edm's centering when it is 2w within tol.solve.
+
+    A constructed representation stores 2w itself, which the certificate's
+    own w misses by rounding; its `gram_eig` is then read as it stands.
+    """
+    s = 2.0 * cert.w
+    return D.centering if float(np.max(np.abs(s - D.centering))) <= D.tol.solve else s
+
+
+def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSystem:
+    """The eigensystem of B = centering_gram(D.dist2, s), derived from `gram_eig`.
+
+    B is congruent to the stored Gram matrix B_c: B = (I - e s^T) B_c (I - s e^T)
+    (Gower 1985).  With U L U^T the pairs of B_c above its rank cut,
+    F = (I - e s^T) U L^(1/2) has F F^T = B up to the dropped eigenvalues, so
+    one eigendecomposition Z S Z^T of the k x k matrix F^T F (k = rank(B_c))
+    gives B's principal axes P = F Z, sign-normalized, with eigenvalues S.
+    The result holds only the pairs above B's rank cut, the rest of B's
+    spectrum being zero.  With shift = max|dropped eigenvalue of B_c|
+    (1 + sqrt(n) |s|)^2, a bound on |B - F F^T|_2, it is accepted when S
+    passes the PSD rule, S and 0 all lie more than shift from B's rank cut
+    (so the rank rule counts as it would on B's own eigensystem), and
+    max|B - P P^T| <= shift + tol.recon * n * scale(B); otherwise B itself is
+    decomposed, so its PSD verdict decides.  At s = `centering` this is
+    `gram_eig` itself.  The derived pairs are kept on the Edm for the next
+    call at the same s.  B is computed here unless the caller holds it.
+    """
+    if np.array_equal(s, D.centering):
+        return D.gram_eig
+    if D._gram_at is not None and np.array_equal(s, D._gram_at[0]):
+        return D._gram_at[1]
+    B = centering_gram(D.dist2, s) if B is None else B
+    if B.size and not np.all(np.isfinite(B)):  # from a finite D near the float maximum
+        raise ValueError("matrix contains NaN or Inf entries")
+    tol, n = D.tol, D.n
+    stored = D.gram_eig
+    kept = stored.rank_mask()
+    F = stored.vectors[:, kept] * np.sqrt(stored.values[kept])
+    F -= np.outer(np.ones(n), s @ F)
+    small = _decompose(F.T @ F, tol)  # A^T A is exactly symmetric (numpy computes it by syrk)
+    es = EigenSystem(small.values, small.vectors, tol, scale(B))
+    # |B - F F^T|_2 <= shift: B's eigenvalues lie within it of S and n - k zeros
+    shift = float(np.max(np.abs(stored.values[~kept]), initial=0.0))
+    shift *= (1.0 + np.sqrt(n) * float(np.linalg.norm(s))) ** 2
+    cut = tol.rank * es.scale
+    if es.psd() and np.all(np.abs(np.append(es.values, 0.0) - cut) > shift):
+        keep = es.rank_mask()
+        P = _sign_normalize_columns(F @ es.vectors[:, keep])
+        bound = shift + tol.recon * n * es.scale
+        R = P @ P.T
+        R -= B
+        if float(np.max(np.abs(R, out=R), initial=0.0)) <= bound:
+            values = es.values[keep]
+            es = EigenSystem(values, P / np.sqrt(values), tol, es.scale)
+            D._gram_at = (s.copy(), es)
+            return es
+    return _decompose(B, tol)
 
 
 @dataclass(eq=False)
@@ -427,6 +493,9 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     tol.solve).  When some off-diagonal drops below 2 the Perron argument is
     inapplicable and the report falls back to rank(B) with a note.
 
+    The top of Delta's spectrum is read off B = I - Delta at 2w when that
+    reading is decisive (`_delta_top`); otherwise `perron` decomposes Delta.
+
     Raises
     ------
     PreconditionError
@@ -446,17 +515,50 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
                 "does not apply; reporting rank of the centered Gram matrix instead"
             ),
         )
-    pd = perron(nonnegative_delta(dm, tol), tol)
+    delta = nonnegative_delta(dm, tol)
+    s = _circumcenter(D, cert)
+    top = _delta_top(_gram_eig_at(D, s), delta, tol)
+    if top is None:
+        pd = perron(delta, tol)
+        top = (pd.lambda_max, pd.multiplicity)
+    lambda_max, multiplicity = top
     residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
     return DeltaDimReport(
-        dimension=D.n - pd.multiplicity,
+        dimension=D.n - multiplicity,
         used_perron=True,
-        lambda_max=pd.lambda_max,
-        multiplicity=pd.multiplicity,
-        lambda_max_ok=abs(pd.lambda_max - 1.0) <= tol.cluster,
+        lambda_max=lambda_max,
+        multiplicity=multiplicity,
+        lambda_max_ok=abs(lambda_max - 1.0) <= tol.cluster,
         eigvec_residual=residual,
         eigvec_ok=residual <= tol.solve,
     )
+
+
+def _delta_top(gram: EigenSystem, delta: np.ndarray, tol: Tolerances) -> tuple[float, int] | None:
+    """lambda_max of `delta` and its multiplicity, read off the Gram eigensystem at 2w.
+
+    With P the pairs of `gram` above its rank cut, P P^T has eigenvalues
+    those values and n - k zeros, so nu = 1 - them is the spectrum of
+    I - P P^T.  rho = |(I - delta) - P P^T|_F bounds the distance of each
+    eigenvalue of `delta` from its counterpart in nu (Weyl).  The reading
+    decides only when every nu lies more than 2 rho from the cluster edge
+    max(nu) - tol.cluster, so the count cannot change, and
+    |max(nu) - 1| + rho <= tol.cluster; otherwise None.
+    """
+    if not gram.psd():
+        return None
+    keep = gram.rank_mask()
+    P = gram.vectors[:, keep] * np.sqrt(gram.values[keep])
+    R = P @ P.T
+    R += delta
+    R[np.diag_indices_from(R)] -= 1.0
+    rho = float(np.linalg.norm(R))
+    nu = np.concatenate([np.ones(delta.shape[0] - P.shape[1]), 1.0 - gram.values[keep]])
+    top = float(nu.max())
+    edge = top - tol.cluster
+    if abs(top - 1.0) + rho > tol.cluster or np.any(np.abs(nu - edge) <= 2.0 * rho):
+        return None
+    return top, int(np.count_nonzero(nu >= edge))
 
 
 def unit_simplex_gamma(n: int) -> float:

@@ -86,7 +86,9 @@ class EigenSystem:
     eigenvector for `values[i]`, sign-normalized for determinism.
     `tolerance` records the thresholds used downstream and `scale` is
     scale(M) of the decomposed matrix, the unit of the PSD slack and the
-    rank cut.
+    rank cut.  A PSD matrix may also be held by its pairs above the rank cut
+    alone, the rest of its spectrum being zero (`edm._gram_eig_at`): the PSD
+    and rank rules read it as they read the full decomposition.
     """
 
     values: np.ndarray
@@ -169,11 +171,16 @@ def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
     except np.linalg.LinAlgError as exc:
         raise SpectralError(f"eigendecomposition failed to converge: {exc}") from exc
     values = values[::-1].copy()
-    vectors = vectors[:, ::-1]
-    if vectors.size:  # sign_normalize on every column at once
-        lead = np.argmax(np.abs(vectors), axis=0)
-        vectors = vectors * np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
-    return EigenSystem(values=values, vectors=vectors, tolerance=tol, scale=scale(S))
+    return EigenSystem(values=values, vectors=_sign_normalize_columns(vectors[:, ::-1]),
+                       tolerance=tol, scale=scale(S))
+
+
+def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
+    """`sign_normalize` on every column at once."""
+    if not V.size:
+        return V
+    lead = np.argmax(np.abs(V), axis=0)
+    return V * np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -33,8 +34,9 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _certificate_basis, nonnegative_delta
-from edmsphere.spectral import as_symmetric
+from edmsphere.edm import _certificate_basis, _gram_eig_at, nonnegative_delta
+from edmsphere.spectral import _decompose, as_symmetric, perron
+from edmsphere.tolerances import scale
 
 COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])  # points 0, 1, 2
 TRIANGLE_VIOLATOR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
@@ -343,6 +345,8 @@ def _certificate_families():
         "sphere": helpers.edm_from_points(X),
         "sphere-40": helpers.edm_from_points(wide),
         "scaled-sphere": 37.5 * helpers.edm_from_points(X),
+        # e^T w = 5e-11: spherical by the scale-relative rule, not by an absolute e^T w > tol.psd
+        "sphere-1e10": 1e10 * helpers.edm_from_points(X),
         "cloud": helpers.edm_from_points(rng.standard_normal((12, 4))),
         # radial jitter: within rounding of the sphere, and decisively off it (at 1e-3 the
         # e^T w of either solve is rounding noise of the size of the strict tol.psd)
@@ -359,7 +363,8 @@ def _certificate_families():
 
 FAMILIES = _certificate_families()
 EXPECTED_STATUS = {
-    "sphere": SPHERICAL, "sphere-40": SPHERICAL, "scaled-sphere": SPHERICAL, "cloud": NON_SPHERICAL,
+    "sphere": SPHERICAL, "sphere-40": SPHERICAL, "scaled-sphere": SPHERICAL, "sphere-1e10": SPHERICAL,
+    "cloud": NON_SPHERICAL,
     "nearly-spherical": SPHERICAL, "off-sphere": NON_SPHERICAL, "crosspolytope": SPHERICAL, "composition": SPHERICAL,
     "coincident": SPHERICAL, "zero": E_NOT_IN_COLSPACE, "n1": E_NOT_IN_COLSPACE, "n2": SPHERICAL,
 }
@@ -381,7 +386,7 @@ class TestCertificateSolve:
             assert cert.w is None and not cert.unit_spherical
             return
         etw = float(sol.x.sum())
-        assert cert.status == (SPHERICAL if etw > tol.psd else NON_SPHERICAL)
+        assert cert.status == (SPHERICAL if etw * scale(edm.dist2) > tol.psd else NON_SPHERICAL)
         assert cert.unit_spherical == (cert.status == SPHERICAL and abs(2.0 * etw - 1.0) <= tol.unit)
         bound = 1e-9 * max(1.0, float(np.max(np.abs(sol.x))))
         assert float(np.max(np.abs(cert.w - sol.x))) <= bound
@@ -441,6 +446,113 @@ def test_centering_gram_is_already_canonical(D):
     # signs of zero included: these compositions have exact zeros in B
     B = centering_gram(D, np.full(D.shape[0], 1.0 / D.shape[0]))
     assert B.tobytes() == as_symmetric(B).tobytes()
+
+
+def _near_cut_sphere(tol):
+    """12 points on the unit 4-sphere, one axis squeezed so B's 5th eigenvalue is half the rank cut."""
+    rng = np.random.default_rng(23)
+    X = helpers.random_sphere_points(rng, 12, 4)
+    z = rng.standard_normal(12)
+
+    def edm(eps):
+        return helpers.edm_from_points(np.column_stack([X * np.sqrt(1.0 - (eps * z) ** 2)[:, None], eps * z]))
+
+    lam = validate_edm(edm(1e-3), tol).gram_eig.values[4]  # proportional to eps^2
+    return edm(1e-3 * np.sqrt(0.5 * tol.rank / lam))
+
+
+CONGRUENCE_FAMILIES = {
+    "sphere": FAMILIES["sphere"],
+    "crosspolytope": FAMILIES["crosspolytope"],
+    "composition-lone": helpers.permute_1based(helpers.compose_block_edm([3, 2, 2], 2),
+                                               [5, 9, 1, 7, 3, 8, 2, 6, 4]),
+    "cloud": FAMILIES["cloud"],
+    "coincident": FAMILIES["coincident"],
+    "near-cut": _near_cut_sphere,
+    "n1": FAMILIES["n1"],
+    "n2": FAMILIES["n2"],
+}
+
+
+class TestGramAtCentering:
+    """The Gram eigensystem at a centering s, derived from the stored one, against decomposing B_s."""
+
+    @staticmethod
+    def _edm(name, tol):
+        D = CONGRUENCE_FAMILIES[name]
+        return require_edm(D(tol) if callable(D) else D, tol)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(CONGRUENCE_FAMILIES))
+    def test_matches_the_decomposition_of_b(self, name, profile):
+        tol = PROFILES[profile]
+        edm = self._edm(name, tol)
+        centerings = [np.random.default_rng(edm.n).dirichlet(np.ones(edm.n))]
+        cert = spherical_certificate(edm)
+        if cert.status == SPHERICAL:
+            centerings.append(cert.w / cert.etw)  # the circumcenter, 2w when unit spherical
+        for s in centerings:
+            B = centering_gram(edm.dist2, s)
+            es, oracle = _gram_eig_at(edm, s, B), _decompose(B, tol)
+            keep, okeep = es.rank_mask(), oracle.rank_mask()
+            assert np.count_nonzero(keep) == np.count_nonzero(okeep)
+            unit = 1e-12 * scale(B)
+            npt.assert_allclose(es.values[keep], oracle.values[okeep], rtol=0, atol=unit)
+            P = es.vectors[:, keep] * np.sqrt(es.values[keep])
+            Po = oracle.vectors[:, okeep] * np.sqrt(oracle.values[okeep])
+            npt.assert_allclose(P @ P.T, Po @ Po.T, rtol=0, atol=unit)
+            assert gram_factor(edm, s).config.shape[1] == np.count_nonzero(okeep)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", ["crosspolytope", "composition-lone"])
+    def test_delta_report_matches_perron(self, name, profile):
+        tol = PROFILES[profile]
+        edm = self._edm(name, tol)
+        rep = embedding_dim_via_delta(edm, spherical_certificate(edm))
+        pd = perron(nonnegative_delta(delta_of(edm), tol), tol)
+        assert (rep.dimension, rep.multiplicity, rep.lambda_max_ok) == (
+            edm.n - pd.multiplicity, pd.multiplicity, abs(pd.lambda_max - 1.0) <= tol.cluster)
+        npt.assert_allclose(rep.lambda_max, pd.lambda_max, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_near_cut_falls_back(self, profile):
+        # the dropped eigenvalue carried through the congruence could cross B_s's rank cut
+        tol = PROFILES[profile]
+        edm = self._edm("near-cut", tol)
+        dropped = edm.gram_eig.values[edm.embedding_dim]
+        assert 0.3 * tol.rank < dropped < 0.9 * tol.rank
+        s = np.random.default_rng(1).dirichlet(np.ones(edm.n))
+        es = _gram_eig_at(edm, s)
+        assert es.order == edm.n and edm._gram_at is None
+
+    def test_derived_pairs_are_kept(self):
+        edm = require_edm(FAMILIES["cloud"])
+        s = np.random.default_rng(2).dirichlet(np.ones(edm.n))
+        es = _gram_eig_at(edm, s)
+        assert es.order == edm.embedding_dim  # only the pairs above the rank cut
+        assert _gram_eig_at(edm, s.copy()) is es
+        assert _gram_eig_at(edm, edm.centering) is edm.gram_eig
+
+    def test_residual_check_rejects_a_foreign_eigensystem(self):
+        # the stored pairs of another D of the same order and rank: B_s is decomposed itself
+        edm = require_edm(FAMILIES["cloud"])
+        forged = replace(edm, gram_eig=require_edm(FAMILIES["sphere"]).gram_eig)
+        s = np.random.default_rng(3).dirichlet(np.ones(edm.n))
+        B = centering_gram(edm.dist2, s)
+        es = _gram_eig_at(forged, s, B)
+        assert forged._gram_at is None
+        npt.assert_array_equal(es.values, _decompose(B, edm.tol).values)
+
+    def test_fallback_keeps_the_psd_error(self):
+        # accepted only through the PSD slack: B_c has eigenvalue -1e-6 on v, which the
+        # centering s below amplifies past the slack; the derived pairs cannot show it
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
+        B = X @ X.T - 1e-6 * np.outer(v, v)
+        edm = require_edm(np.diag(B)[:, None] + np.diag(B)[None, :] - 2.0 * B,
+                          DEFAULT_TOL.with_overrides(psd=1e-5))
+        with pytest.raises(ConsistencyError, match="not PSD"):
+            gram_factor(edm, np.array([3.0, -2.5, 3.0, -2.5]))
 
 
 class TestRandomSphericalDistances:

@@ -3,12 +3,15 @@
 `numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
-most rank(B) + 2), one Perron analysis of Delta, and
-for each Kuperberg block its own validation, sphericity solve and Perron
-analysis of the block's Delta (plus one of its core when the block holds
-zero rows of Delta).  An orthonormal representation costs one eigh per
-component adjacency: the eigensystem of its B = I - Delta is assembled from
-those, and only the edgeless graph validates its D.
+most rank(B) + 2), and for the Gram matrix at another centering, 2w
+included, one eigh of order at most rank(B), shared by the Delta dimension
+(Delta = I - B at 2w) and `gram_factor`, and none when 2w is the Edm's own
+centering within tol.solve.  For each Kuperberg block: its own validation,
+sphericity solve and Perron analysis of the block's Delta (plus one of its
+core when the block holds zero rows of Delta).  An orthonormal
+representation costs one eigh per component adjacency: the eigensystem of
+its B = I - Delta is assembled from those, and only the edgeless graph
+validates its D.
 """
 
 import contextlib
@@ -20,16 +23,20 @@ import pytest
 
 import helpers
 from edmsphere import (
+    DEFAULT_TOL,
     Graph,
     apply_permutation,
     certify_simplex,
     construct_orthorep,
     crosspolytope_recognize,
+    delta_of,
     embedding_dim_via_delta,
     gen_unit_simplex,
     gram_factor,
     kuperberg_decompose,
     minimality_bound,
+    nonnegative_delta,
+    perron,
     spherical_certificate,
     validate_edm,
 )
@@ -84,10 +91,11 @@ def test_validate_edm_is_one_eigh(eighs, D):
 
 
 @pytest.mark.parametrize("D, expected", [
-    (cross(8), 3),                       # B, D w = e, Delta; 2w is bitwise e/n, so B is reused
-    (composition([4, 3, 2, 2]), 4),
-    (unit_sphere(16, 8), 3),             # Delta skipped: some distance < 2
+    (cross(8), 2),                       # B, D w = e; 2w is bitwise e/n, where Delta = I - B
+    (composition([4, 3, 2, 2]), 2),      # 2w is e/n within rounding: the centroid is the center
+    (unit_sphere(16, 8), 3),             # B at 2w for gram_factor; Delta skipped: a distance < 2
     (gaussian_cloud(16, 8), 2),          # non-spherical: gram_factor reuses B's eigh
+    (composition([4, 3, 2], 2), 3),      # B at 2w, shared by Delta and gram_factor
 ])
 def test_dense_certify_chain(eighs, D, expected):
     edm = validate_edm(D)
@@ -106,6 +114,40 @@ def test_certificate_eigh_order(eighs, D):
     spherical_certificate(edm)
     assert len(eighs) == 1
     assert eighs[0] <= edm.embedding_dim + 2
+
+
+@pytest.mark.parametrize("D, expected", [
+    (unit_sphere(16, 8), 1), (composition([4, 3, 2], 2), 1),
+    (cross(8), 0), (composition([4, 3, 2, 2]), 0),  # 2w is the centroid
+])
+def test_delta_and_gram_factor_share_one_eigh_of_order_rank(eighs, D, expected):
+    edm = validate_edm(D)
+    cert = spherical_certificate(edm)
+    eighs.clear()
+    embedding_dim_via_delta(edm, cert)
+    gram_factor(edm)
+    assert len(eighs) == expected
+    assert all(order <= edm.embedding_dim for order in eighs)
+
+
+def test_delta_falls_back_to_perron_when_the_band_is_too_narrow(eighs):
+    # with tol.cluster = 0 no residual of the reading off B at 2w is small enough
+    edm = validate_edm(composition([4, 3, 2], 2), DEFAULT_TOL.with_overrides(cluster=0.0))
+    cert = spherical_certificate(edm)
+    eighs.clear()
+    rep = embedding_dim_via_delta(edm, cert)
+    assert eighs == [edm.embedding_dim, edm.n]
+    pd = perron(nonnegative_delta(delta_of(edm), edm.tol), edm.tol)
+    assert (rep.lambda_max, rep.multiplicity) == (pd.lambda_max, pd.multiplicity)
+
+
+def test_gram_factor_keeps_pairs_per_centering(eighs):
+    edm = validate_edm(gaussian_cloud(16, 8))
+    s = np.random.default_rng(1).dirichlet(np.ones(16))
+    eighs.clear()
+    first = gram_factor(edm, s)
+    assert np.array_equal(gram_factor(edm, s).config, first.config)
+    assert eighs == [8]
 
 
 def test_certificate_is_solved_once(eighs):
@@ -178,6 +220,17 @@ def test_gram_factor_reuses_orthorep_eigensystem(eighs):
     eighs.clear()
     assert gram_factor(rep.edm, rep.edm.centering).config.shape == (7, rep.d)
     assert len(eighs) == 0  # at the circumcenter 2w, B = I - Delta
+
+
+def test_gram_factor_of_a_path_reads_the_representation(eighs):
+    # the certificate's 2w misses the stored centering by rounding only
+    rep = construct_orthorep(Graph.from_edges(60, [(i, i + 1) for i in range(1, 60)]))
+    assert not np.array_equal(2.0 * spherical_certificate(rep.edm).w, rep.edm.centering)
+    eighs.clear()
+    gf = gram_factor(rep.edm)
+    assert len(eighs) == 0
+    assert gf.config.shape == (60, 59)
+    np.testing.assert_allclose(gf.gram, np.eye(60) - rep.delta, rtol=0, atol=1e-12)
 
 
 def test_minimality_bound_reads_stored_spectra(eighs):
