@@ -73,8 +73,7 @@ class Edm:
     decided the PSD verdict), `embedding_dim` (the rank of B by that
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
-    `spherical_certificate` call, and the Gram eigenpairs at the last other
-    centering asked for (`_gram_eig_at`).  `validate_edm` centers at the
+    `spherical_certificate` call.  `validate_edm` centers at the
     centroid e/n; `construct_orthorep` builds its Edm at the circumcenter 2w,
     where B is I - Delta and its eigensystem is known block by block.  The
     fields are read-only: mutating one leaves the others describing a
@@ -88,7 +87,6 @@ class Edm:
     centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
-    _gram_at: tuple[np.ndarray, EigenSystem] | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -224,8 +222,8 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
         Centering vector with e^T s = 1.  When omitted: 2w if the spherical
         certificate puts the points on a unit circumradius sphere (so the
         recovered points are the unit vectors themselves, centered at the
-        sphere's center; the Edm's own centering when it is 2w within
-        tol.solve), else e/n.
+        sphere's center; the Edm's own centering when it solves D s = 2e
+        as closely as 2w does), else e/n.
 
     Returns
     -------
@@ -266,13 +264,19 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
 
 
 def _circumcenter(D: Edm, cert: SphericalCertificate) -> np.ndarray:
-    """2w of a unit spherical certificate, or the Edm's centering when it is 2w within tol.solve.
+    """2w of a unit spherical certificate, or the Edm's centering if it solves D s = 2e as closely.
 
-    A constructed representation stores 2w itself, which the certificate's
-    own w misses by rounding; its `gram_eig` is then read as it stands.
+    The points centered at s lie on the unit sphere exactly when D s = 2e,
+    and two such s give the same Gram matrix (their difference is in D's
+    null space), so a centering whose residual max|D s - 2e| is at most 2w's
+    (twice the certificate's) is as good a circumcenter.  A constructed
+    representation stores 2w itself, which the certificate's own w misses by
+    rounding, and the centroid of a composition without lone points is its
+    circumcenter; their `gram_eig` is then read as it stands.
     """
-    s = 2.0 * cert.w
-    return D.centering if float(np.max(np.abs(s - D.centering))) <= D.tol.solve else s
+    c = D.centering
+    miss = float(np.max(np.abs(D.dist2 @ c - 2.0), initial=0.0))
+    return c if miss <= 2.0 * cert.residual else 2.0 * cert.w
 
 
 def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSystem:
@@ -285,18 +289,19 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
     gives B's principal axes P = F Z, sign-normalized, with eigenvalues S.
     The result holds only the pairs above B's rank cut, the rest of B's
     spectrum being zero.  With shift = max|dropped eigenvalue of B_c|
-    (1 + sqrt(n) |s|)^2, a bound on |B - F F^T|_2, it is accepted when S
-    passes the PSD rule, S and 0 all lie more than shift from B's rank cut
-    (so the rank rule counts as it would on B's own eigensystem), and
-    max|B - P P^T| <= shift + tol.recon * n * scale(B); otherwise B itself is
-    decomposed, so its PSD verdict decides.  At s = `centering` this is
-    `gram_eig` itself.  The derived pairs are kept on the Edm for the next
-    call at the same s.  B is computed here unless the caller holds it.
+    (1 + sqrt(n) |s|)^2, a bound on |B - F F^T|_2, it is accepted when
+    shift is at most half the PSD slack tol.psd * scale(B) (F F^T is PSD, so
+    B's least eigenvalue is at least -shift, and the other half covers the
+    rounding of decomposing B: B passes the PSD rule as it would on its own
+    eigensystem), S passes the PSD rule, S and 0 all lie more than shift from
+    B's rank cut (so the rank rule counts as it would on B's own
+    eigensystem), and max|B - P P^T| <= shift + tol.recon * n * scale(B);
+    otherwise B itself is decomposed, so its PSD verdict decides.  At
+    s = `centering` this is `gram_eig` itself.  B is computed here unless
+    the caller holds it.
     """
     if np.array_equal(s, D.centering):
         return D.gram_eig
-    if D._gram_at is not None and np.array_equal(s, D._gram_at[0]):
-        return D._gram_at[1]
     B = centering_gram(D.dist2, s) if B is None else B
     if B.size and not np.all(np.isfinite(B)):  # from a finite D near the float maximum
         raise ValueError("matrix contains NaN or Inf entries")
@@ -311,7 +316,8 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
     shift = float(np.max(np.abs(stored.values[~kept]), initial=0.0))
     shift *= (1.0 + np.sqrt(n) * float(np.linalg.norm(s))) ** 2
     cut = tol.rank * es.scale
-    if es.psd() and np.all(np.abs(np.append(es.values, 0.0) - cut) > shift):
+    if (shift <= 0.5 * tol.psd * es.scale and es.psd()
+            and np.all(np.abs(np.append(es.values, 0.0) - cut) > shift)):
         keep = es.rank_mask()
         P = _sign_normalize_columns(F @ es.vectors[:, keep])
         bound = shift + tol.recon * n * es.scale
@@ -319,9 +325,7 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
         R -= B
         if float(np.max(np.abs(R, out=R), initial=0.0)) <= bound:
             values = es.values[keep]
-            es = EigenSystem(values, P / np.sqrt(values), tol, es.scale)
-            D._gram_at = (s.copy(), es)
-            return es
+            return EigenSystem(values, P / np.sqrt(values), tol, es.scale)
     return _decompose(B, tol)
 
 

@@ -523,14 +523,31 @@ class TestGramAtCentering:
         assert 0.3 * tol.rank < dropped < 0.9 * tol.rank
         s = np.random.default_rng(1).dirichlet(np.ones(edm.n))
         es = _gram_eig_at(edm, s)
-        assert es.order == edm.n and edm._gram_at is None
+        assert es.order == edm.n
 
-    def test_derived_pairs_are_kept(self):
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_kept_eigenvalue_next_to_the_cut_falls_back(self, profile):
+        # dropped eigenvalue -0.1 tol.psd: within the PSD condition, but B_s's third
+        # eigenvalue, calibrated to 1.01 x its rank cut, lies within the shift of the cut
+        tol = PROFILES[profile]
+        V = np.linalg.qr(np.column_stack([np.ones(6), np.random.default_rng(4).standard_normal((6, 5))]))[0]
+
+        def edm(lam3):
+            B = (V[:, 1:5] * [2.0, 1.0, lam3, -0.1 * tol.psd]) @ V[:, 1:5].T
+            return require_edm(np.diag(B)[:, None] + np.diag(B)[None, :] - 2.0 * B, tol)
+
+        s = np.full(6, 1.0 / 6.0) + 1e-3 * np.array([1.0, -1.0, 0.0, 0.0, 0.0, 0.0])
+        first = _decompose(centering_gram(edm(tol.rank).dist2, s), tol)
+        calibrated = edm(1.01 * tol.rank * tol.rank * first.scale / first.values[2])
+        oracle = _decompose(centering_gram(calibrated.dist2, s), tol)
+        assert 1.0 < oracle.values[2] / (tol.rank * oracle.scale) < 1.02
+        es = _gram_eig_at(calibrated, s)
+        assert es.order == calibrated.n and es.rank == oracle.rank == 3
+
+    def test_derived_pairs_are_the_kept_ones(self):
         edm = require_edm(FAMILIES["cloud"])
         s = np.random.default_rng(2).dirichlet(np.ones(edm.n))
-        es = _gram_eig_at(edm, s)
-        assert es.order == edm.embedding_dim  # only the pairs above the rank cut
-        assert _gram_eig_at(edm, s.copy()) is es
+        assert _gram_eig_at(edm, s).order == edm.embedding_dim  # only the pairs above the rank cut
         assert _gram_eig_at(edm, edm.centering) is edm.gram_eig
 
     def test_residual_check_rejects_a_foreign_eigensystem(self):
@@ -540,19 +557,52 @@ class TestGramAtCentering:
         s = np.random.default_rng(3).dirichlet(np.ones(edm.n))
         B = centering_gram(edm.dist2, s)
         es = _gram_eig_at(forged, s, B)
-        assert forged._gram_at is None
         npt.assert_array_equal(es.values, _decompose(B, edm.tol).values)
 
-    def test_fallback_keeps_the_psd_error(self):
-        # accepted only through the PSD slack: B_c has eigenvalue -1e-6 on v, which the
-        # centering s below amplifies past the slack; the derived pairs cannot show it
+    def test_gram_factor_keeps_2w_when_the_centroid_is_slightly_off_center(self):
+        # the octahedron with one vertex turned by 1e-9: its centroid misses the center by far
+        # more than rounding, though 2w and e/n differ by less than tol.solve
+        X = np.vstack([np.eye(3), -np.eye(3)])
+        X[0] = [np.cos(1e-9), np.sin(1e-9), 0.0]
+        edm = require_edm(helpers.edm_from_points(X))
+        cert = spherical_certificate(edm)
+        assert cert.unit_spherical
+        assert 0.0 < float(np.max(np.abs(2.0 * cert.w - edm.centering))) <= edm.tol.solve
+        gf = gram_factor(edm)
+        npt.assert_array_equal(gf.centering, 2.0 * cert.w)
+        npt.assert_allclose(np.linalg.norm(gf.config, axis=1), 1.0, rtol=0, atol=1e-13)
+
+    @staticmethod
+    def _square_within_slack(lam, tol):
+        """The unit square's EDM with B_c given eigenvalue -lam on v, accepted through the PSD slack."""
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
-        B = X @ X.T - 1e-6 * np.outer(v, v)
-        edm = require_edm(np.diag(B)[:, None] + np.diag(B)[None, :] - 2.0 * B,
-                          DEFAULT_TOL.with_overrides(psd=1e-5))
+        B = X @ X.T - lam * np.outer(v, v)
+        return require_edm(np.diag(B)[:, None] + np.diag(B)[None, :] - 2.0 * B, tol)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("factor, s", [
+        (0.8, [0.5, 0.0, 0.5, 0.0]),   # -lam amplified 2x: below the slack, above the rank cut
+        (0.5, [3.0, -2.5, 3.0, -2.5]),
+    ])
+    def test_fallback_keeps_the_psd_error(self, profile, factor, s):
+        # the derived pairs cannot show the eigenvalue that the centering s amplifies past
+        # the slack: B_s itself must be decomposed, and its PSD verdict raises
+        tol = PROFILES[profile]
+        edm = self._square_within_slack(factor * tol.psd, tol)
+        s = np.array(s)
+        assert not _decompose(centering_gram(edm.dist2, s), tol).psd()
         with pytest.raises(ConsistencyError, match="not PSD"):
-            gram_factor(edm, np.array([3.0, -2.5, 3.0, -2.5]))
+            gram_factor(edm, s)
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_slack_within_the_psd_rule_factors(self, profile):
+        tol = PROFILES[profile]
+        edm = self._square_within_slack(0.1 * tol.psd, tol)
+        s = np.array([0.5, 0.0, 0.5, 0.0])
+        oracle = _decompose(centering_gram(edm.dist2, s), tol)
+        assert oracle.psd()
+        assert gram_factor(edm, s).config.shape[1] == oracle.rank == 2
 
 
 class TestRandomSphericalDistances:

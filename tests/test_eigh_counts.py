@@ -3,10 +3,11 @@
 `numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
-most rank(B) + 2), and for the Gram matrix at another centering, 2w
-included, one eigh of order at most rank(B), shared by the Delta dimension
-(Delta = I - B at 2w) and `gram_factor`, and none when 2w is the Edm's own
-centering within tol.solve.  For each Kuperberg block: its own validation,
+most rank(B) + 2), and one eigh of order at most rank(B) for each reading of
+the Gram matrix at another centering: the Delta dimension reads it at the
+circumcenter 2w (Delta = I - B there), and so does `gram_factor` by default;
+none when the Edm's own centering solves D s = 2e as closely as 2w.  For
+each Kuperberg block: its own validation,
 sphericity solve and Perron analysis of the block's Delta (plus one of its
 core when the block holds zero rows of Delta).  An orthonormal
 representation costs one eigh per component adjacency: the eigensystem of
@@ -92,10 +93,10 @@ def test_validate_edm_is_one_eigh(eighs, D):
 
 @pytest.mark.parametrize("D, expected", [
     (cross(8), 2),                       # B, D w = e; 2w is bitwise e/n, where Delta = I - B
-    (composition([4, 3, 2, 2]), 2),      # 2w is e/n within rounding: the centroid is the center
+    (composition([4, 3, 2, 2]), 2),      # the centroid solves D s = 2e: it is the center
     (unit_sphere(16, 8), 3),             # B at 2w for gram_factor; Delta skipped: a distance < 2
     (gaussian_cloud(16, 8), 2),          # non-spherical: gram_factor reuses B's eigh
-    (composition([4, 3, 2], 2), 3),      # B at 2w, shared by Delta and gram_factor
+    (composition([4, 3, 2], 2), 4),      # B at 2w, read by Delta and by gram_factor
 ])
 def test_dense_certify_chain(eighs, D, expected):
     edm = validate_edm(D)
@@ -117,10 +118,11 @@ def test_certificate_eigh_order(eighs, D):
 
 
 @pytest.mark.parametrize("D, expected", [
-    (unit_sphere(16, 8), 1), (composition([4, 3, 2], 2), 1),
-    (cross(8), 0), (composition([4, 3, 2, 2]), 0),  # 2w is the centroid
+    (unit_sphere(16, 8), 1),              # Delta skipped: a distance < 2
+    (composition([4, 3, 2], 2), 2),       # B at 2w for Delta and again for gram_factor
+    (cross(8), 0), (composition([4, 3, 2, 2]), 0),  # the centroid is the center
 ])
-def test_delta_and_gram_factor_share_one_eigh_of_order_rank(eighs, D, expected):
+def test_delta_and_gram_factor_read_b_at_2w_at_order_rank(eighs, D, expected):
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     eighs.clear()
@@ -139,15 +141,6 @@ def test_delta_falls_back_to_perron_when_the_band_is_too_narrow(eighs):
     assert eighs == [edm.embedding_dim, edm.n]
     pd = perron(nonnegative_delta(delta_of(edm), edm.tol), edm.tol)
     assert (rep.lambda_max, rep.multiplicity) == (pd.lambda_max, pd.multiplicity)
-
-
-def test_gram_factor_keeps_pairs_per_centering(eighs):
-    edm = validate_edm(gaussian_cloud(16, 8))
-    s = np.random.default_rng(1).dirichlet(np.ones(16))
-    eighs.clear()
-    first = gram_factor(edm, s)
-    assert np.array_equal(gram_factor(edm, s).config, first.config)
-    assert eighs == [8]
 
 
 def test_certificate_is_solved_once(eighs):
