@@ -59,8 +59,6 @@ from .graphs import (
     adjacency,
     apply_permutation,
     components,
-    is_irreducible,
-    is_irreducible_power_oracle,
     parse_graph,
     support_components,
 )
@@ -82,14 +80,10 @@ from .orthorep import (
 )
 from .spectral import (
     EigenSystem,
-    LinearSolution,
     PerronData,
     PsdResult,
     eig,
-    is_psd,
-    numerical_rank,
     perron,
-    solve_linear,
 )
 from .tolerances import DEFAULT_TOL, PROFILES, Tolerances, from_profile, profile_from_env
 
@@ -100,14 +94,13 @@ __all__ = [
     # errors
     "EdmSphereError", "SpectralError", "PreconditionError", "ConsistencyError", "FormatError",
     # spectral
-    "EigenSystem", "PsdResult", "PerronData", "LinearSolution",
-    "eig", "is_psd", "numerical_rank", "perron", "solve_linear",
+    "EigenSystem", "PsdResult", "PerronData", "eig", "perron",
     # io
     "parse_matrix_text", "parse_matrix_json", "parse_matrix", "load_matrix",
     "format_matrix_text", "matrix_to_json_dict",
     # graphs
     "Graph", "ComponentSplit", "parse_graph", "components", "adjacency",
-    "apply_permutation", "is_irreducible", "is_irreducible_power_oracle", "support_components",
+    "apply_permutation", "support_components",
     # edm
     "Edm", "EdmRejection", "GramFactor", "SphericalCertificate", "DeltaMatrix",
     "DeltaDimReport", "validate_edm", "require_edm", "gram_factor",

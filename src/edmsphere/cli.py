@@ -158,7 +158,7 @@ def cmd_orthorep(args, tol, ctx):
         "w": rep.w,
     }
     sign = rep.sign_pattern
-    bound = minimality_bound(rep, tol)
+    bound = minimality_bound(rep)
     checks = {
         "unit_spherical": rep.unit_spherical,
         "unit_rows_max_dev": rep.unit_rows_max_dev,
@@ -186,7 +186,7 @@ def cmd_decompose(args, tol, ctx):
     res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
         return _rejected(res)
-    dec = kuperberg_decompose(res, tol)
+    dec = kuperberg_decompose(res)
     result = {
         "permutation": list(dec.permutation),
         "blocks": [
@@ -286,7 +286,7 @@ def _check_rankin_file(args, tol, ctx):
     applicable = False
     if n == r + 2:
         applicable = True
-        rep = rankin_codimension2_check(res, tol)
+        rep = rankin_codimension2_check(res)
         result["codimension2"] = {
             "ok": rep.ok,
             "min_offdiag": rep.min_offdiag,
@@ -298,7 +298,7 @@ def _check_rankin_file(args, tol, ctx):
             print(rep.message, file=sys.stderr)
     if n == 2 * r:
         applicable = True
-        rec = crosspolytope_recognize(res, tol)
+        rec = crosspolytope_recognize(res)
         result["crosspolytope"] = {
             "ok": rec.ok,
             "permutation": None if rec.permutation is None else list(rec.permutation),
@@ -334,7 +334,7 @@ def _check_rankin_sample(args, tol):
             failures.append({"trial": t, "reason": f"embedding_dim {edm.embedding_dim} != {r}"})
             per_trial.append(None)
             continue
-        rep = rankin_codimension2_check(edm, tol)
+        rep = rankin_codimension2_check(edm)
         per_trial.append(rep.min_offdiag)
         if not rep.ok:
             failures.append({"trial": t, "reason": rep.message})

@@ -13,6 +13,9 @@ constrained.  With n points in dimension r:
   cross-block squared distance exactly 2 (kuperberg_decompose);
 - at n = 2r the split forces antipodal pairs: the configuration is the
   regular crosspolytope (crosspolytope_recognize).
+
+A simplex with a connected core, each Kuperberg block included, is certified
+from one eigendecomposition, of its core's Delta (`_perron_simplex`).
 """
 
 from __future__ import annotations
@@ -24,17 +27,16 @@ import numpy as np
 from .edm import (
     SPHERICAL,
     Edm,
-    EdmRejection,
     SphericalCertificate,
+    _circumcenter_edm,
     _crosspolytope_dist2,
     delta_of,
     nonnegative_delta,
     spherical_certificate,
-    validate_edm,
 )
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
-from .spectral import perron
+from .spectral import EigenSystem, _decompose, perron
 from .tolerances import Tolerances, scale
 
 __all__ = [
@@ -87,15 +89,14 @@ class SimplexCertificate:
     detail: str
 
 
-def certify_simplex(D: Edm, tol: Tolerances | None = None) -> SimplexCertificate:
+def certify_simplex(D: Edm) -> SimplexCertificate:
     """Certify that a unit spherical EDM with min distance sqrt(2) is a simplex.
 
     Parameters
     ----------
     D : Edm
-        Must be unit spherical with every off-diagonal >= 2 - tol.sign.
-    tol : Tolerances
-        Defaults to the tolerances D was validated with.
+        Must be unit spherical with every off-diagonal >= 2 - tol.sign;
+        decided with the tolerances it was validated with.
 
     Returns
     -------
@@ -106,55 +107,37 @@ def certify_simplex(D: Edm, tol: Tolerances | None = None) -> SimplexCertificate
     PreconditionError
         If D is not unit spherical or some squared distance is below 2.
     ConsistencyError
-        If the top eigenvalue of Delta strays from 1, the Perron route
-        disagrees with the embedding dimension, or the circumcenter weights
-        fail D w = e; all impossible in exact arithmetic.
+        If the top eigenvalue of Delta strays from 1 or is not simple on a
+        connected core, the Perron route disagrees with the embedding
+        dimension, or the circumcenter weights fail D w = e; all impossible
+        in exact arithmetic.
     """
-    tol = D.tol if tol is None else tol
+    tol = D.tol
     n = D.n
     cert = _require_unit_spherical(D, "certify_simplex")
-    dm = delta_of(D)
-    delta = nonnegative_delta(dm, tol)  # PreconditionError if min offdiag < 2 - tol.sign
-    pd = perron(delta, tol)
-    if abs(pd.lambda_max - 1.0) > tol.cluster:
-        raise ConsistencyError(
-            f"lambda_max(Delta) = {pd.lambda_max:.17g} for a unit spherical input; expected 1"
-        )
+    delta = nonnegative_delta(delta_of(D), tol)  # PreconditionError if min offdiag < 2 - tol.sign
     # One traversal of the support: zero rows of Delta are its isolated nodes,
     # and the core (Delta without them) is irreducible iff one component remains.
     split = support_components(delta, tol)
-    zero_rows = split.isolated
     if split.nontrivial_count == 1:
-        core_idx = np.asarray(split.nontrivial[0]) - 1
-        # With no zero rows the core is Delta itself, whose Perron data is in hand.
-        core_pd = perron(delta[np.ix_(core_idx, core_idx)], tol) if zero_rows else pd
-        if abs(core_pd.lambda_max - 1.0) > tol.cluster:
-            raise ConsistencyError(
-                f"core lambda_max = {core_pd.lambda_max:.17g}, expected 1"
-            )
-        xi = core_pd.xi
-        if np.any(xi <= 0.0):
-            raise ConsistencyError("Perron vector of the irreducible core is not positive")
-        w = np.zeros(n)
-        w[core_idx] = xi / (2.0 * xi.sum())
-        residual = float(np.max(np.abs(D.dist2 @ w - 1.0)))
-        if residual > tol.solve * scale(D.dist2):
-            raise ConsistencyError(f"padded Perron weights give max|D w - e| = {residual:g}")
+        core = np.ones(n, dtype=bool)
+        core[np.asarray(split.isolated, dtype=int) - 1] = False
+        _, simplex = _perron_simplex(D.dist2, delta, core, tol)
         if D.embedding_dim != n - 1:
             raise ConsistencyError(
                 f"connected support forces a simplex, but embedding dimension is "
                 f"{D.embedding_dim}, not n - 1 = {n - 1}"
             )
-        origin = "interior" if float(w.min()) > tol.sign else "boundary"
-        return SimplexCertificate(
-            is_simplex=True, n=n, method="perron", lambda_max=core_pd.lambda_max,
-            w=w, origin_position=origin, zero_rows=zero_rows, irreducible_core=True,
-            residual=residual,
-            detail=f"support connected after dropping {len(zero_rows)} zero row(s)",
-        )
+        return simplex
 
     # Disconnected support: connectivity no longer forces anything, the
     # embedding dimension alone decides.
+    pd = perron(delta, tol)
+    if abs(pd.lambda_max - 1.0) > tol.cluster:
+        raise ConsistencyError(
+            f"lambda_max(Delta) = {pd.lambda_max:.17g} for a unit spherical input; expected 1"
+        )
+    zero_rows = split.isolated
     w = cert.w
     is_simplex = D.embedding_dim == n - 1
     origin = None
@@ -169,6 +152,51 @@ def certify_simplex(D: Edm, tol: Tolerances | None = None) -> SimplexCertificate
             f"{len(zero_rows)} zero row(s); embedding dimension {D.embedding_dim} "
             f"vs n - 1 = {n - 1}"
         ),
+    )
+
+
+def _perron_simplex(D: np.ndarray, delta: np.ndarray, core: np.ndarray,
+                    tol: Tolerances) -> tuple[Edm, SimplexCertificate]:
+    """A simplex's Edm and certificate from one eigendecomposition, of its core's Delta.
+
+    `delta` is the nonnegative Delta of the unit spherical D and the mask `core`
+    its one nontrivial support component; its other rows are zero.  By
+    Perron-Frobenius the core's top eigenvalue is 1 and simple with a positive
+    eigenvector xi, so w = xi / (2 e^T xi), padded, and the core's 1 - mu with
+    1 on each zero row is the eigensystem of I - Delta, D's Gram matrix at 2w,
+    from which `_circumcenter_edm` builds the Edm; its rank must be n - 1.
+    Each check raises ConsistencyError: none can fail in exact arithmetic.
+    """
+    n = D.shape[0]
+    idx, lone = np.flatnonzero(core), np.flatnonzero(~core)
+    es = _decompose(delta[np.ix_(idx, idx)], tol)
+    lam = float(es.values[0])
+    if abs(lam - 1.0) > tol.cluster:
+        raise ConsistencyError(f"core lambda_max = {lam:.17g}, expected 1")
+    if es.multiplicity() != 1:
+        raise ConsistencyError(
+            f"top eigenvalue of the irreducible core has multiplicity {es.multiplicity()}, "
+            "expected 1"
+        )
+    xi = es.vectors[:, 0]
+    if np.any(xi <= 0.0):
+        raise ConsistencyError("Perron vector of the irreducible core is not positive")
+    w = np.zeros(n)
+    w[idx] = xi / (2.0 * xi.sum())
+    b = EigenSystem(1.0 - es.values[::-1], es.vectors[:, ::-1], tol, es.scale)
+    edm = _circumcenter_edm(D, w, [(idx, b)], lone, tol)
+    if edm.embedding_dim != n - 1:
+        raise ConsistencyError(
+            f"connected support forces a simplex, but I - Delta has rank "
+            f"{edm.embedding_dim}, not n - 1 = {n - 1}"
+        )
+    zero_rows = tuple(int(i) + 1 for i in lone)
+    return edm, SimplexCertificate(
+        is_simplex=True, n=n, method="perron", lambda_max=lam, w=w,
+        origin_position="interior" if float(w.min()) > tol.sign else "boundary",
+        zero_rows=zero_rows, irreducible_core=True,
+        residual=spherical_certificate(edm).residual,
+        detail=f"support connected after dropping {len(zero_rows)} zero row(s)",
     )
 
 
@@ -191,15 +219,14 @@ class RankinReport:
     message: str
 
 
-def rankin_codimension2_check(D: Edm, tol: Tolerances | None = None) -> RankinReport:
+def rankin_codimension2_check(D: Edm) -> RankinReport:
     """Check that a unit spherical EDM with n = r + 2 has a pair closer than sqrt(2).
 
     Parameters
     ----------
     D : Edm
         Unit spherical with n = embedding_dim + 2 (both PreconditionError
-        otherwise).
-    tol : Tolerances
+        otherwise); decided with the tolerances it was validated with.
 
     Returns
     -------
@@ -207,7 +234,7 @@ def rankin_codimension2_check(D: Edm, tol: Tolerances | None = None) -> RankinRe
         The witness is the 1-based argmin pair (i, j); ok is
         min d_ij <= 2 + tol.sign.
     """
-    tol = D.tol if tol is None else tol
+    tol = D.tol
     n, r = D.n, D.embedding_dim
     if n != r + 2:
         raise PreconditionError(f"check needs n = r + 2, got n = {n}, r = {r}")
@@ -276,7 +303,7 @@ class Decomposition:
         return len(self.blocks)
 
 
-def kuperberg_decompose(D: Edm, tol: Tolerances | None = None) -> Decomposition:
+def kuperberg_decompose(D: Edm) -> Decomposition:
     """Split a unit spherical min-distance-sqrt(2) EDM into orthogonal simplices.
 
     Applies when 2 <= n - r <= r: the support graph of Delta then has
@@ -289,8 +316,7 @@ def kuperberg_decompose(D: Edm, tol: Tolerances | None = None) -> Decomposition:
     D : Edm
         Unit spherical, every off-diagonal >= 2 - tol.sign, and
         2 <= n - r <= r for r = D.embedding_dim (PreconditionError
-        otherwise).
-    tol : Tolerances
+        otherwise); decided with the tolerances it was validated with.
 
     Returns
     -------
@@ -304,15 +330,14 @@ def kuperberg_decompose(D: Edm, tol: Tolerances | None = None) -> Decomposition:
         If the support component count differs from n - r, a block fails
         its simplex certificate, or a cross-block entry strays from 2.
     """
-    tol = D.tol if tol is None else tol
+    tol = D.tol
     n, r = D.n, D.embedding_dim
     if not 2 <= n - r:
         raise PreconditionError(f"need n - r >= 2, got n = {n}, r = {r}")
     if not n - r <= r:
         raise PreconditionError(f"need n - r <= r, got n = {n}, r = {r}")
     _require_unit_spherical(D, "kuperberg_decompose")
-    dm = delta_of(D)
-    delta = nonnegative_delta(dm, tol)
+    delta = nonnegative_delta(delta_of(D), tol)
     split = support_components(delta, tol)
     members = [list(c) for c in split.nontrivial]
     if not members:
@@ -330,22 +355,14 @@ def kuperberg_decompose(D: Edm, tol: Tolerances | None = None) -> Decomposition:
         raise ConsistencyError(
             f"support splits into {len(members)} block(s), expected n - r = {n - r}"
         )
+    core = np.ones(n, dtype=bool)
+    core[np.asarray(isolated, dtype=int) - 1] = False
     blocks = []
     for comp in members:
         idx = np.asarray(comp, dtype=int) - 1
-        sub = D.dist2[np.ix_(idx, idx)]
-        res = validate_edm(sub, tol)
-        if isinstance(res, EdmRejection):
-            raise ConsistencyError(
-                f"principal submatrix {tuple(comp)} rejected as an EDM: {res.reason}"
-            )
-        try:
-            cert = certify_simplex(res, tol)
-        except PreconditionError as exc:
-            raise ConsistencyError(f"block {tuple(comp)} failed a simplex precondition: {exc}") from exc
-        if not cert.is_simplex:
-            raise ConsistencyError(f"block {tuple(comp)} is not a simplex: {cert.detail}")
-        blocks.append(DecompositionBlock(indices=tuple(comp), edm=res, certificate=cert))
+        block = np.ix_(idx, idx)
+        edm, cert = _perron_simplex(D.dist2[block], delta[block], core[idx], tol)
+        blocks.append(DecompositionBlock(indices=tuple(comp), edm=edm, certificate=cert))
     permutation = tuple(i for b in blocks for i in b.indices)
     perm_idx = np.asarray(permutation, dtype=int) - 1
     same = np.zeros((n, n), dtype=bool)
@@ -394,7 +411,7 @@ class CrosspolytopeResult:
         return self.ok
 
 
-def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> CrosspolytopeResult:
+def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     """Recognize the regular crosspolytope among unit spherical EDMs with n = 2r.
 
     With 2r points in dimension r on the unit sphere at min squared
@@ -406,8 +423,8 @@ def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> Crosspolyt
     Parameters
     ----------
     D : Edm
-        n must equal 2 * embedding_dim (PreconditionError otherwise).
-    tol : Tolerances
+        n must equal 2 * embedding_dim (PreconditionError otherwise);
+        decided with the tolerances it was validated with.
 
     Returns
     -------
@@ -415,7 +432,7 @@ def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> Crosspolyt
         Declines (ok False, with reason) rather than raising when D fails
         the distance or sphericity hypotheses.
     """
-    tol = D.tol if tol is None else tol
+    tol = D.tol
     n, r = D.n, D.embedding_dim
     if n != 2 * r:
         raise PreconditionError(f"recognition needs n = 2r, got n = {n}, r = {r}")
@@ -439,7 +456,7 @@ def crosspolytope_recognize(D: Edm, tol: Tolerances | None = None) -> Crosspolyt
             reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
         )
     try:
-        dec = kuperberg_decompose(D, tol)
+        dec = kuperberg_decompose(D)
     except PreconditionError as exc:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))

@@ -18,6 +18,10 @@ the rank cut, and its residual is checked against the full D.  The Gram
 matrix at another centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs
 from B's kept ones (`_gram_eig_at`), for `gram_factor` and, at s = 2w where it
 is I - Delta, for `embedding_dim_via_delta`.
+
+`_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
+D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
+for orthonormal representations and Kuperberg blocks.
 """
 
 from __future__ import annotations
@@ -74,10 +78,10 @@ class Edm:
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
     `spherical_certificate` call.  `validate_edm` centers at the
-    centroid e/n; `construct_orthorep` builds its Edm at the circumcenter 2w,
-    where B is I - Delta and its eigensystem is known block by block.  The
-    fields are read-only: mutating one leaves the others describing a
-    different matrix.
+    centroid e/n; `_circumcenter_edm` builds an Edm at the circumcenter 2w,
+    where B is I - Delta and its eigensystem is known block by block, and
+    seeds the certificate with the w it checked.  The fields are read-only:
+    mutating one leaves the others describing a different matrix.
     """
 
     dist2: np.ndarray
@@ -368,6 +372,9 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     scale() floors at 1.
 
     The solve runs once per `Edm`; later calls return the same certificate.
+    An Edm built by `_circumcenter_edm` holds the certificate of the w its
+    construction checked, with no solve: where D is singular, one solution
+    of D w = e rather than the minimum-norm one, with the same e^T w.
     """
     if D._certificate is None:
         D._certificate = _solve_certificate(D)
@@ -401,6 +408,52 @@ def _solve_certificate(D: Edm) -> SphericalCertificate:
         status=SPHERICAL, w=w, etw=etw, radius=radius,
         unit_spherical=abs(2.0 * etw - 1.0) <= tol.unit, residual=residual,
     )
+
+
+def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarray,
+                      tol: Tolerances) -> Edm:
+    """The Edm of a unit spherical D centered at its circumcenter 2w, with no eigendecomposition.
+
+    There the Gram matrix is B = E - D/2 = I - Delta, block diagonal: its
+    eigensystem is the `blocks`' (indices, EigenSystem of that block of B)
+    plus eigenvalue 1 on each `lone` row (a zero row of Delta), sorted
+    descending, read by the PSD and rank rules as `validate_edm` reads its
+    own.  ConsistencyError unless B passes the PSD rule, max|D w - e| <=
+    tol.solve * scale(D) and |2 e^T w - 1| <= tol.unit; w is then the Edm's
+    sphericity certificate.
+    """
+    n = D.shape[0]
+    values = np.ones(n)
+    vectors = np.zeros((n, n))
+    col = 0
+    for idx, b in blocks:
+        values[col:col + idx.size] = b.values
+        vectors[idx, col:col + idx.size] = b.vectors
+        col += idx.size
+    vectors[lone, col + np.arange(lone.size)] = 1.0
+    order = np.argsort(-values, kind="stable")
+    unit = max([1.0] + [b.scale for _, b in blocks])
+    gram = EigenSystem(values[order], vectors[:, order], tol, unit)
+    psd = gram.psd()
+    if not psd:
+        raise ConsistencyError(
+            f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {psd.min_eigenvalue:g})"
+        )
+    residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
+    if residual > tol.solve * scale(D):
+        raise ConsistencyError(f"circumcenter weights give max|D w - e| = {residual:g}")
+    etw = float(w.sum())
+    if abs(2.0 * etw - 1.0) > tol.unit:
+        raise ConsistencyError(f"circumcenter weights give 2 e^T w = {2.0 * etw:.17g}, expected 1")
+    edm = Edm(
+        dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=2.0 * w,
+        min_offdiagonal=min_offdiagonal(D),
+    )
+    edm._certificate = SphericalCertificate(
+        status=SPHERICAL, w=w, etw=etw, radius=float(np.sqrt(1.0 / (2.0 * etw))),
+        unit_spherical=True, residual=residual,
+    )
+    return edm
 
 
 def _certificate_basis(D: Edm) -> np.ndarray:

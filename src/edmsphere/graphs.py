@@ -1,4 +1,4 @@
-"""Simple graphs: parsing, connected components, adjacency, irreducibility.
+"""Simple graphs: parsing, connected components, adjacency, support graphs.
 
 Nodes are 1-based externally (matrix row i holds node i+1 internally).  The
 edge-list text format is: first non-comment line ``n``, then one ``i j`` pair
@@ -22,8 +22,6 @@ __all__ = [
     "support_components",
     "adjacency",
     "apply_permutation",
-    "is_irreducible",
-    "is_irreducible_power_oracle",
 ]
 
 
@@ -122,7 +120,7 @@ def components(G: Graph) -> ComponentSplit:
 def _split(S: np.ndarray) -> ComponentSplit:
     """Components of the graph with boolean adjacency `S`, in `ComponentSplit` order.
 
-    The one traversal behind `components`, `support_components` and `is_irreducible`.
+    The one traversal behind `components` and `support_components`.
     """
     n = S.shape[0]
     rows, cols = np.nonzero(S)  # row-major: u's neighbours are cols[bounds[u]:bounds[u + 1]]
@@ -176,50 +174,3 @@ def _support_adjacency(M: np.ndarray, tol: Tolerances) -> np.ndarray:
     S = np.abs(np.asarray(M, dtype=float)) > tol.support
     np.fill_diagonal(S, False)
     return S
-
-
-def is_irreducible(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Irreducibility of a nonnegative symmetric matrix, by support-graph traversal.
-
-    Equivalent to the (I + A)^(n-1) > 0 criterion (see the power oracle); an
-    order-1 matrix is irreducible iff it is nonzero.  Entries with magnitude
-    <= tol.support are structural zeros.
-
-    Raises
-    ------
-    ValueError
-        If any entry of `M` is negative.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.size and float(M.min()) < 0.0:
-        raise ValueError(f"is_irreducible requires nonnegative entries, found {M.min():g}")
-    n = M.shape[0]
-    if n == 0:
-        return False
-    if n == 1:
-        return float(M[0, 0]) > tol.support
-    return len(support_components(M, tol).components) == 1
-
-
-def is_irreducible_power_oracle(M, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Slow reference: (I + A)^(n-1) entrywise positive on the support pattern.
-
-    Kept independent of the traversal implementation for cross-checking;
-    uses clipped 0/1 powers so it cannot overflow at any order.
-    """
-    M = np.asarray(M, dtype=float)
-    if M.size and float(M.min()) < 0.0:
-        raise ValueError("oracle requires nonnegative entries")
-    n = M.shape[0]
-    if n == 0:
-        return False
-    if n == 1:
-        return float(M[0, 0]) > tol.support
-    S = _support_adjacency(M, tol).astype(float)
-    B = np.eye(n) + S
-    P = np.eye(n)
-    for _ in range(n - 1):
-        P = np.minimum(P @ B, 1.0)
-    return bool(np.all(P > 0))

@@ -74,7 +74,7 @@ def parse_matrix_json(text: str) -> np.ndarray:
         raise FormatError('JSON matrix must be an object with keys "n" and "rows"')
     n = obj["n"]
     rows = obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:  # JSON true loads as an int
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
     try:
         M = np.array(rows, dtype=float)
@@ -82,6 +82,8 @@ def parse_matrix_json(text: str) -> np.ndarray:
         raise FormatError('"rows" must be a rectangular array of numbers') from None
     if M.shape != (n, n):
         raise FormatError(f'"rows" has shape {M.shape}, expected ({n}, {n})')
+    if any(isinstance(x, bool) for row in rows for x in row):
+        raise FormatError('"rows" must hold numbers, not booleans')
     return M
 
 

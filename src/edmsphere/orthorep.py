@@ -17,10 +17,10 @@ possible.
 
 D is certified by construction rather than validated again: centered at
 its circumcenter 2w its Gram matrix is B = I - Delta = P P^T, whose
-eigensystem the blocks already hold, so the Edm takes that eigensystem and
-the check is the reconstruction residual max|D - 2(E - P P^T)|, block by
-block.  Only the edgeless graph, whose points have no centering at the
-origin, validates D from scratch.
+eigensystem the blocks already hold: `edm._circumcenter_edm` builds the Edm
+from it and checks w, and the reconstruction residual max|D - 2(E - P P^T)|
+is checked block by block.  Only the edgeless graph, whose points have no
+centering at the origin, validates D from scratch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import Edm, EdmRejection, min_offdiagonal, validate_edm
+from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, adjacency, components
 from .spectral import EigenSystem, _decompose
@@ -108,8 +108,9 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     eigendecomposition per component; an isolated node gets a unit column.
     With an edge, the returned Edm of D is centered at 2w, where its Gram
     matrix is B, and carries B's eigensystem assembled from the blocks
-    (`Edm.centering`, `Edm.gram_eig`); no eigendecomposition of order n is
-    made.  The edgeless graph validates D with `validate_edm`.
+    (`Edm.centering`, `Edm.gram_eig`) and the certificate of w; no
+    eigendecomposition of order n is made.  The edgeless graph validates D
+    with `validate_edm`.
 
     Parameters
     ----------
@@ -173,7 +174,7 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     recon = float(np.max(np.abs(R), initial=0.0))
     if k:
         w, note = xi / (2.0 * xi.sum()), None
-        res = _circumcenter_edm(D, 2.0 * w, blocks, iso, tol)
+        res = _circumcenter_edm(D, w, blocks, iso, tol)
     else:
         # No edges: the standard basis is optimal and d = n cannot be improved
         # (any two distinct nodes need independent vectors).  D = 2(E - I) is
@@ -194,63 +195,24 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     return rep
 
 
-def _circumcenter_edm(D: np.ndarray, s: np.ndarray, blocks: list, iso: np.ndarray,
-                      tol: Tolerances) -> Edm:
-    """The Edm of D centered at its circumcenter s = 2w, with no eigendecomposition.
-
-    There B = I - Delta = P P^T, block diagonal, so its eigensystem is the
-    blocks' spectra 1 - mu / lambda_c on their eigenvectors plus eigenvalue 1
-    on each isolated node, sorted descending; the PSD and rank rules read it
-    as they read the eigensystem `validate_edm` computes.
-    """
-    n = D.shape[0]
-    values = np.ones(n)
-    vectors = np.zeros((n, n))
-    col = 0
-    for idx, b in blocks:
-        values[col:col + idx.size] = b.values
-        vectors[idx, col:col + idx.size] = b.vectors
-        col += idx.size
-    vectors[iso, col + np.arange(iso.size)] = 1.0
-    order = np.argsort(-values, kind="stable")
-    gram = EigenSystem(values[order], vectors[:, order], tol, 1.0)  # scale(I - Delta) = 1
-    psd = gram.psd()
-    if not psd:
-        raise ConsistencyError(
-            f"constructed matrix rejected as an EDM: not-psd "
-            f"(I - Delta has eigenvalue {psd.min_eigenvalue:g})"
-        )
-    return Edm(
-        dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=s,
-        min_offdiagonal=min_offdiagonal(D),
-    )
-
-
 def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
     """Post-conditions of the spectral construction, kept on `rep`; ConsistencyError on failure.
 
-    `recon` is max|D - 2(E - P P^T)|, bounded by tol.recon * n * scale(D).
+    `recon` is max|D - 2(E - P P^T)|, bounded by tol.recon * n * scale(D);
+    D w = e and 2 e^T w = 1 were checked when the Edm was built.
     """
     n = rep.n
     problems = []
-    unit = scale(rep.edm.dist2)
-    bound = tol.recon * n * unit
+    bound = tol.recon * n * scale(rep.edm.dist2)
     if recon > bound:
         problems.append(f"reconstruction max|D - 2(E - P P^T)| = {recon:g} > {bound:g}")
     if rep.d != n - rep.k:
         problems.append(f"rank of B is {rep.d}, expected n - k = {n - rep.k}")
-    if rep.unit_spherical:  # edgeless: the basis vectors' affine hull misses the origin
-        if rep.edm.embedding_dim != n - rep.k:
-            problems.append(
-                f"embedding dimension of D is {rep.edm.embedding_dim}, expected {n - rep.k}"
-            )
-        Ddw = rep.edm.dist2 @ rep.w
-        solve_res = float(np.max(np.abs(Ddw - 1.0)))
-        if solve_res > tol.solve * unit:
-            problems.append(f"max|D w - e| = {solve_res:g}")
-        etw = float(rep.w.sum())
-        if abs(2.0 * etw - 1.0) > tol.unit:
-            problems.append(f"2 e^T w = {2.0 * etw:.17g}, expected 1")
+    # edgeless: the basis vectors' affine hull misses the origin
+    if rep.unit_spherical and rep.edm.embedding_dim != n - rep.k:
+        problems.append(
+            f"embedding dimension of D is {rep.edm.embedding_dim}, expected {n - rep.k}"
+        )
     sign = rep.sign_pattern = verify_sign_pattern(rep.edm, rep.graph, tol)
     if not sign.ok:
         problems.append(
@@ -342,12 +304,13 @@ class MinimalityReport:
     tight: bool
 
 
-def minimality_bound(rep: OrthoRep, tol: Tolerances | None = None) -> MinimalityReport:
+def minimality_bound(rep: OrthoRep) -> MinimalityReport:
     """Certify d = n - k is minimal by per-block top-eigenvalue multiplicity.
 
     Reads the stored spectrum of each diagonal block of the representation's
     Delta (normalized component adjacencies, top eigenvalue 1 each) and sums
-    the multiplicities at the global maximum (`EigenSystem.multiplicity`).
+    the multiplicities at the global maximum (`EigenSystem.multiplicity`),
+    with the band of the tolerances the representation was built with.
 
     Returns
     -------
@@ -355,10 +318,9 @@ def minimality_bound(rep: OrthoRep, tol: Tolerances | None = None) -> Minimality
         `bound_ok` is the theory-side inequality m <= k; `tight` marks the
         constructed case m = k, where dimension n - m equals n - k.
     """
-    tol = rep.edm.tol if tol is None else tol
     tops = tuple(float(es.values[0]) for es in rep.delta_spectra)
     lam_global = max(tops, default=0.0)
-    m = sum(es.multiplicity(tol.cluster) for es in rep.delta_spectra)
+    m = sum(es.multiplicity(rep.edm.tol.cluster) for es in rep.delta_spectra)
     return MinimalityReport(
         m=m,
         k=rep.k,

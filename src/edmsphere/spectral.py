@@ -1,10 +1,9 @@
 """Dense symmetric spectral primitives.
 
 Everything downstream (EDM certification, Perron data of nonnegative
-matrices, embedding dimensions) consumes the five operations here:
-`eig`, `is_psd`, `numerical_rank`, `perron` and `solve_linear`.  All of them
-are pure functions of their inputs and deterministic for identical input
-bits, so results are safe to share across threads.
+matrices, embedding dimensions) consumes `eig` (or `_decompose`) and
+`perron`.  Both are pure functions of their inputs and deterministic for
+identical input bits, so results are safe to share across threads.
 
 The PSD rule (slack ``tol.psd * scale``), the rank rule (cut
 ``tol.rank * scale``) and the cluster rule (band ``tol.cluster`` below the
@@ -30,16 +29,11 @@ from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
     "as_symmetric",
-    "sign_normalize",
     "EigenSystem",
     "eig",
     "PsdResult",
-    "is_psd",
-    "numerical_rank",
     "PerronData",
     "perron",
-    "LinearSolution",
-    "solve_linear",
 ]
 
 
@@ -67,15 +61,6 @@ def as_symmetric(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
             raise ValueError(f"matrix is not symmetric (max|M - M^T| = {skew:g})")
     lower = np.tril(M)
     return lower + np.tril(M, -1).T
-
-
-def sign_normalize(v: np.ndarray) -> np.ndarray:
-    """Flip `v` so its largest-magnitude entry is positive (ties: lowest index)."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
-        return v.copy()
-    lead = int(np.argmax(np.abs(v)))
-    return -v if v[lead] < 0 else v.copy()
 
 
 @dataclass(eq=False)
@@ -126,12 +111,6 @@ class EigenSystem:
         band = self.tolerance.cluster if band is None else band
         return int(np.count_nonzero(self.values >= self.values[0] - band))
 
-    def reconstruction_residual(self, M) -> float:
-        """max|V diag(values) V^T - M|, the invariant checked by the test suite."""
-        rebuilt = (self.vectors * self.values) @ self.vectors.T
-        return float(np.max(np.abs(rebuilt - np.asarray(M, dtype=float)))) if self.order else 0.0
-
-
 def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
@@ -176,7 +155,7 @@ def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
 
 
 def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
-    """`sign_normalize` on every column at once."""
+    """Flip each column so its largest-magnitude entry is positive (ties: lowest index)."""
     if not V.size:
         return V
     lead = np.argmax(np.abs(V), axis=0)
@@ -193,16 +172,6 @@ class PsdResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def is_psd(M, tol: Tolerances = DEFAULT_TOL) -> PsdResult:
-    """Test min eigenvalue >= -tol.psd * scale(M) (`EigenSystem.psd`)."""
-    return eig(M, tol).psd()
-
-
-def numerical_rank(M, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Count eigenvalues beyond the rank cut tol.rank * scale(M) (`EigenSystem.rank_mask`)."""
-    return eig(M, tol).rank
 
 
 @dataclass(eq=False)
@@ -243,33 +212,3 @@ def perron(M, tol: Tolerances = DEFAULT_TOL) -> PerronData:
         raise ValueError(f"perron requires nonnegative entries, found {S.min():g}")
     es = _decompose(S, tol)
     return PerronData(float(es.values[0]), es.multiplicity(), es.vectors[:, 0].copy())
-
-
-@dataclass(eq=False)
-class LinearSolution:
-    """Minimum-norm solve result; `consistent` is False when b is outside the column space."""
-
-    x: np.ndarray
-    residual: float
-    consistent: bool
-
-
-def solve_linear(M, b, tol: Tolerances = DEFAULT_TOL) -> LinearSolution:
-    """Minimum-norm solution of M x = b through the spectral pseudoinverse.
-
-    Eigenvalues outside `EigenSystem.rank_mask` are treated as zero.  The
-    result is flagged inconsistent when the residual max|M x - b| exceeds
-    ``tol.solve * scale(M)``, i.e. when b has a component outside the column
-    space of M.
-    """
-    S = as_symmetric(M, tol)
-    es = _decompose(S, tol)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if b.shape[0] != es.order:
-        raise ValueError(f"shape mismatch: matrix order {es.order}, vector length {b.shape[0]}")
-    keep = es.rank_mask()
-    inv = np.zeros_like(es.values)
-    inv[keep] = 1.0 / es.values[keep]
-    x = es.vectors @ (inv * (es.vectors.T @ b))
-    residual = float(np.max(np.abs(S @ x - b))) if b.size else 0.0
-    return LinearSolution(x=x, residual=residual, consistent=residual <= tol.solve * es.scale)

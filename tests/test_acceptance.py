@@ -26,8 +26,6 @@ from edmsphere import (
     gen_random_spherical,
     gen_regular_simplex,
     gram_factor,
-    is_irreducible,
-    is_irreducible_power_oracle,
     kuperberg_decompose,
     minimality_bound,
     nonnegative_delta,
@@ -38,6 +36,7 @@ from edmsphere import (
     validate_edm,
     verify_sign_pattern,
 )
+from oracles import is_irreducible, is_irreducible_power_oracle
 
 
 def criterion(num, title, budget):

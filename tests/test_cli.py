@@ -93,6 +93,18 @@ class TestValidate:
         assert report["status"] == "precondition-failed"
         assert "line 3" in report["result"]["error"]
 
+    @pytest.mark.parametrize("text", [
+        '{"n": true, "rows": [[0.0]]}',
+        '{"n": 2, "rows": [[0.0, true], [true, 0.0]]}',
+    ], ids=["bool-order", "bool-entries"])
+    def test_json_booleans_are_not_numbers(self, capsys, tmp_path, text):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 2
+        assert report["status"] == "precondition-failed"
+        assert "input format error" in err
+
 
 class TestOrthorep:
     def test_example_graph(self, capsys, graph_file):

@@ -5,19 +5,27 @@ import pytest
 import helpers
 from conftest import EXAMPLE_EDM
 from edmsphere import (
+    DEFAULT_TOL,
+    PROFILES,
     ConsistencyError,
+    EigenSystem,
     PreconditionError,
     certify_simplex,
     crosspolytope_recognize,
+    delta_of,
     gen_crosspolytope,
     gen_random_spherical,
     gen_regular_simplex,
     gen_unit_simplex,
     kuperberg_decompose,
+    nonnegative_delta,
+    perron,
     rankin_codimension2_check,
     require_edm,
     spherical_certificate,
+    validate_edm,
 )
+from edmsphere import decomposition as decomposition_module
 
 # the (3,4,5) principal block of the worked five-node example
 SUBBLOCK = np.array([[0.0, 4.0, 2.0], [4.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
@@ -222,3 +230,102 @@ class TestCrosspolytopeRecognize:
     def test_wrong_count_rejected(self):
         with pytest.raises(PreconditionError, match="n = 2r"):
             crosspolytope_recognize(gen_unit_simplex(4))
+
+
+def relabelled(D, seed):
+    return helpers.permute_1based(D, np.random.default_rng(seed).permutation(D.shape[0]) + 1)
+
+
+# relabelled compositions with and without zero rows of Delta, and crosspolytopes
+BLOCK_CASES = {
+    "blocks-4-3-2": relabelled(helpers.compose_block_edm([4, 3, 2]), 1),
+    "blocks-3-2-lone-2": relabelled(helpers.compose_block_edm([3, 2], 2), 2),
+    "blocks-5-2-2-lone-3": relabelled(helpers.compose_block_edm([5, 2, 2], 3), 3),
+    "cross-2": relabelled(gen_crosspolytope(2).dist2, 4),
+    "cross-5": relabelled(gen_crosspolytope(5).dist2, 5),
+}
+
+
+class TestBlockPath:
+    """Each Kuperberg block, built from its core's Delta, against validating it from scratch."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_blocks_match_validation(self, case, profile):
+        tol = PROFILES[profile]
+        dec = kuperberg_decompose(require_edm(BLOCK_CASES[case], tol))
+        for b in dec.blocks:
+            mine = b.certificate
+            ref_edm = validate_edm(b.edm.dist2, tol)
+            ref = certify_simplex(ref_edm)
+            assert b.edm.tol is tol
+            assert b.edm.embedding_dim == ref_edm.embedding_dim == b.order - 1
+            assert bool(b.edm.gram_eig.psd()) == bool(ref_edm.gram_eig.psd())
+            assert (mine.method, mine.origin_position, mine.zero_rows) == (
+                ref.method, ref.origin_position, ref.zero_rows)
+            npt.assert_allclose(mine.lambda_max, ref.lambda_max, rtol=0, atol=1e-12)
+            npt.assert_allclose(mine.w, ref.w, rtol=0, atol=1e-12)
+            # routes that do not go through the block's core: the block's whole
+            # Delta, and the minimum-norm solve of D w = e (D is nonsingular)
+            pd = perron(nonnegative_delta(delta_of(ref_edm), tol), tol)
+            npt.assert_allclose(mine.lambda_max, pd.lambda_max, rtol=0, atol=1e-12)
+            npt.assert_allclose(mine.w, spherical_certificate(ref_edm).w, rtol=0, atol=1e-12)
+            cert = spherical_certificate(b.edm)  # seeded by the construction
+            assert cert.w is mine.w and cert.unit_spherical and cert.residual == mine.residual
+
+
+def _second_in_band(values, vectors, tol):
+    values[1] = values[0] - 0.5 * tol.cluster
+
+
+def _top_off_one(values, vectors, tol):
+    values[0] += 10.0 * tol.cluster
+
+
+def _top_past_psd_slack(values, vectors, tol):
+    values[0] = 1.0 + 5.0 * tol.psd  # within the cluster band, beyond the PSD slack
+
+
+def _xi_not_positive(values, vectors, tol):
+    vectors[0, 0] = -vectors[0, 0]
+
+
+def _xi_off_circumcenter(values, vectors, tol):
+    vectors[0, 0] *= 1.001  # still positive; D w = e fails
+
+
+def _top_above_rank_cut(values, vectors, tol):
+    values[0] = 1.0 - 0.1 * tol.cluster  # I - Delta keeps 0.1 tol.cluster > the rank cut
+
+
+class TestBlockPathMutations:
+    """A corrupted eigensystem of a block's core Delta raises ConsistencyError, from its check."""
+
+    @pytest.mark.parametrize("mutate, tol, match", [
+        pytest.param(_second_in_band, DEFAULT_TOL, "multiplicity 2", id="second-in-band"),
+        pytest.param(_top_off_one, DEFAULT_TOL, "core lambda_max", id="top-off-one"),
+        pytest.param(_top_past_psd_slack, DEFAULT_TOL, "not PSD", id="top-past-psd-slack"),
+        pytest.param(_xi_not_positive, DEFAULT_TOL, "not positive", id="xi-not-positive"),
+        pytest.param(_xi_off_circumcenter, DEFAULT_TOL, r"max\|D w - e\|",
+                     id="xi-off-circumcenter"),
+        pytest.param(_top_above_rank_cut, DEFAULT_TOL.with_overrides(cluster=1e-6), "has rank",
+                     id="top-above-rank-cut"),
+    ])
+    @pytest.mark.parametrize("case", ["blocks-3-2-lone-2", "cross-2"])
+    def test_corrupted_core(self, monkeypatch, case, mutate, tol, match):
+        D = require_edm(BLOCK_CASES[case], tol)
+        idx = np.asarray(kuperberg_decompose(D).blocks[-1].indices) - 1  # intact; zero rows if any
+        block = require_edm(D.dist2[np.ix_(idx, idx)], tol)
+        decompose = decomposition_module._decompose
+
+        def corrupted(S, tol):
+            es = decompose(S, tol)
+            values, vectors = es.values.copy(), es.vectors.copy()
+            mutate(values, vectors, tol)
+            return EigenSystem(values, vectors, es.tolerance, es.scale)
+
+        monkeypatch.setattr(decomposition_module, "_decompose", corrupted)
+        with pytest.raises(ConsistencyError, match=match):
+            kuperberg_decompose(D)
+        with pytest.raises(ConsistencyError, match=match):  # a validated simplex's Perron route
+            certify_simplex(block)

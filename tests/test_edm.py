@@ -29,7 +29,6 @@ from edmsphere import (
     gram_factor,
     min_offdiagonal,
     require_edm,
-    solve_linear,
     spherical_certificate,
     unit_simplex_gamma,
     validate_edm,
@@ -37,6 +36,7 @@ from edmsphere import (
 from edmsphere.edm import _certificate_basis, _gram_eig_at, nonnegative_delta
 from edmsphere.spectral import _decompose, as_symmetric, perron
 from edmsphere.tolerances import scale
+from oracles import solve_linear
 
 COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])  # points 0, 1, 2
 TRIANGLE_VIOLATOR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])

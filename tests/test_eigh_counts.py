@@ -6,13 +6,16 @@ validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
 most rank(B) + 2), and one eigh of order at most rank(B) for each reading of
 the Gram matrix at another centering: the Delta dimension reads it at the
 circumcenter 2w (Delta = I - B there), and so does `gram_factor` by default;
-none when the Edm's own centering solves D s = 2e as closely as 2w.  For
-each Kuperberg block: its own validation,
-sphericity solve and Perron analysis of the block's Delta (plus one of its
-core when the block holds zero rows of Delta).  An orthonormal
+none when the Edm's own centering solves D s = 2e as closely as 2w.  A
+Kuperberg decomposition solves D w = e once for the whole matrix and makes
+one eigh per block, of the block's core Delta: its Perron data give the
+block's circumcenter weights, and the eigensystem of the block's Gram matrix
+I - Delta at that circumcenter follows from it.  An orthonormal
 representation costs one eigh per component adjacency: the eigensystem of
 its B = I - Delta is assembled from those, and only the edgeless graph
-validates its D.
+validates its D.  An Edm built at its circumcenter (a representation, a
+Kuperberg block) carries the certificate of the w it was built with, so its
+sphericity takes no eigh.
 """
 
 import contextlib
@@ -162,18 +165,20 @@ def test_crosspolytope_recognize(eighs, r):
     edm = validate_edm(cross(r))
     eighs.clear()
     assert crosspolytope_recognize(edm)
-    assert len(eighs) == 3 * r + 1
+    assert len(eighs) == r + 1  # D w = e, then one 2 x 2 Delta per antipodal pair
 
 
 @pytest.mark.parametrize("orders, lone, expected", [
-    ([3, 3, 2], 0, 3 * 3 + 1),
-    ([3, 2], 2, 3 * 2 + 1 + 1),  # the last block holds the zero rows
+    ([3, 3, 2], 0, 3 + 1),
+    ([3, 2], 2, 2 + 1),  # the last block's zero rows add none
 ])
 def test_kuperberg_decompose(eighs, orders, lone, expected):
     edm = validate_edm(composition(orders, lone))
     eighs.clear()
-    kuperberg_decompose(edm)
+    dec = kuperberg_decompose(edm)
     assert len(eighs) == expected
+    # after D w = e, one eigh per block, of its core: the rows that are not zero rows
+    assert sorted(eighs[1:]) == sorted(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
 
 
 def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
@@ -215,10 +220,23 @@ def test_gram_factor_reuses_orthorep_eigensystem(eighs):
     assert len(eighs) == 0  # at the circumcenter 2w, B = I - Delta
 
 
+@pytest.mark.parametrize("G", [
+    Graph.from_edges(60, [(i, i + 1) for i in range(1, 60)]),
+    Graph.from_edges(11, [(3 * c + a, 3 * c + b) for c in range(3)
+                          for a, b in [(1, 2), (1, 3), (2, 3)]]),  # 3 triangles, 2 lone nodes
+], ids=["path", "triangles"])
+def test_certificate_of_a_representation_is_its_construction(eighs, G):
+    rep = construct_orthorep(G)
+    eighs.clear()
+    cert = spherical_certificate(rep.edm)
+    assert len(eighs) == 0
+    assert cert.w is rep.w and cert.unit_spherical
+
+
 def test_gram_factor_of_a_path_reads_the_representation(eighs):
-    # the certificate's 2w misses the stored centering by rounding only
+    # the certificate is the construction's: its 2w is the stored centering
     rep = construct_orthorep(Graph.from_edges(60, [(i, i + 1) for i in range(1, 60)]))
-    assert not np.array_equal(2.0 * spherical_certificate(rep.edm).w, rep.edm.centering)
+    assert np.array_equal(2.0 * spherical_certificate(rep.edm).w, rep.edm.centering)
     eighs.clear()
     gf = gram_factor(rep.edm)
     assert len(eighs) == 0

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import helpers
 from edmsphere import FormatError, Graph, adjacency, apply_permutation, components, parse_graph
-from edmsphere.graphs import is_irreducible, is_irreducible_power_oracle, support_components
+from edmsphere.graphs import support_components
+from oracles import is_irreducible, is_irreducible_power_oracle
 
 
 class TestGraph:

@@ -84,6 +84,8 @@ class TestJsonFormat:
             ('{"n": 0, "rows": []}', "positive integer"),
             ('{"n": 2, "rows": [[0, 1]]}', "expected \\(2, 2\\)"),
             ('{"n": 1, "rows": [["x"]]}', "rectangular array of numbers"),
+            ('{"n": true, "rows": [[0.0]]}', "positive integer"),
+            ('{"n": 2, "rows": [[0.0, true], [true, 0.0]]}', "not booleans"),
         ],
     )
     def test_errors(self, text, match):

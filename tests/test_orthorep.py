@@ -17,6 +17,8 @@ from edmsphere import (
     verify_sign_pattern,
 )
 from edmsphere import orthorep as orthorep_module
+from edmsphere.tolerances import scale
+from oracles import reconstruction_residual
 
 SQRT2 = np.sqrt(2.0)
 
@@ -286,13 +288,22 @@ class TestEdmByConstruction:
         es = rep.edm.gram_eig
         if rep.k:  # the assembled eigensystem of B = I - Delta, in the EigenSystem order
             assert np.all(np.diff(es.values) <= 0.0)
-            assert es.reconstruction_residual(np.eye(rep.n) - rep.delta) <= 1e-12
+            assert reconstruction_residual(es, np.eye(rep.n) - rep.delta) <= 1e-12
         assert rep.edm.embedding_dim == ref.embedding_dim
         assert rep.edm.min_offdiagonal == ref.min_offdiagonal
         assert bool(rep.edm.gram_eig.psd()) == bool(ref.gram_eig.psd())
         mine, theirs = spherical_certificate(rep.edm), spherical_certificate(ref)
         assert (mine.status, mine.unit_spherical) == (theirs.status, theirs.unit_spherical)
-        npt.assert_allclose(mine.w, theirs.w, rtol=0, atol=1e-12)
+        if rep.k < 2:  # D is nonsingular: one solution of D w = e
+            npt.assert_allclose(mine.w, theirs.w, rtol=0, atol=1e-12)
+            return
+        # D is singular: the certificate keeps the construction's w, not the
+        # minimum-norm one; both solve D w = e and give the same e^T w
+        assert mine.w is rep.w
+        D = rep.edm.dist2
+        assert np.max(np.abs(D @ mine.w - 1.0)) <= rep.edm.tol.solve * scale(D)
+        npt.assert_allclose([mine.etw, mine.radius], [theirs.etw, theirs.radius],
+                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random_graphs(self, seed):  # the graphs of TestRandomGraphs
