@@ -6,6 +6,12 @@ without --out prints the raw matrix text) and human diagnostics to stderr.
 Exit codes: 0 success, 2 for rejected input or a failed precondition, 1 for
 an internal fault, including results that would contradict theory.
 
+One writer, `_dumps`, renders the report and the --out files: the bytes of
+`json.dumps(..., indent=2)` with NaN and +-Inf as strings, written without
+per-element Python for float arrays, which are joined row by row from one
+`tolist()`.  A result written to --out is rendered once and indented into
+the report.
+
 Tolerances come from the profile named by the EDM_SPHERE_TOL_PROFILE
 environment variable (default, strict, loose), overridable per run with
 --tol-profile and per threshold with --tol-psd, --tol-rank, --tol-cluster,
@@ -17,17 +23,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
+import math
 import os
 import sys
 import time
 import traceback
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
 from . import __version__, matrixio
 from .decomposition import (
+    _sample_codimension2,
     crosspolytope_recognize,
     kuperberg_decompose,
     rankin_codimension2_check,
@@ -53,21 +61,81 @@ REJECTED = 2
 FAULT = 1
 
 
-def _jsonable(obj):
-    """Recursively convert to strict-JSON-safe values: arrays to lists, no NaN/Infinity tokens."""
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        return obj if np.isfinite(obj) else repr(obj)
-    return obj
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2)` of the report, strict JSON: NaN and +-Inf as their repr strings.
+
+    Dicts (keys through str), lists and tuples are indented by 2; numpy
+    scalars count as Python numbers.  A float array with finite entries is
+    written row by row from one `tolist()`; any other array is written as
+    its `tolist()`.  Other types raise TypeError, as in `json`.
+    """
+    out = []
+    _emit(obj, "\n", out)
+    return "".join(out)
+
+
+class _Rendered(str):
+    """The `_dumps` text of a value, written as that value at any indent."""
+
+
+def _emit(obj, nl: str, out: list) -> None:
+    """Append obj's JSON to out; nl is a newline and the indent of obj's line."""
+    if isinstance(obj, _Rendered):
+        out.append(obj.replace("\n", nl))  # strings in JSON text hold no raw newline
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(float.__repr__(x) if math.isfinite(x) else _quote(repr(x)))
+    elif isinstance(obj, dict):
+        obj = {str(k): v for k, v in obj.items()}
+        if not obj:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(sep + _quote(k) + ": ")
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _emit(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        if (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8 and obj.ndim and obj.size
+                and np.isfinite(obj).all()):
+            out.append(_float_rows(obj.tolist(), obj.ndim, nl))
+        else:
+            _emit(obj.tolist(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_rows(rows: list, depth: int, nl: str) -> str:
+    """The JSON of nested lists of finite floats, `depth` levels deep, none empty."""
+    inner = nl + "  "
+    if depth == 1:
+        body = map(float.__repr__, rows)
+    else:
+        body = (_float_rows(row, depth - 1, inner) for row in rows)
+    return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
 def _read_input(path: str, ctx) -> str:
@@ -90,13 +158,19 @@ def _rejected(res, **extra):
     return "rejected", result, {}, REJECTED, None
 
 
-def _write_out(path, result, checks) -> None:
-    """The --out file of orthorep and decompose: the result as indented JSON."""
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_jsonable(result), fh, indent=2)
-            fh.write("\n")
-        checks["out"] = path
+def _write_out(path, result, checks):
+    """The --out file of orthorep and decompose: the result as indented JSON.
+
+    Returns the result for the report: with --out, its JSON text, which the
+    report then indents instead of rendering the result again.
+    """
+    if not path:
+        return result
+    text = _Rendered(_dumps(result))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    checks["out"] = path
+    return text
 
 
 def _resolve_tolerances(args) -> tuple[Tolerances, str]:
@@ -178,8 +252,7 @@ def cmd_orthorep(args, tol, ctx):
         },
         "note": rep.note,
     }
-    _write_out(args.out, result, checks)
-    return "ok", result, checks, OK, None
+    return "ok", _write_out(args.out, result, checks), checks, OK, None
 
 
 def cmd_decompose(args, tol, ctx):
@@ -211,8 +284,7 @@ def cmd_decompose(args, tol, ctx):
         "block_lambda_max": [b.certificate.lambda_max for b in dec.blocks],
         "block_methods": [b.certificate.method for b in dec.blocks],
     }
-    _write_out(args.out, result, checks)
-    return "ok", result, checks, OK, None
+    return "ok", _write_out(args.out, result, checks), checks, OK, None
 
 
 def cmd_gen(args, tol, ctx):
@@ -323,18 +395,14 @@ def _check_rankin_sample(args, tol):
         raise PreconditionError(f"--trials must be positive, got {args.trials}")
     if args.seed < 0:
         raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-    master = np.random.SeedSequence(args.seed)
-    children = master.spawn(args.trials)
     per_trial = []
     failures = []
-    for t, child in enumerate(children):
-        edm, _ = gen_random_spherical(r + 2, r, child, tol)
-        if edm.embedding_dim != r:
+    for t, rep in enumerate(_sample_codimension2(r, args.trials, args.seed, tol)):
+        if isinstance(rep, int):
             # rank-degenerate sample; astronomically unlikely, still a result
-            failures.append({"trial": t, "reason": f"embedding_dim {edm.embedding_dim} != {r}"})
+            failures.append({"trial": t, "reason": f"embedding_dim {rep} != {r}"})
             per_trial.append(None)
             continue
-        rep = rankin_codimension2_check(edm)
         per_trial.append(rep.min_offdiag)
         if not rep.ok:
             failures.append({"trial": t, "reason": rep.message})
@@ -452,7 +520,7 @@ def main(argv=None) -> int:
         "checks": checks,
         "elapsed_seconds": round(time.perf_counter() - t0, 6),
     }
-    print(json.dumps(_jsonable(report), indent=2))
+    print(_dumps(report))
     return code
 
 

@@ -16,6 +16,8 @@ constrained.  With n points in dimension r:
 
 A simplex with a connected core, each Kuperberg block included, is certified
 from one eigendecomposition, of its core's Delta (`_perron_simplex`).
+`check-rankin --sample` runs the n = r + 2 check on random samples in
+stacked chunks (`_sample_codimension2`).
 """
 
 from __future__ import annotations
@@ -27,17 +29,23 @@ import numpy as np
 from .edm import (
     SPHERICAL,
     Edm,
+    EdmRejection,
     SphericalCertificate,
+    _certify,
     _circumcenter_edm,
     _crosspolytope_dist2,
+    _sample_rejected,
+    _sphere_dist2,
+    _sphere_points,
+    _validate_stack,
     delta_of,
     nonnegative_delta,
     spherical_certificate,
 )
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
-from .spectral import EigenSystem, _decompose, perron
-from .tolerances import Tolerances, scale
+from .spectral import EigenSystem, _decompose, _decompose_stack, perron
+from .tolerances import Tolerances, _scales, scale
 
 __all__ = [
     "SimplexCertificate",
@@ -54,13 +62,18 @@ __all__ = [
 
 def _require_unit_spherical(D: Edm, what: str) -> SphericalCertificate:
     cert = spherical_certificate(D)
-    if cert.status != SPHERICAL:
-        raise PreconditionError(f"{what} requires a spherical EDM, got status {cert.status!r}")
-    if not cert.unit_spherical:
-        raise PreconditionError(
-            f"{what} requires circumradius 1, got radius {cert.radius:.17g}"
-        )
+    error = _not_unit_spherical(cert, what)
+    if error is not None:
+        raise error
     return cert
+
+
+def _not_unit_spherical(cert: SphericalCertificate, what: str) -> PreconditionError | None:
+    if cert.status != SPHERICAL:
+        return PreconditionError(f"{what} requires a spherical EDM, got status {cert.status!r}")
+    if not cert.unit_spherical:
+        return PreconditionError(f"{what} requires circumradius 1, got radius {cert.radius:.17g}")
+    return None
 
 
 @dataclass(eq=False)
@@ -239,12 +252,26 @@ def rankin_codimension2_check(D: Edm) -> RankinReport:
     if n != r + 2:
         raise PreconditionError(f"check needs n = r + 2, got n = {n}, r = {r}")
     _require_unit_spherical(D, "rankin_codimension2_check")
-    off = D.dist2 + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    flat = int(np.argmin(off))
-    i, j = divmod(flat, n)
-    if i > j:
-        i, j = j, i
-    m = float(off[i, j])
+    m, i, j = _closest_pairs(D.dist2)
+    return _rankin_report(n, r, float(m), int(i), int(j), tol)
+
+
+def _closest_pairs(D: np.ndarray) -> tuple:
+    """(m, i, j) per matrix of a (..., n, n) stack: its least off-diagonal entry m = D[i, j], i < j.
+
+    The pair is the first least entry in row-major order, mirrored above the diagonal.
+    """
+    n = D.shape[-1]
+    off = D + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
+    off = off.reshape(D.shape[:-2] + (n * n,))
+    i, j = np.divmod(off.argmin(axis=-1), n)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    m = np.take_along_axis(off, (i * n + j)[..., None], axis=-1)[..., 0]
+    return m, i, j
+
+
+def _rankin_report(n: int, r: int, m: float, i: int, j: int, tol: Tolerances) -> RankinReport:
+    """The n = r + 2 report on the closest pair (i, j), 0-based, at squared distance m."""
     ok = m <= 2.0 + tol.sign
     if ok:
         message = (
@@ -257,6 +284,59 @@ def rankin_codimension2_check(D: Edm) -> RankinReport:
             f"although n = r + 2; the rank decision at tol.rank is suspect"
         )
     return RankinReport(ok=ok, n=n, r=r, min_offdiag=m, witness=(i + 1, j + 1), message=message)
+
+
+_SAMPLE_CHUNK_BYTES = 1 << 22  # the arrays of one chunk of sampled trials
+
+
+def _sample_codimension2(r: int, trials: int, seed: int, tol: Tolerances):
+    """Rankin's n = r + 2 check on `trials` random configurations on the unit sphere.
+
+    Trial t samples `gen_random_spherical(r + 2, r, child, tol)` for the
+    t-th child of SeedSequence(seed).  Yields, trial by trial, what
+    `rankin_codimension2_check` of that sample returns, or the sample's
+    embedding dimension when it is not r; raises, at its trial, what the
+    two calls would raise.  Trials run in chunks of about
+    `_SAMPLE_CHUNK_BYTES`, each validated through one stacked eigh of its
+    centered Gram matrices and certified through one of its distance
+    matrices: at n = r + 2 and rank r the certificate basis is the identity.
+    """
+    n = r + 2
+    trial_bytes = 8 * (n * r * (min(n, 16) + 1) + 12 * n * n)
+    chunk = max(1, _SAMPLE_CHUNK_BYTES // trial_bytes)
+    master = np.random.SeedSequence(seed)
+    for start in range(0, trials, chunk):
+        children = master.spawn(min(chunk, trials - start))  # continues the child sequence
+        X = _sphere_points([np.random.default_rng(child) for child in children], n, r)
+        for outcome in _codimension2_stack(_sphere_dist2(X), r, tol):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
+
+
+def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
+    """Per sampled (n, n) distance matrix of the stack M: its RankinReport, rank or exception."""
+    n = M.shape[1]
+    D, grams = _validate_stack(M, tol)
+    outcome = []
+    certify = []
+    for t, gram in enumerate(grams):
+        if isinstance(gram, EdmRejection):
+            gram = _sample_rejected(gram)
+        elif isinstance(gram, EigenSystem):
+            gram = gram.rank
+            if gram == r:
+                certify.append(t)  # the rank is replaced by the report below
+        outcome.append(gram)
+    D = D[certify]
+    eigs = _decompose_stack(0.5 * (D + np.swapaxes(D, 1, 2)), tol, _scales(D).tolist())
+    solved = [k for k, es in enumerate(eigs) if isinstance(es, EigenSystem)]
+    certs = dict(zip(solved, _certify(D[solved], np.eye(n), [eigs[k] for k in solved], tol)))
+    m, i, j = (v.tolist() for v in _closest_pairs(D))
+    for k, t in enumerate(certify):
+        error = _not_unit_spherical(certs[k], "rankin_codimension2_check") if k in certs else eigs[k]
+        outcome[t] = _rankin_report(n, r, m[k], i[k], j[k], tol) if error is None else error
+    return outcome
 
 
 @dataclass(eq=False)

@@ -22,6 +22,11 @@ is I - Delta, for `embedding_dim_via_delta`.
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
 for orthonormal representations and Kuperberg blocks.
+
+The entry checks, the double centering and the sphericity solve also run
+over a (T, n, n) stack (`_validate_stack`, `_certify`), with one eigh per
+stack and each matrix's result bitwise that of its own call, for the
+Rankin sampler.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .spectral import EigenSystem, _decompose, _sign_normalize_columns, perron
-from .tolerances import DEFAULT_TOL, Tolerances, scale
+from .spectral import EigenSystem, _decompose, _decompose_stack, _sign_normalize_columns, perron
+from .tolerances import DEFAULT_TOL, Tolerances, _scales, scale
 
 __all__ = [
     "SPHERICAL",
@@ -130,16 +135,64 @@ def centering_gram(D: np.ndarray, s: np.ndarray) -> np.ndarray:
     For symmetric D this is B_ij = 1/2 (((u_i + u_j) - D_ij) - s^T u) with
     u = D s: O(n^2), and exactly symmetric, since D is and u_i + u_j = u_j + u_i.
     Subtracting rather than negating keeps exact zeros at +0.0, the bits an
-    eigensolver would see after `spectral.as_symmetric`.
+    eigensolver would see after `spectral.as_symmetric`.  A (..., n, n)
+    stack of D gives the stack of B, each with the bits of its own call.
     """
     D = np.asarray(D, dtype=float)
     s = np.asarray(s, dtype=float).reshape(-1)
     u = D @ s
-    B = u[:, None] + u[None, :]
+    B = u[..., :, None] + u[..., None, :]
     B -= D
-    B -= s @ u
+    B -= (s @ u[..., None])[..., None]  # one dot s @ u per matrix, as for a single D
     B *= 0.5
     return B
+
+
+def _entry_stats(M: np.ndarray) -> tuple:
+    """What `validate_edm`'s entry rules read, per matrix of a (..., n, n) stack M.
+
+    (all entries finite, scale(M), max|M - M^T|, D, max|diag(D)|, least
+    off-diagonal entry of D): D is M symmetrized from its lower triangle
+    with the diagonal then set to zero, and the least off-diagonal entry of
+    a matrix of order below 2 is +inf.  Only the finiteness is meaningful
+    for a matrix that is not finite.
+    """
+    n = M.shape[-1]
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(M).all(axis=(-2, -1))
+        skew = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
+    diag = np.arange(n)
+    diag_max = np.abs(D[..., diag, diag]).max(axis=-1, initial=0.0)
+    D[..., diag, diag] = 0.0
+    off_min = np.where(np.eye(n, dtype=bool), np.inf, D).min(axis=(-2, -1), initial=np.inf)
+    return finite, _scales(M), skew, D, diag_max, off_min
+
+
+def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances) -> EdmRejection | None:
+    """validate_edm's rules on the entries of one matrix, read from its `_entry_stats`."""
+    if not finite:
+        return EdmRejection("not-finite", "matrix contains NaN or Inf entries")
+    if skew > tol.symmetry * s:
+        return EdmRejection("not-symmetric", f"max|M - M^T| = {skew:g}")
+    if diag_max > tol.psd * s:
+        return EdmRejection("nonzero-diagonal", f"max|diagonal| = {diag_max:g}")
+    if off_min < -tol.psd * s:
+        return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
+    return None
+
+
+def _psd_rejection(gram: EigenSystem) -> EdmRejection | None:
+    """validate_edm's PSD rule on the eigensystem of the centered Gram matrix."""
+    psd = gram.psd()
+    if psd:
+        return None
+    return EdmRejection(
+        "not-psd",
+        f"centered Gram has eigenvalue {psd.min_eigenvalue:g}",
+        witness_eigenvalue=psd.min_eigenvalue,
+        witness_vector=psd.witness,
+    )
 
 
 def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
@@ -163,36 +216,37 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return EdmRejection("not-square", f"shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
-        return EdmRejection("not-finite", "matrix contains NaN or Inf entries")
-    s = scale(M)
-    if M.size:
-        skew = float(np.max(np.abs(M - M.T)))
-        if skew > tol.symmetry * s:
-            return EdmRejection("not-symmetric", f"max|M - M^T| = {skew:g}")
-    D = np.tril(M) + np.tril(M, -1).T
-    n = D.shape[0]
-    diag_max = float(np.max(np.abs(np.diag(D)))) if n else 0.0
-    if diag_max > tol.psd * s:
-        return EdmRejection("nonzero-diagonal", f"max|diagonal| = {diag_max:g}")
-    np.fill_diagonal(D, 0.0)
-    off_min = min_offdiagonal(D)  # +inf below order 2
-    if off_min < -tol.psd * s:
-        return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
-    centroid = _centroid(n)
+    finite, s, skew, D, diag_max, off_min = _entry_stats(M)
+    rejection = _entry_rejection(finite, s, skew, diag_max, off_min, tol)
+    if rejection is not None:
+        return rejection
+    centroid = _centroid(D.shape[0])
     es = _decompose(centering_gram(D, centroid), tol)
-    psd = es.psd()
-    if not psd:
-        return EdmRejection(
-            "not-psd",
-            f"centered Gram has eigenvalue {psd.min_eigenvalue:g}",
-            witness_eigenvalue=psd.min_eigenvalue,
-            witness_vector=psd.witness,
-        )
+    rejection = _psd_rejection(es)
+    if rejection is not None:
+        return rejection
     return Edm(
         dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, centering=centroid,
-        min_offdiagonal=off_min,
+        min_offdiagonal=float(off_min),
     )
+
+
+def _validate_stack(M: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list]:
+    """validate_edm of each matrix of a (T, n, n) stack, with one eigh of the accepted ones.
+
+    Returns the stack of symmetrized D and, per matrix, the eigensystem of
+    its centered Gram matrix, the EdmRejection validate_edm returns, or the
+    ValueError it raises.  Each has the bits of its own validate_edm call.
+    """
+    finite, s, skew, D, diag_max, off_min = _entry_stats(M)
+    stats = zip(finite.tolist(), s.tolist(), skew.tolist(), diag_max.tolist(), off_min.tolist())
+    out = [_entry_rejection(*entry, tol) for entry in stats]
+    todo = [t for t, rejection in enumerate(out) if rejection is None]
+    B = centering_gram(D[todo], _centroid(D.shape[-1]))
+    for t, gram in zip(todo, _decompose_stack(B, tol, _scales(B).tolist())):
+        rejection = None if isinstance(gram, ValueError) else _psd_rejection(gram)
+        out[t] = gram if rejection is None else rejection
+    return D, out
 
 
 def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
@@ -382,23 +436,42 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
 
 
 def _solve_certificate(D: Edm) -> SphericalCertificate:
-    tol = D.tol
-    e = np.ones(D.n)
     Q = _certificate_basis(D)
     M = D.dist2 if Q.shape[1] == D.n else Q.T @ (D.dist2 @ Q)  # Q = I: no product by it
-    es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D.dist2))  # D's own rank cut
-    keep = es.rank_mask()
-    inv = np.zeros_like(es.values)
-    inv[keep] = 1.0 / es.values[keep]
-    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ e))))
-    residual = float(np.max(np.abs(D.dist2 @ w - e))) if D.n else 0.0
-    if residual > tol.solve * es.scale:
+    es = replace(_decompose(0.5 * (M + M.T), D.tol), scale=scale(D.dist2))  # D's own rank cut
+    return _certify(D.dist2[None], Q, [es], D.tol)[0]
+
+
+def _certify(D: np.ndarray, Q: np.ndarray, eigs: list, tol: Tolerances) -> list:
+    """Solve D w = e on the basis Q and classify, for each matrix of a (T, n, n) stack D.
+
+    `eigs` holds, per matrix, the eigensystem of Q^T D Q at D's scale.  The
+    products are batched matrix-vector products, bitwise those of one matrix.
+    """
+    if not eigs:
+        return []
+    n = D.shape[-1]
+    e = np.ones(n)
+    values = np.stack([es.values for es in eigs])
+    vectors = np.stack([es.vectors for es in eigs])
+    inv = np.zeros_like(values)
+    keep = np.stack([es.rank_mask() for es in eigs])
+    inv[keep] = 1.0 / values[keep]
+    y = inv * (np.swapaxes(vectors, -1, -2) @ (Q.T @ e))
+    w = (Q @ (vectors @ y[..., None]))[..., 0]
+    residual = np.abs((D @ w[..., None])[..., 0] - e).max(axis=-1, initial=0.0)
+    return [_classify(w[t], etw, res, es.scale, tol)
+            for t, (etw, res, es) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), eigs))]
+
+
+def _classify(w: np.ndarray, etw: float, residual: float, scale: float, tol: Tolerances) -> SphericalCertificate:
+    """The certificate of a solution w of D w = e with e^T w = etw and max|D w - e| = residual."""
+    if residual > tol.solve * scale:
         return SphericalCertificate(
             status=E_NOT_IN_COLSPACE, w=None, etw=None, radius=None,
             unit_spherical=False, residual=residual,
         )
-    etw = float(w.sum())
-    if etw * es.scale <= tol.psd:  # w scales as 1/D: compare e^T w in D's own unit
+    if etw * scale <= tol.psd:  # w scales as 1/D: compare e^T w in D's own unit
         return SphericalCertificate(
             status=NON_SPHERICAL, w=w, etw=etw, radius=None,
             unit_spherical=False, residual=residual,
@@ -674,20 +747,45 @@ def gen_random_spherical(n: int, r: int, seed, tol: Tolerances = DEFAULT_TOL):
         raise PreconditionError(f"need n >= r + 1 points, got n={n}, r={r}")
     if r < 1:
         raise PreconditionError(f"sphere dimension must be >= 1, got r={r}")
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, r))
-    norms = np.linalg.norm(X, axis=1)
-    while np.any(norms < 1e-12):  # probability ~0; keep determinism per seed
-        bad = norms < 1e-12
-        X[bad] = rng.standard_normal((int(bad.sum()), r))
-        norms = np.linalg.norm(X, axis=1)
-    X /= norms[:, None]
-    D = np.empty((n, n))
-    for i in range(0, n, 16):  # 16 rows of differences at a time, not an n x n x r tensor
-        diff = X[i:i + 16, None, :] - X[None, :, :]
-        D[i:i + 16] = np.einsum("ijk,ijk->ij", diff, diff)  # bitwise symmetric, zero diagonal
-        del diff  # one block alive at a time
-    edm = validate_edm(D, tol)
+    X = _sphere_points([np.random.default_rng(seed)], n, r)[0]
+    edm = validate_edm(_sphere_dist2(X), tol)
     if isinstance(edm, EdmRejection):
-        raise ConsistencyError(f"sampled sphere configuration rejected: {edm.reason} ({edm.detail})")
+        raise _sample_rejected(edm)
     return edm, X
+
+
+def _sphere_points(rngs: list, n: int, r: int) -> np.ndarray:
+    """Per generator, n points drawn uniformly on the unit (r-1)-sphere, as a (len(rngs), n, r) stack.
+
+    The rows are standard-normal draws normalized to unit length; a row
+    of norm below 1e-12 is drawn again from its generator.
+    """
+    X = np.stack([rng.standard_normal((n, r)) for rng in rngs])
+    norms = np.linalg.norm(X, axis=-1)
+    for t in np.flatnonzero(np.any(norms < 1e-12, axis=-1)):  # probability ~0; keep determinism per seed
+        while np.any(norms[t] < 1e-12):
+            bad = norms[t] < 1e-12
+            X[t, bad] = rngs[t].standard_normal((int(bad.sum()), r))
+            norms[t] = np.linalg.norm(X[t], axis=1)
+    X /= norms[..., None]
+    return X
+
+
+def _sphere_dist2(X: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of X: (..., n, r) -> (..., n, n).
+
+    Each matrix of a stack has the bits of its own call.
+    """
+    n = X.shape[-2]
+    D = np.empty(X.shape[:-1] + (n,))
+    for i in range(0, n, 16):  # 16 rows of differences at a time, not an n x n x r tensor
+        diff = X[..., i:i + 16, None, :] - X[..., None, :, :]
+        D[..., i:i + 16, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)  # bitwise symmetric, zero diagonal
+        del diff  # one block alive at a time
+    return D
+
+
+def _sample_rejected(rejection: EdmRejection) -> ConsistencyError:
+    return ConsistencyError(
+        f"sampled sphere configuration rejected: {rejection.reason} ({rejection.detail})"
+    )

@@ -76,14 +76,20 @@ def parse_matrix_json(text: str) -> np.ndarray:
     rows = obj["rows"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:  # JSON true loads as an int
         raise FormatError(f'"n" must be a positive integer, got {n!r}')
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise FormatError('"rows" must be a rectangular array of numbers')
+    for row in rows:
+        for x in row:
+            if type(x) not in (int, float):  # JSON true is an int, "4" a string, null None
+                raise FormatError(
+                    f'"rows" must be a rectangular array of numbers, not booleans, strings or null: got {x!r}'
+                )
     try:
         M = np.array(rows, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise FormatError('"rows" must be a rectangular array of numbers') from None
     if M.shape != (n, n):
         raise FormatError(f'"rows" has shape {M.shape}, expected ({n}, {n})')
-    if any(isinstance(x, bool) for row in rows for x in row):
-        raise FormatError('"rows" must hold numbers, not booleans')
     return M
 
 
@@ -108,11 +114,10 @@ def format_matrix_text(M: np.ndarray, comment: str | None = None) -> str:
     if comment:
         lines.extend(f"# {part}" for part in comment.splitlines())
     lines.append(str(n))
-    for i in range(n):
-        lines.append(" ".join(repr(float(x)) for x in M[i]))
+    lines.extend(" ".join(map(repr, row)) for row in M.tolist())
     return "\n".join(lines) + "\n"
 
 
 def matrix_to_json_dict(M: np.ndarray) -> dict:
     M = np.asarray(M, dtype=float)
-    return {"n": int(M.shape[0]), "rows": [[float(x) for x in row] for row in M]}
+    return {"n": int(M.shape[0]), "rows": M.tolist()}

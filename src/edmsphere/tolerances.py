@@ -114,3 +114,8 @@ def scale(M: np.ndarray) -> float:
     if M.size == 0:
         return 1.0
     return max(1.0, float(np.max(np.abs(M))))
+
+
+def _scales(S: np.ndarray) -> np.ndarray:
+    """scale() of each matrix of a (..., n, n) stack."""
+    return np.maximum(1.0, np.abs(S).max(axis=(-2, -1), initial=0.0))

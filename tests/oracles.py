@@ -3,17 +3,28 @@
 Each is an independent route to a fact the library decides another way:
 a minimum-norm solve on a full eigendecomposition (against the sphericity
 certificate on B's eigenbasis), a one-vector sign rule (against the
-column-wise one), the reconstruction residual of an eigensystem, and
-irreducibility by traversal and by the (I + A)^(n-1) power criterion.
+column-wise one), the reconstruction residual of an eigensystem,
+irreducibility by traversal and by the (I + A)^(n-1) power criterion, the
+CLI report through `json` (against the array-aware writer), and the
+Rankin sampler trial by trial (against the stacked one).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from edmsphere import DEFAULT_TOL, EigenSystem, Tolerances
+from edmsphere import (
+    DEFAULT_TOL,
+    EigenSystem,
+    Tolerances,
+    gen_random_spherical,
+    rankin_codimension2_check,
+)
+from edmsphere.cli import FAULT, OK
+from edmsphere.errors import PreconditionError
 from edmsphere.graphs import _support_adjacency, support_components
 from edmsphere.spectral import _decompose, as_symmetric
 
@@ -108,3 +119,62 @@ def is_irreducible_power_oracle(M, tol: Tolerances = DEFAULT_TOL) -> bool:
     for _ in range(n - 1):
         P = np.minimum(P @ B, 1.0)
     return bool(np.all(P > 0))
+
+
+def _jsonable(obj):
+    """Recursively convert to strict-JSON-safe values: arrays to lists, no NaN/Infinity tokens."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        obj = float(obj)
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else repr(obj)
+    return obj
+
+
+def check_rankin_sample_per_trial(args, tol):
+    """`check-rankin --sample` one trial at a time: generate, validate, certify, check."""
+    r = args.sample
+    if r < 2:
+        raise PreconditionError(f"--sample needs r >= 2, got {r}")
+    if args.trials < 1:
+        raise PreconditionError(f"--trials must be positive, got {args.trials}")
+    if args.seed < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
+    master = np.random.SeedSequence(args.seed)
+    children = master.spawn(args.trials)
+    per_trial = []
+    failures = []
+    for t, child in enumerate(children):
+        edm, _ = gen_random_spherical(r + 2, r, child, tol)
+        if edm.embedding_dim != r:
+            # rank-degenerate sample; astronomically unlikely, still a result
+            failures.append({"trial": t, "reason": f"embedding_dim {edm.embedding_dim} != {r}"})
+            per_trial.append(None)
+            continue
+        rep = rankin_codimension2_check(edm)
+        per_trial.append(rep.min_offdiag)
+        if not rep.ok:
+            failures.append({"trial": t, "reason": rep.message})
+    finite = [v for v in per_trial if v is not None]
+    result = {
+        "mode": "sample",
+        "r": r,
+        "n": r + 2,
+        "trials": args.trials,
+        "seed": args.seed,
+        "all_ok": not failures,
+        "failures": failures,
+        "max_min_offdiag": max(finite) if finite else None,
+        "min_offdiag_per_trial": per_trial,
+    }
+    if failures:
+        print(f"{len(failures)} of {args.trials} trials inconsistent", file=sys.stderr)
+        return "inconsistent", result, {}, FAULT, None
+    return "ok", result, {}, OK, None

@@ -106,6 +106,21 @@ class TestValidate:
         assert "input format error" in err
 
 
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "rows": [["0", "4"], ["4", "0"]]}',
+        '{"n": 2, "rows": [[0.0, null], [null, 0.0]]}',
+        '{"n": 2, "rows": [[0.0, [4.0]], [4.0, 0.0]]}',
+        '{"n": 1, "rows": [[1' + "0" * 400 + ']]}',
+    ], ids=["strings", "null", "nested", "int-beyond-float"])
+    def test_json_entries_must_be_numbers(self, capsys, tmp_path, text):
+        path = tmp_path / "entries.json"
+        path.write_text(text)
+        code, report, err = run_json(capsys, ["validate", str(path)])
+        assert code == 2
+        assert report["status"] == "precondition-failed"
+        assert "input format error" in err
+
+
 class TestOrthorep:
     def test_example_graph(self, capsys, graph_file):
         code, report, _ = run_json(capsys, ["orthorep", graph_file])

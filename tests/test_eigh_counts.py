@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import edmsphere.decomposition as decomposition
 import helpers
 from edmsphere import (
     DEFAULT_TOL,
@@ -188,10 +189,16 @@ def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
     assert len(eighs) == 2  # D w = e and Delta
 
 
-def test_check_rankin_sample_two_per_trial(eighs):
+def test_check_rankin_sample_two_per_chunk(eighs, monkeypatch):
+    # one stacked eigh of the chunk's centered Gram matrices and one of its distance matrices
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
-    assert len(eighs) == 2 * 5
+    assert eighs == [5, 5]  # the order recorded is the stack's length
+    eighs.clear()
+    monkeypatch.setattr(decomposition, "_SAMPLE_CHUNK_BYTES", 1)  # one trial per chunk
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
+    assert eighs == [1] * (2 * 5)
 
 
 def test_construct_orthorep_connected(eighs):

@@ -46,6 +46,7 @@ CASES = {
     "rankin-compose": ["check-rankin", "compose.txt"],
     "rankin-notpsd": ["check-rankin", "notpsd.txt"],
     "rankin-sample": ["check-rankin", "--sample", "3", "--trials", "5", "--seed", "7"],
+    "rankin-sample-150": ["check-rankin", "--sample", "4", "--trials", "150", "--seed", "11"],
     "orthorep-example": ["orthorep", "example.graph", "--out", "orthorep.out.json"],
     "gen-cross": ["gen", "crosspolytope", "-r", "3", "--out", "gen.txt"],
     "gen-sphere": ["gen", "random-sphere", "-n", "6", "-r", "3", "--seed", "4", "--out", "gen.txt"],
