@@ -34,6 +34,7 @@ from .edm import (
     _certify,
     _circumcenter_edm,
     _crosspolytope_dist2,
+    _inf_diagonal,
     _sample_rejected,
     _sphere_dist2,
     _sphere_points,
@@ -262,8 +263,7 @@ def _closest_pairs(D: np.ndarray) -> tuple:
     The pair is the first least entry in row-major order, mirrored above the diagonal.
     """
     n = D.shape[-1]
-    off = D + np.where(np.eye(n, dtype=bool), np.inf, 0.0)
-    off = off.reshape(D.shape[:-2] + (n * n,))
+    off = _inf_diagonal(D).reshape(D.shape[:-2] + (n * n,))
     i, j = np.divmod(off.argmin(axis=-1), n)
     i, j = np.minimum(i, j), np.maximum(i, j)
     m = np.take_along_axis(off, (i * n + j)[..., None], axis=-1)[..., 0]

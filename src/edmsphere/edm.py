@@ -115,14 +115,18 @@ class EdmRejection:
         return False
 
 
-def min_offdiagonal(M: np.ndarray) -> float:
-    """Smallest off-diagonal entry; +inf for an order-1 matrix."""
-    M = np.asarray(M, dtype=float)
-    n = M.shape[0]
-    if n < 2:
-        return float("inf")
-    mask = ~np.eye(n, dtype=bool)
-    return float(M[mask].min())
+def min_offdiagonal(M: np.ndarray):
+    """Smallest off-diagonal entry, per matrix of a (..., n, n) stack; +inf below order 2.
+
+    A float for one matrix, an array for a stack.
+    """
+    m = _inf_diagonal(np.asarray(M, dtype=float)).min(axis=(-2, -1), initial=np.inf)
+    return float(m) if m.ndim == 0 else m
+
+
+def _inf_diagonal(M: np.ndarray) -> np.ndarray:
+    """M, a (..., n, n) stack, with +inf on each diagonal: only off-diagonal entries can be least."""
+    return np.where(np.eye(M.shape[-1], dtype=bool), np.inf, M)
 
 
 def _centroid(n: int) -> np.ndarray:
@@ -153,8 +157,7 @@ def _entry_stats(M: np.ndarray) -> tuple:
 
     (all entries finite, scale(M), max|M - M^T|, D, max|diag(D)|, least
     off-diagonal entry of D): D is M symmetrized from its lower triangle
-    with the diagonal then set to zero, and the least off-diagonal entry of
-    a matrix of order below 2 is +inf.  Only the finiteness is meaningful
+    with the diagonal then set to zero.  Only the finiteness is meaningful
     for a matrix that is not finite.
     """
     n = M.shape[-1]
@@ -165,8 +168,7 @@ def _entry_stats(M: np.ndarray) -> tuple:
     diag = np.arange(n)
     diag_max = np.abs(D[..., diag, diag]).max(axis=-1, initial=0.0)
     D[..., diag, diag] = 0.0
-    off_min = np.where(np.eye(n, dtype=bool), np.inf, D).min(axis=(-2, -1), initial=np.inf)
-    return finite, _scales(M), skew, D, diag_max, off_min
+    return finite, _scales(M), skew, D, diag_max, min_offdiagonal(D)
 
 
 def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances) -> EdmRejection | None:
@@ -227,7 +229,7 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
         return rejection
     return Edm(
         dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, centering=centroid,
-        min_offdiagonal=float(off_min),
+        min_offdiagonal=off_min,
     )
 
 
@@ -244,7 +246,7 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list]:
     todo = [t for t, rejection in enumerate(out) if rejection is None]
     B = centering_gram(D[todo], _centroid(D.shape[-1]))
     for t, gram in zip(todo, _decompose_stack(B, tol, _scales(B).tolist())):
-        rejection = None if isinstance(gram, ValueError) else _psd_rejection(gram)
+        rejection = None if isinstance(gram, Exception) else _psd_rejection(gram)
         out[t] = gram if rejection is None else rejection
     return D, out
 

@@ -152,17 +152,28 @@ def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
 def _decompose_stack(S: np.ndarray, tol: Tolerances, scales) -> list:
     """`_decompose` of each matrix of a (T, n, n) stack, in one eigh call, at the given scales.
 
-    A matrix with a NaN or Inf entry gets the ValueError `_decompose` would
-    raise in place of its eigensystem.  Stacked and looped eigh agree
-    bitwise, so each eigensystem is the one `_decompose` returns.
+    A matrix gets, in place of its eigensystem, the ValueError `_decompose`
+    would raise for a NaN or Inf entry, or the SpectralError of an eigh that
+    does not converge: when the stacked call fails, each matrix is
+    decomposed alone to tell which.  Stacked and looped eigh agree bitwise,
+    so each eigensystem is the one `_decompose` returns.
     """
     out = [ValueError("matrix contains NaN or Inf entries")] * S.shape[0]
-    idx = np.flatnonzero(np.isfinite(S).all(axis=(1, 2)))
-    if idx.size:
-        values, vectors = _eigh_descending(S[idx])
-        for k, t in enumerate(idx.tolist()):
-            out[t] = EigenSystem(values[k], vectors[k], tol, scales[t])
+    idx = np.flatnonzero(np.isfinite(S).all(axis=(1, 2))).tolist()
+    try:
+        pairs = zip(*_eigh_descending(S[idx])) if idx else ()
+    except SpectralError:
+        pairs = map(_eigh_or_error, S[idx])
+    for t, pair in zip(idx, pairs):
+        out[t] = pair if isinstance(pair, SpectralError) else EigenSystem(*pair, tol, scales[t])
     return out
+
+
+def _eigh_or_error(S: np.ndarray):
+    try:
+        return _eigh_descending(S)
+    except SpectralError as exc:
+        return exc
 
 
 def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,10 +189,10 @@ def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive (ties: lowest index); stacks too."""
     if not V.size:
         return V
-    lead = np.argmax(np.abs(V), axis=-2)
-    if V.ndim == 2:  # indexing, about half the cost of the gather for one small matrix
-        return V * np.where(V[lead, np.arange(V.shape[1])] < 0, -1.0, 1.0)
-    return V * np.where(np.take_along_axis(V, lead[..., None, :], axis=-2) < 0, -1.0, 1.0)
+    W = V.reshape(-1, *V.shape[-2:])
+    lead = np.argmax(np.abs(W), axis=-2)
+    top = W[np.arange(W.shape[0])[:, None], lead, np.arange(W.shape[-1])]
+    return V * np.where(top < 0, -1.0, 1.0).reshape(V.shape[:-2] + (1, -1))
 
 
 @dataclass(eq=False)

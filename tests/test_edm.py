@@ -130,6 +130,9 @@ class TestValidateEdm:
 def test_min_offdiagonal():
     assert min_offdiagonal(np.array([[0.0, 3.0], [3.0, 0.0]])) == 3.0
     assert min_offdiagonal(np.array([[7.0]])) == np.inf
+    M = np.arange(18.0).reshape(2, 3, 3)
+    assert min_offdiagonal(M).tolist() == [min_offdiagonal(m) for m in M] == [1.0, 10.0]
+    assert min_offdiagonal(np.zeros((2, 1, 1))).tolist() == [np.inf, np.inf]
 
 
 class TestGramFactor:

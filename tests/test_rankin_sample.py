@@ -20,6 +20,7 @@ import edmsphere.cli as cli
 import edmsphere.decomposition as decomposition
 import edmsphere.edm as edm
 from edmsphere import DEFAULT_TOL
+from edmsphere.errors import ConsistencyError, SpectralError
 from oracles import check_rankin_sample_per_trial
 
 
@@ -140,6 +141,32 @@ def test_first_failing_trial_decides(monkeypatch, per_chunk):
     stacked, looped = both(4, 10, 3)
     assert stacked == looped
     assert stacked[0] is cli.PreconditionError
+
+
+def coincident(X):
+    return np.zeros((len(X), len(X)))  # a zero Gram matrix, on which eigh is made to fail
+
+
+@pytest.mark.parametrize("per_chunk", [None, 3, 1])
+@pytest.mark.parametrize("earlier, expected", [(negative, ConsistencyError), (None, SpectralError)])
+def test_eigh_failure_keeps_trial_order(monkeypatch, per_chunk, earlier, expected):
+    # trial 5's eigh does not converge; a rejection at trial 2 must still come first
+    real = np.linalg.eigh
+
+    def eigh(S):
+        if not S.any(axis=(-2, -1)).all():
+            raise np.linalg.LinAlgError("no convergence")
+        return real(S)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    if per_chunk:
+        chunk_of(4, monkeypatch, per_chunk)
+    distort(monkeypatch, 5, coincident)
+    if earlier:
+        distort(monkeypatch, 2, earlier)
+    stacked, looped = both(4, 10, 3)
+    assert stacked == looped
+    assert stacked[0] is expected
 
 
 def test_failed_checks_report_every_trial():
