@@ -14,8 +14,11 @@ constrained.  With n points in dimension r:
 - at n = 2r the split forces antipodal pairs: the configuration is the
   regular crosspolytope (crosspolytope_recognize).
 
-A simplex with a connected core, each Kuperberg block included, is certified
-from one eigendecomposition, of its core's Delta (`_perron_simplex`).
+The first, third and fourth share one hypothesis gate and one block walk.
+`_spread_support` checks that D is unit spherical with Delta nonnegative
+and splits Delta's support; `_simplex_blocks` folds the zero rows into the
+last component and certifies each block from one eigendecomposition, of its
+core's Delta (`_perron_simplex`).  A connected core is the one-block case.
 `check-rankin --sample` runs the n = r + 2 check on random samples in
 stacked chunks (`_sample_codimension2`).
 """
@@ -46,7 +49,7 @@ from .edm import (
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
 from .spectral import EigenSystem, _decompose, _decompose_stack, perron
-from .tolerances import Tolerances, _scales, scale
+from .tolerances import Tolerances, scale
 
 __all__ = [
     "SimplexCertificate",
@@ -75,6 +78,17 @@ def _not_unit_spherical(cert: SphericalCertificate, what: str) -> PreconditionEr
     if not cert.unit_spherical:
         return PreconditionError(f"{what} requires circumradius 1, got radius {cert.radius:.17g}")
     return None
+
+
+def _spread_support(D: Edm, what: str) -> tuple:
+    """(certificate, nonnegative Delta, support split) of D, once D meets the Perron hypotheses.
+
+    PreconditionError unless D is unit spherical with every squared distance
+    at least 2 - tol.sign.
+    """
+    cert = _require_unit_spherical(D, what)
+    delta = nonnegative_delta(delta_of(D), D.tol)
+    return cert, delta, support_components(delta, D.tol)
 
 
 @dataclass(eq=False)
@@ -128,15 +142,9 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     """
     tol = D.tol
     n = D.n
-    cert = _require_unit_spherical(D, "certify_simplex")
-    delta = nonnegative_delta(delta_of(D), tol)  # PreconditionError if min offdiag < 2 - tol.sign
-    # One traversal of the support: zero rows of Delta are its isolated nodes,
-    # and the core (Delta without them) is irreducible iff one component remains.
-    split = support_components(delta, tol)
+    cert, delta, split = _spread_support(D, "certify_simplex")
     if split.nontrivial_count == 1:
-        core = np.ones(n, dtype=bool)
-        core[np.asarray(split.isolated, dtype=int) - 1] = False
-        _, simplex = _perron_simplex(D.dist2, delta, core, tol)
+        simplex = _simplex_blocks(D, delta, split)[0].certificate
         if D.embedding_dim != n - 1:
             raise ConsistencyError(
                 f"connected support forces a simplex, but embedding dimension is "
@@ -329,7 +337,7 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
                 certify.append(t)  # the rank is replaced by the report below
         outcome.append(gram)
     D = D[certify]
-    eigs = _decompose_stack(0.5 * (D + np.swapaxes(D, 1, 2)), tol, _scales(D).tolist())
+    eigs = _decompose_stack(0.5 * (D + np.swapaxes(D, 1, 2)), tol, scale(D).tolist())
     solved = [k for k, es in enumerate(eigs) if isinstance(es, EigenSystem)]
     certs = dict(zip(solved, _certify(D[solved], np.eye(n), [eigs[k] for k in solved], tol)))
     m, i, j = (v.tolist() for v in _closest_pairs(D))
@@ -365,8 +373,8 @@ class Decomposition:
     2.  `isolated_assignment` names the zero rows of Delta folded into the
     last block (they are orthogonal to everything, so any block could take
     them; the last one is the fixed convention).  `cross_check` is the max
-    |d_ij - 2| over cross-block pairs and `cross_gram_max` the matching max
-    |inner product| between blocks.
+    |d_ij - 2| over cross-block pairs and `cross_gram_max` = cross_check / 2
+    the matching max |inner product| between blocks.
     """
 
     n: int
@@ -383,13 +391,34 @@ class Decomposition:
         return len(self.blocks)
 
 
+def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock]:
+    """One block per nontrivial support component, certified by `_perron_simplex`.
+
+    The zero rows of Delta are orthogonal to every point, so they extend any
+    block; they join the last one, in ascending order.
+    """
+    members = [list(c) for c in split.nontrivial]
+    members[-1] = sorted(members[-1] + list(split.isolated))
+    core = np.ones(D.n, dtype=bool)
+    core[np.asarray(split.isolated, dtype=int) - 1] = False
+    blocks = []
+    for comp in members:
+        idx = np.asarray(comp, dtype=int) - 1
+        block = np.ix_(idx, idx)
+        edm, cert = _perron_simplex(D.dist2[block], delta[block], core[idx], D.tol)
+        blocks.append(DecompositionBlock(indices=tuple(comp), edm=edm, certificate=cert))
+    return blocks
+
+
 def kuperberg_decompose(D: Edm) -> Decomposition:
     """Split a unit spherical min-distance-sqrt(2) EDM into orthogonal simplices.
 
     Applies when 2 <= n - r <= r: the support graph of Delta then has
     exactly n - r nontrivial components, each inducing a simplex block, and
     all cross-block squared distances are 2 (orthogonal subspaces).  Zero
-    rows of Delta join the last block.
+    rows of Delta join the last block.  Once there are n - r blocks, their
+    dimensions (order - 1) sum to n - (n - r) = r, and at n = 2r each of the
+    r blocks has order 2; neither needs a check of its own.
 
     Parameters
     ----------
@@ -416,63 +445,36 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         raise PreconditionError(f"need n - r >= 2, got n = {n}, r = {r}")
     if not n - r <= r:
         raise PreconditionError(f"need n - r <= r, got n = {n}, r = {r}")
-    _require_unit_spherical(D, "kuperberg_decompose")
-    delta = nonnegative_delta(delta_of(D), tol)
-    split = support_components(delta, tol)
-    members = [list(c) for c in split.nontrivial]
-    if not members:
+    _, delta, split = _spread_support(D, "kuperberg_decompose")
+    if not split.nontrivial_count:
         raise ConsistencyError(
             "support of Delta has no edges although n - r >= 2; "
             "a unit spherical input cannot have Delta = 0"
         )
-    isolated = tuple(split.isolated)
-    # Zero rows are orthogonal to every other point, so they extend any
-    # simplex block; fold them all into the last block (decided before the
-    # fold, by smallest-member order) and restore ascending order inside.
-    members[-1].extend(isolated)
-    members[-1].sort()
-    if len(members) != n - r:
+    if split.nontrivial_count != n - r:
         raise ConsistencyError(
-            f"support splits into {len(members)} block(s), expected n - r = {n - r}"
+            f"support splits into {split.nontrivial_count} block(s), expected n - r = {n - r}"
         )
-    core = np.ones(n, dtype=bool)
-    core[np.asarray(isolated, dtype=int) - 1] = False
-    blocks = []
-    for comp in members:
-        idx = np.asarray(comp, dtype=int) - 1
-        block = np.ix_(idx, idx)
-        edm, cert = _perron_simplex(D.dist2[block], delta[block], core[idx], tol)
-        blocks.append(DecompositionBlock(indices=tuple(comp), edm=edm, certificate=cert))
-    permutation = tuple(i for b in blocks for i in b.indices)
-    perm_idx = np.asarray(permutation, dtype=int) - 1
-    same = np.zeros((n, n), dtype=bool)
-    pos = 0
-    for b in blocks:
-        same[pos:pos + b.order, pos:pos + b.order] = True
-        pos += b.order
-    Dp = D.dist2[np.ix_(perm_idx, perm_idx)]
-    cross = ~same & ~np.eye(n, dtype=bool)
-    cross_check = float(np.max(np.abs(Dp[cross] - 2.0))) if cross.any() else 0.0
+    blocks = _simplex_blocks(D, delta, split)
+    label = np.empty(n, dtype=int)
+    for k, b in enumerate(blocks):
+        label[np.asarray(b.indices) - 1] = k
+    cross = label[:, None] != label[None, :]
+    cross_check = float(np.max(np.abs(D.dist2[cross] - 2.0)))
     if cross_check > tol.sign:
         raise ConsistencyError(
             f"cross-block squared distances deviate from 2 by {cross_check:g}"
         )
-    # Gram at the circumcenter is E - D/2 for a unit spherical EDM; cross
-    # entries are the inner products between different blocks' points.
-    gram = 1.0 - Dp / 2.0
-    cross_gram_max = float(np.max(np.abs(gram[cross]))) if cross.any() else 0.0
+    # The Gram matrix at the circumcenter is E - D/2, so a cross-block inner
+    # product is 1 - d/2 = -(d - 2)/2, exactly for d within tol.sign of 2.
+    cross_gram_max = cross_check / 2.0
     if cross_gram_max > tol.solve * scale(D.dist2):
         raise ConsistencyError(
             f"cross-block inner products reach {cross_gram_max:g}; subspaces not orthogonal"
         )
-    dims = tuple(b.dim for b in blocks)
-    if sum(dims) != r:
-        raise ConsistencyError(
-            f"block dimensions {dims} sum to {sum(dims)}, expected r = {r}"
-        )
     return Decomposition(
-        n=n, r=r, permutation=permutation, blocks=tuple(blocks),
-        isolated_assignment=isolated, subspace_dims=dims,
+        n=n, r=r, permutation=tuple(i for b in blocks for i in b.indices), blocks=tuple(blocks),
+        isolated_assignment=tuple(split.isolated), subspace_dims=tuple(b.dim for b in blocks),
         cross_check=cross_check, cross_gram_max=cross_gram_max,
     )
 
@@ -540,10 +542,6 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     except PreconditionError as exc:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))
-    bad = [b.indices for b in dec.blocks if b.order != 2]
-    if bad:
-        # n = 2r with n - r = r blocks of >= 2 nodes each leaves no slack.
-        raise ConsistencyError(f"blocks {bad} do not have order 2 although n = 2r")
     Dp = apply_permutation(D.dist2, dec.permutation)
     dev = float(np.max(np.abs(Dp - _crosspolytope_dist2(r))))
     if dev > tol.sign:

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
 from .spectral import EigenSystem, _decompose, _decompose_stack, _sign_normalize_columns, perron
-from .tolerances import DEFAULT_TOL, Tolerances, _scales, scale
+from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
     "SPHERICAL",
@@ -168,7 +168,7 @@ def _entry_stats(M: np.ndarray) -> tuple:
     diag = np.arange(n)
     diag_max = np.abs(D[..., diag, diag]).max(axis=-1, initial=0.0)
     D[..., diag, diag] = 0.0
-    return finite, _scales(M), skew, D, diag_max, min_offdiagonal(D)
+    return finite, scale(M), skew, D, diag_max, min_offdiagonal(D)
 
 
 def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances) -> EdmRejection | None:
@@ -245,7 +245,7 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list]:
     out = [_entry_rejection(*entry, tol) for entry in stats]
     todo = [t for t, rejection in enumerate(out) if rejection is None]
     B = centering_gram(D[todo], _centroid(D.shape[-1]))
-    for t, gram in zip(todo, _decompose_stack(B, tol, _scales(B).tolist())):
+    for t, gram in zip(todo, _decompose_stack(B, tol, scale(B).tolist())):
         rejection = None if isinstance(gram, Exception) else _psd_rejection(gram)
         out[t] = gram if rejection is None else rejection
     return D, out

@@ -28,7 +28,6 @@ from .errors import SpectralError
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
-    "as_symmetric",
     "EigenSystem",
     "eig",
     "PsdResult",

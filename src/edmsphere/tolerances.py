@@ -24,7 +24,6 @@ __all__ = [
     "PROFILES",
     "from_profile",
     "profile_from_env",
-    "scale",
 ]
 
 TOL_PROFILE_ENV = "EDM_SPHERE_TOL_PROFILE"
@@ -108,14 +107,11 @@ def profile_from_env(environ: dict[str, str] | None = None) -> Tolerances:
     return from_profile(env.get(TOL_PROFILE_ENV, "default"))
 
 
-def scale(M: np.ndarray) -> float:
-    """max(1, max|entry|), the scale factor for matrix-relative thresholds."""
-    M = np.asarray(M, dtype=float)
-    if M.size == 0:
-        return 1.0
-    return max(1.0, float(np.max(np.abs(M))))
+def scale(M: np.ndarray) -> float | np.ndarray:
+    """max(1, max|entry|), the factor of matrix-relative thresholds.
 
-
-def _scales(S: np.ndarray) -> np.ndarray:
-    """scale() of each matrix of a (..., n, n) stack."""
-    return np.maximum(1.0, np.abs(S).max(axis=(-2, -1), initial=0.0))
+    A float for one matrix; for a (..., n, n) stack, the array of each
+    matrix's scale.  An empty matrix has scale 1.
+    """
+    s = np.maximum(1.0, np.abs(np.asarray(M, dtype=float)).max(axis=(-2, -1), initial=0.0))
+    return float(s) if s.ndim == 0 else s

@@ -329,3 +329,33 @@ class TestBlockPathMutations:
             kuperberg_decompose(D)
         with pytest.raises(ConsistencyError, match=match):  # a validated simplex's Perron route
             certify_simplex(block)
+
+
+def _noisy_block_inputs(seed, count):
+    """Relabelled compositions with lone rows and crosspolytopes, each entry off by up to ~1e-11."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2:
+            D = gen_crosspolytope(int(rng.integers(2, 8))).dist2
+        else:
+            orders = rng.integers(2, 5, size=int(rng.integers(2, 4))).tolist()
+            D = helpers.compose_block_edm(orders, int(rng.integers(0, 3)))
+        N = np.triu(rng.standard_normal(D.shape), 1) * 10.0 ** rng.uniform(-17, -11)
+        yield relabelled(D + N + N.T, k)
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_cross_gram_max_is_half_the_cross_check(profile):
+    # An inner product between blocks is 1 - d/2 = -(d - 2)/2 at the circumcenter,
+    # and for d in [1, 4] both 1 - d/2 and d - 2 are exact (Sterbenz).
+    tol = PROFILES[profile]
+    decomposed = 0
+    for D in _noisy_block_inputs(7, 200):
+        edm = validate_edm(D, tol)
+        try:
+            dec = kuperberg_decompose(edm)
+        except (PreconditionError, ConsistencyError):
+            continue
+        decomposed += 1
+        assert dec.cross_gram_max == dec.cross_check / 2.0
+    assert decomposed >= 50

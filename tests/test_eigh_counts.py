@@ -48,14 +48,27 @@ from edmsphere import (
 from edmsphere.cli import main
 
 
+class EighCalls(list):
+    """The order of each numpy.linalg.eigh call, in call order; `matrices` holds its stack size."""
+
+    def __init__(self):
+        super().__init__()
+        self.matrices = []
+
+    def clear(self):
+        super().clear()
+        self.matrices.clear()
+
+
 @pytest.fixture
 def eighs(monkeypatch):
-    """The orders of the matrices passed to numpy.linalg.eigh, in call order."""
-    calls = []
+    calls = EighCalls()
     eigh = np.linalg.eigh
 
     def counted(a, *args, **kwargs):
-        calls.append(np.asarray(a).shape[0])
+        shape = np.asarray(a).shape
+        calls.append(shape[-1])
+        calls.matrices.append(int(np.prod(shape[:-2])))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
@@ -193,12 +206,12 @@ def test_check_rankin_sample_two_per_chunk(eighs, monkeypatch):
     # one stacked eigh of the chunk's centered Gram matrices and one of its distance matrices
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
-    assert eighs == [5, 5]  # the order recorded is the stack's length
+    assert (eighs, eighs.matrices) == ([6, 6], [5, 5])
     eighs.clear()
     monkeypatch.setattr(decomposition, "_SAMPLE_CHUNK_BYTES", 1)  # one trial per chunk
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
-    assert eighs == [1] * (2 * 5)
+    assert (eighs, eighs.matrices) == ([6] * 10, [1] * 10)
 
 
 def test_construct_orthorep_connected(eighs):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,3 +59,13 @@ def test_scale():
     assert scale(np.array([[0.5, -0.25], [0.1, 0.0]])) == 1.0
     assert scale(np.array([[3.0, -7.0], [1.0, 2.0]])) == 7.0
     assert scale(np.zeros((0, 0))) == 1.0
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 3), (2, 3, 2, 2), (3, 0, 0), (0, 4, 4), (0, 0, 0)])
+def test_scale_of_a_stack_is_each_matrix_scale(shape):
+    S = 3.0 * np.random.default_rng(len(shape)).standard_normal(shape)
+    got = scale(S)
+    assert isinstance(got, np.ndarray) and got.shape == shape[:-2]
+    expected = [scale(M) for M in S.reshape((math.prod(shape[:-2]),) + shape[-2:])]
+    assert got.ravel().tolist() == expected
+    assert all(type(s) is float for s in expected)
