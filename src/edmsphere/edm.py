@@ -584,17 +584,19 @@ def delta_of(D: Edm) -> DeltaMatrix:
 
 
 def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
-    """Delta with rounding-level negatives snapped to 0.
+    """Delta with every entry of magnitude <= tol.sign/2 set to 0, on both sides of zero.
 
-    Valid only when the source min off-diagonal is >= 2 - tol.sign, so every
-    negative entry is at most tol.sign/2 in magnitude; larger negatives mean
-    the Perron reasoning does not apply and raise PreconditionError.
+    Delta_ij = (d_ij - 2)/2, so these are the pairs with |d_ij - 2| <= tol.sign,
+    which the sign rule reads as orthogonal; the support graph then agrees
+    with it.  Valid only when the source min off-diagonal is >= 2 - tol.sign,
+    so every negative entry is one of them; otherwise the Perron reasoning
+    does not apply and PreconditionError is raised.
     """
     if dm.source_min_offdiag < 2.0 - tol.sign:
         raise PreconditionError(
             f"min off-diagonal {dm.source_min_offdiag:.17g} < 2 - tol.sign; Delta is not nonnegative"
         )
-    return np.maximum(dm.delta, 0.0)
+    return np.where(dm.delta > tol.sign / 2.0, dm.delta, 0.0)
 
 
 @dataclass(eq=False)

@@ -75,3 +75,17 @@ def random_graph_edges(rng: np.random.Generator, n: int, p: float):
             if rng.random() < p:
                 edges.append((i, j))
     return edges
+
+
+def with_distance(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
+    """A copy of D with d_ij = d_ji = d (1-based i, j)."""
+    D = np.array(D, dtype=float)
+    D[i - 1, j - 1] = D[j - 1, i - 1] = d
+    return D
+
+
+# Orthogonal pairs read through the sign rule: one squared distance 2 + eps,
+# |eps| <= tol.sign.  The crosspolytope stays unit spherical of rank 3.
+CROSS_3 = 2.0 * (np.ones((6, 6)) - np.eye(6)) + np.kron(np.eye(3), [[0.0, 2.0], [2.0, 0.0]])
+NEAR_TWO_CROSS = with_distance(CROSS_3, 1, 3, 2.0 + 1e-11)
+NEAR_TWO_BLOCKS = with_distance(compose_block_edm([3, 3]), 1, 6, 2.0 + 5e-8)

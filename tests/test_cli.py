@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import helpers
 from conftest import EXAMPLE_EDM
 from edmsphere import gen_crosspolytope, gen_unit_simplex, parse_matrix
 from edmsphere.cli import main
@@ -227,6 +228,24 @@ class TestGen:
         _, text = run_raw(capsys, ["gen", "simplex", "-n", "3", "--gamma", "3.0"])
         M = parse_matrix(text)
         npt.assert_array_equal(M, 3.0 * (np.ones((3, 3)) - np.eye(3)))
+
+
+class TestSupportBySignRule:
+    """A squared distance within tol.sign of 2 reads as orthogonal in every report."""
+
+    def test_check_rankin_near_two_crosspolytope(self, capsys, tmp_path):
+        path = tmp_path / "cross.txt"
+        path.write_text(format_matrix_text(helpers.NEAR_TWO_CROSS))
+        code, report, _ = run_json(capsys, ["check-rankin", str(path)])
+        assert code == 0 and report["status"] == "ok"
+        assert report["result"]["crosspolytope"]["ok"] is True
+
+    def test_validate_near_two_composition(self, capsys, tmp_path):
+        path = tmp_path / "blocks.txt"
+        path.write_text(format_matrix_text(helpers.NEAR_TWO_BLOCKS))
+        code, report, _ = run_json(capsys, ["validate", str(path)])
+        assert code == 0 and report["result"]["embedding_dim"] == 4
+        assert report["checks"]["delta_dimension"]["dimension"] == 4
 
 
 class TestCheckRankin:

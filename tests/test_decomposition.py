@@ -196,6 +196,23 @@ class TestKuperbergDecompose:
             kuperberg_decompose(D)
 
 
+class TestSupportBySignRule:
+    """A squared distance within tol.sign of 2 is no edge of Delta's support."""
+
+    def test_near_two_crosspolytope(self):
+        D = require_edm(helpers.NEAR_TWO_CROSS)
+        assert D.embedding_dim == 3 and spherical_certificate(D).unit_spherical
+        dec = kuperberg_decompose(D)
+        assert [b.indices for b in dec.blocks] == [(1, 2), (3, 4), (5, 6)]
+        assert dec.cross_check == 2.0 * dec.cross_gram_max > 0.0
+        res = crosspolytope_recognize(D)
+        assert res.ok and res.permutation == (1, 2, 3, 4, 5, 6)
+
+    def test_near_two_composition(self):
+        dec = kuperberg_decompose(require_edm(helpers.NEAR_TWO_BLOCKS))
+        assert [b.indices for b in dec.blocks] == [(1, 2, 3), (4, 5, 6)]
+
+
 class TestCrosspolytopeRecognize:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_canonical_form_accepted(self, r):

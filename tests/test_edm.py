@@ -229,6 +229,16 @@ class TestDelta:
         assert snapped.min() == 0.0
         assert snapped[0, 1] == 0.0
 
+    def test_nonnegative_delta_zeroes_both_sides_within_the_sign_band(self):
+        M = helpers.with_distance(2.0 * (np.ones((4, 4)) - np.eye(4)), 1, 2, 2.0 - 1e-9)
+        M = helpers.with_distance(M, 1, 3, 2.0 + 1e-9)  # Delta entries -5e-10 and 5e-10
+        M = helpers.with_distance(M, 1, 4, 2.0 + 1e-6)  # Delta entry 5e-7 > tol.sign / 2
+        D = require_edm(M)
+        dm = delta_of(D)
+        snapped = nonnegative_delta(dm, D.tol)
+        assert snapped[0, 1] == snapped[0, 2] == 0.0
+        assert snapped[0, 3] == dm.delta[0, 3] > 0.0
+
     def test_nonnegative_delta_rejects_genuine_negatives(self):
         dm = delta_of(gen_regular_simplex(3, 1.0))  # distances 1 < 2
         with pytest.raises(PreconditionError, match="min off-diagonal"):
@@ -236,6 +246,12 @@ class TestDelta:
 
 
 class TestEmbeddingDimViaDelta:
+    def test_distance_within_the_sign_band_of_two_is_orthogonal(self):
+        D = require_edm(helpers.NEAR_TWO_BLOCKS)
+        rep = embedding_dim_via_delta(D, spherical_certificate(D))
+        assert D.embedding_dim == 4
+        assert (rep.dimension, rep.multiplicity) == (4, 2)
+
     def test_crosspolytope_multiplicity(self):
         D = gen_crosspolytope(2)
         rep = embedding_dim_via_delta(D, spherical_certificate(D))
