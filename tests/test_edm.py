@@ -222,20 +222,14 @@ class TestDelta:
         npt.assert_allclose(off, 1.0 / 3.0, atol=1e-15)  # gamma/2 - 1
 
     def test_nonnegative_delta_snaps_rounding(self):
-        M = 2.0 * (np.ones((3, 3)) - np.eye(3))
+        M = 2.0 * (np.ones((4, 4)) - np.eye(4))
         M[0, 1] = M[1, 0] = 2.0 - 1e-9  # Delta entry -5e-10, within tol.sign
-        D = require_edm(M)
-        snapped = nonnegative_delta(delta_of(D), D.tol)
-        assert snapped.min() == 0.0
-        assert snapped[0, 1] == 0.0
-
-    def test_nonnegative_delta_zeroes_both_sides_within_the_sign_band(self):
-        M = helpers.with_distance(2.0 * (np.ones((4, 4)) - np.eye(4)), 1, 2, 2.0 - 1e-9)
-        M = helpers.with_distance(M, 1, 3, 2.0 + 1e-9)  # Delta entries -5e-10 and 5e-10
-        M = helpers.with_distance(M, 1, 4, 2.0 + 1e-6)  # Delta entry 5e-7 > tol.sign / 2
+        M[0, 2] = M[2, 0] = 2.0 + 1e-9  # Delta entry 5e-10: zeroed on this side too
+        M[0, 3] = M[3, 0] = 2.0 + 1e-6  # Delta entry 5e-7 > tol.sign / 2: kept
         D = require_edm(M)
         dm = delta_of(D)
         snapped = nonnegative_delta(dm, D.tol)
+        assert snapped.min() == 0.0
         assert snapped[0, 1] == snapped[0, 2] == 0.0
         assert snapped[0, 3] == dm.delta[0, 3] > 0.0
 
