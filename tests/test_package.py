@@ -1,4 +1,4 @@
-"""The package surface: `edmsphere.__all__` is the union of its modules' public names."""
+"""The package surface: the same public names, with the module-level helpers kept out of it."""
 
 import edmsphere
 
