@@ -34,6 +34,7 @@ from .edm import (
     Edm,
     EdmRejection,
     SphericalCertificate,
+    _centroid,
     _certify,
     _circumcenter_edm,
     _crosspolytope_dist2,
@@ -48,7 +49,7 @@ from .edm import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
-from .spectral import EigenSystem, _decompose, _decompose_stack, perron
+from .spectral import EigenSystem, _decompose, perron
 from .tolerances import Tolerances, scale
 
 __all__ = [
@@ -306,8 +307,8 @@ def _sample_codimension2(r: int, trials: int, seed: int, tol: Tolerances):
     embedding dimension when it is not r; raises, at its trial, what the
     two calls would raise.  Trials run in chunks of about
     `_SAMPLE_CHUNK_BYTES`, each validated through one stacked eigh of its
-    centered Gram matrices and certified through one of its distance
-    matrices: at n = r + 2 and rank r the certificate basis is the identity.
+    centered Gram matrices and certified from their eigensystems by block
+    elimination, with no further eigh (`_codimension2_stack`).
     """
     n = r + 2
     trial_bytes = 8 * (n * r * (min(n, 16) + 1) + 12 * n * n)
@@ -323,7 +324,11 @@ def _sample_codimension2(r: int, trials: int, seed: int, tol: Tolerances):
 
 
 def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
-    """Per sampled (n, n) distance matrix of the stack M: its RankinReport, rank or exception."""
+    """Per sampled (n, n) distance matrix of the stack M: its RankinReport, rank or exception.
+
+    The samples of rank r are certified together, by `edm._certify` on the
+    Gram eigensystems that the stacked validation decomposed.
+    """
     n = M.shape[1]
     D, grams = _validate_stack(M, tol)
     outcome = []
@@ -337,12 +342,11 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
                 certify.append(t)  # the rank is replaced by the report below
         outcome.append(gram)
     D = D[certify]
-    eigs = _decompose_stack(0.5 * (D + np.swapaxes(D, 1, 2)), tol, scale(D).tolist())
-    solved = [k for k, es in enumerate(eigs) if isinstance(es, EigenSystem)]
-    certs = dict(zip(solved, _certify(D[solved], np.eye(n), [eigs[k] for k in solved], tol)))
+    certs = _certify(D, [grams[t] for t in certify], _centroid(n), tol)
     m, i, j = (v.tolist() for v in _closest_pairs(D))
     for k, t in enumerate(certify):
-        error = _not_unit_spherical(certs[k], "rankin_codimension2_check") if k in certs else eigs[k]
+        cert = certs[k]
+        error = cert if isinstance(cert, Exception) else _not_unit_spherical(cert, "rankin_codimension2_check")
         outcome[t] = _rankin_report(n, r, m[k], i[k], j[k], tol) if error is None else error
     return outcome
 

@@ -12,12 +12,15 @@ configurations (regular simplices, crosspolytopes, random sphere samples).
 The PSD and rank rules live in `spectral` (`EigenSystem.psd`,
 `EigenSystem.rank_mask`); `validate_edm` applies both to its one eigensystem
 of B, which the returned `Edm` keeps for later stages.  The sphericity solve
-reads it too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so
-D w = e is solved on an orthonormal basis of e, g and B's eigenvectors above
-the rank cut, and its residual is checked against the full D.  The Gram
-matrix at another centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs
-from B's kept ones (`_gram_eig_at`), for `gram_factor` and, at s = 2w where it
-is I - Delta, for `embedding_dim_via_delta`.
+reads it too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so on an
+orthonormal basis of B's eigenvectors above the rank cut, e and g, D is a
+diagonal plus a rank-two term, and D w = e is solved by block elimination
+with no eigendecomposition; only where the elimination cannot prove that it
+reads D's rank cut as an eigendecomposition would does one decide.  The
+residual is checked against the full D.  The Gram matrix at another
+centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs from B's kept
+ones (`_gram_eig_at`), once per Edm, for `gram_factor` and, at s = 2w where
+it is I - Delta, for `embedding_dim_via_delta`.
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
@@ -25,8 +28,8 @@ for orthonormal representations and Kuperberg blocks.
 
 The entry checks, the double centering and the sphericity solve also run
 over a (T, n, n) stack (`_validate_stack`, `_certify`), with one eigh per
-stack and each matrix's result bitwise that of its own call, for the
-Rankin sampler.
+stack, of the Gram matrices, and each matrix's result bitwise that of its
+own call, for the Rankin sampler.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, SpectralError
 from .spectral import EigenSystem, _decompose, _decompose_stack, _sign_normalize_columns, perron
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
@@ -82,7 +85,9 @@ class Edm:
     decided the PSD verdict), `embedding_dim` (the rank of B by that
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
-    `spherical_certificate` call.  `validate_edm` centers at the
+    `spherical_certificate` call, and the last Gram eigensystem derived at
+    another centering (`_gram_eig_at`), so that the Delta dimension and
+    `gram_factor` read B at 2w from one derivation.  `validate_edm` centers at the
     centroid e/n; `_circumcenter_edm` builds an Edm at the circumcenter 2w,
     where B is I - Delta and its eigensystem is known block by block, and
     seeds the certificate with the w it checked.  The fields are read-only:
@@ -96,6 +101,7 @@ class Edm:
     centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
+    _gram_at: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -329,14 +335,16 @@ def _circumcenter(D: Edm, cert: SphericalCertificate) -> np.ndarray:
     The points centered at s lie on the unit sphere exactly when D s = 2e,
     and two such s give the same Gram matrix (their difference is in D's
     null space), so a centering whose residual max|D s - 2e| is at most 2w's
-    (twice the certificate's) is as good a circumcenter.  A constructed
+    (twice the certificate's), or within the rounding n eps scale(D) |s|_1
+    of the product D s, is as good a circumcenter.  A constructed
     representation stores 2w itself, which the certificate's own w misses by
     rounding, and the centroid of a composition without lone points is its
     circumcenter; their `gram_eig` is then read as it stands.
     """
     c = D.centering
     miss = float(np.max(np.abs(D.dist2 @ c - 2.0), initial=0.0))
-    return c if miss <= 2.0 * cert.residual else 2.0 * cert.w
+    rounding = D.n * np.finfo(float).eps * scale(D.dist2) * float(np.abs(c).sum())
+    return c if miss <= max(2.0 * cert.residual, rounding) else 2.0 * cert.w
 
 
 def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSystem:
@@ -357,12 +365,20 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
     B's rank cut (so the rank rule counts as it would on B's own
     eigensystem), and max|B - P P^T| <= shift + tol.recon * n * scale(B);
     otherwise B itself is decomposed, so its PSD verdict decides.  At
-    s = `centering` this is `gram_eig` itself.  B is computed here unless
-    the caller holds it.
+    s = `centering` this is `gram_eig` itself; the result at another s is
+    kept on the Edm, and a second call at that s returns it.  B is computed
+    here unless the caller holds it.
     """
     if np.array_equal(s, D.centering):
         return D.gram_eig
-    B = centering_gram(D.dist2, s) if B is None else B
+    if D._gram_at is not None and np.array_equal(s, D._gram_at[0]):
+        return D._gram_at[1]
+    es = _derive_gram_eig(D, s, centering_gram(D.dist2, s) if B is None else B)
+    D._gram_at = (s.copy(), es)
+    return es
+
+
+def _derive_gram_eig(D: Edm, s: np.ndarray, B: np.ndarray) -> EigenSystem:
     if B.size and not np.all(np.isfinite(B)):  # from a finite D near the float maximum
         raise ValueError("matrix contains NaN or Inf entries")
     tol, n = D.tol, D.n
@@ -411,12 +427,17 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     """Solve D w = e and classify the configuration's sphericity.
 
     w is the minimum-norm solution under D's own rank cut tol.rank *
-    scale(D).  It is found on an orthonormal basis Q of e, g = diag(B) and
-    the eigenvectors of the Gram matrix B above its rank cut (the Edm's
-    `gram_eig`, centered at `centering`), whose span holds D's column space
-    since D = g e^T + e g^T - 2B: one eigendecomposition of Q^T D Q, of
-    order at most rank(B) + 2 (Q is the identity when rank(B) + 2 >= n).
-    The residual max|D w - e| is measured against the full D.
+    scale(D).  D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), B the
+    Gram matrix that the Edm's `gram_eig` decomposed (centered at
+    `centering`), so D's column space lies in the span of e, g and the
+    eigenvectors U of B above its rank cut.  On an orthonormal basis
+    Q = [U, q_e, q_g] of that span, Q^T D Q = diag(-2L, 0) + a b^T + b a^T
+    (L the kept eigenvalues, a = Q^T g, b = Q^T e), a diagonal plus a
+    rank-two term, which block elimination solves in O(n rank(B)) with no
+    eigendecomposition (`_certify`).  Where the elimination cannot prove
+    that it keeps the eigen-directions that D's rank cut keeps, the
+    eigendecomposition of Q^T D Q decides (`_eigh_certificate`).  The
+    residual max|D w - e| is measured against the full D.
 
     Any nonzero EDM has e in its column space, so "e-not-in-colspace" only
     arises for the all-zero (all-points-coincident) degenerate input; it is
@@ -433,37 +454,235 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     of D w = e rather than the minimum-norm one, with the same e^T w.
     """
     if D._certificate is None:
-        D._certificate = _solve_certificate(D)
+        cert = _certify(D.dist2[None], [D.gram_eig], D.centering, D.tol)[0]
+        if isinstance(cert, Exception):
+            raise cert
+        D._certificate = cert
     return D._certificate
 
 
-def _solve_certificate(D: Edm) -> SphericalCertificate:
-    Q = _certificate_basis(D)
-    M = D.dist2 if Q.shape[1] == D.n else Q.T @ (D.dist2 @ Q)  # Q = I: no product by it
-    es = replace(_decompose(0.5 * (M + M.T), D.tol), scale=scale(D.dist2))  # D's own rank cut
-    return _certify(D.dist2[None], Q, [es], D.tol)[0]
+def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list:
+    """The certificate of each matrix of a (T, n, n) stack D, or the exception its solve raises.
 
-
-def _certify(D: np.ndarray, Q: np.ndarray, eigs: list, tol: Tolerances) -> list:
-    """Solve D w = e on the basis Q and classify, for each matrix of a (T, n, n) stack D.
-
-    `eigs` holds, per matrix, the eigensystem of Q^T D Q at D's scale.  The
-    products are batched matrix-vector products, bitwise those of one matrix.
+    `grams` holds each matrix's Gram eigensystem at the centering s, all of
+    one rank.  The block elimination (`_eliminate`) runs on the whole stack,
+    its products batched, so each matrix gets the bits of a stack of one;
+    a matrix it does not decide goes to `_eigh_certificate`, as does one
+    whose residual would call it inconsistent.
     """
-    if not eigs:
+    if not grams:
         return []
-    n = D.shape[-1]
-    e = np.ones(n)
-    values = np.stack([es.values for es in eigs])
-    vectors = np.stack([es.vectors for es in eigs])
-    inv = np.zeros_like(values)
-    keep = np.stack([es.rank_mask() for es in eigs])
-    inv[keep] = 1.0 / values[keep]
-    y = inv * (np.swapaxes(vectors, -1, -2) @ (Q.T @ e))
-    w = (Q @ (vectors @ y[..., None]))[..., 0]
-    residual = np.abs((D @ w[..., None])[..., 0] - e).max(axis=-1, initial=0.0)
-    return [_classify(w[t], etw, res, es.scale, tol)
-            for t, (etw, res, es) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), eigs))]
+    k = grams[0].rank
+    V = grams[0].vectors[None] if len(grams) == 1 else np.stack([es.vectors for es in grams])
+    values = np.stack([es.values for es in grams])
+    scales = scale(D)
+    with np.errstate(all="ignore"):  # overflow leaves the matrix undecided; the eigh solve reports it
+        g = _gram_diagonal(D, s)
+        Q, present = _certificate_basis(V[..., :k], g)
+        w, decisive = _eliminate(Q, present, values, g, scales, tol)
+        residual = np.abs((D @ w[..., None])[..., 0] - 1.0).max(axis=-1, initial=0.0)
+    decisive &= residual <= tol.solve * scales
+    out = []
+    for t, (etw, res, unit) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), scales.tolist())):
+        if decisive[t]:
+            out.append(_classify(w[t], etw, res, unit, tol))
+            continue
+        try:
+            out.append(_eigh_certificate(D[t], grams[t], s, tol))
+        except (ValueError, SpectralError) as exc:
+            out.append(exc)
+    return out
+
+
+def _eigh_certificate(D: np.ndarray, gram: EigenSystem, s: np.ndarray, tol: Tolerances) -> SphericalCertificate:
+    """The certificate of one D from the eigendecomposition of Q^T D Q: the elimination's fallback.
+
+    Q holds B's kept eigenvectors and then e and g, each appended unless
+    dropped by `_orthogonal_part`, or is the identity when rank(B) + 2 >= n
+    (then Q^T D Q is D itself).  The pseudo-inverse keeps the eigenvalues
+    beyond D's own rank cut tol.rank * scale(D), so w is the minimum-norm
+    solution under it.  Q grows by `np.column_stack` onto the column
+    selection `vectors[:, mask]`: the products' last bits depend on that
+    memory layout, and the tests compare against these bits.
+    """
+    n = D.shape[0]
+    Q = gram.vectors[:, gram.rank_mask()]
+    if Q.shape[1] + 2 >= n:
+        Q = np.eye(n)
+    else:
+        for v in (np.ones(n), _gram_diagonal(D[None], s)[0]):
+            q, keep = _orthogonal_part(Q[None], v[None])
+            if keep[0]:
+                Q = np.column_stack([Q, q[0]])
+    M = D if Q.shape[1] == n else Q.T @ (D @ Q)  # Q = I: no product by it
+    es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D))  # D's own rank cut
+    keep = es.rank_mask()
+    inv = np.zeros_like(es.values)
+    inv[keep] = 1.0 / es.values[keep]
+    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ np.ones(n)))))
+    residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
+    return _classify(w, float(w.sum()), residual, es.scale, tol)
+
+
+def _gram_diagonal(D: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """g = diag(B) = D s - 1/2 s^T D s for B the Gram matrix at s, per matrix of a (T, n, n) stack.
+
+    At the centroid, as row means.
+    """
+    if np.array_equal(s, _centroid(D.shape[-1])):
+        u = D.mean(axis=-1)
+        return u - 0.5 * u.mean(axis=-1, keepdims=True)
+    u = D @ s
+    return u - 0.5 * (u[..., None, :] @ s[:, None])[..., 0]
+
+
+def _certificate_basis(U: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns [U, q_e, q_g] spanning U, e and g, per matrix of a stack.
+
+    U is the (T, n, k) stack of each Gram matrix B's eigenvectors above the
+    rank cut and g the (T, n) stack of diag(B); D = g e^T + e g^T - 2B
+    (Gower 1985), so these hold the column space of D.  e and then g are
+    orthogonalized against the columns before them (`_orthogonal_part`);
+    the column of a dropped one is zero.  Returns the (T, n, k + 2) stack Q
+    and the (T, 2) mask of the kept q_e, q_g.
+    """
+    Q = U
+    present = []
+    for v in (np.ones_like(g), g):
+        q, keep = _orthogonal_part(Q, v)
+        Q = np.concatenate([Q, q[..., None]], axis=-1)
+        present.append(keep)
+    return Q, np.stack(present, axis=-1)
+
+
+def _orthogonal_part(Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit part of each v orthogonal to the columns of Q, for (T, n, m) Q and (T, n) v.
+
+    Two passes of orthogonalization; a v that loses more than 1 - 1/sqrt(2)
+    of its norm in the second already lay in the span up to rounding and is
+    dropped (Kahan and Parlett's "twice is enough"): its part is zero and
+    the returned mask False.
+    """
+    h1 = v - _project(Q, v)
+    h2 = h1 - _project(Q, h1)
+    norm = _norm(h2)
+    keep = norm > _norm(h1) / np.sqrt(2.0)
+    return np.where(keep[:, None], h2 / np.where(keep, norm, 1.0)[:, None], 0.0), keep
+
+
+def _project(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (Q @ (np.swapaxes(Q, -1, -2) @ v[..., None]))[..., 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _eliminate(Q: np.ndarray, present: np.ndarray, values: np.ndarray, g: np.ndarray,
+               scales: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """w solving D w = e by block elimination on the basis Q, and whether that decides, per matrix.
+
+    In the basis Q = [U, q_e, q_g] (`_certificate_basis`), Q^T D Q is, up to
+    B's dropped eigenvalues, M = [[A, F], [F^T, C]]: with a = Q^T g and
+    b = Q^T e split as (a1, a2) and (b1, b2), W = [a1, b1] and
+    K = [[0, 1], [1, 0]], A = -2L + W K W^T, F = W P with P = [b2, a2]^T,
+    and C = a2 b2^T + b2 a2^T.  Woodbury gives A^-1 W = (-2L)^-1 W (K + N)^-1 K,
+    N = W^T (-2L)^-1 W, and so the Schur complement S = C - F^T A^-1 F, of
+    order 2.  The right-hand side is b: y2 = S^+ (b2 - F^T A^-1 b1) over the
+    eigenvalues of S beyond D's rank cut, y1 = A^-1 (b1 - F y2), and each
+    dropped eigenvector v of S, lifted to the null vector [-A^-1 F v; v] of
+    M, is projected out of y, for the minimum-norm solution w = Q y.
+
+    Q^T D Q lies within eps = 2 max|dropped eigenvalue of B| plus n machine
+    epsilons of a bound on |M| and |F^T A^-1 F| from M (Weyl), and A's
+    eigenvalues lie within 2 |a1| |b1| of -2L.  While A - x I is negative
+    definite, x is an eigenvalue of M exactly where C - x I - F^T (A - x I)^-1 F
+    is singular, and that matrix falls with x at a rate between 1 and
+    1 + |A^-1 F|^2 / (1 - |x| / min|eig A|)^2; so an eigenvalue s of S puts
+    one of M within |s| of zero, and none within |s| / that rate.  The
+    elimination decides only when this places every eigenvalue of Q^T D Q
+    on the side of the cut tol.rank * scale(D) that it assumes (A's beyond
+    it, S's kept or dropped; a zero column of Q is no direction), and the
+    least, at most A's, below -tol.psd * scale(D), so that D's rank rule
+    reads magnitudes there as on the eigensystem of Q^T D Q.  B's dropped
+    eigenvalues beyond the rounding of its eigendecomposition (n machine
+    epsilons of max L) move e^T w by about 2 max|them| |w|^2 (first order);
+    twice that must leave both sphericity rules on the same side.
+    """
+    T, n, m = Q.shape
+    k = m - 2
+    w = np.zeros((T, n))
+    if k == 0:
+        return w, np.zeros(T, dtype=bool)
+    L, delta = values[:, :k], np.abs(values[:, k:]).max(axis=-1, initial=0.0)
+    ab = np.swapaxes(Q, -1, -2) @ np.stack([np.ones_like(g), g], axis=-1)
+    b, a = ab[..., 0], ab[..., 1]
+    W, P = ab[:, :k, ::-1], ab[:, k:].swapaxes(-1, -2)
+    LW = W / (-2.0 * L)[..., None]
+    N = np.swapaxes(W, -1, -2) @ LW
+    TK = _inv2(N + _SWAP) @ _SWAP
+    Z = LW @ TK  # A^-1 W
+    G = Z @ P  # A^-1 F
+    YP = (N @ TK) @ P  # W^T A^-1 F
+    PtYP = np.swapaxes(P, -1, -2) @ YP
+    C = b[:, k:, None] * a[:, None, k:]
+    S = (C + np.swapaxes(C, -1, -2)) - PtYP
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+    r2 = b[:, k:] - YP[:, 1]  # b2 - F^T A^-1 b1; A^-1 b1 = Z e_2
+    s, V = _eig2(S)
+    cut = (tol.rank * scales)[:, None]
+    kept = np.abs(s) > cut
+    y2 = (V @ (np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0) * (r2[:, None, :] @ V)[:, 0])[..., None])[..., 0]
+    y = np.concatenate([Z[..., 1] - (G @ y2[..., None])[..., 0], y2], axis=-1)
+    Vd = V * ~kept[:, None, :]
+    lift = np.concatenate([-(G @ Vd), Vd], axis=-2)  # zero columns for the kept directions
+    H = np.swapaxes(lift, -1, -2) @ lift + kept[..., None] * np.eye(2)
+    y -= (lift @ (_inv2(H) @ (np.swapaxes(lift, -1, -2) @ y[..., None])))[..., 0]
+    w = (Q @ y[..., None])[..., 0]
+
+    coupling = 2.0 * _norm(W[..., 0]) * _norm(W[..., 1])
+    bound = 2.0 * L[:, 0] + 2.0 * _norm(a) * _norm(b) + np.abs(PtYP).max(axis=(-2, -1))
+    ulp = n * np.finfo(float).eps
+    eps = 2.0 * delta + ulp * bound
+    cut = cut[:, 0]
+    near = cut + eps
+    a_min = 2.0 * L[:, -1] - coupling  # at most min|eig A|
+    rate = 1.0 + (np.sqrt((G * G).sum(axis=(-2, -1))) / (1.0 - near / a_min)) ** 2  # |A^-1 F|_F
+    mags = np.abs(s)
+    sides = np.where(kept, mags > (rate * near)[:, None], mags + eps[:, None] < cut[:, None])
+    beyond = np.maximum(delta - ulp * L[:, 0], 0.0)  # B's dropped eigenvalues beyond rounding
+    etw, reach = w.sum(axis=-1), 4.0 * beyond * (w * w).sum(axis=-1)
+    decisive = ((-2.0 * L[:, 0] + coupling + eps < -tol.psd * scales) & (a_min > near)
+                & np.all(sides | ~present, axis=-1) & np.isfinite(w).all(axis=-1) & np.isfinite(eps)
+                & (np.abs(etw * scales - tol.psd) > reach * scales)
+                & (np.abs(np.abs(2.0 * etw - 1.0) - tol.unit) > 2.0 * reach))
+    return w, decisive
+
+
+def _inv2(M: np.ndarray) -> np.ndarray:
+    """The inverse of each 2 x 2 matrix of a stack, by its adjugate."""
+    adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return (adj / det[..., None]).reshape(M.shape)
+
+
+def _eig2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthonormal eigenvector columns of each symmetric 2 x 2 matrix of a stack.
+
+    One Jacobi rotation (Golub and Van Loan's sym.schur2): a diagonal matrix
+    keeps its order and the identity as eigenvectors, exactly.
+    """
+    p, q, r = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    tau = (r - p) / (2.0 * np.where(q == 0.0, 1.0, q))
+    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+    t = np.where(q == 0.0, 0.0, t)
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    sn = t * c
+    V = np.stack([c, sn, -sn, c], axis=-1).reshape(S.shape)
+    return np.stack([p - t * q, r + t * q], axis=-1), V
 
 
 def _classify(w: np.ndarray, etw: float, residual: float, scale: float, tol: Tolerances) -> SphericalCertificate:
@@ -529,38 +748,6 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
         unit_spherical=True, residual=residual,
     )
     return edm
-
-
-def _certificate_basis(D: Edm) -> np.ndarray:
-    """Orthonormal columns spanning e, B's eigenvectors above the rank cut and g = diag(B).
-
-    B is the Gram matrix `gram_eig` decomposed, centered at s = `D.centering`,
-    and g = D s - 1/2 s^T D s.  D = g e^T + e g^T - 2B (Gower 1985), so these
-    hold the column space of D.  e and g are orthogonalized in turn against
-    the columns before them, in two passes; a vector that loses more than
-    1 - 1/sqrt(2) of its norm in the second pass already lay in their span up
-    to rounding and is dropped (Kahan and Parlett's "twice is enough").  With
-    rank(B) + 2 >= n the basis is the identity.
-    """
-    n = D.n
-    es = D.gram_eig
-    Q = es.vectors[:, es.rank_mask()]
-    if Q.shape[1] + 2 >= n:
-        return np.eye(n)
-    s = D.centering
-    if np.array_equal(s, _centroid(n)):  # as row means, so a validated D's w keeps its bits
-        u = D.dist2.mean(axis=1)
-        g = u - 0.5 * u.mean()
-    else:
-        u = D.dist2 @ s
-        g = u - 0.5 * (s @ u)
-    for v in (np.ones(n), g):
-        h1 = v - Q @ (Q.T @ v)
-        h2 = h1 - Q @ (Q.T @ h1)
-        norm = float(np.linalg.norm(h2))
-        if norm > float(np.linalg.norm(h1)) / np.sqrt(2.0):
-            Q = np.column_stack([Q, h2 / norm])
-    return Q
 
 
 @dataclass(eq=False)

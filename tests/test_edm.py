@@ -33,7 +33,14 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _certificate_basis, _gram_eig_at, nonnegative_delta
+from edmsphere.edm import (
+    _certificate_basis,
+    _eigh_certificate,
+    _eliminate,
+    _gram_diagonal,
+    _gram_eig_at,
+    nonnegative_delta,
+)
 from edmsphere.spectral import _decompose, as_symmetric, perron
 from edmsphere.tolerances import scale
 from oracles import solve_linear
@@ -383,6 +390,11 @@ EXPECTED_STATUS = {
 }
 
 
+SCALED_FAMILIES = {name: FAMILIES[name] for name in
+                   ["sphere", "sphere-40", "cloud", "off-sphere", "crosspolytope", "composition"]}
+SCALED_FAMILIES["unit-simplex"] = gen_unit_simplex(5).dist2
+
+
 class TestCertificateSolve:
     """The sphericity solve on B's eigenbasis against the full spectral solve of D w = e."""
 
@@ -408,8 +420,12 @@ class TestCertificateSolve:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_basis_is_orthonormal_and_holds_the_column_space(self, name):
         edm = require_edm(FAMILIES[name])
-        Q = _certificate_basis(edm)
-        assert Q.shape[0] == edm.n and Q.shape[1] <= edm.embedding_dim + 2
+        k = edm.embedding_dim
+        Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k],
+                                        _gram_diagonal(edm.dist2[None], edm.centering))
+        assert Q.shape == (1, edm.n, k + 2)
+        npt.assert_array_equal(Q[0, :, k:][:, ~present[0]], 0.0)  # a dropped vector's column is zero
+        Q = Q[0][:, np.concatenate([np.ones(k, dtype=bool), present[0]])]
         npt.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0, atol=1e-14)
         D = edm.dist2
         assert float(np.max(np.abs(D - Q @ (Q.T @ D)))) <= 1e-12 * max(1.0, float(np.max(D)))
@@ -430,6 +446,133 @@ class TestCertificateSolve:
             edm.embedding_dim, cert.status, cert.unit_spherical)
         npt.assert_allclose(other.w, cert.w[order - 1], rtol=0,
                             atol=1e-9 * max(1.0, float(np.max(np.abs(cert.w)))))
+
+
+def _eigh_solve(edm):
+    """The sphericity certificate from the eigendecomposition of Q^T D Q, the elimination's fallback."""
+    return _eigh_certificate(edm.dist2, edm.gram_eig, edm.centering, edm.tol)
+
+
+def _decides(edm):
+    """Whether the block elimination alone decides the certificate of `edm`."""
+    D, k = edm.dist2[None], edm.embedding_dim
+    g = _gram_diagonal(D, edm.centering)
+    Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k], g)
+    return bool(_eliminate(Q, present, edm.gram_eig.values[None], g, scale(D), edm.tol)[1][0])
+
+
+def _assert_equivalent(cert, ref):
+    assert (cert.status, cert.unit_spherical) == (ref.status, ref.unit_spherical)
+    if ref.w is not None:
+        bound = 1e-9 * max(1.0, float(np.max(np.abs(ref.w))))
+        assert float(np.max(np.abs(cert.w - ref.w))) <= bound
+
+
+class TestEliminationAgainstEighSolve:
+    """The certificate by block elimination against the eigendecomposition of Q^T D Q it replaces."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_families(self, name, profile):
+        edm = require_edm(FAMILIES[name], PROFILES[profile])
+        _assert_equivalent(spherical_certificate(edm), _eigh_solve(edm))
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", ["sphere", "sphere-40", "cloud", "off-sphere", "crosspolytope",
+                                      "composition", "coincident"])
+    def test_relabelled(self, name, profile):
+        D = FAMILIES[name]
+        order = np.random.default_rng(len(name)).permutation(D.shape[0]) + 1
+        edm = require_edm(helpers.permute_1based(D, order), PROFILES[profile])
+        _assert_equivalent(spherical_certificate(edm), _eigh_solve(edm))
+
+    @given(name=st.sampled_from(sorted(SCALED_FAMILIES)), c=st.floats(1.0, 1e12))
+    @settings(max_examples=60, deadline=None)
+    def test_scaled(self, name, c):
+        edm = require_edm(c * SCALED_FAMILIES[name])
+        _assert_equivalent(spherical_certificate(edm), _eigh_solve(edm))
+
+    def test_families_are_decided_by_the_elimination(self):
+        # every family of rank >= 1 under the default profile; the rank-0 ones need the eigh solve
+        undecided = [name for name in sorted(FAMILIES) if not _decides(require_edm(FAMILIES[name]))]
+        assert undecided == ["n1", "zero"]
+
+    def test_kept_eigenvalue_at_the_cut_falls_back_to_the_eigh_solve(self):
+        # tol.rank puts D's rank cut at 2 L_min, where Q^T D Q has an eigenvalue near -2 L_min:
+        # the elimination cannot tell its side of the cut, so the eigh solve decides
+        edm = require_edm(FAMILIES["sphere"])
+        k = edm.embedding_dim
+        tol = DEFAULT_TOL.with_overrides(rank=2.0 * float(edm.gram_eig.values[k - 1]) / scale(edm.dist2))
+        edm = require_edm(FAMILIES["sphere"], tol)
+        assert edm.embedding_dim == k and not _decides(edm)
+        cert, ref = spherical_certificate(edm), _eigh_solve(edm)
+        npt.assert_array_equal(cert.w, ref.w)
+        assert (cert.status, cert.etw, cert.residual, cert.unit_spherical) == (
+            ref.status, ref.etw, ref.residual, ref.unit_spherical)
+
+    @pytest.mark.parametrize("profile", ["default", "strict"])
+    def test_dropped_eigenvalue_that_moves_e_t_w_falls_back(self, profile):
+        # 8 points on S^4 and one at radius 3, with the fifth axis squeezed until B's fifth eigenvalue
+        # is 0.3 x its rank cut: dropped, it still moves e^T w past tol.psd / scale(D), so the eigh
+        # solve, which sees it, decides
+        tol = PROFILES[profile]
+        rng = np.random.default_rng(1)
+        X = helpers.random_sphere_points(rng, 9, 4)
+        X[0] *= 3.0
+        z = rng.standard_normal(9)
+
+        def edm(eps):
+            return require_edm(helpers.edm_from_points(
+                np.column_stack([X * np.sqrt(1.0 - (eps * z) ** 2)[:, None], eps * z])), tol)
+
+        first = edm(1e-3).gram_eig
+        squeezed = edm(1e-3 * np.sqrt(0.3 * tol.rank * first.scale / first.values[4]))
+        assert squeezed.embedding_dim == 4 and not _decides(squeezed)
+        cert, ref = spherical_certificate(squeezed), _eigh_solve(squeezed)
+        npt.assert_array_equal(cert.w, ref.w)
+        assert (cert.status, cert.etw) == (ref.status, ref.etw)
+
+    @pytest.mark.parametrize("seed, outlier, frac, c", [(49, True, 1.5, 1.0), (42, False, 0.99, 1e6)])
+    def test_squeezed_sphere_next_to_the_cut(self, seed, outlier, frac, c):
+        # points on S^(r-1) lifted into R^(r+1), the new axis squeezed until B's (r+1)-th eigenvalue
+        # is frac x its rank cut (one point pushed out to radius 3 in the first case): the
+        # Schur-complement rate and the margin for B's dropped eigenvalue must send these to the eigh
+        # solve or agree with it
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 14))
+        r = int(rng.integers(2, n - 2))
+        X = helpers.random_sphere_points(rng, n, r)
+        z = rng.standard_normal(n)
+        if outlier:
+            X[0] *= 3.0
+
+        def dist2(eps):
+            return helpers.edm_from_points(np.column_stack([X * np.sqrt(1.0 - (eps * z) ** 2)[:, None], eps * z]))
+
+        first = require_edm(dist2(1e-3)).gram_eig
+        edm = require_edm(c * dist2(1e-3 * np.sqrt(frac * DEFAULT_TOL.rank * first.scale / first.values[r])))
+        _assert_equivalent(spherical_certificate(edm), _eigh_solve(edm))
+
+    @pytest.mark.parametrize("profile", ["default", "loose"])
+    @pytest.mark.parametrize("jitter, seed", [(1e-8, 0), (1e-8, 4), (3e-8, 0), (3e-8, 4)])
+    def test_radial_jitter_below_the_cut_is_minimum_norm(self, jitter, seed, profile):
+        # 9 points on S^5 pushed off it by ~1e-8: an eigenvalue of S falls below the cut, and its
+        # eigenvector lifts to a null vector of Q^T D Q with a part along U, which w must not hold
+        rng = np.random.default_rng(seed)
+        X = helpers.random_sphere_points(rng, 9, 6) * (1.0 + jitter * rng.standard_normal((9, 1)))
+        edm = require_edm(helpers.edm_from_points(X), PROFILES[profile])
+        assert _decides(edm)
+        _assert_equivalent(spherical_certificate(edm), _eigh_solve(edm))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_radial_jitter_is_non_spherical_under_the_strict_profile(self, seed):
+        # 12 points on S^3 pushed off it radially by 1e-3: the true e^T w is 0, and the
+        # eigh solve's rounding of it (up to 1.2e-10) exceeds the strict tol.psd on 85 of seeds 0-199
+        rng = np.random.default_rng(seed)
+        X = helpers.random_sphere_points(rng, 12, 4) * (1.0 + 1e-3 * rng.standard_normal((12, 1)))
+        cert = spherical_certificate(require_edm(helpers.edm_from_points(X), PROFILES["strict"]))
+        assert cert.status == NON_SPHERICAL
+        assert abs(cert.etw) <= 1e-13
 
 
 def _centering_oracle(D, s):
@@ -633,11 +776,6 @@ class TestRandomSphericalDistances:
         finally:
             tracemalloc.stop()
         assert peak < 4e6  # the 200 x 200 x 100 difference tensor alone is 32 MB
-
-
-SCALED_FAMILIES = {name: FAMILIES[name] for name in
-                   ["sphere", "sphere-40", "cloud", "off-sphere", "crosspolytope", "composition"]}
-SCALED_FAMILIES["unit-simplex"] = gen_unit_simplex(5).dist2
 
 
 class TestScaleInvariance:

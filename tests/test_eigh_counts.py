@@ -2,15 +2,15 @@
 
 `numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
-validation, one solve of D w = e per Edm (on B's eigenbasis, so of order at
-most rank(B) + 2), and one eigh of order at most rank(B) for each reading of
-the Gram matrix at another centering: the Delta dimension reads it at the
+validation, none for the solve of D w = e (block elimination on B's kept
+eigenpairs; only a matrix of rank(B) = 0 takes an eigh, of order at most 2),
+and one eigh of order at most rank(B) for the Gram matrix at another
+centering, read once per Edm: the Delta dimension reads it at the
 circumcenter 2w (Delta = I - B there), and so does `gram_factor` by default;
 none when the Edm's own centering solves D s = 2e as closely as 2w.  A
-Kuperberg decomposition solves D w = e once for the whole matrix and makes
-one eigh per block, of the block's core Delta: its Perron data give the
-block's circumcenter weights, and the eigensystem of the block's Gram matrix
-I - Delta at that circumcenter follows from it.  An orthonormal
+Kuperberg decomposition makes one eigh per block, of the block's core Delta:
+its Perron data give the block's circumcenter weights, and the eigensystem
+of the block's Gram matrix I - Delta at that circumcenter follows from it.  An orthonormal
 representation costs one eigh per component adjacency: the eigensystem of
 its B = I - Delta is assembled from those, and only the edgeless graph
 validates its D.  An Edm built at its circumcenter (a representation, a
@@ -109,11 +109,12 @@ def test_validate_edm_is_one_eigh(eighs, D):
 
 
 @pytest.mark.parametrize("D, expected", [
-    (cross(8), 2),                       # B, D w = e; 2w is bitwise e/n, where Delta = I - B
-    (composition([4, 3, 2, 2]), 2),      # the centroid solves D s = 2e: it is the center
-    (unit_sphere(16, 8), 3),             # B at 2w for gram_factor; Delta skipped: a distance < 2
-    (gaussian_cloud(16, 8), 2),          # non-spherical: gram_factor reuses B's eigh
-    (composition([4, 3, 2], 2), 4),      # B at 2w, read by Delta and by gram_factor
+    (cross(8), 1),                       # B; the centroid solves D s = 2e, and Delta = I - B there
+    (composition([4, 3, 2, 2]), 1),      # the centroid solves D s = 2e: it is the center
+    (unit_sphere(16, 8), 2),             # B at 2w for gram_factor; Delta skipped: a distance < 2
+    (gaussian_cloud(16, 8), 1),          # non-spherical: gram_factor reuses B's eigh
+    (composition([4, 3, 2], 2), 2),      # B at 2w, read once for Delta and gram_factor
+    (cross(37), 1),                      # the centroid misses D s = 2e by rounding, more than 2w does
 ])
 def test_dense_certify_chain(eighs, D, expected):
     edm = validate_edm(D)
@@ -130,13 +131,22 @@ def test_certificate_eigh_order(eighs, D):
     edm = validate_edm(D)
     eighs.clear()
     spherical_certificate(edm)
-    assert len(eighs) == 1
-    assert eighs[0] <= edm.embedding_dim + 2
+    assert all(order <= 2 for order in eighs)
+    assert eighs == []  # block elimination on B's kept eigenpairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_rank_zero_certificate_eigh_is_of_order_at_most_2(eighs, n):
+    # coincident points: no kept eigenpair to eliminate on, so the eigh solve decides
+    edm = validate_edm(np.zeros((n, n)))
+    eighs.clear()
+    spherical_certificate(edm)
+    assert len(eighs) == 1 and eighs[0] <= 2
 
 
 @pytest.mark.parametrize("D, expected", [
     (unit_sphere(16, 8), 1),              # Delta skipped: a distance < 2
-    (composition([4, 3, 2], 2), 2),       # B at 2w for Delta and again for gram_factor
+    (composition([4, 3, 2], 2), 1),       # B at 2w, once for Delta and gram_factor
     (cross(8), 0), (composition([4, 3, 2, 2]), 0),  # the centroid is the center
 ])
 def test_delta_and_gram_factor_read_b_at_2w_at_order_rank(eighs, D, expected):
@@ -164,7 +174,7 @@ def test_certificate_is_solved_once(eighs):
     edm = validate_edm(cross(4))
     first = spherical_certificate(edm)
     assert spherical_certificate(edm) is first
-    assert len(eighs) == 2
+    assert len(eighs) == 1  # validation; the certificate makes none
 
 
 def test_gram_factor_reuses_validation_eigensystem(eighs):
@@ -179,39 +189,39 @@ def test_crosspolytope_recognize(eighs, r):
     edm = validate_edm(cross(r))
     eighs.clear()
     assert crosspolytope_recognize(edm)
-    assert len(eighs) == r + 1  # D w = e, then one 2 x 2 Delta per antipodal pair
+    assert eighs == [2] * r  # one 2 x 2 Delta per antipodal pair; D w = e makes none
 
 
 @pytest.mark.parametrize("orders, lone, expected", [
-    ([3, 3, 2], 0, 3 + 1),
-    ([3, 2], 2, 2 + 1),  # the last block's zero rows add none
+    ([3, 3, 2], 0, 3),
+    ([3, 2], 2, 2),  # the last block's zero rows add none
 ])
 def test_kuperberg_decompose(eighs, orders, lone, expected):
     edm = validate_edm(composition(orders, lone))
     eighs.clear()
     dec = kuperberg_decompose(edm)
     assert len(eighs) == expected
-    # after D w = e, one eigh per block, of its core: the rows that are not zero rows
-    assert sorted(eighs[1:]) == sorted(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
+    # one eigh per block, of its core: the rows that are not zero rows; D w = e makes none
+    assert sorted(eighs) == sorted(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
 
 
 def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
     edm = gen_unit_simplex(6)
     eighs.clear()
     assert certify_simplex(edm).method == "perron"
-    assert len(eighs) == 2  # D w = e and Delta
+    assert eighs == [6]  # Delta; D w = e makes none
 
 
-def test_check_rankin_sample_two_per_chunk(eighs, monkeypatch):
-    # one stacked eigh of the chunk's centered Gram matrices and one of its distance matrices
+def test_check_rankin_sample_one_eigh_per_chunk(eighs, monkeypatch):
+    # one stacked eigh of the chunk's centered Gram matrices; the certificates make none
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
-    assert (eighs, eighs.matrices) == ([6, 6], [5, 5])
+    assert (eighs, eighs.matrices) == ([6], [5])
     eighs.clear()
     monkeypatch.setattr(decomposition, "_SAMPLE_CHUNK_BYTES", 1)  # one trial per chunk
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
-    assert (eighs, eighs.matrices) == ([6] * 10, [1] * 10)
+    assert (eighs, eighs.matrices) == ([6] * 5, [1] * 5)
 
 
 def test_construct_orthorep_connected(eighs):

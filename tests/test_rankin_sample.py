@@ -243,10 +243,33 @@ def test_stacked_validation_and_certificate_are_bitwise_per_matrix(r):
         np.testing.assert_array_equal(gram.vectors, single.gram_eig.vectors)
         assert gram.scale == single.gram_eig.scale
     kept = [t for t, s in enumerate(singles) if not isinstance(s, edm.EdmRejection)]
-    eigs = [edm._decompose(0.5 * (D[t] + D[t].T), DEFAULT_TOL) for t in kept]
-    eigs = [edm.replace(es, scale=edm.scale(D[t])) for es, t in zip(eigs, kept)]
-    certs = edm._certify(D[kept], np.eye(n), eigs, DEFAULT_TOL)
+    certs = edm._certify(D[kept], [grams[t] for t in kept], edm._centroid(n), DEFAULT_TOL)
     for cert, t in zip(certs, kept):
         single = edm.spherical_certificate(singles[t])
         np.testing.assert_array_equal(cert.w, single.w)
         assert (cert.status, cert.etw, cert.residual) == (single.status, single.etw, single.residual)
+
+
+def test_stacked_certificate_falls_back_per_matrix(monkeypatch):
+    # the elimination is made to decline the samples with the larger top Gram eigenvalue:
+    # each of those gets the eigh solve, in the stack as in its own call
+    n = 6
+    children = np.random.SeedSequence(6).spawn(20)
+    M = DIST2(edm._sphere_points([np.random.default_rng(c) for c in children], n, n - 2))
+    D, grams = edm._validate_stack(M, DEFAULT_TOL)
+    top = float(np.median([gram.values[0] for gram in grams]))
+    real = edm._eliminate
+
+    def declining(Q, present, values, *args):
+        w, decisive = real(Q, present, values, *args)
+        return w, decisive & (values[:, 0] <= top)
+
+    monkeypatch.setattr(edm, "_eliminate", declining)
+    certs = edm._certify(D, grams, edm._centroid(n), DEFAULT_TOL)
+    for t, cert in enumerate(certs):
+        single = edm.spherical_certificate(edm.validate_edm(M[t]))
+        np.testing.assert_array_equal(cert.w, single.w)
+        assert (cert.status, cert.etw, cert.residual) == (single.status, single.etw, single.residual)
+        if grams[t].values[0] > top:
+            reference = edm._eigh_certificate(D[t], grams[t], edm._centroid(n), DEFAULT_TOL)
+            np.testing.assert_array_equal(cert.w, reference.w)
