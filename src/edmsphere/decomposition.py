@@ -17,8 +17,12 @@ constrained.  With n points in dimension r:
 The first, third and fourth share one hypothesis gate and one block walk.
 `_spread_support` checks that D is unit spherical with Delta nonnegative
 and splits Delta's support; `_simplex_blocks` folds the zero rows into the
-last component and certifies each block from one eigendecomposition, of its
-core's Delta (`_perron_simplex`).  A connected core is the one-block case.
+last component and certifies each block from the eigensystem of its core's
+Delta.  The cores of one order share one stacked eigendecomposition
+(`spectral._perron_blocks`), and their blocks' Edms are built and checked
+over the stack (`edm._circumcenter_edms`); a connected core is the
+one-block case.  The rank route of `certify_simplex` reads lambda_max(Delta)
+as the largest top of the same cores.
 `check-rankin --sample` runs the n = r + 2 check on random samples in
 stacked chunks (`_sample_codimension2`).
 """
@@ -37,7 +41,7 @@ from .edm import (
     _centroid,
     _certify,
     _circumcenter_edm,
-    _crosspolytope_dist2,
+    _circumcenter_edms,
     _inf_diagonal,
     _sample_rejected,
     _sphere_dist2,
@@ -49,7 +53,7 @@ from .edm import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
-from .spectral import EigenSystem, _decompose, perron
+from .spectral import EigenSystem, _block_index, _perron_blocks
 from .tolerances import Tolerances, scale
 
 __all__ = [
@@ -154,11 +158,13 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
         return simplex
 
     # Disconnected support: connectivity no longer forces anything, the
-    # embedding dimension alone decides.
-    pd = perron(delta, tol)
-    if abs(pd.lambda_max - 1.0) > tol.cluster:
+    # embedding dimension alone decides.  lambda_max(Delta) is the largest
+    # top of its cores: the zero rows add eigenvalue 0.
+    groups = _perron_blocks(delta, split.nontrivial, tol, check=False)
+    lam = max((float(g.lam.max()) for g in groups), default=0.0)
+    if abs(lam - 1.0) > tol.cluster:
         raise ConsistencyError(
-            f"lambda_max(Delta) = {pd.lambda_max:.17g} for a unit spherical input; expected 1"
+            f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1"
         )
     zero_rows = split.isolated
     w = cert.w
@@ -167,7 +173,7 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     if is_simplex:
         origin = "interior" if float(w.min()) > tol.sign else "boundary"
     return SimplexCertificate(
-        is_simplex=is_simplex, n=n, method="rank", lambda_max=pd.lambda_max,
+        is_simplex=is_simplex, n=n, method="rank", lambda_max=lam,
         w=w, origin_position=origin, zero_rows=zero_rows, irreducible_core=False,
         residual=cert.residual,
         detail=(
@@ -175,51 +181,6 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
             f"{len(zero_rows)} zero row(s); embedding dimension {D.embedding_dim} "
             f"vs n - 1 = {n - 1}"
         ),
-    )
-
-
-def _perron_simplex(D: np.ndarray, delta: np.ndarray, core: np.ndarray,
-                    tol: Tolerances) -> tuple[Edm, SimplexCertificate]:
-    """A simplex's Edm and certificate from one eigendecomposition, of its core's Delta.
-
-    `delta` is the nonnegative Delta of the unit spherical D and the mask `core`
-    its one nontrivial support component; its other rows are zero.  By
-    Perron-Frobenius the core's top eigenvalue is 1 and simple with a positive
-    eigenvector xi, so w = xi / (2 e^T xi), padded, and the core's 1 - mu with
-    1 on each zero row is the eigensystem of I - Delta, D's Gram matrix at 2w,
-    from which `_circumcenter_edm` builds the Edm; its rank must be n - 1.
-    Each check raises ConsistencyError: none can fail in exact arithmetic.
-    """
-    n = D.shape[0]
-    idx, lone = np.flatnonzero(core), np.flatnonzero(~core)
-    es = _decompose(delta[np.ix_(idx, idx)], tol)
-    lam = float(es.values[0])
-    if abs(lam - 1.0) > tol.cluster:
-        raise ConsistencyError(f"core lambda_max = {lam:.17g}, expected 1")
-    if es.multiplicity() != 1:
-        raise ConsistencyError(
-            f"top eigenvalue of the irreducible core has multiplicity {es.multiplicity()}, "
-            "expected 1"
-        )
-    xi = es.vectors[:, 0]
-    if np.any(xi <= 0.0):
-        raise ConsistencyError("Perron vector of the irreducible core is not positive")
-    w = np.zeros(n)
-    w[idx] = xi / (2.0 * xi.sum())
-    b = EigenSystem(1.0 - es.values[::-1], es.vectors[:, ::-1], tol, es.scale)
-    edm = _circumcenter_edm(D, w, [(idx, b)], lone, tol)
-    if edm.embedding_dim != n - 1:
-        raise ConsistencyError(
-            f"connected support forces a simplex, but I - Delta has rank "
-            f"{edm.embedding_dim}, not n - 1 = {n - 1}"
-        )
-    zero_rows = tuple(int(i) + 1 for i in lone)
-    return edm, SimplexCertificate(
-        is_simplex=True, n=n, method="perron", lambda_max=lam, w=w,
-        origin_position="interior" if float(w.min()) > tol.sign else "boundary",
-        zero_rows=zero_rows, irreducible_core=True,
-        residual=spherical_certificate(edm).residual,
-        detail=f"support connected after dropping {len(zero_rows)} zero row(s)",
     )
 
 
@@ -396,21 +357,66 @@ class Decomposition:
 
 
 def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock]:
-    """One block per nontrivial support component, certified by `_perron_simplex`.
+    """One simplex block per nontrivial support component, each certified from its core's Delta.
 
-    The zero rows of Delta are orthogonal to every point, so they extend any
-    block; they join the last one, in ascending order.
+    `delta` is the nonnegative Delta of the unit spherical D.  By
+    Perron-Frobenius each core's top eigenvalue is 1 and simple with a
+    positive eigenvector xi (`_perron_blocks`, one eigh per core order), so
+    w = xi / (2 e^T xi), and the core's 1 - mu is the eigensystem of the
+    block's I - Delta, D's Gram matrix at 2w, from which the block's Edm is
+    built (`_circumcenter_edms`, over the blocks of one order); its rank
+    must be the order - 1.  The zero rows of Delta are orthogonal to every
+    point, so they extend any block; they join the last one, in ascending
+    order.  Each check raises ConsistencyError: none can fail in exact
+    arithmetic.
     """
-    members = [list(c) for c in split.nontrivial]
-    members[-1] = sorted(members[-1] + list(split.isolated))
-    core = np.ones(D.n, dtype=bool)
-    core[np.asarray(split.isolated, dtype=int) - 1] = False
+    tol = D.tol
+    comps = split.nontrivial
+    last = len(comps) - 1 if split.isolated else None  # the block that takes the zero rows
+    outcome = [None] * len(comps)
+    for g in _perron_blocks(delta, comps, tol):
+        xi, values, vectors = g.xi, g.gram_values, g.gram_vectors
+        w = xi / (2.0 * xi.sum(axis=1, keepdims=True))
+        stacked = [t for t, p in enumerate(g.pos) if p != last]
+        rows, ws = g.rows[stacked], w[stacked]
+        edms = _circumcenter_edms(D.dist2[_block_index(rows, rows)], ws,
+                                  values[stacked], vectors[stacked], g.scales[stacked], tol)
+        interior = (ws.min(axis=1) > tol.sign).tolist()
+        for t, edm, inside in zip(stacked, edms, interior):
+            outcome[g.pos[t]] = (comps[g.pos[t]], (), float(g.lam[t]), edm, inside)
+        if len(stacked) < len(g.pos):  # the last block, with the zero rows
+            t = len(g.pos) - 1
+            members = sorted(comps[-1] + split.isolated)
+            core = np.isin(members, comps[-1])
+            idx, zero = np.flatnonzero(core), np.flatnonzero(~core)
+            wt = np.zeros(len(members))
+            wt[idx] = w[t]
+            block = np.asarray(members) - 1
+            try:
+                edm = _circumcenter_edm(
+                    D.dist2[np.ix_(block, block)], wt,
+                    [(idx[None], np.arange(idx.size)[None], values[t:t + 1], vectors[t:t + 1])],
+                    zero, max(1.0, float(g.scales[t])), tol)
+            except ConsistencyError as exc:
+                edm = exc
+            outcome[-1] = (tuple(members), tuple(int(i) + 1 for i in zero), float(g.lam[t]), edm,
+                           float(wt.min()) > tol.sign)
     blocks = []
-    for comp in members:
-        idx = np.asarray(comp, dtype=int) - 1
-        block = np.ix_(idx, idx)
-        edm, cert = _perron_simplex(D.dist2[block], delta[block], core[idx], D.tol)
-        blocks.append(DecompositionBlock(indices=tuple(comp), edm=edm, certificate=cert))
+    for members, zero_rows, lam, edm, interior in outcome:
+        if isinstance(edm, Exception):
+            raise edm
+        if edm.embedding_dim != edm.n - 1:
+            raise ConsistencyError(
+                f"connected support forces a simplex, but I - Delta has rank "
+                f"{edm.embedding_dim}, not n - 1 = {edm.n - 1}"
+            )
+        cert = spherical_certificate(edm)
+        blocks.append(DecompositionBlock(indices=members, edm=edm, certificate=SimplexCertificate(
+            is_simplex=True, n=edm.n, method="perron", lambda_max=lam, w=cert.w,
+            origin_position="interior" if interior else "boundary",
+            zero_rows=zero_rows, irreducible_core=True, residual=cert.residual,
+            detail=f"support connected after dropping {len(zero_rows)} zero row(s)",
+        )))
     return blocks
 
 
@@ -460,11 +466,15 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
             f"support splits into {split.nontrivial_count} block(s), expected n - r = {n - r}"
         )
     blocks = _simplex_blocks(D, delta, split)
-    label = np.empty(n, dtype=int)
-    for k, b in enumerate(blocks):
-        label[np.asarray(b.indices) - 1] = k
-    cross = label[:, None] != label[None, :]
-    cross_check = float(np.max(np.abs(D.dist2[cross] - 2.0)))
+    off = D.dist2 - 2.0  # |d_ij - 2|, zeroed on the diagonal blocks below
+    np.abs(off, out=off)
+    by_order: dict[int, list] = {}
+    for b in blocks:
+        by_order.setdefault(b.order, []).append(b.indices)
+    for members in by_order.values():
+        rows = np.array(members) - 1
+        off[_block_index(rows, rows)] = 0.0
+    cross_check = float(off.max())
     if cross_check > tol.sign:
         raise ConsistencyError(
             f"cross-block squared distances deviate from 2 by {cross_check:g}"
@@ -481,6 +491,21 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         isolated_assignment=tuple(split.isolated), subspace_dims=tuple(b.dim for b in blocks),
         cross_check=cross_check, cross_gram_max=cross_gram_max,
     )
+
+
+def _crosspolytope_deviation(M: np.ndarray) -> float:
+    """max|M - C| for C the canonical crosspolytope pattern, with no C made; M is overwritten.
+
+    C has 0 on the diagonal, 4 within each consecutive pair (2k, 2k + 1) and
+    2 elsewhere.
+    """
+    i = np.arange(0, M.shape[0], 2)
+    dev = max(np.abs(np.diagonal(M)).max(), np.abs(M[i, i + 1] - 4.0).max(),
+              np.abs(M[i + 1, i] - 4.0).max())
+    np.fill_diagonal(M, 2.0)
+    M[i, i + 1] = M[i + 1, i] = 2.0
+    M -= 2.0
+    return float(max(dev, np.abs(M, out=M).max()))
 
 
 @dataclass(eq=False)
@@ -529,7 +554,7 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
         except PreconditionError as exc:
             return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                        max_deviation=None, reason=str(exc))
-        dev = float(np.max(np.abs(D.dist2 - _crosspolytope_dist2(1))))
+        dev = _crosspolytope_deviation(D.dist2.copy())
         if dev > tol.sign:
             return CrosspolytopeResult(
                 ok=False, r=r, permutation=None, max_deviation=dev,
@@ -546,8 +571,7 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     except PreconditionError as exc:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))
-    Dp = apply_permutation(D.dist2, dec.permutation)
-    dev = float(np.max(np.abs(Dp - _crosspolytope_dist2(r))))
+    dev = _crosspolytope_deviation(apply_permutation(D.dist2, dec.permutation))
     if dev > tol.sign:
         return CrosspolytopeResult(
             ok=False, r=r, permutation=dec.permutation, max_deviation=dev,

@@ -24,7 +24,8 @@ it is I - Delta, for `embedding_dim_via_delta`.
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
-for orthonormal representations and Kuperberg blocks.
+for orthonormal representations and Kuperberg blocks; `_circumcenter_edms`
+checks and builds a stack of them, for the Kuperberg blocks of one order.
 
 The entry checks, the double centering and the sphericity solve also run
 over a (T, n, n) stack (`_validate_stack`, `_certify`), with one eigh per
@@ -39,7 +40,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError, SpectralError
-from .spectral import EigenSystem, _decompose, _decompose_stack, _sign_normalize_columns, perron
+from .spectral import (
+    EigenSystem,
+    _block_index,
+    _decompose,
+    _decompose_stack,
+    _psd_stack,
+    _rank_stack,
+    _sign_normalize_columns,
+)
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -124,9 +133,16 @@ class EdmRejection:
 def min_offdiagonal(M: np.ndarray):
     """Smallest off-diagonal entry, per matrix of a (..., n, n) stack; +inf below order 2.
 
-    A float for one matrix, an array for a stack.
+    A float for one matrix, an array for a stack.  Past the first entry, a
+    matrix's entries fall into n - 1 rows of n + 1, each ending on the diagonal.
     """
-    m = _inf_diagonal(np.asarray(M, dtype=float)).min(axis=(-2, -1), initial=np.inf)
+    M = np.asarray(M, dtype=float)
+    n, stack = M.shape[-1], M.shape[:-2]
+    if n < 2:
+        m = np.full(stack, np.inf)
+    else:
+        rows = M.reshape(stack + (n * n,))[..., 1:].reshape(stack + (n - 1, n + 1))
+        m = rows[..., :n].min(axis=(-2, -1))
     return float(m) if m.ndim == 0 else m
 
 
@@ -705,49 +721,75 @@ def _classify(w: np.ndarray, etw: float, residual: float, scale: float, tol: Tol
 
 
 def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarray,
-                      tol: Tolerances) -> Edm:
+                      unit: float, tol: Tolerances) -> Edm:
     """The Edm of a unit spherical D centered at its circumcenter 2w, with no eigendecomposition.
 
-    There the Gram matrix is B = E - D/2 = I - Delta, block diagonal: its
-    eigensystem is the `blocks`' (indices, EigenSystem of that block of B)
-    plus eigenvalue 1 on each `lone` row (a zero row of Delta), sorted
-    descending, read by the PSD and rank rules as `validate_edm` reads its
-    own.  ConsistencyError unless B passes the PSD rule, max|D w - e| <=
-    tol.solve * scale(D) and |2 e^T w - 1| <= tol.unit; w is then the Edm's
-    sphericity certificate.
+    There the Gram matrix is B = E - D/2 = I - Delta, block diagonal, with
+    the eigensystem of the `blocks`, stacks (rows, cols, values, vectors):
+    rows (T, m) of D, the columns (T, m) their pairs take before sorting,
+    and (T, m), (T, m, m) eigenpairs; each `lone` row (a zero row of Delta)
+    adds eigenvalue 1 in the last columns.  Sorted descending (stably: ties
+    keep their column order), each block's vectors go straight to their
+    sorted columns; `unit` is its scale.  Checked as `_circumcenter_edms`
+    checks; ConsistencyError on failure.
     """
     n = D.shape[0]
     values = np.ones(n)
-    vectors = np.zeros((n, n))
-    col = 0
-    for idx, b in blocks:
-        values[col:col + idx.size] = b.values
-        vectors[idx, col:col + idx.size] = b.vectors
-        col += idx.size
-    vectors[lone, col + np.arange(lone.size)] = 1.0
+    for _, cols, vals, _ in blocks:
+        values[cols] = vals
     order = np.argsort(-values, kind="stable")
-    unit = max([1.0] + [b.scale for _, b in blocks])
-    gram = EigenSystem(values[order], vectors[:, order], tol, unit)
-    psd = gram.psd()
-    if not psd:
-        raise ConsistencyError(
-            f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {psd.min_eigenvalue:g})"
-        )
-    residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
-    if residual > tol.solve * scale(D):
-        raise ConsistencyError(f"circumcenter weights give max|D w - e| = {residual:g}")
-    etw = float(w.sum())
-    if abs(2.0 * etw - 1.0) > tol.unit:
-        raise ConsistencyError(f"circumcenter weights give 2 e^T w = {2.0 * etw:.17g}, expected 1")
-    edm = Edm(
-        dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=2.0 * w,
-        min_offdiagonal=min_offdiagonal(D),
-    )
-    edm._certificate = SphericalCertificate(
-        status=SPHERICAL, w=w, etw=etw, radius=float(np.sqrt(1.0 / (2.0 * etw))),
-        unit_spherical=True, residual=residual,
-    )
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n)
+    vectors = np.zeros((n, n))
+    for rows, cols, _, vecs in blocks:
+        vectors[_block_index(rows, place[cols])] = vecs
+    vectors[lone, place[n - lone.size:]] = 1.0
+    edm = _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], tol)[0]
+    if isinstance(edm, Exception):
+        raise edm
     return edm
+
+
+def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray, units,
+                       tol: Tolerances) -> list:
+    """Per unit spherical D[t] of a (T, n, n) stack: its Edm at the circumcenter 2 w[t], or an error.
+
+    The Gram matrix there, I - Delta, has the descending eigensystem
+    (values[t], vectors[t]) at scale units[t], read by the PSD and rank rules
+    as `validate_edm` reads its own; `w` is a (T, n) array or T vectors.
+    Over the stack, B must pass the PSD rule, max|D w - e| <= tol.solve *
+    scale(D) and |2 e^T w - 1| <= tol.unit; a matrix gets the
+    ConsistencyError of its first failing check, else w[t] certifies it.
+    """
+    W = np.asarray(w)
+    units = np.asarray(units, dtype=float)
+    residual = np.max(np.abs(np.matmul(D, W[:, :, None])[:, :, 0] - 1.0), axis=1, initial=0.0)
+    etw = W.sum(axis=1)
+    failures = [
+        (~_psd_stack(values, units, tol),
+         lambda t: f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {values[t, -1]:g})"),
+        (residual > tol.solve * scale(D),
+         lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
+        (np.abs(2.0 * etw - 1.0) > tol.unit,
+         lambda t: f"circumcenter weights give 2 e^T w = {2.0 * etw[t]:.17g}, expected 1"),
+    ]
+    out = [None] * D.shape[0]
+    for bad, message in reversed(failures):  # the first failing check is written last
+        for t in np.flatnonzero(bad).tolist():
+            out[t] = ConsistencyError(message(t))
+    rank = np.count_nonzero(_rank_stack(values, units, tol), axis=1).tolist()
+    centering = 2.0 * W
+    radius = np.sqrt(1.0 / (2.0 * etw)).tolist()
+    fields = zip(rank, units.tolist(), min_offdiagonal(D).tolist(), etw.tolist(), residual.tolist())
+    for t, (r, unit, min_off, e, res) in enumerate(fields):
+        if out[t] is None:
+            gram = EigenSystem(values[t], vectors[t], tol, unit)
+            out[t] = edm = Edm(dist2=D[t], embedding_dim=r, tol=tol, gram_eig=gram,
+                               centering=centering[t], min_offdiagonal=min_off)
+            edm._certificate = SphericalCertificate(
+                status=SPHERICAL, w=w[t], etw=e, radius=radius[t], unit_spherical=True, residual=res,
+            )
+    return out
 
 
 @dataclass(eq=False)
@@ -764,9 +806,9 @@ class DeltaMatrix:
 
 def delta_of(D: Edm) -> DeltaMatrix:
     """Delta = D/2 + I - E by exact entrywise arithmetic."""
-    n = D.n
-    delta = D.dist2 / 2.0 + np.eye(n) - np.ones((n, n))
-    np.fill_diagonal(delta, 0.0)  # 0/2 + 1 - 1 is exact anyway; make it explicit
+    delta = D.dist2 / 2.0
+    delta -= 1.0  # off the diagonal d/2 + 0 - 1 = d/2 - 1 exactly
+    np.fill_diagonal(delta, 0.0)  # 0/2 + 1 - 1 = 0
     return DeltaMatrix(delta=delta, source_min_offdiag=D.min_offdiagonal)
 
 
@@ -815,7 +857,7 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     inapplicable and the report falls back to rank(B) with a note.
 
     The top of Delta's spectrum is read off B = I - Delta at 2w when that
-    reading is decisive (`_delta_top`); otherwise `perron` decomposes Delta.
+    reading is decisive (`_delta_top`); otherwise Delta itself is decomposed.
 
     Raises
     ------
@@ -840,8 +882,8 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     s = _circumcenter(D, cert)
     top = _delta_top(_gram_eig_at(D, s), delta, tol)
     if top is None:
-        pd = perron(delta, tol)
-        top = (pd.lambda_max, pd.multiplicity)
+        es = _decompose(delta, tol)
+        top = (float(es.values[0]), es.multiplicity())
     lambda_max, multiplicity = top
     residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
     return DeltaDimReport(

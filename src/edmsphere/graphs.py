@@ -164,6 +164,14 @@ def adjacency(G: Graph) -> np.ndarray:
     return A
 
 
+def _edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, j) arrays of G's edges, i < j, in row-major order."""
+    n = G.node_count
+    key = np.fromiter((i * n + j for i, j in G.edges), dtype=np.int64, count=len(G.edges))
+    key.sort()
+    return np.divmod(key - n - 1, n)
+
+
 def apply_permutation(M: np.ndarray, order) -> np.ndarray:
     """Reorder rows and columns so new position p holds original node order[p] (1-based)."""
     ix = np.asarray(order, dtype=int) - 1
@@ -171,6 +179,8 @@ def apply_permutation(M: np.ndarray, order) -> np.ndarray:
 
 
 def _support_adjacency(M: np.ndarray, tol: Tolerances) -> np.ndarray:
-    S = np.abs(np.asarray(M, dtype=float)) > tol.support
+    M = np.asarray(M, dtype=float)
+    S = M > tol.support  # |m_ij| > tol.support, with no array of magnitudes
+    S |= M < -tol.support
     np.fill_diagonal(S, False)
     return S

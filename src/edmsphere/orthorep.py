@@ -4,11 +4,13 @@ An orthonormal representation assigns each node of a graph G a unit vector
 so that adjacent nodes get vectors at negative inner product and
 non-adjacent nodes get orthogonal ones.  With k the number of connected
 components of G holding at least one edge, the minimum dimension is n - k,
-achieved by the spectral construction below.  One eigendecomposition of the
+achieved by the spectral construction below.  The eigendecomposition of the
 adjacency block A_c of each such component gives its top eigenvalue
 lambda_c and positive Perron vector, the spectrum mu / lambda_c of the
 Delta block A_c / lambda_c, and the spectrum 1 - mu / lambda_c of the block
-of B = I - Delta, all on the eigenvectors of A_c.  The points factor B block
+of B = I - Delta, all on the eigenvectors of A_c; components of one order
+share one stacked eigendecomposition (`spectral._perron_blocks`), and the
+points and residual are assembled per order.  The points factor B block
 by block, so each component spans its own coordinates.  The companion
 squared-distance matrix D = 2(E - I) + 2 Delta is unit spherical with
 circumcenter weight vector built from the Perron vectors, and the
@@ -19,8 +21,9 @@ D is certified by construction rather than validated again: centered at
 its circumcenter 2w its Gram matrix is B = I - Delta = P P^T, whose
 eigensystem the blocks already hold: `edm._circumcenter_edm` builds the Edm
 from it and checks w, and the reconstruction residual max|D - 2(E - P P^T)|
-is checked block by block.  Only the edgeless graph, whose points have no
-centering at the origin, validates D from scratch.
+is checked on the diagonal blocks, where alone it can be nonzero.  Only the
+edgeless graph, whose points have no centering at the origin, validates D
+from scratch.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
-from .graphs import ComponentSplit, Graph, adjacency, components
-from .spectral import EigenSystem, _decompose
+from .graphs import ComponentSplit, Graph, _edge_index, _split, adjacency
+from .spectral import _block_index, _perron_blocks, _rank_stack
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -104,13 +107,13 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     Per component with at least one edge, the adjacency block is scaled by
     its top eigenvalue so the block of Delta has top eigenvalue exactly 1
     with a positive eigenvector; isolated nodes contribute zero rows.  The
-    points factor B = I - Delta, of rank n - k, block by block off one
-    eigendecomposition per component; an isolated node gets a unit column.
-    With an edge, the returned Edm of D is centered at 2w, where its Gram
-    matrix is B, and carries B's eigensystem assembled from the blocks
-    (`Edm.centering`, `Edm.gram_eig`) and the certificate of w; no
-    eigendecomposition of order n is made.  The edgeless graph validates D
-    with `validate_edm`.
+    points factor B = I - Delta, of rank n - k, block by block; an isolated
+    node gets a unit column.  The components of one order share one stacked
+    eigendecomposition (`spectral._perron_blocks`).  With an edge, the
+    returned Edm of D is centered at 2w, where its Gram matrix is B, and
+    carries B's eigensystem assembled from the blocks (`Edm.centering`,
+    `Edm.gram_eig`) and the certificate of w; no eigendecomposition of
+    order n is made.  The edgeless graph validates D with `validate_edm`.
 
     Parameters
     ----------
@@ -130,51 +133,30 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
         pattern.  These cannot fail for exact arithmetic, so a failure is a
         numerical diagnostic, reported rather than silently returned.
     """
-    split = components(G)
-    k = split.nontrivial_count
     n = G.node_count
     A = adjacency(G)
-    delta = np.zeros((n, n))
-    xi = np.zeros(n)
-    lams, spectra, blocks = [], [], []
-    for comp in split.nontrivial:
-        idx = np.asarray(comp, dtype=int) - 1
-        Asub = A[np.ix_(idx, idx)]
-        es = _decompose(Asub, tol)
-        lam = float(es.values[0])
-        if not lam > 0.0:
-            raise ConsistencyError(
-                f"component {comp} has an edge but adjacency eigenvalue {lam:g}"
-            )
-        if np.any(es.vectors[:, 0] <= 0.0):
-            raise ConsistencyError(
-                f"leading eigenvector of connected component {comp} is not positive"
-            )
-        delta[np.ix_(idx, idx)] = Asub / lam
-        xi[idx] = es.vectors[:, 0]
-        lams.append(lam)
-        # lambda_c >= 1 once the component has an edge, so the blocks of Delta
-        # and of B = I - Delta have entries of magnitude <= 1: scale 1
-        spectra.append(EigenSystem(es.values / lam, es.vectors, tol, 1.0))
-        b = EigenSystem(1.0 - es.values[::-1] / lam, es.vectors[:, ::-1], tol, 1.0)
-        blocks.append((idx, b))
-    D = 2.0 * (np.ones((n, n)) - np.eye(n)) + 2.0 * delta
+    split = _split(A > 0)
+    k = split.nontrivial_count
     iso = np.asarray(split.isolated, dtype=int) - 1
-    P = np.zeros((n, sum(b.rank for _, b in blocks) + iso.size))
-    R = D - 2.0  # D - 2(E - P P^T): P P^T vanishes off the diagonal blocks
-    col = 0
-    for idx, b in blocks:
-        keep = b.rank_mask()
-        Pc = b.vectors[:, keep] * np.sqrt(b.values[keep])
-        P[idx, col:col + b.rank] = Pc
-        R[np.ix_(idx, idx)] += 2.0 * (Pc @ Pc.T)
-        col += b.rank
-    P[iso, col + np.arange(iso.size)] = 1.0
-    R[iso, iso] += 2.0
-    recon = float(np.max(np.abs(R), initial=0.0))
+    groups = _perron_blocks(A, split.nontrivial, tol, normalize=True)
+    lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
+    xi = np.zeros(n)
+    for g in groups:
+        lam[g.rows] = g.lam[:, None]
+        xi[g.rows] = g.xi
+    delta = A  # A_c / lambda_c on each block, 0 off the blocks, in place of A
+    delta /= lam[:, None]
+    D = 2.0 * delta  # 2(E - I) + 2 Delta
+    D += 2.0
+    np.fill_diagonal(D, 0.0)
+    P, blocks, recon = _points(D, groups, split, iso)
+    lams, spectra = [None] * k, [None] * k
+    for g in groups:
+        for t, p in enumerate(g.pos):
+            lams[p], spectra[p] = float(g.lam[t]), g.delta(t)
     if k:
         w, note = xi / (2.0 * xi.sum()), None
-        res = _circumcenter_edm(D, w, blocks, iso, tol)
+        res = _circumcenter_edm(D, w, blocks, iso, 1.0, tol)
     else:
         # No edges: the standard basis is optimal and d = n cannot be improved
         # (any two distinct nodes need independent vectors).  D = 2(E - I) is
@@ -193,6 +175,44 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     )
     _check_construction(rep, tol, recon)
     return rep
+
+
+def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray) -> tuple:
+    """(P, blocks of B for `_circumcenter_edm`, reconstruction residual) from the component groups.
+
+    Components take the columns of their kept pairs of B in split order,
+    then each isolated node one.  max|D - 2(E - P P^T)| is taken on the
+    diagonal blocks: off them D = 2 and P P^T = 0, and 0 - 2 + 2 on an
+    isolated node's diagonal.
+    """
+    sizes = np.array([len(c) for c in split.nontrivial], dtype=int)
+    keeps = [_rank_stack(g.gram_values, g.scales, g.tol) for g in groups]
+    ranks = np.zeros(sizes.size, dtype=int)
+    for g, keep in zip(groups, keeps):
+        ranks[g.pos] = np.count_nonzero(keep, axis=1)
+    start = np.cumsum(ranks) - ranks  # each component's first column of P
+    first = np.cumsum(sizes) - sizes  # ... and of B's unsorted eigensystem
+    P = np.zeros((D.shape[0], int(ranks.sum()) + iso.size))
+    P[iso, int(ranks.sum()) + np.arange(iso.size)] = 1.0
+    blocks, recon = [], 0.0
+    for g, keep in zip(groups, keeps):
+        values, vectors, pos = g.gram_values, g.gram_vectors, np.asarray(g.pos)
+        blocks.append((g.rows, first[pos][:, None] + np.arange(g.rows.shape[1]), values, vectors))
+        masks = keep[:1] if (keep == keep[0]).all() else np.unique(keep, axis=0)
+        for mask in masks:  # the components whose blocks keep the same eigenpairs
+            sel = slice(None) if len(masks) == 1 else np.flatnonzero((keep == mask).all(axis=1))
+            rows = g.rows[sel]
+            kept = np.flatnonzero(mask)
+            Pc = np.take(vectors[sel], kept, axis=2)
+            Pc *= np.sqrt(values[sel][:, kept])[:, None, :]
+            P[_block_index(rows, start[pos[sel]][:, None] + np.arange(kept.size))] = Pc
+            # one block: the 2-D product, which numpy runs as a syrk
+            R = (Pc[0] @ Pc[0].T)[None] if len(rows) == 1 else Pc @ Pc.transpose(0, 2, 1)
+            R *= 2.0
+            R += D[_block_index(rows, rows)]
+            R -= 2.0
+            recon = max(recon, float(np.max(np.abs(R, out=R))))
+    return P, blocks, recon
 
 
 def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
@@ -264,24 +284,27 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
     n = M.shape[0]
     if n != G.node_count:
         raise ValueError(f"matrix order {n} != graph node count {G.node_count}")
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    A = adjacency(G) > 0
-    edge, nonedge = upper & A, upper & ~A
-    dev = M - 2.0
-    edge_bad = _pairs(M, edge & ~(M > 2.0 + tol.sign))
-    nonedge_bad = _pairs(M, nonedge & (np.abs(dev) > tol.sign))
+    i, j = _edge_index(G)
+    on_edges = M[i, j]
+    edge_bad = np.flatnonzero(~(on_edges > 2.0 + tol.sign))
+    dev = np.zeros_like(M)  # |d_ij - 2| for i < j off the edges, 0 elsewhere
+    np.subtract(M, 2.0, out=dev, where=np.tri(n, k=-1, dtype=bool).T)
+    dev[i, j] = 0.0
+    np.abs(dev, out=dev)
+    top = float(dev.max()) if i.size < n * (n - 1) // 2 else 0.0
+    nonedge_bad = () if top <= tol.sign else _pairs(M, *np.nonzero(dev > tol.sign))
     return SignPatternReport(
-        ok=not edge_bad and not nonedge_bad,
-        edge_violations=edge_bad,
+        ok=not edge_bad.size and not nonedge_bad,
+        edge_violations=_pairs(M, i[edge_bad], j[edge_bad]),
         nonedge_violations=nonedge_bad,
-        min_edge_excess=float(dev[edge].min()) if edge.any() else float("inf"),
-        max_nonedge_dev=float(np.abs(dev[nonedge]).max()) if nonedge.any() else 0.0,
+        min_edge_excess=float((on_edges - 2.0).min()) if i.size else float("inf"),
+        max_nonedge_dev=top,
     )
 
 
-def _pairs(M: np.ndarray, mask: np.ndarray) -> tuple:
-    """(i, j, M_ij) for every set entry of `mask`, 1-based, in row-major order."""
-    return tuple((int(i) + 1, int(j) + 1, float(M[i, j])) for i, j in zip(*np.nonzero(mask)))
+def _pairs(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """(i, j, M_ij) for each 0-based pair (rows[k], cols[k]), 1-based, in the given order."""
+    return tuple((int(i) + 1, int(j) + 1, float(M[i, j])) for i, j in zip(rows, cols))
 
 
 @dataclass(eq=False)

@@ -1,14 +1,17 @@
 """Dense symmetric spectral primitives.
 
 Everything downstream (EDM certification, Perron data of nonnegative
-matrices, embedding dimensions) consumes `eig` (or `_decompose`) and
-`perron`.  Both are pure functions of their inputs and deterministic for
-identical input bits, so results are safe to share across threads.
+matrices, embedding dimensions) consumes `eig`, `_decompose` or the stacked
+`_decompose_stack` and `_perron_blocks`, the Perron-Frobenius step that
+orthonormal representations and Kuperberg blocks share.  All are pure
+functions of their inputs and deterministic for identical input bits, so
+results are safe to share across threads.
 
 The PSD rule (slack ``tol.psd * scale``), the rank rule (cut
 ``tol.rank * scale``) and the cluster rule (band ``tol.cluster`` below the
 top) live here and nowhere else, as `EigenSystem.psd`, `.rank_mask` and
-`.multiplicity`; every caller holding an eigensystem reads them.
+`.multiplicity`, and over stacks of spectra as `_psd_stack`,
+`_rank_stack` and in `_perron_blocks`.
 
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
@@ -21,18 +24,17 @@ and call `_decompose`, which checks finiteness only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SpectralError
+from .errors import ConsistencyError, SpectralError
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
     "EigenSystem",
     "eig",
     "PsdResult",
-    "PerronData",
-    "perron",
 ]
 
 
@@ -149,23 +151,39 @@ def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
 
 
 def _decompose_stack(S: np.ndarray, tol: Tolerances, scales) -> list:
-    """`_decompose` of each matrix of a (T, n, n) stack, in one eigh call, at the given scales.
+    """`_decompose` of each matrix of a (T, n, n) stack at the given scales, or its `_eigh_stack` error.
 
-    A matrix gets, in place of its eigensystem, the ValueError `_decompose`
-    would raise for a NaN or Inf entry, or the SpectralError of an eigh that
-    does not converge: when the stacked call fails, each matrix is
-    decomposed alone to tell which.  Stacked and looped eigh agree bitwise,
-    so each eigensystem is the one `_decompose` returns.
+    Stacked and looped eigh agree bitwise, so each eigensystem is the one
+    `_decompose` returns.
     """
-    out = [ValueError("matrix contains NaN or Inf entries")] * S.shape[0]
-    idx = np.flatnonzero(np.isfinite(S).all(axis=(1, 2))).tolist()
-    try:
-        pairs = zip(*_eigh_descending(S[idx])) if idx else ()
-    except SpectralError:
-        pairs = map(_eigh_or_error, S[idx])
-    for t, pair in zip(idx, pairs):
-        out[t] = pair if isinstance(pair, SpectralError) else EigenSystem(*pair, tol, scales[t])
-    return out
+    values, vectors, errors = _eigh_stack(S)
+    return [EigenSystem(values[t], vectors[t], tol, scales[t]) if err is None else err
+            for t, err in enumerate(errors)]
+
+
+def _eigh_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """`_eigh_descending` of a (T, n, n) stack in one eigh call: (values, vectors, errors).
+
+    errors[t] is None, or the ValueError `_decompose` would raise for a NaN
+    or Inf entry of matrix t, or the SpectralError of its eigh; its slots
+    then hold NaN.  Unless all are finite and the stacked call converges,
+    each matrix is decomposed alone.
+    """
+    finite = np.isfinite(S).all(axis=(1, 2))
+    errors = [None if ok else ValueError("matrix contains NaN or Inf entries") for ok in finite.tolist()]
+    if finite.all():
+        try:
+            return (*_eigh_descending(S), errors)
+        except SpectralError:
+            pass
+    values, vectors = np.full(S.shape[:2], np.nan), np.full(S.shape, np.nan)
+    for t in np.flatnonzero(finite).tolist():
+        pair = _eigh_or_error(S[t])
+        if isinstance(pair, SpectralError):
+            errors[t] = pair
+        else:
+            values[t], vectors[t] = pair
+    return values, vectors, errors
 
 
 def _eigh_or_error(S: np.ndarray):
@@ -185,13 +203,18 @@ def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive (ties: lowest index); stacks too."""
+    """Flip each column so its largest-magnitude entry is positive (ties: lowest index); stacks too.
+
+    That entry is the column's first maximum or first minimum, so no array
+    of magnitudes is made.
+    """
     if not V.size:
         return V
-    W = V.reshape(-1, *V.shape[-2:])
-    lead = np.argmax(np.abs(W), axis=-2)
-    top = W[np.arange(W.shape[0])[:, None], lead, np.arange(W.shape[-1])]
-    return V * np.where(top < 0, -1.0, 1.0).reshape(V.shape[:-2] + (1, -1))
+    hi, lo = np.argmax(V, axis=-2), np.argmin(V, axis=-2)
+    top = np.take_along_axis(V, hi[..., None, :], axis=-2)[..., 0, :]
+    bottom = np.take_along_axis(V, lo[..., None, :], axis=-2)[..., 0, :]
+    flip = (-bottom > top) | ((-bottom == top) & (lo < hi))
+    return V * np.where(flip, -1.0, 1.0)[..., None, :]
 
 
 @dataclass(eq=False)
@@ -206,41 +229,106 @@ class PsdResult:
         return self.ok
 
 
-@dataclass(eq=False)
-class PerronData:
-    """Top-of-spectrum data of a nonnegative symmetric matrix.
+def _block_index(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Index of the (T, m, k) blocks M[rows[t]][:, cols[t]] (increasing): slices when T = 1 and both are ranges."""
+    if (len(rows) == 1 and cols.shape[1] and rows[0, -1] - rows[0, 0] == rows.shape[1] - 1
+            and cols[0, -1] - cols[0, 0] == cols.shape[1] - 1):
+        return None, slice(rows[0, 0], rows[0, -1] + 1), slice(cols[0, 0], cols[0, -1] + 1)
+    return rows[:, :, None], cols[:, None, :]
 
-    `multiplicity` counts eigenvalues within `tol.cluster` of `lambda_max`;
-    `xi` is the leading eigenvector, sign-normalized.  For an irreducible
-    nonnegative matrix, multiplicity is 1 and xi is entrywise positive.
+
+def _psd_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
+    """`EigenSystem.psd` over a (T, m) stack of descending spectra at per-matrix scales: a (T,) mask."""
+    return values[:, -1] >= -tol.psd * np.asarray(scales)
+
+
+def _rank_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
+    """`EigenSystem.rank_mask` over a (T, m) stack of descending spectra: a (T, m) mask."""
+    cut = (tol.rank * np.asarray(scales, dtype=float)).reshape(-1, 1)
+    return np.where(_psd_stack(values, scales, tol)[:, None], values > cut, np.abs(values) > cut)
+
+
+class PerronBlocks(NamedTuple):
+    """The components of one order, at positions `pos` of `_perron_blocks`'s list, rows (T, m).
+
+    Component t: top eigenvalue lam[t] of its block of M; its block of Delta
+    has eigensystem (values[t], vectors[t]) at scale scales[t] and Perron
+    vector xi[t]; its block of I - Delta has (gram_values[t],
+    gram_vectors[t]), the same pairs reversed, at the same scale.
     """
 
-    lambda_max: float
-    multiplicity: int
-    xi: np.ndarray
+    pos: list
+    rows: np.ndarray
+    lam: np.ndarray
+    values: np.ndarray
+    vectors: np.ndarray
+    scales: np.ndarray
+    tol: Tolerances
+
+    @property
+    def xi(self) -> np.ndarray:
+        return self.vectors[:, :, 0]
+
+    @property
+    def gram_values(self) -> np.ndarray:
+        return 1.0 - self.values[:, ::-1]
+
+    @property
+    def gram_vectors(self) -> np.ndarray:
+        return self.vectors[:, :, ::-1]
+
+    def delta(self, t: int) -> EigenSystem:
+        return EigenSystem(self.values[t], self.vectors[t], self.tol, float(self.scales[t]))
 
 
-def perron(M, tol: Tolerances = DEFAULT_TOL) -> PerronData:
-    """Largest eigenvalue, its clustered multiplicity, and leading eigenvector.
+def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = False,
+                   check: bool = True) -> list[PerronBlocks]:
+    """The Perron-Frobenius step on the components `comps` (1-based node tuples) of a nonnegative M.
 
-    Parameters
-    ----------
-    M : (n, n) array_like
-        Symmetric matrix with nonnegative entries.
-    tol : Tolerances
-        `tol.cluster` is the absolute band for multiplicity counting.
-
-    Returns
-    -------
-    PerronData
-
-    Raises
-    ------
-    ValueError
-        If any entry of `M` is negative (precondition violation).
+    One eigh per component order, of the gathered (T, m, m) stack; stacked
+    and looped eigh agree bitwise.  With `normalize`, M is an adjacency
+    matrix: Delta's block is M_c / lambda_c, lambda_c > 0 is required, and
+    the spectra are mu / lambda_c at scale 1 (lambda_c >= 1, so the entries
+    of the blocks of Delta and I - Delta are at most 1).  Otherwise M is
+    Delta: lambda_c must be within tol.cluster of 1 and simple (the cluster
+    rule).  Every Perron vector must be positive.  The first failing
+    component in `comps` order raises its first failing check's
+    ConsistencyError (or its decomposition error), naming it;
+    `check=False` skips the checks, for a caller that reads only the tops.
     """
-    S = as_symmetric(M, tol)
-    if S.size and float(S.min()) < 0.0:
-        raise ValueError(f"perron requires nonnegative entries, found {S.min():g}")
-    es = _decompose(S, tol)
-    return PerronData(float(es.values[0]), es.multiplicity(), es.vectors[:, 0].copy())
+    by_order: dict[int, list] = {}
+    for p, comp in enumerate(comps):
+        by_order.setdefault(len(comp), []).append(p)
+    groups, failures = [], {}
+    for m, pos in sorted(by_order.items()):
+        rows = np.array([comps[p] for p in pos]) - 1
+        S = M[_block_index(rows, rows)]
+        values, vectors, errors = _eigh_stack(S)
+        lam = values[:, 0]
+        scales = np.ones(len(pos)) if normalize else scale(S)
+        if check:
+            if normalize:
+                checks = [(~(lam > 0.0), lambda t, c: f"component {c} has an edge but adjacency "
+                                                      f"eigenvalue {lam[t]:g}")]
+            else:
+                mult = np.count_nonzero(values >= values[:, :1] - tol.cluster, axis=1)
+                checks = [
+                    (np.abs(lam - 1.0) > tol.cluster,
+                     lambda t, c: f"core lambda_max of component {c} = {lam[t]:.17g}, expected 1"),
+                    (mult != 1, lambda t, c: f"top eigenvalue of component {c} has multiplicity "
+                                             f"{mult[t]}, expected 1"),
+                ]
+            checks.append((np.any(vectors[:, :, 0] <= 0.0, axis=1),
+                           lambda t, c: f"Perron vector of component {c} is not positive"))
+            for bad, message in reversed(checks):  # the first failing check is written last
+                for t in np.flatnonzero(bad).tolist():
+                    failures[pos[t]] = ConsistencyError(message(t, comps[pos[t]]))
+        for t, error in enumerate(errors):
+            if error is not None:
+                failures[pos[t]] = error
+        groups.append(PerronBlocks(pos, rows, lam, values, vectors, scales, tol))
+    if failures:
+        raise failures[min(failures)]
+    if normalize:
+        groups = [g._replace(values=g.values / g.lam[:, None]) for g in groups]
+    return groups

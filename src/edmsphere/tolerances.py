@@ -113,5 +113,7 @@ def scale(M: np.ndarray) -> float | np.ndarray:
     A float for one matrix; for a (..., n, n) stack, the array of each
     matrix's scale.  An empty matrix has scale 1.
     """
-    s = np.maximum(1.0, np.abs(np.asarray(M, dtype=float)).max(axis=(-2, -1), initial=0.0))
+    M = np.asarray(M, dtype=float)
+    top = np.maximum(M.max(axis=(-2, -1), initial=0.0), -M.min(axis=(-2, -1), initial=0.0))
+    s = np.maximum(1.0, top)  # max|entry| from two reductions, with no array of magnitudes
     return float(s) if s.ndim == 0 else s

@@ -77,6 +77,32 @@ def random_graph_edges(rng: np.random.Generator, n: int, p: float):
     return edges
 
 
+def assert_bits(a, b):
+    """a and b hold the same float64 bits in the same shape (so 0.0 and -0.0 differ)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_eigensystem(a, b):
+    """Two EigenSystems with the same bits, scale and tolerances."""
+    assert_bits(a.values, b.values)
+    assert_bits(a.vectors, b.vectors)
+    assert a.scale == b.scale and type(a.scale) is type(b.scale) and a.tolerance == b.tolerance
+
+
+def assert_same_edm_at_circumcenter(a, b):
+    """Two Edms built at the circumcenter, field by field and bit by bit, certificates included."""
+    assert_bits(a.dist2, b.dist2)
+    assert_bits(a.centering, b.centering)
+    assert_same_eigensystem(a.gram_eig, b.gram_eig)
+    assert (a.embedding_dim, a.min_offdiagonal, a.tol) == (b.embedding_dim, b.min_offdiagonal, b.tol)
+    ca, cb = a._certificate, b._certificate
+    assert_bits(ca.w, cb.w)
+    assert (ca.status, ca.etw, ca.radius, ca.unit_spherical, ca.residual) == (
+        cb.status, cb.etw, cb.radius, cb.unit_spherical, cb.residual)
+
+
 def with_distance(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
     """A copy of D with d_ij = d_ji = d (1-based i, j)."""
     D = np.array(D, dtype=float)

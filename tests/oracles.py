@@ -5,8 +5,12 @@ a minimum-norm solve on a full eigendecomposition (against the sphericity
 certificate on B's eigenbasis), a one-vector sign rule (against the
 column-wise one), the reconstruction residual of an eigensystem,
 irreducibility by traversal and by the (I + A)^(n-1) power criterion, the
-CLI report through `json` (against the array-aware writer), and the
-Rankin sampler trial by trial (against the stacked one).
+CLI report through `json` (against the array-aware writer), the Rankin
+sampler trial by trial (against the stacked one), the Perron data of a
+whole matrix (against its components' tops), and orthonormal
+representations and Kuperberg blocks one component at a time, each with
+its own eigendecomposition and assembly of order n (against the stacked
+Perron driver).
 """
 
 from __future__ import annotations
@@ -18,15 +22,29 @@ import numpy as np
 
 from edmsphere import (
     DEFAULT_TOL,
+    SPHERICAL,
+    ConsistencyError,
+    DecompositionBlock,
+    Edm,
     EigenSystem,
+    Graph,
+    OrthoRep,
+    SimplexCertificate,
+    SphericalCertificate,
     Tolerances,
+    adjacency,
+    components,
     gen_random_spherical,
+    min_offdiagonal,
     rankin_codimension2_check,
+    spherical_certificate,
+    validate_edm,
 )
 from edmsphere.cli import FAULT, OK
 from edmsphere.errors import PreconditionError
 from edmsphere.graphs import _support_adjacency, support_components
 from edmsphere.spectral import _decompose, as_symmetric
+from edmsphere.tolerances import scale
 
 
 def sign_normalize(v: np.ndarray) -> np.ndarray:
@@ -178,3 +196,148 @@ def check_rankin_sample_per_trial(args, tol):
         print(f"{len(failures)} of {args.trials} trials inconsistent", file=sys.stderr)
         return "inconsistent", result, {}, FAULT, None
     return "ok", result, {}, OK, None
+
+
+@dataclass(eq=False)
+class PerronData:
+    """Top eigenvalue of a nonnegative symmetric matrix, its clustered multiplicity and eigenvector."""
+
+    lambda_max: float
+    multiplicity: int
+    xi: np.ndarray
+
+
+def perron(M, tol: Tolerances = DEFAULT_TOL) -> PerronData:
+    """Perron data of the whole matrix from one eigendecomposition; ValueError for a negative entry."""
+    S = as_symmetric(M, tol)
+    if S.size and float(S.min()) < 0.0:
+        raise ValueError(f"perron requires nonnegative entries, found {S.min():g}")
+    es = _decompose(S, tol)
+    return PerronData(float(es.values[0]), es.multiplicity(), es.vectors[:, 0].copy())
+
+
+def circumcenter_edm_looped(D, w, blocks, lone, tol) -> Edm:
+    """The Edm at the circumcenter 2w from (rows, EigenSystem of that block of B) pairs.
+
+    Fills an unsorted n x n eigenvector matrix block by block and copies it
+    into descending order; the checks of the library's builder, one matrix.
+    """
+    n = D.shape[0]
+    values = np.ones(n)
+    vectors = np.zeros((n, n))
+    col = 0
+    for idx, b in blocks:
+        values[col:col + idx.size] = b.values
+        vectors[idx, col:col + idx.size] = b.vectors
+        col += idx.size
+    vectors[lone, col + np.arange(lone.size)] = 1.0
+    order = np.argsort(-values, kind="stable")
+    unit = max([1.0] + [b.scale for _, b in blocks])
+    gram = EigenSystem(values[order], vectors[:, order], tol, unit)
+    psd = gram.psd()
+    if not psd:
+        raise ConsistencyError(
+            f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {psd.min_eigenvalue:g})"
+        )
+    residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
+    if residual > tol.solve * scale(D):
+        raise ConsistencyError(f"circumcenter weights give max|D w - e| = {residual:g}")
+    etw = float(w.sum())
+    if abs(2.0 * etw - 1.0) > tol.unit:
+        raise ConsistencyError(f"circumcenter weights give 2 e^T w = {2.0 * etw:.17g}, expected 1")
+    edm = Edm(
+        dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=2.0 * w,
+        min_offdiagonal=min_offdiagonal(D),
+    )
+    edm._certificate = SphericalCertificate(
+        status=SPHERICAL, w=w, etw=etw, radius=float(np.sqrt(1.0 / (2.0 * etw))),
+        unit_spherical=True, residual=residual,
+    )
+    return edm
+
+
+def construct_orthorep_looped(G: Graph, tol: Tolerances = DEFAULT_TOL) -> tuple[OrthoRep, float]:
+    """A graph's representation and reconstruction residual, one component at a time.
+
+    One `_decompose` per component adjacency, np.ix_ gathers and scatters,
+    D = 2(E - I) + 2 Delta and the residual D - 2(E - P P^T) at order n.
+    The edgeless graph validates D.  The self-check is not run.
+    """
+    split = components(G)
+    n = G.node_count
+    A = adjacency(G)
+    delta = np.zeros((n, n))
+    xi = np.zeros(n)
+    lams, spectra, blocks = [], [], []
+    for comp in split.nontrivial:
+        idx = np.asarray(comp, dtype=int) - 1
+        Asub = A[np.ix_(idx, idx)]
+        es = _decompose(Asub, tol)
+        lam = float(es.values[0])
+        if not lam > 0.0 or np.any(es.vectors[:, 0] <= 0.0):
+            raise ConsistencyError(f"component {comp} fails the Perron conditions")
+        delta[np.ix_(idx, idx)] = Asub / lam
+        xi[idx] = es.vectors[:, 0]
+        lams.append(lam)
+        spectra.append(EigenSystem(es.values / lam, es.vectors, tol, 1.0))
+        blocks.append((idx, EigenSystem(1.0 - es.values[::-1] / lam, es.vectors[:, ::-1], tol, 1.0)))
+    D = 2.0 * (np.ones((n, n)) - np.eye(n)) + 2.0 * delta
+    iso = np.asarray(split.isolated, dtype=int) - 1
+    P = np.zeros((n, sum(b.rank for _, b in blocks) + iso.size))
+    R = D - 2.0
+    col = 0
+    for idx, b in blocks:
+        keep = b.rank_mask()
+        Pc = b.vectors[:, keep] * np.sqrt(b.values[keep])
+        P[idx, col:col + b.rank] = Pc
+        R[np.ix_(idx, idx)] += 2.0 * (Pc @ Pc.T)
+        col += b.rank
+    P[iso, col + np.arange(iso.size)] = 1.0
+    R[iso, iso] += 2.0
+    if blocks:
+        w = xi / (2.0 * xi.sum())
+        edm = circumcenter_edm_looped(D, w, blocks, iso, tol)
+    else:
+        w = np.full(n, 1.0 / (2.0 * (n - 1))) if n >= 2 else None
+        edm = validate_edm(D, tol)
+    rep = OrthoRep(
+        graph=G, split=split, k=split.nontrivial_count, d=P.shape[1], points=P, edm=edm, w=w,
+        delta=delta, unit_spherical=bool(blocks), adjacency_lambda_max=tuple(lams),
+        delta_spectra=tuple(spectra),
+    )
+    return rep, float(np.max(np.abs(R), initial=0.0))
+
+
+def simplex_blocks_looped(D: Edm, delta: np.ndarray, split) -> list:
+    """The Kuperberg blocks of a unit spherical D, one `_decompose` of each core's Delta at a time."""
+    tol = D.tol
+    members = [list(c) for c in split.nontrivial]
+    members[-1] = sorted(members[-1] + list(split.isolated))
+    core = np.ones(D.n, dtype=bool)
+    core[np.asarray(split.isolated, dtype=int) - 1] = False
+    blocks = []
+    for comp in members:
+        block = np.ix_(np.asarray(comp) - 1, np.asarray(comp) - 1)
+        Db, in_core = D.dist2[block], core[np.asarray(comp) - 1]
+        idx, lone = np.flatnonzero(in_core), np.flatnonzero(~in_core)
+        es = _decompose(delta[block][np.ix_(idx, idx)], tol)
+        lam = float(es.values[0])
+        xi = es.vectors[:, 0]
+        if abs(lam - 1.0) > tol.cluster or es.multiplicity() != 1 or np.any(xi <= 0.0):
+            raise ConsistencyError(f"core of block {comp} fails the Perron conditions")
+        w = np.zeros(Db.shape[0])
+        w[idx] = xi / (2.0 * xi.sum())
+        b = EigenSystem(1.0 - es.values[::-1], es.vectors[:, ::-1], tol, es.scale)
+        edm = circumcenter_edm_looped(Db, w, [(idx, b)], lone, tol)
+        if edm.embedding_dim != Db.shape[0] - 1:
+            raise ConsistencyError(f"block {comp} has rank {edm.embedding_dim}")
+        zero_rows = tuple(int(i) + 1 for i in lone)
+        cert = SimplexCertificate(
+            is_simplex=True, n=Db.shape[0], method="perron", lambda_max=lam, w=w,
+            origin_position="interior" if float(w.min()) > tol.sign else "boundary",
+            zero_rows=zero_rows, irreducible_core=True,
+            residual=spherical_certificate(edm).residual,
+            detail=f"support connected after dropping {len(zero_rows)} zero row(s)",
+        )
+        blocks.append(DecompositionBlock(indices=tuple(comp), edm=edm, certificate=cert))
+    return blocks

@@ -29,14 +29,13 @@ from edmsphere import (
     kuperberg_decompose,
     minimality_bound,
     nonnegative_delta,
-    perron,
     rankin_codimension2_check,
     require_edm,
     spherical_certificate,
     validate_edm,
     verify_sign_pattern,
 )
-from oracles import is_irreducible, is_irreducible_power_oracle
+from oracles import is_irreducible, is_irreducible_power_oracle, perron
 
 
 def criterion(num, title, budget):

@@ -8,7 +8,6 @@ from edmsphere import (
     DEFAULT_TOL,
     PROFILES,
     ConsistencyError,
-    EigenSystem,
     PreconditionError,
     certify_simplex,
     crosspolytope_recognize,
@@ -19,13 +18,14 @@ from edmsphere import (
     gen_unit_simplex,
     kuperberg_decompose,
     nonnegative_delta,
-    perron,
     rankin_codimension2_check,
     require_edm,
     spherical_certificate,
     validate_edm,
 )
 from edmsphere import decomposition as decomposition_module
+from edmsphere import spectral as spectral_module
+from oracles import perron, simplex_blocks_looped
 
 # the (3,4,5) principal block of the worked five-node example
 SUBBLOCK = np.array([[0.0, 4.0, 2.0], [4.0, 0.0, 2.0], [2.0, 2.0, 0.0]])
@@ -316,7 +316,7 @@ def _top_above_rank_cut(values, vectors, tol):
 
 
 class TestBlockPathMutations:
-    """A corrupted eigensystem of a block's core Delta raises ConsistencyError, from its check."""
+    """A corrupted eigensystem of each block's core Delta raises ConsistencyError, from its check."""
 
     @pytest.mark.parametrize("mutate, tol, match", [
         pytest.param(_second_in_band, DEFAULT_TOL, "multiplicity 2", id="second-in-band"),
@@ -333,15 +333,16 @@ class TestBlockPathMutations:
         D = require_edm(BLOCK_CASES[case], tol)
         idx = np.asarray(kuperberg_decompose(D).blocks[-1].indices) - 1  # intact; zero rows if any
         block = require_edm(D.dist2[np.ix_(idx, idx)], tol)
-        decompose = decomposition_module._decompose
+        eigh_stack = spectral_module._eigh_stack
 
-        def corrupted(S, tol):
-            es = decompose(S, tol)
-            values, vectors = es.values.copy(), es.vectors.copy()
-            mutate(values, vectors, tol)
-            return EigenSystem(values, vectors, es.tolerance, es.scale)
+        def corrupted(S):  # the stacked eigh of the cores of one order
+            values, vectors, errors = eigh_stack(S)
+            values, vectors = values.copy(), vectors.copy()
+            for t in range(S.shape[0]):
+                mutate(values[t], vectors[t], tol)
+            return values, vectors, errors
 
-        monkeypatch.setattr(decomposition_module, "_decompose", corrupted)
+        monkeypatch.setattr(spectral_module, "_eigh_stack", corrupted)
         with pytest.raises(ConsistencyError, match=match):
             kuperberg_decompose(D)
         with pytest.raises(ConsistencyError, match=match):  # a validated simplex's Perron route
@@ -376,3 +377,59 @@ def test_cross_gram_max_is_half_the_cross_check(profile):
         decomposed += 1
         assert dec.cross_gram_max == dec.cross_check / 2.0
     assert decomposed >= 50
+
+
+def _stacked_cases():
+    """Relabelled compositions with and without zero rows, and relabelled crosspolytopes."""
+    rng = np.random.default_rng(17)
+    for k in range(12):
+        orders = rng.integers(2, 7, size=int(rng.integers(2, 7))).tolist()
+        lone = int(rng.integers(0, 4)) if k % 2 else 0
+        yield pytest.param(relabelled(helpers.compose_block_edm(orders, lone), k),
+                           id=f"blocks-{'-'.join(map(str, orders))}-lone-{lone}")
+    for r in [2, 3, 6, 50]:
+        yield pytest.param(relabelled(gen_crosspolytope(r).dist2, r), id=f"cross-{r}")
+
+
+class TestStackedAgainstLooped:
+    """Each order's cores decomposed by one stacked eigh give the bits of one block at a time."""
+
+    @pytest.mark.parametrize("D", list(_stacked_cases()))
+    def test_bitwise(self, D):
+        edm = validate_edm(D)
+        dec = kuperberg_decompose(edm)
+        _, delta, split = decomposition_module._spread_support(edm, "test")
+        ref = simplex_blocks_looped(edm, delta, split)
+        assert len(dec.blocks) == len(ref)
+        for mine, theirs in zip(dec.blocks, ref):
+            assert mine.indices == theirs.indices
+            helpers.assert_same_edm_at_circumcenter(mine.edm, theirs.edm)
+            a, b = mine.certificate, theirs.certificate
+            helpers.assert_bits(a.w, b.w)
+            assert a.w is spherical_certificate(mine.edm).w
+            for field in ["is_simplex", "n", "method", "lambda_max", "origin_position",
+                          "zero_rows", "irreducible_core", "residual", "detail"]:
+                assert getattr(a, field) == getattr(b, field), field
+        if edm.n == 2 * edm.embedding_dim:
+            res = crosspolytope_recognize(edm)
+            order = tuple(i for b in ref for i in b.indices)
+            assert res.ok and res.permutation == order
+            dev = np.max(np.abs(helpers.permute_1based(D, order) - gen_crosspolytope(edm.embedding_dim).dist2))
+            assert res.max_deviation == dev
+
+    def test_non_positive_perron_vector_names_its_block(self, monkeypatch):
+        D = require_edm(relabelled(helpers.compose_block_edm([3, 2, 3, 3], 1), 9))
+        split = decomposition_module._spread_support(D, "test")[2]
+        eigh_stack = spectral_module._eigh_stack
+
+        def corrupted(S):
+            values, vectors, errors = eigh_stack(S)
+            if S.shape[-1] == 3:
+                vectors = vectors.copy()
+                vectors[2, 0, 0] = -vectors[2, 0, 0]
+            return values, vectors, errors
+
+        monkeypatch.setattr(spectral_module, "_eigh_stack", corrupted)
+        third = [c for c in split.nontrivial if len(c) == 3][2]
+        with pytest.raises(ConsistencyError, match=rf"component \({', '.join(map(str, third))}\) is not"):
+            kuperberg_decompose(D)

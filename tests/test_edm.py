@@ -41,9 +41,9 @@ from edmsphere.edm import (
     _gram_eig_at,
     nonnegative_delta,
 )
-from edmsphere.spectral import _decompose, as_symmetric, perron
+from edmsphere.spectral import _decompose, as_symmetric
 from edmsphere.tolerances import scale
-from oracles import solve_linear
+from oracles import perron, solve_linear
 
 COLLINEAR = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 1.0], [4.0, 1.0, 0.0]])  # points 0, 1, 2
 TRIANGLE_VIOLATOR = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])

@@ -8,18 +8,22 @@ and one eigh of order at most rank(B) for the Gram matrix at another
 centering, read once per Edm: the Delta dimension reads it at the
 circumcenter 2w (Delta = I - B there), and so does `gram_factor` by default;
 none when the Edm's own centering solves D s = 2e as closely as 2w.  A
-Kuperberg decomposition makes one eigh per block, of the block's core Delta:
-its Perron data give the block's circumcenter weights, and the eigensystem
-of the block's Gram matrix I - Delta at that circumcenter follows from it.  An orthonormal
-representation costs one eigh per component adjacency: the eigensystem of
-its B = I - Delta is assembled from those, and only the edgeless graph
-validates its D.  An Edm built at its circumcenter (a representation, a
+Kuperberg decomposition makes one stacked eigh per core order, of the
+blocks' core Deltas: their Perron data give each block's circumcenter
+weights, and the eigensystem of the block's Gram matrix I - Delta at that
+circumcenter follows from it.  The rank route of `certify_simplex` reads
+lambda_max(Delta) off the same stacked eighs of its cores.  An orthonormal
+representation costs one stacked eigh per component order, of the
+component adjacencies: the eigensystem of its B = I - Delta is assembled
+from those, and only the edgeless graph validates its D.  `matrices`
+counts the matrices of each stacked call.  An Edm built at its circumcenter (a representation, a
 Kuperberg block) carries the certificate of the w it was built with, so its
 sphericity takes no eigh.
 """
 
 import contextlib
 import io
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +45,11 @@ from edmsphere import (
     kuperberg_decompose,
     minimality_bound,
     nonnegative_delta,
-    perron,
     spherical_certificate,
     validate_edm,
 )
 from edmsphere.cli import main
+from oracles import perron
 
 
 class EighCalls(list):
@@ -184,25 +188,29 @@ def test_gram_factor_reuses_validation_eigensystem(eighs):
     assert gf.config.shape == (12, 5)
 
 
-@pytest.mark.parametrize("r", [2, 3, 6])
+@pytest.mark.parametrize("r", [2, 3, 6, 400])
 def test_crosspolytope_recognize(eighs, r):
     edm = validate_edm(cross(r))
     eighs.clear()
     assert crosspolytope_recognize(edm)
-    assert eighs == [2] * r  # one 2 x 2 Delta per antipodal pair; D w = e makes none
+    # one stacked call of the r antipodal pairs' 2 x 2 Deltas; D w = e makes none
+    assert (eighs, eighs.matrices) == ([2], [r])
 
 
 @pytest.mark.parametrize("orders, lone, expected", [
-    ([3, 3, 2], 0, 3),
+    ([3, 3, 2], 0, 2),
     ([3, 2], 2, 2),  # the last block's zero rows add none
+    ([2, 2, 2, 2], 3, 1),
 ])
 def test_kuperberg_decompose(eighs, orders, lone, expected):
     edm = validate_edm(composition(orders, lone))
     eighs.clear()
     dec = kuperberg_decompose(edm)
     assert len(eighs) == expected
-    # one eigh per block, of its core: the rows that are not zero rows; D w = e makes none
-    assert sorted(eighs) == sorted(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
+    # one stacked eigh per core order (a core: the rows that are not zero
+    # rows), of all cores of that order; D w = e makes none
+    cores = Counter(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
+    assert sorted(zip(eighs, eighs.matrices)) == sorted(cores.items())
 
 
 def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
@@ -210,6 +218,18 @@ def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
     eighs.clear()
     assert certify_simplex(edm).method == "perron"
     assert eighs == [6]  # Delta; D w = e makes none
+
+
+def test_certify_simplex_rank_route_reads_the_core_tops(eighs):
+    # disconnected support: lambda_max(Delta) is the largest core top, one
+    # stacked eigh per core order instead of one eigh of Delta, of order 11
+    edm = validate_edm(composition([4, 3, 2], 2))
+    spherical_certificate(edm)
+    eighs.clear()
+    cert = certify_simplex(edm)
+    assert cert.method == "rank" and not cert.is_simplex
+    assert (sorted(eighs), eighs.matrices) == ([2, 3, 4], [1, 1, 1])
+    assert abs(cert.lambda_max - perron(nonnegative_delta(delta_of(edm), edm.tol)).lambda_max) <= 1e-15
 
 
 def test_check_rankin_sample_one_eigh_per_chunk(eighs, monkeypatch):
@@ -231,10 +251,18 @@ def test_construct_orthorep_connected(eighs):
 
 @pytest.mark.parametrize("k", [2, 3, 5])
 def test_construct_orthorep_k_components(eighs, k):
-    # k triangles and two isolated nodes: one eigh per component, none of B
+    # k triangles and two isolated nodes: one stacked eigh of the k triangle
+    # adjacencies, none of B
     edges = [(3 * c + a, 3 * c + b) for c in range(k) for a, b in [(1, 2), (1, 3), (2, 3)]]
     construct_orthorep(Graph.from_edges(3 * k + 2, edges))
-    assert len(eighs) == k
+    assert (eighs, eighs.matrices) == ([3], [k])
+
+
+def test_construct_orthorep_mixed_orders(eighs):
+    # a path of 4, two edges, a triangle and a lone node: one stacked eigh per order
+    edges = [(1, 2), (2, 3), (3, 4), (5, 6), (7, 8), (9, 10), (9, 11), (10, 11)]
+    construct_orthorep(Graph.from_edges(12, edges))
+    assert (eighs, eighs.matrices) == ([2, 3, 4], [2, 1, 1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -285,4 +313,4 @@ def test_cli_orthorep_example(eighs):
     graph = Path(__file__).with_name("golden") / "example.graph"
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["orthorep", str(graph)]) == 0
-    assert len(eighs) == 2  # two single-edge components
+    assert (eighs, eighs.matrices) == ([2], [2])  # two single-edge components, one stacked call

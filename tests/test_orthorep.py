@@ -6,7 +6,6 @@ import helpers
 from conftest import EXAMPLE_EDGES, EXAMPLE_EDM, EXAMPLE_W
 from edmsphere import (
     ConsistencyError,
-    EigenSystem,
     Graph,
     components,
     construct_orthorep,
@@ -16,9 +15,9 @@ from edmsphere import (
     validate_edm,
     verify_sign_pattern,
 )
-from edmsphere import orthorep as orthorep_module
+from edmsphere import spectral as spectral_module
 from edmsphere.tolerances import scale
-from oracles import reconstruction_residual
+from oracles import construct_orthorep_looped, reconstruction_residual
 
 SQRT2 = np.sqrt(2.0)
 
@@ -324,17 +323,80 @@ class TestEdmByConstruction:
         npt.assert_array_equal(validate_edm(rep.edm.dist2).centering, np.full(rep.n, 1.0 / rep.n))
 
     def test_reconstruction_residual_catches_a_perturbed_eigensystem(self, monkeypatch):
-        decompose = orthorep_module._decompose
+        eigh_stack = spectral_module._eigh_stack
 
-        def perturbed(S, tol):
+        def perturbed(S):
             # lambda_c and the Perron vector, hence D and w, stay exact; the
             # points move by ~1e-8, below the unit-row and sign checks
-            es = decompose(S, tol)
-            values = es.values.copy()
-            values[1:] += 1e-8
-            return EigenSystem(values, es.vectors, es.tolerance, es.scale)
+            values, vectors, errors = eigh_stack(S)
+            values = values.copy()
+            values[:, 1:] += 1e-8
+            return values, vectors, errors
 
-        monkeypatch.setattr(orthorep_module, "_decompose", perturbed)
+        monkeypatch.setattr(spectral_module, "_eigh_stack", perturbed)
         with pytest.raises(ConsistencyError, match="reconstruction") as info:
             construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
         assert ";" not in str(info.value)  # the only failed check
+
+
+def _mixed_graph(seed):
+    """Relabelled components of orders 2 to 8, each a tree plus up to 2 chords, and 0-4 isolated nodes."""
+    rng = np.random.default_rng(seed)
+    orders = rng.integers(2, 9, size=int(rng.integers(3, 12))).tolist()
+    n = sum(orders) + int(rng.integers(0, 5))
+    label = [int(x) for x in rng.permutation(n) + 1]
+    edges, pos = [], 0
+    for m in orders:
+        edges += _tree_edges(rng, label[pos:pos + m], int(rng.integers(0, 3)))
+        pos += m
+    return Graph.from_edges(n, edges)
+
+
+STACKED_GRAPHS = (
+    [pytest.param(_shaped_graph(kind, n), id=f"{kind}-{n}")
+     for kind in ["path", "star", "sparse", "many"] for n in [40, 150]]
+    + [pytest.param(_random_graph(seed), id=f"random-{seed}") for seed in range(30)]
+    + [pytest.param(Graph.from_edges(n, []), id=f"edgeless-{n}") for n in [1, 2, 5]]
+    + [pytest.param(_mixed_graph(seed), id=f"mixed-{seed}") for seed in range(12)]
+)
+
+
+class TestStackedAgainstLooped:
+    """The stacked Perron driver and grouped assembly give the bits of one component at a time."""
+
+    @pytest.mark.parametrize("G", STACKED_GRAPHS)
+    def test_bitwise(self, G):
+        rep = construct_orthorep(G)
+        ref, recon = construct_orthorep_looped(G)
+        assert (rep.k, rep.d, rep.split) == (ref.k, ref.d, ref.split)
+        for name in ["points", "delta", "w"]:
+            helpers.assert_bits(getattr(rep, name), getattr(ref, name))
+        if rep.k:
+            assert rep.w is spherical_certificate(rep.edm).w
+            helpers.assert_same_edm_at_circumcenter(rep.edm, ref.edm)
+        else:  # validated from scratch
+            helpers.assert_bits(rep.edm.dist2, ref.edm.dist2)
+            helpers.assert_same_eigensystem(rep.edm.gram_eig, ref.edm.gram_eig)
+        assert rep.adjacency_lambda_max == ref.adjacency_lambda_max
+        assert all(type(lam) is float for lam in rep.adjacency_lambda_max)
+        assert len(rep.delta_spectra) == len(ref.delta_spectra)
+        for mine, theirs in zip(rep.delta_spectra, ref.delta_spectra):
+            helpers.assert_same_eigensystem(mine, theirs)
+        assert recon <= rep.edm.tol.recon * rep.n * scale(rep.edm.dist2)
+
+    def test_non_positive_perron_vector_names_its_component(self, monkeypatch):
+        # four triangles share one stacked eigh; the third one's Perron vector is corrupted
+        edges = [(3 * c + a, 3 * c + b) for c in range(4) for a, b in [(1, 2), (1, 3), (2, 3)]]
+        G = Graph.from_edges(13, edges + [(13, 1)])  # the first component has order 4
+        eigh_stack = spectral_module._eigh_stack
+
+        def corrupted(S):
+            values, vectors, errors = eigh_stack(S)
+            if S.shape[0] > 1:
+                vectors = vectors.copy()
+                vectors[1, 0, 0] = -vectors[1, 0, 0]
+            return values, vectors, errors
+
+        monkeypatch.setattr(spectral_module, "_eigh_stack", corrupted)
+        with pytest.raises(ConsistencyError, match=r"component \(7, 8, 9\) is not positive"):
+            construct_orthorep(G)

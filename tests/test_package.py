@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "Decomposition", "DecompositionBlock", "DeltaDimReport", "DeltaMatrix",
     "E_NOT_IN_COLSPACE", "Edm", "EdmRejection", "EdmSphereError", "EigenSystem",
     "FormatError", "GramFactor", "Graph", "MinimalityReport", "NON_SPHERICAL", "NOT_EDM",
-    "OrthoRep", "PROFILES", "PerronData", "PreconditionError", "PsdResult", "RankinReport",
+    "OrthoRep", "PROFILES", "PreconditionError", "PsdResult", "RankinReport",
     "SPHERICAL", "SignPatternReport", "SimplexCertificate", "SpectralError",
     "SphericalCertificate", "Tolerances", "__version__", "adjacency", "apply_permutation",
     "centering_gram", "certify_simplex", "components", "construct_orthorep",
@@ -16,14 +16,14 @@ PUBLIC_NAMES = [
     "gen_regular_simplex", "gen_unit_simplex", "gram_factor", "kuperberg_decompose",
     "load_matrix", "matrix_to_json_dict", "min_offdiagonal", "minimality_bound",
     "nonnegative_delta", "parse_graph", "parse_matrix", "parse_matrix_json",
-    "parse_matrix_text", "perron", "profile_from_env", "rankin_codimension2_check",
+    "parse_matrix_text", "profile_from_env", "rankin_codimension2_check",
     "require_edm", "spherical_certificate", "support_components", "unit_simplex_gamma",
     "validate_edm", "verify_sign_pattern",
 ]
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 68
+    assert len(PUBLIC_NAMES) == 66
     assert sorted(edmsphere.__all__) == PUBLIC_NAMES
     assert all(hasattr(edmsphere, name) for name in PUBLIC_NAMES)
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edmsphere import Tolerances
-from edmsphere.spectral import as_symmetric, eig, perron
-from oracles import reconstruction_residual, sign_normalize, solve_linear
+from edmsphere.spectral import _sign_normalize_columns, as_symmetric, eig
+from oracles import perron, reconstruction_residual, sign_normalize, solve_linear
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -58,6 +58,14 @@ class TestSignNormalize:
     def test_idempotent(self, v):
         once = sign_normalize(v)
         npt.assert_array_equal(sign_normalize(once), once)
+
+
+    @given(arrays(np.float64, (3, 4, 5), elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_of_a_stack_match_the_one_vector_rule(self, V):
+        # small integers: ties in magnitude, both signs, zero columns and -0.0
+        ref = np.stack([np.column_stack([sign_normalize(W[:, j]) for j in range(5)]) for W in V])
+        assert _sign_normalize_columns(V).tobytes() == ref.tobytes()
 
 
 class TestEig:
