@@ -7,6 +7,7 @@ from conftest import EXAMPLE_EDGES, EXAMPLE_EDM, EXAMPLE_W
 from edmsphere import (
     ConsistencyError,
     Graph,
+    Tolerances,
     components,
     construct_orthorep,
     gram_factor,
@@ -15,6 +16,7 @@ from edmsphere import (
     validate_edm,
     verify_sign_pattern,
 )
+from edmsphere import orthorep as orthorep_module
 from edmsphere import spectral as spectral_module
 from edmsphere.tolerances import scale
 from oracles import construct_orthorep_looped, reconstruction_residual
@@ -383,6 +385,19 @@ class TestStackedAgainstLooped:
         for mine, theirs in zip(rep.delta_spectra, ref.delta_spectra):
             helpers.assert_same_eigensystem(mine, theirs)
         assert recon <= rep.edm.tol.recon * rep.n * scale(rep.edm.dist2)
+
+    def test_components_of_one_order_keeping_different_pairs(self, monkeypatch):
+        # at a rank cut of 1.2 a path of 3 keeps one pair of B (2) and a triangle two
+        # (1.5, 1.5), so one order group splits by kept mask; the self-check, which
+        # then fails on the rank, is skipped so that the assembly can be compared
+        tol = Tolerances(rank=1.2)
+        G = Graph.from_edges(10, [(1, 2), (2, 3), (4, 5), (4, 6), (5, 6), (7, 8), (8, 9)])
+        monkeypatch.setattr(orthorep_module, "_check_construction", lambda rep, tol, recon: None)
+        rep, (ref, _) = construct_orthorep(G, tol), construct_orthorep_looped(G, tol)
+        assert rep.d == ref.d == 5
+        for name in ["points", "delta", "w"]:
+            helpers.assert_bits(getattr(rep, name), getattr(ref, name))
+        helpers.assert_same_edm_at_circumcenter(rep.edm, ref.edm)
 
     def test_non_positive_perron_vector_names_its_component(self, monkeypatch):
         # four triangles share one stacked eigh; the third one's Perron vector is corrupted
