@@ -53,7 +53,7 @@ from .edm import (
 )
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
-from .spectral import EigenSystem, _block_index, _perron_blocks
+from .spectral import _block_index, _perron_blocks
 from .tolerances import Tolerances, scale
 
 __all__ = [
@@ -291,21 +291,19 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
     Gram eigensystems that the stacked validation decomposed.
     """
     n = M.shape[1]
-    D, grams = _validate_stack(M, tol)
-    outcome = []
+    outcome = _validate_stack(M, tol)
     certify = []
-    for t, gram in enumerate(grams):
-        if isinstance(gram, EdmRejection):
-            gram = _sample_rejected(gram)
-        elif isinstance(gram, EigenSystem):
-            gram = gram.rank
-            if gram == r:
-                certify.append(t)  # the rank is replaced by the report below
-        outcome.append(gram)
-    D = D[certify]
-    certs = _certify(D, [grams[t] for t in certify], _centroid(n), tol)
+    for t, res in enumerate(outcome):
+        if isinstance(res, EdmRejection):
+            outcome[t] = _sample_rejected(res)
+        elif isinstance(res, Edm):
+            outcome[t] = res.embedding_dim
+            if res.embedding_dim == r:
+                certify.append((t, res))  # the rank is replaced by the report below
+    D = np.array([res.dist2 for _, res in certify]).reshape(-1, n, n)
+    certs = _certify(D, [res.gram_eig for _, res in certify], _centroid(n), tol)
     m, i, j = (v.tolist() for v in _closest_pairs(D))
-    for k, t in enumerate(certify):
+    for k, (t, _) in enumerate(certify):
         cert = certs[k]
         error = cert if isinstance(cert, Exception) else _not_unit_spherical(cert, "rankin_codimension2_check")
         outcome[t] = _rankin_report(n, r, m[k], i[k], j[k], tol) if error is None else error

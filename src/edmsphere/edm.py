@@ -9,15 +9,15 @@ the shifted matrix Delta = D/2 + I - E whose top eigenvalue controls the
 embedding dimension of unit spherical EDMs, and generates canonical
 configurations (regular simplices, crosspolytopes, random sphere samples).
 
-The PSD and rank rules live in `spectral` (`EigenSystem.psd`,
-`EigenSystem.rank_mask`); `validate_edm` applies both to its one eigensystem
-of B, which the returned `Edm` keeps for later stages.  The sphericity solve
-reads it too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so on an
-orthonormal basis of B's eigenvectors above the rank cut, e and g, D is a
-diagonal plus a rank-two term, and D w = e is solved by block elimination
-with no eigendecomposition; only where the elimination cannot prove that it
-reads D's rank cut as an eigendecomposition would does one decide.  The
-residual is checked against the full D.  The Gram matrix at another
+The PSD and rank rules live in `spectral`; validation applies both to its
+one eigensystem of B, which the returned `Edm` keeps for later stages.  The
+sphericity solve reads it too: D = g e^T + e g^T - 2B with g = diag(B)
+(Gower 1985), so on an orthonormal basis of B's eigenvectors above the
+rank cut, e and g, D is a diagonal plus a rank-two term, and D w = e is
+solved by block elimination with no eigendecomposition; only where the
+elimination cannot prove that it reads D's rank cut as an
+eigendecomposition would does one decide.  The residual is checked
+against the full D.  The Gram matrix at another
 centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs from B's kept
 ones (`_gram_eig_at`), once per Edm, for `gram_factor` and, at s = 2w where
 it is I - Delta, for `embedding_dim_via_delta`.
@@ -27,10 +27,10 @@ D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
 for orthonormal representations and Kuperberg blocks; `_circumcenter_edms`
 checks and builds a stack of them, for the Kuperberg blocks of one order.
 
-The entry checks, the double centering and the sphericity solve also run
-over a (T, n, n) stack (`_validate_stack`, `_certify`), with one eigh per
-stack, of the Gram matrices, and each matrix's result bitwise that of its
-own call, for the Rankin sampler.
+Validation and the sphericity solve run over a (T, n, n) stack
+(`_validate_stack`, `_certify`), with one eigh of the Gram matrices per
+stack; `validate_edm` and `spherical_certificate` run a stack of one, so
+the Rankin sampler's chunks give each matrix the bits of its own call.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ from .errors import ConsistencyError, PreconditionError, SpectralError
 from .spectral import (
     EigenSystem,
     _block_index,
+    _cluster_stack,
     _decompose,
-    _decompose_stack,
+    _eigh_stack,
     _psd_stack,
     _rank_stack,
     _sign_normalize_columns,
@@ -206,19 +207,6 @@ def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances) -> Edm
     return None
 
 
-def _psd_rejection(gram: EigenSystem) -> EdmRejection | None:
-    """validate_edm's PSD rule on the eigensystem of the centered Gram matrix."""
-    psd = gram.psd()
-    if psd:
-        return None
-    return EdmRejection(
-        "not-psd",
-        f"centered Gram has eigenvalue {psd.min_eigenvalue:g}",
-        witness_eigenvalue=psd.min_eigenvalue,
-        witness_vector=psd.witness,
-    )
-
-
 def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
     """Certify a matrix as an EDM, or explain why it is not one.
 
@@ -236,41 +224,57 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
         scale), nonnegative off-diagonal entries, and PSD double-centering
         with s = e/n.  Rejection is a value carrying the violated condition
         and, for the PSD case, the offending eigenpair as witness.
+
+    Raises
+    ------
+    ValueError, SpectralError
+        If the centered Gram matrix of a finite M overflows, or its
+        eigendecomposition fails.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         return EdmRejection("not-square", f"shape {M.shape}")
-    finite, s, skew, D, diag_max, off_min = _entry_stats(M)
-    rejection = _entry_rejection(finite, s, skew, diag_max, off_min, tol)
-    if rejection is not None:
-        return rejection
-    centroid = _centroid(D.shape[0])
-    es = _decompose(centering_gram(D, centroid), tol)
-    rejection = _psd_rejection(es)
-    if rejection is not None:
-        return rejection
-    return Edm(
-        dist2=D, embedding_dim=es.rank, tol=tol, gram_eig=es, centering=centroid,
-        min_offdiagonal=off_min,
-    )
+    res = _validate_stack(M[None], tol)[0]
+    if isinstance(res, Exception):
+        raise res
+    return res
 
 
-def _validate_stack(M: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, list]:
-    """validate_edm of each matrix of a (T, n, n) stack, with one eigh of the accepted ones.
+def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
+    """What `validate_edm` gives for each matrix of a (T, n, n) stack: its Edm, EdmRejection or exception.
 
-    Returns the stack of symmetrized D and, per matrix, the eigensystem of
-    its centered Gram matrix, the EdmRejection validate_edm returns, or the
-    ValueError it raises.  Each has the bits of its own validate_edm call.
+    The entry rules reject first, in the order of `_entry_rejection`; the
+    centered Gram matrices of the rest go through one eigh, and the PSD
+    and rank rules read their spectra over the stack.  Each Edm holds its
+    row of the stacked arrays, with the bits of a stack of one.
     """
     finite, s, skew, D, diag_max, off_min = _entry_stats(M)
-    stats = zip(finite.tolist(), s.tolist(), skew.tolist(), diag_max.tolist(), off_min.tolist())
+    off_min = off_min.tolist()
+    stats = zip(finite.tolist(), s.tolist(), skew.tolist(), diag_max.tolist(), off_min)
     out = [_entry_rejection(*entry, tol) for entry in stats]
     todo = [t for t, rejection in enumerate(out) if rejection is None]
-    B = centering_gram(D[todo], _centroid(D.shape[-1]))
-    for t, gram in zip(todo, _decompose_stack(B, tol, scale(B).tolist())):
-        rejection = None if isinstance(gram, Exception) else _psd_rejection(gram)
-        out[t] = gram if rejection is None else rejection
-    return D, out
+    if not todo:
+        return out
+    if len(todo) < len(out):  # one accepted matrix makes no copy
+        D = D[todo]
+    centroid = _centroid(M.shape[-1])
+    B = centering_gram(D, centroid)
+    values, vectors, errors = _eigh_stack(B)
+    scales = scale(B)
+    psd = _psd_stack(values, scales, tol).tolist()
+    rank = np.count_nonzero(_rank_stack(values, scales, tol), axis=1).tolist()
+    for k, t in enumerate(todo):
+        if errors[k] is not None:
+            out[t] = errors[k]
+        elif not psd[k]:
+            least = float(values[k, -1])
+            out[t] = EdmRejection("not-psd", f"centered Gram has eigenvalue {least:g}",
+                                  witness_eigenvalue=least, witness_vector=vectors[k, :, -1].copy())
+        else:
+            gram = EigenSystem(values[k], vectors[k], tol, float(scales[k]))
+            out[t] = Edm(dist2=D[k], embedding_dim=rank[k], tol=tol, gram_eig=gram, centering=centroid,
+                         min_offdiagonal=off_min[t])
+    return out
 
 
 def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
@@ -455,10 +459,13 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     eigendecomposition of Q^T D Q decides (`_eigh_certificate`).  The
     residual max|D w - e| is measured against the full D.
 
-    Any nonzero EDM has e in its column space, so "e-not-in-colspace" only
-    arises for the all-zero (all-points-coincident) degenerate input; it is
-    still checked defensively through that residual (above tol.solve *
-    scale(D)).  A consistent solve classifies by e^T w: spherical (with
+    "e-not-in-colspace" means that residual exceeds tol.solve * scale(D).
+    In exact arithmetic only the all-zero matrix (coincident points, or
+    n = 1) lacks e in its column space, but a nonzero D gets it too when
+    the eigenvalue carrying e falls below D's rank cut: 20 points on the
+    unit circle with radial jitter 1e-6 do (that eigenvalue is about
+    jitter^2 scale(D)).  Deciding such inputs with a reported margin is
+    ROADMAP item 1.  A consistent solve classifies by e^T w: spherical (with
     radius) when e^T w * scale(D) exceeds the PSD slack tol.psd,
     non-spherical otherwise.  w scales as 1/D, so scaling D up to cD keeps
     the verdict; scaling D down to entries below 1 is not covered, because
@@ -543,9 +550,9 @@ def _eigh_certificate(D: np.ndarray, gram: EigenSystem, s: np.ndarray, tol: Tole
 def _gram_diagonal(D: np.ndarray, s: np.ndarray) -> np.ndarray:
     """g = diag(B) = D s - 1/2 s^T D s for B the Gram matrix at s, per matrix of a (T, n, n) stack.
 
-    At the centroid, as row means.
+    At the centroid, as row means; with no points there is nothing to average.
     """
-    if np.array_equal(s, _centroid(D.shape[-1])):
+    if s.size and np.array_equal(s, _centroid(D.shape[-1])):
         u = D.mean(axis=-1)
         return u - 0.5 * u.mean(axis=-1, keepdims=True)
     u = D @ s
@@ -916,12 +923,12 @@ def _delta_top(gram: EigenSystem, delta: np.ndarray, tol: Tolerances) -> tuple[f
     R += delta
     R[np.diag_indices_from(R)] -= 1.0
     rho = float(np.linalg.norm(R))
-    nu = np.concatenate([np.ones(delta.shape[0] - P.shape[1]), 1.0 - gram.values[keep]])
-    top = float(nu.max())
+    nu = np.concatenate([np.ones(delta.shape[0] - P.shape[1]), 1.0 - gram.values[keep][::-1]])  # descending
+    top = float(nu[0])
     edge = top - tol.cluster
     if abs(top - 1.0) + rho > tol.cluster or np.any(np.abs(nu - edge) <= 2.0 * rho):
         return None
-    return top, int(np.count_nonzero(nu >= edge))
+    return top, int(_cluster_stack(nu[None], tol.cluster)[0])
 
 
 def unit_simplex_gamma(n: int) -> float:

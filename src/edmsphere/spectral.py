@@ -1,24 +1,26 @@
 """Dense symmetric spectral primitives.
 
 Everything downstream (EDM certification, Perron data of nonnegative
-matrices, embedding dimensions) consumes `eig`, `_decompose` or the stacked
-`_decompose_stack` and `_perron_blocks`, the Perron-Frobenius step that
-orthonormal representations and Kuperberg blocks share.  All are pure
-functions of their inputs and deterministic for identical input bits, so
-results are safe to share across threads.
+matrices, embedding dimensions) consumes `eig`, `_decompose`, `_eigh_stack`
+or `_perron_blocks`, the Perron-Frobenius step that orthonormal
+representations and Kuperberg blocks share.  One driver decomposes: a
+(T, n, n) stack goes through `_eigh_stack`, one eigh call, and a single
+matrix is a stack of one (`_decompose`).  All are pure functions of their
+inputs and deterministic for identical input bits, so results are safe to
+share across threads.
 
 The PSD rule (slack ``tol.psd * scale``), the rank rule (cut
 ``tol.rank * scale``) and the cluster rule (band ``tol.cluster`` below the
-top) live here and nowhere else, as `EigenSystem.psd`, `.rank_mask` and
-`.multiplicity`, and over stacks of spectra as `_psd_stack`,
-`_rank_stack` and in `_perron_blocks`.
+top) each have one body, over stacks of descending spectra: `_psd_stack`,
+`_rank_stack` and `_cluster_stack`.  `EigenSystem.psd`, `.rank_mask` and
+`.multiplicity` read them on a stack of one.
 
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
 mirrors the lower triangle so the stored matrix is exactly symmetric.
 Callers inside the package that build a matrix exactly symmetric (a double
 centering, 0.5 (M + M^T), a principal block of an adjacency matrix) skip it
-and call `_decompose`, which checks finiteness only.
+and call `_decompose` or `_eigh_stack`, which check finiteness only.
 """
 
 from __future__ import annotations
@@ -87,30 +89,25 @@ class EigenSystem:
         return self.values.shape[0]
 
     def psd(self) -> PsdResult:
-        """The PSD rule: min eigenvalue >= -tol.psd * scale; witness the violation otherwise."""
+        """The PSD rule (`_psd_stack`), witnessed by the least eigenpair when it fails."""
         lam_min = float(self.values[-1]) if self.order else 0.0
-        if lam_min >= -self.tolerance.psd * self.scale:
+        if _psd_stack(self.values[None], self.scale, self.tolerance)[0]:
             return PsdResult(ok=True, min_eigenvalue=lam_min)
         return PsdResult(ok=False, min_eigenvalue=lam_min, witness=self.vectors[:, -1].copy())
 
     def rank_mask(self) -> np.ndarray:
-        """The rank rule: eigenvalues beyond the cut tol.rank * scale count as dimensions.
-
-        Magnitude decides, except for a matrix the PSD rule accepts: its
-        negative eigenvalues are rounding noise within the PSD slack, so
-        only eigenvalues above the cut count.
-        """
-        cut = self.tolerance.rank * self.scale
-        return self.values > cut if self.psd() else np.abs(self.values) > cut
+        """The rank rule (`_rank_stack`): which eigenvalues count as dimensions."""
+        return _rank_stack(self.values[None], self.scale, self.tolerance)[0]
 
     @property
     def rank(self) -> int:
         return int(np.count_nonzero(self.rank_mask()))
 
     def multiplicity(self, band: float | None = None) -> int:
-        """The cluster rule: count eigenvalues >= the largest - band (default tol.cluster)."""
+        """The cluster rule (`_cluster_stack`) at `band`, default tol.cluster."""
         band = self.tolerance.cluster if band is None else band
-        return int(np.count_nonzero(self.values >= self.values[0] - band))
+        return int(_cluster_stack(self.values[None], band)[0])
+
 
 def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
@@ -138,59 +135,41 @@ def eig(M, tol: Tolerances = DEFAULT_TOL) -> EigenSystem:
 
 
 def _decompose(S: np.ndarray, tol: Tolerances) -> EigenSystem:
-    """`eig` of a matrix that is already exactly symmetric: canonicalized or symmetric by construction.
+    """`eig` of a matrix that is already exactly symmetric, as `_eigh_stack` of a stack of one.
 
     Only finiteness is checked again (ValueError as in `as_symmetric`): a
     matrix built from finite data, such as a Gram matrix of a finite D with
     entries near the float maximum, can still overflow.
     """
-    if S.size and not np.all(np.isfinite(S)):
-        raise ValueError("matrix contains NaN or Inf entries")
-    values, vectors = _eigh_descending(S)
-    return EigenSystem(values=values, vectors=vectors, tolerance=tol, scale=scale(S))
-
-
-def _decompose_stack(S: np.ndarray, tol: Tolerances, scales) -> list:
-    """`_decompose` of each matrix of a (T, n, n) stack at the given scales, or its `_eigh_stack` error.
-
-    Stacked and looped eigh agree bitwise, so each eigensystem is the one
-    `_decompose` returns.
-    """
-    values, vectors, errors = _eigh_stack(S)
-    return [EigenSystem(values[t], vectors[t], tol, scales[t]) if err is None else err
-            for t, err in enumerate(errors)]
+    values, vectors, errors = _eigh_stack(S[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return EigenSystem(values=values[0], vectors=vectors[0], tolerance=tol, scale=scale(S))
 
 
 def _eigh_stack(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
     """`_eigh_descending` of a (T, n, n) stack in one eigh call: (values, vectors, errors).
 
-    errors[t] is None, or the ValueError `_decompose` would raise for a NaN
-    or Inf entry of matrix t, or the SpectralError of its eigh; its slots
-    then hold NaN.  Unless all are finite and the stacked call converges,
-    each matrix is decomposed alone.
+    errors[t] is None, or the ValueError of a NaN or Inf entry of matrix t,
+    or the SpectralError of its eigh; its slots then hold NaN.  Unless all
+    are finite and the stacked call converges, each matrix is decomposed
+    alone.  Stacked and looped eigh agree bitwise.
     """
-    finite = np.isfinite(S).all(axis=(1, 2))
-    errors = [None if ok else ValueError("matrix contains NaN or Inf entries") for ok in finite.tolist()]
-    if finite.all():
+    todo = np.isfinite(S).all(axis=(1, 2))
+    errors = [None if ok else ValueError("matrix contains NaN or Inf entries") for ok in todo.tolist()]
+    if todo.all():
         try:
             return (*_eigh_descending(S), errors)
-        except SpectralError:
-            pass
+        except SpectralError as exc:
+            if len(S) == 1:  # decomposed alone already
+                errors[0], todo[0] = exc, False
     values, vectors = np.full(S.shape[:2], np.nan), np.full(S.shape, np.nan)
-    for t in np.flatnonzero(finite).tolist():
-        pair = _eigh_or_error(S[t])
-        if isinstance(pair, SpectralError):
-            errors[t] = pair
-        else:
-            values[t], vectors[t] = pair
+    for t in np.flatnonzero(todo).tolist():
+        try:
+            values[t], vectors[t] = _eigh_descending(S[t])
+        except SpectralError as exc:
+            errors[t] = exc
     return values, vectors, errors
-
-
-def _eigh_or_error(S: np.ndarray):
-    try:
-        return _eigh_descending(S)
-    except SpectralError as exc:
-        return exc
 
 
 def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,14 +217,29 @@ def _block_index(rows: np.ndarray, cols: np.ndarray) -> tuple:
 
 
 def _psd_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
-    """`EigenSystem.psd` over a (T, m) stack of descending spectra at per-matrix scales: a (T,) mask."""
-    return values[:, -1] >= -tol.psd * np.asarray(scales)
+    """The PSD rule over a (T, m) stack of descending spectra at per-matrix scales: a (T,) mask.
+
+    Matrix t passes when its least eigenvalue is >= -tol.psd * scales[t];
+    an empty spectrum passes.
+    """
+    least = values[:, -1] if values.shape[1] else np.zeros(len(values))
+    return least >= -tol.psd * np.asarray(scales)
 
 
 def _rank_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
-    """`EigenSystem.rank_mask` over a (T, m) stack of descending spectra: a (T, m) mask."""
+    """The rank rule over a (T, m) stack of descending spectra: a (T, m) mask of the dimensions.
+
+    Eigenvalues beyond the cut tol.rank * scale count.  Magnitude decides,
+    except for a matrix the PSD rule accepts: its negative eigenvalues are
+    rounding noise within the PSD slack, so only those above the cut count.
+    """
     cut = (tol.rank * np.asarray(scales, dtype=float)).reshape(-1, 1)
-    return np.where(_psd_stack(values, scales, tol)[:, None], values > cut, np.abs(values) > cut)
+    return np.where(_psd_stack(values, scales, tol)[:, None], values, np.abs(values)) > cut
+
+
+def _cluster_stack(values: np.ndarray, band) -> np.ndarray:
+    """The cluster rule over a (T, m) stack of descending spectra: per matrix, how many are >= top - band."""
+    return np.count_nonzero(values >= values[:, :1] - band, axis=1)
 
 
 class PerronBlocks(NamedTuple):
@@ -311,7 +305,7 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
                 checks = [(~(lam > 0.0), lambda t, c: f"component {c} has an edge but adjacency "
                                                       f"eigenvalue {lam[t]:g}")]
             else:
-                mult = np.count_nonzero(values >= values[:, :1] - tol.cluster, axis=1)
+                mult = _cluster_stack(values, tol.cluster)
                 checks = [
                     (np.abs(lam - 1.0) > tol.cluster,
                      lambda t, c: f"core lambda_max of component {c} = {lam[t]:.17g}, expected 1"),

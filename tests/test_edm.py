@@ -210,9 +210,12 @@ class TestSphericalCertificate:
         assert cert.status == E_NOT_IN_COLSPACE
         assert cert.w is None and cert.radius is None
 
+    @pytest.mark.filterwarnings("error")
     def test_single_point(self):
         cert = spherical_certificate(require_edm(np.zeros((1, 1))))
         assert cert.status == E_NOT_IN_COLSPACE
+        cert = spherical_certificate(require_edm(np.zeros((0, 0))))  # no points: nothing to average
+        assert cert.status == NON_SPHERICAL and cert.etw == 0.0 and cert.w.shape == (0,)
 
 
 class TestDelta:

@@ -15,8 +15,10 @@ circumcenter follows from it.  The rank route of `certify_simplex` reads
 lambda_max(Delta) off the same stacked eighs of its cores.  An orthonormal
 representation costs one stacked eigh per component order, of the
 component adjacencies: the eigensystem of its B = I - Delta is assembled
-from those, and only the edgeless graph validates its D.  `matrices`
-counts the matrices of each stacked call.  An Edm built at its circumcenter (a representation, a
+from those, and only the edgeless graph validates its D.  Every eigh is
+stacked: a single matrix is decomposed as a (1, n, n) stack, so each call
+is recorded by its order shape[-1], and `matrices` counts the matrices of
+each call.  An Edm built at its circumcenter (a representation, a
 Kuperberg block) carries the certificate of the w it was built with, so its
 sphericity takes no eigh.
 """

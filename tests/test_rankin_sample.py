@@ -21,6 +21,7 @@ import edmsphere.decomposition as decomposition
 import edmsphere.edm as edm
 from edmsphere import DEFAULT_TOL
 from edmsphere.errors import ConsistencyError, SpectralError
+from edmsphere.spectral import EigenSystem
 from oracles import check_rankin_sample_per_trial
 
 
@@ -169,6 +170,19 @@ def test_eigh_failure_keeps_trial_order(monkeypatch, per_chunk, earlier, expecte
     assert stacked[0] is expected
 
 
+def test_spectral_rules_run_per_chunk_not_per_trial(monkeypatch):
+    # the PSD and rank rules read each chunk's spectra over the stack: no EigenSystem rule call per trial
+    calls = []
+    for name in ("psd", "rank_mask"):
+        def counted(self, *args, _real=getattr(EigenSystem, name), _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(EigenSystem, name, counted)
+    chunk_of(4, monkeypatch, 10)
+    assert outcome(cli._check_rankin_sample, 4, 60, 3)[0] == "ok"
+    assert len(calls) <= 2 * 6  # six chunks of ten trials
+
+
 def test_failed_checks_report_every_trial():
     # a negative sign band turns every check into a failure
     tol = DEFAULT_TOL.with_overrides(sign=-10.0)
@@ -226,24 +240,59 @@ def test_short_rows_are_drawn_again():
     np.testing.assert_array_equal(X[0], edm._sphere_points([np.random.default_rng(1)], 5, 3)[0])
 
 
+def validated(M):
+    """validate_edm's result for M, or the type and message of what it raises."""
+    try:
+        return edm.validate_edm(M)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def broken(M, t, *cells):
+    """Set each (i, j, value) of `cells` in matrix t on both sides of the diagonal."""
+    for i, j, value in cells:
+        M[t, i, j] = M[t, j, i] = value
+
+
 @pytest.mark.parametrize("r", [2, 4, 8, 20])
 def test_stacked_validation_and_certificate_are_bitwise_per_matrix(r):
     n = r + 2
     children = np.random.SeedSequence(r).spawn(40)
     M = DIST2(edm._sphere_points([np.random.default_rng(c) for c in children], n, r))
-    M[3, 0, 1] = M[3, 1, 0] = -1.0  # one rejection among them
-    D, grams = edm._validate_stack(M, DEFAULT_TOL)
-    singles = [edm.validate_edm(m) for m in M]
-    for t, (gram, single) in enumerate(zip(grams, singles)):
-        if isinstance(single, edm.EdmRejection):
-            assert (gram.reason, gram.detail) == (single.reason, single.detail)
-            continue
-        np.testing.assert_array_equal(D[t], single.dist2)
-        np.testing.assert_array_equal(gram.values, single.gram_eig.values)
-        np.testing.assert_array_equal(gram.vectors, single.gram_eig.vectors)
-        assert gram.scale == single.gram_eig.scale
-    kept = [t for t, s in enumerate(singles) if not isinstance(s, edm.EdmRejection)]
-    certs = edm._certify(D[kept], [grams[t] for t in kept], edm._centroid(n), DEFAULT_TOL)
+    broken(M, 1, (2, 3, np.nan))  # not-finite
+    M[3, 0, 1] += 0.5  # not-symmetric
+    broken(M, 5, (2, 2, 0.5))  # nonzero-diagonal
+    broken(M, 7, (0, 1, -1.0))  # negative-entry
+    broken(M, 9, (0, 1, 50.0))  # not-psd: 50 > (2 + 2)^2 breaks the triangle inequality
+    broken(M, 11, (1, 1, 0.5), (0, 2, -1.0))  # the diagonal rule reports before the sign rule
+    M[13] = 1.7e308 * (np.ones((n, n)) - np.eye(n))  # finite, but its Gram matrix overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = edm._validate_stack(M, DEFAULT_TOL)
+        singles = [validated(m) for m in M]
+    reasons = {t: single.reason for t, single in enumerate(singles) if isinstance(single, edm.EdmRejection)}
+    assert reasons == {1: "not-finite", 3: "not-symmetric", 5: "nonzero-diagonal", 7: "negative-entry",
+                       9: "not-psd", 11: "nonzero-diagonal"}
+    assert singles[13] == (ValueError, "matrix contains NaN or Inf entries")
+    for res, single in zip(stacked, singles):
+        if isinstance(single, tuple):
+            assert (type(res), str(res)) == single
+        elif isinstance(single, edm.EdmRejection):
+            assert (res.reason, res.detail, res.witness_eigenvalue) == \
+                (single.reason, single.detail, single.witness_eigenvalue)
+            if single.witness_vector is None:
+                assert res.witness_vector is None
+            else:
+                np.testing.assert_array_equal(res.witness_vector, single.witness_vector)
+        else:
+            np.testing.assert_array_equal(res.dist2, single.dist2)
+            np.testing.assert_array_equal(res.gram_eig.values, single.gram_eig.values)
+            np.testing.assert_array_equal(res.gram_eig.vectors, single.gram_eig.vectors)
+            assert res.gram_eig.scale == single.gram_eig.scale
+            assert (res.embedding_dim, res.min_offdiagonal) == (single.embedding_dim, single.min_offdiagonal)
+    kept = [t for t, res in enumerate(stacked) if isinstance(res, edm.Edm)]
+    assert len(kept) == 33
+    D = np.stack([stacked[t].dist2 for t in kept])
+    certs = edm._certify(D, [stacked[t].gram_eig for t in kept], edm._centroid(n), DEFAULT_TOL)
     for cert, t in zip(certs, kept):
         single = edm.spherical_certificate(singles[t])
         np.testing.assert_array_equal(cert.w, single.w)
@@ -256,7 +305,8 @@ def test_stacked_certificate_falls_back_per_matrix(monkeypatch):
     n = 6
     children = np.random.SeedSequence(6).spawn(20)
     M = DIST2(edm._sphere_points([np.random.default_rng(c) for c in children], n, n - 2))
-    D, grams = edm._validate_stack(M, DEFAULT_TOL)
+    edms = edm._validate_stack(M, DEFAULT_TOL)
+    D, grams = np.stack([res.dist2 for res in edms]), [res.gram_eig for res in edms]
     top = float(np.median([gram.values[0] for gram in grams]))
     real = edm._eliminate
 

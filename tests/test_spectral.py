@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edmsphere import Tolerances
-from edmsphere.spectral import _sign_normalize_columns, as_symmetric, eig
+from edmsphere import SpectralError, Tolerances
+from edmsphere.spectral import _eigh_stack, _sign_normalize_columns, as_symmetric, eig
 from oracles import perron, reconstruction_residual, sign_normalize, solve_linear
 
 SQRT2 = float(np.sqrt(2.0))
@@ -116,12 +116,30 @@ class TestEig:
         npt.assert_array_equal(a.values, b.values)
         npt.assert_array_equal(a.vectors, b.vectors)
 
+    def test_failed_eigh_is_retried_alone_only_within_a_stack(self, monkeypatch):
+        calls = []
+
+        def failing(S):
+            calls.append(np.shape(S))
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(SpectralError, match="no convergence"):
+            eig(A_EDGE)
+        assert calls == [(1, 2, 2)]  # a single matrix is a stack of one: not decomposed twice
+        calls.clear()
+        _, _, errors = _eigh_stack(np.stack([A_EDGE, A_EDGE]))
+        assert calls == [(2, 2, 2), (2, 2), (2, 2)]
+        assert all(isinstance(error, SpectralError) for error in errors)
+
 
 class TestIsPsd:
     def test_accepts_psd(self):
         res = eig(np.array([[2.0, -1.0], [-1.0, 2.0]])).psd()
         assert res
         assert res.min_eigenvalue >= 1.0 - 1e-12
+        empty = eig(np.zeros((0, 0)))
+        assert empty.psd() and empty.psd().min_eigenvalue == 0.0 and empty.rank == 0
 
     def test_rejects_indefinite_with_witness(self):
         res = eig(A_EDGE).psd()
