@@ -287,36 +287,26 @@ def cmd_decompose(args, tol, ctx):
     return "ok", _write_out(args.out, result, checks), checks, OK, None
 
 
+# each gen kind: (the arguments it needs, its generator, the fields of its header and report)
+_GEN_KINDS = {
+    "simplex": (("n",), lambda a, tol: gen_regular_simplex(a.n, a.gamma, tol), ("n", "gamma")),
+    "unit-simplex": (("n",), lambda a, tol: gen_unit_simplex(a.n, tol), ("n",)),
+    "crosspolytope": (("r",), lambda a, tol: gen_crosspolytope(a.r, tol), ("r",)),
+    "random-sphere": (("n", "r"), lambda a, tol: gen_random_spherical(a.n, a.r, a.seed, tol)[0],
+                      ("n", "r", "seed")),
+}
+
+
 def cmd_gen(args, tol, ctx):
     kind = args.kind
-    if kind == "simplex":
-        if args.n is None:
-            raise PreconditionError("gen simplex needs -n")
-        edm = gen_regular_simplex(args.n, args.gamma, tol)
-        header = f"gen simplex n={args.n} gamma={args.gamma!r}"
-        params = {"n": args.n, "gamma": args.gamma}
-    elif kind == "unit-simplex":
-        if args.n is None:
-            raise PreconditionError("gen unit-simplex needs -n")
-        edm = gen_unit_simplex(args.n, tol)
-        header = f"gen unit-simplex n={args.n}"
-        params = {"n": args.n}
-    elif kind == "crosspolytope":
-        if args.r is None:
-            raise PreconditionError("gen crosspolytope needs -r")
-        edm = gen_crosspolytope(args.r, tol)
-        header = f"gen crosspolytope r={args.r}"
-        params = {"r": args.r}
-    elif kind == "random-sphere":
-        if args.n is None or args.r is None:
-            raise PreconditionError("gen random-sphere needs -n and -r")
-        if args.seed < 0:
-            raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-        edm, _ = gen_random_spherical(args.n, args.r, args.seed, tol)
-        header = f"gen random-sphere n={args.n} r={args.r} seed={args.seed}"
-        params = {"n": args.n, "r": args.r, "seed": args.seed}
-    else:  # argparse choices make this unreachable
-        raise PreconditionError(f"unknown kind {kind!r}")
+    needs, generate, fields = _GEN_KINDS[kind]
+    if any(getattr(args, name) is None for name in needs):
+        raise PreconditionError(f"gen {kind} needs " + " and ".join(f"-{name}" for name in needs))
+    if "seed" in fields and args.seed < 0:
+        raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
+    edm = generate(args, tol)
+    params = {name: getattr(args, name) for name in fields}
+    header = " ".join([f"gen {kind}"] + [f"{name}={value!r}" for name, value in params.items()])
     text = matrixio.format_matrix_text(edm.dist2, comment=header)
     if not args.out:
         # documented exception: raw matrix text instead of a JSON report
@@ -460,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(handler=cmd_decompose)
 
     pg = sub.add_parser("gen", parents=[tolp], help="generate a canonical EDM")
-    pg.add_argument("kind", choices=["simplex", "unit-simplex", "crosspolytope", "random-sphere"])
+    pg.add_argument("kind", choices=list(_GEN_KINDS))
     pg.add_argument("-n", type=int, default=None, help="number of points")
     pg.add_argument("-r", type=int, default=None, help="dimension")
     pg.add_argument("--gamma", type=float, default=1.0, help="squared edge length (simplex)")

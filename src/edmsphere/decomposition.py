@@ -54,7 +54,7 @@ from .edm import (
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation, support_components
 from .spectral import _block_index, _perron_blocks
-from .tolerances import Tolerances, scale
+from .tolerances import Tolerances
 
 __all__ = [
     "SimplexCertificate",
@@ -445,7 +445,8 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
     ------
     ConsistencyError
         If the support component count differs from n - r, a block fails
-        its simplex certificate, or a cross-block entry strays from 2.
+        its simplex certificate, or a cross-block entry strays from 2 by
+        more than tol.sign, the band that splits Delta's support.
     """
     tol = D.tol
     n, r = D.n, D.embedding_dim
@@ -479,15 +480,10 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         )
     # The Gram matrix at the circumcenter is E - D/2, so a cross-block inner
     # product is 1 - d/2 = -(d - 2)/2, exactly for d within tol.sign of 2.
-    cross_gram_max = cross_check / 2.0
-    if cross_gram_max > tol.solve * scale(D.dist2):
-        raise ConsistencyError(
-            f"cross-block inner products reach {cross_gram_max:g}; subspaces not orthogonal"
-        )
     return Decomposition(
         n=n, r=r, permutation=tuple(i for b in blocks for i in b.indices), blocks=tuple(blocks),
         isolated_assignment=tuple(split.isolated), subspace_dims=tuple(b.dim for b in blocks),
-        cross_check=cross_check, cross_gram_max=cross_gram_max,
+        cross_check=cross_check, cross_gram_max=cross_check / 2.0,
     )
 
 
@@ -545,34 +541,24 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     n, r = D.n, D.embedding_dim
     if n != 2 * r:
         raise PreconditionError(f"recognition needs n = 2r, got n = {n}, r = {r}")
-    if r == 1:
-        # A single antipodal pair; too small for the block machinery.
-        try:
-            _require_unit_spherical(D, "crosspolytope_recognize")
-        except PreconditionError as exc:
-            return CrosspolytopeResult(ok=False, r=r, permutation=None,
-                                       max_deviation=None, reason=str(exc))
-        dev = _crosspolytope_deviation(D.dist2.copy())
-        if dev > tol.sign:
-            return CrosspolytopeResult(
-                ok=False, r=r, permutation=None, max_deviation=dev,
-                reason=f"2-point matrix deviates from the antipodal form by {dev:g}",
-            )
-        return CrosspolytopeResult(ok=True, r=r, permutation=(1, 2), max_deviation=dev)
-    if D.min_offdiagonal < 2.0 - tol.sign:
-        return CrosspolytopeResult(
-            ok=False, r=r, permutation=None, max_deviation=None,
-            reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
-        )
     try:
-        dec = kuperberg_decompose(D)
+        if r == 1:  # a single antipodal pair; too small for the block machinery
+            _require_unit_spherical(D, "crosspolytope_recognize")
+            permutation = (1, 2)
+        elif D.min_offdiagonal < 2.0 - tol.sign:
+            return CrosspolytopeResult(
+                ok=False, r=r, permutation=None, max_deviation=None,
+                reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
+            )
+        else:
+            permutation = kuperberg_decompose(D).permutation
     except PreconditionError as exc:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))
-    dev = _crosspolytope_deviation(apply_permutation(D.dist2, dec.permutation))
+    dev = _crosspolytope_deviation(apply_permutation(D.dist2, permutation))
     if dev > tol.sign:
         return CrosspolytopeResult(
-            ok=False, r=r, permutation=dec.permutation, max_deviation=dev,
+            ok=False, r=r, permutation=permutation, max_deviation=dev,
             reason=f"permuted matrix deviates from the canonical form by {dev:g}",
         )
-    return CrosspolytopeResult(ok=True, r=r, permutation=dec.permutation, max_deviation=dev)
+    return CrosspolytopeResult(ok=True, r=r, permutation=permutation, max_deviation=dev)

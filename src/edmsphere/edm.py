@@ -16,7 +16,8 @@ sphericity solve reads it too: D = g e^T + e g^T - 2B with g = diag(B)
 rank cut, e and g, D is a diagonal plus a rank-two term, and D w = e is
 solved by block elimination with no eigendecomposition; only where the
 elimination cannot prove that it reads D's rank cut as an
-eigendecomposition would does one decide.  The residual is checked
+eigendecomposition would does one, of Q^T D Q on the same basis Q,
+decide.  The residual is checked
 against the full D.  The Gram matrix at another
 centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs from B's kept
 ones (`_gram_eig_at`), once per Edm, for `gram_factor` and, at s = 2w where
@@ -184,7 +185,7 @@ def _entry_stats(M: np.ndarray) -> tuple:
     for a matrix that is not finite.
     """
     n = M.shape[-1]
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # a too-large M is rejected, not measured
         finite = np.isfinite(M).all(axis=(-2, -1))
         skew = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
     D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
@@ -194,10 +195,21 @@ def _entry_stats(M: np.ndarray) -> tuple:
     return finite, scale(M), skew, D, diag_max, min_offdiagonal(D)
 
 
-def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances) -> EdmRejection | None:
-    """validate_edm's rules on the entries of one matrix, read from its `_entry_stats`."""
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances, n: int) -> EdmRejection | None:
+    """validate_edm's rules on the entries of one (n, n) matrix, read from its `_entry_stats`.
+
+    max|M| <= float max / (4n) keeps every later stage finite: the centered
+    Gram matrix lies within 4 max|M|, and the sphericity fallback's
+    Q^T D Q plus its transpose within 2n max|M|.
+    """
     if not finite:
         return EdmRejection("not-finite", "matrix contains NaN or Inf entries")
+    limit = _FLOAT_MAX / (4 * max(n, 1))
+    if s > limit:
+        return EdmRejection("too-large", f"max|M| = {s:g} exceeds float max / (4n) = {limit:g}")
     if skew > tol.symmetry * s:
         return EdmRejection("not-symmetric", f"max|M - M^T| = {skew:g}")
     if diag_max > tol.psd * s:
@@ -220,16 +232,16 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
     Returns
     -------
     Edm or EdmRejection
-        Acceptance requires: symmetry, zero diagonal (within tol.psd *
-        scale), nonnegative off-diagonal entries, and PSD double-centering
-        with s = e/n.  Rejection is a value carrying the violated condition
+        Acceptance requires: finite entries at most float max / (4n) in
+        magnitude, symmetry, zero diagonal (within tol.psd * scale),
+        nonnegative off-diagonal entries, and PSD double-centering with
+        s = e/n.  Rejection is a value carrying the violated condition
         and, for the PSD case, the offending eigenpair as witness.
 
     Raises
     ------
-    ValueError, SpectralError
-        If the centered Gram matrix of a finite M overflows, or its
-        eigendecomposition fails.
+    SpectralError
+        If the eigendecomposition of the centered Gram matrix fails.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -251,7 +263,7 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     finite, s, skew, D, diag_max, off_min = _entry_stats(M)
     off_min = off_min.tolist()
     stats = zip(finite.tolist(), s.tolist(), skew.tolist(), diag_max.tolist(), off_min)
-    out = [_entry_rejection(*entry, tol) for entry in stats]
+    out = [_entry_rejection(*entry, tol, M.shape[-1]) for entry in stats]
     todo = [t for t, rejection in enumerate(out) if rejection is None]
     if not todo:
         return out
@@ -490,8 +502,9 @@ def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list
     `grams` holds each matrix's Gram eigensystem at the centering s, all of
     one rank.  The block elimination (`_eliminate`) runs on the whole stack,
     its products batched, so each matrix gets the bits of a stack of one;
-    a matrix it does not decide goes to `_eigh_certificate`, as does one
-    whose residual would call it inconsistent.
+    a matrix it does not decide goes to `_eigh_certificate` on the kept
+    columns of its own basis Q, as does one whose residual would call it
+    inconsistent.
     """
     if not grams:
         return []
@@ -499,50 +512,38 @@ def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list
     V = grams[0].vectors[None] if len(grams) == 1 else np.stack([es.vectors for es in grams])
     values = np.stack([es.values for es in grams])
     scales = scale(D)
-    with np.errstate(all="ignore"):  # overflow leaves the matrix undecided; the eigh solve reports it
+    with np.errstate(all="ignore"):  # a non-finite step leaves the matrix undecided, for the eigh solve
         g = _gram_diagonal(D, s)
         Q, present = _certificate_basis(V[..., :k], g)
         w, decisive = _eliminate(Q, present, values, g, scales, tol)
         residual = np.abs((D @ w[..., None])[..., 0] - 1.0).max(axis=-1, initial=0.0)
     decisive &= residual <= tol.solve * scales
+    columns = np.concatenate([np.ones((len(grams), k), dtype=bool), present], axis=-1)
     out = []
     for t, (etw, res, unit) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), scales.tolist())):
         if decisive[t]:
             out.append(_classify(w[t], etw, res, unit, tol))
             continue
         try:
-            out.append(_eigh_certificate(D[t], grams[t], s, tol))
+            out.append(_eigh_certificate(D[t], Q[t][:, columns[t]], tol))
         except (ValueError, SpectralError) as exc:
             out.append(exc)
     return out
 
 
-def _eigh_certificate(D: np.ndarray, gram: EigenSystem, s: np.ndarray, tol: Tolerances) -> SphericalCertificate:
+def _eigh_certificate(D: np.ndarray, Q: np.ndarray, tol: Tolerances) -> SphericalCertificate:
     """The certificate of one D from the eigendecomposition of Q^T D Q: the elimination's fallback.
 
-    Q holds B's kept eigenvectors and then e and g, each appended unless
-    dropped by `_orthogonal_part`, or is the identity when rank(B) + 2 >= n
-    (then Q^T D Q is D itself).  The pseudo-inverse keeps the eigenvalues
-    beyond D's own rank cut tol.rank * scale(D), so w is the minimum-norm
-    solution under it.  Q grows by `np.column_stack` onto the column
-    selection `vectors[:, mask]`: the products' last bits depend on that
-    memory layout, and the tests compare against these bits.
+    Q holds the columns of D's `_certificate_basis` that are kept.  The
+    pseudo-inverse keeps the eigenvalues beyond D's own rank cut
+    tol.rank * scale(D), so w is the minimum-norm solution under it.
     """
-    n = D.shape[0]
-    Q = gram.vectors[:, gram.rank_mask()]
-    if Q.shape[1] + 2 >= n:
-        Q = np.eye(n)
-    else:
-        for v in (np.ones(n), _gram_diagonal(D[None], s)[0]):
-            q, keep = _orthogonal_part(Q[None], v[None])
-            if keep[0]:
-                Q = np.column_stack([Q, q[0]])
-    M = D if Q.shape[1] == n else Q.T @ (D @ Q)  # Q = I: no product by it
+    M = Q.T @ (D @ Q)
     es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D))  # D's own rank cut
     keep = es.rank_mask()
     inv = np.zeros_like(es.values)
     inv[keep] = 1.0 / es.values[keep]
-    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ np.ones(n)))))
+    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ np.ones(D.shape[0])))))
     residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
     return _classify(w, float(w.sum()), residual, es.scale, tol)
 

@@ -115,3 +115,16 @@ def with_distance(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
 CROSS_3 = 2.0 * (np.ones((6, 6)) - np.eye(6)) + np.kron(np.eye(3), [[0.0, 2.0], [2.0, 0.0]])
 NEAR_TWO_CROSS = with_distance(CROSS_3, 1, 3, 2.0 + 1e-11)
 NEAR_TWO_BLOCKS = with_distance(compose_block_edm([3, 3]), 1, 6, 2.0 + 5e-8)
+
+
+def _tilted_pair(eps: float) -> np.ndarray:
+    """The unit triangle in span(e1, e2) and the pair +-(eps e1 + sqrt(1 - eps^2) e3)."""
+    angles = 2.0 * np.pi / 3.0 * np.arange(3)
+    q = np.array([eps, 0.0, np.sqrt(1.0 - eps * eps)])
+    triangle = np.stack([np.cos(angles), np.sin(angles), np.zeros(3)], axis=1)
+    return edm_from_points(np.vstack([triangle, q, -q]))
+
+
+# Two blocks whose cross-block squared distances are 2 -+ 2 eps cos(angle): the largest
+# |d - 2| is 9e-8, within tol.sign, so the sign rule alone reads the blocks as orthogonal.
+TILTED_PAIR = _tilted_pair(4.5e-8)

@@ -219,6 +219,16 @@ class TestGen:
         assert report["status"] == "precondition-failed"
         assert "needs -n" in report["result"]["error"]
 
+    @pytest.mark.parametrize("argv, error", [
+        (["gen", "unit-simplex", "-r", "2"], "gen unit-simplex needs -n"),
+        (["gen", "crosspolytope", "-n", "4"], "gen crosspolytope needs -r"),
+        (["gen", "random-sphere", "-n", "4"], "gen random-sphere needs -n and -r"),
+        (["gen", "random-sphere", "-r", "2"], "gen random-sphere needs -n and -r"),
+    ])
+    def test_each_kind_names_what_it_needs(self, capsys, argv, error):
+        code, report, _ = run_json(capsys, argv)
+        assert code == 2 and report["result"]["error"] == error
+
     def test_unknown_kind_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "dodecahedron"])
@@ -226,6 +236,7 @@ class TestGen:
 
     def test_simplex_gamma(self, capsys):
         _, text = run_raw(capsys, ["gen", "simplex", "-n", "3", "--gamma", "3.0"])
+        assert text.startswith("# gen simplex n=3 gamma=3.0\n")
         M = parse_matrix(text)
         npt.assert_array_equal(M, 3.0 * (np.ones((3, 3)) - np.eye(3)))
 
@@ -239,6 +250,14 @@ class TestSupportBySignRule:
         code, report, _ = run_json(capsys, ["check-rankin", str(path)])
         assert code == 0 and report["status"] == "ok"
         assert report["result"]["crosspolytope"]["ok"] is True
+
+    def test_decompose_tilted_pair(self, capsys, tmp_path):
+        path = tmp_path / "tilted.txt"
+        path.write_text(format_matrix_text(helpers.TILTED_PAIR))
+        code, report, _ = run_json(capsys, ["decompose", str(path)])
+        assert code == 0 and report["status"] == "ok"
+        assert [b["indices"] for b in report["result"]["blocks"]] == [[1, 2, 3], [4, 5]]
+        npt.assert_allclose(report["result"]["cross_check"], 9e-8, rtol=1e-6)
 
     def test_validate_near_two_composition(self, capsys, tmp_path):
         path = tmp_path / "blocks.txt"
@@ -288,6 +307,20 @@ class TestCheckRankin:
         assert code == 2 and "r >= 2" in report["result"]["error"]
         code, report, _ = run_json(capsys, ["check-rankin", "--sample", "2", "--trials", "0"])
         assert code == 2 and "positive" in report["result"]["error"]
+
+    def test_non_unit_crosspolytope_is_declined(self, capsys, tmp_path):
+        # radius 1.1: min distance 2.42 passes, then Kuperberg's unit-sphere precondition declines
+        path = tmp_path / "cp-scaled.txt"
+        path.write_text(format_matrix_text(1.21 * helpers.permute_1based(gen_crosspolytope(3).dist2,
+                                                                         [4, 1, 6, 2, 5, 3])))
+        code, report, err = run_json(capsys, ["check-rankin", str(path)])
+        assert code == 2 and report["status"] == "declined"
+        res = report["result"]
+        assert (res["n"], res["r"]) == (6, 3) and "codimension2" not in res
+        cp = res["crosspolytope"]
+        assert cp["ok"] is False and cp["permutation"] is None and cp["max_deviation"] is None
+        assert "circumradius 1" in cp["reason"]
+        assert "not a crosspolytope" in err and "circumradius 1" in err
 
     def test_no_extremal_case(self, capsys, tmp_path):
         path = tmp_path / "simplex.txt"

@@ -212,6 +212,14 @@ class TestSupportBySignRule:
         dec = kuperberg_decompose(require_edm(helpers.NEAR_TWO_BLOCKS))
         assert [b.indices for b in dec.blocks] == [(1, 2, 3), (4, 5, 6)]
 
+    def test_tilted_pair_beside_a_triangle(self):
+        # a cross-block |d - 2| of 9e-8 is inside tol.sign, so the blocks are orthogonal;
+        # no second band (tol.solve * scale(D) = 4e-8 on the inner products) overrules it
+        dec = kuperberg_decompose(require_edm(helpers.TILTED_PAIR))
+        assert [b.indices for b in dec.blocks] == [(1, 2, 3), (4, 5)]
+        npt.assert_allclose(dec.cross_check, 9e-8, rtol=1e-6)
+        assert dec.cross_gram_max == dec.cross_check / 2.0
+
 
 class TestCrosspolytopeRecognize:
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
@@ -243,6 +251,15 @@ class TestCrosspolytopeRecognize:
         res = crosspolytope_recognize(D)
         assert not res.ok and res.permutation is None
         assert "circumradius 1" in res.reason
+
+    def test_pair_off_the_canonical_form_declined(self):
+        # with tol.unit = 1e-3 the pair at d = 4.002 is unit spherical; the one canonical-form
+        # check, on the permutation (1, 2), declines it as it would any r
+        D = require_edm(np.array([[0.0, 4.002], [4.002, 0.0]]), DEFAULT_TOL.with_overrides(unit=1e-3))
+        res = crosspolytope_recognize(D)
+        assert not res.ok and res.permutation == (1, 2)
+        npt.assert_allclose(res.max_deviation, 0.002, rtol=1e-9)
+        assert "canonical form" in res.reason
 
     def test_wrong_count_rejected(self):
         with pytest.raises(PreconditionError, match="n = 2r"):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -452,8 +453,15 @@ class TestCertificateSolve:
 
 
 def _eigh_solve(edm):
-    """The sphericity certificate from the eigendecomposition of Q^T D Q, the elimination's fallback."""
-    return _eigh_certificate(edm.dist2, edm.gram_eig, edm.centering, edm.tol)
+    """The sphericity certificate from the eigendecomposition of Q^T D Q, the elimination's fallback.
+
+    Q is the kept columns of the elimination's own basis, as `_certify` passes them.
+    """
+    k = edm.embedding_dim
+    Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k],
+                                    _gram_diagonal(edm.dist2[None], edm.centering))
+    return _eigh_certificate(edm.dist2, Q[0][:, np.concatenate([np.ones(k, dtype=bool), present[0]])],
+                             edm.tol)
 
 
 def _decides(edm):
@@ -809,22 +817,38 @@ class TestScaleInvariance:
         assert validate_edm(1e-9 * gen_unit_simplex(4).dist2).embedding_dim == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 class TestOverflow:
-    """A finite D near the float maximum overflows the matrices built from it: ValueError, not an answer."""
+    """Entries beyond float max / (4n) are rejected before any Gram matrix is formed; the rest stay finite."""
 
     SIMPLEX = np.ones((4, 4)) - np.eye(4)
 
-    def test_validation_gram(self):
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            validate_edm(1.7e308 * self.SIMPLEX)  # u_i + u_j overflows
+    @pytest.mark.parametrize("c", [
+        1.7e308,  # u_i + u_j of the centered Gram matrix would overflow
+        1e308,  # its Gram matrix is finite, but the certificate's M + M^T would overflow
+        np.nextafter(np.finfo(float).max / 16.0, np.inf),  # just beyond the bound at n = 4
+    ])
+    def test_rejected_before_the_gram_matrix(self, c):
+        res = validate_edm(c * self.SIMPLEX)
+        assert isinstance(res, EdmRejection) and res.reason == "too-large"
+        assert res.detail == f"max|M| = {c:g} exceeds float max / (4n) = {np.finfo(float).max / 16.0:g}"
+        with pytest.raises(PreconditionError, match="too-large"):
+            require_edm(c * self.SIMPLEX)
 
-    def test_certificate_solve(self):
-        edm = require_edm(1e308 * self.SIMPLEX)  # its Gram matrix is finite
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            spherical_certificate(edm)  # M + M^T overflows
+    def test_rejected_before_the_symmetry_rule_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # M - M^T would overflow: no RuntimeWarning either
+            res = validate_edm(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
+        assert res.reason == "too-large"
 
-    def test_off_centroid_gram(self):
-        edm = require_edm(1e308 * self.SIMPLEX)
-        with pytest.raises(ValueError, match="NaN or Inf"):
-            gram_factor(edm, np.array([0.5, 0.5, 0.0, 0.0]))
+    @pytest.mark.parametrize("n", [2, 4, 9])
+    def test_largest_accepted_simplex_stays_finite(self, n):
+        c = np.finfo(float).max / (4 * n)
+        # w is about 1 / (n c), near the least normal float: its products may underflow, gradually
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            edm = require_edm(c * (np.ones((n, n)) - np.eye(n)))
+            cert = spherical_certificate(edm)
+            factor = gram_factor(edm)
+            off_centroid = gram_factor(edm, np.eye(n)[0])
+        assert edm.embedding_dim == n - 1 and cert.status == SPHERICAL
+        npt.assert_allclose(cert.radius, np.sqrt(c * (n - 1) / (2 * n)), rtol=1e-12)
+        assert np.isfinite(factor.config).all() and np.isfinite(off_centroid.config).all()

@@ -265,14 +265,12 @@ def test_stacked_validation_and_certificate_are_bitwise_per_matrix(r):
     broken(M, 7, (0, 1, -1.0))  # negative-entry
     broken(M, 9, (0, 1, 50.0))  # not-psd: 50 > (2 + 2)^2 breaks the triangle inequality
     broken(M, 11, (1, 1, 0.5), (0, 2, -1.0))  # the diagonal rule reports before the sign rule
-    M[13] = 1.7e308 * (np.ones((n, n)) - np.eye(n))  # finite, but its Gram matrix overflows
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacked = edm._validate_stack(M, DEFAULT_TOL)
-        singles = [validated(m) for m in M]
+    M[13] = 1.7e308 * (np.ones((n, n)) - np.eye(n))  # too-large: its Gram matrix would overflow
+    stacked = edm._validate_stack(M, DEFAULT_TOL)
+    singles = [validated(m) for m in M]
     reasons = {t: single.reason for t, single in enumerate(singles) if isinstance(single, edm.EdmRejection)}
     assert reasons == {1: "not-finite", 3: "not-symmetric", 5: "nonzero-diagonal", 7: "negative-entry",
-                       9: "not-psd", 11: "nonzero-diagonal"}
-    assert singles[13] == (ValueError, "matrix contains NaN or Inf entries")
+                       9: "not-psd", 11: "nonzero-diagonal", 13: "too-large"}
     for res, single in zip(stacked, singles):
         if isinstance(single, tuple):
             assert (type(res), str(res)) == single
@@ -321,5 +319,9 @@ def test_stacked_certificate_falls_back_per_matrix(monkeypatch):
         np.testing.assert_array_equal(cert.w, single.w)
         assert (cert.status, cert.etw, cert.residual) == (single.status, single.etw, single.residual)
         if grams[t].values[0] > top:
-            reference = edm._eigh_certificate(D[t], grams[t], edm._centroid(n), DEFAULT_TOL)
+            k = grams[t].rank
+            Q, present = edm._certificate_basis(grams[t].vectors[None, :, :k],
+                                                edm._gram_diagonal(D[t][None], edm._centroid(n)))
+            Q = Q[0][:, np.concatenate([np.ones(k, dtype=bool), present[0]])]
+            reference = edm._eigh_certificate(D[t], Q, DEFAULT_TOL)
             np.testing.assert_array_equal(cert.w, reference.w)
