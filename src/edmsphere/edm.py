@@ -411,7 +411,7 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
 
 
 def _derive_gram_eig(D: Edm, s: np.ndarray, B: np.ndarray) -> EigenSystem:
-    if B.size and not np.all(np.isfinite(B)):  # from a finite D near the float maximum
+    if B.size and not np.all(np.isfinite(B)):  # at a caller's centering s with large weights
         raise ValueError("matrix contains NaN or Inf entries")
     tol, n = D.tol, D.n
     stored = D.gram_eig
@@ -502,9 +502,8 @@ def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list
     `grams` holds each matrix's Gram eigensystem at the centering s, all of
     one rank.  The block elimination (`_eliminate`) runs on the whole stack,
     its products batched, so each matrix gets the bits of a stack of one;
-    a matrix it does not decide goes to `_eigh_certificate` on the kept
-    columns of its own basis Q, as does one whose residual would call it
-    inconsistent.
+    a matrix it does not decide goes to `_eigh_certificate` on its own
+    basis Q, as does one whose residual would call it inconsistent.
     """
     if not grams:
         return []
@@ -518,26 +517,27 @@ def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list
         w, decisive = _eliminate(Q, present, values, g, scales, tol)
         residual = np.abs((D @ w[..., None])[..., 0] - 1.0).max(axis=-1, initial=0.0)
     decisive &= residual <= tol.solve * scales
-    columns = np.concatenate([np.ones((len(grams), k), dtype=bool), present], axis=-1)
     out = []
     for t, (etw, res, unit) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), scales.tolist())):
         if decisive[t]:
             out.append(_classify(w[t], etw, res, unit, tol))
             continue
         try:
-            out.append(_eigh_certificate(D[t], Q[t][:, columns[t]], tol))
+            out.append(_eigh_certificate(D[t], Q[t], present[t], tol))
         except (ValueError, SpectralError) as exc:
             out.append(exc)
     return out
 
 
-def _eigh_certificate(D: np.ndarray, Q: np.ndarray, tol: Tolerances) -> SphericalCertificate:
+def _eigh_certificate(D: np.ndarray, Q: np.ndarray, present: np.ndarray, tol: Tolerances) -> SphericalCertificate:
     """The certificate of one D from the eigendecomposition of Q^T D Q: the elimination's fallback.
 
-    Q holds the columns of D's `_certificate_basis` that are kept.  The
-    pseudo-inverse keeps the eigenvalues beyond D's own rank cut
-    tol.rank * scale(D), so w is the minimum-norm solution under it.
+    Q and present are D's `_certificate_basis`; Q keeps its columns that
+    present does not drop.  The pseudo-inverse keeps the eigenvalues beyond
+    D's own rank cut tol.rank * scale(D), so w is the minimum-norm solution
+    under it.
     """
+    Q = Q[:, np.append(np.ones(Q.shape[1] - 2, dtype=bool), present)]
     M = Q.T @ (D @ Q)
     es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D))  # D's own rank cut
     keep = es.rank_mask()
@@ -599,7 +599,15 @@ def _project(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+    """The 2-norm of each vector of a (..., m) stack.
+
+    v is scaled by the power of two that brings max|v| into [1/2, 1) and the
+    norm scaled back, so v^T v neither overflows nor underflows; where it did
+    neither before, the scaling is exact and changes no bit.
+    """
+    e = np.frexp(np.abs(v).max(axis=-1, initial=0.0))[1]
+    v = np.ldexp(v, -e[..., None])
+    return np.ldexp(np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0]), e)
 
 
 _SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -455,21 +455,21 @@ class TestCertificateSolve:
 def _eigh_solve(edm):
     """The sphericity certificate from the eigendecomposition of Q^T D Q, the elimination's fallback.
 
-    Q is the kept columns of the elimination's own basis, as `_certify` passes them.
+    Q is the elimination's own basis, as `_certify` passes it.
     """
     k = edm.embedding_dim
     Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k],
                                     _gram_diagonal(edm.dist2[None], edm.centering))
-    return _eigh_certificate(edm.dist2, Q[0][:, np.concatenate([np.ones(k, dtype=bool), present[0]])],
-                             edm.tol)
+    return _eigh_certificate(edm.dist2, Q[0], present[0], edm.tol)
 
 
 def _decides(edm):
     """Whether the block elimination alone decides the certificate of `edm`."""
     D, k = edm.dist2[None], edm.embedding_dim
-    g = _gram_diagonal(D, edm.centering)
-    Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k], g)
-    return bool(_eliminate(Q, present, edm.gram_eig.values[None], g, scale(D), edm.tol)[1][0])
+    with np.errstate(all="ignore"):  # as in `_certify`
+        g = _gram_diagonal(D, edm.centering)
+        Q, present = _certificate_basis(edm.gram_eig.vectors[None, :, :k], g)
+        return bool(_eliminate(Q, present, edm.gram_eig.values[None], g, scale(D), edm.tol)[1][0])
 
 
 def _assert_equivalent(cert, ref):
@@ -840,7 +840,7 @@ class TestOverflow:
             res = validate_edm(np.array([[0.0, 1.7e308], [-1.7e308, 0.0]]))
         assert res.reason == "too-large"
 
-    @pytest.mark.parametrize("n", [2, 4, 9])
+    @pytest.mark.parametrize("n", [2, 3, 4, 9])
     def test_largest_accepted_simplex_stays_finite(self, n):
         c = np.finfo(float).max / (4 * n)
         # w is about 1 / (n c), near the least normal float: its products may underflow, gradually
@@ -850,5 +850,23 @@ class TestOverflow:
             factor = gram_factor(edm)
             off_centroid = gram_factor(edm, np.eye(n)[0])
         assert edm.embedding_dim == n - 1 and cert.status == SPHERICAL
+        assert _decides(edm)  # the elimination's norms do not overflow
         npt.assert_allclose(cert.radius, np.sqrt(c * (n - 1) / (2 * n)), rtol=1e-12)
         assert np.isfinite(factor.config).all() and np.isfinite(off_centroid.config).all()
+
+    # four non-concyclic points in the plane: n - rank(B) = 2, and D w = e needs q_g
+    PLANAR = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
+
+    @pytest.mark.parametrize("c", [1e200, np.finfo(float).max / 16.0 / 13.0])  # 13 = max|D|: the bound
+    def test_large_non_spherical_keeps_its_verdict(self, c):
+        D = c * helpers.edm_from_points(self.PLANAR)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            cert = spherical_certificate(require_edm(D))
+        assert cert.status == NON_SPHERICAL
+        assert spherical_certificate(require_edm(helpers.edm_from_points(self.PLANAR))).status == NON_SPHERICAL
+
+    def test_gram_factor_at_a_far_centering_raises(self):
+        # accepted, but u_i + u_j of the Gram matrix at s = (17, -16, 0, 0) overflows
+        edm = require_edm(np.finfo(float).max / 16.0 * self.SIMPLEX)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            gram_factor(edm, np.array([17.0, -16.0, 0.0, 0.0]))
