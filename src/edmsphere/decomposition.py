@@ -22,7 +22,8 @@ Delta.  The cores of one order share one stacked eigendecomposition
 (`spectral._perron_blocks`), and their blocks' Edms are built and checked
 over the stack (`edm._circumcenter_edms`); a connected core is the
 one-block case.  The rank route of `certify_simplex` reads lambda_max(Delta)
-as the largest top of the same cores.
+off the same cores' spectra, as `embedding_dim_via_delta` does
+(`edm._perron_top`).
 `check-rankin --sample` runs the n = r + 2 check on random samples in
 stacked chunks (`_sample_codimension2`).
 """
@@ -43,6 +44,7 @@ from .edm import (
     _circumcenter_edm,
     _circumcenter_edms,
     _inf_diagonal,
+    _perron_top,
     _sample_rejected,
     _sphere_dist2,
     _sphere_points,
@@ -158,10 +160,8 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
         return simplex
 
     # Disconnected support: connectivity no longer forces anything, the
-    # embedding dimension alone decides.  lambda_max(Delta) is the largest
-    # top of its cores: the zero rows add eigenvalue 0.
-    groups = _perron_blocks(delta, split.nontrivial, tol, check=False)
-    lam = max((float(g.lam.max()) for g in groups), default=0.0)
+    # embedding dimension alone decides.
+    lam = _perron_top(delta, split, tol)[0]
     if abs(lam - 1.0) > tol.cluster:
         raise ConsistencyError(
             f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1"

@@ -20,8 +20,10 @@ eigendecomposition would does one, of Q^T D Q on the same basis Q,
 decide.  The residual is checked
 against the full D.  The Gram matrix at another
 centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs from B's kept
-ones (`_gram_eig_at`), once per Edm, for `gram_factor` and, at s = 2w where
-it is I - Delta, for `embedding_dim_via_delta`.
+ones (`_gram_eig_at`) for `gram_factor`.  `embedding_dim_via_delta` reads
+the top of Delta and its multiplicity from Delta's irreducible blocks, one
+eigh per block order (`spectral._perron_blocks`), as the Kuperberg
+decomposition does.
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
@@ -41,15 +43,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError, SpectralError
+from .graphs import support_components
 from .spectral import (
     EigenSystem,
     _block_index,
-    _cluster_stack,
     _decompose,
     _eigh_stack,
+    _perron_blocks,
     _psd_stack,
     _rank_stack,
     _sign_normalize_columns,
+    _union_top,
 )
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
@@ -96,9 +100,7 @@ class Edm:
     decided the PSD verdict), `embedding_dim` (the rank of B by that
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
-    `spherical_certificate` call, and the last Gram eigensystem derived at
-    another centering (`_gram_eig_at`), so that the Delta dimension and
-    `gram_factor` read B at 2w from one derivation.  `validate_edm` centers at the
+    `spherical_certificate` call.  `validate_edm` centers at the
     centroid e/n; `_circumcenter_edm` builds an Edm at the circumcenter 2w,
     where B is I - Delta and its eigensystem is known block by block, and
     seeds the certificate with the w it checked.  The fields are read-only:
@@ -112,7 +114,6 @@ class Edm:
     centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
-    _gram_at: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -397,20 +398,13 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
     B's rank cut (so the rank rule counts as it would on B's own
     eigensystem), and max|B - P P^T| <= shift + tol.recon * n * scale(B);
     otherwise B itself is decomposed, so its PSD verdict decides.  At
-    s = `centering` this is `gram_eig` itself; the result at another s is
-    kept on the Edm, and a second call at that s returns it.  B is computed
-    here unless the caller holds it.
+    s = `centering` this is `gram_eig` itself.  B is computed here unless
+    the caller holds it.
     """
     if np.array_equal(s, D.centering):
         return D.gram_eig
-    if D._gram_at is not None and np.array_equal(s, D._gram_at[0]):
-        return D._gram_at[1]
-    es = _derive_gram_eig(D, s, centering_gram(D.dist2, s) if B is None else B)
-    D._gram_at = (s.copy(), es)
-    return es
-
-
-def _derive_gram_eig(D: Edm, s: np.ndarray, B: np.ndarray) -> EigenSystem:
+    if B is None:
+        B = centering_gram(D.dist2, s)
     if B.size and not np.all(np.isfinite(B)):  # at a caller's centering s with large weights
         raise ValueError("matrix contains NaN or Inf entries")
     tol, n = D.tol, D.n
@@ -471,17 +465,18 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     eigendecomposition of Q^T D Q decides (`_eigh_certificate`).  The
     residual max|D w - e| is measured against the full D.
 
-    "e-not-in-colspace" means that residual exceeds tol.solve * scale(D).
-    In exact arithmetic only the all-zero matrix (coincident points, or
-    n = 1) lacks e in its column space, but a nonzero D gets it too when
-    the eigenvalue carrying e falls below D's rank cut: 20 points on the
-    unit circle with radial jitter 1e-6 do (that eigenvalue is about
-    jitter^2 scale(D)).  Deciding such inputs with a reported margin is
-    ROADMAP item 1.  A consistent solve classifies by e^T w: spherical (with
-    radius) when e^T w * scale(D) exceeds the PSD slack tol.psd,
-    non-spherical otherwise.  w scales as 1/D, so scaling D up to cD keeps
-    the verdict; scaling D down to entries below 1 is not covered, because
-    scale() floors at 1.
+    "e-not-in-colspace" means that residual exceeds tol.solve; D w - e
+    does not scale with D, so neither does the bound.  In exact arithmetic
+    only the all-zero matrix (coincident points, or n = 1) lacks e in its
+    column space, but a nonzero D gets it too when the eigenvalue carrying
+    e falls below D's rank cut: 20 points on the unit circle with radial
+    jitter 1e-6 do (that eigenvalue is about jitter^2 scale(D)).  Deciding
+    such inputs with a reported margin is ROADMAP item 1.  A consistent
+    solve classifies by e^T w: spherical (with radius) when
+    e^T w * scale(D) exceeds the PSD slack tol.psd, non-spherical
+    otherwise.  w scales as 1/D and D w - e not at all, so scaling D up to
+    cD keeps the verdict; scaling D down to entries below 1 is not
+    covered, because scale() floors at 1.
 
     The solve runs once per `Edm`; later calls return the same certificate.
     An Edm built by `_circumcenter_edm` holds the certificate of the w its
@@ -516,7 +511,7 @@ def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list
         Q, present = _certificate_basis(V[..., :k], g)
         w, decisive = _eliminate(Q, present, values, g, scales, tol)
         residual = np.abs((D @ w[..., None])[..., 0] - 1.0).max(axis=-1, initial=0.0)
-    decisive &= residual <= tol.solve * scales
+    decisive &= residual <= tol.solve
     out = []
     for t, (etw, res, unit) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), scales.tolist())):
         if decisive[t]:
@@ -719,7 +714,7 @@ def _eig2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _classify(w: np.ndarray, etw: float, residual: float, scale: float, tol: Tolerances) -> SphericalCertificate:
     """The certificate of a solution w of D w = e with e^T w = etw and max|D w - e| = residual."""
-    if residual > tol.solve * scale:
+    if residual > tol.solve:  # D w - e does not scale with D
         return SphericalCertificate(
             status=E_NOT_IN_COLSPACE, w=None, etw=None, radius=None,
             unit_spherical=False, residual=residual,
@@ -773,8 +768,8 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     The Gram matrix there, I - Delta, has the descending eigensystem
     (values[t], vectors[t]) at scale units[t], read by the PSD and rank rules
     as `validate_edm` reads its own; `w` is a (T, n) array or T vectors.
-    Over the stack, B must pass the PSD rule, max|D w - e| <= tol.solve *
-    scale(D) and |2 e^T w - 1| <= tol.unit; a matrix gets the
+    Over the stack, B must pass the PSD rule, max|D w - e| <= tol.solve
+    and |2 e^T w - 1| <= tol.unit; a matrix gets the
     ConsistencyError of its first failing check, else w[t] certifies it.
     """
     W = np.asarray(w)
@@ -784,7 +779,7 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     failures = [
         (~_psd_stack(values, units, tol),
          lambda t: f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {values[t, -1]:g})"),
-        (residual > tol.solve * scale(D),
+        (residual > tol.solve,
          lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
         (np.abs(2.0 * etw - 1.0) > tol.unit,
          lambda t: f"circumcenter weights give 2 e^T w = {2.0 * etw[t]:.17g}, expected 1"),
@@ -872,8 +867,9 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     tol.solve).  When some off-diagonal drops below 2 the Perron argument is
     inapplicable and the report falls back to rank(B) with a note.
 
-    The top of Delta's spectrum is read off B = I - Delta at 2w when that
-    reading is decisive (`_delta_top`); otherwise Delta itself is decomposed.
+    lambda_max(Delta) and its multiplicity are read off Delta's irreducible
+    blocks (`_perron_top`); the reported lambda_max is Delta's computed top,
+    so `lambda_max_ok` checks it.
 
     Raises
     ------
@@ -895,12 +891,7 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
             ),
         )
     delta = nonnegative_delta(dm, tol)
-    s = _circumcenter(D, cert)
-    top = _delta_top(_gram_eig_at(D, s), delta, tol)
-    if top is None:
-        es = _decompose(delta, tol)
-        top = (float(es.values[0]), es.multiplicity())
-    lambda_max, multiplicity = top
+    lambda_max, multiplicity = _perron_top(delta, support_components(delta, tol), tol)
     residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
     return DeltaDimReport(
         dimension=D.n - multiplicity,
@@ -913,31 +904,14 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     )
 
 
-def _delta_top(gram: EigenSystem, delta: np.ndarray, tol: Tolerances) -> tuple[float, int] | None:
-    """lambda_max of `delta` and its multiplicity, read off the Gram eigensystem at 2w.
+def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:
+    """lambda_max of a nonnegative Delta and its multiplicity, from the irreducible blocks of its support `split`.
 
-    With P the pairs of `gram` above its rank cut, P P^T has eigenvalues
-    those values and n - k zeros, so nu = 1 - them is the spectrum of
-    I - P P^T.  rho = |(I - delta) - P P^T|_F bounds the distance of each
-    eigenvalue of `delta` from its counterpart in nu (Weyl).  The reading
-    decides only when every nu lies more than 2 rho from the cluster edge
-    max(nu) - tol.cluster, so the count cannot change, and
-    |max(nu) - 1| + rho <= tol.cluster; otherwise None.
+    Each nontrivial component's block is decomposed with the others of its
+    order (`_perron_blocks`, unchecked); each zero row adds eigenvalue 0.
     """
-    if not gram.psd():
-        return None
-    keep = gram.rank_mask()
-    P = gram.vectors[:, keep] * np.sqrt(gram.values[keep])
-    R = P @ P.T
-    R += delta
-    R[np.diag_indices_from(R)] -= 1.0
-    rho = float(np.linalg.norm(R))
-    nu = np.concatenate([np.ones(delta.shape[0] - P.shape[1]), 1.0 - gram.values[keep][::-1]])  # descending
-    top = float(nu[0])
-    edge = top - tol.cluster
-    if abs(top - 1.0) + rho > tol.cluster or np.any(np.abs(nu - edge) <= 2.0 * rho):
-        return None
-    return top, int(_cluster_stack(nu[None], tol.cluster)[0])
+    groups = _perron_blocks(delta, split.nontrivial, tol, check=False)
+    return _union_top([g.values for g in groups], len(split.isolated), tol.cluster)
 
 
 def unit_simplex_gamma(n: int) -> float:

@@ -35,7 +35,7 @@ import numpy as np
 from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, _split, adjacency
-from .spectral import _block_index, _perron_blocks, _rank_stack
+from .spectral import _block_index, _perron_blocks, _rank_stack, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -331,9 +331,11 @@ def minimality_bound(rep: OrthoRep) -> MinimalityReport:
     """Certify d = n - k is minimal by per-block top-eigenvalue multiplicity.
 
     Reads the stored spectrum of each diagonal block of the representation's
-    Delta (normalized component adjacencies, top eigenvalue 1 each) and sums
-    the multiplicities at the global maximum (`EigenSystem.multiplicity`),
-    with the band of the tolerances the representation was built with.
+    Delta (normalized component adjacencies, top eigenvalue 1 each) and,
+    with a zero for each isolated node, counts the eigenvalues at the global
+    maximum by the cluster rule (`spectral._union_top`), with the band of
+    the tolerances the representation was built with.  The edgeless graph's
+    Delta is zero and has no Perron block: m = 0.
 
     Returns
     -------
@@ -342,8 +344,8 @@ def minimality_bound(rep: OrthoRep) -> MinimalityReport:
         constructed case m = k, where dimension n - m equals n - k.
     """
     tops = tuple(float(es.values[0]) for es in rep.delta_spectra)
-    lam_global = max(tops, default=0.0)
-    m = sum(es.multiplicity(rep.edm.tol.cluster) for es in rep.delta_spectra)
+    lone = len(rep.split.isolated) if rep.k else 0
+    lam_global, m = _union_top([es.values for es in rep.delta_spectra], lone, rep.edm.tol.cluster)
     return MinimalityReport(
         m=m,
         k=rep.k,

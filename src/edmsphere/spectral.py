@@ -3,7 +3,9 @@
 Everything downstream (EDM certification, Perron data of nonnegative
 matrices, embedding dimensions) consumes `eig`, `_decompose`, `_eigh_stack`
 or `_perron_blocks`, the Perron-Frobenius step that orthonormal
-representations and Kuperberg blocks share.  One driver decomposes: a
+representations and Kuperberg blocks share.  The top of Delta and its
+multiplicity are read in one place, `_union_top`, from the spectra of
+Delta's irreducible blocks.  One driver decomposes: a
 (T, n, n) stack goes through `_eigh_stack`, one eigh call, and a single
 matrix is a stack of one (`_decompose`).  All are pure functions of their
 inputs and deterministic for identical input bits, so results are safe to
@@ -240,6 +242,19 @@ def _rank_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
 def _cluster_stack(values: np.ndarray, band) -> np.ndarray:
     """The cluster rule over a (T, m) stack of descending spectra: per matrix, how many are >= top - band."""
     return np.count_nonzero(values >= values[:, :1] - band, axis=1)
+
+
+def _union_top(spectra, zeros: int, band: float) -> tuple[float, int]:
+    """The top eigenvalue of a block-diagonal matrix and its multiplicity by the cluster rule at `band`.
+
+    Its spectrum is the union of its blocks' `spectra` (arrays of any
+    shape) and one zero for each of its `zeros` zero rows; (0.0, 0) when
+    that union is empty.
+    """
+    values = np.sort(np.concatenate([np.ravel(v) for v in spectra] + [np.zeros(zeros)]))[::-1]
+    if not values.size:
+        return 0.0, 0
+    return float(values[0]), int(_cluster_stack(values[None], band)[0])
 
 
 class PerronBlocks(NamedTuple):

@@ -43,7 +43,8 @@ class Tolerances:
         Eigenvalues within `cluster` (absolute) of the maximum count toward
         its multiplicity.
     solve : float
-        Max-norm residual allowed for a linear solve, relative to scale(M).
+        Max-norm residual allowed for a solve such as D w = e; absolute,
+        because D w - e does not scale with D.
     unit : float
         Unit-circumradius predicate: |2 e^T w - 1| <= unit.
     sign : float

@@ -12,6 +12,7 @@ from edmsphere import (
     certify_simplex,
     crosspolytope_recognize,
     delta_of,
+    embedding_dim_via_delta,
     gen_crosspolytope,
     gen_random_spherical,
     gen_regular_simplex,
@@ -278,6 +279,20 @@ BLOCK_CASES = {
     "cross-2": relabelled(gen_crosspolytope(2).dist2, 4),
     "cross-5": relabelled(gen_crosspolytope(5).dist2, 5),
 }
+
+
+class TestDeltaTopReadings:
+    """The Delta dimension and the rank route of certify_simplex read one lambda_max(Delta)."""
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_rank_route_and_delta_dimension_agree(self, case, profile):
+        edm = require_edm(BLOCK_CASES[case], PROFILES[profile])
+        rep = embedding_dim_via_delta(edm, spherical_certificate(edm))
+        simplex = certify_simplex(edm)
+        assert simplex.method == "rank"
+        assert rep.lambda_max == simplex.lambda_max  # bit for bit
+        assert rep.lambda_max_ok and rep.dimension == edm.embedding_dim
 
 
 class TestBlockPath:

@@ -811,6 +811,17 @@ class TestScaleInvariance:
         assert cert.status == SPHERICAL
         npt.assert_allclose(cert.radius, np.sqrt(gamma * 4 / 10), rtol=1e-12)
 
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_residual_rule_does_not_scale_with_d(self, profile):
+        # 20 points on the unit circle with radial jitter 1e-6: max|D w - e| is about 1.7e-6
+        # at every c, since D w - e does not scale with D, so the verdict is one status
+        rng = np.random.default_rng(0)
+        D = helpers.edm_from_points(helpers.random_sphere_points(rng, 20, 2)
+                                    * (1.0 + 1e-6 * rng.standard_normal((20, 1))))
+        tol = PROFILES[profile]
+        statuses = {spherical_certificate(require_edm(c * D, tol)).status for c in [1.0, 1e3, 1e6, 1e10, 1e100]}
+        assert len(statuses) == 1
+
     @pytest.mark.xfail(strict=True, reason="scale() floors at 1, so the rank cut tol.rank * scale "
                        "does not shrink with a D below 1 (ROADMAP item 4): embedding_dim 0")
     def test_rank_survives_scaling_down(self):

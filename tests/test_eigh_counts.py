@@ -4,15 +4,16 @@
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, none for the solve of D w = e (block elimination on B's kept
 eigenpairs; only a matrix of rank(B) = 0 takes an eigh, of order at most 2),
-and one eigh of order at most rank(B) for the Gram matrix at another
-centering, read once per Edm: the Delta dimension reads it at the
-circumcenter 2w (Delta = I - B there), and so does `gram_factor` by default;
-none when the Edm's own centering solves D s = 2e as closely as 2w.  A
-Kuperberg decomposition makes one stacked eigh per core order, of the
-blocks' core Deltas: their Perron data give each block's circumcenter
-weights, and the eigensystem of the block's Gram matrix I - Delta at that
-circumcenter follows from it.  The rank route of `certify_simplex` reads
-lambda_max(Delta) off the same stacked eighs of its cores.  An orthonormal
+and one eigh of order at most rank(B) for `gram_factor`'s Gram matrix at the
+circumcenter 2w; none when the Edm's own centering solves D s = 2e as
+closely as 2w.  lambda_max(Delta) and its multiplicity are read off Delta's
+irreducible blocks: one stacked eigh per core order, of all cores of that
+order, and never an eigh of Delta of order n; the Delta dimension, the rank
+route of `certify_simplex` and `minimality_bound` (on the stored spectra)
+read them through one rule.  A Kuperberg decomposition makes the same
+stacked eighs of the blocks' core Deltas: their Perron data give each
+block's circumcenter weights, and the eigensystem of the block's Gram
+matrix I - Delta at that circumcenter follows from it.  An orthonormal
 representation costs one stacked eigh per component order, of the
 component adjacencies: the eigensystem of its B = I - Delta is assembled
 from those, and only the edgeless graph validates its D.  Every eigh is
@@ -48,6 +49,7 @@ from edmsphere import (
     minimality_bound,
     nonnegative_delta,
     spherical_certificate,
+    support_components,
     validate_edm,
 )
 from edmsphere.cli import main
@@ -114,21 +116,23 @@ def test_validate_edm_is_one_eigh(eighs, D):
     assert len(eighs) == 1
 
 
-@pytest.mark.parametrize("D, expected", [
-    (cross(8), 1),                       # B; the centroid solves D s = 2e, and Delta = I - B there
-    (composition([4, 3, 2, 2]), 1),      # the centroid solves D s = 2e: it is the center
-    (unit_sphere(16, 8), 2),             # B at 2w for gram_factor; Delta skipped: a distance < 2
-    (gaussian_cloud(16, 8), 1),          # non-spherical: gram_factor reuses B's eigh
-    (composition([4, 3, 2], 2), 2),      # B at 2w, read once for Delta and gram_factor
-    (cross(37), 1),                      # the centroid misses D s = 2e by rounding, more than 2w does
+@pytest.mark.parametrize("D, delta, gram", [
+    (cross(8), [(2, 8)], []),            # the centroid solves D s = 2e: gram_factor reads B there
+    (composition([4, 3, 2, 2]), [(2, 2), (3, 1), (4, 1)], []),  # the centroid is the center
+    (unit_sphere(16, 8), [], [(8, 1)]),  # B at 2w for gram_factor; Delta skipped: a distance < 2
+    (gaussian_cloud(16, 8), [], []),     # non-spherical: gram_factor reuses B's eigh
+    (composition([4, 3, 2], 2), [(2, 1), (3, 1), (4, 1)], [(8, 1)]),  # B at 2w for gram_factor
+    (cross(37), [(2, 37)], []),          # the centroid misses D s = 2e by rounding only
 ])
-def test_dense_certify_chain(eighs, D, expected):
+def test_dense_certify_chain(eighs, D, delta, gram):
+    # validation's eigh of B; none for D w = e; one stacked eigh per core order
+    # of Delta, ascending; gram_factor's, of order rank(B)
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     if cert.unit_spherical:
         embedding_dim_via_delta(edm, cert)
     gram_factor(edm)
-    assert len(eighs) == expected
+    assert list(zip(eighs, eighs.matrices)) == [(edm.n, 1)] + delta + gram
 
 
 @pytest.mark.parametrize("D", [cross(8), composition([4, 3, 2, 2]), unit_sphere(16, 8),
@@ -150,30 +154,47 @@ def test_rank_zero_certificate_eigh_is_of_order_at_most_2(eighs, n):
     assert len(eighs) == 1 and eighs[0] <= 2
 
 
-@pytest.mark.parametrize("D, expected", [
-    (unit_sphere(16, 8), 1),              # Delta skipped: a distance < 2
-    (composition([4, 3, 2], 2), 1),       # B at 2w, once for Delta and gram_factor
-    (cross(8), 0), (composition([4, 3, 2, 2]), 0),  # the centroid is the center
-])
-def test_delta_and_gram_factor_read_b_at_2w_at_order_rank(eighs, D, expected):
+@pytest.mark.parametrize("D", [cross(8), cross(37), composition([4, 3, 2, 2]),
+                               composition([4, 3, 2], 2), composition([5, 5, 2], 3)])
+def test_delta_reads_its_core_blocks_and_gram_factor_b_at_order_rank(eighs, D):
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     eighs.clear()
     embedding_dim_via_delta(edm, cert)
+    split = support_components(nonnegative_delta(delta_of(edm), edm.tol), edm.tol)
+    cores = Counter(len(c) for c in split.nontrivial)
+    # one stacked eigh per core order, of all cores of that order; none of order n
+    assert list(zip(eighs, eighs.matrices)) == sorted(cores.items())
+    assert max(eighs) < edm.n
+    eighs.clear()
     gram_factor(edm)
-    assert len(eighs) == expected
     assert all(order <= edm.embedding_dim for order in eighs)
 
 
-def test_delta_falls_back_to_perron_when_the_band_is_too_narrow(eighs):
-    # with tol.cluster = 0 no residual of the reading off B at 2w is small enough
-    edm = validate_edm(composition([4, 3, 2], 2), DEFAULT_TOL.with_overrides(cluster=0.0))
+@pytest.mark.parametrize("orders, exact", [
+    ([2, 2, 2], True),    # each block's spectrum is {1, -1}, exactly
+    ([4, 3, 2], False),   # its tops are 1 to within rounding, which eigh and eigvalsh round apart
+])
+def test_delta_with_a_zero_band_matches_blockwise_eigvalsh(eighs, orders, exact):
+    # tol.cluster = 0: only eigenvalues equal to the top count
+    tol = DEFAULT_TOL.with_overrides(cluster=0.0)
+    edm = validate_edm(composition(orders, 2), tol)
     cert = spherical_certificate(edm)
     eighs.clear()
     rep = embedding_dim_via_delta(edm, cert)
-    assert eighs == [edm.embedding_dim, edm.n]
-    pd = perron(nonnegative_delta(delta_of(edm), edm.tol), edm.tol)
-    assert (rep.lambda_max, rep.multiplicity) == (pd.lambda_max, pd.multiplicity)
+    assert list(zip(eighs, eighs.matrices)) == sorted(Counter(orders).items())
+    delta = nonnegative_delta(delta_of(edm), tol)
+    split = support_components(delta, tol)
+    blocks = [np.linalg.eigvalsh(delta[np.ix_(c, c)]) for c in (np.array(c) - 1 for c in split.nontrivial)]
+    spectrum = np.concatenate(blocks + [np.zeros(len(split.isolated))])
+    top = spectrum.max()
+    if exact:
+        assert (rep.lambda_max, rep.multiplicity) == (top, np.count_nonzero(spectrum == top))
+    else:
+        ulps = 4.0 * np.finfo(float).eps
+        assert abs(rep.lambda_max - top) <= ulps
+        assert 1 <= rep.multiplicity <= np.count_nonzero(spectrum >= top - ulps)
+    assert rep.dimension == edm.n - rep.multiplicity
 
 
 def test_certificate_is_solved_once(eighs):

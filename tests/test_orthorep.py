@@ -10,6 +10,7 @@ from edmsphere import (
     Tolerances,
     components,
     construct_orthorep,
+    embedding_dim_via_delta,
     gram_factor,
     minimality_bound,
     spherical_certificate,
@@ -230,7 +231,12 @@ class TestRandomGraphs:
             cert = spherical_certificate(rep.edm)
             assert cert.unit_spherical
             npt.assert_allclose(cert.radius, 1.0, atol=1e-8)
-            assert minimality_bound(rep).m == k
+            bound = minimality_bound(rep)
+            assert bound.m == k
+            # the bound reads the stored block spectra as the Delta dimension reads the EDM's Delta
+            delta = embedding_dim_via_delta(rep.edm, cert)
+            assert (delta.multiplicity, delta.dimension) == (k, rep.d)
+            npt.assert_allclose(delta.lambda_max, bound.lambda_global, rtol=0, atol=1e-12)
         else:
             # edgeless: points are the standard basis, whose affine hull is a
             # hyperplane missing the origin
