@@ -142,10 +142,11 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     PreconditionError
         If D is not unit spherical or some squared distance is below 2.
     ConsistencyError
-        If the top eigenvalue of Delta strays from 1 or is not simple on a
-        connected core, the Perron route disagrees with the embedding
-        dimension, or the circumcenter weights fail D w = e; all impossible
-        in exact arithmetic.
+        If a connected core fails its Perron certificate (top eigenvalue of
+        Delta 1 and simple, a positive Perron vector, I - Delta PSD of rank
+        order - 1), the Perron route disagrees with the embedding dimension,
+        or the circumcenter weights fail D w = e; all impossible in exact
+        arithmetic.
     """
     tol = D.tol
     n = D.n
@@ -359,14 +360,14 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
 
     `delta` is the nonnegative Delta of the unit spherical D.  By
     Perron-Frobenius each core's top eigenvalue is 1 and simple with a
-    positive eigenvector xi (`_perron_blocks`, one eigh per core order), so
+    positive eigenvector xi, and its block of I - Delta is PSD of rank
+    m - 1 (`_perron_blocks` certifies all four, one eigh per core order), so
     w = xi / (2 e^T xi), and the core's 1 - mu is the eigensystem of the
     block's I - Delta, D's Gram matrix at 2w, from which the block's Edm is
-    built (`_circumcenter_edms`, over the blocks of one order); its rank
-    must be the order - 1.  The zero rows of Delta are orthogonal to every
-    point, so they extend any block; they join the last one, in ascending
-    order.  Each check raises ConsistencyError: none can fail in exact
-    arithmetic.
+    built (`_circumcenter_edms`, over the blocks of one order).  The zero
+    rows of Delta are orthogonal to every point, so they extend any block;
+    they join the last one, in ascending order.  Each check raises
+    ConsistencyError: none can fail in exact arithmetic.
     """
     tol = D.tol
     comps = split.nontrivial
@@ -394,7 +395,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
                 edm = _circumcenter_edm(
                     D.dist2[np.ix_(block, block)], wt,
                     [(idx[None], np.arange(idx.size)[None], values[t:t + 1], vectors[t:t + 1])],
-                    zero, max(1.0, float(g.scales[t])), tol)
+                    zero, float(g.scales[t]), tol)
             except ConsistencyError as exc:
                 edm = exc
             outcome[-1] = (tuple(members), tuple(int(i) + 1 for i in zero), float(g.lam[t]), edm,
@@ -403,11 +404,6 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
     for members, zero_rows, lam, edm, interior in outcome:
         if isinstance(edm, Exception):
             raise edm
-        if edm.embedding_dim != edm.n - 1:
-            raise ConsistencyError(
-                f"connected support forces a simplex, but I - Delta has rank "
-                f"{edm.embedding_dim}, not n - 1 = {edm.n - 1}"
-            )
         cert = spherical_certificate(edm)
         blocks.append(DecompositionBlock(indices=members, edm=edm, certificate=SimplexCertificate(
             is_simplex=True, n=edm.n, method="perron", lambda_max=lam, w=cert.w,
@@ -455,11 +451,6 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
     if not n - r <= r:
         raise PreconditionError(f"need n - r <= r, got n = {n}, r = {r}")
     _, delta, split = _spread_support(D, "kuperberg_decompose")
-    if not split.nontrivial_count:
-        raise ConsistencyError(
-            "support of Delta has no edges although n - r >= 2; "
-            "a unit spherical input cannot have Delta = 0"
-        )
     if split.nontrivial_count != n - r:
         raise ConsistencyError(
             f"support splits into {split.nontrivial_count} block(s), expected n - r = {n - r}"

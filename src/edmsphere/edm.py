@@ -124,7 +124,7 @@ class Edm:
 class EdmRejection:
     """Why a candidate matrix is not an EDM; falsy so callers can branch on it."""
 
-    reason: str  # not-square | not-finite | not-symmetric | nonzero-diagonal | negative-entry | not-psd
+    reason: str  # not-square | not-finite | not-symmetric | nonzero-diagonal | negative-entry | too-large | not-psd
     detail: str
     witness_eigenvalue: float | None = None
     witness_vector: np.ndarray | None = None
@@ -369,10 +369,10 @@ def _circumcenter(D: Edm, cert: SphericalCertificate) -> np.ndarray:
     and two such s give the same Gram matrix (their difference is in D's
     null space), so a centering whose residual max|D s - 2e| is at most 2w's
     (twice the certificate's), or within the rounding n eps scale(D) |s|_1
-    of the product D s, is as good a circumcenter.  A constructed
-    representation stores 2w itself, which the certificate's own w misses by
-    rounding, and the centroid of a composition without lone points is its
-    circumcenter; their `gram_eig` is then read as it stands.
+    of the product D s, is as good a circumcenter.  An Edm built at its
+    circumcenter (a representation, a Kuperberg block) stores 2w of its
+    certificate's own w, and the centroid of a composition without lone
+    points is its circumcenter; their `gram_eig` is then read as it stands.
     """
     c = D.centering
     miss = float(np.max(np.abs(D.dist2 @ c - 2.0), initial=0.0))
@@ -738,11 +738,12 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
     There the Gram matrix is B = E - D/2 = I - Delta, block diagonal, with
     the eigensystem of the `blocks`, stacks (rows, cols, values, vectors):
     rows (T, m) of D, the columns (T, m) their pairs take before sorting,
-    and (T, m), (T, m, m) eigenpairs; each `lone` row (a zero row of Delta)
-    adds eigenvalue 1 in the last columns.  Sorted descending (stably: ties
-    keep their column order), each block's vectors go straight to their
-    sorted columns; `unit` is its scale.  Checked as `_circumcenter_edms`
-    checks; ConsistencyError on failure.
+    and (T, m), (T, m, m) eigenpairs, each of rank m - 1 (certified by
+    `spectral._perron_blocks`); each `lone` row (a zero row of Delta) adds
+    eigenvalue 1 in the last columns, which the rank rule at `unit`, the
+    scale, must count.  Sorted descending (stably: ties keep their column
+    order), each block's vectors go straight to their sorted columns.
+    Checked as `_circumcenter_edms` checks; ConsistencyError on failure.
     """
     n = D.shape[0]
     values = np.ones(n)
@@ -758,6 +759,9 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
     edm = _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], tol)[0]
     if isinstance(edm, Exception):
         raise edm
+    expected = n - sum(len(rows) for rows, *_ in blocks)
+    if edm.embedding_dim != expected:
+        raise ConsistencyError(f"I - Delta has rank {edm.embedding_dim}, expected {expected}")
     return edm
 
 
@@ -766,19 +770,18 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     """Per unit spherical D[t] of a (T, n, n) stack: its Edm at the circumcenter 2 w[t], or an error.
 
     The Gram matrix there, I - Delta, has the descending eigensystem
-    (values[t], vectors[t]) at scale units[t], read by the PSD and rank rules
-    as `validate_edm` reads its own; `w` is a (T, n) array or T vectors.
-    Over the stack, B must pass the PSD rule, max|D w - e| <= tol.solve
-    and |2 e^T w - 1| <= tol.unit; a matrix gets the
-    ConsistencyError of its first failing check, else w[t] certifies it.
+    (values[t], vectors[t]) at scale units[t], whose blocks passed the PSD
+    and rank rules in `spectral._perron_blocks`; the rank rule gives the
+    embedding dimension.  `w` is a (T, n) array or T vectors.  Over the
+    stack, max|D w - e| <= tol.solve and |2 e^T w - 1| <= tol.unit must
+    hold; a matrix gets the ConsistencyError of its first failing check,
+    else the certificate of w[t] (`_classify`).
     """
     W = np.asarray(w)
     units = np.asarray(units, dtype=float)
     residual = np.max(np.abs(np.matmul(D, W[:, :, None])[:, :, 0] - 1.0), axis=1, initial=0.0)
     etw = W.sum(axis=1)
     failures = [
-        (~_psd_stack(values, units, tol),
-         lambda t: f"circumcenter Gram matrix I - Delta is not PSD (eigenvalue {values[t, -1]:g})"),
         (residual > tol.solve,
          lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
         (np.abs(2.0 * etw - 1.0) > tol.unit,
@@ -790,16 +793,13 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
             out[t] = ConsistencyError(message(t))
     rank = np.count_nonzero(_rank_stack(values, units, tol), axis=1).tolist()
     centering = 2.0 * W
-    radius = np.sqrt(1.0 / (2.0 * etw)).tolist()
     fields = zip(rank, units.tolist(), min_offdiagonal(D).tolist(), etw.tolist(), residual.tolist())
     for t, (r, unit, min_off, e, res) in enumerate(fields):
         if out[t] is None:
             gram = EigenSystem(values[t], vectors[t], tol, unit)
             out[t] = edm = Edm(dist2=D[t], embedding_dim=r, tol=tol, gram_eig=gram,
                                centering=centering[t], min_offdiagonal=min_off)
-            edm._certificate = SphericalCertificate(
-                status=SPHERICAL, w=w[t], etw=e, radius=radius[t], unit_spherical=True, residual=res,
-            )
+            edm._certificate = _classify(w[t], e, res, unit, tol)
     return out
 
 

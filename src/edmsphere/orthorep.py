@@ -35,7 +35,7 @@ import numpy as np
 from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, _split, adjacency
-from .spectral import _block_index, _perron_blocks, _rank_stack, _union_top
+from .spectral import _block_index, _perron_blocks, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -127,11 +127,14 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     Raises
     ------
     ConsistencyError
-        If any post-condition fails: B PSD, the reconstruction residual
-        max|D - 2(E - P P^T)| <= tol.recon * n * scale(D), D w = e,
-        2 e^T w = 1, rank(B) = n - k, unit rows, or the inner-product sign
-        pattern.  These cannot fail for exact arithmetic, so a failure is a
-        numerical diagnostic, reported rather than silently returned.
+        If any post-condition fails: per component, a positive Perron vector
+        and a block of B that is PSD of rank m - 1 (naming the component);
+        then the rank rule counting each isolated node's eigenvalue 1 of B,
+        D w = e, 2 e^T w = 1, the reconstruction residual
+        max|D - 2(E - P P^T)| <= tol.recon * n * scale(D), unit rows, and
+        the inner-product sign pattern.  These cannot fail for exact
+        arithmetic, so a failure is a numerical diagnostic, reported rather
+        than silently returned.
     """
     n = G.node_count
     A = adjacency(G)
@@ -141,19 +144,18 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     groups = _perron_blocks(A, split.nontrivial, tol, normalize=True)
     lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
     xi = np.zeros(n)
+    lams, spectra = [None] * k, [None] * k
     for g in groups:
         lam[g.rows] = g.lam[:, None]
         xi[g.rows] = g.xi
+        for t, p in enumerate(g.pos):
+            lams[p], spectra[p] = float(g.lam[t]), g.delta(t)
     delta = A  # A_c / lambda_c on each block, 0 off the blocks, in place of A
     delta /= lam[:, None]
     D = 2.0 * delta  # 2(E - I) + 2 Delta
     D += 2.0
     np.fill_diagonal(D, 0.0)
     P, blocks, recon = _points(D, groups, split, iso)
-    lams, spectra = [None] * k, [None] * k
-    for g in groups:
-        for t, p in enumerate(g.pos):
-            lams[p], spectra[p] = float(g.lam[t]), g.delta(t)
     if k:
         w, note = xi / (2.0 * xi.sum()), None
         res = _circumcenter_edm(D, w, blocks, iso, 1.0, tol)
@@ -180,38 +182,31 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
 def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray) -> tuple:
     """(P, blocks of B for `_circumcenter_edm`, reconstruction residual) from the component groups.
 
-    Components take the columns of their kept pairs of B in split order,
-    then each isolated node one.  max|D - 2(E - P P^T)| is taken on the
-    diagonal blocks: off them D = 2 and P P^T = 0, and 0 - 2 + 2 on an
-    isolated node's diagonal.
+    A component of order m takes the m - 1 columns of the pairs of its
+    block of B above zero, which `_perron_blocks` certified as its rank, in
+    split order, then each isolated node one.  max|D - 2(E - P P^T)| is
+    taken on the diagonal blocks: off them D = 2 and P P^T = 0, and
+    0 - 2 + 2 on an isolated node's diagonal.
     """
     sizes = np.array([len(c) for c in split.nontrivial], dtype=int)
-    keeps = [_rank_stack(g.gram_values, g.scales, g.tol) for g in groups]
-    ranks = np.zeros(sizes.size, dtype=int)
-    for g, keep in zip(groups, keeps):
-        ranks[g.pos] = np.count_nonzero(keep, axis=1)
-    start = np.cumsum(ranks) - ranks  # each component's first column of P
-    first = np.cumsum(sizes) - sizes  # ... and of B's unsorted eigensystem
-    P = np.zeros((D.shape[0], int(ranks.sum()) + iso.size))
-    P[iso, int(ranks.sum()) + np.arange(iso.size)] = 1.0
+    first = np.cumsum(sizes) - sizes  # each component's first column of B's unsorted eigensystem
+    start = first - np.arange(sizes.size)  # ... and of P
+    d = int(sizes.sum()) - sizes.size
+    P = np.zeros((D.shape[0], d + iso.size))
+    P[iso, d + np.arange(iso.size)] = 1.0
     blocks, recon = [], 0.0
-    for g, keep in zip(groups, keeps):
+    for g in groups:
         values, vectors, pos = g.gram_values, g.gram_vectors, np.asarray(g.pos)
-        blocks.append((g.rows, first[pos][:, None] + np.arange(g.rows.shape[1]), values, vectors))
-        masks = keep[:1] if (keep == keep[0]).all() else np.unique(keep, axis=0)
-        for mask in masks:  # the components whose blocks keep the same eigenpairs
-            sel = slice(None) if len(masks) == 1 else np.flatnonzero((keep == mask).all(axis=1))
-            rows = g.rows[sel]
-            kept = np.flatnonzero(mask)
-            Pc = np.take(vectors[sel], kept, axis=2)
-            Pc *= np.sqrt(values[sel][:, kept])[:, None, :]
-            P[_block_index(rows, start[pos[sel]][:, None] + np.arange(kept.size))] = Pc
-            # one block: the 2-D product, which numpy runs as a syrk
-            R = (Pc[0] @ Pc[0].T)[None] if len(rows) == 1 else Pc @ Pc.transpose(0, 2, 1)
-            R *= 2.0
-            R += D[_block_index(rows, rows)]
-            R -= 2.0
-            recon = max(recon, float(np.max(np.abs(R, out=R))))
+        m = g.rows.shape[1]
+        blocks.append((g.rows, first[pos][:, None] + np.arange(m), values, vectors))
+        Pc = vectors[:, :, :m - 1] * np.sqrt(values[:, None, :m - 1])
+        P[_block_index(g.rows, start[pos][:, None] + np.arange(m - 1))] = Pc
+        # one block: the 2-D product, which numpy runs as a syrk
+        R = (Pc[0] @ Pc[0].T)[None] if len(pos) == 1 else Pc @ Pc.transpose(0, 2, 1)
+        R *= 2.0
+        R += D[_block_index(g.rows, g.rows)]
+        R -= 2.0
+        recon = max(recon, float(np.max(np.abs(R, out=R))))
     return P, blocks, recon
 
 
@@ -219,20 +214,14 @@ def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
     """Post-conditions of the spectral construction, kept on `rep`; ConsistencyError on failure.
 
     `recon` is max|D - 2(E - P P^T)|, bounded by tol.recon * n * scale(D);
-    D w = e and 2 e^T w = 1 were checked when the Edm was built.
+    D w = e, 2 e^T w = 1 and the rank n - k of B were checked when the Edm
+    was built.
     """
     n = rep.n
     problems = []
     bound = tol.recon * n * scale(rep.edm.dist2)
     if recon > bound:
         problems.append(f"reconstruction max|D - 2(E - P P^T)| = {recon:g} > {bound:g}")
-    if rep.d != n - rep.k:
-        problems.append(f"rank of B is {rep.d}, expected n - k = {n - rep.k}")
-    # edgeless: the basis vectors' affine hull misses the origin
-    if rep.unit_spherical and rep.edm.embedding_dim != n - rep.k:
-        problems.append(
-            f"embedding dimension of D is {rep.edm.embedding_dim}, expected {n - rep.k}"
-        )
     sign = rep.sign_pattern = verify_sign_pattern(rep.edm, rep.graph, tol)
     if not sign.ok:
         problems.append(

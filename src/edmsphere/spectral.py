@@ -300,10 +300,13 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
     the spectra are mu / lambda_c at scale 1 (lambda_c >= 1, so the entries
     of the blocks of Delta and I - Delta are at most 1).  Otherwise M is
     Delta: lambda_c must be within tol.cluster of 1 and simple (the cluster
-    rule).  Every Perron vector must be positive.  The first failing
-    component in `comps` order raises its first failing check's
-    ConsistencyError (or its decomposition error), naming it;
-    `check=False` skips the checks, for a caller that reads only the tops.
+    rule).  Every Perron vector must be positive, and every block of
+    I - Delta must pass the PSD rule and have rank m - 1 by the rank rule,
+    at the block's scale: the certificate the blocks' Edms and points are
+    built on.  The first failing component in `comps` order raises its
+    first failing check's ConsistencyError (or its decomposition error),
+    naming it; `check=False` skips the checks, for a caller that reads only
+    the tops.
     """
     by_order: dict[int, list] = {}
     for p, comp in enumerate(comps):
@@ -315,6 +318,9 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
         values, vectors, errors = _eigh_stack(S)
         lam = values[:, 0]
         scales = np.ones(len(pos)) if normalize else scale(S)
+        if normalize:  # Delta's block is M_c / lambda_c; lambda_c <= 0 fails its check
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values = values / lam[:, None]
         if check:
             if normalize:
                 checks = [(~(lam > 0.0), lambda t, c: f"component {c} has an edge but adjacency "
@@ -327,8 +333,16 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
                     (mult != 1, lambda t, c: f"top eigenvalue of component {c} has multiplicity "
                                              f"{mult[t]}, expected 1"),
                 ]
-            checks.append((np.any(vectors[:, :, 0] <= 0.0, axis=1),
-                           lambda t, c: f"Perron vector of component {c} is not positive"))
+            gram = 1.0 - values[:, ::-1]
+            rank = np.count_nonzero(_rank_stack(gram, scales, tol), axis=1)
+            checks += [
+                (np.any(vectors[:, :, 0] <= 0.0, axis=1),
+                 lambda t, c: f"Perron vector of component {c} is not positive"),
+                (~_psd_stack(gram, scales, tol),
+                 lambda t, c: f"I - Delta of component {c} is not PSD (eigenvalue {gram[t, -1]:g})"),
+                (rank != m - 1, lambda t, c: f"I - Delta of component {c} has rank {rank[t]}, "
+                                             f"expected {m - 1}"),
+            ]
             for bad, message in reversed(checks):  # the first failing check is written last
                 for t in np.flatnonzero(bad).tolist():
                     failures[pos[t]] = ConsistencyError(message(t, comps[pos[t]]))
@@ -338,6 +352,4 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
         groups.append(PerronBlocks(pos, rows, lam, values, vectors, scales, tol))
     if failures:
         raise failures[min(failures)]
-    if normalize:
-        groups = [g._replace(values=g.values / g.lam[:, None]) for g in groups]
     return groups

@@ -155,6 +155,15 @@ class TestOrthorep:
         assert "self-loop" in report["result"]["error"]
 
 
+    def test_block_below_its_rank_is_inconsistent(self, capsys, tmp_path):
+        path = tmp_path / "mixed.graph"
+        path.write_text("10\n1 2\n2 3\n4 5\n4 6\n5 6\n7 8\n8 9\n")
+        code, report, _ = run_json(capsys, ["orthorep", str(path), "--tol-rank", "1.2"])
+        assert code == 1
+        assert report["status"] == "inconsistent"
+        assert "component (1, 2, 3) has rank 1, expected 2" in report["result"]["error"]
+
+
 class TestDecompose:
     def test_example(self, capsys, matrix_file):
         code, report, _ = run_json(capsys, ["decompose", matrix_file])
