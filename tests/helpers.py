@@ -62,6 +62,29 @@ def random_sphere_points(rng: np.random.Generator, n: int, r: int) -> np.ndarray
     return X
 
 
+def jittered_circle(seed: int, jitter: float = 1e-6) -> np.ndarray:
+    """20 points on the unit circle, each pushed off it radially by jitter * N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    return edm_from_points(random_sphere_points(rng, 20, 2) * (1.0 + jitter * rng.standard_normal((20, 1))))
+
+
+def squeezed_sphere(rng: np.random.Generator, n: int, r: int, frac: float, rank_tol: float,
+                    outlier: bool = False) -> np.ndarray:
+    """n points on S^(r-1) lifted into R^(r+1), the new axis squeezed until B's (r+1)-th eigenvalue
+    is frac x the rank cut rank_tol * max(1, max|B|); with `outlier`, the first point sits at radius 3."""
+    X = random_sphere_points(rng, n, r)
+    z = rng.standard_normal(n)
+    if outlier:
+        X[0] *= 3.0
+
+    def dist2(eps):
+        return edm_from_points(np.column_stack([X * np.sqrt(1.0 - (eps * z) ** 2)[:, None], eps * z]))
+
+    B = centered_gram_oracle(dist2(1e-3))
+    lam = np.linalg.eigvalsh(B)[-1 - r]  # proportional to eps^2
+    return dist2(1e-3 * np.sqrt(frac * rank_tol * max(1.0, float(np.max(np.abs(B)))) / lam))
+
+
 def permute_1based(M: np.ndarray, order) -> np.ndarray:
     """Rows/cols reordered so new position p holds original index order[p] (1-based)."""
     ix = np.asarray(order, dtype=int) - 1
@@ -128,3 +151,28 @@ def _tilted_pair(eps: float) -> np.ndarray:
 # Two blocks whose cross-block squared distances are 2 -+ 2 eps cos(angle): the largest
 # |d - 2| is 9e-8, within tol.sign, so the sign rule alone reads the blocks as orthogonal.
 TILTED_PAIR = _tilted_pair(4.5e-8)
+
+
+def certificate_families() -> dict:
+    """Named distance matrices for the sphericity certificate: spheres, clouds, rank 0 to 20."""
+    rng = np.random.default_rng(11)
+    X = random_sphere_points(rng, 12, 4)
+    jitter = rng.standard_normal((12, 1))
+    wide = random_sphere_points(rng, 40, 20)
+    return {
+        "sphere": edm_from_points(X),
+        "sphere-40": edm_from_points(wide),
+        "scaled-sphere": 37.5 * edm_from_points(X),
+        # e^T w = 5e-11: spherical by a scale-relative rule, not by an absolute e^T w > tol.psd
+        "sphere-1e10": 1e10 * edm_from_points(X),
+        "cloud": edm_from_points(rng.standard_normal((12, 4))),
+        # radial jitter: within rounding of the sphere, and decisively off it
+        "nearly-spherical": edm_from_points(X * (1.0 + 1e-13 * jitter)),
+        "off-sphere": edm_from_points(X * (1.0 + 3e-2 * jitter)),
+        "crosspolytope": permute_1based(CROSS_3, [4, 1, 6, 2, 5, 3]),
+        "composition": compose_block_edm([3, 2, 2], 1),
+        "coincident": edm_from_points(np.vstack([X, X[:3]])),
+        "zero": np.zeros((5, 5)),
+        "n1": np.zeros((1, 1)),
+        "n2": np.array([[0.0, 3.0], [3.0, 0.0]]),
+    }

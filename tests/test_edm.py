@@ -359,33 +359,7 @@ class TestGenerators:
             gen_random_spherical(3, 0, 0)
 
 
-def _certificate_families():
-    rng = np.random.default_rng(11)
-    X = helpers.random_sphere_points(rng, 12, 4)
-    jitter = rng.standard_normal((12, 1))
-    wide = helpers.random_sphere_points(rng, 40, 20)
-    cross = helpers.permute_1based(gen_crosspolytope(3).dist2, [4, 1, 6, 2, 5, 3])
-    return {
-        "sphere": helpers.edm_from_points(X),
-        "sphere-40": helpers.edm_from_points(wide),
-        "scaled-sphere": 37.5 * helpers.edm_from_points(X),
-        # e^T w = 5e-11: spherical by the scale-relative rule, not by an absolute e^T w > tol.psd
-        "sphere-1e10": 1e10 * helpers.edm_from_points(X),
-        "cloud": helpers.edm_from_points(rng.standard_normal((12, 4))),
-        # radial jitter: within rounding of the sphere, and decisively off it (at 1e-3 the
-        # e^T w of either solve is rounding noise of the size of the strict tol.psd)
-        "nearly-spherical": helpers.edm_from_points(X * (1.0 + 1e-13 * jitter)),
-        "off-sphere": helpers.edm_from_points(X * (1.0 + 3e-2 * jitter)),
-        "crosspolytope": cross,
-        "composition": helpers.compose_block_edm([3, 2, 2], 1),
-        "coincident": helpers.edm_from_points(np.vstack([X, X[:3]])),
-        "zero": np.zeros((5, 5)),
-        "n1": np.zeros((1, 1)),
-        "n2": np.array([[0.0, 3.0], [3.0, 0.0]]),
-    }
-
-
-FAMILIES = _certificate_families()
+FAMILIES = helpers.certificate_families()
 EXPECTED_STATUS = {
     "sphere": SPHERICAL, "sphere-40": SPHERICAL, "scaled-sphere": SPHERICAL, "sphere-1e10": SPHERICAL,
     "cloud": NON_SPHERICAL,
