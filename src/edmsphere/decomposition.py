@@ -39,7 +39,6 @@ from .edm import (
     Edm,
     EdmRejection,
     SphericalCertificate,
-    _centroid,
     _certify,
     _circumcenter_edm,
     _circumcenter_edms,
@@ -269,8 +268,8 @@ def _sample_codimension2(r: int, trials: int, seed: int, tol: Tolerances):
     embedding dimension when it is not r; raises, at its trial, what the
     two calls would raise.  Trials run in chunks of about
     `_SAMPLE_CHUNK_BYTES`, each validated through one stacked eigh of its
-    centered Gram matrices and certified from their eigensystems by block
-    elimination, with no further eigh (`_codimension2_stack`).
+    centered Gram matrices and certified from their eigensystems by the
+    sphere fit, with no further eigh (`_codimension2_stack`).
     """
     n = r + 2
     trial_bytes = 8 * (n * r * (min(n, 16) + 1) + 12 * n * n)
@@ -288,8 +287,8 @@ def _sample_codimension2(r: int, trials: int, seed: int, tol: Tolerances):
 def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
     """Per sampled (n, n) distance matrix of the stack M: its RankinReport, rank or exception.
 
-    The samples of rank r are certified together, by `edm._certify` on the
-    Gram eigensystems that the stacked validation decomposed.
+    The samples of rank r are certified together, by `edm._certify`'s sphere
+    fit on the Gram eigensystems that the stacked validation decomposed.
     """
     n = M.shape[1]
     outcome = _validate_stack(M, tol)
@@ -302,11 +301,10 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
             if res.embedding_dim == r:
                 certify.append((t, res))  # the rank is replaced by the report below
     D = np.array([res.dist2 for _, res in certify]).reshape(-1, n, n)
-    certs = _certify(D, [res.gram_eig for _, res in certify], _centroid(n), tol)
+    certs = _certify(D, [res.gram_eig for _, res in certify], tol)
     m, i, j = (v.tolist() for v in _closest_pairs(D))
     for k, (t, _) in enumerate(certify):
-        cert = certs[k]
-        error = cert if isinstance(cert, Exception) else _not_unit_spherical(cert, "rankin_codimension2_check")
+        error = _not_unit_spherical(certs[k], "rankin_codimension2_check")
         outcome[t] = _rankin_report(n, r, m[k], i[k], j[k], tol) if error is None else error
     return outcome
 

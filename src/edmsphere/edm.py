@@ -4,33 +4,29 @@ A matrix D of squared pairwise distances is an EDM exactly when its
 double-centered transform B = -1/2 (I - e s^T) D (I - s e^T), for any s with
 e^T s = 1, is positive semidefinite; rank(B) is then the embedding dimension.
 This module certifies that, recovers Gram/configuration factors, certifies
-sphericity through the solve D w = e (circumradius (2 e^T w)^(-1/2)), forms
+sphericity by a solution of D w = e (circumradius (2 e^T w)^(-1/2)), forms
 the shifted matrix Delta = D/2 + I - E whose top eigenvalue controls the
 embedding dimension of unit spherical EDMs, and generates canonical
 configurations (regular simplices, crosspolytopes, random sphere samples).
 
 The PSD and rank rules live in `spectral`; validation applies both to its
 one eigensystem of B, which the returned `Edm` keeps for later stages.  The
-sphericity solve reads it too: D = g e^T + e g^T - 2B with g = diag(B)
-(Gower 1985), so on an orthonormal basis of B's eigenvectors above the
-rank cut, e and g, D is a diagonal plus a rank-two term, and D w = e is
-solved by block elimination with no eigendecomposition; only where the
-elimination cannot prove that it reads D's rank cut as an
-eigendecomposition would does one, of Q^T D Q on the same basis Q,
-decide.  The residual is checked
-against the full D.  The Gram matrix at another
-centering s, (I - e s^T) B (I - s e^T), gets its eigenpairs from B's kept
-ones (`_gram_eig_at`) for `gram_factor`.  `embedding_dim_via_delta` reads
-the top of Delta and its multiplicity from Delta's irreducible blocks, one
-eigh per block order (`spectral._perron_blocks`), as the Kuperberg
-decomposition does.
+sphericity certificate reads it too: D = g e^T + e g^T - 2B with g = diag(B)
+(Gower 1985), so a sphere fitted to the points U L^(1/2) that B's pairs
+above the rank cut give yields w, or the residual that puts the points off
+every sphere, in O(n^2) with no eigendecomposition (`spherical_certificate`).
+The Gram matrix at another centering s, (I - e s^T) B (I - s e^T), gets its
+eigenpairs from B's kept ones (`_gram_eig_at`) for `gram_factor`.
+`embedding_dim_via_delta` reads the top of Delta and its multiplicity from
+Delta's irreducible blocks, one eigh per block order
+(`spectral._perron_blocks`), as the Kuperberg decomposition does.
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
 for orthonormal representations and Kuperberg blocks; `_circumcenter_edms`
 checks and builds a stack of them, for the Kuperberg blocks of one order.
 
-Validation and the sphericity solve run over a (T, n, n) stack
+Validation and the sphere fit run over a (T, n, n) stack
 (`_validate_stack`, `_certify`), with one eigh of the Gram matrices per
 stack; `validate_edm` and `spherical_certificate` run a stack of one, so
 the Rankin sampler's chunks give each matrix the bits of its own call.
@@ -38,11 +34,11 @@ the Rankin sampler's chunks give each matrix the bits of its own call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError, SpectralError
+from .errors import ConsistencyError, PreconditionError
 from .graphs import support_components
 from .spectral import (
     EigenSystem,
@@ -202,9 +198,10 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances, n: int) -> EdmRejection | None:
     """validate_edm's rules on the entries of one (n, n) matrix, read from its `_entry_stats`.
 
-    max|M| <= float max / (4n) keeps every later stage finite: the centered
-    Gram matrix lies within 4 max|M|, and the sphericity fallback's
-    Q^T D Q plus its transpose within 2n max|M|.
+    max|M| <= float max / (4n) keeps the later stages finite: the centered
+    Gram matrix lies within 4 max|M|, and a product D v of the sphere fit
+    within float max whenever the weights v sum in magnitude to at most 4n,
+    as the centroid's e/n do.
     """
     if not finite:
         return EdmRejection("not-finite", "matrix contains NaN or Inf entries")
@@ -433,12 +430,13 @@ def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSys
 
 @dataclass(eq=False)
 class SphericalCertificate:
-    """Outcome of the sphericity test D w = e.
+    """Outcome of the sphericity test: a solution w of D w = e.
 
     status is one of "spherical", "non-spherical", "e-not-in-colspace" (and
     CLI reports use "not-edm" for rejected inputs).  For spherical D the
     circumradius is (2 e^T w)^(-1/2); `unit_spherical` applies the
-    circumradius-1 predicate |2 e^T w - 1| <= tol.unit.
+    circumradius-1 predicate |2 e^T w - 1| <= tol.unit.  For non-spherical
+    D, e^T w = 0.
     """
 
     status: str
@@ -450,285 +448,89 @@ class SphericalCertificate:
 
 
 def spherical_certificate(D: Edm) -> SphericalCertificate:
-    """Solve D w = e and classify the configuration's sphericity.
+    """Fit a sphere to the points of D and certify their sphericity by a solution w of D w = e.
 
-    w is the minimum-norm solution under D's own rank cut tol.rank *
-    scale(D).  D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), B the
-    Gram matrix that the Edm's `gram_eig` decomposed (centered at
-    `centering`), so D's column space lies in the span of e, g and the
-    eigenvectors U of B above its rank cut.  On an orthonormal basis
-    Q = [U, q_e, q_g] of that span, Q^T D Q = diag(-2L, 0) + a b^T + b a^T
-    (L the kept eigenvalues, a = Q^T g, b = Q^T e), a diagonal plus a
-    rank-two term, which block elimination solves in O(n rank(B)) with no
-    eigendecomposition (`_certify`).  Where the elimination cannot prove
-    that it keeps the eigen-directions that D's rank cut keeps, the
-    eigendecomposition of Q^T D Q decides (`_eigh_certificate`).  The
-    residual max|D w - e| is measured against the full D.
+    The fit is Gower's (1985): with U L U^T the pairs of the centroid Gram
+    matrix B above its rank cut (the eigensystem validation decided) and
+    g = diag(B), D = g e^T + e g^T - 2B, and the affine weights
+    alpha = e/n + z with z = 1/2 U L^-1 U^T g give D alpha = 2 rho^2 e + r,
+    where r, the part of g outside span(U, e), is zero exactly when the
+    points lie on a sphere, of radius rho.  z is refined once against the
+    full D (`_certify`), and r and 2 rho^2 = mean(D alpha) are read off the
+    full D, so B's dropped eigenvalues count towards r.
 
-    "e-not-in-colspace" means that residual exceeds tol.solve; D w - e
-    does not scale with D, so neither does the bound.  In exact arithmetic
-    only the all-zero matrix (coincident points, or n = 1) lacks e in its
-    column space, but a nonzero D gets it too when the eigenvalue carrying
-    e falls below D's rank cut: 20 points on the unit circle with radial
-    jitter 1e-6 do (that eigenvalue is about jitter^2 scale(D)).  Deciding
-    such inputs with a reported margin is ROADMAP item 1.  A consistent
-    solve classifies by e^T w: spherical (with radius) when
-    e^T w * scale(D) exceeds the PSD slack tol.psd, non-spherical
-    otherwise.  w scales as 1/D and D w - e not at all, so scaling D up to
-    cD keeps the verdict; scaling D down to entries below 1 is not
-    covered, because scale() floors at 1.
+    The points are spherical when max|r| <= tol.solve * 2 rho^2, that is
+    when w = alpha / (2 rho^2) solves D w = e within tol.solve; w lies in
+    span(U, e), D's column space, so it is the minimum-norm solution, and
+    the radius is rho.  Otherwise they are non-spherical, and w = r / |r|^2
+    (r with its parts along e and U removed) is the witness: e^T w = 0 and
+    D w = e, up to rounding that grows as |r| shrinks.  The rule does not
+    read scale(D): max|r| / 2 rho^2 is the same for D and cD, so only the
+    rank cut tol.rank * scale(D), which floors at 1, does not shrink with a
+    D below 1 (ROADMAP item 1).  Rank 0 (no points apart, or n = 1) has no
+    sphere to fit and reads "e-not-in-colspace" with residual 1; with no
+    points at all the status is "non-spherical" with an empty w.
+    `residual` is max|D w - e| against the full D.  An Edm centered at the
+    centroid, as `validate_edm` builds it, takes no eigendecomposition.
 
-    The solve runs once per `Edm`; later calls return the same certificate.
+    The fit runs once per `Edm`; later calls return the same certificate.
     An Edm built by `_circumcenter_edm` holds the certificate of the w its
-    construction checked, with no solve: where D is singular, one solution
+    construction checked, with no fit: where D is singular, one solution
     of D w = e rather than the minimum-norm one, with the same e^T w.
     """
     if D._certificate is None:
-        cert = _certify(D.dist2[None], [D.gram_eig], D.centering, D.tol)[0]
-        if isinstance(cert, Exception):
-            raise cert
-        D._certificate = cert
+        D._certificate = _certify(D.dist2[None], [_gram_eig_at(D, _centroid(D.n))], D.tol)[0]
     return D._certificate
 
 
-def _certify(D: np.ndarray, grams: list, s: np.ndarray, tol: Tolerances) -> list:
-    """The certificate of each matrix of a (T, n, n) stack D, or the exception its solve raises.
+def _certify(D: np.ndarray, grams: list, tol: Tolerances) -> list:
+    """The certificate of each matrix of a (T, n, n) stack D by the sphere fit (`spherical_certificate`).
 
-    `grams` holds each matrix's Gram eigensystem at the centering s, all of
-    one rank.  The block elimination (`_eliminate`) runs on the whole stack,
-    its products batched, so each matrix gets the bits of a stack of one;
-    a matrix it does not decide goes to `_eigh_certificate` on its own
-    basis Q, as does one whose residual would call it inconsistent.
+    `grams` holds each matrix's Gram eigensystem at the centroid, all of
+    one rank; the products run over the stack, so each matrix gets the bits
+    of a stack of one.  U^T e = 0 holds only to the accuracy of U, about
+    eps scale(B) / L for the pair of eigenvalue L, so the fit's vectors are
+    taken off e before and after each product with U.
     """
     if not grams:
         return []
-    k = grams[0].rank
-    V = grams[0].vectors[None] if len(grams) == 1 else np.stack([es.vectors for es in grams])
-    values = np.stack([es.values for es in grams])
-    scales = scale(D)
-    with np.errstate(all="ignore"):  # a non-finite step leaves the matrix undecided, for the eigh solve
-        g = _gram_diagonal(D, s)
-        Q, present = _certificate_basis(V[..., :k], g)
-        w, decisive = _eliminate(Q, present, values, g, scales, tol)
-        residual = np.abs((D @ w[..., None])[..., 0] - 1.0).max(axis=-1, initial=0.0)
-    decisive &= residual <= tol.solve
-    out = []
-    for t, (etw, res, unit) in enumerate(zip(w.sum(axis=-1).tolist(), residual.tolist(), scales.tolist())):
-        if decisive[t]:
-            out.append(_classify(w[t], etw, res, unit, tol))
-            continue
-        try:
-            out.append(_eigh_certificate(D[t], Q[t], present[t], tol))
-        except (ValueError, SpectralError) as exc:
-            out.append(exc)
-    return out
-
-
-def _eigh_certificate(D: np.ndarray, Q: np.ndarray, present: np.ndarray, tol: Tolerances) -> SphericalCertificate:
-    """The certificate of one D from the eigendecomposition of Q^T D Q: the elimination's fallback.
-
-    Q and present are D's `_certificate_basis`; Q keeps its columns that
-    present does not drop.  The pseudo-inverse keeps the eigenvalues beyond
-    D's own rank cut tol.rank * scale(D), so w is the minimum-norm solution
-    under it.
-    """
-    Q = Q[:, np.append(np.ones(Q.shape[1] - 2, dtype=bool), present)]
-    M = Q.T @ (D @ Q)
-    es = replace(_decompose(0.5 * (M + M.T), tol), scale=scale(D))  # D's own rank cut
-    keep = es.rank_mask()
-    inv = np.zeros_like(es.values)
-    inv[keep] = 1.0 / es.values[keep]
-    w = Q @ (es.vectors @ (inv * (es.vectors.T @ (Q.T @ np.ones(D.shape[0])))))
-    residual = float(np.max(np.abs(D @ w - 1.0), initial=0.0))
-    return _classify(w, float(w.sum()), residual, es.scale, tol)
-
-
-def _gram_diagonal(D: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """g = diag(B) = D s - 1/2 s^T D s for B the Gram matrix at s, per matrix of a (T, n, n) stack.
-
-    At the centroid, as row means; with no points there is nothing to average.
-    """
-    if s.size and np.array_equal(s, _centroid(D.shape[-1])):
-        u = D.mean(axis=-1)
-        return u - 0.5 * u.mean(axis=-1, keepdims=True)
-    u = D @ s
-    return u - 0.5 * (u[..., None, :] @ s[:, None])[..., 0]
-
-
-def _certificate_basis(U: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal columns [U, q_e, q_g] spanning U, e and g, per matrix of a stack.
-
-    U is the (T, n, k) stack of each Gram matrix B's eigenvectors above the
-    rank cut and g the (T, n) stack of diag(B); D = g e^T + e g^T - 2B
-    (Gower 1985), so these hold the column space of D.  e and then g are
-    orthogonalized against the columns before them (`_orthogonal_part`);
-    the column of a dropped one is zero.  Returns the (T, n, k + 2) stack Q
-    and the (T, 2) mask of the kept q_e, q_g.
-    """
-    Q = U
-    present = []
-    for v in (np.ones_like(g), g):
-        q, keep = _orthogonal_part(Q, v)
-        Q = np.concatenate([Q, q[..., None]], axis=-1)
-        present.append(keep)
-    return Q, np.stack(present, axis=-1)
-
-
-def _orthogonal_part(Q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The unit part of each v orthogonal to the columns of Q, for (T, n, m) Q and (T, n) v.
-
-    Two passes of orthogonalization; a v that loses more than 1 - 1/sqrt(2)
-    of its norm in the second already lay in the span up to rounding and is
-    dropped (Kahan and Parlett's "twice is enough"): its part is zero and
-    the returned mask False.
-    """
-    h1 = v - _project(Q, v)
-    h2 = h1 - _project(Q, h1)
-    norm = _norm(h2)
-    keep = norm > _norm(h1) / np.sqrt(2.0)
-    return np.where(keep[:, None], h2 / np.where(keep, norm, 1.0)[:, None], 0.0), keep
-
-
-def _project(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (Q @ (np.swapaxes(Q, -1, -2) @ v[..., None]))[..., 0]
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """The 2-norm of each vector of a (..., m) stack.
-
-    v is scaled by the power of two that brings max|v| into [1/2, 1) and the
-    norm scaled back, so v^T v neither overflows nor underflows; where it did
-    neither before, the scaling is exact and changes no bit.
-    """
-    e = np.frexp(np.abs(v).max(axis=-1, initial=0.0))[1]
-    v = np.ldexp(v, -e[..., None])
-    return np.ldexp(np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0]), e)
-
-
-_SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def _eliminate(Q: np.ndarray, present: np.ndarray, values: np.ndarray, g: np.ndarray,
-               scales: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """w solving D w = e by block elimination on the basis Q, and whether that decides, per matrix.
-
-    In the basis Q = [U, q_e, q_g] (`_certificate_basis`), Q^T D Q is, up to
-    B's dropped eigenvalues, M = [[A, F], [F^T, C]]: with a = Q^T g and
-    b = Q^T e split as (a1, a2) and (b1, b2), W = [a1, b1] and
-    K = [[0, 1], [1, 0]], A = -2L + W K W^T, F = W P with P = [b2, a2]^T,
-    and C = a2 b2^T + b2 a2^T.  Woodbury gives A^-1 W = (-2L)^-1 W (K + N)^-1 K,
-    N = W^T (-2L)^-1 W, and so the Schur complement S = C - F^T A^-1 F, of
-    order 2.  The right-hand side is b: y2 = S^+ (b2 - F^T A^-1 b1) over the
-    eigenvalues of S beyond D's rank cut, y1 = A^-1 (b1 - F y2), and each
-    dropped eigenvector v of S, lifted to the null vector [-A^-1 F v; v] of
-    M, is projected out of y, for the minimum-norm solution w = Q y.
-
-    Q^T D Q lies within eps = 2 max|dropped eigenvalue of B| plus n machine
-    epsilons of a bound on |M| and |F^T A^-1 F| from M (Weyl), and A's
-    eigenvalues lie within 2 |a1| |b1| of -2L.  While A - x I is negative
-    definite, x is an eigenvalue of M exactly where C - x I - F^T (A - x I)^-1 F
-    is singular, and that matrix falls with x at a rate between 1 and
-    1 + |A^-1 F|^2 / (1 - |x| / min|eig A|)^2; so an eigenvalue s of S puts
-    one of M within |s| of zero, and none within |s| / that rate.  The
-    elimination decides only when this places every eigenvalue of Q^T D Q
-    on the side of the cut tol.rank * scale(D) that it assumes (A's beyond
-    it, S's kept or dropped; a zero column of Q is no direction), and the
-    least, at most A's, below -tol.psd * scale(D), so that D's rank rule
-    reads magnitudes there as on the eigensystem of Q^T D Q.  B's dropped
-    eigenvalues beyond the rounding of its eigendecomposition (n machine
-    epsilons of max L) move e^T w by about 2 max|them| |w|^2 (first order);
-    twice that must leave both sphericity rules on the same side.
-    """
-    T, n, m = Q.shape
-    k = m - 2
-    w = np.zeros((T, n))
+    n, k = D.shape[-1], grams[0].rank
     if k == 0:
-        return w, np.zeros(T, dtype=bool)
-    L, delta = values[:, :k], np.abs(values[:, k:]).max(axis=-1, initial=0.0)
-    ab = np.swapaxes(Q, -1, -2) @ np.stack([np.ones_like(g), g], axis=-1)
-    b, a = ab[..., 0], ab[..., 1]
-    W, P = ab[:, :k, ::-1], ab[:, k:].swapaxes(-1, -2)
-    LW = W / (-2.0 * L)[..., None]
-    N = np.swapaxes(W, -1, -2) @ LW
-    TK = _inv2(N + _SWAP) @ _SWAP
-    Z = LW @ TK  # A^-1 W
-    G = Z @ P  # A^-1 F
-    YP = (N @ TK) @ P  # W^T A^-1 F
-    PtYP = np.swapaxes(P, -1, -2) @ YP
-    C = b[:, k:, None] * a[:, None, k:]
-    S = (C + np.swapaxes(C, -1, -2)) - PtYP
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
-    r2 = b[:, k:] - YP[:, 1]  # b2 - F^T A^-1 b1; A^-1 b1 = Z e_2
-    s, V = _eig2(S)
-    cut = (tol.rank * scales)[:, None]
-    kept = np.abs(s) > cut
-    y2 = (V @ (np.where(kept, 1.0 / np.where(kept, s, 1.0), 0.0) * (r2[:, None, :] @ V)[:, 0])[..., None])[..., 0]
-    y = np.concatenate([Z[..., 1] - (G @ y2[..., None])[..., 0], y2], axis=-1)
-    Vd = V * ~kept[:, None, :]
-    lift = np.concatenate([-(G @ Vd), Vd], axis=-2)  # zero columns for the kept directions
-    H = np.swapaxes(lift, -1, -2) @ lift + kept[..., None] * np.eye(2)
-    y -= (lift @ (_inv2(H) @ (np.swapaxes(lift, -1, -2) @ y[..., None])))[..., 0]
-    w = (Q @ y[..., None])[..., 0]
+        cert = (SphericalCertificate(NON_SPHERICAL, np.zeros(0), 0.0, None, False, 0.0) if n == 0 else
+                SphericalCertificate(E_NOT_IN_COLSPACE, None, None, None, False, 1.0))
+        return [cert] * len(grams)
+    V = grams[0].vectors[None] if len(grams) == 1 else np.stack([es.vectors for es in grams])
+    U, Ut = V[..., :k], np.swapaxes(V[..., :k], -1, -2)
+    L = np.stack([es.values[:k] for es in grams])
 
-    coupling = 2.0 * _norm(W[..., 0]) * _norm(W[..., 1])
-    bound = 2.0 * L[:, 0] + 2.0 * _norm(a) * _norm(b) + np.abs(PtYP).max(axis=(-2, -1))
-    ulp = n * np.finfo(float).eps
-    eps = 2.0 * delta + ulp * bound
-    cut = cut[:, 0]
-    near = cut + eps
-    a_min = 2.0 * L[:, -1] - coupling  # at most min|eig A|
-    rate = 1.0 + (np.sqrt((G * G).sum(axis=(-2, -1))) / (1.0 - near / a_min)) ** 2  # |A^-1 F|_F
-    mags = np.abs(s)
-    sides = np.where(kept, mags > (rate * near)[:, None], mags + eps[:, None] < cut[:, None])
-    beyond = np.maximum(delta - ulp * L[:, 0], 0.0)  # B's dropped eigenvalues beyond rounding
-    etw, reach = w.sum(axis=-1), 4.0 * beyond * (w * w).sum(axis=-1)
-    decisive = ((-2.0 * L[:, 0] + coupling + eps < -tol.psd * scales) & (a_min > near)
-                & np.all(sides | ~present, axis=-1) & np.isfinite(w).all(axis=-1) & np.isfinite(eps)
-                & (np.abs(etw * scales - tol.psd) > reach * scales)
-                & (np.abs(np.abs(2.0 * etw - 1.0) - tol.unit) > 2.0 * reach))
-    return w, decisive
+    def along_u(v, weights):  # U diag(weights) U^T v, per matrix
+        return (U @ (weights * (Ut @ v[..., None])[..., 0])[..., None])[..., 0]
 
+    def off_e(v):
+        return v - v.mean(axis=-1, keepdims=True)
 
-def _inv2(M: np.ndarray) -> np.ndarray:
-    """The inverse of each 2 x 2 matrix of a stack, by its adjugate."""
-    adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    return (adj / det[..., None]).reshape(M.shape)
+    def times_d(v):
+        return (D @ v[..., None])[..., 0]
 
-
-def _eig2(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvector columns of each symmetric 2 x 2 matrix of a stack.
-
-    One Jacobi rotation (Golub and Van Loan's sym.schur2): a diagonal matrix
-    keeps its order and the identity as eigenvectors, exactly.
-    """
-    p, q, r = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
-    tau = (r - p) / (2.0 * np.where(q == 0.0, 1.0, q))
-    t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-    t = np.where(q == 0.0, 0.0, t)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    sn = t * c
-    V = np.stack([c, sn, -sn, c], axis=-1).reshape(S.shape)
-    return np.stack([p - t * q, r + t * q], axis=-1), V
-
-
-def _classify(w: np.ndarray, etw: float, residual: float, scale: float, tol: Tolerances) -> SphericalCertificate:
-    """The certificate of a solution w of D w = e with e^T w = etw and max|D w - e| = residual."""
-    if residual > tol.solve:  # D w - e does not scale with D
-        return SphericalCertificate(
-            status=E_NOT_IN_COLSPACE, w=None, etw=None, radius=None,
-            unit_spherical=False, residual=residual,
-        )
-    if etw * scale <= tol.psd:  # w scales as 1/D: compare e^T w in D's own unit
-        return SphericalCertificate(
-            status=NON_SPHERICAL, w=w, etw=etw, radius=None,
-            unit_spherical=False, residual=residual,
-        )
-    radius = float(np.sqrt(1.0 / (2.0 * etw)))
-    return SphericalCertificate(
-        status=SPHERICAL, w=w, etw=etw, radius=radius,
-        unit_spherical=abs(2.0 * etw - 1.0) <= tol.unit, residual=residual,
-    )
+    u = D.mean(axis=-1)
+    z = off_e(along_u(off_e(u), 0.5 / L))  # g = diag(B) = u - mean(u) / 2
+    z += off_e(along_u(off_e(u + times_d(z)), 0.5 / L))  # g + D z, up to a multiple of e
+    alpha = z + 1.0 / n
+    r = times_d(alpha)
+    two_rho2 = r.mean(axis=-1, keepdims=True)
+    r -= two_rho2
+    spherical = np.abs(r).max(axis=-1) <= tol.solve * two_rho2[:, 0]
+    r -= along_u(r, 1.0)  # the witness lies outside span(U, e) to rounding of |r|, not of |g|
+    p = np.frexp(np.abs(r).max(axis=-1, keepdims=True))[1]  # max|r| / 2^p is in [1/2, 1): |.|^2 cannot overflow
+    r = np.ldexp(r, -p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only where spherical
+        w = np.where(spherical[:, None], alpha / two_rho2, off_e(np.ldexp(r / (r * r).sum(axis=-1, keepdims=True), -p)))
+    residual = np.abs(times_d(w) - 1.0).max(axis=-1)
+    fields = zip(spherical.tolist(), w, w.sum(axis=-1).tolist(), residual.tolist(),
+                 np.sqrt(0.5 * two_rho2[:, 0]).tolist())
+    return [SphericalCertificate(SPHERICAL, wt, etw, rho, abs(2.0 * etw - 1.0) <= tol.unit, res)
+            if on_sphere else SphericalCertificate(NON_SPHERICAL, wt, etw, None, False, res)
+            for on_sphere, wt, etw, res, rho in fields]
 
 
 def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarray,
@@ -775,7 +577,7 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     embedding dimension.  `w` is a (T, n) array or T vectors.  Over the
     stack, max|D w - e| <= tol.solve and |2 e^T w - 1| <= tol.unit must
     hold; a matrix gets the ConsistencyError of its first failing check,
-    else the certificate of w[t] (`_classify`).
+    else the unit spherical certificate of w[t], of radius (2 e^T w)^(-1/2).
     """
     W = np.asarray(w)
     units = np.asarray(units, dtype=float)
@@ -799,7 +601,7 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
             gram = EigenSystem(values[t], vectors[t], tol, unit)
             out[t] = edm = Edm(dist2=D[t], embedding_dim=r, tol=tol, gram_eig=gram,
                                centering=centering[t], min_offdiagonal=min_off)
-            edm._certificate = _classify(w[t], e, res, unit, tol)
+            edm._certificate = SphericalCertificate(SPHERICAL, w[t], e, float(np.sqrt(0.5 / e)), True, res)
     return out
 
 

@@ -2,11 +2,10 @@
 
 `numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
-validation, none for the solve of D w = e (block elimination on B's kept
-eigenpairs; only a matrix of rank(B) = 0 takes an eigh, of order at most 2),
-and one eigh of order at most rank(B) for `gram_factor`'s Gram matrix at the
-circumcenter 2w; none when the Edm's own centering solves D s = 2e as
-closely as 2w.  lambda_max(Delta) and its multiplicity are read off Delta's
+validation, none for the certificate of D w = e (the sphere fit on B's kept
+eigenpairs, and a closed form at rank(B) = 0), and one eigh of order at
+most rank(B) for `gram_factor`'s Gram matrix at the circumcenter 2w; none
+when the Edm's own centering solves D s = 2e as closely as 2w.  lambda_max(Delta) and its multiplicity are read off Delta's
 irreducible blocks: one stacked eigh per core order, of all cores of that
 order, and never an eigh of Delta of order n; the Delta dimension, the rank
 route of `certify_simplex` and `minimality_bound` (on the stored spectra)
@@ -141,17 +140,16 @@ def test_certificate_eigh_order(eighs, D):
     edm = validate_edm(D)
     eighs.clear()
     spherical_certificate(edm)
-    assert all(order <= 2 for order in eighs)
-    assert eighs == []  # block elimination on B's kept eigenpairs
+    assert eighs == []  # the sphere fit on B's kept eigenpairs
 
 
-@pytest.mark.parametrize("n", [1, 2, 5])
-def test_rank_zero_certificate_eigh_is_of_order_at_most_2(eighs, n):
-    # coincident points: no kept eigenpair to eliminate on, so the eigh solve decides
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_rank_zero_certificate_makes_no_eigh(eighs, n):
+    # coincident points: no kept eigenpair to fit a sphere on, so the certificate is a closed form
     edm = validate_edm(np.zeros((n, n)))
     eighs.clear()
     spherical_certificate(edm)
-    assert len(eighs) == 1 and eighs[0] <= 2
+    assert eighs == []
 
 
 @pytest.mark.parametrize("D", [cross(8), cross(37), composition([4, 3, 2, 2]),

@@ -315,7 +315,7 @@ class TestEdmByConstruction:
     def test_random_graphs(self, seed):  # the graphs of TestRandomGraphs
         self.assert_matches_validation(construct_orthorep(_random_graph(seed)))
 
-    @pytest.mark.parametrize("n", [40, 150])
+    @pytest.mark.parametrize("n", [40, 150, 400])
     @pytest.mark.parametrize("kind", ["path", "star", "sparse", "many"])
     def test_benchmark_shapes(self, kind, n):
         rep = construct_orthorep(_shaped_graph(kind, n))

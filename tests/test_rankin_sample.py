@@ -290,37 +290,8 @@ def test_stacked_validation_and_certificate_are_bitwise_per_matrix(r):
     kept = [t for t, res in enumerate(stacked) if isinstance(res, edm.Edm)]
     assert len(kept) == 33
     D = np.stack([stacked[t].dist2 for t in kept])
-    certs = edm._certify(D, [stacked[t].gram_eig for t in kept], edm._centroid(n), DEFAULT_TOL)
+    certs = edm._certify(D, [stacked[t].gram_eig for t in kept], DEFAULT_TOL)
     for cert, t in zip(certs, kept):
         single = edm.spherical_certificate(singles[t])
         np.testing.assert_array_equal(cert.w, single.w)
         assert (cert.status, cert.etw, cert.residual) == (single.status, single.etw, single.residual)
-
-
-def test_stacked_certificate_falls_back_per_matrix(monkeypatch):
-    # the elimination is made to decline the samples with the larger top Gram eigenvalue:
-    # each of those gets the eigh solve, in the stack as in its own call
-    n = 6
-    children = np.random.SeedSequence(6).spawn(20)
-    M = DIST2(edm._sphere_points([np.random.default_rng(c) for c in children], n, n - 2))
-    edms = edm._validate_stack(M, DEFAULT_TOL)
-    D, grams = np.stack([res.dist2 for res in edms]), [res.gram_eig for res in edms]
-    top = float(np.median([gram.values[0] for gram in grams]))
-    real = edm._eliminate
-
-    def declining(Q, present, values, *args):
-        w, decisive = real(Q, present, values, *args)
-        return w, decisive & (values[:, 0] <= top)
-
-    monkeypatch.setattr(edm, "_eliminate", declining)
-    certs = edm._certify(D, grams, edm._centroid(n), DEFAULT_TOL)
-    for t, cert in enumerate(certs):
-        single = edm.spherical_certificate(edm.validate_edm(M[t]))
-        np.testing.assert_array_equal(cert.w, single.w)
-        assert (cert.status, cert.etw, cert.residual) == (single.status, single.etw, single.residual)
-        if grams[t].values[0] > top:
-            k = grams[t].rank
-            Q, present = edm._certificate_basis(grams[t].vectors[None, :, :k],
-                                                edm._gram_diagonal(D[t][None], edm._centroid(n)))
-            reference = edm._eigh_certificate(D[t], Q[0], present[0], DEFAULT_TOL)
-            np.testing.assert_array_equal(cert.w, reference.w)
