@@ -34,7 +34,7 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _gram_eig_at, nonnegative_delta
+from edmsphere.edm import _centroid, _gram_eig_at, nonnegative_delta
 from edmsphere.spectral import _decompose, as_symmetric
 from edmsphere.tolerances import scale
 from oracles import perron, solve_linear
@@ -387,6 +387,21 @@ class TestCertificateSolve:
         bound = 1e-9 * max(1.0, float(np.max(np.abs(sol.x))))
         assert float(np.max(np.abs(cert.w - sol.x))) <= bound
         assert cert.residual == float(np.max(np.abs(edm.dist2 @ cert.w - 1.0)))  # against the full D
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_basis_is_orthonormal_and_holds_the_column_space(self, name):
+        # the fit reads D = g e^T + e g^T - 2 U L U^T, with U L U^T the kept pairs of B at the centroid
+        # and g = diag(B): U is orthonormal, and with g and e it holds the column space of D
+        edm = require_edm(FAMILIES[name])
+        D, e = edm.dist2, np.ones(edm.n)
+        es = _gram_eig_at(edm, _centroid(edm.n))
+        k = es.rank
+        assert k == edm.embedding_dim
+        U = es.vectors[:, :k]
+        npt.assert_allclose(U.T @ U, np.eye(k), rtol=0, atol=1e-14)
+        g = np.diag(centering_gram(D, _centroid(edm.n)))
+        rebuilt = np.outer(g, e) + np.outer(e, g) - 2.0 * (U * es.values[:k]) @ U.T
+        assert float(np.max(np.abs(D - rebuilt))) <= 1e-12 * max(1.0, float(np.max(D)))
 
     def test_relabelled_crosspolytope_is_minimum_norm(self):
         cert = spherical_certificate(require_edm(FAMILIES["crosspolytope"]))
