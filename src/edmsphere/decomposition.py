@@ -371,7 +371,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
     comps = split.nontrivial
     last = len(comps) - 1 if split.isolated else None  # the block that takes the zero rows
     outcome = [None] * len(comps)
-    for g in _perron_blocks(delta, comps, tol):
+    for g in _perron_blocks(delta, split, tol):
         xi, values, vectors = g.xi, g.gram_values, g.gram_vectors
         w = xi / (2.0 * xi.sum(axis=1, keepdims=True))
         stacked = [t for t, p in enumerate(g.pos) if p != last]

@@ -712,7 +712,7 @@ def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:
     Each nontrivial component's block is decomposed with the others of its
     order (`_perron_blocks`, unchecked); each zero row adds eigenvalue 0.
     """
-    groups = _perron_blocks(delta, split.nontrivial, tol, check=False)
+    groups = _perron_blocks(delta, split, tol, check=False)
     return _union_top([g.values for g in groups], len(split.isolated), tol.cluster)
 
 

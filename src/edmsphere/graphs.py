@@ -1,4 +1,4 @@
-"""Simple graphs: parsing, connected components, adjacency, support graphs.
+"""Simple graphs: parsing, connected components and their 2-colourings, adjacency, support graphs.
 
 Nodes are 1-based externally (matrix row i holds node i+1 internally).  The
 edge-list text format is: first non-comment line ``n``, then one ``i j`` pair
@@ -95,12 +95,16 @@ class ComponentSplit:
     `components` partition 1..n, each sorted ascending, ordered by smallest
     member.  `permutation` lists original node labels in the permuted order:
     nontrivial components first (each contiguous), isolated nodes last.
+    `colour[i]` is node i+1's side in the 2-colouring of its component
+    that puts the component's smallest member on side 0, or -1 throughout
+    a component with an odd cycle.
     """
 
     components: tuple
     nontrivial_count: int
     isolated: tuple
     permutation: tuple
+    colour: tuple
 
     @property
     def nontrivial(self) -> tuple:
@@ -109,38 +113,56 @@ class ComponentSplit:
 
 def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
     """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support."""
-    return _split(_support_adjacency(M, tol))
+    S = _support_adjacency(M, tol)
+    return _split(S.shape[0], *np.nonzero(S))
 
 
 def components(G: Graph) -> ComponentSplit:
-    """Split `G` into connected components, ordered as `ComponentSplit` documents."""
-    return _split(adjacency(G) > 0)
+    """Split `G` into connected components, ordered as `ComponentSplit` documents.
 
-
-def _split(S: np.ndarray) -> ComponentSplit:
-    """Components of the graph with boolean adjacency `S`, in `ComponentSplit` order.
-
-    The one traversal behind `components` and `support_components`.
+    The neighbour lists come from G's sorted edge index in both directions,
+    with no n x n matrix.
     """
-    n = S.shape[0]
-    rows, cols = np.nonzero(S)  # row-major: u's neighbours are cols[bounds[u]:bounds[u + 1]]
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    n = G.node_count
+    i, j = _edge_index(G)
+    key = np.concatenate((i * n + j, j * n + i))  # each edge in both directions
+    key.sort()
+    return _split(n, *np.divmod(key, n))
+
+
+def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
+    """Components and 2-colouring of the n-node graph with 0-based arcs (rows[a], cols[a]), in `ComponentSplit` order.
+
+    The arcs are in row-major order, both directions of each edge present.
+    The one traversal behind `components` and `support_components`: it
+    colours each node it reaches opposite to the node it is reached from and
+    notes an arc between nodes of one colour, which closes an odd cycle.
+    """
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()  # u's neighbours: cols[bounds[u]:bounds[u + 1]]
     cols = cols.tolist()
-    seen = [False] * n
+    colour = [-1] * n  # -1: not reached yet
     comps: list[tuple] = []
+    odd: list[int] = []  # the members of the components with an odd cycle
     for start in range(n):
-        if seen[start]:
+        if colour[start] >= 0:
             continue
-        seen[start] = True
-        stack, members = [start], []
+        colour[start] = 0
+        stack, members, clash = [start], [], False
         while stack:
             u = stack.pop()
             members.append(u + 1)
+            other = 1 - colour[u]
             for v in cols[bounds[u]:bounds[u + 1]]:
-                if not seen[v]:
-                    seen[v] = True
+                if colour[v] < 0:
+                    colour[v] = other
                     stack.append(v)
+                elif colour[v] != other:
+                    clash = True
         comps.append(tuple(sorted(members)))
+        if clash:
+            odd.extend(members)
+    for u in odd:
+        colour[u - 1] = -1
     nontrivial = [c for c in comps if len(c) >= 2]
     isolated = [c[0] for c in comps if len(c) == 1]
     order: list[int] = []
@@ -152,6 +174,7 @@ def _split(S: np.ndarray) -> ComponentSplit:
         nontrivial_count=len(nontrivial),
         isolated=tuple(isolated),
         permutation=tuple(order),
+        colour=tuple(colour),
     )
 
 

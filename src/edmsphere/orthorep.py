@@ -10,7 +10,11 @@ lambda_c and positive Perron vector, the spectrum mu / lambda_c of the
 Delta block A_c / lambda_c, and the spectrum 1 - mu / lambda_c of the block
 of B = I - Delta, all on the eigenvectors of A_c; components of one order
 share one stacked eigendecomposition (`spectral._perron_blocks`), and the
-points and residual are assembled per order.  The points factor B block
+points and residual are assembled per order.  That is one decomposition
+per component order; bipartite groups by the SVD: paths, stars, trees and
+even cycles of one order and part sizes take their eigensystems from one
+SVD of their biadjacency blocks, which the 2-colouring of the component
+traversal (`graphs.components`) gives.  The points factor B block
 by block, so each component spans its own coordinates.  The companion
 squared-distance matrix D = 2(E - I) + 2 Delta is unit spherical with
 circumcenter weight vector built from the Perron vectors, and the
@@ -34,7 +38,7 @@ import numpy as np
 
 from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
-from .graphs import ComponentSplit, Graph, _edge_index, _split, adjacency
+from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
 from .spectral import _block_index, _perron_blocks, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
@@ -109,7 +113,8 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     with a positive eigenvector; isolated nodes contribute zero rows.  The
     points factor B = I - Delta, of rank n - k, block by block; an isolated
     node gets a unit column.  The components of one order share one stacked
-    eigendecomposition (`spectral._perron_blocks`).  With an edge, the
+    eigendecomposition (`spectral._perron_blocks`), by the SVD of their
+    biadjacency blocks when they are all bipartite with the same part sizes.  With an edge, the
     returned Edm of D is centered at 2w, where its Gram matrix is B, and
     carries B's eigensystem assembled from the blocks (`Edm.centering`,
     `Edm.gram_eig`) and the certificate of w; no eigendecomposition of
@@ -138,10 +143,10 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     """
     n = G.node_count
     A = adjacency(G)
-    split = _split(A > 0)
+    split = components(G)
     k = split.nontrivial_count
     iso = np.asarray(split.isolated, dtype=int) - 1
-    groups = _perron_blocks(A, split.nontrivial, tol, normalize=True)
+    groups = _perron_blocks(A, split, tol, normalize=True)
     lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
     xi = np.zeros(n)
     lams, spectra = [None] * k, [None] * k

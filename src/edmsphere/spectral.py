@@ -7,7 +7,12 @@ representations and Kuperberg blocks share.  The top of Delta and its
 multiplicity are read in one place, `_union_top`, from the spectra of
 Delta's irreducible blocks.  One driver decomposes: a
 (T, n, n) stack goes through `_eigh_stack`, one eigh call, and a single
-matrix is a stack of one (`_decompose`).  All are pure functions of their
+matrix is a stack of one (`_decompose`).  `_perron_blocks` makes one
+decomposition per component order; bipartite groups by the SVD: the
+blocks [[0, C], [C^T, 0]] of a group whose components are all bipartite
+with the same part sizes get their eigensystems from one SVD of the
+stacked biadjacencies C (`_bipartite_stack`).  This module alone calls
+`numpy.linalg` to decompose.  All are pure functions of their
 inputs and deterministic for identical input bits, so results are safe to
 share across threads.
 
@@ -186,15 +191,16 @@ def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive (ties: lowest index); stacks too.
 
-    That entry is the column's first maximum or first minimum, so no array
-    of magnitudes is made.
+    That entry is the column's maximum or minus its minimum, so no array of
+    magnitudes is made; only a column where the two tie compares their
+    first positions.
     """
     if not V.size:
         return V
-    hi, lo = np.argmax(V, axis=-2), np.argmin(V, axis=-2)
-    top = np.take_along_axis(V, hi[..., None, :], axis=-2)[..., 0, :]
-    bottom = np.take_along_axis(V, lo[..., None, :], axis=-2)[..., 0, :]
-    flip = (-bottom > top) | ((-bottom == top) & (lo < hi))
+    top, bottom = V.max(axis=-2), V.min(axis=-2)
+    flip, tie = -bottom > top, -bottom == top
+    if tie.any():  # column-wise argmin and argmax copy the stack, so only on a tie
+        flip |= tie & (np.argmin(V, axis=-2) < np.argmax(V, axis=-2))
     return V * np.where(flip, -1.0, 1.0)[..., None, :]
 
 
@@ -290,12 +296,17 @@ class PerronBlocks(NamedTuple):
         return EigenSystem(self.values[t], self.vectors[t], self.tol, float(self.scales[t]))
 
 
-def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = False,
+def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = False,
                    check: bool = True) -> list[PerronBlocks]:
-    """The Perron-Frobenius step on the components `comps` (1-based node tuples) of a nonnegative M.
+    """The Perron-Frobenius step on the nontrivial components of `split`, the support graph of a nonnegative M.
 
-    One eigh per component order, of the gathered (T, m, m) stack; stacked
-    and looped eigh agree bitwise.  With `normalize`, M is an adjacency
+    One decomposition per component order; bipartite groups by the SVD.
+    An order m >= 3 whose components are all bipartite with the same part
+    sizes (by `split.colour`) and exactly zero within each part goes
+    through one SVD of the gathered biadjacency blocks
+    (`_bipartite_stack`); every other order through one eigh of the
+    gathered (T, m, m) stack.  Stacked and looped calls agree bitwise.
+    Order 2 stays on eigh, where both are closed forms.  With `normalize`, M is an adjacency
     matrix: Delta's block is M_c / lambda_c, lambda_c > 0 is required, and
     the spectra are mu / lambda_c at scale 1 (lambda_c >= 1, so the entries
     of the blocks of Delta and I - Delta are at most 1).  Otherwise M is
@@ -303,19 +314,26 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
     rule).  Every Perron vector must be positive, and every block of
     I - Delta must pass the PSD rule and have rank m - 1 by the rank rule,
     at the block's scale: the certificate the blocks' Edms and points are
-    built on.  The first failing component in `comps` order raises its
-    first failing check's ConsistencyError (or its decomposition error),
-    naming it; `check=False` skips the checks, for a caller that reads only
-    the tops.
+    built on.  The first failing component in `split.nontrivial` order
+    raises its first failing check's ConsistencyError (or its
+    decomposition error), naming it; `check=False` skips the checks, for a
+    caller that reads only the tops.
     """
+    comps = split.nontrivial
+    colour = np.array(split.colour, dtype=int)
     by_order: dict[int, list] = {}
     for p, comp in enumerate(comps):
         by_order.setdefault(len(comp), []).append(p)
     groups, failures = [], {}
     for m, pos in sorted(by_order.items()):
         rows = np.array([comps[p] for p in pos]) - 1
-        S = M[_block_index(rows, rows)]
-        values, vectors, errors = _eigh_stack(S)
+        route = _bipartite_stack(M, rows, colour[rows]) if m >= 3 else None
+        if route is None:
+            S = M[_block_index(rows, rows)]
+            values, vectors, errors = _eigh_stack(S)
+        else:  # S is the biadjacency stack, at the scale of the blocks
+            values, vectors, S = route
+            errors = [None] * len(pos)
         lam = values[:, 0]
         scales = np.ones(len(pos)) if normalize else scale(S)
         if normalize:  # Delta's block is M_c / lambda_c; lambda_c <= 0 fails its check
@@ -353,3 +371,51 @@ def _perron_blocks(M: np.ndarray, comps, tol: Tolerances, normalize: bool = Fals
     if failures:
         raise failures[min(failures)]
     return groups
+
+
+def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
+    """The blocks M[rows[t]][:, rows[t]] decomposed through one SVD of their biadjacencies: (values, vectors, C), or None.
+
+    side[t] is the 2-colouring of block t's support graph (-1 throughout
+    for an odd cycle).  The route applies when every block is bipartite
+    with the same part sizes p >= q and its entries within each part are
+    exactly zero: block t, its larger part's rows first, is then
+    [[0, C_t], [C_t^T, 0]] with C_t = U diag(sigma) V^T of size p x q, and
+    its eigenpairs are sigma_i on (u_i, v_i) / sqrt 2, p - q zeros on
+    (u_j, 0) and -sigma_i on (u_i, -v_i) / sqrt 2 (Golub and Kahan 1965).
+    They come back in the block's own row order, descending and
+    sign-normalized as `_eigh_descending` returns them, with the (T, p, q)
+    stack C.  None when the route does not apply, C has a NaN or Inf entry
+    or the SVD fails to converge: eigh then decides.
+    """
+    T, m = side.shape
+    ones = side.sum(axis=1)
+    q = int(min(ones[0], m - ones[0]))
+    if side.min() < 0 or np.any(np.minimum(ones, m - ones) != q):
+        return None
+    p = m - q
+    big = side == (2 * ones > m)[:, None]  # the larger part; side 0 on a tie
+    t = np.arange(T)[:, None]
+    X, Y = np.nonzero(big)[1].reshape(T, p), np.nonzero(~big)[1].reshape(T, q)
+    rx, ry = rows[t, X], rows[t, Y]
+    C = M[rx[:, :, None], ry[:, None, :]]
+    within = M[rx[:, :, None], rx[:, None, :]].any() or M[ry[:, :, None], ry[:, None, :]].any()
+    if within or not np.isfinite(C).all():
+        return None
+    try:
+        U, sigma, Vh = np.linalg.svd(C)
+    except np.linalg.LinAlgError:
+        return None
+    values = np.zeros((T, m))
+    values[:, :q] = sigma
+    values[:, p:] = -sigma[:, ::-1]
+    h = np.sqrt(0.5)
+    Ux, V = U[:, :, :q] * h, Vh.transpose(0, 2, 1) * h
+    vectors = np.empty((T, m, m))
+    vectors[t, X, :q] = Ux
+    vectors[t, X, q:p] = U[:, :, q:]
+    vectors[t, X, p:] = Ux[:, :, ::-1]
+    vectors[t, Y, :q] = V
+    vectors[t, Y, q:p] = 0.0
+    vectors[t, Y, p:] = -V[:, :, ::-1]
+    return values, _sign_normalize_columns(vectors), C

@@ -10,7 +10,9 @@ sampler trial by trial (against the stacked one), the Perron data of a
 whole matrix (against its components' tops), and orthonormal
 representations and Kuperberg blocks one component at a time, each with
 its own eigendecomposition and assembly of order n (against the stacked
-Perron driver).
+Perron driver), a bipartite component's through the SVD of its
+biadjacency, on a 2-colouring found by breadth-first search (against the
+colouring of the component traversal).
 """
 
 from __future__ import annotations
@@ -256,23 +258,73 @@ def circumcenter_edm_looped(D, w, blocks, lone, tol) -> Edm:
     return edm
 
 
+def bipartite_sides(A: np.ndarray) -> np.ndarray | None:
+    """A 2-colouring of the connected graph with adjacency A, node 0 on side 0, by breadth-first search; None for an odd cycle."""
+    side = np.full(A.shape[0], -1)
+    side[0] = 0
+    queue = [0]
+    for u in queue:
+        for v in np.flatnonzero(A[u]).tolist():
+            if side[v] < 0:
+                side[v] = 1 - side[u]
+                queue.append(v)
+            elif side[v] == side[u]:
+                return None
+    return side
+
+
+def biadjacency_eigensystem(A: np.ndarray, side: np.ndarray, tol: Tolerances) -> EigenSystem:
+    """The eigensystem of a bipartite block A from the SVD U diag(sigma) V^T of its biadjacency C, one column at a time.
+
+    C's rows are the larger part (side 0 on a tie), of size p, its columns
+    the other, of size q.  The pairs: sigma_i on (u_i, v_i) / sqrt 2, the
+    p - q zeros on (u_j, 0), then -sigma_i on (u_i, -v_i) / sqrt 2 in
+    reverse, each column sign-normalized by `sign_normalize`.
+    """
+    m = A.shape[0]
+    big = side == int(2 * side.sum() > m)
+    X, Y = np.flatnonzero(big), np.flatnonzero(~big)
+    p, q = X.size, Y.size
+    U, sigma, Vh = np.linalg.svd(A[np.ix_(X, Y)])
+    h = np.sqrt(0.5)
+    vectors = np.zeros((m, m))
+    for i in range(q):
+        vectors[X, i] = vectors[X, m - 1 - i] = U[:, i] * h
+        vectors[Y, i] = Vh[i] * h
+        vectors[Y, m - 1 - i] = -(Vh[i] * h)
+    for j in range(q, p):
+        vectors[X, j] = U[:, j]
+    values = np.concatenate([sigma, np.zeros(p - q), -sigma[::-1]])
+    vectors = np.column_stack([sign_normalize(v) for v in vectors.T])
+    return EigenSystem(values, vectors, tol, scale(A))
+
+
 def construct_orthorep_looped(G: Graph, tol: Tolerances = DEFAULT_TOL) -> tuple[OrthoRep, float]:
     """A graph's representation and reconstruction residual, one component at a time.
 
-    One `_decompose` per component adjacency, np.ix_ gathers and scatters,
-    D = 2(E - I) + 2 Delta and the residual D - 2(E - P P^T) at order n.
-    The edgeless graph validates D.  The self-check is not run.
+    One decomposition per component adjacency, np.ix_ gathers and
+    scatters, D = 2(E - I) + 2 Delta and the residual D - 2(E - P P^T) at
+    order n.  The components of an order m >= 3 that are all bipartite with
+    the same part sizes are decomposed by `biadjacency_eigensystem`, every
+    other one by `_decompose`.  The edgeless graph validates D.  The
+    self-check is not run.
     """
     split = components(G)
     n = G.node_count
     A = adjacency(G)
+    blocks_of = [A[np.ix_(np.asarray(c) - 1, np.asarray(c) - 1)] for c in split.nontrivial]
+    sides = [bipartite_sides(Asub) for Asub in blocks_of]
+    parts: dict[int, set] = {}
+    for Asub, side in zip(blocks_of, sides):
+        parts.setdefault(Asub.shape[0], set()).add(
+            None if side is None else min(side.sum(), side.size - side.sum()))
+    by_svd = {m for m, qs in parts.items() if m >= 3 and len(qs) == 1 and None not in qs}
     delta = np.zeros((n, n))
     xi = np.zeros(n)
     lams, spectra, blocks = [], [], []
-    for comp in split.nontrivial:
+    for comp, Asub, side in zip(split.nontrivial, blocks_of, sides):
         idx = np.asarray(comp, dtype=int) - 1
-        Asub = A[np.ix_(idx, idx)]
-        es = _decompose(Asub, tol)
+        es = biadjacency_eigensystem(Asub, side, tol) if len(comp) in by_svd else _decompose(Asub, tol)
         lam = float(es.values[0])
         if not lam > 0.0 or np.any(es.vectors[:, 0] <= 0.0):
             raise ConsistencyError(f"component {comp} fails the Perron conditions")

@@ -1,6 +1,6 @@
 """Eigendecomposition counts: each spectral fact is computed once and reused.
 
-`numpy.linalg.eigh` is counted through a monkeypatch.  The pinned counts are
+`numpy.linalg.eigh` and `numpy.linalg.svd` are counted through a monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, none for the certificate of D w = e (the sphere fit on B's kept
 eigenpairs, and a closed form at rank(B) = 0), and one eigh of order at
@@ -13,9 +13,12 @@ read them through one rule.  A Kuperberg decomposition makes the same
 stacked eighs of the blocks' core Deltas: their Perron data give each
 block's circumcenter weights, and the eigensystem of the block's Gram
 matrix I - Delta at that circumcenter follows from it.  An orthonormal
-representation costs one stacked eigh per component order, of the
-component adjacencies: the eigensystem of its B = I - Delta is assembled
-from those, and only the edgeless graph validates its D.  Every eigh is
+representation costs one stacked decomposition per component order, of the
+component adjacencies: one SVD of the biadjacency blocks when the
+components of that order (at least 3) are all bipartite with the same part
+sizes, else one eigh; the eigensystem of its B = I - Delta is assembled
+from those, and only the edgeless graph validates its D.  Every other
+chain makes no SVD.  Every eigh is
 stacked: a single matrix is decomposed as a (1, n, n) stack, so each call
 is recorded by its order shape[-1], and `matrices` counts the matrices of
 each call.  An Edm built at its circumcenter (a representation, a
@@ -56,21 +59,26 @@ from oracles import perron
 
 
 class EighCalls(list):
-    """The order of each numpy.linalg.eigh call, in call order; `matrices` holds its stack size."""
+    """The order of each numpy.linalg.eigh call, in call order; `matrices` holds its stack size.
+
+    `svds` holds the (rows, columns) of each numpy.linalg.svd call and
+    `svd_matrices` its stack size.
+    """
 
     def __init__(self):
         super().__init__()
-        self.matrices = []
+        self.matrices, self.svds, self.svd_matrices = [], [], []
 
     def clear(self):
         super().clear()
-        self.matrices.clear()
+        for calls in (self.matrices, self.svds, self.svd_matrices):
+            calls.clear()
 
 
 @pytest.fixture
 def eighs(monkeypatch):
     calls = EighCalls()
-    eigh = np.linalg.eigh
+    eigh, svd = np.linalg.eigh, np.linalg.svd
 
     def counted(a, *args, **kwargs):
         shape = np.asarray(a).shape
@@ -78,7 +86,14 @@ def eighs(monkeypatch):
         calls.matrices.append(int(np.prod(shape[:-2])))
         return eigh(a, *args, **kwargs)
 
+    def counted_svd(a, *args, **kwargs):
+        shape = np.asarray(a).shape
+        calls.svds.append(shape[-2:])
+        calls.svd_matrices.append(int(np.prod(shape[:-2])))
+        return svd(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls
 
 
@@ -132,6 +147,7 @@ def test_dense_certify_chain(eighs, D, delta, gram):
         embedding_dim_via_delta(edm, cert)
     gram_factor(edm)
     assert list(zip(eighs, eighs.matrices)) == [(edm.n, 1)] + delta + gram
+    assert eighs.svds == []
 
 
 @pytest.mark.parametrize("D", [cross(8), composition([4, 3, 2, 2]), unit_sphere(16, 8),
@@ -216,6 +232,7 @@ def test_crosspolytope_recognize(eighs, r):
     assert crosspolytope_recognize(edm)
     # one stacked call of the r antipodal pairs' 2 x 2 Deltas; D w = e makes none
     assert (eighs, eighs.matrices) == ([2], [r])
+    assert eighs.svds == []
 
 
 @pytest.mark.parametrize("orders, lone, expected", [
@@ -232,6 +249,7 @@ def test_kuperberg_decompose(eighs, orders, lone, expected):
     # rows), of all cores of that order; D w = e makes none
     cores = Counter(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
     assert sorted(zip(eighs, eighs.matrices)) == sorted(cores.items())
+    assert eighs.svds == []  # a simplex block's core is complete: K2 or an odd cycle
 
 
 def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
@@ -267,7 +285,16 @@ def test_check_rankin_sample_one_eigh_per_chunk(eighs, monkeypatch):
 
 def test_construct_orthorep_connected(eighs):
     construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
-    assert len(eighs) == 1  # the adjacency; B = I - Delta is known from it
+    # the path is bipartite, parts of 3 and 3: one SVD of its 3 x 3 biadjacency
+    # and no eigh; B = I - Delta is known from it
+    assert (eighs, eighs.svds, eighs.svd_matrices) == ([], [(3, 3)], [1])
+
+
+@pytest.mark.parametrize("cycle", [5, 7, 9])
+def test_construct_orthorep_odd_cycle(eighs, cycle):
+    # an odd cycle has no 2-colouring: one eigh of its adjacency, no SVD
+    construct_orthorep(Graph.from_edges(cycle, [(i, i % cycle + 1) for i in range(1, cycle + 1)]))
+    assert (eighs, eighs.matrices, eighs.svds) == ([cycle], [1], [])
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -276,14 +303,33 @@ def test_construct_orthorep_k_components(eighs, k):
     # adjacencies, none of B
     edges = [(3 * c + a, 3 * c + b) for c in range(k) for a, b in [(1, 2), (1, 3), (2, 3)]]
     construct_orthorep(Graph.from_edges(3 * k + 2, edges))
-    assert (eighs, eighs.matrices) == ([3], [k])
+    assert (eighs, eighs.matrices, eighs.svds) == ([3], [k], [])
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_construct_orthorep_single_edges(eighs, k):
+    # order 2 stays on eigh, where both decompositions are closed forms
+    construct_orthorep(Graph.from_edges(2 * k + 1, [(2 * c + 1, 2 * c + 2) for c in range(k)]))
+    assert (eighs, eighs.matrices, eighs.svds) == ([2], [k], [])
 
 
 def test_construct_orthorep_mixed_orders(eighs):
-    # a path of 4, two edges, a triangle and a lone node: one stacked eigh per order
+    # a path of 4, two edges, a triangle and a lone node: one stacked
+    # decomposition per order, the path's by the SVD of its 2 x 2 biadjacency
     edges = [(1, 2), (2, 3), (3, 4), (5, 6), (7, 8), (9, 10), (9, 11), (10, 11)]
     construct_orthorep(Graph.from_edges(12, edges))
-    assert (eighs, eighs.matrices) == ([2, 3, 4], [2, 1, 1])
+    assert (eighs, eighs.matrices) == ([2, 3], [2, 1])
+    assert (eighs.svds, eighs.svd_matrices) == ([(2, 2)], [1])
+
+
+def test_construct_orthorep_bipartite_groups(eighs):
+    # order 4: two paths (parts of 2 and 2) share one SVD; order 5: a path
+    # (3 and 2) next to a star (4 and 1) has unequal parts and keeps one eigh
+    edges = [(1, 2), (2, 3), (3, 4), (5, 6), (6, 7), (7, 8),
+             (9, 10), (10, 11), (11, 12), (12, 13), (14, 15), (14, 16), (14, 17), (14, 18)]
+    construct_orthorep(Graph.from_edges(18, edges))
+    assert (eighs, eighs.matrices) == ([5], [2])
+    assert (eighs.svds, eighs.svd_matrices) == ([(2, 2)], [2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -335,3 +381,4 @@ def test_cli_orthorep_example(eighs):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["orthorep", str(graph)]) == 0
     assert (eighs, eighs.matrices) == ([2], [2])  # two single-edge components, one stacked call
+    assert eighs.svds == []

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import helpers
 from edmsphere import FormatError, Graph, adjacency, apply_permutation, components, parse_graph
 from edmsphere.graphs import support_components
-from oracles import is_irreducible, is_irreducible_power_oracle
+from oracles import bipartite_sides, is_irreducible, is_irreducible_power_oracle
 
 
 class TestGraph:
@@ -99,6 +99,34 @@ class TestComponents:
         for c in split.nontrivial:
             idx = np.asarray(c) - 1
             assert is_irreducible_power_oracle(A[np.ix_(idx, idx)])
+
+    @given(st.integers(0, 9), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_colouring_property(self, n, data):
+        # components(G) builds its neighbour lists from the edge list and
+        # support_components from the adjacency matrix: the same split, bit
+        # for bit; each component's colouring is the breadth-first one, or
+        # -1 throughout when it has an odd cycle
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+        G = Graph.from_edges(n, chosen)
+        split = components(G)
+        assert support_components(adjacency(G)) == split
+        assert len(split.colour) == n
+        A = adjacency(G)
+        for c in split.components:
+            idx = np.asarray(c) - 1
+            side = bipartite_sides(A[np.ix_(idx, idx)])
+            expected = [-1] * len(c) if side is None else side.tolist()
+            assert [split.colour[i] for i in idx] == expected
+
+    def test_colouring(self):
+        # a path of 4 (relabelled), a triangle with a pendant node, an even cycle, a lone node
+        G = Graph.from_edges(14, [(3, 1), (1, 4), (4, 2), (5, 6), (6, 7), (5, 7), (7, 8),
+                                  (9, 10), (10, 11), (11, 12), (12, 9)])
+        split = components(G)
+        assert split.components == ((1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12), (13,), (14,))
+        assert split.colour == (0, 0, 1, 1, -1, -1, -1, -1, 0, 1, 0, 1, 0, 0)
 
 
 def test_adjacency(example_graph):

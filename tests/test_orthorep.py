@@ -329,21 +329,28 @@ class TestEdmByConstruction:
         npt.assert_allclose(gf.config @ gf.config.T, np.eye(rep.n) - rep.delta, rtol=0, atol=1e-12)
         npt.assert_array_equal(validate_edm(rep.edm.dist2).centering, np.full(rep.n, 1.0 / rep.n))
 
-    def test_reconstruction_residual_catches_a_perturbed_eigensystem(self, monkeypatch):
-        eigh_stack = spectral_module._eigh_stack
+    @pytest.mark.parametrize("route, chord", [
+        ("_bipartite_stack", []),   # the path is bipartite: its block takes the SVD route
+        ("_eigh_stack", [(1, 3)]),  # the chord closes a triangle: its block keeps eigh
+    ], ids=["svd", "eigh"])
+    def test_reconstruction_residual_catches_a_perturbed_eigensystem(self, monkeypatch, route, chord):
+        decompose = getattr(spectral_module, route)
+        calls = []
 
-        def perturbed(S):
+        def perturbed(*args):
             # lambda_c and the Perron vector, hence D and w, stay exact; the
             # points move by ~1e-8, below the unit-row and sign checks
-            values, vectors, errors = eigh_stack(S)
+            values, *rest = decompose(*args)
             values = values.copy()
             values[:, 1:] += 1e-8
-            return values, vectors, errors
+            calls.append(route)
+            return (values, *rest)
 
-        monkeypatch.setattr(spectral_module, "_eigh_stack", perturbed)
+        monkeypatch.setattr(spectral_module, route, perturbed)
         with pytest.raises(ConsistencyError, match="reconstruction") as info:
-            construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)]))
+            construct_orthorep(Graph.from_edges(6, [(i, i + 1) for i in range(1, 6)] + chord))
         assert ";" not in str(info.value)  # the only failed check
+        assert calls == [route]
 
 
 def _mixed_graph(seed):
