@@ -8,6 +8,7 @@ per line with ``1 <= i < j <= n``; ``#`` starts a comment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -120,11 +121,12 @@ def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
 def components(G: Graph) -> ComponentSplit:
     """Split `G` into connected components, ordered as `ComponentSplit` documents.
 
-    The neighbour lists come from G's sorted edge index in both directions,
-    with no n x n matrix.
+    The neighbour lists come from G's edges in both directions, sorted as
+    one key, with no n x n matrix.
     """
     n = G.node_count
-    i, j = _edge_index(G)
+    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.int64, count=2 * len(G.edges))
+    i, j = ends[0::2] - 1, ends[1::2] - 1
     key = np.concatenate((i * n + j, j * n + i))  # each edge in both directions
     key.sort()
     return _split(n, *np.divmod(key, n))
