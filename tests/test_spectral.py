@@ -60,10 +60,16 @@ class TestSignNormalize:
         npt.assert_array_equal(sign_normalize(once), once)
 
 
-    @given(arrays(np.float64, (3, 4, 5), elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
-    @settings(max_examples=100, deadline=None)
-    def test_columns_of_a_stack_match_the_one_vector_rule(self, V):
+    @pytest.mark.parametrize("elements", [
         # small integers: ties in magnitude, both signs, zero columns and -0.0
+        st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+        # no ties: the reductions alone decide
+        st.floats(-1e3, 1e3, allow_subnormal=False),
+    ], ids=["ties", "floats"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_of_a_stack_match_the_one_vector_rule(self, elements, data):
+        V = data.draw(arrays(np.float64, (3, 4, 5), elements=elements))
         ref = np.stack([np.column_stack([sign_normalize(W[:, j]) for j in range(5)]) for W in V])
         assert _sign_normalize_columns(V).tobytes() == ref.tobytes()
 
