@@ -27,33 +27,13 @@ import math
 import os
 import sys
 import time
-import traceback
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from . import __version__, matrixio
-from .decomposition import (
-    _sample_codimension2,
-    crosspolytope_recognize,
-    kuperberg_decompose,
-    rankin_codimension2_check,
-)
-from .edm import (
-    SPHERICAL,
-    EdmRejection,
-    embedding_dim_via_delta,
-    gen_crosspolytope,
-    gen_random_spherical,
-    gen_regular_simplex,
-    gen_unit_simplex,
-    spherical_certificate,
-    validate_edm,
-)
+from . import __version__
 from .errors import ConsistencyError, FormatError, PreconditionError
-from .graphs import parse_graph
-from .orthorep import construct_orthorep, minimality_bound
 from .tolerances import TOL_PROFILE_ENV, Tolerances, from_profile
 
 OK = 0
@@ -148,6 +128,9 @@ def _read_input(path: str, ctx) -> str:
 
 def _load_edm(path: str, tol, ctx):
     """Read, digest, parse and validate a matrix file: an Edm or an EdmRejection."""
+    from . import matrixio
+    from .edm import validate_edm
+
     return validate_edm(matrixio.parse_matrix(_read_input(path, ctx)), tol)
 
 
@@ -187,6 +170,8 @@ def _resolve_tolerances(args) -> tuple[Tolerances, str]:
 
 
 def _spherical_dict(cert) -> dict:
+    from .edm import SPHERICAL
+
     out = {
         "status": cert.status,
         "unit_spherical": cert.unit_spherical,
@@ -200,9 +185,12 @@ def _spherical_dict(cert) -> dict:
     return out
 
 
-# each handler: (args, tol, ctx) -> (status, result, checks, exit_code, raw_stdout)
+# each handler: (args, tol, ctx) -> (status, result, checks, exit_code, raw_stdout);
+# it imports the layers it runs, so that a CLI process loads only those
 
 def cmd_validate(args, tol, ctx):
+    from .edm import EdmRejection, embedding_dim_via_delta, spherical_certificate
+
     res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
         return _rejected(res, witness_eigenvalue=res.witness_eigenvalue)
@@ -221,6 +209,9 @@ def cmd_validate(args, tol, ctx):
 
 
 def cmd_orthorep(args, tol, ctx):
+    from .graphs import parse_graph
+    from .orthorep import construct_orthorep, minimality_bound
+
     G = parse_graph(_read_input(args.graph, ctx))
     rep = construct_orthorep(G, tol)
     result = {
@@ -256,6 +247,9 @@ def cmd_orthorep(args, tol, ctx):
 
 
 def cmd_decompose(args, tol, ctx):
+    from .decomposition import kuperberg_decompose
+    from .edm import EdmRejection
+
     res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
         return _rejected(res)
@@ -287,40 +281,42 @@ def cmd_decompose(args, tol, ctx):
     return "ok", _write_out(args.out, result, checks), checks, OK, None
 
 
-# each gen kind: (the arguments it needs, its generator, the fields of its header and report)
+# each gen kind: (the arguments it needs, its generator in the edm module, the fields of its header and report)
 _GEN_KINDS = {
-    "simplex": (("n",), lambda a, tol: gen_regular_simplex(a.n, a.gamma, tol), ("n", "gamma")),
-    "unit-simplex": (("n",), lambda a, tol: gen_unit_simplex(a.n, tol), ("n",)),
-    "crosspolytope": (("r",), lambda a, tol: gen_crosspolytope(a.r, tol), ("r",)),
-    "random-sphere": (("n", "r"), lambda a, tol: gen_random_spherical(a.n, a.r, a.seed, tol)[0],
+    "simplex": (("n",), lambda edm, a, tol: edm.gen_regular_simplex(a.n, a.gamma, tol), ("n", "gamma")),
+    "unit-simplex": (("n",), lambda edm, a, tol: edm.gen_unit_simplex(a.n, tol), ("n",)),
+    "crosspolytope": (("r",), lambda edm, a, tol: edm.gen_crosspolytope(a.r, tol), ("r",)),
+    "random-sphere": (("n", "r"), lambda edm, a, tol: edm.gen_random_spherical(a.n, a.r, a.seed, tol)[0],
                       ("n", "r", "seed")),
 }
 
 
 def cmd_gen(args, tol, ctx):
+    from . import edm, matrixio
+
     kind = args.kind
     needs, generate, fields = _GEN_KINDS[kind]
     if any(getattr(args, name) is None for name in needs):
         raise PreconditionError(f"gen {kind} needs " + " and ".join(f"-{name}" for name in needs))
     if "seed" in fields and args.seed < 0:
         raise PreconditionError(f"--seed must be nonnegative, got {args.seed}")
-    edm = generate(args, tol)
+    res = generate(edm, args, tol)
     params = {name: getattr(args, name) for name in fields}
     header = " ".join([f"gen {kind}"] + [f"{name}={value!r}" for name, value in params.items()])
-    text = matrixio.format_matrix_text(edm.dist2, comment=header)
+    text = matrixio.format_matrix_text(res.dist2, comment=header)
     if not args.out:
         # documented exception: raw matrix text instead of a JSON report
         return "ok", None, None, OK, text
     data = text.encode("utf-8")
     with open(args.out, "wb") as fh:
         fh.write(data)
-    cert = spherical_certificate(edm)
+    cert = edm.spherical_certificate(res)
     result = {
         "kind": kind,
         **params,
-        "order": edm.n,
-        "embedding_dim": edm.embedding_dim,
-        "min_offdiagonal": edm.min_offdiagonal,
+        "order": res.n,
+        "embedding_dim": res.embedding_dim,
+        "min_offdiagonal": res.min_offdiagonal,
         "radius": cert.radius,
         "unit_spherical": cert.unit_spherical,
         "out": args.out,
@@ -338,6 +334,9 @@ def cmd_check_rankin(args, tol, ctx):
 
 
 def _check_rankin_file(args, tol, ctx):
+    from .decomposition import crosspolytope_recognize, rankin_codimension2_check
+    from .edm import EdmRejection
+
     res = _load_edm(args.matrix, tol, ctx)
     if isinstance(res, EdmRejection):
         return _rejected(res)
@@ -378,6 +377,8 @@ def _check_rankin_file(args, tol, ctx):
 
 
 def _check_rankin_sample(args, tol):
+    from .decomposition import _sample_codimension2
+
     r = args.sample
     if r < 2:
         raise PreconditionError(f"--sample needs r >= 2, got {r}")
@@ -494,6 +495,8 @@ def main(argv=None) -> int:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
     except Exception as exc:  # any other fault, a plain ValueError included
         status, result, checks, code = "error", {"error": f"{type(exc).__name__}: {exc}"}, {}, FAULT
+        import traceback
+
         traceback.print_exc()
     if raw is not None:
         sys.stdout.write(raw)

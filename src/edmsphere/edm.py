@@ -180,12 +180,19 @@ def _entry_stats(M: np.ndarray) -> tuple:
     off-diagonal entry of D): D is M symmetrized from its lower triangle
     with the diagonal then set to zero.  Only the finiteness is meaningful
     for a matrix that is not finite.
+
+    When every M is exactly symmetric, M + 0.0 is that mirror bit for bit:
+    each entry of the mirror is an entry of M plus +0.0, and the one pair of
+    equal entries with different bits, +0.0 and -0.0, both sum to +0.0.
     """
     n = M.shape[-1]
     with np.errstate(invalid="ignore", over="ignore"):  # a too-large M is rejected, not measured
         finite = np.isfinite(M).all(axis=(-2, -1))
         skew = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
+    if (skew == 0.0).all():  # a NaN skew is not 0: such a stack keeps the mirror
+        D = M + 0.0
+    else:
+        D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
     diag = np.arange(n)
     diag_max = np.abs(D[..., diag, diag]).max(axis=-1, initial=0.0)
     D[..., diag, diag] = 0.0

@@ -391,12 +391,13 @@ class TestTolerances:
 
 class TestExitCodes:
     def test_internal_value_error_is_a_fault(self, capsys, graph_file, monkeypatch):
-        import edmsphere.cli as cli
+        import edmsphere.orthorep as orthorep
 
         def broken(rep, tol=None):
             raise ValueError("broken minimality")
 
-        monkeypatch.setattr(cli, "minimality_bound", broken)
+        # the orthorep handler imports minimality_bound from its module at call time
+        monkeypatch.setattr(orthorep, "minimality_bound", broken)
         code, report, _ = run_json(capsys, ["orthorep", graph_file])
         assert code == 1
         assert report["status"] == "error"

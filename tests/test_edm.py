@@ -34,7 +34,7 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _centroid, _gram_eig_at, nonnegative_delta
+from edmsphere.edm import _centroid, _entry_stats, _gram_eig_at, nonnegative_delta
 from edmsphere.spectral import _decompose, as_symmetric
 from edmsphere.tolerances import scale
 from oracles import perron, solve_linear
@@ -134,6 +134,53 @@ def test_min_offdiagonal():
     M = np.arange(18.0).reshape(2, 3, 3)
     assert min_offdiagonal(M).tolist() == [min_offdiagonal(m) for m in M] == [1.0, 10.0]
     assert min_offdiagonal(np.zeros((2, 1, 1))).tolist() == [np.inf, np.inf]
+
+
+def _mirror_lower(M):
+    """D of `_entry_stats` as the lower triangle mirrored, with the diagonal set to zero."""
+    D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
+    diag = np.arange(M.shape[-1])
+    D[..., diag, diag] = 0.0
+    return D
+
+
+def _signed_zeros(n, seed):
+    """A symmetric (n, n) matrix whose equal pairs mix +0.0 and -0.0, diagonal -0.0 included."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n))
+    M = M + M.T
+    zero = rng.random((n, n)) < 0.3
+    M[zero | zero.T] = 0.0
+    M[(M == 0.0) & (rng.random((n, n)) < 0.5)] = -0.0  # each side of a zero pair signed on its own
+    return M
+
+
+@pytest.mark.parametrize("case", ["signed-zeros", "nan", "inf", "asymmetric", "mixed-stack", "empty"])
+def test_entry_stats_d_is_the_mirror_bit_for_bit(case):
+    sym = np.stack([_signed_zeros(6, seed) for seed in range(3)])
+    sym[:, np.arange(6), np.arange(6)] = -0.0
+    if case == "signed-zeros":
+        M = sym
+        assert (_entry_stats(M)[2] == 0.0).all()  # exactly symmetric, though not bit for bit
+        assert (np.signbit(M) != np.signbit(np.swapaxes(M, 1, 2))).any()
+    elif case == "nan":
+        M = sym.copy()
+        M[1, 2, 4] = M[1, 4, 2] = np.nan
+    elif case == "inf":
+        M = sym.copy()
+        M[0, 1, 3] = M[0, 3, 1] = -np.inf
+    elif case == "asymmetric":
+        M = sym.copy()
+        M[:, 0, 1] = 1.0
+        M[:, 1, 0] = 1.0 + 1e-15  # within tol.symmetry
+    elif case == "mixed-stack":
+        M = sym.copy()
+        M[2, 5, 0] += 1e-12
+    else:
+        M = np.zeros((2, 0, 0))
+    D = _entry_stats(M)[3]
+    assert D.dtype == np.float64 and D.shape == M.shape
+    assert D.tobytes() == _mirror_lower(M).tobytes()
 
 
 class TestGramFactor:

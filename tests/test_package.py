@@ -1,5 +1,13 @@
 """The package surface: the same public names, with the module-level helpers kept out of it."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import edmsphere
 
 PUBLIC_NAMES = [
@@ -32,3 +40,109 @@ def test_module_helpers_are_not_package_attributes():
     # the tolerance rule and the symmetry check are imported from their modules
     assert not hasattr(edmsphere, "scale")
     assert not hasattr(edmsphere, "as_symmetric")
+
+
+# -- import footprint: a CLI process imports only the layers its subcommand runs
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+# imported first by the child's site module; writes the edmsphere modules loaded at exit
+EXIT_HOOK = """\
+import atexit, os, sys
+
+def _write_loaded():
+    loaded = sorted(name for name in sys.modules if name.startswith("edmsphere."))
+    with open(os.path.join(os.path.dirname(__file__), "loaded.txt"), "w") as fh:
+        fh.write("\\n".join(loaded))
+
+atexit.register(_write_loaded)
+"""
+
+
+def _child(tmp_path, args):
+    """Run `python *args` from tests/golden; the set of edmsphere layers it had loaded at exit."""
+    (tmp_path / "sitecustomize.py").write_text(EXIT_HOOK)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return proc, {name.split(".", 1)[1] for name in (tmp_path / "loaded.txt").read_text().split()}
+
+
+@pytest.mark.parametrize("argv, allowed, absent", [
+    (["--version"], {"errors", "tolerances"}, None),
+    (["validate", "example.txt"], None, {"decomposition", "orthorep"}),
+    (["orthorep", "example.graph"], None, {"decomposition", "matrixio"}),
+], ids=["version", "validate", "orthorep"])
+def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, allowed, absent):
+    _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv])
+    assert "errors" in loaded and "tolerances" in loaded
+    if allowed is not None:
+        assert loaded <= allowed, loaded - allowed
+    if absent is not None:
+        assert not loaded & absent, loaded & absent
+
+
+def test_first_public_access_binds_the_whole_namespace(tmp_path):
+    # bench/tracer.py reads edmsphere.__all__, then sys.modules["edmsphere.<layer>"] for these
+    tracer_layers = {"spectral", "edm", "graphs", "orthorep", "decomposition", "matrixio", "cli"}
+    script = """\
+import json, sys
+import edmsphere, edmsphere.cli
+before = sorted(name for name in sys.modules if name.startswith("edmsphere."))
+exported = sorted(edmsphere.__all__)
+after = sorted(name for name in sys.modules if name.startswith("edmsphere."))
+namespace = {}
+exec("from edmsphere import *", namespace)
+print(json.dumps([before, after, sorted(set(namespace) - {"__builtins__"}), exported]))
+"""
+    proc, _ = _child(tmp_path, ["-c", script])
+    before, after, star, exported = json.loads(proc.stdout)
+    assert before == ["edmsphere.cli", "edmsphere.errors", "edmsphere.tolerances"]
+    assert {f"edmsphere.{layer}" for layer in tracer_layers} <= set(after)
+    assert star == exported == PUBLIC_NAMES
+
+
+def test_dir_lists_the_public_names_before_any_access(tmp_path):
+    proc, _ = _child(tmp_path, ["-c", "import edmsphere; print(*dir(edmsphere))"])
+    assert set(PUBLIC_NAMES) <= set(proc.stdout.decode().split())
+
+
+def test_first_accesses_from_many_threads_bind_one_namespace(tmp_path):
+    # more threads than cores race for the first access, through names, __all__ and import *
+    script = f"""\
+import sys, threading
+sys.setswitchinterval(1e-6)
+import edmsphere
+names = {PUBLIC_NAMES!r}
+start = threading.Barrier(8)
+got = [None] * 8
+
+def read(k):
+    start.wait()
+    if k == 6:
+        got[k] = {{name: getattr(edmsphere, name) for name in edmsphere.__all__}}
+    elif k == 7:
+        namespace = {{}}
+        exec("from edmsphere import *", namespace)
+        got[k] = {{name: namespace[name] for name in names}}
+    else:
+        got[k] = {{name: getattr(edmsphere, name) for name in names[k:] + names[:k]}}
+
+threads = [threading.Thread(target=read, args=(k,)) for k in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+assert not any(t.is_alive() for t in threads)
+modules = [module for name, module in sys.modules.items() if name.startswith("edmsphere.")]
+truth = {{name: next(vars(m)[name] for m in modules if name in getattr(m, "__all__", ()))
+          for name in names if name != "__version__"}}
+for seen in got:
+    assert all(seen[name] is obj for name, obj in truth.items())
+assert sorted(edmsphere.__all__) == names
+print("ok")
+"""
+    proc, _ = _child(tmp_path, ["-c", script])
+    assert proc.stdout.decode().split() == ["ok"]
