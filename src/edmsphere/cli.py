@@ -22,7 +22,6 @@ rejected with exit 2.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import os
 import sys
@@ -120,6 +119,8 @@ def _float_rows(rows: list, depth: int, nl: str) -> str:
 
 def _read_input(path: str, ctx) -> str:
     """Read an input file once; its report digest covers exactly the bytes parsed."""
+    import hashlib  # OpenSSL's _hashlib loads only where a digest is made
+
     with open(path, "rb") as fh:
         data = fh.read()
     ctx["inputs"][path] = hashlib.sha256(data).hexdigest()
@@ -292,6 +293,8 @@ _GEN_KINDS = {
 
 
 def cmd_gen(args, tol, ctx):
+    import hashlib
+
     from . import edm, matrixio
 
     kind = args.kind

@@ -688,17 +688,17 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     tol = D.tol
     if cert.status != SPHERICAL or not cert.unit_spherical:
         raise PreconditionError("embedding_dim_via_delta requires a unit spherical certificate")
-    dm = delta_of(D)
-    if dm.source_min_offdiag < 2.0 - tol.sign:
+    if D.min_offdiagonal < 2.0 - tol.sign:  # decided before Delta is formed
         return DeltaDimReport(
             dimension=D.embedding_dim, used_perron=False,
             lambda_max=None, multiplicity=None, lambda_max_ok=False,
             eigvec_residual=None, eigvec_ok=False,
             note=(
-                f"min off-diagonal {dm.source_min_offdiag:.17g} < 2: Perron reasoning "
+                f"min off-diagonal {D.min_offdiagonal:.17g} < 2: Perron reasoning "
                 "does not apply; reporting rank of the centered Gram matrix instead"
             ),
         )
+    dm = delta_of(D)
     delta = nonnegative_delta(dm, tol)
     lambda_max, multiplicity = _perron_top(delta, support_components(delta, tol), tol)
     residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
@@ -803,16 +803,25 @@ def _sphere_points(rngs: list, n: int, r: int) -> np.ndarray:
     return X
 
 
+_DIFF_BLOCK_BYTES = 1 << 20  # the differences `_sphere_dist2` holds at a time
+
+
 def _sphere_dist2(X: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of X: (..., n, r) -> (..., n, n).
 
-    Each matrix of a stack has the bits of its own call.
+    The differences are formed a block of rows at a time, about
+    `_DIFF_BLOCK_BYTES` of them and at least one row, not as the whole
+    n x n x r tensor.  Each pair's sum runs over its own r differences, so
+    every block size gives the same bits, and each matrix of a stack has
+    the bits of its own call.
     """
     n = X.shape[-2]
     D = np.empty(X.shape[:-1] + (n,))
-    for i in range(0, n, 16):  # 16 rows of differences at a time, not an n x n x r tensor
-        diff = X[..., i:i + 16, None, :] - X[..., None, :, :]
-        D[..., i:i + 16, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)  # bitwise symmetric, zero diagonal
+    row_bytes = X.size // max(n, 1) * n * X.itemsize  # one row's differences, over the stack
+    rows = max(1, _DIFF_BLOCK_BYTES // max(row_bytes, 1))
+    for i in range(0, n, rows):
+        diff = X[..., i:i + rows, None, :] - X[..., None, :, :]
+        D[..., i:i + rows, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)  # bitwise symmetric, zero diagonal
         del diff  # one block alive at a time
     return D
 

@@ -25,9 +25,10 @@ D is certified by construction rather than validated again: centered at
 its circumcenter 2w its Gram matrix is B = I - Delta = P P^T, whose
 eigensystem the blocks already hold: `edm._circumcenter_edm` builds the Edm
 from it and checks w, and the reconstruction residual max|D - 2(E - P P^T)|
-is checked on the diagonal blocks, where alone it can be nonzero.  Only the
-edgeless graph, whose points have no centering at the origin, validates D
-from scratch.
+is checked on the diagonal blocks, where alone it can be nonzero.  The
+edgeless graph's points have no centering at the origin, so its D = 2(E - I)
+is taken at the centroid, where its Gram matrix I - E/n has a closed-form
+eigensystem (`_edgeless_edm`); only a single node validates D.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
-from .spectral import _block_index, _perron_blocks, _union_top
+from .spectral import EigenSystem, _block_index, _perron_blocks, _sign_normalize_columns, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, scale
 
 __all__ = [
@@ -118,7 +119,10 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     returned Edm of D is centered at 2w, where its Gram matrix is B, and
     carries B's eigensystem assembled from the blocks (`Edm.centering`,
     `Edm.gram_eig`) and the certificate of w; no eigendecomposition of
-    order n is made.  The edgeless graph validates D with `validate_edm`.
+    order n is made.  The edgeless graph's Edm is taken at the centroid,
+    where the Gram matrix of D = 2(E - I) is I - E/n, with its eigensystem
+    in closed form and no eigendecomposition either; a single node
+    validates D with `validate_edm`.
 
     Parameters
     ----------
@@ -146,7 +150,7 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     split = components(G)
     k = split.nontrivial_count
     iso = np.asarray(split.isolated, dtype=int) - 1
-    groups = _perron_blocks(A, split, tol, normalize=True)
+    groups = _perron_blocks(A, split, tol, normalize=True, exact_split=True)  # split is A's support
     lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
     xi = np.zeros(n)
     lams, spectra = [None] * k, [None] * k
@@ -169,10 +173,11 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
         # (any two distinct nodes need independent vectors).  D = 2(E - I) is
         # invertible for n >= 2 with D w = e at w = e / (2(n-1)).  The points
         # have no centering at the origin (their affine hull misses it), so
-        # P P^T is not a Gram matrix of D and D is validated from scratch.
+        # P P^T is not a Gram matrix of D; its Gram matrix at the centroid is
+        # known in closed form (`_edgeless_edm`).  A single node validates D.
         w = np.full(n, 1.0 / (2.0 * (n - 1))) if n >= 2 else None
         note = "graph has no edges; standard basis, dimension n, sphere is not unit"
-        res = validate_edm(D, tol)
+        res = _edgeless_edm(D, tol) if n >= 2 else validate_edm(D, tol)
         if isinstance(res, EdmRejection):
             raise ConsistencyError(f"constructed matrix rejected as an EDM: {res.reason} ({res.detail})")
     rep = OrthoRep(
@@ -182,6 +187,23 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     )
     _check_construction(rep, tol, recon)
     return rep
+
+
+def _edgeless_edm(D: np.ndarray, tol: Tolerances) -> Edm:
+    """The Edm `validate_edm` gives for D = 2(E - I) of order n >= 2, with no eigendecomposition.
+
+    At the centroid e/n its Gram matrix is B = I - E/n: eigenvalue 1 on
+    e-perp, here on the sign-normalized Helmert basis (column j: e_1 +
+    ... + e_j - j e_(j+1), normalized), and 0 on e / sqrt(n).  Its entries
+    1 - 1/n and -1/n lie within 1, so scale(B) = 1, and the rank rule at
+    that scale gives the embedding dimension, as validation reads it.
+    """
+    n = D.shape[0]
+    helmert = np.triu(np.ones((n, n))) - np.eye(n, k=-1) * np.arange(1.0, n + 1)  # and e, last
+    helmert /= np.sqrt(np.einsum("ij,ij->j", helmert, helmert))  # integer sums of squares, exact
+    gram = EigenSystem(np.append(np.ones(n - 1), 0.0), _sign_normalize_columns(helmert), tol, 1.0)
+    return Edm(dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=np.full(n, 1.0 / n),
+               min_offdiagonal=2.0)
 
 
 def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray) -> tuple:
@@ -273,20 +295,28 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
         Violating pairs are (i, j, d_ij) with 1-based i < j.
         `min_edge_excess` is min over edges of d_ij - 2 (want > tol.sign);
         `max_nonedge_dev` is max over non-edges of |d_ij - 2|.
+
+    The dist2 of an Edm is exactly symmetric, so |d_ij - 2| is read over
+    the whole matrix with the diagonal and both directions of every edge
+    zeroed; the upper triangle is taken only to list violations.  An array
+    is read on its strict upper triangle alone.
     """
-    M = np.asarray(getattr(D, "dist2", D), dtype=float)
+    symmetric = isinstance(D, Edm)
+    M = np.asarray(D.dist2 if symmetric else D, dtype=float)
     n = M.shape[0]
     if n != G.node_count:
         raise ValueError(f"matrix order {n} != graph node count {G.node_count}")
     i, j = _edge_index(G)
     on_edges = M[i, j]
     edge_bad = np.flatnonzero(~(on_edges > 2.0 + tol.sign))
-    dev = np.zeros_like(M)  # |d_ij - 2| for i < j off the edges, 0 elsewhere
-    np.subtract(M, 2.0, out=dev, where=np.tri(n, k=-1, dtype=bool).T)
-    dev[i, j] = 0.0
+    dev = M - 2.0  # then |d_ij - 2|, 0 on the diagonal and the edges
+    if not symmetric:
+        dev = np.triu(dev, 1)
     np.abs(dev, out=dev)
-    top = float(dev.max()) if i.size < n * (n - 1) // 2 else 0.0
-    nonedge_bad = () if top <= tol.sign else _pairs(M, *np.nonzero(dev > tol.sign))
+    np.fill_diagonal(dev, 0.0)
+    dev[i, j] = dev[j, i] = 0.0
+    top = float(dev.max(initial=0.0))
+    nonedge_bad = () if top <= tol.sign else _pairs(M, *np.nonzero(np.triu(dev > tol.sign, 1)))
     return SignPatternReport(
         ok=not edge_bad.size and not nonedge_bad,
         edge_violations=_pairs(M, i[edge_bad], j[edge_bad]),

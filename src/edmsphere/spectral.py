@@ -193,14 +193,15 @@ def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
 
     That entry is the column's maximum or minus its minimum, so no array of
     magnitudes is made; only a column where the two tie compares their
-    first positions.
+    first positions, and only the tied columns are gathered for it.
     """
     if not V.size:
         return V
     top, bottom = V.max(axis=-2), V.min(axis=-2)
     flip, tie = -bottom > top, -bottom == top
-    if tie.any():  # column-wise argmin and argmax copy the stack, so only on a tie
-        flip |= tie & (np.argmin(V, axis=-2) < np.argmax(V, axis=-2))
+    if tie.any():
+        tied = np.swapaxes(V, -1, -2)[tie]  # (ties, n): each tied column as a row
+        flip[tie] = np.argmin(tied, axis=-1) < np.argmax(tied, axis=-1)
     return V * np.where(flip, -1.0, 1.0)[..., None, :]
 
 
@@ -297,7 +298,7 @@ class PerronBlocks(NamedTuple):
 
 
 def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = False,
-                   check: bool = True) -> list[PerronBlocks]:
+                   check: bool = True, exact_split: bool = False) -> list[PerronBlocks]:
     """The Perron-Frobenius step on the nontrivial components of `split`, the support graph of a nonnegative M.
 
     One decomposition per component order; bipartite groups by the SVD.
@@ -317,7 +318,10 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     built on.  The first failing component in `split.nontrivial` order
     raises its first failing check's ConsistencyError (or its
     decomposition error), naming it; `check=False` skips the checks, for a
-    caller that reads only the tops.
+    caller that reads only the tops.  `exact_split` says that `split` is
+    the exact support of M, as for an adjacency matrix and the components
+    of the same edges: its 2-colouring then proves the entries within each
+    part 0.0, and the bipartite route does not test them.
     """
     comps = split.nontrivial
     colour = np.array(split.colour, dtype=int)
@@ -327,7 +331,7 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     groups, failures = [], {}
     for m, pos in sorted(by_order.items()):
         rows = np.array([comps[p] for p in pos]) - 1
-        route = _bipartite_stack(M, rows, colour[rows]) if m >= 3 else None
+        route = _bipartite_stack(M, rows, colour[rows], exact_split) if m >= 3 else None
         if route is None:
             S = M[_block_index(rows, rows)]
             values, vectors, errors = _eigh_stack(S)
@@ -373,7 +377,7 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     return groups
 
 
-def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
+def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray, exact_split: bool = False):
     """The blocks M[rows[t]][:, rows[t]] decomposed through one SVD of their biadjacencies: (values, vectors, C), or None.
 
     side[t] is the 2-colouring of block t's support graph (-1 throughout
@@ -386,7 +390,10 @@ def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
     They come back in the block's own row order, descending and
     sign-normalized as `_eigh_descending` returns them, with the (T, p, q)
     stack C.  None when the route does not apply, C has a NaN or Inf entry
-    or the SVD fails to converge: eigh then decides.
+    or the SVD fails to converge: eigh then decides.  The within-part
+    entries are gathered and tested unless `exact_split` says the colouring
+    is of M's exact support, which proves them 0.0; a support thresholded
+    at a tolerance (Delta's) keeps the test.
     """
     T, m = side.shape
     ones = side.sum(axis=1)
@@ -399,7 +406,8 @@ def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
     X, Y = np.nonzero(big)[1].reshape(T, p), np.nonzero(~big)[1].reshape(T, q)
     rx, ry = rows[t, X], rows[t, Y]
     C = M[rx[:, :, None], ry[:, None, :]]
-    within = M[rx[:, :, None], rx[:, None, :]].any() or M[ry[:, :, None], ry[:, None, :]].any()
+    within = not exact_split and (M[rx[:, :, None], rx[:, None, :]].any()
+                                  or M[ry[:, :, None], ry[:, None, :]].any())
     if within or not np.isfinite(C).all():
         return None
     try:

@@ -155,8 +155,8 @@ def _corrupt(monkeypatch, change):
     """Make `_bipartite_stack` return its eigensystem changed in place by `change(values, vectors)`."""
     stack = spectral_module._bipartite_stack
 
-    def corrupted(M, rows, side):
-        route = stack(M, rows, side)
+    def corrupted(*args):
+        route = stack(*args)
         assert route is not None  # the corruption lands on the SVD route
         values, vectors, C = route
         values, vectors = values.copy(), vectors.copy()

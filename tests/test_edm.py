@@ -34,7 +34,7 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _centroid, _entry_stats, _gram_eig_at, nonnegative_delta
+from edmsphere.edm import _DIFF_BLOCK_BYTES, _centroid, _entry_stats, _gram_eig_at, nonnegative_delta
 from edmsphere.spectral import _decompose, as_symmetric
 from edmsphere.tolerances import scale
 from oracles import perron, solve_linear
@@ -774,8 +774,12 @@ class TestGramAtCentering:
 
 
 class TestRandomSphericalDistances:
-    @pytest.mark.parametrize("n, r", [(7, 3), (16, 15), (37, 5)])  # below, at and past one 16-row block
-    def test_bitwise_equal_to_the_difference_tensor(self, n, r):
+    # rows per block: _DIFF_BLOCK_BYTES // (8 n r); one block of fewer than n rows, exactly
+    # one block of n rows, and several blocks (the last one short)
+    @pytest.mark.parametrize("n, r, blocks, full", [(7, 3, 1, False), (64, 32, 1, True), (150, 40, 8, False)])
+    def test_bitwise_equal_to_the_difference_tensor(self, n, r, blocks, full):
+        rows = max(1, _DIFF_BLOCK_BYTES // (8 * n * r))
+        assert (-(-n // rows), n % rows == 0) == (blocks, full)
         edm, X = gen_random_spherical(n, r, n * r)
         diff = X[:, None, :] - X[None, :, :]
         npt.assert_array_equal(edm.dist2, np.einsum("ijk,ijk->ij", diff, diff))

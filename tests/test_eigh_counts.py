@@ -17,7 +17,8 @@ representation costs one stacked decomposition per component order, of the
 component adjacencies: one SVD of the biadjacency blocks when the
 components of that order (at least 3) are all bipartite with the same part
 sizes, else one eigh; the eigensystem of its B = I - Delta is assembled
-from those, and only the edgeless graph validates its D.  Every other
+from those.  The edgeless graph's Gram matrix at the centroid, I - E/n, has
+a closed form, so it makes no eigh; a single node validates its D.  Every other
 chain makes no SVD.  Every eigh is
 stacked: a single matrix is decomposed as a (1, n, n) stack, so each call
 is recorded by its order shape[-1], and `matrices` counts the matrices of
@@ -335,7 +336,9 @@ def test_construct_orthorep_bipartite_groups(eighs):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_construct_orthorep_edgeless(eighs, n):
     construct_orthorep(Graph.from_edges(n, []))
-    assert eighs == [n]  # validate_edm of D = 2(E - I): no admissible centering at the origin
+    # n >= 2: the Gram matrix of D = 2(E - I) at the centroid is I - E/n, in closed form;
+    # one node validates its D
+    assert eighs == ([n] if n == 1 else [])
 
 
 def test_gram_factor_reuses_orthorep_eigensystem(eighs):

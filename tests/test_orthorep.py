@@ -5,7 +5,9 @@ import pytest
 import helpers
 from conftest import EXAMPLE_EDGES, EXAMPLE_EDM, EXAMPLE_W
 from edmsphere import (
+    DEFAULT_TOL,
     ConsistencyError,
+    Edm,
     Graph,
     Tolerances,
     components,
@@ -109,6 +111,13 @@ class TestEdgeless:
         assert rep.w is None
         npt.assert_array_equal(rep.points, np.eye(1))
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_closed_form_edm_matches_validation(self, n):
+        rep = construct_orthorep(Graph.from_edges(n, []))
+        helpers.assert_edgeless_edm_matches_validation(rep.edm, validate_edm(rep.edm.dist2))
+        npt.assert_array_equal(rep.edm.gram_eig.values, [1.0] * (n - 1) + [0.0])
+        assert rep.edm.embedding_dim == n - 1
+
 
 class TestSignPattern:
     def test_accepts_own_construction(self, example_graph):
@@ -132,30 +141,53 @@ class TestSignPattern:
         rpt = verify_sign_pattern(EXAMPLE_EDM, example_graph)
         assert rpt.ok
 
-    def test_matches_pairwise_reference(self):
+    @staticmethod
+    def assert_matches_pairwise_reference(rpt, M, G):
         # every pair checked one by one, violations in row-major i < j order
+        n = G.node_count
+        edge_bad, nonedge_bad, excess, dev = [], [], [np.inf], [0.0]
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                dij = M[i - 1, j - 1]
+                if G.has_edge(i, j):
+                    excess.append(dij - 2.0)
+                    if not dij > 2.0 + 1e-7:
+                        edge_bad.append((i, j, dij))
+                else:
+                    dev.append(abs(dij - 2.0))
+                    if abs(dij - 2.0) > 1e-7:
+                        nonedge_bad.append((i, j, dij))
+        assert rpt.edge_violations == tuple(edge_bad)
+        assert rpt.nonedge_violations == tuple(nonedge_bad)
+        assert rpt.min_edge_excess == min(excess)
+        assert rpt.max_nonedge_dev == max(dev)
+        assert rpt.ok == (not edge_bad and not nonedge_bad)
+
+    CASES = [(1, 0.5), (2, 1.0), (6, 0.0), (9, 0.3), (14, 0.6), (30, 0.2), (5, 1.0)]
+
+    def test_matches_pairwise_reference(self):
         rng = np.random.default_rng(11)
-        for n, p in [(1, 0.5), (2, 1.0), (6, 0.0), (9, 0.3), (14, 0.6)]:
+        for n, p in self.CASES:
             G = Graph.from_edges(n, helpers.random_graph_edges(rng, n, p))
             M = 2.0 + rng.choice([0.0, 5e-8, -5e-8, 1e-3, -1e-3, 0.5], size=(n, n))
-            edge_bad, nonedge_bad, excess, dev = [], [], [np.inf], [0.0]
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    dij = M[i - 1, j - 1]
-                    if G.has_edge(i, j):
-                        excess.append(dij - 2.0)
-                        if not dij > 2.0 + 1e-7:
-                            edge_bad.append((i, j, dij))
-                    else:
-                        dev.append(abs(dij - 2.0))
-                        if abs(dij - 2.0) > 1e-7:
-                            nonedge_bad.append((i, j, dij))
-            rpt = verify_sign_pattern(M, G)
-            assert rpt.edge_violations == tuple(edge_bad)
-            assert rpt.nonedge_violations == tuple(nonedge_bad)
-            assert rpt.min_edge_excess == min(excess)
-            assert rpt.max_nonedge_dev == max(dev)
-            assert rpt.ok == (not edge_bad and not nonedge_bad)
+            self.assert_matches_pairwise_reference(verify_sign_pattern(M, G), M, G)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_edm_matches_the_triangle_scan(self, seed):
+        # the one-pass reading of an Edm's symmetric dist2 against the upper-triangle scan of the
+        # same array, field for field; violations of edges and non-edges sit on both sides
+        rng = np.random.default_rng(seed)
+        for n, p in self.CASES:
+            G = Graph.from_edges(n, helpers.random_graph_edges(rng, n, p))
+            M = 2.0 + np.triu(rng.choice([0.0, 5e-8, -5e-8, 1e-3, -1e-3, 0.5], size=(n, n)), 1)
+            M = M + M.T - 2.0
+            np.fill_diagonal(M, 0.0)
+            edm = Edm(dist2=M, embedding_dim=0, tol=DEFAULT_TOL, gram_eig=None, centering=None,
+                      min_offdiagonal=float(np.min(M + np.diag(np.full(n, np.inf)), initial=np.inf)))
+            rpt, scan = verify_sign_pattern(edm, G), verify_sign_pattern(M, G)
+            assert vars(rpt) == vars(scan)
+            assert all(type(a) is type(b) for a, b in zip(vars(rpt).values(), vars(scan).values()))
+            self.assert_matches_pairwise_reference(rpt, M, G)
 
     def test_order_mismatch(self, example_graph):
         with pytest.raises(ValueError, match="order"):
@@ -388,9 +420,8 @@ class TestStackedAgainstLooped:
         if rep.k:
             assert rep.w is spherical_certificate(rep.edm).w
             helpers.assert_same_edm_at_circumcenter(rep.edm, ref.edm)
-        else:  # validated from scratch
-            helpers.assert_bits(rep.edm.dist2, ref.edm.dist2)
-            helpers.assert_same_eigensystem(rep.edm.gram_eig, ref.edm.gram_eig)
+        else:  # the looped oracle validates D; the closed form picks its own basis of e-perp
+            helpers.assert_edgeless_edm_matches_validation(rep.edm, ref.edm)
         assert rep.adjacency_lambda_max == ref.adjacency_lambda_max
         assert all(type(lam) is float for lam in rep.adjacency_lambda_max)
         assert len(rep.delta_spectra) == len(ref.delta_spectra)

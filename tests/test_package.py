@@ -47,12 +47,14 @@ def test_module_helpers_are_not_package_attributes():
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-# imported first by the child's site module; writes the edmsphere modules loaded at exit
+# imported first by the child's site module; writes the edmsphere modules, and the
+# digest modules (OpenSSL's _hashlib costs milliseconds to load), loaded at exit
 EXIT_HOOK = """\
 import atexit, os, sys
 
 def _write_loaded():
-    loaded = sorted(name for name in sys.modules if name.startswith("edmsphere."))
+    loaded = sorted(name for name in sys.modules
+                    if name.startswith("edmsphere.") or name in ("hashlib", "_hashlib"))
     with open(os.path.join(os.path.dirname(__file__), "loaded.txt"), "w") as fh:
         fh.write("\\n".join(loaded))
 
@@ -61,20 +63,25 @@ atexit.register(_write_loaded)
 
 
 def _child(tmp_path, args):
-    """Run `python *args` from tests/golden; the set of edmsphere layers it had loaded at exit."""
+    """Run `python *args` from tests/golden; the edmsphere layers and digest modules it had loaded at exit."""
     (tmp_path / "sitecustomize.py").write_text(EXIT_HOOK)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, capture_output=True, timeout=120)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    return proc, {name.split(".", 1)[1] for name in (tmp_path / "loaded.txt").read_text().split()}
+    return proc, {name.removeprefix("edmsphere.") for name in (tmp_path / "loaded.txt").read_text().split()}
+
+
+DIGESTS = {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize("argv, allowed, absent", [
-    (["--version"], {"errors", "tolerances"}, None),
+    (["--version"], {"errors", "tolerances"}, DIGESTS),
     (["validate", "example.txt"], None, {"decomposition", "orthorep"}),
     (["orthorep", "example.graph"], None, {"decomposition", "matrixio"}),
-], ids=["version", "validate", "orthorep"])
+    # numpy.random imports `secrets`, which loads _hashlib, so only the layers are asserted
+    (["check-rankin", "--sample", "4", "--trials", "10"], None, {"orthorep", "matrixio"}),
+], ids=["version", "validate", "orthorep", "check-rankin-sample"])
 def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, allowed, absent):
     _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv])
     assert "errors" in loaded and "tolerances" in loaded

@@ -69,9 +69,14 @@ class TestSignNormalize:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_columns_of_a_stack_match_the_one_vector_rule(self, elements, data):
-        V = data.draw(arrays(np.float64, (3, 4, 5), elements=elements))
-        ref = np.stack([np.column_stack([sign_normalize(W[:, j]) for j in range(5)]) for W in V])
-        assert _sign_normalize_columns(V).tobytes() == ref.tobytes()
+        # a stack, a single matrix, and column-reversed views of both, as `_eigh_descending` passes them
+        shape = data.draw(st.sampled_from([(3, 4, 5), (4, 5)]))
+        V = data.draw(arrays(np.float64, shape, elements=elements))
+        if data.draw(st.booleans()):
+            V = V[..., ::-1]
+        stack = V.reshape((-1, 4, 5))
+        ref = np.stack([np.column_stack([sign_normalize(W[:, j]) for j in range(5)]) for W in stack])
+        assert _sign_normalize_columns(V).tobytes() == ref.reshape(shape).tobytes()
 
 
 class TestEig:
