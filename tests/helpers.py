@@ -126,39 +126,6 @@ def assert_same_edm_at_circumcenter(a, b):
         cb.status, cb.etw, cb.radius, cb.unit_spherical, cb.residual)
 
 
-def assert_edgeless_edm_matches_validation(edm, ref):
-    """An edgeless graph's Edm of D = 2(E - I) and `validate_edm`'s, verdict by verdict.
-
-    The eigenbasis of B's (n - 1)-fold eigenvalue 1 is the solver's own
-    choice, so the spectrum is compared within rounding, the basis by its
-    reconstruction of B, and the certificate by status and radius.
-    """
-    from edmsphere import spherical_certificate
-    from edmsphere.edm import centering_gram
-    from edmsphere.tolerances import scale
-
-    n = edm.n
-    assert_bits(edm.dist2, ref.dist2)
-    assert_bits(edm.centering, ref.centering)
-    assert (edm.embedding_dim, edm.min_offdiagonal, edm.tol) == (ref.embedding_dim, ref.min_offdiagonal, ref.tol)
-    es, theirs = edm.gram_eig, ref.gram_eig
-    assert es.scale == theirs.scale and type(es.scale) is type(theirs.scale) and es.tolerance == theirs.tolerance
-    assert bool(es.psd()) == bool(theirs.psd()) and es.rank == theirs.rank
-    assert np.all(np.diff(es.values) <= 0.0)
-    # validation's eigh reaches 3.4 n eps at n = 30; the closed form is exact
-    assert np.max(np.abs(es.values - theirs.values)) <= 8 * n * np.finfo(float).eps * es.scale
-    B = centering_gram(edm.dist2, edm.centering)
-    assert np.max(np.abs(B - (es.vectors * es.values) @ es.vectors.T)) <= edm.tol.recon * n * scale(B)
-    assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(n))) <= 8 * n * np.finfo(float).eps
-    assert np.all(np.max(es.vectors, axis=0) >= -np.min(es.vectors, axis=0))  # sign-normalized
-    mine, other = spherical_certificate(edm), spherical_certificate(ref)
-    assert (mine.status, mine.unit_spherical) == (other.status, other.unit_spherical)
-    if other.radius is None:  # one node: rank 0, no sphere to fit
-        assert mine.radius is None
-    else:
-        assert abs(mine.radius - other.radius) <= 1e-12
-
-
 def with_distance(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
     """A copy of D with d_ij = d_ji = d (1-based i, j)."""
     D = np.array(D, dtype=float)

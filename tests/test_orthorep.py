@@ -93,6 +93,35 @@ class TestSmallGraphs:
         assert rep.d == 1  # antipodal pair on the unit circle of R^1
 
 
+def assert_edgeless_edm_matches_validation(edm, ref):
+    """An edgeless graph's Edm of D = 2(E - I) and `validate_edm`'s, verdict by verdict.
+
+    The eigenbasis of B's (n - 1)-fold eigenvalue 1 is the solver's own
+    choice, so the spectrum is compared within rounding, the basis by its
+    reconstruction of B = I - E/n, and the certificate by status and radius.
+    """
+    n, eps = edm.n, np.finfo(float).eps
+    helpers.assert_bits(edm.dist2, ref.dist2)
+    helpers.assert_bits(edm.centering, ref.centering)
+    assert (edm.embedding_dim, edm.min_offdiagonal, edm.tol) == (ref.embedding_dim, ref.min_offdiagonal, ref.tol)
+    es, theirs = edm.gram_eig, ref.gram_eig
+    assert es.scale == theirs.scale and type(es.scale) is type(theirs.scale) and es.tolerance == theirs.tolerance
+    assert bool(es.psd()) == bool(theirs.psd()) and es.rank == theirs.rank
+    assert np.all(np.diff(es.values) <= 0.0)
+    # validation's eigh misses the exact 1 and 0 by up to 3.4 n eps (n = 30)
+    assert np.max(np.abs(es.values - theirs.values)) <= 8 * n * eps * es.scale
+    B = np.eye(n) - 1.0 / n
+    assert np.max(np.abs(B - (es.vectors * es.values) @ es.vectors.T)) <= edm.tol.recon * n * scale(B)
+    assert np.max(np.abs(es.vectors.T @ es.vectors - np.eye(n))) <= 8 * n * eps
+    assert np.all(np.max(es.vectors, axis=0) >= -np.min(es.vectors, axis=0))  # sign-normalized
+    mine, other = spherical_certificate(edm), spherical_certificate(ref)
+    assert (mine.status, mine.unit_spherical) == (other.status, other.unit_spherical)
+    if other.radius is None:  # one node: rank 0, no sphere to fit
+        assert mine.radius is None
+    else:
+        assert abs(mine.radius - other.radius) <= 1e-12
+
+
 class TestEdgeless:
     def test_edgeless_three_nodes(self):
         rep = construct_orthorep(Graph.from_edges(3, []))
@@ -114,7 +143,7 @@ class TestEdgeless:
     @pytest.mark.parametrize("n", range(2, 41))
     def test_closed_form_edm_matches_validation(self, n):
         rep = construct_orthorep(Graph.from_edges(n, []))
-        helpers.assert_edgeless_edm_matches_validation(rep.edm, validate_edm(rep.edm.dist2))
+        assert_edgeless_edm_matches_validation(rep.edm, validate_edm(rep.edm.dist2))
         npt.assert_array_equal(rep.edm.gram_eig.values, [1.0] * (n - 1) + [0.0])
         assert rep.edm.embedding_dim == n - 1
 
@@ -421,7 +450,7 @@ class TestStackedAgainstLooped:
             assert rep.w is spherical_certificate(rep.edm).w
             helpers.assert_same_edm_at_circumcenter(rep.edm, ref.edm)
         else:  # the looped oracle validates D; the closed form picks its own basis of e-perp
-            helpers.assert_edgeless_edm_matches_validation(rep.edm, ref.edm)
+            assert_edgeless_edm_matches_validation(rep.edm, ref.edm)
         assert rep.adjacency_lambda_max == ref.adjacency_lambda_max
         assert all(type(lam) is float for lam in rep.adjacency_lambda_max)
         assert len(rep.delta_spectra) == len(ref.delta_spectra)
