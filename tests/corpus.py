@@ -7,7 +7,9 @@ and the distance matrix of the orthonormal representation of the path on 40 node
 Each runs under every tolerance profile, as given and relabelled by one fixed
 permutation, at scales c = 1 and c = 1e6.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
-of a unit spherical input and the type of any exception raised.
+of a unit spherical input and the type of any exception raised; and, for every
+accepted input, `factor_dim`, the column count of `gram_factor` at its default
+centering, or in `factor_error` the type of the exception it raised.
 
 After an intended change of verdicts, re-record with
 
@@ -27,10 +29,12 @@ import numpy as np
 import helpers
 from edmsphere import (
     PROFILES,
+    Edm,
     EdmRejection,
     Graph,
     construct_orthorep,
     embedding_dim_via_delta,
+    gram_factor,
     spherical_certificate,
     validate_edm,
 )
@@ -49,7 +53,9 @@ def inputs() -> dict:
 
 
 def verdict(M: np.ndarray, tol) -> dict:
-    record = {"status": None, "unit_spherical": None, "embedding_dim": None, "delta_dim": None, "error": None}
+    record = {"status": None, "unit_spherical": None, "embedding_dim": None, "delta_dim": None, "error": None,
+              "factor_dim": None, "factor_error": None}
+    edm = None
     try:
         edm = validate_edm(M, tol)
         if isinstance(edm, EdmRejection):
@@ -62,6 +68,11 @@ def verdict(M: np.ndarray, tol) -> dict:
             record["delta_dim"] = embedding_dim_via_delta(edm, cert).dimension
     except Exception as exc:  # recorded: a verdict may be an exception
         record["error"] = type(exc).__name__
+    if isinstance(edm, Edm):
+        try:
+            record["factor_dim"] = int(gram_factor(edm).config.shape[1])
+        except Exception as exc:
+            record["factor_error"] = type(exc).__name__
     return record
 
 
