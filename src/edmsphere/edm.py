@@ -15,8 +15,11 @@ sphericity certificate reads it too: D = g e^T + e g^T - 2B with g = diag(B)
 (Gower 1985), so a sphere fitted to the points U L^(1/2) that B's pairs
 above the rank cut give yields w, or the residual that puts the points off
 every sphere, in O(n^2) with no eigendecomposition (`spherical_certificate`).
-The Gram matrix at another centering s, (I - e s^T) B (I - s e^T), gets its
-eigenpairs from B's kept ones (`_gram_eig_at`) for `gram_factor`.
+At another centering s, `gram_factor` factors the Gram matrix
+(I - e s^T) B (I - s e^T) by B's principal axes X = U L^(1/2) moved to s,
+X - e (s^T X), with no eigendecomposition: a bound on the dropped
+eigenvalues, one Cholesky of order rank(B) and a residual certify it, and
+only when they do not is the Gram matrix at s decomposed.
 `embedding_dim_via_delta` reads the top of Delta and its multiplicity from
 Delta's irreducible blocks, one eigh per block order
 (`spectral._perron_blocks`), as the Kuperberg decomposition does.
@@ -45,10 +48,10 @@ from .spectral import (
     _block_index,
     _decompose,
     _eigh_stack,
+    _gram_exceeds,
     _perron_blocks,
     _psd_stack,
     _rank_stack,
-    _sign_normalize_columns,
     _union_top,
 )
 from .tolerances import DEFAULT_TOL, Tolerances, scale
@@ -307,7 +310,10 @@ class GramFactor:
     """Gram matrix B = P P^T with the configuration rows and centering vector.
 
     Row i of `config` is the recovered point p_i; the points satisfy
-    sum_i s_i p_i = 0 for the stored centering vector s.
+    sum_i s_i p_i = 0 for the stored centering vector s.  Its columns are
+    the Edm's principal axes moved to s, so the configurations of one Edm at
+    two centerings differ by one translation; only where the moved axes
+    cannot be certified are they B's own principal axes (`gram_factor`).
     """
 
     gram: np.ndarray
@@ -331,10 +337,13 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     Returns
     -------
     GramFactor
-        `config` keeps the eigenvector columns with eigenvalue above the
-        rank cut, ordered by descending eigenvalue and sign-normalized, each
-        scaled by the eigenvalue's square root: the principal axes about s,
-        read off the Edm's Gram eigensystem (`_gram_eig_at`).
+        At the Edm's own centering, `config` keeps the eigenvector columns
+        of `gram_eig` with eigenvalue above the rank cut, ordered by
+        descending eigenvalue and sign-normalized, each scaled by the
+        eigenvalue's square root: the principal axes X = U L^(1/2).  At any
+        other s it is X moved to s, X - e (s^T X), when that is certified to
+        factor B (`_factor_at`); otherwise B's own principal axes, from an
+        eigendecomposition of B.
 
     Raises
     ------
@@ -342,6 +351,8 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
         If e^T s deviates from 1 beyond tol.solve.
     ConsistencyError
         If the centered matrix fails the PSD test (cannot factor).
+    ValueError
+        If the centered matrix has a NaN or Inf entry.
     """
     tol = D.tol
     n = D.n
@@ -355,7 +366,15 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     if n and abs(float(s.sum()) - 1.0) > tol.solve:
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
     B = centering_gram(D.dist2, s)
-    es = _gram_eig_at(D, s, B)
+    if np.array_equal(s, D.centering):
+        es = D.gram_eig
+    else:
+        if B.size and not np.all(np.isfinite(B)):  # at a caller's centering s with large weights
+            raise ValueError("matrix contains NaN or Inf entries")
+        P = _factor_at(D, s, B)
+        if P is not None:
+            return GramFactor(gram=B, config=P, centering=s)
+        es = _decompose(B, tol)
     psd = es.psd()
     if not psd:
         raise ConsistencyError(
@@ -384,55 +403,43 @@ def _circumcenter(D: Edm, cert: SphericalCertificate) -> np.ndarray:
     return c if miss <= max(2.0 * cert.residual, rounding) else 2.0 * cert.w
 
 
-def _gram_eig_at(D: Edm, s: np.ndarray, B: np.ndarray | None = None) -> EigenSystem:
-    """The eigensystem of B = centering_gram(D.dist2, s), derived from `gram_eig`.
+def _factor_at(D: Edm, s: np.ndarray, B: np.ndarray) -> np.ndarray | None:
+    """The Edm's principal axes moved to the centering s, if they certifiably factor B; else None.
 
-    B is congruent to the stored Gram matrix B_c: B = (I - e s^T) B_c (I - s e^T)
-    (Gower 1985).  With U L U^T the pairs of B_c above its rank cut,
-    F = (I - e s^T) U L^(1/2) has F F^T = B up to the dropped eigenvalues, so
-    one eigendecomposition Z S Z^T of the k x k matrix F^T F (k = rank(B_c))
-    gives B's principal axes P = F Z, sign-normalized, with eigenvalues S.
-    The result holds only the pairs above B's rank cut, the rest of B's
-    spectrum being zero.  With shift = max|dropped eigenvalue of B_c|
-    (1 + sqrt(n) |s|)^2, a bound on |B - F F^T|_2, it is accepted when
-    shift is at most half the PSD slack tol.psd * scale(B) (F F^T is PSD, so
-    B's least eigenvalue is at least -shift, and the other half covers the
-    rounding of decomposing B: B passes the PSD rule as it would on its own
-    eigensystem), S passes the PSD rule, S and 0 all lie more than shift from
-    B's rank cut (so the rank rule counts as it would on B's own
-    eigensystem), and max|B - P P^T| <= shift + tol.recon * n * scale(B);
-    otherwise B itself is decomposed, so its PSD verdict decides.  At
-    s = `centering` this is `gram_eig` itself.  B is computed here unless
-    the caller holds it.
+    B = centering_gram(D.dist2, s), finite, is congruent to the stored Gram
+    matrix B_c: B = (I - e s^T) B_c (I - s e^T) (Gower 1985).  With U L U^T
+    the pairs of B_c above its rank cut and X = U L^(1/2), F = X - e (s^T X)
+    has F F^T = B up to the dropped eigenvalues: with shift = max|dropped
+    eigenvalue of B_c| (1 + sqrt(n) |s|)^2, |B - F F^T|_2 <= shift, so B's
+    eigenvalues lie within shift of F F^T's, which are those of F^T F and
+    n - k zeros (k = rank(B_c)).  F is returned as B's factor, with the
+    column count that B's own eigensystem would give, when
+    - shift <= tol.psd * scale(B) / 2: B's least eigenvalue is at least
+      -shift, and the other half of the PSD slack covers the rounding of
+      decomposing B, so B passes the PSD rule as it would on its own
+      eigensystem;
+    - shift < cut = tol.rank * scale(B), and every eigenvalue of F^T F
+      exceeds cut + shift (one Cholesky, `spectral._gram_exceeds`): the rank
+      rule then counts F's k columns and none of the n - k others;
+    - max|B - F F^T| <= shift + tol.recon * n * scale(B).
+    No eigendecomposition is made; the caller decomposes B when this fails.
     """
-    if np.array_equal(s, D.centering):
-        return D.gram_eig
-    if B is None:
-        B = centering_gram(D.dist2, s)
-    if B.size and not np.all(np.isfinite(B)):  # at a caller's centering s with large weights
-        raise ValueError("matrix contains NaN or Inf entries")
     tol, n = D.tol, D.n
     stored = D.gram_eig
     kept = stored.rank_mask()
     F = stored.vectors[:, kept] * np.sqrt(stored.values[kept])
-    F -= np.outer(np.ones(n), s @ F)
-    small = _decompose(F.T @ F, tol)  # A^T A is exactly symmetric (numpy computes it by syrk)
-    es = EigenSystem(small.values, small.vectors, tol, scale(B))
-    # |B - F F^T|_2 <= shift: B's eigenvalues lie within it of S and n - k zeros
+    F -= s @ F
     shift = float(np.max(np.abs(stored.values[~kept]), initial=0.0))
     shift *= (1.0 + np.sqrt(n) * float(np.linalg.norm(s))) ** 2
-    cut = tol.rank * es.scale
-    if (shift <= 0.5 * tol.psd * es.scale and es.psd()
-            and np.all(np.abs(np.append(es.values, 0.0) - cut) > shift)):
-        keep = es.rank_mask()
-        P = _sign_normalize_columns(F @ es.vectors[:, keep])
-        bound = shift + tol.recon * n * es.scale
-        R = P @ P.T
-        R -= B
-        if float(np.max(np.abs(R, out=R), initial=0.0)) <= bound:
-            values = es.values[keep]
-            return EigenSystem(values, P / np.sqrt(values), tol, es.scale)
-    return _decompose(B, tol)
+    unit = scale(B)
+    cut = tol.rank * unit
+    if not (shift <= 0.5 * tol.psd * unit and shift < cut and _gram_exceeds(F, cut + shift)):
+        return None
+    R = F @ F.T
+    R -= B
+    if float(np.max(np.abs(R, out=R), initial=0.0)) > shift + tol.recon * n * unit:
+        return None
+    return F
 
 
 @dataclass(eq=False)
@@ -477,16 +484,19 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     D below 1 (ROADMAP item 1).  Rank 0 (no points apart, or n = 1) has no
     sphere to fit and reads "e-not-in-colspace" with residual 1; with no
     points at all the status is "non-spherical" with an empty w.
-    `residual` is max|D w - e| against the full D.  An Edm centered at the
-    centroid, as `validate_edm` builds it, takes no eigendecomposition.
+    `residual` is max|D w - e| against the full D.  No eigendecomposition
+    is made.
 
     The fit runs once per `Edm`; later calls return the same certificate.
-    An Edm built by `_circumcenter_edm` holds the certificate of the w its
-    construction checked, with no fit: where D is singular, one solution
-    of D w = e rather than the minimum-norm one, with the same e^T w.
+    It reads `gram_eig` as it stands: an Edm with no certificate yet is
+    centered at the centroid, as `validate_edm` and the edgeless
+    representation build it.  An Edm built by `_circumcenter_edm` holds the
+    certificate of the w its construction checked, with no fit: where D is
+    singular, one solution of D w = e rather than the minimum-norm one,
+    with the same e^T w.
     """
     if D._certificate is None:
-        D._certificate = _certify(D.dist2[None], [_gram_eig_at(D, _centroid(D.n))], D.tol)[0]
+        D._certificate = _certify(D.dist2[None], [D.gram_eig], D.tol)[0]
     return D._certificate
 
 

@@ -81,9 +81,7 @@ class EigenSystem:
     eigenvector for `values[i]`, sign-normalized for determinism.
     `tolerance` records the thresholds used downstream and `scale` is
     scale(M) of the decomposed matrix, the unit of the PSD slack and the
-    rank cut.  A PSD matrix may also be held by its pairs above the rank cut
-    alone, the rest of its spectrum being zero (`edm._gram_eig_at`): the PSD
-    and rank rules read it as they read the full decomposition.
+    rank cut.
     """
 
     values: np.ndarray
@@ -203,6 +201,45 @@ def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
         tied = np.swapaxes(V, -1, -2)[tie]  # (ties, n): each tied column as a row
         flip[tie] = np.argmin(tied, axis=-1) < np.argmax(tied, axis=-1)
     return V * np.where(flip, -1.0, 1.0)[..., None, :]
+
+
+def _gram_exceeds(F: np.ndarray, floor: float) -> bool:
+    """Whether every eigenvalue of F^T F exceeds `floor` >= 0, certified by one Cholesky of F^T F - tau I.
+
+    F is a finite (n, k) matrix; k = 0 passes.  With u = eps / 2, d = max
+    diag(A) and A = fl(F^T F), Cholesky is run on H = fl(A - tau I), where
+    tau = floor + (n + k + 1) k eps d, and its success proves the claim:
+    - forming A: |A - F^T F| <= gamma_n |F|^T |F| entrywise (gamma_m =
+      m u / (1 - m u)), and the entries of |F|^T |F| are at most the largest
+      squared column norm of F (Cauchy-Schwarz), at most d / (1 - gamma_n),
+      so |A - F^T F|_2 <= k gamma_n d / (1 - gamma_n);
+    - forming H: only the diagonal rounds, A_ii - tau by at most
+      u |A_ii - tau|.  Each pivot of a completed Cholesky is positive, so
+      H_ii > 0, hence A_ii > tau >= 0 and the rounding is at most u d;
+    - factoring H: R^T R = H + dH with |dH| <= gamma_(k+1) |R^T| |R|
+      (Higham 2002, theorem 10.3), and the squared column norms of R,
+      H_ii + dH_ii, are at most d / (1 - gamma_(k+1)), so
+      |dH|_2 <= k gamma_(k+1) d / (1 - gamma_(k+1)).
+    R^T R is positive definite, so lambda_min(F^T F) exceeds tau less the
+    three terms.  To first order they sum to (k (n + k + 1) + 1) u d, which
+    leaves (k (n + k + 1) - 1) u d of the (n + k + 1) k eps d in tau; the
+    second-order terms stay below a third of k (n + k + 1) u d, and so
+    within it, while (n + k + 1) u < 1/8, that is for any n below 10^14.
+    A NaN or Inf in A fails.
+    """
+    n, k = F.shape
+    if not k:
+        return True
+    A = F.T @ F  # exactly symmetric: numpy forms A^T A by syrk
+    if not np.isfinite(A).all():
+        return False
+    tau = floor + (n + k + 1) * k * np.finfo(float).eps * float(A.diagonal().max())
+    A[np.diag_indices(k)] -= tau
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(eq=False)

@@ -34,7 +34,8 @@ from edmsphere import (
     unit_simplex_gamma,
     validate_edm,
 )
-from edmsphere.edm import _DIFF_BLOCK_BYTES, _centroid, _entry_stats, _gram_eig_at, nonnegative_delta
+import edmsphere.edm as edm_module
+from edmsphere.edm import _DIFF_BLOCK_BYTES, _centroid, _entry_stats, nonnegative_delta
 from edmsphere.spectral import _decompose, as_symmetric
 from edmsphere.tolerances import scale
 from oracles import perron, solve_linear
@@ -441,7 +442,7 @@ class TestCertificateSolve:
         # and g = diag(B): U is orthonormal, and with g and e it holds the column space of D
         edm = require_edm(FAMILIES[name])
         D, e = edm.dist2, np.ones(edm.n)
-        es = _gram_eig_at(edm, _centroid(edm.n))
+        es = edm.gram_eig  # at the centroid
         k = es.rank
         assert k == edm.embedding_dim
         U = es.vectors[:, :k]
@@ -642,8 +643,22 @@ CONGRUENCE_FAMILIES = {
 }
 
 
+def _factor_and_route(edm, s):
+    """gram_factor(edm, s), and whether it moved the stored factor to s: no decomposition of B_s."""
+    decomposed = []
+
+    def counted(S, tol):
+        decomposed.append(S.shape)
+        return _decompose(S, tol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edm_module, "_decompose", counted)
+        gf = gram_factor(edm, s)
+    return gf, not decomposed
+
+
 class TestGramAtCentering:
-    """The Gram eigensystem at a centering s, derived from the stored one, against decomposing B_s."""
+    """gram_factor at a centering s: the stored factor moved to s, against decomposing B_s."""
 
     @staticmethod
     def _edm(name, tol):
@@ -661,15 +676,35 @@ class TestGramAtCentering:
             centerings.append(cert.w / cert.etw)  # the circumcenter, 2w when unit spherical
         for s in centerings:
             B = centering_gram(edm.dist2, s)
-            es, oracle = _gram_eig_at(edm, s, B), _decompose(B, tol)
-            keep, okeep = es.rank_mask(), oracle.rank_mask()
-            assert np.count_nonzero(keep) == np.count_nonzero(okeep)
+            (gf, moved), oracle = _factor_and_route(edm, s), _decompose(B, tol)
+            if not np.array_equal(s, edm.centering):  # near-cut's dropped eigenvalue may cross B_s's cut
+                assert moved == (name != "near-cut")
+            P, okeep = gf.config, oracle.rank_mask()
+            assert P.shape[1] == np.count_nonzero(okeep)
             unit = 1e-12 * scale(B)
-            npt.assert_allclose(es.values[keep], oracle.values[okeep], rtol=0, atol=unit)
-            P = es.vectors[:, keep] * np.sqrt(es.values[keep])
+            npt.assert_allclose(np.linalg.eigvalsh(P.T @ P)[::-1], oracle.values[okeep], rtol=0, atol=unit)
             Po = oracle.vectors[:, okeep] * np.sqrt(oracle.values[okeep])
             npt.assert_allclose(P @ P.T, Po @ Po.T, rtol=0, atol=unit)
-            assert gram_factor(edm, s).config.shape[1] == np.count_nonzero(okeep)
+
+    @given(name=st.sampled_from(["sphere", "crosspolytope", "composition-lone", "cloud"]),
+           profile=st.sampled_from(sorted(PROFILES)), c=st.floats(1.0, 1e6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_factor_at_a_dirichlet_centering(self, name, profile, c, seed):
+        tol = PROFILES[profile]
+        rng = np.random.default_rng(seed)
+        D = CONGRUENCE_FAMILIES[name]
+        order = rng.permutation(D.shape[0])
+        edm = require_edm(c * D[np.ix_(order, order)], tol)
+        s = rng.dirichlet(np.ones(edm.n))
+        gf, moved = _factor_and_route(edm, s)
+        P, B = gf.config, gf.gram
+        assert P.shape[1] == _decompose(B, tol).rank
+        unit = scale(B)
+        assert float(np.max(np.abs(P @ P.T - B))) <= tol.recon * edm.n * unit
+        npt.assert_allclose(s @ P, 0.0, rtol=0, atol=1e-13 * np.sqrt(unit))
+        if moved:  # one row, s^T X, taken off every row of the stored axes X
+            X = gram_factor(edm, edm.centering).config
+            npt.assert_array_equal(P, X - s @ X)
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     @pytest.mark.parametrize("name", ["crosspolytope", "composition-lone"])
@@ -690,8 +725,9 @@ class TestGramAtCentering:
         dropped = edm.gram_eig.values[edm.embedding_dim]
         assert 0.3 * tol.rank < dropped < 0.9 * tol.rank
         s = np.random.default_rng(1).dirichlet(np.ones(edm.n))
-        es = _gram_eig_at(edm, s)
-        assert es.order == edm.n
+        gf, moved = _factor_and_route(edm, s)
+        assert not moved
+        assert gf.config.shape[1] == _decompose(gf.gram, tol).rank
 
     @pytest.mark.parametrize("profile", sorted(PROFILES))
     def test_kept_eigenvalue_next_to_the_cut_falls_back(self, profile):
@@ -709,14 +745,18 @@ class TestGramAtCentering:
         calibrated = edm(1.01 * tol.rank * tol.rank * first.scale / first.values[2])
         oracle = _decompose(centering_gram(calibrated.dist2, s), tol)
         assert 1.0 < oracle.values[2] / (tol.rank * oracle.scale) < 1.02
-        es = _gram_eig_at(calibrated, s)
-        assert es.order == calibrated.n and es.rank == oracle.rank == 3
+        gf, moved = _factor_and_route(calibrated, s)
+        assert not moved and gf.config.shape[1] == oracle.rank == 3
 
     def test_derived_pairs_are_the_kept_ones(self):
         edm = require_edm(FAMILIES["cloud"])
         s = np.random.default_rng(2).dirichlet(np.ones(edm.n))
-        assert _gram_eig_at(edm, s).order == edm.embedding_dim  # only the pairs above the rank cut
-        assert _gram_eig_at(edm, edm.centering) is edm.gram_eig
+        es, k = edm.gram_eig, edm.embedding_dim
+        X = gram_factor(edm, edm.centering).config
+        npt.assert_array_equal(X, es.vectors[:, :k] * np.sqrt(es.values[:k]))  # gram_eig as it stands
+        gf, moved = _factor_and_route(edm, s)
+        assert moved
+        npt.assert_array_equal(gf.config, X - s @ X)  # the kept pairs, moved to s
 
     def test_residual_check_rejects_a_foreign_eigensystem(self):
         # the stored pairs of another D of the same order and rank: B_s is decomposed itself
@@ -724,8 +764,11 @@ class TestGramAtCentering:
         forged = replace(edm, gram_eig=require_edm(FAMILIES["sphere"]).gram_eig)
         s = np.random.default_rng(3).dirichlet(np.ones(edm.n))
         B = centering_gram(edm.dist2, s)
-        es = _gram_eig_at(forged, s, B)
-        npt.assert_array_equal(es.values, _decompose(B, edm.tol).values)
+        gf, moved = _factor_and_route(forged, s)
+        oracle = _decompose(B, edm.tol)
+        keep = oracle.rank_mask()
+        assert not moved
+        npt.assert_array_equal(gf.config, oracle.vectors[:, keep] * np.sqrt(oracle.values[keep]))
 
     def test_gram_factor_keeps_2w_when_the_centroid_is_slightly_off_center(self):
         # the octahedron with one vertex turned by 1e-9: its centroid misses the center by far

@@ -1,11 +1,14 @@
 """Eigendecomposition counts: each spectral fact is computed once and reused.
 
-`numpy.linalg.eigh` and `numpy.linalg.svd` are counted through a monkeypatch.  The pinned counts are
+`numpy.linalg.eigh`, `numpy.linalg.svd` and `numpy.linalg.cholesky` are counted through a
+monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, none for the certificate of D w = e (the sphere fit on B's kept
-eigenpairs, and a closed form at rank(B) = 0), and one eigh of order at
-most rank(B) for `gram_factor`'s Gram matrix at the circumcenter 2w; none
-when the Edm's own centering solves D s = 2e as closely as 2w.  lambda_max(Delta) and its multiplicity are read off Delta's
+eigenpairs, and a closed form at rank(B) = 0), and none for `gram_factor`:
+at a centering other than the Edm's own, such as the circumcenter 2w, it
+moves the stored factor there and certifies its rank by one Cholesky of
+order rank(B), and only when that certificate fails decomposes the Gram
+matrix there, by one eigh of order n.  lambda_max(Delta) and its multiplicity are read off Delta's
 irreducible blocks: one stacked eigh per core order, of all cores of that
 order, and never an eigh of Delta of order n; the Delta dimension, the rank
 route of `certify_simplex` and `minimality_bound` (on the stored spectra)
@@ -19,14 +22,13 @@ components of that order (at least 3) are all bipartite with the same part
 sizes, else one eigh; the eigensystem of its B = I - Delta is assembled
 from those.  The edgeless graph's Gram matrix at the centroid, I - E/n, has
 a closed form, so it makes no eigh; a single node validates its D.  Every other
-chain makes no SVD.  Every eigh is
+chain makes no SVD, and only `gram_factor` makes a Cholesky.  Every eigh is
 stacked: a single matrix is decomposed as a (1, n, n) stack, so each call
 is recorded by its order shape[-1], and `matrices` counts the matrices of
 each call.  An Edm built at its circumcenter (a representation, a
 Kuperberg block) carries the certificate of the w it was built with, so its
 sphericity takes no eigh.
 """
-
 import contextlib
 import io
 from collections import Counter
@@ -63,23 +65,24 @@ class EighCalls(list):
     """The order of each numpy.linalg.eigh call, in call order; `matrices` holds its stack size.
 
     `svds` holds the (rows, columns) of each numpy.linalg.svd call and
-    `svd_matrices` its stack size.
+    `svd_matrices` its stack size; `choleskys` the order of each
+    numpy.linalg.cholesky call and `cholesky_matrices` its stack size.
     """
 
     def __init__(self):
         super().__init__()
-        self.matrices, self.svds, self.svd_matrices = [], [], []
+        self.matrices, self.svds, self.svd_matrices, self.choleskys, self.cholesky_matrices = [], [], [], [], []
 
     def clear(self):
         super().clear()
-        for calls in (self.matrices, self.svds, self.svd_matrices):
+        for calls in (self.matrices, self.svds, self.svd_matrices, self.choleskys, self.cholesky_matrices):
             calls.clear()
 
 
 @pytest.fixture
 def eighs(monkeypatch):
     calls = EighCalls()
-    eigh, svd = np.linalg.eigh, np.linalg.svd
+    eigh, svd, cholesky = np.linalg.eigh, np.linalg.svd, np.linalg.cholesky
 
     def counted(a, *args, **kwargs):
         shape = np.asarray(a).shape
@@ -93,8 +96,15 @@ def eighs(monkeypatch):
         calls.svd_matrices.append(int(np.prod(shape[:-2])))
         return svd(a, *args, **kwargs)
 
+    def counted_cholesky(a, *args, **kwargs):
+        shape = np.asarray(a).shape
+        calls.choleskys.append(shape[-1])
+        calls.cholesky_matrices.append(int(np.prod(shape[:-2])))
+        return cholesky(a, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     return calls
 
 
@@ -129,26 +139,40 @@ NOT_PSD = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
 def test_validate_edm_is_one_eigh(eighs, D):
     validate_edm(D)
     assert len(eighs) == 1
+    assert eighs.choleskys == []
 
 
 @pytest.mark.parametrize("D, delta, gram", [
     (cross(8), [(2, 8)], []),            # the centroid solves D s = 2e: gram_factor reads B there
     (composition([4, 3, 2, 2]), [(2, 2), (3, 1), (4, 1)], []),  # the centroid is the center
-    (unit_sphere(16, 8), [], [(8, 1)]),  # B at 2w for gram_factor; Delta skipped: a distance < 2
+    (unit_sphere(16, 8), [], [8]),       # B's factor moved to 2w; Delta skipped: a distance < 2
     (gaussian_cloud(16, 8), [], []),     # non-spherical: gram_factor reuses B's eigh
-    (composition([4, 3, 2], 2), [(2, 1), (3, 1), (4, 1)], [(8, 1)]),  # B at 2w for gram_factor
+    (composition([4, 3, 2], 2), [(2, 1), (3, 1), (4, 1)], [8]),  # B's factor moved to 2w
     (cross(37), [(2, 37)], []),          # the centroid misses D s = 2e by rounding only
 ])
 def test_dense_certify_chain(eighs, D, delta, gram):
     # validation's eigh of B; none for D w = e; one stacked eigh per core order
-    # of Delta, ascending; gram_factor's, of order rank(B)
+    # of Delta, ascending; none for gram_factor, whose factor moved to 2w takes one
+    # Cholesky of order rank(B)
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     if cert.unit_spherical:
         embedding_dim_via_delta(edm, cert)
+    assert eighs.choleskys == []
     gram_factor(edm)
-    assert list(zip(eighs, eighs.matrices)) == [(edm.n, 1)] + delta + gram
+    assert list(zip(eighs, eighs.matrices)) == [(edm.n, 1)] + delta
     assert eighs.svds == []
+    assert (eighs.choleskys, eighs.cholesky_matrices) == (gram, [1] * len(gram))
+
+
+def test_gram_factor_falls_back_to_one_eigh_of_order_n(eighs):
+    # B's fifth eigenvalue is half the rank cut: carried to a centering s, the shift it
+    # bounds reaches the cut, so the Cholesky is not tried and B_s is decomposed
+    edm = validate_edm(helpers.squeezed_sphere(np.random.default_rng(1), 9, 4, 0.5, 1e-8))
+    assert edm.embedding_dim == 4
+    eighs.clear()
+    gram_factor(edm, np.random.default_rng(2).dirichlet(np.ones(9)))
+    assert (eighs, eighs.matrices, eighs.choleskys) == ([9], [1], [])
 
 
 @pytest.mark.parametrize("D", [cross(8), composition([4, 3, 2, 2]), unit_sphere(16, 8),
@@ -158,6 +182,7 @@ def test_certificate_eigh_order(eighs, D):
     eighs.clear()
     spherical_certificate(edm)
     assert eighs == []  # the sphere fit on B's kept eigenpairs
+    assert eighs.choleskys == []
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -171,7 +196,7 @@ def test_rank_zero_certificate_makes_no_eigh(eighs, n):
 
 @pytest.mark.parametrize("D", [cross(8), cross(37), composition([4, 3, 2, 2]),
                                composition([4, 3, 2], 2), composition([5, 5, 2], 3)])
-def test_delta_reads_its_core_blocks_and_gram_factor_b_at_order_rank(eighs, D):
+def test_delta_reads_its_core_blocks_and_gram_factor_no_eigh(eighs, D):
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     eighs.clear()
@@ -181,9 +206,10 @@ def test_delta_reads_its_core_blocks_and_gram_factor_b_at_order_rank(eighs, D):
     # one stacked eigh per core order, of all cores of that order; none of order n
     assert list(zip(eighs, eighs.matrices)) == sorted(cores.items())
     assert max(eighs) < edm.n
+    assert eighs.choleskys == []
     eighs.clear()
     gram_factor(edm)
-    assert all(order <= edm.embedding_dim for order in eighs)
+    assert eighs == []
 
 
 @pytest.mark.parametrize("orders, exact", [
@@ -222,7 +248,11 @@ def test_certificate_is_solved_once(eighs):
 def test_gram_factor_reuses_validation_eigensystem(eighs):
     edm = validate_edm(gaussian_cloud(12, 5))
     gf = gram_factor(edm, np.full(12, 1.0 / 12))
-    assert len(eighs) == 1
+    assert len(eighs) == 1 and eighs.choleskys == []
+    assert gf.config.shape == (12, 5)
+    # at another centering: the stored factor moved there, its rank certified by one Cholesky
+    gf = gram_factor(edm, np.random.default_rng(5).dirichlet(np.ones(12)))
+    assert len(eighs) == 1 and (eighs.choleskys, eighs.cholesky_matrices) == ([5], [1])
     assert gf.config.shape == (12, 5)
 
 
@@ -251,6 +281,7 @@ def test_kuperberg_decompose(eighs, orders, lone, expected):
     cores = Counter(b.order - len(b.certificate.zero_rows) for b in dec.blocks)
     assert sorted(zip(eighs, eighs.matrices)) == sorted(cores.items())
     assert eighs.svds == []  # a simplex block's core is complete: K2 or an odd cycle
+    assert eighs.choleskys == []
 
 
 def test_certify_simplex_reuses_delta_perron_for_full_core(eighs):
@@ -269,6 +300,7 @@ def test_certify_simplex_rank_route_reads_the_core_tops(eighs):
     cert = certify_simplex(edm)
     assert cert.method == "rank" and not cert.is_simplex
     assert (sorted(eighs), eighs.matrices) == ([2, 3, 4], [1, 1, 1])
+    assert eighs.choleskys == []
     assert abs(cert.lambda_max - perron(nonnegative_delta(delta_of(edm), edm.tol)).lambda_max) <= 1e-15
 
 
@@ -277,11 +309,13 @@ def test_check_rankin_sample_one_eigh_per_chunk(eighs, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
     assert (eighs, eighs.matrices) == ([6], [5])
+    assert eighs.choleskys == []
     eighs.clear()
     monkeypatch.setattr(decomposition, "_SAMPLE_CHUNK_BYTES", 1)  # one trial per chunk
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check-rankin", "--sample", "4", "--trials", "5"]) == 0
     assert (eighs, eighs.matrices) == ([6] * 5, [1] * 5)
+    assert eighs.choleskys == []
 
 
 def test_construct_orthorep_connected(eighs):
@@ -289,13 +323,14 @@ def test_construct_orthorep_connected(eighs):
     # the path is bipartite, parts of 3 and 3: one SVD of its 3 x 3 biadjacency
     # and no eigh; B = I - Delta is known from it
     assert (eighs, eighs.svds, eighs.svd_matrices) == ([], [(3, 3)], [1])
+    assert eighs.choleskys == []
 
 
 @pytest.mark.parametrize("cycle", [5, 7, 9])
 def test_construct_orthorep_odd_cycle(eighs, cycle):
     # an odd cycle has no 2-colouring: one eigh of its adjacency, no SVD
     construct_orthorep(Graph.from_edges(cycle, [(i, i % cycle + 1) for i in range(1, cycle + 1)]))
-    assert (eighs, eighs.matrices, eighs.svds) == ([cycle], [1], [])
+    assert (eighs, eighs.matrices, eighs.svds, eighs.choleskys) == ([cycle], [1], [], [])
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])
@@ -304,7 +339,7 @@ def test_construct_orthorep_k_components(eighs, k):
     # adjacencies, none of B
     edges = [(3 * c + a, 3 * c + b) for c in range(k) for a, b in [(1, 2), (1, 3), (2, 3)]]
     construct_orthorep(Graph.from_edges(3 * k + 2, edges))
-    assert (eighs, eighs.matrices, eighs.svds) == ([3], [k], [])
+    assert (eighs, eighs.matrices, eighs.svds, eighs.choleskys) == ([3], [k], [], [])
 
 
 @pytest.mark.parametrize("k", [1, 4])
@@ -331,6 +366,7 @@ def test_construct_orthorep_bipartite_groups(eighs):
     construct_orthorep(Graph.from_edges(18, edges))
     assert (eighs, eighs.matrices) == ([5], [2])
     assert (eighs.svds, eighs.svd_matrices) == ([(2, 2)], [2])
+    assert eighs.choleskys == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -339,6 +375,7 @@ def test_construct_orthorep_edgeless(eighs, n):
     # n >= 2: the Gram matrix of D = 2(E - I) at the centroid is I - E/n, in closed form;
     # one node validates its D
     assert eighs == ([n] if n == 1 else [])
+    assert eighs.choleskys == []
 
 
 def test_gram_factor_reuses_orthorep_eigensystem(eighs):
@@ -384,4 +421,4 @@ def test_cli_orthorep_example(eighs):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["orthorep", str(graph)]) == 0
     assert (eighs, eighs.matrices) == ([2], [2])  # two single-edge components, one stacked call
-    assert eighs.svds == []
+    assert eighs.svds == [] and eighs.choleskys == []

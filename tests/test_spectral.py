@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from edmsphere import SpectralError, Tolerances
-from edmsphere.spectral import _eigh_stack, _sign_normalize_columns, as_symmetric, eig
+from edmsphere.spectral import _eigh_stack, _gram_exceeds, _sign_normalize_columns, as_symmetric, eig
 from oracles import perron, reconstruction_residual, sign_normalize, solve_linear
 
 SQRT2 = float(np.sqrt(2.0))
@@ -77,6 +77,43 @@ class TestSignNormalize:
         stack = V.reshape((-1, 4, 5))
         ref = np.stack([np.column_stack([sign_normalize(W[:, j]) for j in range(5)]) for W in stack])
         assert _sign_normalize_columns(V).tobytes() == ref.reshape(shape).tobytes()
+
+
+class TestGramExceeds:
+    """One Cholesky of F^T F - tau I certifies that every eigenvalue of F^T F exceeds a floor."""
+
+    @staticmethod
+    def _factor(n, k, least, seed=0):
+        # orthonormal columns scaled so F^T F has eigenvalues 1 ... least, to rounding
+        Q = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, k)))[0]
+        return Q * np.sqrt(np.linspace(1.0, least, k))
+
+    @pytest.mark.parametrize("n, k", [(40, 10), (400, 200)])
+    def test_rounding_margin_decides_near_the_floor(self, n, k):
+        least = 1e-3
+        F = self._factor(n, k, least)
+        margin = (n + k + 1) * k * np.finfo(float).eps * float(np.max(np.sum(F * F, axis=0)))
+        assert _gram_exceeds(F, least - 10.0 * margin)
+        # within the rounding of forming and factoring F^T F: not certified, though above the floor
+        assert not _gram_exceeds(F, least - 0.25 * margin)
+        assert not _gram_exceeds(F, least * (1.0 + 1e-9))
+
+    def test_no_columns_and_rank_deficiency(self):
+        assert _gram_exceeds(np.zeros((5, 0)), 1.0)
+        F = self._factor(8, 3, 0.5)
+        assert not _gram_exceeds(np.column_stack([F, F[:, :1]]), 0.0)  # a repeated column
+        F[0, 0] = np.inf
+        assert not _gram_exceeds(F, 0.0)
+
+    @given(n=st.integers(1, 30), k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           rel=st.floats(-1e-6, 1e-6), mag=st.floats(1e-6, 1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_certified_floors_lie_below_the_spectrum(self, n, k, seed, rel, mag):
+        F = mag * np.random.default_rng(seed).standard_normal((n, k))
+        least = float(np.linalg.eigvalsh(F.T @ F)[0])
+        floor = max(0.0, least * (1.0 + rel))
+        if _gram_exceeds(F, floor):
+            assert least > floor
 
 
 class TestEig:
