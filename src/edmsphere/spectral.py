@@ -7,7 +7,8 @@ representations and Kuperberg blocks share.  The top of Delta and its
 multiplicity are read in one place, `_union_top`, from the spectra of
 Delta's irreducible blocks.  One driver decomposes: a
 (T, n, n) stack goes through `_eigh_stack`, one eigh call, and a single
-matrix is a stack of one (`_decompose`).  `_perron_blocks` makes one
+matrix is a stack of one (`_decompose`); `_gram_exceeds` bounds the least
+eigenvalue of F^T F from below by one Cholesky.  `_perron_blocks` makes one
 decomposition per component order; bipartite groups by the SVD: the
 blocks [[0, C], [C^T, 0]] of a group whose components are all bipartite
 with the same part sizes get their eigensystems from one SVD of the
@@ -228,13 +229,10 @@ def _gram_exceeds(F: np.ndarray, floor: float) -> bool:
     A NaN or Inf in A fails.
     """
     n, k = F.shape
-    if not k:
-        return True
     A = F.T @ F  # exactly symmetric: numpy forms A^T A by syrk
     if not np.isfinite(A).all():
         return False
-    tau = floor + (n + k + 1) * k * np.finfo(float).eps * float(A.diagonal().max())
-    A[np.diag_indices(k)] -= tau
+    A[np.diag_indices(k)] -= floor + (n + k + 1) * k * np.finfo(float).eps * float(A.diagonal().max(initial=0.0))
     try:
         np.linalg.cholesky(A)
     except np.linalg.LinAlgError:

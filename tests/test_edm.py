@@ -748,6 +748,18 @@ class TestGramAtCentering:
         gf, moved = _factor_and_route(calibrated, s)
         assert not moved and gf.config.shape[1] == oracle.rank == 3
 
+    def test_rank_rising_past_a_cut_below_the_psd_slack_falls_back(self):
+        # tol.rank < tol.psd / 2: a shift within the PSD slack can still reach the rank cut.
+        # s along B's dropped eigenvector lifts that eigenvalue above B_s's cut: rank 4 -> 5
+        tol = DEFAULT_TOL.with_overrides(rank=1e-12)
+        edm = require_edm(helpers.squeezed_sphere(np.random.default_rng(1), 9, 4, 0.9, tol.rank), tol)
+        v = edm.gram_eig.vectors[:, 4] - edm.gram_eig.vectors[:, 4].mean()
+        s = np.full(9, 1.0 / 9.0) + v / np.linalg.norm(v)
+        oracle = _decompose(centering_gram(edm.dist2, s), tol)
+        assert oracle.rank == edm.embedding_dim + 1 == 5
+        gf, moved = _factor_and_route(edm, s)
+        assert not moved and gf.config.shape[1] == 5
+
     def test_derived_pairs_are_the_kept_ones(self):
         edm = require_edm(FAMILIES["cloud"])
         s = np.random.default_rng(2).dirichlet(np.ones(edm.n))
