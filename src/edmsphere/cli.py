@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConsistencyError, FormatError, PreconditionError
-from .tolerances import TOL_PROFILE_ENV, Tolerances, from_profile
+from .tolerances import TOL_PROFILE_ENV, Tolerances, _env_profile, from_profile
 
 OK = 0
 REJECTED = 2
@@ -158,7 +157,7 @@ def _write_out(path, result, checks):
 
 
 def _resolve_tolerances(args) -> tuple[Tolerances, str]:
-    profile = args.tol_profile or os.environ.get(TOL_PROFILE_ENV, "default")
+    profile = args.tol_profile or _env_profile()
     base = from_profile(profile)  # PreconditionError on unknown names
     overrides = {
         "psd": args.tol_psd, "rank": args.tol_rank, "cluster": args.tol_cluster,

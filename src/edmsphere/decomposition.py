@@ -16,9 +16,10 @@ constrained.  With n points in dimension r:
 
 The first, third and fourth share one hypothesis gate and one block walk.
 `_spread_support` checks that D is unit spherical with Delta nonnegative
-and splits Delta's support; `_simplex_blocks` folds the zero rows into the
-last component and certifies each block from the eigensystem of its core's
-Delta.  The cores of one order share one stacked eigendecomposition
+and splits Delta's support (`edm._delta_support`, as
+`embedding_dim_via_delta` does); `_simplex_blocks` folds the zero rows into
+the last component and certifies each block from the eigensystem of its
+core's Delta.  The cores of one order share one stacked eigendecomposition
 (`spectral._perron_blocks`), and their blocks' Edms are built and checked
 over the stack (`edm._circumcenter_edms`); a connected core is the
 one-block case.  The rank route of `certify_simplex` reads lambda_max(Delta)
@@ -42,18 +43,17 @@ from .edm import (
     _certify,
     _circumcenter_edm,
     _circumcenter_edms,
+    _delta_support,
     _inf_diagonal,
     _perron_top,
     _sample_rejected,
     _sphere_dist2,
     _sphere_points,
     _validate_stack,
-    delta_of,
-    nonnegative_delta,
     spherical_certificate,
 )
 from .errors import ConsistencyError, PreconditionError
-from .graphs import apply_permutation, support_components
+from .graphs import apply_permutation
 from .spectral import _block_index, _perron_blocks
 from .tolerances import Tolerances
 
@@ -92,9 +92,7 @@ def _spread_support(D: Edm, what: str) -> tuple:
     PreconditionError unless D is unit spherical with every squared distance
     at least 2 - tol.sign.
     """
-    cert = _require_unit_spherical(D, what)
-    delta = nonnegative_delta(delta_of(D), D.tol)
-    return cert, delta, support_components(delta, D.tol)
+    return _require_unit_spherical(D, what), *_delta_support(D)[1:]
 
 
 @dataclass(eq=False)

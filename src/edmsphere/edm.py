@@ -10,11 +10,13 @@ embedding dimension of unit spherical EDMs, and generates canonical
 configurations (regular simplices, crosspolytopes, random sphere samples).
 
 The PSD and rank rules live in `spectral`; validation applies both to its
-one eigensystem of B, which the returned `Edm` keeps for later stages.  The
-sphericity certificate reads it too: D = g e^T + e g^T - 2B with g = diag(B)
-(Gower 1985), so a sphere fitted to the points U L^(1/2) that B's pairs
-above the rank cut give yields w, or the residual that puts the points off
-every sphere, in O(n^2) with no eigendecomposition (`spherical_certificate`).
+one eigensystem of B, which the returned `Edm` keeps for later stages, with
+B itself: `gram_factor` at the Edm's own centering returns a copy of it
+rather than centering D again.  The sphericity certificate reads the
+eigensystem too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so a
+sphere fitted to the points U L^(1/2) that B's pairs above the rank cut give
+yields w, or the residual that puts the points off every sphere, in O(n^2)
+with no eigendecomposition (`spherical_certificate`).
 At another centering s, `gram_factor` factors the Gram matrix
 (I - e s^T) B (I - s e^T) by B's principal axes X = U L^(1/2) moved to s,
 X - e (s^T X), with no eigendecomposition: a bound on the dropped
@@ -100,10 +102,13 @@ class Edm:
     eigensystem's rank rule), `min_offdiagonal` and the `tol` record all were
     decided with; plus the sphericity certificate, solved on the first
     `spherical_certificate` call.  `validate_edm` centers at the
-    centroid e/n; `_circumcenter_edm` builds an Edm at the circumcenter 2w,
-    where B is I - Delta and its eigensystem is known block by block, and
-    seeds the certificate with the w it checked.  The fields are read-only:
-    mutating one leaves the others describing a different matrix.
+    centroid e/n and keeps B itself, read-only, in `_gram`: `gram_factor`
+    at that centering returns a copy of it (for a cloud, a crosspolytope, a
+    composition without lone points).  `_circumcenter_edm` builds an Edm at
+    the circumcenter 2w, where B is I - Delta and its eigensystem is known
+    block by block, and seeds the certificate with the w it checked; it
+    keeps no B.  The fields are read-only: mutating one leaves the others
+    describing a different matrix.
     """
 
     dist2: np.ndarray
@@ -113,6 +118,7 @@ class Edm:
     centering: np.ndarray
     min_offdiagonal: float
     _certificate: SphericalCertificate | None = field(default=None, init=False, repr=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -184,22 +190,23 @@ def _entry_stats(M: np.ndarray) -> tuple:
     with the diagonal then set to zero.  Only the finiteness is meaningful
     for a matrix that is not finite.
 
-    When every M is exactly symmetric, M + 0.0 is that mirror bit for bit:
-    each entry of the mirror is an entry of M plus +0.0, and the one pair of
-    equal entries with different bits, +0.0 and -0.0, both sum to +0.0.
+    Finiteness is read off scale(M): NaN and +-inf carry through the max and
+    min it takes.  When M == M^T entrywise for every M, the skew is 0 and
+    M + 0.0 is the mirror bit for bit: each entry of the mirror is an entry
+    of M plus +0.0, and the one pair of equal entries with different bits,
+    +0.0 and -0.0, both sum to +0.0.  Only otherwise is max|M - M^T| formed.
     """
-    n = M.shape[-1]
-    with np.errstate(invalid="ignore", over="ignore"):  # a too-large M is rejected, not measured
-        finite = np.isfinite(M).all(axis=(-2, -1))
-        skew = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if (skew == 0.0).all():  # a NaN skew is not 0: such a stack keeps the mirror
-        D = M + 0.0
+    s = scale(M)
+    if (M == np.swapaxes(M, -1, -2)).all():  # NaN != NaN: such a stack keeps the mirror
+        skew, D = np.zeros(M.shape[:-2]), M + 0.0
     else:
+        with np.errstate(invalid="ignore", over="ignore"):  # a too-large M is rejected, not measured
+            skew = np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1), initial=0.0)
         D = np.tril(M) + np.swapaxes(np.tril(M, -1), -1, -2)
-    diag = np.arange(n)
+    diag = np.arange(M.shape[-1])
     diag_max = np.abs(D[..., diag, diag]).max(axis=-1, initial=0.0)
     D[..., diag, diag] = 0.0
-    return finite, scale(M), skew, D, diag_max, min_offdiagonal(D)
+    return np.isfinite(s), s, skew, D, diag_max, min_offdiagonal(D)
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -266,7 +273,8 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     The entry rules reject first, in the order of `_entry_rejection`; the
     centered Gram matrices of the rest go through one eigh, and the PSD
     and rank rules read their spectra over the stack.  Each Edm holds its
-    row of the stacked arrays, with the bits of a stack of one.
+    row of the stacked arrays, with the bits of a stack of one, its centered
+    Gram matrix B included (read-only).
     """
     finite, s, skew, D, diag_max, off_min = _entry_stats(M)
     off_min = off_min.tolist()
@@ -279,6 +287,7 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
         D = D[todo]
     centroid = _centroid(M.shape[-1])
     B = centering_gram(D, centroid)
+    B.flags.writeable = False  # each Edm keeps its row
     values, vectors, errors = _eigh_stack(B)
     scales = scale(B)
     psd = _psd_stack(values, scales, tol).tolist()
@@ -292,8 +301,9 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
                                   witness_eigenvalue=least, witness_vector=vectors[k, :, -1].copy())
         else:
             gram = EigenSystem(values[k], vectors[k], tol, float(scales[k]))
-            out[t] = Edm(dist2=D[k], embedding_dim=rank[k], tol=tol, gram_eig=gram, centering=centroid,
-                         min_offdiagonal=off_min[t])
+            out[t] = edm = Edm(dist2=D[k], embedding_dim=rank[k], tol=tol, gram_eig=gram, centering=centroid,
+                               min_offdiagonal=off_min[t])
+            edm._gram = B[k]
     return out
 
 
@@ -340,10 +350,11 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
         At the Edm's own centering, `config` keeps the eigenvector columns
         of `gram_eig` with eigenvalue above the rank cut, ordered by
         descending eigenvalue and sign-normalized, each scaled by the
-        eigenvalue's square root: the principal axes X = U L^(1/2).  At any
-        other s it is X moved to s, X - e (s^T X), when that is certified to
-        factor B (`_factor_at`); otherwise B's own principal axes, from an
-        eigendecomposition of B.
+        eigenvalue's square root: the principal axes X = U L^(1/2), and
+        `gram` is a copy of the B validation kept, or B formed again for an
+        Edm that keeps none.  At any other s it is X moved to s,
+        X - e (s^T X), when that is certified to factor B (`_factor_at`);
+        otherwise B's own principal axes, from an eigendecomposition of B.
 
     Raises
     ------
@@ -365,10 +376,11 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
         raise PreconditionError(f"centering vector length {s.shape[0]} != order {n}")
     if n and abs(float(s.sum()) - 1.0) > tol.solve:
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
-    B = centering_gram(D.dist2, s)
     if np.array_equal(s, D.centering):
+        B = centering_gram(D.dist2, s) if D._gram is None else D._gram.copy()
         es = D.gram_eig
     else:
+        B = centering_gram(D.dist2, s)
         if B.size and not np.all(np.isfinite(B)):  # at a caller's centering s with large weights
             raise ValueError("matrix contains NaN or Inf entries")
         P = _factor_at(D, s, B)
@@ -708,9 +720,8 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
                 "does not apply; reporting rank of the centered Gram matrix instead"
             ),
         )
-    dm = delta_of(D)
-    delta = nonnegative_delta(dm, tol)
-    lambda_max, multiplicity = _perron_top(delta, support_components(delta, tol), tol)
+    dm, delta, split = _delta_support(D)
+    lambda_max, multiplicity = _perron_top(delta, split, tol)
     residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
     return DeltaDimReport(
         dimension=D.n - multiplicity,
@@ -721,6 +732,15 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
         eigvec_residual=residual,
         eigvec_ok=residual <= tol.solve,
     )
+
+
+def _delta_support(D: Edm) -> tuple:
+    """(Delta of D, Delta by `nonnegative_delta`, the split of its support graph): what the Perron steps read.
+
+    PreconditionError when D's least off-diagonal entry is below 2 - tol.sign.
+    """
+    delta = nonnegative_delta(dm := delta_of(D), D.tol)
+    return dm, delta, support_components(delta, D.tol)
 
 
 def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:
@@ -819,20 +839,25 @@ _DIFF_BLOCK_BYTES = 1 << 20  # the differences `_sphere_dist2` holds at a time
 def _sphere_dist2(X: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of X: (..., n, r) -> (..., n, n).
 
-    The differences are formed a block of rows at a time, about
+    The differences are formed a block of rows at a time, at most about
     `_DIFF_BLOCK_BYTES` of them and at least one row, not as the whole
-    n x n x r tensor.  Each pair's sum runs over its own r differences, so
-    every block size gives the same bits, and each matrix of a stack has
-    the bits of its own call.
+    n x n x r tensor, and only for the upper triangle: the block of rows
+    i:i+b meets the columns j >= i, and the transpose of its part right of
+    the block fills the rows below it.  Each pair's sum runs over its own r
+    differences, and x_i - x_j is exactly -(x_j - x_i), so every block size
+    gives the same bits as the whole tensor, and each matrix of a stack has
+    the bits of its own call; when one block covers all rows, as for the
+    Rankin sampler's chunks, it is the whole tensor.
     """
     n = X.shape[-2]
     D = np.empty(X.shape[:-1] + (n,))
     row_bytes = X.size // max(n, 1) * n * X.itemsize  # one row's differences, over the stack
     rows = max(1, _DIFF_BLOCK_BYTES // max(row_bytes, 1))
     for i in range(0, n, rows):
-        diff = X[..., i:i + rows, None, :] - X[..., None, :, :]
-        D[..., i:i + rows, :] = np.einsum("...ijk,...ijk->...ij", diff, diff)  # bitwise symmetric, zero diagonal
+        diff = X[..., i:i + rows, None, :] - X[..., None, i:, :]
+        D[..., i:i + rows, i:] = np.einsum("...ijk,...ijk->...ij", diff, diff)  # bitwise symmetric, zero diagonal
         del diff  # one block alive at a time
+        D[..., i + rows:, i:i + rows] = np.swapaxes(D[..., i:i + rows, i + rows:], -1, -2)
     return D
 
 

@@ -113,9 +113,13 @@ class ComponentSplit:
 
 
 def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
-    """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support."""
+    """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support.
+
+    The arcs come in row-major order from one scan of the flat indices of
+    the support: row = index // n, column = index % n.
+    """
     S = _support_adjacency(M, tol)
-    return _split(S.shape[0], *np.nonzero(S))
+    return _split(S.shape[0], *np.divmod(np.flatnonzero(S), S.shape[0]))
 
 
 def components(G: Graph) -> ComponentSplit:

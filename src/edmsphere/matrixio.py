@@ -23,7 +23,6 @@ __all__ = [
     "parse_matrix",
     "load_matrix",
     "format_matrix_text",
-    "matrix_to_json_dict",
 ]
 
 
@@ -116,8 +115,3 @@ def format_matrix_text(M: np.ndarray, comment: str | None = None) -> str:
     lines.append(str(n))
     lines.extend(" ".join(map(repr, row)) for row in M.tolist())
     return "\n".join(lines) + "\n"
-
-
-def matrix_to_json_dict(M: np.ndarray) -> dict:
-    M = np.asarray(M, dtype=float)
-    return {"n": int(M.shape[0]), "rows": M.tolist()}

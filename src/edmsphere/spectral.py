@@ -192,16 +192,21 @@ def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
 
     That entry is the column's maximum or minus its minimum, so no array of
     magnitudes is made; only a column where the two tie compares their
-    first positions, and only the tied columns are gathered for it.
+    first positions, and only the tied columns are gathered for it.  A
+    column-reversed view, eigh's ascending output as `_eigh_descending`
+    passes it, is read in its contiguous base's column order: the max, the
+    min and the comparisons run there, and only the per-column signs are
+    reversed.  The tie rule reads row positions, which the view keeps.
     """
     if not V.size:
         return V
-    top, bottom = V.max(axis=-2), V.min(axis=-2)
+    W = V[..., ::-1] if (rev := V.strides[-1] < 0) else V
+    top, bottom = W.max(axis=-2), W.min(axis=-2)
     flip, tie = -bottom > top, -bottom == top
     if tie.any():
-        tied = np.swapaxes(V, -1, -2)[tie]  # (ties, n): each tied column as a row
+        tied = np.swapaxes(W, -1, -2)[tie]  # (ties, n): each tied column as a row
         flip[tie] = np.argmin(tied, axis=-1) < np.argmax(tied, axis=-1)
-    return V * np.where(flip, -1.0, 1.0)[..., None, :]
+    return V * np.where(flip, -1.0, 1.0)[..., None, ::-1 if rev else 1]
 
 
 def _gram_exceeds(F: np.ndarray, floor: float) -> bool:

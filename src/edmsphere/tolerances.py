@@ -102,10 +102,14 @@ def from_profile(name: str) -> Tolerances:
         raise PreconditionError(f"unknown tolerance profile {name!r} (known: {known})") from None
 
 
+def _env_profile(environ: dict[str, str] | None = None) -> str:
+    """The preset name ``EDM_SPHERE_TOL_PROFILE`` selects, "default" if unset; read by the library and the CLI."""
+    return (os.environ if environ is None else environ).get(TOL_PROFILE_ENV, "default")
+
+
 def profile_from_env(environ: dict[str, str] | None = None) -> Tolerances:
     """Resolve the preset selected by ``EDM_SPHERE_TOL_PROFILE`` (default preset if unset)."""
-    env = os.environ if environ is None else environ
-    return from_profile(env.get(TOL_PROFILE_ENV, "default"))
+    return from_profile(_env_profile(environ))
 
 
 def scale(M: np.ndarray) -> float | np.ndarray:

@@ -28,19 +28,26 @@ is recorded by its order shape[-1], and `matrices` counts the matrices of
 each call.  An Edm built at its circumcenter (a representation, a
 Kuperberg block) carries the certificate of the w it was built with, so its
 sphericity takes no eigh.
+
+`edm.centering_gram` is counted the same way: validation forms the centered
+Gram matrix B once and the Edm keeps it, so `gram_factor` at the Edm's own
+centering forms none and at any other centering, such as 2w, one.
 """
 import contextlib
 import io
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import edmsphere.decomposition as decomposition
+import edmsphere.edm as edm_module
 import helpers
 from edmsphere import (
     DEFAULT_TOL,
+    EdmRejection,
     Graph,
     apply_permutation,
     certify_simplex,
@@ -58,6 +65,7 @@ from edmsphere import (
     validate_edm,
 )
 from edmsphere.cli import main
+from edmsphere.edm import _sphere_dist2, _sphere_points, _validate_stack, centering_gram
 from oracles import perron
 
 
@@ -254,6 +262,78 @@ def test_gram_factor_reuses_validation_eigensystem(eighs):
     gf = gram_factor(edm, np.random.default_rng(5).dirichlet(np.ones(12)))
     assert len(eighs) == 1 and (eighs.choleskys, eighs.cholesky_matrices) == ([5], [1])
     assert gf.config.shape == (12, 5)
+
+
+@pytest.fixture
+def centerings(monkeypatch):
+    """The shape of each D that `edm.centering_gram` is called on, in call order."""
+    calls = []
+
+    def counted(D, s):
+        calls.append(np.shape(D))
+        return centering_gram(D, s)
+
+    monkeypatch.setattr(edm_module, "centering_gram", counted)
+    return calls
+
+
+@pytest.mark.parametrize("D", [cross(5), composition([3, 2], 2), unit_sphere(16, 8),
+                               gaussian_cloud(16, 8), NOT_PSD])
+def test_validation_centers_once(centerings, D):
+    validate_edm(D)
+    assert centerings == [(1,) + D.shape]
+
+
+@pytest.mark.parametrize("D, own", [
+    (gaussian_cloud(16, 8), True),            # non-spherical: the centroid
+    (cross(8), True),                         # the centroid solves D s = 2e
+    (composition([4, 3, 2, 2]), True),        # no lone points: the centroid is the center
+    (unit_sphere(16, 8), False),              # centered at 2w
+    (composition([4, 3, 2], 2), False),       # lone points move the center off the centroid
+])
+def test_gram_factor_reads_the_kept_gram_at_its_own_centering(centerings, D, own):
+    edm = validate_edm(D)
+    cert = spherical_certificate(edm)
+    if cert.unit_spherical:
+        embedding_dim_via_delta(edm, cert)
+    centerings.clear()
+    gf = gram_factor(edm)
+    assert np.array_equal(gf.centering, edm.centering) == own
+    assert centerings == ([] if own else [D.shape])
+    assert gf.gram.tobytes() == centering_gram(edm.dist2, gf.centering).tobytes()
+
+
+def test_stacked_validation_keeps_each_gram(centerings):
+    # a Rankin chunk whose middle matrix the entry rules reject: one centering of the
+    # others, each keeping the bits of its own centering_gram
+    M = _sphere_dist2(_sphere_points([np.random.default_rng(seed) for seed in range(5)], 6, 4))
+    M[2, 0, 5] = M[2, 5, 0] = -1.0
+    out = _validate_stack(M, DEFAULT_TOL)
+    assert [isinstance(res, EdmRejection) for res in out] == [False, False, True, False, False]
+    assert centerings == [(4, 6, 6)]
+    for edm in (out[t] for t in (0, 1, 3, 4)):
+        assert edm._gram.tobytes() == centering_gram(edm.dist2, edm.centering).tobytes()
+        assert not edm._gram.flags.writeable
+
+
+def test_an_edm_derived_by_replace_keeps_no_gram(centerings):
+    # the kept B describes the validated dist2 only: a copy with another dist2 centers its own
+    edm = validate_edm(gaussian_cloud(12, 5))
+    derived = replace(edm, dist2=2.0 * edm.dist2)
+    centerings.clear()
+    gf = gram_factor(derived)
+    assert centerings == [(12, 12)]
+    assert gf.gram.tobytes() == centering_gram(derived.dist2, derived.centering).tobytes()
+
+
+def test_writing_to_a_factor_leaves_the_edm_unchanged():
+    edm = validate_edm(gaussian_cloud(12, 5))
+    first = gram_factor(edm)
+    gram, config = first.gram.copy(), first.config.copy()
+    first.gram[:] = 7.0
+    first.config[:] = 7.0
+    again = gram_factor(edm)
+    assert again.gram.tobytes() == gram.tobytes() and again.config.tobytes() == config.tobytes()
 
 
 @pytest.mark.parametrize("r", [2, 3, 6, 400])

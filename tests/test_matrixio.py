@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +10,6 @@ from edmsphere import FormatError
 from edmsphere.matrixio import (
     format_matrix_text,
     load_matrix,
-    matrix_to_json_dict,
     parse_matrix,
     parse_matrix_json,
     parse_matrix_text,
@@ -91,12 +89,6 @@ class TestJsonFormat:
     def test_errors(self, text, match):
         with pytest.raises(FormatError, match=match):
             parse_matrix_json(text)
-
-    def test_dict_round_trip(self):
-        M = np.array([[0.0, 2.5], [2.5, 0.0]])
-        d = matrix_to_json_dict(M)
-        assert d == {"n": 2, "rows": [[0.0, 2.5], [2.5, 0.0]]}
-        npt.assert_array_equal(parse_matrix_json(json.dumps(d)), M)
 
 
 def test_parse_dispatches_on_leading_brace():

@@ -22,7 +22,7 @@ PUBLIC_NAMES = [
     "crosspolytope_recognize", "delta_of", "eig", "embedding_dim_via_delta",
     "format_matrix_text", "from_profile", "gen_crosspolytope", "gen_random_spherical",
     "gen_regular_simplex", "gen_unit_simplex", "gram_factor", "kuperberg_decompose",
-    "load_matrix", "matrix_to_json_dict", "min_offdiagonal", "minimality_bound",
+    "load_matrix", "min_offdiagonal", "minimality_bound",
     "nonnegative_delta", "parse_graph", "parse_matrix", "parse_matrix_json",
     "parse_matrix_text", "profile_from_env", "rankin_codimension2_check",
     "require_edm", "spherical_certificate", "support_components", "unit_simplex_gamma",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 66
+    assert len(PUBLIC_NAMES) == 65
     assert sorted(edmsphere.__all__) == PUBLIC_NAMES
     assert all(hasattr(edmsphere, name) for name in PUBLIC_NAMES)
 
