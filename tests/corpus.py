@@ -5,7 +5,7 @@ The inputs are the sphericity certificate's families (`helpers.certificate_famil
 one at radius 3 with B's fifth eigenvalue squeezed to 0.3 of the default rank cut,
 and the distance matrix of the orthonormal representation of the path on 40 nodes.
 Each runs under every tolerance profile, as given and relabelled by one fixed
-permutation, at scales c = 1 and c = 1e6.  A record holds the sphericity status
+permutation, at scales c = 1e-6, 1 and 1e6.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
 of a unit spherical input and the type of any exception raised; and, for every
 accepted input, `factor_dim`, the column count of `gram_factor` at its default
@@ -40,7 +40,7 @@ from edmsphere import (
 )
 
 RECORDING = Path(__file__).with_name("golden") / "verdicts.json"
-SCALES = (1.0, 1e6)
+SCALES = (1e-6, 1.0, 1e6)
 
 
 def inputs() -> dict:

@@ -11,7 +11,10 @@ certificate, the Delta report, the Gram factor at the default centering, at
 the centroid and at a random one, the decompositions, and the orthonormal
 representations with their sign-pattern and minimality reports; the `cli`
 family takes the report of each subcommand, with `elapsed_seconds` dropped,
-and its --out files.  Arrays enter by dtype, shape and bytes, floats by
+and its --out files.  The `thresholds` family puts each tolerance rule at
+the edge of its band: every output of an input at the float value of a
+tolerance field where the rule's verdict flips and at its two neighbours
+(`thresholds_family`), then the strict-noise compositions.  Arrays enter by dtype, shape and bytes, floats by
 their bits, exceptions by type and message; fields whose name starts with
 an underscore are skipped, so two source trees agree on a family exactly
 when its outputs agree bit for bit.
@@ -41,32 +44,40 @@ import edmsphere as es
 from edmsphere.cli import main
 
 
-def feed(h, x) -> None:
-    """Hash x into h: dataclasses by their public fields, containers in order, floats by their bits."""
+NUMBER = r"[-+]?\d[-+.e\d]*"
+
+
+def feed(h, x, brief=False) -> None:
+    """Hash x into h: dataclasses by their public fields, containers in order, floats by their bits.
+
+    `brief` leaves out Tolerances records and the numbers in exception messages.
+    """
+    if brief and isinstance(x, es.Tolerances):
+        return
     if dataclasses.is_dataclass(x):
         h.update(type(x).__name__.encode())
         for f in dataclasses.fields(x):
             if not f.name.startswith("_"):
                 h.update(f.name.encode())
-                feed(h, getattr(x, f.name))
+                feed(h, getattr(x, f.name), brief)
     elif isinstance(x, np.ndarray):
         h.update(f"{x.dtype}{x.shape}".encode())
         h.update(np.ascontiguousarray(x).tobytes())
     elif isinstance(x, dict):
         h.update(b"{%d" % len(x))
         for key in sorted(x, key=repr):
-            feed(h, key)
-            feed(h, x[key])
+            feed(h, key, brief)
+            feed(h, x[key], brief)
     elif isinstance(x, (list, tuple)):
         h.update(b"[%d" % len(x))
         for v in x:
-            feed(h, v)
+            feed(h, v, brief)
     elif isinstance(x, (set, frozenset)):
-        feed(h, sorted(x))
+        feed(h, sorted(x), brief)
     elif isinstance(x, float):
         h.update(struct.pack("<d", x))
     elif isinstance(x, BaseException):
-        h.update(f"{type(x).__name__}: {x}".encode())
+        h.update(f"{type(x).__name__}: {re.sub(NUMBER, '#', str(x)) if brief else x}".encode())
     else:
         h.update(repr(x).encode())
 
@@ -252,6 +263,164 @@ def cli_family() -> list:
     return out
 
 
+def with_field(field: str, value: float):
+    return dataclasses.replace(es.DEFAULT_TOL, **{field: value})
+
+
+def verdict(x) -> str:
+    """The sha256 of x as `feed` takes it in brief: what a tolerance field decides."""
+    h = hashlib.sha256()
+    feed(h, x, brief=True)
+    return h.hexdigest()
+
+
+def as_float(i: int) -> float:
+    return float(np.int64(i).view(np.float64))
+
+
+def flips(decide, lo: float, hi: float) -> list:
+    """The floats p in (lo, hi] where decide(p) differs from decide at the float below p, left to right.
+
+    Nonnegative floats are ordered as their int64 bit patterns, so each flip is
+    found by bisection on those, from the last flip (or lo) to hi; the search
+    stops when decide(hi) equals decide at the last flip.
+    """
+    cache: dict = {}
+
+    def at(i: int):
+        if i not in cache:
+            cache[i] = decide(as_float(i))
+        return cache[i]
+
+    out, a, b = [], int(np.float64(lo).view(np.int64)), int(np.float64(hi).view(np.int64))
+    while at(a) != at(b) and len(out) < 8:
+        x, y = a, b
+        while y - x > 1:
+            mid = (x + y) // 2
+            x, y = (mid, y) if at(mid) == at(a) else (x, mid)
+        out.append(as_float(y))
+        a = y
+    return out
+
+
+def circle_points(degrees) -> np.ndarray:
+    t = np.radians(np.asarray(degrees, dtype=float))
+    return np.stack([np.cos(t), np.sin(t)], axis=1)
+
+
+def with_entry(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
+    D = D.copy()
+    D[i, j] = D[j, i] = d
+    return D
+
+
+def strict_noise_compositions() -> list:
+    """The strict-noise sweep: 300 compositions with symmetric noise the size of the strict bands.
+
+    One default_rng(0) draws, per input: the block count, the block orders,
+    the lone points, the noise level eps, then the (n, n) standard normals,
+    symmetrized as (N + N^T) / 2 with the diagonal zeroed.
+    """
+    rng = np.random.default_rng(0)
+    out = []
+    for _ in range(300):
+        orders = rng.integers(2, 7, rng.integers(1, 4)).tolist()
+        lone = int(rng.integers(0, 4))
+        eps = rng.uniform(1e-10, 4e-10)
+        D = composition(orders, lone)
+        N = eps * rng.standard_normal(D.shape)
+        N = (N + N.T) / 2.0
+        np.fill_diagonal(N, 0.0)
+        out.append(D + N)
+    return out
+
+
+def threshold_cases() -> list:
+    """(label, field, lo, hi, run): run(tol) is every output the rule's inputs give under tol."""
+    rng = np.random.default_rng(24)
+    sphere = tensor_dist2(sphere_points(rng, 8, 4))
+    skew = sphere.copy()
+    skew[0, 1] = np.nextafter(np.nextafter(skew[0, 1], np.inf), np.inf)
+    not_psd = 10.0 * (tensor_dist2(sphere_points(rng, 10, 5)) - tensor_dist2(1e-4 * rng.standard_normal((10, 1))))
+    X = sphere_points(rng, 9, 5)
+    X[:, 4] *= 1e-5
+    squeezed = tensor_dist2(X / np.linalg.norm(X, axis=1)[:, None])
+    circle = tensor_dist2(circle_points(np.arange(12) * 30.0 + 7.0) * (1.0 + 1e-9 * rng.standard_normal((12, 1))))
+    cloud = tensor_dist2(rng.standard_normal((9, 3)))
+    s = rng.dirichlet(np.ones(9))
+    s[0] += 3e-12
+    tetra, weights = tensor_dist2(rng.standard_normal((4, 3))), rng.dirichlet(np.ones(4))
+    simplex = composition([4]) * (1.0 + 2e-9)
+    blocks = relabel(composition([3, 3]) * (1.0 + 2e-9), rng)
+    cross = relabel(crosspolytope(3), rng)
+    path = [(i, i + 1) for i in range(1, 5)]
+    rep = es.construct_orthorep(es.Graph.from_edges(5, path))
+    pattern = with_entry(rep.edm.dist2, 0, 4, 2.0 + 3e-9)
+    support = np.array([[0.0, 5e-12, 0.0], [5e-12, 0.0, -3e-12], [0.0, -3e-12, 0.0]])
+
+    def graph_chain(n, edges):
+        G = es.Graph.from_edges(n, edges)
+        return lambda tol: [rep := call(es.construct_orthorep, G, tol)] + (
+            [call(es.minimality_bound, rep), call(es.verify_sign_pattern, rep.edm.dist2, G, tol)]
+            if isinstance(rep, es.OrthoRep) else [])
+
+    def chain(M):
+        return lambda tol: dense_chain(M, tol)
+
+    return [
+        ("entry symmetry", "symmetry", 0.0, 1e-12, lambda tol: dense_chain(skew, tol) + [call(es.eig, skew, tol)]),
+        ("nonzero diagonal", "psd", 0.0, 1e-9, chain(with_entry(sphere, 2, 2, 3e-12))),
+        ("negative entry", "psd", 0.0, 1e-9, chain(with_entry(sphere, 1, 4, -2e-12))),
+        ("psd rule", "psd", 0.0, 1.0, chain(not_psd)),
+        ("psd cross", "psd", 0.0, 1e-12, chain(cross)),
+        ("rank cut", "rank", 1e-13, 1e-6, chain(squeezed)),
+        ("rank compose", "rank", 0.0, 1e-12, chain(relabel(composition([3, 2], 1), rng))),
+        ("sphericity", "solve", 0.0, 1e-3, chain(circle)),
+        ("centering sum", "solve", 0.0, 1e-10,
+         lambda tol: [edm := call(es.validate_edm, cloud, tol), call(es.gram_factor, edm, s)]),
+        ("solve residuals", "solve", 0.0, 1e-12, chain(cross)),
+        ("unit radius", "unit", 0.0, 1e-6, chain(simplex)),
+        ("unit circumcenter", "unit", 0.0, 1e-12, chain(cross)),
+        ("perron top", "cluster", 0.0, 1e-6, chain(simplex)),
+        ("perron top blocks", "cluster", 0.0, 1e-6, chain(blocks)),
+        ("multiplicity", "cluster", 0.0, 1.0, graph_chain(7, path[:3] + [(5, 6), (6, 7), (5, 7)])),
+        ("perron hypothesis", "sign", 0.0, 1e-6, chain(with_entry(cross, 0, 2, 2.0 - 3e-9))),
+        ("delta support", "sign", 0.0, 1e-6, chain(with_entry(cross, 0, 2, 2.0 + 3e-9))),
+        ("interior", "sign", 0.0, 0.1, chain(tensor_dist2(circle_points([0.0, 90.0, 181.0])))),
+        ("sign pattern", "sign", 0.0, 2.0,
+         lambda tol: [call(es.verify_sign_pattern, pattern, rep.graph, tol), call(es.verify_sign_pattern, rep.edm, rep.graph, tol)]),
+        ("unit rows", "sign", 0.0, 1e-12, graph_chain(5, path)),
+        ("recon", "recon", 0.0, 1e-12, graph_chain(5, path)),
+        ("recon moved factor", "recon", 0.0, 1e-12,
+         lambda tol: [edm := call(es.validate_edm, tetra, tol), call(es.gram_factor, edm, weights)]),
+        ("support", "support", 0.0, 2.0, chain(cross)),
+        ("support signed", "support", 0.0, 1e-10, lambda tol: [call(es.support_components, support, tol)]),
+    ]
+
+
+def thresholds_family() -> list:
+    """Each rule's outputs at the float where its verdict flips and at that float's two neighbours.
+
+    Each case's field runs from lo to hi with the other fields at their
+    defaults; at each flip p (`flips`), every output is taken at p and at the
+    floats on either side, so a `<=` read as `<` (or the reverse) changes the
+    digest.  The rules whose deciding number is 0 (the interior rule on a
+    zero row's w = 0, Rankin's min d_ij = 2 on the square) take 0 and its
+    neighbours directly.  Then the strict-noise compositions, each through
+    the whole chain under the strict profile.
+    """
+    out = []
+    for label, field, lo, hi, run in threshold_cases():
+        for p in flips(lambda v: verdict(run(with_field(field, v))), lo, hi):
+            below, above = float(np.nextafter(p, -np.inf)), float(np.nextafter(p, np.inf))
+            out.append([label, field, p, [run(with_field(field, v)) for v in (below, p, above)]])
+    for label, M in (("interior zero row", relabel(composition([3], 1), np.random.default_rng(25))),
+                     ("rankin square", crosspolytope(2))):
+        out.append([label, [dense_chain(M, with_field("sign", v)) for v in (-5e-324, 0.0, 5e-324)]])
+    out.append([dense_chain(M, es.PROFILES["strict"]) for M in strict_noise_compositions()])
+    return out
+
+
 def families() -> dict:
     fam = {name: [dense_chain(M) for M in inputs] for name, inputs in dense_families().items()}
     fam["gen"] = []
@@ -261,6 +430,7 @@ def families() -> dict:
     fam["profiles"] = profile_family()
     fam["orthorep"] = graph_family()
     fam["cli"] = cli_family()
+    fam["thresholds"] = thresholds_family()
     return fam
 
 
