@@ -55,7 +55,7 @@ from .edm import (
 from .errors import ConsistencyError, PreconditionError
 from .graphs import apply_permutation
 from .spectral import _block_index, _perron_blocks
-from .tolerances import Tolerances
+from .tolerances import Tolerances, _interior, _over_two, _perron_hypothesis, _top_at_one, _within
 
 __all__ = [
     "SimplexCertificate",
@@ -160,19 +160,14 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     # Disconnected support: connectivity no longer forces anything, the
     # embedding dimension alone decides.
     lam = _perron_top(delta, split, tol)[0]
-    if abs(lam - 1.0) > tol.cluster:
-        raise ConsistencyError(
-            f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1"
-        )
+    if not _top_at_one(lam, tol)[0]:
+        raise ConsistencyError(f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1")
     zero_rows = split.isolated
-    w = cert.w
     is_simplex = D.embedding_dim == n - 1
-    origin = None
-    if is_simplex:
-        origin = "interior" if float(w.min()) > tol.sign else "boundary"
+    origin = ("interior" if _interior(cert.w, tol)[0] else "boundary") if is_simplex else None
     return SimplexCertificate(
         is_simplex=is_simplex, n=n, method="rank", lambda_max=lam,
-        w=w, origin_position=origin, zero_rows=zero_rows, irreducible_core=False,
+        w=cert.w, origin_position=origin, zero_rows=zero_rows, irreducible_core=False,
         residual=cert.residual,
         detail=(
             f"support splits into {split.nontrivial_count} nontrivial component(s) plus "
@@ -240,17 +235,11 @@ def _closest_pairs(D: np.ndarray) -> tuple:
 
 def _rankin_report(n: int, r: int, m: float, i: int, j: int, tol: Tolerances) -> RankinReport:
     """The n = r + 2 report on the closest pair (i, j), 0-based, at squared distance m."""
-    ok = m <= 2.0 + tol.sign
-    if ok:
-        message = (
-            f"pair ({i + 1}, {j + 1}) at squared distance {m:.17g} <= 2: "
-            "no room for n = r + 2 points at min squared distance 2"
-        )
-    else:
-        message = (
-            f"numerical inconsistency: min squared distance {m:.17g} > 2 "
-            f"although n = r + 2; the rank decision at tol.rank is suspect"
-        )
+    ok = _over_two(m, tol, over=False)[0]
+    message = (f"pair ({i + 1}, {j + 1}) at squared distance {m:.17g} <= 2: "
+               "no room for n = r + 2 points at min squared distance 2") if ok else (
+        f"numerical inconsistency: min squared distance {m:.17g} > 2 "
+        "although n = r + 2; the rank decision at tol.rank is suspect")
     return RankinReport(ok=ok, n=n, r=r, min_offdiag=m, witness=(i + 1, j + 1), message=message)
 
 
@@ -376,7 +365,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
         rows, ws = g.rows[stacked], w[stacked]
         edms = _circumcenter_edms(D.dist2[_block_index(rows, rows)], ws,
                                   values[stacked], vectors[stacked], g.scales[stacked], tol)
-        interior = (ws.min(axis=1) > tol.sign).tolist()
+        interior = _interior(ws, tol)[0].tolist()
         for t, edm, inside in zip(stacked, edms, interior):
             outcome[g.pos[t]] = (comps[g.pos[t]], (), float(g.lam[t]), edm, inside)
         if len(stacked) < len(g.pos):  # the last block, with the zero rows
@@ -395,7 +384,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
             except ConsistencyError as exc:
                 edm = exc
             outcome[-1] = (tuple(members), tuple(int(i) + 1 for i in zero), float(g.lam[t]), edm,
-                           float(wt.min()) > tol.sign)
+                           _interior(wt, tol)[0])
     blocks = []
     for members, zero_rows, lam, edm, interior in outcome:
         if isinstance(edm, Exception):
@@ -461,10 +450,8 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         rows = np.array(members) - 1
         off[_block_index(rows, rows)] = 0.0
     cross_check = float(off.max())
-    if cross_check > tol.sign:
-        raise ConsistencyError(
-            f"cross-block squared distances deviate from 2 by {cross_check:g}"
-        )
+    if not _within(cross_check, tol.sign)[0]:
+        raise ConsistencyError(f"cross-block squared distances deviate from 2 by {cross_check:g}")
     # The Gram matrix at the circumcenter is E - D/2, so a cross-block inner
     # product is 1 - d/2 = -(d - 2)/2, exactly for d within tol.sign of 2.
     return Decomposition(
@@ -532,7 +519,7 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
         if r == 1:  # a single antipodal pair; too small for the block machinery
             _require_unit_spherical(D, "crosspolytope_recognize")
             permutation = (1, 2)
-        elif D.min_offdiagonal < 2.0 - tol.sign:
+        elif not _perron_hypothesis(D.min_offdiagonal, tol)[0]:
             return CrosspolytopeResult(
                 ok=False, r=r, permutation=None, max_deviation=None,
                 reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
@@ -543,9 +530,6 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))
     dev = _crosspolytope_deviation(apply_permutation(D.dist2, permutation))
-    if dev > tol.sign:
-        return CrosspolytopeResult(
-            ok=False, r=r, permutation=permutation, max_deviation=dev,
-            reason=f"permuted matrix deviates from the canonical form by {dev:g}",
-        )
-    return CrosspolytopeResult(ok=True, r=r, permutation=permutation, max_deviation=dev)
+    ok = _within(dev, tol.sign)[0]
+    return CrosspolytopeResult(ok=ok, r=r, permutation=permutation, max_deviation=dev,
+                               reason=None if ok else f"permuted matrix deviates from the canonical form by {dev:g}")

@@ -50,13 +50,15 @@ from .spectral import (
     _block_index,
     _decompose,
     _eigh_stack,
+    _first_failures,
     _gram_exceeds,
     _perron_blocks,
     _psd_stack,
     _rank_stack,
     _union_top,
 )
-from .tolerances import DEFAULT_TOL, Tolerances, scale
+from .tolerances import (DEFAULT_TOL, Tolerances, _perron_hypothesis, _recon_band, _top_at_one, _unit_radius,
+                         _within, scale)
 
 __all__ = [
     "SPHERICAL",
@@ -225,11 +227,11 @@ def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances, n: int
     limit = _FLOAT_MAX / (4 * max(n, 1))
     if s > limit:
         return EdmRejection("too-large", f"max|M| = {s:g} exceeds float max / (4n) = {limit:g}")
-    if skew > tol.symmetry * s:
+    if not _within(skew, tol.symmetry * s)[0]:
         return EdmRejection("not-symmetric", f"max|M - M^T| = {skew:g}")
-    if diag_max > tol.psd * s:
+    if not _within(diag_max, tol.psd * s)[0]:
         return EdmRejection("nonzero-diagonal", f"max|diagonal| = {diag_max:g}")
-    if off_min < -tol.psd * s:
+    if not _within(off_min, -tol.psd * s, above=True)[0]:
         return EdmRejection("negative-entry", f"min off-diagonal = {off_min:g}")
     return None
 
@@ -374,7 +376,7 @@ def gram_factor(D: Edm, s: np.ndarray | None = None) -> GramFactor:
     s = np.asarray(s, dtype=float).reshape(-1)
     if s.shape[0] != n:
         raise PreconditionError(f"centering vector length {s.shape[0]} != order {n}")
-    if n and abs(float(s.sum()) - 1.0) > tol.solve:
+    if n and not _within(abs(float(s.sum()) - 1.0), tol.solve)[0]:  # a NaN weight fails too
         raise PreconditionError(f"centering vector must satisfy e^T s = 1, got {s.sum():.17g}")
     if np.array_equal(s, D.centering):
         B = centering_gram(D.dist2, s) if D._gram is None else D._gram.copy()
@@ -445,13 +447,13 @@ def _factor_at(D: Edm, s: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     shift *= (1.0 + np.sqrt(n) * float(np.linalg.norm(s))) ** 2
     unit = scale(B)
     cut = tol.rank * unit
-    if not (shift <= 0.5 * tol.psd * unit and shift < cut and _gram_exceeds(F, cut + shift)):
+    if not (_within(shift, 0.5 * tol.psd * unit)[0] and _within(shift, cut, strict=True)[0]
+            and _gram_exceeds(F, cut + shift)):
         return None
     R = F @ F.T
     R -= B
-    if float(np.max(np.abs(R, out=R), initial=0.0)) > shift + tol.recon * n * unit:
-        return None
-    return F
+    residual = float(np.max(np.abs(R, out=R), initial=0.0))
+    return F if _within(residual, shift + _recon_band(n, unit, tol))[0] else None
 
 
 @dataclass(eq=False)
@@ -548,7 +550,7 @@ def _certify(D: np.ndarray, grams: list, tol: Tolerances) -> list:
     r = times_d(alpha)
     two_rho2 = r.mean(axis=-1, keepdims=True)
     r -= two_rho2
-    spherical = np.abs(r).max(axis=-1) <= tol.solve * two_rho2[:, 0]
+    spherical = _within(np.abs(r).max(axis=-1), tol.solve * two_rho2[:, 0])[0]
     r -= along_u(r, 1.0)  # the witness lies outside span(U, e) to rounding of |r|, not of |g|
     p = np.frexp(np.abs(r).max(axis=-1, keepdims=True))[1]  # max|r| / 2^p is in [1/2, 1): |.|^2 cannot overflow
     r = np.ldexp(r, -p)
@@ -557,7 +559,7 @@ def _certify(D: np.ndarray, grams: list, tol: Tolerances) -> list:
     residual = np.abs(times_d(w) - 1.0).max(axis=-1)
     fields = zip(spherical.tolist(), w, w.sum(axis=-1).tolist(), residual.tolist(),
                  np.sqrt(0.5 * two_rho2[:, 0]).tolist())
-    return [SphericalCertificate(SPHERICAL, wt, etw, rho, abs(2.0 * etw - 1.0) <= tol.unit, res)
+    return [SphericalCertificate(SPHERICAL, wt, etw, rho, _unit_radius(etw, tol)[0], res)
             if on_sphere else SphericalCertificate(NON_SPHERICAL, wt, etw, None, False, res)
             for on_sphere, wt, etw, res, rho in fields]
 
@@ -612,16 +614,10 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     units = np.asarray(units, dtype=float)
     residual = np.max(np.abs(np.matmul(D, W[:, :, None])[:, :, 0] - 1.0), axis=1, initial=0.0)
     etw = W.sum(axis=1)
-    failures = [
-        (residual > tol.solve,
-         lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
-        (np.abs(2.0 * etw - 1.0) > tol.unit,
-         lambda t: f"circumcenter weights give 2 e^T w = {2.0 * etw[t]:.17g}, expected 1"),
-    ]
-    out = [None] * D.shape[0]
-    for bad, message in reversed(failures):  # the first failing check is written last
-        for t in np.flatnonzero(bad).tolist():
-            out[t] = ConsistencyError(message(t))
+    out = _first_failures([
+        (_within(residual, tol.solve)[0], lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
+        (_unit_radius(etw, tol)[0], lambda t: f"circumcenter weights give 2 e^T w = {2.0 * etw[t]:.17g}, expected 1"),
+    ], D.shape[0])
     rank = np.count_nonzero(_rank_stack(values, units, tol), axis=1).tolist()
     centering = 2.0 * W
     fields = zip(rank, units.tolist(), min_offdiagonal(D).tolist(), etw.tolist(), residual.tolist())
@@ -663,11 +659,10 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
     so every negative entry is one of them; otherwise the Perron reasoning
     does not apply and PreconditionError is raised.
     """
-    if dm.source_min_offdiag < 2.0 - tol.sign:
-        raise PreconditionError(
-            f"min off-diagonal {dm.source_min_offdiag:.17g} < 2 - tol.sign; Delta is not nonnegative"
-        )
-    return np.where(dm.delta > tol.sign / 2.0, dm.delta, 0.0)
+    if not _perron_hypothesis(dm.source_min_offdiag, tol)[0]:
+        raise PreconditionError(f"min off-diagonal {dm.source_min_offdiag:.17g} < 2 - tol.sign; "
+                                "Delta is not nonnegative")
+    return np.where(_within(dm.delta, tol.sign / 2.0, above=True, strict=True, slack=False)[0], dm.delta, 0.0)
 
 
 @dataclass(eq=False)
@@ -710,7 +705,7 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     tol = D.tol
     if cert.status != SPHERICAL or not cert.unit_spherical:
         raise PreconditionError("embedding_dim_via_delta requires a unit spherical certificate")
-    if D.min_offdiagonal < 2.0 - tol.sign:  # decided before Delta is formed
+    if not _perron_hypothesis(D.min_offdiagonal, tol)[0]:  # decided before Delta is formed
         return DeltaDimReport(
             dimension=D.embedding_dim, used_perron=False,
             lambda_max=None, multiplicity=None, lambda_max_ok=False,
@@ -728,9 +723,9 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
         used_perron=True,
         lambda_max=lambda_max,
         multiplicity=multiplicity,
-        lambda_max_ok=abs(lambda_max - 1.0) <= tol.cluster,
+        lambda_max_ok=_top_at_one(lambda_max, tol)[0],
         eigvec_residual=residual,
-        eigvec_ok=residual <= tol.solve,
+        eigvec_ok=_within(residual, tol.solve)[0],
     )
 
 

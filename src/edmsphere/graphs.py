@@ -13,7 +13,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL, Tolerances, _within
 
 __all__ = [
     "Graph",
@@ -209,7 +209,7 @@ def apply_permutation(M: np.ndarray, order) -> np.ndarray:
 
 def _support_adjacency(M: np.ndarray, tol: Tolerances) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    S = M > tol.support  # |m_ij| > tol.support, with no array of magnitudes
-    S |= M < -tol.support
+    S = _within(M, tol.support, above=True, strict=True, slack=False)[0]  # |m_ij| > tol.support, with no |M|
+    S |= _within(M, -tol.support, strict=True, slack=False)[0]
     np.fill_diagonal(S, False)
     return S

@@ -41,7 +41,7 @@ from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
 from .spectral import EigenSystem, _block_index, _perron_blocks, _sign_normalize_columns, _union_top
-from .tolerances import DEFAULT_TOL, Tolerances, scale
+from .tolerances import DEFAULT_TOL, Tolerances, _over_two, _recon_band, _within, scale
 
 __all__ = [
     "OrthoRep",
@@ -246,8 +246,8 @@ def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
     """
     n = rep.n
     problems = []
-    bound = tol.recon * n * scale(rep.edm.dist2)
-    if recon > bound:
+    bound = _recon_band(n, scale(rep.edm.dist2), tol)
+    if not _within(recon, bound)[0]:
         problems.append(f"reconstruction max|D - 2(E - P P^T)| = {recon:g} > {bound:g}")
     sign = rep.sign_pattern = verify_sign_pattern(rep.edm, rep.graph, tol)
     if not sign.ok:
@@ -257,7 +257,7 @@ def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
         )
     sq = np.einsum("ij,ij->i", rep.points, rep.points)  # row sums of squares, O(nd)
     unit_dev = rep.unit_rows_max_dev = float(np.max(np.abs(sq - 1.0), initial=0.0))
-    if unit_dev > tol.sign:
+    if not _within(unit_dev, tol.sign)[0]:
         problems.append(f"max | |p_i|^2 - 1 | = {unit_dev:g}")
     if problems:
         raise ConsistencyError("construction self-check failed: " + "; ".join(problems))
@@ -308,7 +308,7 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
         raise ValueError(f"matrix order {n} != graph node count {G.node_count}")
     i, j = _edge_index(G)
     on_edges = M[i, j]
-    edge_bad = np.flatnonzero(~(on_edges > 2.0 + tol.sign))
+    edge_bad = np.flatnonzero(~_over_two(on_edges, tol)[0])
     dev = M - 2.0  # then |d_ij - 2|, 0 on the diagonal and the edges
     if not symmetric:
         dev = np.triu(dev, 1)
@@ -316,7 +316,11 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
     np.fill_diagonal(dev, 0.0)
     dev[i, j] = dev[j, i] = 0.0
     top = float(dev.max(initial=0.0))
-    nonedge_bad = () if top <= tol.sign else _pairs(M, *np.nonzero(np.triu(dev > tol.sign, 1)))
+    nonedge_bad = ()
+    if not _within(top, tol.sign)[0]:  # a NaN fails the band: its pair is listed
+        bad = np.triu(~_within(dev, tol.sign, slack=False)[0], 1)
+        bad[i, j] = False  # an edge's zeroed deviation is no pair of the rule, even under a NaN band
+        nonedge_bad = _pairs(M, *np.nonzero(bad))
     return SignPatternReport(
         ok=not edge_bad.size and not nonedge_bad,
         edge_violations=_pairs(M, i[edge_bad], j[edge_bad]),

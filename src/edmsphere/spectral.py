@@ -20,8 +20,10 @@ share across threads.
 The PSD rule (slack ``tol.psd * scale``), the rank rule (cut
 ``tol.rank * scale``) and the cluster rule (band ``tol.cluster`` below the
 top) each have one body, over stacks of descending spectra: `_psd_stack`,
-`_rank_stack` and `_cluster_stack`.  `EigenSystem.psd`, `.rank_mask` and
-`.multiplicity` read them on a stack of one.
+`_rank_stack` and `_cluster_stack`, each a call of `tolerances._within`.
+`EigenSystem.psd`, `.rank_mask` and `.multiplicity` read them on a stack of
+one.  A check over a stack names each matrix's first failing check
+(`_first_failures`), as `_perron_blocks` and `edm._circumcenter_edms` do.
 
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
@@ -39,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConsistencyError, SpectralError
-from .tolerances import DEFAULT_TOL, Tolerances, scale
+from .tolerances import DEFAULT_TOL, Tolerances, _top_at_one, _within, scale
 
 __all__ = [
     "EigenSystem",
@@ -68,7 +70,7 @@ def as_symmetric(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
         raise ValueError("matrix contains NaN or Inf entries")
     if M.size:
         skew = float(np.max(np.abs(M - M.T)))
-        if skew > tol.symmetry * scale(M):
+        if not _within(skew, tol.symmetry * scale(M))[0]:
             raise ValueError(f"matrix is not symmetric (max|M - M^T| = {skew:g})")
     lower = np.tril(M)
     return lower + np.tril(M, -1).T
@@ -272,7 +274,7 @@ def _psd_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
     an empty spectrum passes.
     """
     least = values[:, -1] if values.shape[1] else np.zeros(len(values))
-    return least >= -tol.psd * np.asarray(scales)
+    return _within(least, -tol.psd * np.asarray(scales), above=True)[0]
 
 
 def _rank_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
@@ -283,12 +285,13 @@ def _rank_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
     rounding noise within the PSD slack, so only those above the cut count.
     """
     cut = (tol.rank * np.asarray(scales, dtype=float)).reshape(-1, 1)
-    return np.where(_psd_stack(values, scales, tol)[:, None], values, np.abs(values)) > cut
+    magnitude = np.where(_psd_stack(values, scales, tol)[:, None], values, np.abs(values))
+    return _within(magnitude, cut, above=True, strict=True)[0]
 
 
 def _cluster_stack(values: np.ndarray, band) -> np.ndarray:
     """The cluster rule over a (T, m) stack of descending spectra: per matrix, how many are >= top - band."""
-    return np.count_nonzero(values >= values[:, :1] - band, axis=1)
+    return np.count_nonzero(_within(values, values[:, :1] - band, above=True)[0], axis=1)
 
 
 def _union_top(spectra, zeros: int, band: float) -> tuple[float, int]:
@@ -383,38 +386,44 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
         if normalize:  # Delta's block is M_c / lambda_c; lambda_c <= 0 fails its check
             with np.errstate(divide="ignore", invalid="ignore"):
                 values = values / lam[:, None]
+        checks, name = [], lambda t: f"component {comps[pos[t]]}"
         if check:
             if normalize:
-                checks = [(~(lam > 0.0), lambda t, c: f"component {c} has an edge but adjacency "
-                                                      f"eigenvalue {lam[t]:g}")]
+                checks = [(lam > 0.0, lambda t: f"{name(t)} has an edge but adjacency eigenvalue {lam[t]:g}")]
             else:
                 mult = _cluster_stack(values, tol.cluster)
                 checks = [
-                    (np.abs(lam - 1.0) > tol.cluster,
-                     lambda t, c: f"core lambda_max of component {c} = {lam[t]:.17g}, expected 1"),
-                    (mult != 1, lambda t, c: f"top eigenvalue of component {c} has multiplicity "
-                                             f"{mult[t]}, expected 1"),
+                    (_top_at_one(lam, tol)[0], lambda t: f"core lambda_max of {name(t)} = {lam[t]:.17g}, expected 1"),
+                    (mult == 1, lambda t: f"top eigenvalue of {name(t)} has multiplicity {mult[t]}, expected 1"),
                 ]
             gram = 1.0 - values[:, ::-1]
             rank = np.count_nonzero(_rank_stack(gram, scales, tol), axis=1)
             checks += [
-                (np.any(vectors[:, :, 0] <= 0.0, axis=1),
-                 lambda t, c: f"Perron vector of component {c} is not positive"),
-                (~_psd_stack(gram, scales, tol),
-                 lambda t, c: f"I - Delta of component {c} is not PSD (eigenvalue {gram[t, -1]:g})"),
-                (rank != m - 1, lambda t, c: f"I - Delta of component {c} has rank {rank[t]}, "
-                                             f"expected {m - 1}"),
+                (np.all(vectors[:, :, 0] > 0.0, axis=1), lambda t: f"Perron vector of {name(t)} is not positive"),
+                (_psd_stack(gram, scales, tol),
+                 lambda t: f"I - Delta of {name(t)} is not PSD (eigenvalue {gram[t, -1]:g})"),
+                (rank == m - 1, lambda t: f"I - Delta of {name(t)} has rank {rank[t]}, expected {m - 1}"),
             ]
-            for bad, message in reversed(checks):  # the first failing check is written last
-                for t in np.flatnonzero(bad).tolist():
-                    failures[pos[t]] = ConsistencyError(message(t, comps[pos[t]]))
-        for t, error in enumerate(errors):
-            if error is not None:
+        for t, error in enumerate(_first_failures(checks, len(pos))):
+            if (error := errors[t] or error) is not None:  # a decomposition error comes first
                 failures[pos[t]] = error
         groups.append(PerronBlocks(pos, rows, lam, values, vectors, scales, tol))
     if failures:
         raise failures[min(failures)]
     return groups
+
+
+def _first_failures(checks, count: int) -> list:
+    """Per item t < count, the ConsistencyError of the first of `checks` it fails, or None.
+
+    Each check is (ok, message): a (count,) mask of the items that pass it and
+    the message of item t as a function of t.
+    """
+    out = [None] * count
+    for ok, message in reversed(checks):  # the first failing check is written last
+        for t in np.flatnonzero(~ok).tolist():
+            out[t] = ConsistencyError(message(t))
+    return out
 
 
 def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray, exact_split: bool = False):

@@ -6,6 +6,14 @@ in the package reads its band from one `Tolerances` record so the whole stack
 can be tightened or relaxed coherently, e.g. when probing sensitivity from the
 command line or the ``EDM_SPHERE_TOL_PROFILE`` environment variable.
 
+Every decision against a band is one call of `_within(value, band)`, which
+returns whether the value passes and its signed slack, with NaN failing; no
+other module compares a number with a tolerance field.  A rule that several
+sites decide has one body here: Perron's top (`_top_at_one`), the unit
+circumradius (`_unit_radius`), the Perron hypothesis (`_perron_hypothesis`),
+the interior rule (`_interior`), the sign band's edge above 2 (`_over_two`)
+and the reconstruction bound (`_recon_band`).
+
 Matrix-relative thresholds are multiplied by ``scale(M) = max(1, max|entry|)``.
 """
 
@@ -59,6 +67,17 @@ class Tolerances:
         Reconstruction residual bound recon * n * scale: for an
         eigendecomposition in the tests, and in `construct_orthorep` for the
         constructed distances, max|D - 2(E - P P^T)| <= recon * n * scale(D).
+
+    Each rule compares through `_within`, so a NaN value fails every rule:
+    a NaN squared distance off the edges is a sign-pattern violation, and a
+    NaN centering weight fails e^T s = 1.  Where the rules live: the entry
+    rules (symmetry, zero diagonal, nonnegative entries) in
+    `edm._entry_rejection` and `spectral.as_symmetric`; PSD, rank and
+    cluster in `spectral._psd_stack`, `_rank_stack` and `_cluster_stack`;
+    sphericity and the unit circumradius in `edm._certify`; the support in
+    `graphs.support_components` and `edm.nonnegative_delta`; the Perron
+    checks in `spectral._perron_blocks` and `edm._circumcenter_edms`; the
+    sign band in `orthorep.verify_sign_pattern` and `decomposition`.
     """
 
     psd: float = 1e-9
@@ -110,6 +129,54 @@ def _env_profile(environ: dict[str, str] | None = None) -> str:
 def profile_from_env(environ: dict[str, str] | None = None) -> Tolerances:
     """Resolve the preset selected by ``EDM_SPHERE_TOL_PROFILE`` (default preset if unset)."""
     return from_profile(_env_profile(environ))
+
+
+def _within(value, band, above: bool = False, strict: bool = False, slack: bool = True) -> tuple:
+    """The one comparison of a computed value with its tolerance band: (ok, slack).
+
+    ok is value <= band, or value < band when `strict`; with `above`, value
+    >= band, or value > band.  Every comparison with NaN is false, so a NaN
+    value (or band) fails each form.  slack is band - value (value - band with
+    `above`), signed in the value's units: positive on the passing side, 0 at
+    the band, negative past it, NaN with a NaN operand.  Scalars give a bool
+    and a float, arrays (broadcast together) a mask and an array, with the
+    bits of the comparison written out, since the caller builds the band in
+    its own order.  `slack=False` gives (ok, None): an element-wise rule on a
+    whole matrix makes no n x n array of slacks it would not read.
+    """
+    if above:
+        return (value > band if strict else value >= band), (value - band if slack else None)
+    return (value < band if strict else value <= band), (band - value if slack else None)
+
+
+def _top_at_one(lam, tol: Tolerances) -> tuple:
+    """Perron's top: |lambda - 1| <= tol.cluster, for lambda_max of a Delta block or of Delta."""
+    return _within(abs(lam - 1.0), tol.cluster)
+
+
+def _unit_radius(etw, tol: Tolerances) -> tuple:
+    """Circumradius 1: |2 e^T w - 1| <= tol.unit."""
+    return _within(abs(2.0 * etw - 1.0), tol.unit)
+
+
+def _perron_hypothesis(min_offdiagonal, tol: Tolerances) -> tuple:
+    """Every squared distance at least 2 - tol.sign, so Delta is nonnegative up to the sign band."""
+    return _within(min_offdiagonal, 2.0 - tol.sign, above=True)
+
+
+def _interior(w, tol: Tolerances) -> tuple:
+    """The sphere's center strictly inside the hull: each weight of w's last axis > tol.sign."""
+    return _within(w.min(axis=-1), tol.sign, above=True, strict=True)
+
+
+def _over_two(d, tol: Tolerances, over: bool = True) -> tuple:
+    """The sign band's upper edge: d > 2 + tol.sign reads "> 2"; with `over` False, d <= 2 + tol.sign, "not > 2"."""
+    return _within(d, 2.0 + tol.sign, above=over, strict=over)
+
+
+def _recon_band(n: int, unit, tol: Tolerances):
+    """The reconstruction bound tol.recon * n * scale, for a residual max|M - F F^T| of order n at scale `unit`."""
+    return tol.recon * n * unit
 
 
 def scale(M: np.ndarray) -> float | np.ndarray:

@@ -6,8 +6,14 @@ Each oracle below is the direct formula, kept as the reference:
 - `_sign_normalize_columns`: the column max and min taken over the columns
   as given, a column-reversed view included;
 - `_sphere_dist2`: each block of rows against every row, with no triangle;
-- `support_components`: the arcs of the 2-D `np.nonzero` of the support.
+- `support_components`: the arcs of the 2-D `np.nonzero` of the support;
+- each tolerance comparison that `tolerances._within` and its rules replaced:
+  the comparison as the site wrote it, with one change, that a NaN operand
+  fails every rule (two sites let it pass).
 """
+
+import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -16,12 +22,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import edmsphere.edm as edm_module
-from edmsphere import DEFAULT_TOL, PROFILES, min_offdiagonal
+from edmsphere import DEFAULT_TOL, PROFILES, Graph, PreconditionError, min_offdiagonal, verify_sign_pattern
+from edmsphere.decomposition import _rankin_report
 from edmsphere.edm import _DIFF_BLOCK_BYTES, _FLOAT_MAX, _crosspolytope_dist2, _entry_rejection, _entry_stats
-from edmsphere.edm import _sphere_dist2, _sphere_points, centering_gram
+from edmsphere.edm import DeltaMatrix, _sphere_dist2, _sphere_points, centering_gram, nonnegative_delta
 from edmsphere.graphs import _split, _support_adjacency, support_components
-from edmsphere.spectral import _eigh_descending, _sign_normalize_columns
-from edmsphere.tolerances import scale
+from edmsphere.spectral import _cluster_stack, _eigh_descending, _psd_stack, _rank_stack, _sign_normalize_columns
+from edmsphere.tolerances import (_interior, _over_two, _perron_hypothesis, _recon_band, _top_at_one, _unit_radius,
+                                  _within, scale)
 
 
 def entry_stats_oracle(M):
@@ -206,3 +214,207 @@ class TestSupportComponents:
         delta = _crosspolytope_dist2(r) / 2.0 - 1.0
         np.fill_diagonal(delta, 0.0)
         assert support_components(delta) == support_components_oracle(delta, DEFAULT_TOL)
+
+
+SPECIAL = [float(v) for v in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                               1e-8, 1e-7, 0.5, 1.0, 2.0, 3.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0), -1.0, 1e300)]
+special = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+FORMS = {(False, False): operator.le, (False, True): operator.lt, (True, False): operator.ge, (True, True): operator.gt}
+
+
+def tol_with(**fields):
+    return dataclasses.replace(DEFAULT_TOL, **fields)
+
+
+class TestWithin:
+    @given(value=special, band=special, at_band=st.booleans(), above=st.booleans(), strict=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_ok_is_the_comparison_and_slack_the_signed_difference(self, value, band, at_band, above, strict):
+        band = value if at_band else band
+        ok, slack = _within(value, band, above=above, strict=strict)
+        assert type(ok) is bool and ok == FORMS[above, strict](value, band)  # Python floats give a bool
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.float64(value) - np.float64(band) if above else np.float64(band) - np.float64(value)
+        assert same_bits(np.float64(slack), expected)
+        if np.isnan(value) or np.isnan(band):
+            assert not ok  # NaN fails every form
+        elif value == band:
+            assert ok == (not strict)
+        if np.isfinite(value) and np.isfinite(band):  # the slack's sign is the verdict: exact, with subnormals
+            assert ok == (slack > 0.0 if strict else slack >= 0.0)
+        assert _within(value, band, above=above, strict=strict, slack=False) == (ok, None)
+
+    @given(values=arrays(np.float64, (3, 4), elements=special), band=special,
+           above=st.booleans(), strict=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_arrays_decide_entry_by_entry(self, values, band, above, strict):
+        with np.errstate(invalid="ignore", over="ignore"):
+            ok, slack = _within(values, band, above=above, strict=strict)
+            assert same_bits(slack, values - band if above else band - values)
+        assert ok.dtype == bool and ok.tolist() == [[FORMS[above, strict](v, band) for v in row] for row in values.tolist()]
+
+
+def site(value, op, band, form="pass"):
+    """The parent's comparison at a rule site, `value op band`, read as the site read it: the value
+    passes when it holds ("pass") or when it does not ("fail"); with the one change that a NaN
+    operand fails."""
+    def verdict(x, f, s):
+        with np.errstate(invalid="ignore", over="ignore"):
+            v, b = value(x, f, s), band(x, f, s)
+            held = bool(op(v, b))
+        return (held if form == "pass" else not held) and not (np.isnan(v) or np.isnan(b))
+    return verdict
+
+
+# each rule site: (the call that replaced it, the parent's comparison there); x is the value the
+# site reads, f the tolerance field, s a scale, a residual shift or a reference value
+RULE_SITES = {
+    "spectral._perron_blocks top": (
+        lambda x, f, s: _top_at_one(np.array([x]), tol_with(cluster=f))[0][0],
+        site(lambda x, f, s: np.abs(np.array([x]) - 1.0)[0], operator.gt, lambda x, f, s: f, "fail")),
+    "edm.embedding_dim_via_delta top": (
+        lambda x, f, s: _top_at_one(x, tol_with(cluster=f))[0],
+        site(lambda x, f, s: abs(x - 1.0), operator.le, lambda x, f, s: f)),
+    "decomposition.certify_simplex top": (
+        lambda x, f, s: _top_at_one(x, tol_with(cluster=f))[0],
+        site(lambda x, f, s: abs(x - 1.0), operator.gt, lambda x, f, s: f, "fail")),
+    "edm._certify unit radius": (
+        lambda x, f, s: _unit_radius(x, tol_with(unit=f))[0],
+        site(lambda x, f, s: abs(2.0 * x - 1.0), operator.le, lambda x, f, s: f)),
+    "edm._circumcenter_edms unit radius": (
+        lambda x, f, s: _unit_radius(np.array([x]), tol_with(unit=f))[0][0],
+        site(lambda x, f, s: np.abs(2.0 * np.array([x]) - 1.0)[0], operator.gt, lambda x, f, s: f, "fail")),
+    "edm.nonnegative_delta hypothesis": (
+        lambda x, f, s: _perron_hypothesis(x, tol_with(sign=f))[0],
+        site(lambda x, f, s: x, operator.lt, lambda x, f, s: 2.0 - f, "fail")),
+    "decomposition.crosspolytope_recognize hypothesis": (
+        lambda x, f, s: _perron_hypothesis(x, tol_with(sign=f))[0],
+        site(lambda x, f, s: x, operator.lt, lambda x, f, s: 2.0 - f, "fail")),
+    "decomposition.certify_simplex interior": (
+        lambda x, f, s: _interior(np.array([s, x]), tol_with(sign=f))[0],
+        site(lambda x, f, s: float(np.array([s, x]).min()), operator.gt, lambda x, f, s: f)),
+    "decomposition._simplex_blocks interior": (
+        lambda x, f, s: _interior(np.array([[x, s]]), tol_with(sign=f))[0][0],
+        site(lambda x, f, s: np.array([[x, s]]).min(axis=1)[0], operator.gt, lambda x, f, s: f)),
+    "orthorep.verify_sign_pattern edge": (
+        lambda x, f, s: _over_two(np.array([x]), tol_with(sign=f))[0][0],
+        site(lambda x, f, s: np.array([x])[0], operator.gt, lambda x, f, s: 2.0 + f)),
+    "decomposition._rankin_report closest pair": (
+        lambda x, f, s: _over_two(x, tol_with(sign=f), over=False)[0],
+        site(lambda x, f, s: x, operator.le, lambda x, f, s: 2.0 + f)),
+    "decomposition.kuperberg_decompose cross check": (
+        lambda x, f, s: _within(x, tol_with(sign=f).sign)[0],
+        site(lambda x, f, s: x, operator.gt, lambda x, f, s: f, "fail")),
+    "orthorep._check_construction unit rows": (
+        lambda x, f, s: _within(x, tol_with(sign=f).sign)[0],
+        site(lambda x, f, s: x, operator.gt, lambda x, f, s: f, "fail")),
+    "edm.gram_factor centering sum": (
+        lambda x, f, s: _within(abs(x - 1.0), tol_with(solve=f).solve)[0],
+        site(lambda x, f, s: abs(x - 1.0), operator.gt, lambda x, f, s: f, "fail")),
+    "edm._circumcenter_edms residual": (
+        lambda x, f, s: _within(np.array([x]), tol_with(solve=f).solve)[0][0],
+        site(lambda x, f, s: np.array([x])[0], operator.gt, lambda x, f, s: f, "fail")),
+    "edm.embedding_dim_via_delta residual": (
+        lambda x, f, s: _within(x, tol_with(solve=f).solve)[0],
+        site(lambda x, f, s: x, operator.le, lambda x, f, s: f)),
+    "edm._certify sphere fit": (
+        lambda x, f, s: _within(np.array([x]), tol_with(solve=f).solve * np.array([s]))[0][0],
+        site(lambda x, f, s: np.array([x])[0], operator.le, lambda x, f, s: (f * np.array([s]))[0])),
+    "edm._factor_at psd shift": (
+        lambda x, f, s: _within(x, 0.5 * tol_with(psd=f).psd * s)[0],
+        site(lambda x, f, s: x, operator.le, lambda x, f, s: 0.5 * f * s)),
+    "edm._factor_at rank shift": (
+        lambda x, f, s: _within(x, tol_with(rank=f).rank * s, strict=True)[0],
+        site(lambda x, f, s: x, operator.lt, lambda x, f, s: f * s)),
+    "edm._factor_at reconstruction": (
+        lambda x, f, s: _within(x, s + _recon_band(7, 3.0, tol_with(recon=f)))[0],
+        site(lambda x, f, s: x, operator.gt, lambda x, f, s: s + f * 7 * 3.0, "fail")),
+    "orthorep._check_construction reconstruction": (
+        lambda x, f, s: _within(x, _recon_band(7, s, tol_with(recon=f)))[0],
+        site(lambda x, f, s: x, operator.gt, lambda x, f, s: f * 7 * s, "fail")),
+    "spectral.as_symmetric symmetry": (
+        lambda x, f, s: _within(x, tol_with(symmetry=f).symmetry * s)[0],
+        site(lambda x, f, s: x, operator.gt, lambda x, f, s: f * s, "fail")),
+}
+
+
+class TestThresholdRules:
+    @pytest.mark.parametrize("name", sorted(RULE_SITES))
+    @given(x=special, f=special, s=special)
+    @settings(max_examples=50, deadline=None)
+    def test_rule_matches_the_parent_comparison(self, name, x, f, s):
+        new, parent = RULE_SITES[name]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = bool(new(x, f, s))
+        assert got == parent(x, f, s)
+
+    @given(finite=st.just(True), s=special, skew=special, diag_max=special, off_min=special, f=special, g=special)
+    @settings(max_examples=150, deadline=None)
+    def test_entry_rejection(self, finite, s, skew, diag_max, off_min, f, g):
+        tol = tol_with(symmetry=f, psd=g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = _entry_rejection(finite, s, skew, diag_max, off_min, tol, 4)
+            limit = _FLOAT_MAX / 16
+            rules = [("not-symmetric", site(lambda *a: skew, operator.gt, lambda *a: f * s, "fail")),
+                     ("nonzero-diagonal", site(lambda *a: diag_max, operator.gt, lambda *a: g * s, "fail")),
+                     ("negative-entry", site(lambda *a: off_min, operator.lt, lambda *a: -g * s, "fail"))]
+            expected = "too-large" if s > limit else next((r for r, ok in rules if not ok(0, 0, 0)), None)
+        assert (None if got is None else got.reason) == expected  # an EdmRejection is falsy
+
+    @given(values=arrays(np.float64, (2, 3), elements=special), scales=arrays(np.float64, 2, elements=special),
+           f=special, g=special)
+    @settings(max_examples=150, deadline=None)
+    def test_psd_and_rank_stacks(self, values, scales, f, g):
+        tol = tol_with(psd=f, rank=g)
+        with np.errstate(invalid="ignore", over="ignore"):
+            least, band = values[:, -1], -f * scales
+            psd = least >= band
+            assert _psd_stack(values, scales, tol).tolist() == psd.tolist()
+            cut = (g * scales).reshape(-1, 1)
+            assert _rank_stack(values, scales, tol).tolist() == (np.where(psd[:, None], values, np.abs(values)) > cut).tolist()
+
+    @given(values=arrays(np.float64, (2, 4), elements=special), band=special)
+    @settings(max_examples=150, deadline=None)
+    def test_cluster_stack(self, values, band):
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = np.count_nonzero(values >= values[:, :1] - band, axis=1)
+            assert _cluster_stack(values, band).tolist() == expected.tolist()
+
+    @given(M=arrays(np.float64, (4, 4), elements=special), f=special)
+    @settings(max_examples=150, deadline=None)
+    def test_support_adjacency(self, M, f):
+        expected = (M > f) | (M < -f)
+        np.fill_diagonal(expected, False)
+        assert _support_adjacency(M, tol_with(support=f)).tolist() == expected.tolist()
+
+    @given(delta=arrays(np.float64, (3, 3), elements=special), min_off=special, f=special)
+    @settings(max_examples=150, deadline=None)
+    def test_nonnegative_delta(self, delta, min_off, f):
+        tol = tol_with(sign=f)
+        if not site(lambda *a: min_off, operator.lt, lambda *a: 2.0 - f, "fail")(0, 0, 0):
+            with pytest.raises(PreconditionError):
+                nonnegative_delta(DeltaMatrix(delta, min_off), tol)
+            return
+        assert same_bits(nonnegative_delta(DeltaMatrix(delta, min_off), tol), np.where(delta > f / 2.0, delta, 0.0))
+
+    @given(m=special, f=special)
+    @settings(max_examples=200, deadline=None)
+    def test_rankin_report(self, m, f):
+        assert _rankin_report(6, 4, m, 0, 1, tol_with(sign=f)).ok is bool(m <= 2.0 + f)
+
+    @given(edge=special, nonedge=special, f=special)
+    @settings(max_examples=150, deadline=None)
+    def test_sign_pattern(self, edge, nonedge, f):
+        G = Graph.from_edges(3, [(1, 2)])
+        M = np.full((3, 3), 2.0)
+        np.fill_diagonal(M, 0.0)
+        M[0, 1] = M[1, 0] = edge
+        M[0, 2] = M[2, 0] = nonedge
+        with np.errstate(invalid="ignore", over="ignore"):
+            rpt = verify_sign_pattern(M, G, tol_with(sign=f))
+            edge_ok = site(lambda *a: edge, operator.gt, lambda *a: 2.0 + f)(0, 0, 0)
+            nonedge_ok = site(lambda *a: abs(nonedge - 2.0), operator.gt, lambda *a: f, "fail")(0, 0, 0)
+            other_ok = site(lambda *a: 0.0, operator.gt, lambda *a: f, "fail")(0, 0, 0)  # |2 - 2| at (2, 3)
+        assert (rpt.edge_violations == ()) == edge_ok
+        assert [p[:2] for p in rpt.nonedge_violations] == [(1, 3)] * (not nonedge_ok) + [(2, 3)] * (not other_ok)
+        assert rpt.ok == (edge_ok and nonedge_ok and other_ok)

@@ -220,6 +220,15 @@ class TestGramFactor:
         with pytest.raises(PreconditionError, match="length"):
             gram_factor(example_edm, np.full(4, 0.25))
 
+    def test_nan_centering_weight_fails_the_sum_rule(self, example_edm):
+        # e^T s = NaN is not within tol.solve of 1: refused before any Gram matrix is formed
+        s = np.full(5, 0.2)
+        s[3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from a NaN Gram matrix either
+            with pytest.raises(PreconditionError, match="e\\^T s = 1, got nan"):
+                gram_factor(example_edm, s)
+
 
 class TestSphericalCertificate:
     @pytest.mark.parametrize("n", range(2, 8))

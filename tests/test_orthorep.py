@@ -166,6 +166,18 @@ class TestSignPattern:
         bad_pairs = {(i, j) for i, j, _ in rpt.nonedge_violations}
         assert (1, 2) in bad_pairs and (3, 4) in bad_pairs
 
+    def test_nan_at_a_nonedge_pair_is_a_violation(self):
+        # the sign band fails NaN: a NaN off the edges is listed, as one on an edge already was
+        G = Graph.from_edges(4, [(1, 2), (3, 4)])
+        D = 2.0 * (np.ones((4, 4)) - np.eye(4))
+        D[0, 1] = D[1, 0] = D[2, 3] = D[3, 2] = 4.0
+        D[0, 2] = D[2, 0] = np.nan
+        rpt = verify_sign_pattern(D, G)
+        assert not rpt.ok
+        assert rpt.edge_violations == ()
+        assert len(rpt.nonedge_violations) == 1 and rpt.nonedge_violations[0][:2] == (1, 3)
+        assert np.isnan(rpt.nonedge_violations[0][2]) and np.isnan(rpt.max_nonedge_dev)
+
     def test_accepts_plain_array(self, example_graph):
         rpt = verify_sign_pattern(EXAMPLE_EDM, example_graph)
         assert rpt.ok

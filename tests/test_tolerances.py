@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -69,3 +71,30 @@ def test_scale_of_a_stack_is_each_matrix_scale(shape):
     expected = [scale(M) for M in S.reshape((math.prod(shape[:-2]),) + shape[-2:])]
     assert got.ravel().tolist() == expected
     assert all(type(s) is float for s in expected)
+
+
+def tolerance_comparisons(source: str) -> list:
+    """(line, text) of each comparison with an operand that reads a field of `tol`, `*.tol` or `*.tolerance`."""
+    def reads_a_field(node) -> bool:
+        return any(isinstance(a, ast.Attribute) and a.attr in FIELDS
+                   and (a.value.id if isinstance(a.value, ast.Name) else getattr(a.value, "attr", None))
+                   in ("tol", "tolerance")
+                   for a in ast.walk(node))
+
+    return [(node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Compare) and any(reads_a_field(op) for op in (node.left, *node.comparators))]
+
+
+def test_tolerance_comparisons_are_found():
+    source = ("a = x > tol.sign\nb = abs(l - 1.0) <= tol.cluster\nc = m < 2.0 - D.tol.sign\n"
+              "d = y >= -self.tolerance.psd * s\ne = _within(x, tol.sign)\nf = tol.sign > 0 and k < cut\n")
+    assert [line for line, _ in tolerance_comparisons(source)] == [1, 2, 3, 4, 6]
+
+
+def test_every_tolerance_decision_goes_through_the_primitive():
+    # the one-threshold rule: outside tolerances.py no comparison reads a tolerance field;
+    # each decision calls `tolerances._within` or a rule built on it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "edmsphere"
+    found = [f"{path.name}:{line}: {text}" for path in sorted(src.glob("*.py")) if path.name != "tolerances.py"
+             for line, text in tolerance_comparisons(path.read_text())]
+    assert found == []
