@@ -364,7 +364,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
         stacked = [t for t, p in enumerate(g.pos) if p != last]
         rows, ws = g.rows[stacked], w[stacked]
         edms = _circumcenter_edms(D.dist2[_block_index(rows, rows)], ws,
-                                  values[stacked], vectors[stacked], g.scales[stacked], tol)
+                                  values[stacked], vectors[stacked], g.gram_scales[stacked], tol)
         interior = _interior(ws, tol)[0].tolist()
         for t, edm, inside in zip(stacked, edms, interior):
             outcome[g.pos[t]] = (comps[g.pos[t]], (), float(g.lam[t]), edm, inside)
@@ -380,7 +380,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
                 edm = _circumcenter_edm(
                     D.dist2[np.ix_(block, block)], wt,
                     [(idx[None], np.arange(idx.size)[None], values[t:t + 1], vectors[t:t + 1])],
-                    zero, float(g.scales[t]), tol)
+                    zero, float(g.gram_scales[t]), tol)
             except ConsistencyError as exc:
                 edm = exc
             outcome[-1] = (tuple(members), tuple(int(i) + 1 for i in zero), float(g.lam[t]), edm,

@@ -493,11 +493,12 @@ def spherical_certificate(D: Edm) -> SphericalCertificate:
     the radius is rho.  Otherwise they are non-spherical, and w = r / |r|^2
     (r with its parts along e and U removed) is the witness: e^T w = 0 and
     D w = e, up to rounding that grows as |r| shrinks.  The rule does not
-    read scale(D): max|r| / 2 rho^2 is the same for D and cD, so only the
-    rank cut tol.rank * scale(D), which floors at 1, does not shrink with a
-    D below 1 (ROADMAP item 1).  Rank 0 (no points apart, or n = 1) has no
-    sphere to fit and reads "e-not-in-colspace" with residual 1; with no
-    points at all the status is "non-spherical" with an empty w.
+    read scale(D): max|r| / 2 rho^2 is the same for D and cD, and the rank
+    cut tol.rank * scale(B) moves with cB, as scale is max|entry| with no
+    floor, so the verdict holds at every scale of normal floats (with
+    subnormal entries, 0.5 / L overflows).  Rank 0 (no points apart, or
+    n = 1) has no sphere to fit and reads "e-not-in-colspace" with residual
+    1; with no points at all the status is "non-spherical" with an empty w.
     `residual` is max|D w - e| against the full D.  No eigendecomposition
     is made.
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .edm import Edm, EdmRejection, _circumcenter_edm, validate_edm
+from .edm import Edm, EdmRejection, _circumcenter_edm, centering_gram, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
 from .spectral import EigenSystem, _block_index, _perron_blocks, _sign_normalize_columns, _union_top
@@ -194,16 +194,18 @@ def _edgeless_edm(D: np.ndarray, tol: Tolerances) -> Edm:
 
     At the centroid e/n its Gram matrix is B = I - E/n: eigenvalue 1 on
     e-perp, here on the sign-normalized Helmert basis (column j: e_1 +
-    ... + e_j - j e_(j+1), normalized), and 0 on e / sqrt(n).  Its entries
-    1 - 1/n and -1/n lie within 1, so scale(B) = 1, and the rank rule at
-    that scale gives the embedding dimension, as validation reads it.
+    ... + e_j - j e_(j+1), normalized), and 0 on e / sqrt(n).  Its scale,
+    the unit of the rank rule that gives the embedding dimension, is
+    max|B| = 1 - 1/n up to rounding; it is read off B formed as validation
+    forms it (`centering_gram`), so that it has the bits validation reads.
     """
     n = D.shape[0]
     helmert = np.triu(np.ones((n, n))) - np.eye(n, k=-1) * np.arange(1.0, n + 1)  # and e, last
     helmert /= np.sqrt(np.einsum("ij,ij->j", helmert, helmert))  # integer sums of squares, exact
-    gram = EigenSystem(np.append(np.ones(n - 1), 0.0), _sign_normalize_columns(helmert), tol, 1.0)
-    return Edm(dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=np.full(n, 1.0 / n),
-               min_offdiagonal=2.0)
+    centroid = np.full(n, 1.0 / n)
+    gram = EigenSystem(np.append(np.ones(n - 1), 0.0), _sign_normalize_columns(helmert), tol,
+                       scale(centering_gram(D, centroid)))
+    return Edm(dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=centroid, min_offdiagonal=2.0)
 
 
 def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray) -> tuple:

@@ -313,7 +313,8 @@ class PerronBlocks(NamedTuple):
     Component t: top eigenvalue lam[t] of its block of M; its block of Delta
     has eigensystem (values[t], vectors[t]) at scale scales[t] and Perron
     vector xi[t]; its block of I - Delta has (gram_values[t],
-    gram_vectors[t]), the same pairs reversed, at the same scale.
+    gram_vectors[t]), the same pairs reversed, at scale gram_scales[t] =
+    max(1, scales[t]): its diagonal is 1 and its other entries are -Delta's.
     """
 
     pos: list
@@ -336,6 +337,10 @@ class PerronBlocks(NamedTuple):
     def gram_vectors(self) -> np.ndarray:
         return self.vectors[:, :, ::-1]
 
+    @property
+    def gram_scales(self) -> np.ndarray:
+        return np.maximum(1.0, self.scales)
+
     def delta(self, t: int) -> EigenSystem:
         return EigenSystem(self.values[t], self.vectors[t], self.tol, float(self.scales[t]))
 
@@ -352,12 +357,13 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     gathered (T, m, m) stack.  Stacked and looped calls agree bitwise.
     Order 2 stays on eigh, where both are closed forms.  With `normalize`, M is an adjacency
     matrix: Delta's block is M_c / lambda_c, lambda_c > 0 is required, and
-    the spectra are mu / lambda_c at scale 1 (lambda_c >= 1, so the entries
-    of the blocks of Delta and I - Delta are at most 1).  Otherwise M is
-    Delta: lambda_c must be within tol.cluster of 1 and simple (the cluster
-    rule).  Every Perron vector must be positive, and every block of
-    I - Delta must pass the PSD rule and have rank m - 1 by the rank rule,
-    at the block's scale: the certificate the blocks' Edms and points are
+    the spectra are mu / lambda_c at scale 1 / lambda_c, the largest entry
+    of M_c / lambda_c (lambda_c >= 1, so I - Delta's block is at scale 1).
+    Otherwise M is Delta: lambda_c must be within tol.cluster of 1 and
+    simple (the cluster rule).  Every Perron vector must be positive, and
+    every block of I - Delta must pass the PSD rule and have rank m - 1 by
+    the rank rule, at its own scale max(1, scale of Delta's block), since
+    its diagonal is 1: the certificate the blocks' Edms and points are
     built on.  The first failing component in `split.nontrivial` order
     raises its first failing check's ConsistencyError (or its
     decomposition error), naming it; `check=False` skips the checks, for a
@@ -382,10 +388,11 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
             values, vectors, S = route
             errors = [None] * len(pos)
         lam = values[:, 0]
-        scales = np.ones(len(pos)) if normalize else scale(S)
+        scales = scale(S)
         if normalize:  # Delta's block is M_c / lambda_c; lambda_c <= 0 fails its check
             with np.errstate(divide="ignore", invalid="ignore"):
-                values = values / lam[:, None]
+                values, scales = values / lam[:, None], scales / lam
+        g = PerronBlocks(pos, rows, lam, values, vectors, scales, tol)
         checks, name = [], lambda t: f"component {comps[pos[t]]}"
         if check:
             if normalize:
@@ -396,18 +403,18 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
                     (_top_at_one(lam, tol)[0], lambda t: f"core lambda_max of {name(t)} = {lam[t]:.17g}, expected 1"),
                     (mult == 1, lambda t: f"top eigenvalue of {name(t)} has multiplicity {mult[t]}, expected 1"),
                 ]
-            gram = 1.0 - values[:, ::-1]
-            rank = np.count_nonzero(_rank_stack(gram, scales, tol), axis=1)
+            gram = g.gram_values
+            rank = np.count_nonzero(_rank_stack(gram, g.gram_scales, tol), axis=1)
             checks += [
                 (np.all(vectors[:, :, 0] > 0.0, axis=1), lambda t: f"Perron vector of {name(t)} is not positive"),
-                (_psd_stack(gram, scales, tol),
+                (_psd_stack(gram, g.gram_scales, tol),
                  lambda t: f"I - Delta of {name(t)} is not PSD (eigenvalue {gram[t, -1]:g})"),
                 (rank == m - 1, lambda t: f"I - Delta of {name(t)} has rank {rank[t]}, expected {m - 1}"),
             ]
         for t, error in enumerate(_first_failures(checks, len(pos))):
             if (error := errors[t] or error) is not None:  # a decomposition error comes first
                 failures[pos[t]] = error
-        groups.append(PerronBlocks(pos, rows, lam, values, vectors, scales, tol))
+        groups.append(g)
     if failures:
         raise failures[min(failures)]
     return groups

@@ -14,7 +14,10 @@ circumradius (`_unit_radius`), the Perron hypothesis (`_perron_hypothesis`),
 the interior rule (`_interior`), the sign band's edge above 2 (`_over_two`)
 and the reconstruction bound (`_recon_band`).
 
-Matrix-relative thresholds are multiplied by ``scale(M) = max(1, max|entry|)``.
+Matrix-relative thresholds are multiplied by ``scale(M) = max|entry|``, so
+every such band moves with D -> cD; a matrix with no nonzero entry has scale
+1 (the zero rule), and NaN or +-inf pass through, for validation reads
+finiteness off the scale.
 """
 
 from __future__ import annotations
@@ -180,12 +183,14 @@ def _recon_band(n: int, unit, tol: Tolerances):
 
 
 def scale(M: np.ndarray) -> float | np.ndarray:
-    """max(1, max|entry|), the factor of matrix-relative thresholds.
+    """max|entry|, the factor of matrix-relative thresholds; 1 for a matrix with no nonzero entry.
 
     A float for one matrix; for a (..., n, n) stack, the array of each
-    matrix's scale.  An empty matrix has scale 1.
+    matrix's scale.  The zero rule maps only 0 to 1: an empty or all-zero
+    matrix has scale 1, and NaN and +-inf, which the max and min carry,
+    stay as they are, so `edm._entry_stats` reads finiteness off the scale.
     """
     M = np.asarray(M, dtype=float)
     top = np.maximum(M.max(axis=(-2, -1), initial=0.0), -M.min(axis=(-2, -1), initial=0.0))
-    s = np.maximum(1.0, top)  # max|entry| from two reductions, with no array of magnitudes
+    s = np.where(top == 0.0, 1.0, top)  # max|entry| from two reductions; NaN and +-inf pass through
     return float(s) if s.ndim == 0 else s

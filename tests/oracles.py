@@ -87,9 +87,9 @@ def solve_linear(M, b, tol: Tolerances = DEFAULT_TOL) -> LinearSolution:
     if b.shape[0] != es.order:
         raise ValueError(f"shape mismatch: matrix order {es.order}, vector length {b.shape[0]}")
     keep = es.rank_mask()
-    inv = np.zeros_like(es.values)
-    inv[keep] = 1.0 / es.values[keep]
-    x = es.vectors @ (inv * (es.vectors.T @ b))
+    coef = np.zeros_like(es.values)
+    coef[keep] = (es.vectors.T @ b)[keep] / es.values[keep]  # no reciprocal: 1 / lambda overflows at subnormal lambda
+    x = es.vectors @ coef
     residual = float(np.max(np.abs(S @ x - b))) if b.size else 0.0
     return LinearSolution(x=x, residual=residual, consistent=residual <= tol.solve * es.scale)
 
@@ -331,7 +331,7 @@ def construct_orthorep_looped(G: Graph, tol: Tolerances = DEFAULT_TOL) -> tuple[
         delta[np.ix_(idx, idx)] = Asub / lam
         xi[idx] = es.vectors[:, 0]
         lams.append(lam)
-        spectra.append(EigenSystem(es.values / lam, es.vectors, tol, 1.0))
+        spectra.append(EigenSystem(es.values / lam, es.vectors, tol, es.scale / lam))
         blocks.append((idx, EigenSystem(1.0 - es.values[::-1] / lam, es.vectors[:, ::-1], tol, 1.0)))
     D = 2.0 * (np.ones((n, n)) - np.eye(n)) + 2.0 * delta
     iso = np.asarray(split.isolated, dtype=int) - 1

@@ -57,10 +57,18 @@ def test_profile_from_env():
 
 
 def test_scale():
-    assert scale(np.zeros((3, 3))) == 1.0
-    assert scale(np.array([[0.5, -0.25], [0.1, 0.0]])) == 1.0
+    assert scale(np.zeros((3, 3))) == 1.0  # the zero rule: a matrix with no nonzero entry has scale 1
+    assert scale(np.array([[0.5, -0.25], [0.1, 0.0]])) == 0.5
     assert scale(np.array([[3.0, -7.0], [1.0, 2.0]])) == 7.0
+    assert scale(np.array([[0.0, -5e-324], [0.0, 0.0]])) == 5e-324
     assert scale(np.zeros((0, 0))) == 1.0
+
+
+def test_scale_lets_nan_and_inf_through():
+    # validation reads finiteness off scale(M): the zero rule must not map NaN or +-inf to 1
+    assert np.isnan(scale(np.array([[0.0, np.nan], [0.0, 0.0]])))
+    assert scale(np.array([[0.0, -np.inf], [0.0, 0.0]])) == np.inf
+    assert scale(np.array([[1.0, np.inf], [np.nan, 0.0]])) != 1.0
 
 
 @pytest.mark.parametrize("shape", [(4, 3, 3), (2, 3, 2, 2), (3, 0, 0), (0, 4, 4), (0, 0, 0)])
