@@ -169,17 +169,15 @@ def _resolve_tolerances(args) -> tuple[Tolerances, str]:
     return base.with_overrides(**overrides), profile
 
 
+def _fields(record, *names) -> dict:
+    """The named fields of a result record, in that order: a section of the report."""
+    return {name: getattr(record, name) for name in names}
+
+
 def _spherical_dict(cert) -> dict:
     from .edm import SPHERICAL
 
-    out = {
-        "status": cert.status,
-        "unit_spherical": cert.unit_spherical,
-        "residual": cert.residual,
-        "etw": cert.etw,
-        "radius": cert.radius,
-        "w": cert.w,
-    }
+    out = _fields(cert, "status", "unit_spherical", "residual", "etw", "radius", "w")
     if cert.status == SPHERICAL:
         out["note"] = "radius is the circumradius of the sphere through the points in their affine hull"
     return out
@@ -222,25 +220,12 @@ def cmd_orthorep(args, tol, ctx):
         "edm": rep.edm.dist2,
         "w": rep.w,
     }
-    sign = rep.sign_pattern
-    bound = minimality_bound(rep)
     checks = {
         "unit_spherical": rep.unit_spherical,
         "unit_rows_max_dev": rep.unit_rows_max_dev,
-        "sign_pattern": {
-            "ok": sign.ok,
-            "min_edge_excess": sign.min_edge_excess,
-            "max_nonedge_dev": sign.max_nonedge_dev,
-        },
+        "sign_pattern": _fields(rep.sign_pattern, "ok", "min_edge_excess", "max_nonedge_dev"),
         "adjacency_lambda_max": list(rep.adjacency_lambda_max),
-        "minimality": {
-            "m": bound.m,
-            "k": bound.k,
-            "dimension": bound.dimension,
-            "block_lambda_max": list(bound.block_lambda_max),
-            "bound_ok": bound.bound_ok,
-            "tight": bound.tight,
-        },
+        "minimality": _fields(minimality_bound(rep), "m", "k", "dimension", "block_lambda_max", "bound_ok", "tight"),
         "note": rep.note,
     }
     return "ok", _write_out(args.out, result, checks), checks, OK, None
@@ -350,24 +335,14 @@ def _check_rankin_file(args, tol, ctx):
     if n == r + 2:
         applicable = True
         rep = rankin_codimension2_check(res)
-        result["codimension2"] = {
-            "ok": rep.ok,
-            "min_offdiag": rep.min_offdiag,
-            "witness": list(rep.witness),
-            "message": rep.message,
-        }
+        result["codimension2"] = _fields(rep, "ok", "min_offdiag", "witness", "message")
         if not rep.ok:
             status, code = "inconsistent", FAULT
             print(rep.message, file=sys.stderr)
     if n == 2 * r:
         applicable = True
         rec = crosspolytope_recognize(res)
-        result["crosspolytope"] = {
-            "ok": rec.ok,
-            "permutation": None if rec.permutation is None else list(rec.permutation),
-            "max_deviation": rec.max_deviation,
-            "reason": rec.reason,
-        }
+        result["crosspolytope"] = _fields(rec, "ok", "permutation", "max_deviation", "reason")
         if not rec.ok and code == OK:
             status, code = "declined", REJECTED
             print(f"not a crosspolytope: {rec.reason}", file=sys.stderr)
