@@ -161,7 +161,9 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     # embedding dimension alone decides.
     lam = _perron_top(delta, split, tol)[0]
     if not _top_at_one(lam, tol)[0]:
-        raise ConsistencyError(f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1")
+        raise ConsistencyError(
+            f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1"
+        )
     zero_rows = split.isolated
     is_simplex = D.embedding_dim == n - 1
     origin = ("interior" if _interior(cert.w, tol)[0] else "boundary") if is_simplex else None
@@ -236,10 +238,16 @@ def _closest_pairs(D: np.ndarray) -> tuple:
 def _rankin_report(n: int, r: int, m: float, i: int, j: int, tol: Tolerances) -> RankinReport:
     """The n = r + 2 report on the closest pair (i, j), 0-based, at squared distance m."""
     ok = _over_two(m, tol, over=False)[0]
-    message = (f"pair ({i + 1}, {j + 1}) at squared distance {m:.17g} <= 2: "
-               "no room for n = r + 2 points at min squared distance 2") if ok else (
-        f"numerical inconsistency: min squared distance {m:.17g} > 2 "
-        "although n = r + 2; the rank decision at tol.rank is suspect")
+    if ok:
+        message = (
+            f"pair ({i + 1}, {j + 1}) at squared distance {m:.17g} <= 2: "
+            "no room for n = r + 2 points at min squared distance 2"
+        )
+    else:
+        message = (
+            f"numerical inconsistency: min squared distance {m:.17g} > 2 "
+            f"although n = r + 2; the rank decision at tol.rank is suspect"
+        )
     return RankinReport(ok=ok, n=n, r=r, min_offdiag=m, witness=(i + 1, j + 1), message=message)
 
 
@@ -451,7 +459,9 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         off[_block_index(rows, rows)] = 0.0
     cross_check = float(off.max())
     if not _within(cross_check, tol.sign)[0]:
-        raise ConsistencyError(f"cross-block squared distances deviate from 2 by {cross_check:g}")
+        raise ConsistencyError(
+            f"cross-block squared distances deviate from 2 by {cross_check:g}"
+        )
     # The Gram matrix at the circumcenter is E - D/2, so a cross-block inner
     # product is 1 - d/2 = -(d - 2)/2, exactly for d within tol.sign of 2.
     return Decomposition(

@@ -661,8 +661,9 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
     does not apply and PreconditionError is raised.
     """
     if not _perron_hypothesis(dm.source_min_offdiag, tol)[0]:
-        raise PreconditionError(f"min off-diagonal {dm.source_min_offdiag:.17g} < 2 - tol.sign; "
-                                "Delta is not nonnegative")
+        raise PreconditionError(
+            f"min off-diagonal {dm.source_min_offdiag:.17g} < 2 - tol.sign; Delta is not nonnegative"
+        )
     return np.where(_within(dm.delta, tol.sign / 2.0, above=True, strict=True, slack=False)[0], dm.delta, 0.0)
 
 
