@@ -388,7 +388,7 @@ def threshold_cases() -> list:
         ("delta support", "sign", 0.0, 1e-6, chain(with_entry(cross, 0, 2, 2.0 + 3e-9))),
         ("interior", "sign", 0.0, 0.1, chain(tensor_dist2(circle_points([0.0, 90.0, 181.0])))),
         ("sign pattern", "sign", 0.0, 2.0,
-         lambda tol: [call(es.verify_sign_pattern, pattern, rep.graph, tol), call(es.verify_sign_pattern, rep.edm, rep.graph, tol)]),
+         lambda tol: [call(es.verify_sign_pattern, M, rep.graph, tol) for M in (pattern, rep.edm)]),
         ("unit rows", "sign", 0.0, 1e-12, graph_chain(5, path)),
         ("recon", "recon", 0.0, 1e-12, graph_chain(5, path)),
         ("recon moved factor", "recon", 0.0, 1e-12,

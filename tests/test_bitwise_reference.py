@@ -216,8 +216,9 @@ class TestSupportComponents:
         assert support_components(delta) == support_components_oracle(delta, DEFAULT_TOL)
 
 
-SPECIAL = [float(v) for v in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
-                               1e-8, 1e-7, 0.5, 1.0, 2.0, 3.0, np.nextafter(2.0, 0.0), np.nextafter(2.0, 4.0), -1.0, 1e300)]
+SPECIAL = [float(v) for v in (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                               2.2250738585072014e-308, 1e-8, 1e-7, 0.5, 1.0, 2.0, 3.0, np.nextafter(2.0, 0.0),
+                               np.nextafter(2.0, 4.0), -1.0, 1e300)]
 special = st.sampled_from(SPECIAL) | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
 FORMS = {(False, False): operator.le, (False, True): operator.lt, (True, False): operator.ge, (True, True): operator.gt}
 
@@ -251,7 +252,8 @@ class TestWithin:
         with np.errstate(invalid="ignore", over="ignore"):
             ok, slack = _within(values, band, above=above, strict=strict)
             assert same_bits(slack, values - band if above else band - values)
-        assert ok.dtype == bool and ok.tolist() == [[FORMS[above, strict](v, band) for v in row] for row in values.tolist()]
+        expected = [[FORMS[above, strict](v, band) for v in row] for row in values.tolist()]
+        assert ok.dtype == bool and ok.tolist() == expected
 
 
 def site(value, op, band, form="pass"):
@@ -371,7 +373,8 @@ class TestThresholdRules:
             psd = least >= band
             assert _psd_stack(values, scales, tol).tolist() == psd.tolist()
             cut = (g * scales).reshape(-1, 1)
-            assert _rank_stack(values, scales, tol).tolist() == (np.where(psd[:, None], values, np.abs(values)) > cut).tolist()
+            rank = np.where(psd[:, None], values, np.abs(values)) > cut
+            assert _rank_stack(values, scales, tol).tolist() == rank.tolist()
 
     @given(values=arrays(np.float64, (2, 4), elements=special), band=special)
     @settings(max_examples=150, deadline=None)
