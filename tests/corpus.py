@@ -5,7 +5,9 @@ The inputs are the sphericity certificate's families (`helpers.certificate_famil
 one at radius 3 with B's fifth eigenvalue squeezed to 0.3 of the default rank cut,
 and the distance matrix of the orthonormal representation of the path on 40 nodes.
 Each runs under every tolerance profile, as given and relabelled by one fixed
-permutation, at scales c = 1e-6, 1 and 1e6.  A record holds the sphericity status
+permutation, at scales c = 1e-6, 1 and 1e6.  The 300 strict-noise compositions
+(`helpers.strict_noise_compositions`) run as given, at c = 1, under the strict
+profile, whose bands their noise matches.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
 of a unit spherical input and the type of any exception raised; and, for every
 accepted input, `factor_dim`, the column count of `gram_factor` at its default
@@ -84,6 +86,8 @@ def digest() -> dict:
             for c in SCALES:
                 for profile, tol in sorted(PROFILES.items()):
                     records[f"{name} {labels} c={c:g} {profile}"] = verdict(c * M, tol)
+    for k, M in enumerate(helpers.strict_noise_compositions()):
+        records[f"strict-noise-{k:03d} given c=1 strict"] = verdict(M, PROFILES["strict"])
     return records
 
 

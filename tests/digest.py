@@ -42,6 +42,7 @@ import numpy as np
 
 import edmsphere as es
 from edmsphere.cli import main
+from helpers import strict_noise_compositions
 
 
 NUMBER = r"[-+]?\d[-+.e\d]*"
@@ -312,27 +313,6 @@ def with_entry(D: np.ndarray, i: int, j: int, d: float) -> np.ndarray:
     D = D.copy()
     D[i, j] = D[j, i] = d
     return D
-
-
-def strict_noise_compositions() -> list:
-    """The strict-noise sweep: 300 compositions with symmetric noise the size of the strict bands.
-
-    One default_rng(0) draws, per input: the block count, the block orders,
-    the lone points, the noise level eps, then the (n, n) standard normals,
-    symmetrized as (N + N^T) / 2 with the diagonal zeroed.
-    """
-    rng = np.random.default_rng(0)
-    out = []
-    for _ in range(300):
-        orders = rng.integers(2, 7, rng.integers(1, 4)).tolist()
-        lone = int(rng.integers(0, 4))
-        eps = rng.uniform(1e-10, 4e-10)
-        D = composition(orders, lone)
-        N = eps * rng.standard_normal(D.shape)
-        N = (N + N.T) / 2.0
-        np.fill_diagonal(N, 0.0)
-        out.append(D + N)
-    return out
 
 
 def threshold_cases() -> list:
