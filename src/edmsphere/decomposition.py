@@ -371,8 +371,8 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
         w = xi / (2.0 * xi.sum(axis=1, keepdims=True))
         stacked = [t for t, p in enumerate(g.pos) if p != last]
         rows, ws = g.rows[stacked], w[stacked]
-        edms = _circumcenter_edms(D.dist2[_block_index(rows, rows)], ws,
-                                  values[stacked], vectors[stacked], g.gram_scales[stacked], tol)
+        edms = _circumcenter_edms(D.dist2[_block_index(rows, rows)], ws, values[stacked], vectors[stacked],
+                                  g.gram_scales[stacked], g.rows.shape[1] - 1, tol)
         interior = _interior(ws, tol)[0].tolist()
         for t, edm, inside in zip(stacked, edms, interior):
             outcome[g.pos[t]] = (comps[g.pos[t]], (), float(g.lam[t]), edm, inside)

@@ -24,12 +24,16 @@ eigenvalues, one Cholesky of order rank(B) and a residual certify it, and
 only when they do not is the Gram matrix at s decomposed.
 `embedding_dim_via_delta` reads the top of Delta and its multiplicity from
 Delta's irreducible blocks, one eigh per block order
-(`spectral._perron_blocks`), as the Kuperberg decomposition does.
+(`spectral._perron_blocks`), as the Kuperberg decomposition does.  The
+blocks are the components of Delta's nonzero pattern once
+`nonnegative_delta` has set every entry within tol.sign / 2 of zero to 0
+(`_delta_support`): tol.sign alone decides which pairs are orthogonal.
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
 for orthonormal representations and Kuperberg blocks; `_circumcenter_edms`
-checks and builds a stack of them, for the Kuperberg blocks of one order.
+checks (D w = e, the unit radius, the rank) and builds a stack of them, for
+the Kuperberg blocks of one order.
 
 Validation and the sphere fit run over a (T, n, n) stack
 (`_validate_stack`, `_certify`), with one eigh of the Gram matrices per
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .graphs import support_components
+from .graphs import _split
 from .spectral import (
     EigenSystem,
     _block_index,
@@ -575,9 +579,10 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
     and (T, m), (T, m, m) eigenpairs, each of rank m - 1 (certified by
     `spectral._perron_blocks`); each `lone` row (a zero row of Delta) adds
     eigenvalue 1 in the last columns, which the rank rule at `unit`, the
-    scale, must count.  Sorted descending (stably: ties keep their column
-    order), each block's vectors go straight to their sorted columns.
-    Checked as `_circumcenter_edms` checks; ConsistencyError on failure.
+    scale, must count, so the rank must be n less the block count.  Sorted
+    descending (stably: ties keep their column order), each block's vectors
+    go straight to their sorted columns.  Checked as `_circumcenter_edms`
+    checks; ConsistencyError on failure.
     """
     n = D.shape[0]
     values = np.ones(n)
@@ -590,16 +595,14 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
     for rows, cols, _, vecs in blocks:
         vectors[_block_index(rows, place[cols])] = vecs
     vectors[lone, place[n - lone.size:]] = 1.0
-    edm = _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], tol)[0]
+    expected = n - sum(len(rows) for rows, *_ in blocks)
+    edm = _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], expected, tol)[0]
     if isinstance(edm, Exception):
         raise edm
-    expected = n - sum(len(rows) for rows, *_ in blocks)
-    if edm.embedding_dim != expected:
-        raise ConsistencyError(f"I - Delta has rank {edm.embedding_dim}, expected {expected}")
     return edm
 
 
-def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray, units,
+def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray, units, expected: int,
                        tol: Tolerances) -> list:
     """Per unit spherical D[t] of a (T, n, n) stack: its Edm at the circumcenter 2 w[t], or an error.
 
@@ -608,20 +611,22 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     and rank rules in `spectral._perron_blocks`; the rank rule gives the
     embedding dimension.  `w` is a (T, n) array or T vectors.  Over the
     stack, max|D w - e| <= tol.solve and |2 e^T w - 1| <= tol.unit must
-    hold; a matrix gets the ConsistencyError of its first failing check,
-    else the unit spherical certificate of w[t], of radius (2 e^T w)^(-1/2).
+    hold, and the rank must be `expected`; a matrix gets the
+    ConsistencyError of its first failing check, else the unit spherical
+    certificate of w[t], of radius (2 e^T w)^(-1/2).
     """
     W = np.asarray(w)
     units = np.asarray(units, dtype=float)
     residual = np.max(np.abs(np.matmul(D, W[:, :, None])[:, :, 0] - 1.0), axis=1, initial=0.0)
     etw = W.sum(axis=1)
+    rank = np.count_nonzero(_rank_stack(values, units, tol), axis=1)
     out = _first_failures([
         (_within(residual, tol.solve)[0], lambda t: f"circumcenter weights give max|D w - e| = {residual[t]:g}"),
         (_unit_radius(etw, tol)[0], lambda t: f"circumcenter weights give 2 e^T w = {2.0 * etw[t]:.17g}, expected 1"),
+        (rank == expected, lambda t: f"I - Delta has rank {rank[t]}, expected {expected}"),
     ], D.shape[0])
-    rank = np.count_nonzero(_rank_stack(values, units, tol), axis=1).tolist()
     centering = 2.0 * W
-    fields = zip(rank, units.tolist(), min_offdiagonal(D).tolist(), etw.tolist(), residual.tolist())
+    fields = zip(rank.tolist(), units.tolist(), min_offdiagonal(D).tolist(), etw.tolist(), residual.tolist())
     for t, (r, unit, min_off, e, res) in enumerate(fields):
         if out[t] is None:
             gram = EigenSystem(values[t], vectors[t], tol, unit)
@@ -655,8 +660,8 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
     """Delta with every entry of magnitude <= tol.sign/2 set to 0, on both sides of zero.
 
     Delta_ij = (d_ij - 2)/2, so these are the pairs with |d_ij - 2| <= tol.sign,
-    which the sign rule reads as orthogonal; the support graph then agrees
-    with it.  Valid only when the source min off-diagonal is >= 2 - tol.sign,
+    which the sign rule reads as orthogonal; Delta's support graph is the
+    nonzero pattern of the result (`_delta_support`), so it agrees with it.  Valid only when the source min off-diagonal is >= 2 - tol.sign,
     so every negative entry is one of them; otherwise the Perron reasoning
     does not apply and PreconditionError is raised.
     """
@@ -734,10 +739,14 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
 def _delta_support(D: Edm) -> tuple:
     """(Delta of D, Delta by `nonnegative_delta`, the split of its support graph): what the Perron steps read.
 
-    PreconditionError when D's least off-diagonal entry is below 2 - tol.sign.
+    The support is the nonzero pattern of the snapped Delta, so tol.sign
+    alone decides which pairs are orthogonal, and the split is Delta's exact
+    support: its blocks are Delta's irreducible blocks.  PreconditionError
+    when D's least off-diagonal entry is below 2 - tol.sign.
     """
     delta = nonnegative_delta(dm := delta_of(D), D.tol)
-    return dm, delta, support_components(delta, D.tol)
+    n = delta.shape[0]
+    return dm, delta, _split(n, *np.divmod(np.flatnonzero(delta != 0.0), n))
 
 
 def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:

@@ -2,7 +2,9 @@
 
 Nodes are 1-based externally (matrix row i holds node i+1 internally).  The
 edge-list text format is: first non-comment line ``n``, then one ``i j`` pair
-per line with ``1 <= i < j <= n``; ``#`` starts a comment.
+per line with ``1 <= i < j <= n``; ``#`` starts a comment.  `matrixio`'s
+text matrices share that frame of comments, blank lines and a count line,
+read by one helper (`_count_headed`).
 """
 
 from __future__ import annotations
@@ -52,22 +54,33 @@ class Graph:
         return len(self.edges)
 
 
+def _count_headed(text: str, what: str, least: int) -> tuple:
+    """The frame of the count-headed text formats, graphs' and `matrixio`'s: (n, the later lines).
+
+    ``#`` starts a comment anywhere on a line, and lines blank without it
+    are skipped; the first other line holds the count, named `what`, an
+    integer >= `least` (0 or 1).  The later lines come as (line number,
+    stripped line) pairs.  FormatError on empty input or a bad count line.
+    """
+    lines = ((lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (line := raw.split("#", 1)[0].strip()))
+    lineno, head = next(lines, (None, None))
+    if head is None:
+        raise FormatError(f"empty input: no {what} found")
+    try:
+        n = int(head)
+    except ValueError:
+        raise FormatError(f"expected {what}, got {head!r}", lineno) from None
+    if n < least:
+        raise FormatError(f"{what} must be {'positive' if least else 'nonnegative'}, got {n}", lineno)
+    return n, lines
+
+
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format; malformed input raises FormatError with a line number."""
-    n = None
+    n, lines = _count_headed(text, "node count", 0)
     edges: dict[tuple, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise FormatError(f"expected node count, got {line!r}", lineno) from None
-            if n < 0:
-                raise FormatError(f"node count must be nonnegative, got {n}", lineno)
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"expected 'i j', got {line!r}", lineno)
@@ -84,8 +97,6 @@ def parse_graph(text: str) -> Graph:
         if (i, j) in edges:
             raise FormatError(f"duplicate edge {i} {j} (first at line {edges[(i, j)]})", lineno)
         edges[(i, j)] = lineno
-    if n is None:
-        raise FormatError("empty input: no node count found")
     return Graph(node_count=n, edges=frozenset(edges))
 
 
@@ -115,7 +126,8 @@ class ComponentSplit:
 def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
     """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support.
 
-    The arcs come in row-major order from one scan of the flat indices of
+    No decision of the library calls it: Delta's support is its nonzero
+    pattern after the sign band (`edm._delta_support`).  The arcs come in row-major order from one scan of the flat indices of
     the support: row = index // n, column = index % n.
     """
     S = _support_adjacency(M, tol)
@@ -140,9 +152,10 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
     """Components and 2-colouring of the n-node graph with 0-based arcs (rows[a], cols[a]), in `ComponentSplit` order.
 
     The arcs are in row-major order, both directions of each edge present.
-    The one traversal behind `components` and `support_components`: it
-    colours each node it reaches opposite to the node it is reached from and
-    notes an arc between nodes of one colour, which closes an odd cycle.
+    The one traversal behind `components`, `support_components` and
+    `edm._delta_support`: it colours each node it reaches opposite to the
+    node it is reached from and notes an arc between nodes of one colour,
+    which closes an odd cycle.
     """
     bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()  # u's neighbours: cols[bounds[u]:bounds[u + 1]]
     cols = cols.tolist()

@@ -2,7 +2,8 @@
 
 Text format: first non-comment line holds the order ``n``, followed by ``n``
 lines of ``n`` whitespace-separated decimal floats.  ``#`` starts a comment
-anywhere on a line.  A JSON alternative ``{"n": int, "rows": [[...], ...]}``
+anywhere on a line.  Comments, blank lines and the order line are read as
+the graph format reads its node count (`graphs._count_headed`).  A JSON alternative ``{"n": int, "rows": [[...], ...]}``
 is accepted interchangeably; the loader sniffs for a leading ``{``.
 
 Floats are written with Python's shortest round-trip repr, so write/read is
@@ -16,6 +17,7 @@ import json
 import numpy as np
 
 from .errors import FormatError
+from .graphs import _count_headed
 
 __all__ = [
     "parse_matrix_text",
@@ -26,26 +28,11 @@ __all__ = [
 ]
 
 
-def _strip_comment(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def parse_matrix_text(text: str) -> np.ndarray:
     """Parse the text matrix format; raises FormatError with line numbers."""
-    n = None
+    n, lines = _count_headed(text, "matrix order", 1)
     rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        if n is None:
-            try:
-                n = int(line)
-            except ValueError:
-                raise FormatError(f"expected matrix order, got {line!r}", lineno) from None
-            if n < 1:
-                raise FormatError(f"matrix order must be positive, got {n}", lineno)
-            continue
+    for lineno, line in lines:
         parts = line.split()
         if len(parts) != n:
             raise FormatError(f"expected {n} entries, got {len(parts)}", lineno)
@@ -56,8 +43,6 @@ def parse_matrix_text(text: str) -> np.ndarray:
         rows.append(row)
         if len(rows) > n:
             raise FormatError(f"more than {n} rows", lineno)
-    if n is None:
-        raise FormatError("empty input: no matrix order found")
     if len(rows) != n:
         raise FormatError(f"expected {n} rows, found {len(rows)}")
     return np.array(rows, dtype=float)

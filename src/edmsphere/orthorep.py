@@ -150,7 +150,7 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     split = components(G)
     k = split.nontrivial_count
     iso = np.asarray(split.isolated, dtype=int) - 1
-    groups = _perron_blocks(A, split, tol, normalize=True, exact_split=True)  # split is A's support
+    groups = _perron_blocks(A, split, tol, normalize=True)
     lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
     xi = np.zeros(n)
     lams, spectra = [None] * k, [None] * k

@@ -346,13 +346,17 @@ class PerronBlocks(NamedTuple):
 
 
 def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = False,
-                   check: bool = True, exact_split: bool = False) -> list[PerronBlocks]:
+                   check: bool = True) -> list[PerronBlocks]:
     """The Perron-Frobenius step on the nontrivial components of `split`, the support graph of a nonnegative M.
 
-    One decomposition per component order; bipartite groups by the SVD.
-    An order m >= 3 whose components are all bipartite with the same part
-    sizes (by `split.colour`) and exactly zero within each part goes
-    through one SVD of the gathered biadjacency blocks
+    `split` must be M's exact support, the graph of its nonzero entries (an
+    adjacency matrix and its graph's components; Delta snapped by
+    `edm.nonnegative_delta` and its nonzero pattern): its components are
+    then M's irreducible blocks, and its 2-colouring proves the entries
+    within each part 0.0.  One decomposition per component order; bipartite
+    groups by the SVD.  An order m >= 3 whose components are all bipartite
+    with the same part sizes (by `split.colour`) goes through one SVD of
+    the gathered biadjacency blocks
     (`_bipartite_stack`); every other order through one eigh of the
     gathered (T, m, m) stack.  Stacked and looped calls agree bitwise.
     Order 2 stays on eigh, where both are closed forms.  With `normalize`, M is an adjacency
@@ -367,10 +371,7 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     built on.  The first failing component in `split.nontrivial` order
     raises its first failing check's ConsistencyError (or its
     decomposition error), naming it; `check=False` skips the checks, for a
-    caller that reads only the tops.  `exact_split` says that `split` is
-    the exact support of M, as for an adjacency matrix and the components
-    of the same edges: its 2-colouring then proves the entries within each
-    part 0.0, and the bipartite route does not test them.
+    caller that reads only the tops.
     """
     comps = split.nontrivial
     colour = np.array(split.colour, dtype=int)
@@ -380,7 +381,7 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     groups, failures = [], {}
     for m, pos in sorted(by_order.items()):
         rows = np.array([comps[p] for p in pos]) - 1
-        route = _bipartite_stack(M, rows, colour[rows], exact_split) if m >= 3 else None
+        route = _bipartite_stack(M, rows, colour[rows]) if m >= 3 else None
         if route is None:
             S = M[_block_index(rows, rows)]
             values, vectors, errors = _eigh_stack(S)
@@ -433,23 +434,20 @@ def _first_failures(checks, count: int) -> list:
     return out
 
 
-def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray, exact_split: bool = False):
+def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
     """The blocks M[rows[t]][:, rows[t]] decomposed through one SVD of their biadjacencies: (values, vectors, C), or None.
 
-    side[t] is the 2-colouring of block t's support graph (-1 throughout
-    for an odd cycle).  The route applies when every block is bipartite
-    with the same part sizes p >= q and its entries within each part are
-    exactly zero: block t, its larger part's rows first, is then
+    side[t] is the 2-colouring of block t's exact support graph (-1
+    throughout for an odd cycle), so the entries within each part are 0.0.
+    The route applies when every block is bipartite with the same part
+    sizes p >= q: block t, its larger part's rows first, is then
     [[0, C_t], [C_t^T, 0]] with C_t = U diag(sigma) V^T of size p x q, and
     its eigenpairs are sigma_i on (u_i, v_i) / sqrt 2, p - q zeros on
     (u_j, 0) and -sigma_i on (u_i, -v_i) / sqrt 2 (Golub and Kahan 1965).
     They come back in the block's own row order, descending and
     sign-normalized as `_eigh_descending` returns them, with the (T, p, q)
     stack C.  None when the route does not apply, C has a NaN or Inf entry
-    or the SVD fails to converge: eigh then decides.  The within-part
-    entries are gathered and tested unless `exact_split` says the colouring
-    is of M's exact support, which proves them 0.0; a support thresholded
-    at a tolerance (Delta's) keeps the test.
+    or the SVD fails to converge: eigh then decides.
     """
     T, m = side.shape
     ones = side.sum(axis=1)
@@ -462,9 +460,7 @@ def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray, exact_sp
     X, Y = np.nonzero(big)[1].reshape(T, p), np.nonzero(~big)[1].reshape(T, q)
     rx, ry = rows[t, X], rows[t, Y]
     C = M[rx[:, :, None], ry[:, None, :]]
-    within = not exact_split and (M[rx[:, :, None], rx[:, None, :]].any()
-                                  or M[ry[:, :, None], ry[:, None, :]].any())
-    if within or not np.isfinite(C).all():
+    if not np.isfinite(C).all():
         return None
     try:
         U, sigma, Vh = np.linalg.svd(C)

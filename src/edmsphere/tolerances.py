@@ -62,8 +62,10 @@ class Tolerances:
         Separates squared distances "> 2" from "= 2" (and inner products
         "< 0" from "= 0").
     support : float
-        Entries with magnitude <= support are structural zeros when reading
-        a support graph off a real matrix.
+        Entries with magnitude <= support are structural zeros when
+        `graphs.support_components` reads a support graph off a real
+        matrix.  No decision of the library reads it: Delta's support is
+        the nonzero pattern of Delta after the sign band.
     symmetry : float
         Allowed asymmetry max|M - M^T| relative to scale(M) at construction.
     recon : float
@@ -77,9 +79,9 @@ class Tolerances:
     rules (symmetry, zero diagonal, nonnegative entries) in
     `edm._entry_rejection` and `spectral.as_symmetric`; PSD, rank and
     cluster in `spectral._psd_stack`, `_rank_stack` and `_cluster_stack`;
-    sphericity and the unit circumradius in `edm._certify`; the support in
-    `graphs.support_components` and `edm.nonnegative_delta`; the Perron
-    checks in `spectral._perron_blocks` and `edm._circumcenter_edms`; the
+    sphericity and the unit circumradius in `edm._certify`; the support
+    band in `graphs.support_components`, and Delta's orthogonal pairs by
+    the sign band in `edm.nonnegative_delta`; the Perron checks in `spectral._perron_blocks` and `edm._circumcenter_edms`; the
     sign band in `orthorep.verify_sign_pattern` and `decomposition`.
     """
 

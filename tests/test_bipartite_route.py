@@ -4,8 +4,8 @@ A connected bipartite component of order m >= 3, its larger part's rows
 first, has the block [[0, C], [C^T, 0]], whose eigensystem follows from one
 SVD of C (`spectral._bipartite_stack`).  `_perron_blocks` takes that route
 for a component order whose components are all bipartite with the same part
-sizes and exactly zero entries within each part; every other order keeps
-its eigh.  Each block's eigensystem on the route is held against
+sizes, read off the exact support its callers split; every other order
+keeps its eigh.  Each block's eigensystem on the route is held against
 `_decompose` of the block, the decisions against the eigh route, the route
 against an odd-cycle twin of each graph, and each certificate check against
 a corrupted eigensystem on the route.
@@ -28,10 +28,11 @@ from edmsphere import (
     embedding_dim_via_delta,
     kuperberg_decompose,
     minimality_bound,
+    require_edm,
     spherical_certificate,
 )
 from edmsphere import spectral as spectral_module
-from edmsphere.graphs import support_components
+from edmsphere.edm import _delta_support
 from edmsphere.spectral import _decompose, _perron_blocks
 from oracles import bipartite_sides
 
@@ -218,20 +219,19 @@ def test_delta_of_a_representation_takes_the_route():
     assert abs(report.lambda_max - 1.0) <= 1e-12
 
 
-def test_entries_within_a_part_keep_eigh():
-    # the colouring is of the support graph: an entry of 1e-14 between two nodes of one
-    # side is below tol.support, so the route would drop it; it must be exactly zero
-    A = adjacency(Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)]))
-    for within, expected in [(0.0, ["svd"]), (1e-14, ["eigh"])]:
-        M = A.copy()
-        M[0, 2] = M[2, 0] = within
-        split = support_components(M)
-        assert split.colour == (0, 1, 0, 1, 0)
+def test_delta_entries_within_a_part_follow_the_sign_band():
+    # Delta's split is its nonzero pattern once the sign band has snapped it, so the route reads
+    # the 2-colouring of Delta's exact support: on the path of 5, d_13 = 2 + tol.sign leaves
+    # Delta_13 = 0.0 and the path bipartite; d_13 = 2 + 3 tol.sign is an edge closing a triangle
+    D = construct_orthorep(Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])).edm.dist2
+    for excess, colour, expected in [(1e-7, (0, 1, 0, 1, 0), ["svd"]), (3e-7, (-1,) * 5, ["eigh"])]:
+        _, delta, split = _delta_support(require_edm(helpers.with_distance(D, 1, 3, 2.0 + excess)))
+        assert split.colour == colour and (delta[0, 2] == 0.0) == (expected == ["svd"])
         with _decompositions() as calls:
-            (group,) = _perron_blocks(M, split, DEFAULT_TOL, normalize=True)
+            (group,) = _perron_blocks(delta, split, DEFAULT_TOL, check=False)
         assert [name for name, _ in calls] == expected
-        ref = _decompose(M, DEFAULT_TOL)
-        assert np.max(np.abs(group.values[0] * group.lam[0] - ref.values)) <= 1e-12
+        ref = _decompose(delta, DEFAULT_TOL)
+        assert np.max(np.abs(group.values[0] - ref.values)) <= 1e-12
 
 
 def test_an_svd_that_does_not_converge_falls_back_to_eigh(monkeypatch):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from edmsphere import (
     PROFILES,
     ConsistencyError,
     PreconditionError,
+    Tolerances,
     certify_simplex,
     crosspolytope_recognize,
     delta_of,
@@ -26,6 +29,7 @@ from edmsphere import (
 )
 from edmsphere import decomposition as decomposition_module
 from edmsphere import spectral as spectral_module
+from edmsphere.edm import _delta_support
 from oracles import perron, simplex_blocks_looped
 
 # the (3,4,5) principal block of the worked five-node example
@@ -220,6 +224,18 @@ class TestSupportBySignRule:
         assert [b.indices for b in dec.blocks] == [(1, 2, 3), (4, 5)]
         npt.assert_allclose(dec.cross_check, 9e-8, rtol=1e-6)
         assert dec.cross_gram_max == dec.cross_check / 2.0
+
+    def test_an_entry_the_sign_band_keeps_fails_loudly(self):
+        # d_14 = 2 + 2e-13 reads "> 2" under tol.sign = 1e-13, though Delta_14 = 1e-13 is below
+        # tol.support: Delta's support is then one component, whose top eigenvalue 1 is double,
+        # a contradiction that raises instead of reading "not a simplex" by the rank route
+        tol = Tolerances(sign=1e-13)
+        D = require_edm(helpers.with_distance(helpers.compose_block_edm([3, 3]), 1, 4, 2.0 + 2e-13), tol)
+        assert spherical_certificate(D).unit_spherical and D.embedding_dim == 4
+        assert _delta_support(D)[2].components == ((1, 2, 3, 4, 5, 6),)
+        message = "top eigenvalue of component (1, 2, 3, 4, 5, 6) has multiplicity 2, expected 1"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            certify_simplex(D)
 
 
 class TestCrosspolytopeRecognize:
