@@ -135,7 +135,7 @@ class Edm:
 class EdmRejection:
     """Why a candidate matrix is not an EDM; falsy so callers can branch on it."""
 
-    reason: str  # not-square | not-finite | not-symmetric | nonzero-diagonal | negative-entry | too-large | not-psd
+    reason: str  # not-square | not-finite | too-large | too-small | not-symmetric | nonzero-diagonal | negative-entry | not-psd
     detail: str
     witness_eigenvalue: float | None = None
     witness_vector: np.ndarray | None = None
@@ -216,6 +216,7 @@ def _entry_stats(M: np.ndarray) -> tuple:
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # the least normal float, 2^-1022
 
 
 def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances, n: int) -> EdmRejection | None:
@@ -225,12 +226,25 @@ def _entry_rejection(finite, s, skew, diag_max, off_min, tol: Tolerances, n: int
     Gram matrix lies within 4 max|M|, and a product D v of the sphere fit
     within float max whenever the weights v sum in magnitude to at most 4n,
     as the centroid's e/n do.
+
+    max|M| >= 4n tiny, tiny the least normal float, keeps underflow within
+    rounding.  An operation rounds with relative error at most u = eps / 2,
+    and one whose result underflows adds at most u tiny, absolute (Higham
+    2002, section 2.1).  The centroid's products d_ij / n reach
+    max|M| / n >= 4 tiny, so the m operations of an entry of the centered
+    Gram matrix, or of a product D v of the sphere fit, add at most
+    m u tiny <= m u max|M| / (4n) by underflow: a quarter of the rounding
+    error m u max|M| / n the same operations may make on those products.
+    Below it subnormal entries carry fewer bits than the rules assume: the
+    sphere fit's 0.5 / L overflows to a NaN witness, and the PSD rule fails
+    on rounding.  A matrix with no nonzero entry has scale 1 and passes.
     """
     if not finite:
         return EdmRejection("not-finite", "matrix contains NaN or Inf entries")
-    limit = _FLOAT_MAX / (4 * max(n, 1))
-    if s > limit:
+    if s > (limit := _FLOAT_MAX / (4 * max(n, 1))):
         return EdmRejection("too-large", f"max|M| = {s:g} exceeds float max / (4n) = {limit:g}")
+    if s < (least := 4 * max(n, 1) * _FLOAT_TINY):
+        return EdmRejection("too-small", f"max|M| = {s:g} is below 4n times the least normal float = {least:g}")
     if not _within(skew, tol.symmetry * s)[0]:
         return EdmRejection("not-symmetric", f"max|M - M^T| = {skew:g}")
     if not _within(diag_max, tol.psd * s)[0]:
@@ -745,8 +759,7 @@ def _delta_support(D: Edm) -> tuple:
     when D's least off-diagonal entry is below 2 - tol.sign.
     """
     delta = nonnegative_delta(dm := delta_of(D), D.tol)
-    n = delta.shape[0]
-    return dm, delta, _split(n, *np.divmod(np.flatnonzero(delta != 0.0), n))
+    return dm, delta, _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
 
 
 def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:

@@ -37,10 +37,9 @@ def parse_matrix_text(text: str) -> np.ndarray:
         if len(parts) != n:
             raise FormatError(f"expected {n} entries, got {len(parts)}", lineno)
         try:
-            row = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise FormatError(f"bad float: {exc}", lineno) from None
-        rows.append(row)
         if len(rows) > n:
             raise FormatError(f"more than {n} rows", lineno)
     if len(rows) != n:

@@ -360,7 +360,8 @@ class TestThresholdRules:
             rules = [("not-symmetric", site(lambda *a: skew, operator.gt, lambda *a: f * s, "fail")),
                      ("nonzero-diagonal", site(lambda *a: diag_max, operator.gt, lambda *a: g * s, "fail")),
                      ("negative-entry", site(lambda *a: off_min, operator.lt, lambda *a: -g * s, "fail"))]
-            expected = "too-large" if s > limit else next((r for r, ok in rules if not ok(0, 0, 0)), None)
+            expected = ("too-large" if s > limit else "too-small" if s < 16 * np.finfo(float).tiny
+                        else next((r for r, ok in rules if not ok(0, 0, 0)), None))
         assert (None if got is None else got.reason) == expected  # an EdmRejection is falsy
 
     @given(values=arrays(np.float64, (2, 3), elements=special), scales=arrays(np.float64, 2, elements=special),

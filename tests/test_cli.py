@@ -434,3 +434,11 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "edmsphere" in capsys.readouterr().out
+
+
+def test_validate_rejects_a_too_small_matrix_with_exit_2(capsys, tmp_path):
+    path = tmp_path / "tiny.txt"
+    path.write_text(format_matrix_text(1e-310 * gen_unit_simplex(4).dist2))
+    code, report, err = run_json(capsys, ["validate", str(path)])
+    assert code == 2 and report["status"] == "rejected"
+    assert report["result"]["reason"] == "too-small" and "rejected: too-small" in err

@@ -947,3 +947,42 @@ class TestOverflow:
         edm = require_edm(np.finfo(float).max / 16.0 * self.SIMPLEX)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
             gram_factor(edm, np.array([17.0, -16.0, 0.0, 0.0]))
+
+
+class TestUnderflow:
+    """Entries below 4n times the least normal float are rejected as too-small; larger scales keep their verdicts.
+
+    The scales are pinned: at c = 3e-308 and below these inputs read non-spherical with a
+    NaN witness, or not-psd, without the rule.
+    """
+
+    INPUTS = {
+        "unit simplex 4": gen_unit_simplex(4).dist2,
+        "crosspolytope 3": gen_crosspolytope(3).dist2,
+        "sphere 8": helpers.edm_from_points(helpers.random_sphere_points(np.random.default_rng(8), 8, 3)),
+        "sphere 40": helpers.edm_from_points(helpers.random_sphere_points(np.random.default_rng(40), 40, 5)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("c", [3e-308, 1e-308, 1e-309, 1e-310, 1e-320])
+    def test_rejected_as_too_small(self, name, c):
+        M = c * self.INPUTS[name]
+        res = validate_edm(M)
+        least = 4 * M.shape[0] * np.finfo(float).tiny
+        assert isinstance(res, EdmRejection) and res.reason == "too-small"
+        assert res.detail == f"max|M| = {scale(M):g} is below 4n times the least normal float = {least:g}"
+
+    @pytest.mark.parametrize("name", sorted(INPUTS))
+    @pytest.mark.parametrize("c", [1e-300, 1e-200])
+    def test_larger_scales_keep_their_verdicts(self, name, c):
+        D = self.INPUTS[name]
+        ref, edm = require_edm(D), require_edm(c * D)
+        cert = spherical_certificate(edm)
+        assert edm.embedding_dim == ref.embedding_dim
+        assert cert.status == SPHERICAL and not np.isnan(cert.w).any()
+        npt.assert_allclose(cert.radius, np.sqrt(c) * spherical_certificate(ref).radius, rtol=1e-9)
+
+    @pytest.mark.parametrize("M", [np.zeros((3, 3)), np.zeros((1, 1)), np.zeros((0, 0))], ids=["zero", "1x1", "empty"])
+    def test_matrices_with_no_nonzero_entry_pass(self, M):
+        edm = validate_edm(M)
+        assert isinstance(edm, Edm) and edm.embedding_dim == 0
