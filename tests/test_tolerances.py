@@ -106,3 +106,47 @@ def test_every_tolerance_decision_goes_through_the_primitive():
     found = [f"{path.name}:{line}: {text}" for path in sorted(src.glob("*.py")) if path.name != "tolerances.py"
              for line, text in tolerance_comparisons(path.read_text())]
     assert found == []
+
+
+DECOMPOSE = {"eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky", "qr", "solve", "lstsq"}
+
+
+def linalg_decompositions(source: str) -> list:
+    """(line, name) of each numpy.linalg decomposition or solve that `source` imports or calls.
+
+    A call is an attribute in DECOMPOSE of a name numpy.linalg is bound to:
+    `linalg` (as in `np.linalg.eigh`), or the alias of `from numpy import
+    linalg` or `import numpy.linalg as la`.
+    """
+    tree = ast.parse(source)
+    linalg, found = {"linalg"}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, a.name) for a in node.names if a.name in DECOMPOSE | {"*"}]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            linalg |= {a.asname or a.name for a in node.names if a.name == "linalg"}
+        elif isinstance(node, ast.Import):
+            linalg |= {a.asname for a in node.names if a.name == "numpy.linalg" and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in DECOMPOSE:
+            base = node.value
+            if (base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)) in linalg:
+                found.append((node.lineno, node.attr))
+    return found
+
+
+def test_linalg_decompositions_are_found():
+    source = ("import numpy as np\nimport numpy.linalg as la\nfrom numpy import linalg as nl\n"
+              "from numpy.linalg import cholesky\na = np.linalg.eigh(S)\nb = la.svd(C)\nc = nl.qr(M)\n"
+              "d = np.linalg.norm(v)\ne = np.eigh(S)\n")
+    assert linalg_decompositions(source) == [(4, "cholesky"), (5, "eigh"), (6, "svd"), (7, "qr")]
+
+
+def test_numpy_linalg_decomposes_only_in_spectral():
+    # the one-driver rule: every eigh, svd and cholesky (and any other decomposition or solve
+    # of numpy.linalg) is called from spectral.py alone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "edmsphere"
+    found = [f"{path.name}:{line}: numpy.linalg.{name}" for path in sorted(src.glob("*.py"))
+             if path.name != "spectral.py" for line, name in linalg_decompositions(path.read_text())]
+    assert found == []
+    assert {name for _, name in linalg_decompositions((src / "spectral.py").read_text())} == {"eigh", "svd", "cholesky"}
