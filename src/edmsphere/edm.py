@@ -135,7 +135,8 @@ class Edm:
 class EdmRejection:
     """Why a candidate matrix is not an EDM; falsy so callers can branch on it."""
 
-    reason: str  # not-square | not-finite | too-large | too-small | not-symmetric | nonzero-diagonal | negative-entry | not-psd
+    # not-square | not-finite | too-large | too-small | not-symmetric | nonzero-diagonal | negative-entry | not-psd
+    reason: str
     detail: str
     witness_eigenvalue: float | None = None
     witness_vector: np.ndarray | None = None
@@ -675,8 +676,9 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
 
     Delta_ij = (d_ij - 2)/2, so these are the pairs with |d_ij - 2| <= tol.sign,
     which the sign rule reads as orthogonal; Delta's support graph is the
-    nonzero pattern of the result (`_delta_support`), so it agrees with it.  Valid only when the source min off-diagonal is >= 2 - tol.sign,
-    so every negative entry is one of them; otherwise the Perron reasoning
+    nonzero pattern of the result (`_delta_support`), so it agrees with it.
+    Valid only when the source min off-diagonal is >= 2 - tol.sign, so
+    every negative entry is one of them; otherwise the Perron reasoning
     does not apply and PreconditionError is raised.
     """
     if not _perron_hypothesis(dm.source_min_offdiag, tol)[0]:

@@ -127,8 +127,9 @@ def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
     """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support.
 
     No decision of the library calls it: Delta's support is its nonzero
-    pattern after the sign band (`edm._delta_support`).  The arcs come in row-major order from one scan of the flat indices of
-    the support: row = index // n, column = index % n.
+    pattern after the sign band (`edm._delta_support`).  The arcs come in
+    row-major order from one scan of the flat indices of the support:
+    row = index // n, column = index % n.
     """
     S = _support_adjacency(M, tol)
     return _split(S.shape[0], *np.divmod(np.flatnonzero(S), S.shape[0]))

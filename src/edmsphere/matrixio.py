@@ -3,8 +3,9 @@
 Text format: first non-comment line holds the order ``n``, followed by ``n``
 lines of ``n`` whitespace-separated decimal floats.  ``#`` starts a comment
 anywhere on a line.  Comments, blank lines and the order line are read as
-the graph format reads its node count (`graphs._count_headed`).  A JSON alternative ``{"n": int, "rows": [[...], ...]}``
-is accepted interchangeably; the loader sniffs for a leading ``{``.
+the graph format reads its node count (`graphs._count_headed`).  A JSON
+alternative ``{"n": int, "rows": [[...], ...]}`` is accepted
+interchangeably; the loader sniffs for a leading ``{``.
 
 Floats are written with Python's shortest round-trip repr, so write/read is
 bit-exact for doubles and output bytes are deterministic.

@@ -81,8 +81,9 @@ class Tolerances:
     cluster in `spectral._psd_stack`, `_rank_stack` and `_cluster_stack`;
     sphericity and the unit circumradius in `edm._certify`; the support
     band in `graphs.support_components`, and Delta's orthogonal pairs by
-    the sign band in `edm.nonnegative_delta`; the Perron checks in `spectral._perron_blocks` and `edm._circumcenter_edms`; the
-    sign band in `orthorep.verify_sign_pattern` and `decomposition`.
+    the sign band in `edm.nonnegative_delta`; the Perron checks in
+    `spectral._perron_blocks` and `edm._circumcenter_edms`; the sign band
+    in `orthorep.verify_sign_pattern` and `decomposition`.
     """
 
     psd: float = 1e-9

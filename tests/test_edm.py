@@ -952,8 +952,9 @@ class TestOverflow:
 class TestUnderflow:
     """Entries below 4n times the least normal float are rejected as too-small; larger scales keep their verdicts.
 
-    The scales are pinned: at c = 3e-308 and below these inputs read non-spherical with a
-    NaN witness, or not-psd, without the rule.
+    The scales are pinned, as tier-1's properties reach subnormals only sometimes.  Without
+    the rule, these inputs read spherical at 3e-308, most read non-spherical with a NaN
+    witness at 1e-309 and 1e-310, and most read not-psd at 1e-320.
     """
 
     INPUTS = {
