@@ -571,11 +571,14 @@ def _certify(D: np.ndarray, grams: list, tol: Tolerances) -> list:
     two_rho2 = r.mean(axis=-1, keepdims=True)
     r -= two_rho2
     spherical = _within(np.abs(r).max(axis=-1), tol.solve * two_rho2[:, 0])[0]
-    r -= along_u(r, 1.0)  # the witness lies outside span(U, e) to rounding of |r|, not of |g|
+    # only the rows off the sphere take the witness (a spherical r may be too small to invert); it lies
+    # outside span(U, e) to rounding of |r|, not of |g|
+    r = (r - along_u(r, 1.0))[~spherical]
     p = np.frexp(np.abs(r).max(axis=-1, keepdims=True))[1]  # max|r| / 2^p is in [1/2, 1): |.|^2 cannot overflow
     r = np.ldexp(r, -p)
-    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 only where spherical
-        w = np.where(spherical[:, None], alpha / two_rho2, off_e(np.ldexp(r / (r * r).sum(axis=-1, keepdims=True), -p)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = alpha / two_rho2
+        w[~spherical] = off_e(np.ldexp(r / (r * r).sum(axis=-1, keepdims=True), -p))
     residual = np.abs(times_d(w) - 1.0).max(axis=-1)
     fields = zip(spherical.tolist(), w, w.sum(axis=-1).tolist(), residual.tolist(),
                  np.sqrt(0.5 * two_rho2[:, 0]).tolist())

@@ -142,8 +142,7 @@ def components(G: Graph) -> ComponentSplit:
     one key, with no n x n matrix.
     """
     n = G.node_count
-    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.int64, count=2 * len(G.edges))
-    i, j = ends[0::2] - 1, ends[1::2] - 1
+    i, j = _edge_ends(G)
     key = np.concatenate((i * n + j, j * n + i))  # each edge in both directions
     key.sort()
     return _split(n, *np.divmod(key, n))
@@ -201,18 +200,21 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
 def adjacency(G: Graph) -> np.ndarray:
     """0/1 symmetric adjacency matrix with zero diagonal."""
     A = np.zeros((G.node_count, G.node_count))
-    if G.edges:
-        i, j = (np.array(list(G.edges)) - 1).T
-        A[i, j] = A[j, i] = 1.0
+    i, j = _edge_ends(G)
+    A[i, j] = A[j, i] = 1.0
     return A
+
+
+def _edge_ends(G: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (i, j) arrays of G's edges, i < j, in the order the edge set iterates, read in one pass."""
+    ends = np.fromiter(chain.from_iterable(G.edges), dtype=np.int64, count=2 * len(G.edges)) - 1
+    return ends[0::2], ends[1::2]
 
 
 def _edge_index(G: Graph) -> tuple[np.ndarray, np.ndarray]:
     """0-based (i, j) arrays of G's edges, i < j, in row-major order."""
-    n = G.node_count
-    key = np.fromiter((i * n + j for i, j in G.edges), dtype=np.int64, count=len(G.edges))
-    key.sort()
-    return np.divmod(key - n - 1, n)
+    i, j = _edge_ends(G)
+    return np.divmod(np.sort(i * G.node_count + j), G.node_count)
 
 
 def apply_permutation(M: np.ndarray, order) -> np.ndarray:

@@ -29,6 +29,13 @@ is checked on the diagonal blocks, where alone it can be nonzero.  The
 edgeless graph's points have no centering at the origin, so its D = 2(E - I)
 is taken at the centroid, where its Gram matrix I - E/n has a closed-form
 eigensystem (`_edgeless_edm`); only a single node validates D.
+
+A representation keeps five n x n arrays, each made once: Delta, written
+over the adjacency matrix; D; P, each block's columns scaled straight into
+it; the Perron vectors, whose signs are set in place; and the Edm's
+eigenvectors.  Besides the decompositions' workspace, only a component of
+order n makes another array of that size, its block of the reconstruction
+residual; `verify_sign_pattern` reads D a bounded block of rows at a time.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import numpy as np
 from .edm import Edm, EdmRejection, _circumcenter_edm, centering_gram, validate_edm
 from .errors import ConsistencyError
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
-from .spectral import EigenSystem, _block_index, _perron_blocks, _sign_normalize_columns, _union_top
+from .spectral import EigenSystem, _block_index, _column_signs, _perron_blocks, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, _over_two, _recon_band, _within, scale
 
 __all__ = [
@@ -51,6 +58,8 @@ __all__ = [
     "MinimalityReport",
     "minimality_bound",
 ]
+
+_SIGN_BLOCK_BYTES = 1 << 18  # the |d_ij - 2| that a row block of `verify_sign_pattern` holds at a time
 
 
 @dataclass(eq=False)
@@ -203,8 +212,8 @@ def _edgeless_edm(D: np.ndarray, tol: Tolerances) -> Edm:
     helmert = np.triu(np.ones((n, n))) - np.eye(n, k=-1) * np.arange(1.0, n + 1)  # and e, last
     helmert /= np.sqrt(np.einsum("ij,ij->j", helmert, helmert))  # integer sums of squares, exact
     centroid = np.full(n, 1.0 / n)
-    gram = EigenSystem(np.append(np.ones(n - 1), 0.0), _sign_normalize_columns(helmert), tol,
-                       scale(centering_gram(D, centroid)))
+    helmert *= _column_signs(helmert)  # as `spectral._sign_normalize_columns`, in place
+    gram = EigenSystem(np.append(np.ones(n - 1), 0.0), helmert, tol, scale(centering_gram(D, centroid)))
     return Edm(dist2=D, embedding_dim=gram.rank, tol=tol, gram_eig=gram, centering=centroid, min_offdiagonal=2.0)
 
 
@@ -228,8 +237,10 @@ def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray)
         values, vectors, pos = g.gram_values, g.gram_vectors, np.asarray(g.pos)
         m = g.rows.shape[1]
         blocks.append((g.rows, first[pos][:, None] + np.arange(m), values, vectors))
-        Pc = vectors[:, :, :m - 1] * np.sqrt(values[:, None, :m - 1])
-        P[_block_index(g.rows, start[pos][:, None] + np.arange(m - 1))] = Pc
+        at = _block_index(g.rows, start[pos][:, None] + np.arange(m - 1))
+        view = P[at] if isinstance(at[1], slice) else None  # P's block itself, when one range of rows holds it
+        Pc = np.multiply(vectors[:, :, :m - 1], np.sqrt(values[:, None, :m - 1]), out=view)
+        P[at] = Pc  # numpy skips the copy of a view onto itself
         # one block: the 2-D product, which numpy runs as a syrk
         R = (Pc[0] @ Pc[0].T)[None] if len(pos) == 1 else Pc @ Pc.transpose(0, 2, 1)
         R *= 2.0
@@ -298,10 +309,15 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
         `min_edge_excess` is min over edges of d_ij - 2 (want > tol.sign);
         `max_nonedge_dev` is max over non-edges of |d_ij - 2|.
 
-    The dist2 of an Edm is exactly symmetric, so |d_ij - 2| is read over
-    the whole matrix with the diagonal and both directions of every edge
-    zeroed; the upper triangle is taken only to list violations.  An array
-    is read on its strict upper triangle alone.
+    The matrix is read on its strict upper triangle, a block of rows at a
+    time, with |d_ij - 2| for at most `_SIGN_BLOCK_BYTES` of them: the
+    block of rows r:r+b takes the columns from r on.  Its b x b square on
+    the diagonal holds both entries of each pair in it, which are equal in
+    the exactly symmetric dist2 of an Edm, so only the diagonal and both
+    entries of each edge are zeroed; an array's square is zeroed below the
+    diagonal too.  The max of the block maxima is the max over the
+    triangle, and a block past the band lists the pairs of its strict upper
+    triangle, so they come in row-major order.
     """
     symmetric = isinstance(D, Edm)
     M = np.asarray(D.dist2 if symmetric else D, dtype=float)
@@ -311,24 +327,30 @@ def verify_sign_pattern(D, G: Graph, tol: Tolerances = DEFAULT_TOL) -> SignPatte
     i, j = _edge_index(G)
     on_edges = M[i, j]
     edge_bad = np.flatnonzero(~_over_two(on_edges, tol)[0])
-    dev = M - 2.0  # then |d_ij - 2|, 0 on the diagonal and the edges
-    if not symmetric:
-        dev = np.triu(dev, 1)
-    np.abs(dev, out=dev)
-    np.fill_diagonal(dev, 0.0)
-    dev[i, j] = dev[j, i] = 0.0
-    top = float(dev.max(initial=0.0))
-    nonedge_bad = ()
-    if not _within(top, tol.sign)[0]:  # a NaN fails the band: its pair is listed
-        bad = np.triu(~_within(dev, tol.sign, slack=False)[0], 1)
-        bad[i, j] = False  # an edge's zeroed deviation is no pair of the rule, even under a NaN band
-        nonedge_bad = _pairs(M, *np.nonzero(bad))
+    rows = max(1, _SIGN_BLOCK_BYTES // max(8 * n, 1))
+    top, nonedge_bad = 0.0, ()
+    for r in range(0, n, rows):
+        dev = M[r:r + rows, r:] - 2.0  # then |d_ij - 2|, 0 on the diagonal and both ways on the edges
+        np.abs(dev, out=dev)
+        if not symmetric:  # an array's lower triangle counts for nothing
+            dev[:, :len(dev)][np.tril_indices(len(dev), -1)] = 0.0
+        dev.reshape(-1)[::dev.shape[1] + 1] = 0.0
+        lo, hi = i.searchsorted((r, r + rows))  # the edges of the block's rows
+        a, c = i[lo:hi] - r, j[lo:hi] - r
+        dev[a, c] = 0.0
+        dev[c[c < len(dev)], a[c < len(dev)]] = 0.0  # an edge within the square: its other entry
+        top = np.maximum(top, block_top := float(dev.max()))  # a NaN stays
+        if not _within(block_top, tol.sign)[0]:  # a NaN fails the band: its pair is listed
+            out = np.triu(~_within(dev, tol.sign, slack=False)[0], 1)
+            out[a, c] = False  # an edge's zeroed deviation is no pair of the rule, even under a NaN band
+            nonedge_bad += _pairs(M, *np.add(np.nonzero(out), r))
+        del dev  # one block alive at a time
     return SignPatternReport(
         ok=not edge_bad.size and not nonedge_bad,
         edge_violations=_pairs(M, i[edge_bad], j[edge_bad]),
         nonedge_violations=nonedge_bad,
         min_edge_excess=float((on_edges - 2.0).min()) if i.size else float("inf"),
-        max_nonedge_dev=top,
+        max_nonedge_dev=float(top),
     )
 
 

@@ -192,23 +192,30 @@ def _eigh_descending(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sign_normalize_columns(V: np.ndarray) -> np.ndarray:
     """Flip each column so its largest-magnitude entry is positive (ties: lowest index); stacks too.
 
+    A new array: V times its `_column_signs`, which a caller that owns V
+    can apply in place instead.
+    """
+    return V * _column_signs(V)[..., None, :] if V.size else V
+
+
+def _column_signs(V: np.ndarray) -> np.ndarray:
+    """The sign, -1.0 or 1.0, that makes each column's largest-magnitude entry positive (ties: lowest index).
+
     That entry is the column's maximum or minus its minimum, so no array of
     magnitudes is made; only a column where the two tie compares their
     first positions, and only the tied columns are gathered for it.  A
     column-reversed view, eigh's ascending output as `_eigh_descending`
     passes it, is read in its contiguous base's column order: the max, the
-    min and the comparisons run there, and only the per-column signs are
-    reversed.  The tie rule reads row positions, which the view keeps.
+    min and the comparisons run there, and only the signs are reversed.
+    The tie rule reads row positions, which the view keeps.  V is not empty.
     """
-    if not V.size:
-        return V
     W = V[..., ::-1] if (rev := V.strides[-1] < 0) else V
     top, bottom = W.max(axis=-2), W.min(axis=-2)
     flip, tie = -bottom > top, -bottom == top
     if tie.any():
         tied = np.swapaxes(W, -1, -2)[tie]  # (ties, n): each tied column as a row
         flip[tie] = np.argmin(tied, axis=-1) < np.argmax(tied, axis=-1)
-    return V * np.where(flip, -1.0, 1.0)[..., None, ::-1 if rev else 1]
+    return np.where(flip, -1.0, 1.0)[..., ::-1 if rev else 1]
 
 
 def _gram_exceeds(F: np.ndarray, floor: float) -> bool:
@@ -478,4 +485,5 @@ def _bipartite_stack(M: np.ndarray, rows: np.ndarray, side: np.ndarray):
     vectors[t, Y, :q] = V
     vectors[t, Y, q:p] = 0.0
     vectors[t, Y, p:] = -V[:, :, ::-1]
-    return values, _sign_normalize_columns(vectors), C
+    vectors *= _column_signs(vectors)[:, None, :]  # as `_sign_normalize_columns`, in place
+    return values, vectors, C

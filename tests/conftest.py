@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from edmsphere import DEFAULT_TOL, Graph, require_edm
+
+# A property that fails prints the blob that replays its example (`@reproduce_failure`); the
+# example counts, deadlines and the random draws stay hypothesis' defaults.
+settings.register_profile("edmsphere", print_blob=True)
+settings.load_profile("edmsphere")
 
 # Five points on the unit sphere: two antipodal on the x axis, an antipodal
 # pair plus a lone orthogonal point in the y-z space.  The worked example

@@ -7,6 +7,14 @@ Each oracle below is the direct formula, kept as the reference:
   as given, a column-reversed view included;
 - `_sphere_dist2`: each block of rows against every row, with no triangle;
 - `support_components`: the arcs of the 2-D `np.nonzero` of the support;
+- `verify_sign_pattern`: |d_ij - 2| formed over the whole matrix at once (over
+  its strict upper triangle for an array), not a block of rows at a time;
+- `adjacency` and `_edge_index`: the edges read one tuple at a time;
+- the bipartite route's signs: `_sign_normalize_columns` on a new array, not
+  the signs applied in place;
+- `orthorep._points`: each block of P formed apart and copied into P;
+- `edm._certify`: the non-spherical witness formed for every matrix of the
+  stack and selected where the matrix is not spherical;
 - each tolerance comparison that `tolerances._within` and its rules replaced:
   the comparison as the site wrote it, with one change, that a NaN operand
   fails every rule (two sites let it pass).
@@ -21,13 +29,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import helpers
 import edmsphere.edm as edm_module
-from edmsphere import DEFAULT_TOL, PROFILES, Graph, PreconditionError, min_offdiagonal, verify_sign_pattern
+import edmsphere.orthorep as orthorep_module
+import edmsphere.spectral as spectral_module
+from edmsphere import (DEFAULT_TOL, NON_SPHERICAL, PROFILES, SPHERICAL, Edm, Graph, PreconditionError, adjacency,
+                       components, construct_orthorep, min_offdiagonal, require_edm, verify_sign_pattern)
 from edmsphere.decomposition import _rankin_report
-from edmsphere.edm import _DIFF_BLOCK_BYTES, _FLOAT_MAX, _crosspolytope_dist2, _entry_rejection, _entry_stats
-from edmsphere.edm import DeltaMatrix, _sphere_dist2, _sphere_points, centering_gram, nonnegative_delta
-from edmsphere.graphs import _split, _support_adjacency, support_components
-from edmsphere.spectral import _cluster_stack, _eigh_descending, _psd_stack, _rank_stack, _sign_normalize_columns
+from edmsphere.edm import _DIFF_BLOCK_BYTES, _FLOAT_MAX, _certify, _crosspolytope_dist2, _entry_rejection, _entry_stats
+from edmsphere.edm import DeltaMatrix, SphericalCertificate, _sphere_dist2, _sphere_points, centering_gram
+from edmsphere.edm import nonnegative_delta
+from edmsphere.graphs import _edge_index, _split, _support_adjacency, support_components
+from edmsphere.orthorep import _pairs, _points
+from edmsphere.spectral import (_bipartite_stack, _block_index, _cluster_stack, _eigh_descending, _perron_blocks,
+                                _psd_stack, _rank_stack, _sign_normalize_columns)
 from edmsphere.tolerances import (_interior, _over_two, _perron_hypothesis, _recon_band, _top_at_one, _unit_radius,
                                   _within, scale)
 
@@ -422,3 +437,296 @@ class TestThresholdRules:
         assert (rpt.edge_violations == ()) == edge_ok
         assert [p[:2] for p in rpt.nonedge_violations] == [(1, 3)] * (not nonedge_ok) + [(2, 3)] * (not other_ok)
         assert rpt.ok == (edge_ok and nonedge_ok and other_ok)
+
+
+def edge_index_oracle(G):
+    n = G.node_count
+    key = np.fromiter((i * n + j for i, j in G.edges), dtype=np.int64, count=len(G.edges))
+    key.sort()
+    return np.divmod(key - n - 1, n)
+
+
+def adjacency_oracle(G):
+    A = np.zeros((G.node_count, G.node_count))
+    if G.edges:
+        i, j = (np.array(list(G.edges)) - 1).T
+        A[i, j] = A[j, i] = 1.0
+    return A
+
+
+def components_oracle(G):
+    n = G.node_count
+    ends = np.array([v for edge in G.edges for v in edge], dtype=np.int64)
+    i, j = ends[0::2] - 1, ends[1::2] - 1
+    key = np.concatenate((i * n + j, j * n + i))
+    key.sort()
+    return _split(n, *np.divmod(key, n))
+
+
+def sign_pattern_oracle(D, G, tol):
+    """The fields of the report, with |d_ij - 2| formed over the whole matrix in one array."""
+    symmetric = isinstance(D, Edm)
+    M = np.asarray(D.dist2 if symmetric else D, dtype=float)
+    i, j = edge_index_oracle(G)
+    on_edges = M[i, j]
+    edge_bad = np.flatnonzero(~_over_two(on_edges, tol)[0])
+    dev = M - 2.0
+    if not symmetric:
+        dev = np.triu(dev, 1)
+    np.abs(dev, out=dev)
+    np.fill_diagonal(dev, 0.0)
+    dev[i, j] = dev[j, i] = 0.0
+    top = float(dev.max(initial=0.0))
+    nonedge_bad = ()
+    if not _within(top, tol.sign)[0]:
+        bad = np.triu(~_within(dev, tol.sign, slack=False)[0], 1)
+        bad[i, j] = False
+        nonedge_bad = _pairs(M, *np.nonzero(bad))
+    return {"ok": not edge_bad.size and not nonedge_bad, "edge_violations": _pairs(M, i[edge_bad], j[edge_bad]),
+            "nonedge_violations": nonedge_bad,
+            "min_edge_excess": float((on_edges - 2.0).min()) if i.size else float("inf"), "max_nonedge_dev": top}
+
+
+def blocked_sign_pattern(D, G, tol, rows=None):
+    """`verify_sign_pattern`'s fields, read in blocks of `rows` rows (the module's blocks when None)."""
+    n = G.node_count
+    saved = orthorep_module._SIGN_BLOCK_BYTES
+    if rows is not None:
+        orthorep_module._SIGN_BLOCK_BYTES = rows * 8 * n
+    try:
+        return vars(verify_sign_pattern(D, G, tol))
+    finally:
+        orthorep_module._SIGN_BLOCK_BYTES = saved
+
+
+def as_edm(M):
+    return Edm(dist2=M, embedding_dim=0, tol=DEFAULT_TOL, gram_eig=None, centering=None, min_offdiagonal=0.0)
+
+
+def sign_block_rows(n):
+    return max(1, orthorep_module._SIGN_BLOCK_BYTES // max(8 * n, 1))
+
+
+def past_a_sign_block():
+    """The least n >= 2 whose last row block of `verify_sign_pattern` holds one row."""
+    return next(n for n in range(2, 4096) if sign_block_rows(n) < n and n % sign_block_rows(n) == 1)
+
+
+def near_two(rng, n, G, symmetric):
+    """2 off the diagonal, 0 on it and 2.5 on the edges, a few entries nudged; an array's lower triangle is noise."""
+    M = np.full((n, n), 2.0)
+    np.fill_diagonal(M, 0.0)
+    i, j = edge_index_oracle(G)
+    M[i, j] = M[j, i] = 2.5
+    if n >= 2:
+        for _ in range(3):
+            a, b = sorted(rng.choice(n, size=2, replace=False))
+            M[a, b] = M[b, a] = 2.0 + rng.choice([-1e-3, 5e-8, 1e-3])
+    if not symmetric:
+        M[np.tril_indices(n, -1)] = rng.choice([np.nan, -np.inf, 7.0, 2.0], size=n * (n - 1) // 2)
+    return M
+
+
+class TestSignPatternBlocks:
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["edm", "array"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, "past"])
+    def test_module_blocks_match_the_whole_matrix(self, n, symmetric):
+        n = past_a_sign_block() if n == "past" else n
+        rng = np.random.default_rng(n)
+        G = Graph.from_edges(n, helpers.random_graph_edges(rng, n, 3.0 / max(n, 1)))
+        M = near_two(rng, n, G, symmetric)
+        if n >= 2:  # violations in the last row, which is a block of its own past a block multiple
+            M[n - 2, n - 1] = M[n - 1, n - 2] = np.nan if (n - 2, n - 1) not in G.edges else 1.0
+        D = as_edm(M) if symmetric else M
+        got, ref = blocked_sign_pattern(D, G, DEFAULT_TOL), sign_pattern_oracle(D, G, DEFAULT_TOL)
+        assert repr(got) == repr(ref)
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["edm", "array"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_violations_on_both_sides_of_a_block_boundary(self, rows, symmetric):
+        n = 3 * rows + 1  # one row past a block multiple
+        G = Graph.from_edges(n, [(1, 2), (rows, rows + 1), (rows + 1, n), (n - 1, n)])
+        M = near_two(np.random.default_rng(rows), n, G, symmetric)
+        for a, b, v in [(rows - 1, rows + 2, 2.1), (rows, n - 1, np.inf), (rows - 1, rows, 1.5),
+                        (rows, rows + 2, -np.inf), (0, n - 2, np.nan), (n - 2, n - 1, 1.9)]:
+            M[a, b] = v
+            if symmetric:
+                M[b, a] = v
+        D = as_edm(M) if symmetric else M
+        got, ref = blocked_sign_pattern(D, G, DEFAULT_TOL, rows), sign_pattern_oracle(D, G, DEFAULT_TOL)
+        assert ref["edge_violations"] and ref["nonedge_violations"]
+        assert repr(got) == repr(ref)
+
+    @given(n=st.integers(0, 14), rows=st.integers(1, 15), symmetric=st.booleans(), data=st.data(),
+           band=st.sampled_from([DEFAULT_TOL.sign, 0.0, -1.0, 0.6, np.nan, np.inf]))
+    @settings(max_examples=300, deadline=None)
+    def test_any_block_size_matches_the_whole_matrix(self, n, rows, symmetric, data, band):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+        G = Graph.from_edges(n, edges)
+        values = st.sampled_from([2.0, 2.0, 0.0, -0.0, 2.5, 1.5, 2.0 + 1e-8, np.nan, np.inf, -np.inf])
+        M = data.draw(arrays(np.float64, (n, n), elements=values))
+        if symmetric:
+            M = np.triu(M) + np.triu(M, 1).T
+        D = as_edm(M) if symmetric else M
+        tol = tol_with(sign=band)
+        with np.errstate(invalid="ignore"):
+            got, ref = blocked_sign_pattern(D, G, tol, rows), sign_pattern_oracle(D, G, tol)
+        assert repr(got) == repr(ref)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 30))
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    return Graph.from_edges(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+class TestGraphReaders:
+    @staticmethod
+    def assert_match(G):
+        assert same_bits(adjacency(G), adjacency_oracle(G))
+        got, ref = _edge_index(G), edge_index_oracle(G)
+        assert len(got) == 2 and all(same_bits(a, b) for a, b in zip(got, ref))
+        assert components(G) == components_oracle(G)
+
+    @pytest.mark.parametrize("G", [Graph(0), Graph(1), Graph(6), Graph.from_edges(2, [(1, 2)]),
+                                   Graph.from_edges(9, [(2, 9), (1, 3), (3, 4), (5, 8)])],
+                             ids=["empty", "one node", "edgeless", "one edge", "isolated between"])
+    def test_fixed_graphs(self, G):
+        self.assert_match(G)
+
+    @given(G=graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, G):
+        self.assert_match(G)
+
+
+def bipartite_groups(G):
+    """(A, rows, side) of each order >= 3 of G's components whose group takes `_bipartite_stack`."""
+    A, split = adjacency(G), components(G)
+    colour = np.array(split.colour, dtype=int)
+    by_order = {}
+    for comp in split.nontrivial:
+        by_order.setdefault(len(comp), []).append(comp)
+    for m, comps in sorted(by_order.items()):
+        rows = np.array(comps) - 1
+        if m >= 3 and _bipartite_stack(A, rows, colour[rows]) is not None:
+            yield A, rows, colour[rows]
+
+
+def star_stack(T, m):
+    return Graph.from_edges(T * m, [(t * m + 1, t * m + k) for t in range(T) for k in range(2, m + 1)])
+
+
+def random_graph(n, p, seed):
+    return Graph.from_edges(n, helpers.random_graph_edges(np.random.default_rng(seed), n, p))
+
+
+def path_stack(T, m):
+    return Graph.from_edges(T * m, [(t * m + k, t * m + k + 1) for t in range(T) for k in range(1, m)])
+
+
+class TestBipartiteSignsInPlace:
+    @pytest.mark.parametrize("G", [star_stack(1, 9), star_stack(3, 5), path_stack(1, 8), path_stack(4, 7),
+                                   Graph.from_edges(10, [(1, 2), (1, 3), (4, 5), (4, 6), (7, 8), (8, 9), (9, 10)])],
+                             ids=["star", "stars", "path", "paths", "mixed"])
+    def test_signs_applied_in_place_match_a_new_array(self, monkeypatch, G):
+        groups = list(bipartite_groups(G))
+        assert groups
+        for A, rows, side in groups:
+            got = _bipartite_stack(A, rows, side)
+            with monkeypatch.context() as patch:  # the vectors as the route builds them, before their signs
+                patch.setattr(spectral_module, "_column_signs", lambda V: np.ones(V.shape[:-2] + V.shape[-1:]))
+                raw = _bipartite_stack(A, rows, side)[1].copy()
+            assert same_bits(got[1], _sign_normalize_columns(raw)) and same_bits(got[1], sign_normalize_oracle(raw))
+
+
+def points_oracle(D, groups, split, iso):
+    """P and the residual with each block of P formed on its own, then copied into P."""
+    sizes = np.array([len(c) for c in split.nontrivial], dtype=int)
+    start = np.cumsum(sizes) - sizes - np.arange(sizes.size)
+    d = int(sizes.sum()) - sizes.size
+    P = np.zeros((D.shape[0], d + iso.size))
+    P[iso, d + np.arange(iso.size)] = 1.0
+    recon = 0.0
+    for g in groups:
+        values, vectors, pos = g.gram_values, g.gram_vectors, np.asarray(g.pos)
+        m = g.rows.shape[1]
+        Pc = vectors[:, :, :m - 1] * np.sqrt(values[:, None, :m - 1])
+        P[_block_index(g.rows, start[pos][:, None] + np.arange(m - 1))] = Pc
+        R = (Pc[0] @ Pc[0].T)[None] if len(pos) == 1 else Pc @ Pc.transpose(0, 2, 1)
+        R *= 2.0
+        R += D[_block_index(g.rows, g.rows)]
+        R -= 2.0
+        recon = max(recon, float(np.max(np.abs(R, out=R))))
+    return P, recon
+
+
+class TestPointsInPlace:
+    @pytest.mark.parametrize("G", [Graph.from_edges(5, [(1, 2), (3, 4)]), path_stack(1, 60), star_stack(1, 41),
+                                   Graph.from_edges(7, [(1, 3), (3, 5), (5, 7), (1, 7), (3, 7)]),
+                                   random_graph(30, 0.08, 5), random_graph(40, 0.2, 6)],
+                             ids=["example", "path", "star", "one block between isolated nodes", "many", "dense"])
+    def test_matches_each_block_formed_apart(self, G):
+        rep = construct_orthorep(G)
+        split = components(G)
+        groups = _perron_blocks(adjacency(G), split, DEFAULT_TOL, normalize=True)
+        iso = np.asarray(split.isolated, dtype=int) - 1
+        P, _, recon = _points(rep.edm.dist2, groups, split, iso)
+        P_ref, recon_ref = points_oracle(rep.edm.dist2, groups, split, iso)
+        assert same_bits(P, P_ref) and same_bits(rep.points, P_ref)
+        assert same_bits(np.float64(recon), np.float64(recon_ref))
+
+
+
+def certify_oracle(D, grams, tol):
+    """`_certify` with the non-spherical witness formed for every matrix and selected by `np.where`."""
+    n, k = D.shape[-1], grams[0].rank
+    V = np.stack([es.vectors for es in grams])
+    U, Ut = V[..., :k], np.swapaxes(V[..., :k], -1, -2)
+    L = np.stack([es.values[:k] for es in grams])
+
+    def along_u(v, weights):
+        return (U @ (weights * (Ut @ v[..., None])[..., 0])[..., None])[..., 0]
+
+    def off_e(v):
+        return v - v.mean(axis=-1, keepdims=True)
+
+    def times_d(v):
+        return (D @ v[..., None])[..., 0]
+
+    u = D.mean(axis=-1)
+    z = off_e(along_u(off_e(u), 0.5 / L))
+    z += off_e(along_u(off_e(u + times_d(z)), 0.5 / L))
+    alpha = z + 1.0 / n
+    r = times_d(alpha)
+    two_rho2 = r.mean(axis=-1, keepdims=True)
+    r -= two_rho2
+    spherical = _within(np.abs(r).max(axis=-1), tol.solve * two_rho2[:, 0])[0]
+    r -= along_u(r, 1.0)
+    p = np.frexp(np.abs(r).max(axis=-1, keepdims=True))[1]
+    r = np.ldexp(r, -p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.where(spherical[:, None], alpha / two_rho2, off_e(np.ldexp(r / (r * r).sum(axis=-1, keepdims=True), -p)))
+    residual = np.abs(times_d(w) - 1.0).max(axis=-1)
+    return spherical, w, residual
+
+
+class TestWitnessOnlyOffTheSphere:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale_by", [1.0, 1e-300])
+    def test_stack_matches_the_witness_of_every_row(self, scale_by):
+        rng = np.random.default_rng(17)
+        sphere = [helpers.random_sphere_points(rng, 9, 3) for _ in range(2)]
+        cloud = [rng.standard_normal((9, 3)) for _ in range(3)]
+        points = (cloud[0], sphere[0], cloud[1], sphere[1], cloud[2])
+        D = scale_by * np.stack([helpers.edm_from_points(X) for X in points])
+        grams = [require_edm(M).gram_eig for M in D]
+        certs = _certify(D, grams, DEFAULT_TOL)
+        spherical, w, residual = certify_oracle(D, grams, DEFAULT_TOL)
+        assert [c.status for c in certs] == [SPHERICAL if s else NON_SPHERICAL for s in spherical.tolist()]
+        assert spherical.tolist() == [False, True, False, True, False]
+        for t, cert in enumerate(certs):
+            assert isinstance(cert, SphericalCertificate) and same_bits(cert.w, w[t])
+            assert same_bits(np.float64(cert.residual), residual[t])

@@ -973,6 +973,7 @@ class TestUnderflow:
         assert isinstance(res, EdmRejection) and res.reason == "too-small"
         assert res.detail == f"max|M| = {scale(M):g} is below 4n times the least normal float = {least:g}"
 
+    @pytest.mark.filterwarnings("error")  # the sphere fit inverts no residual of a spherical matrix
     @pytest.mark.parametrize("name", sorted(INPUTS))
     @pytest.mark.parametrize("c", [1e-300, 1e-200])
     def test_larger_scales_keep_their_verdicts(self, name, c):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -499,3 +501,23 @@ class TestStackedAgainstLooped:
         monkeypatch.setattr(spectral_module, "_eigh_stack", corrupted)
         with pytest.raises(ConsistencyError, match=r"component \(7, 8, 9\) is not positive"):
             construct_orthorep(G)
+
+
+class TestWorkingSet:
+    """At n = 400 a representation keeps five n x n arrays and its construction peaks a little above them."""
+
+    @pytest.mark.parametrize("kind", ["path", "star", "sparse"])
+    def test_peak_and_kept_arrays(self, kind):
+        n = 400
+        G = _shaped_graph(kind, n, seed=1)
+        construct_orthorep(G)  # first-call allocations stay out of the trace
+        tracemalloc.start()
+        try:
+            rep = construct_orthorep(G)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        arrays = 8 * n * n
+        assert rep.k == 1
+        assert kept < 5.05 * arrays  # Delta, D, P, the Perron vectors and the Edm's eigenvectors
+        assert peak < 5.3 * arrays  # with the sign pattern's row block, 0.2 arrays; 6.05 when it was whole
