@@ -1,7 +1,11 @@
 """The package surface: the same public names, with the module-level helpers kept out of it."""
 
+import ast
+import gc
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import edmsphere
+import edmsphere.cli as cli
 
 PUBLIC_NAMES = [
     "ComponentSplit", "ConsistencyError", "CrosspolytopeResult", "DEFAULT_TOL",
@@ -48,27 +53,30 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 # imported first by the child's site module; writes the edmsphere modules, and the
-# digest modules (OpenSSL's _hashlib costs milliseconds to load), loaded at exit
+# digest modules (OpenSSL's _hashlib costs milliseconds to load), loaded at exit,
+# and the number of objects in the permanent generation then
 EXIT_HOOK = """\
-import atexit, os, sys
+import atexit, gc, os, sys
 
 def _write_loaded():
     loaded = sorted(name for name in sys.modules
                     if name.startswith("edmsphere.") or name in ("hashlib", "_hashlib"))
     with open(os.path.join(os.path.dirname(__file__), "loaded.txt"), "w") as fh:
         fh.write("\\n".join(loaded))
+    with open(os.path.join(os.path.dirname(__file__), "frozen.txt"), "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
 
 atexit.register(_write_loaded)
 """
 
 
-def _child(tmp_path, args):
-    """Run `python *args` from tests/golden; the edmsphere layers and digest modules it had loaded at exit."""
+def _child(tmp_path, args, cwd=GOLDEN, returncode=0):
+    """Run `python *args` from cwd; the edmsphere layers and digest modules it had loaded at exit."""
     (tmp_path / "sitecustomize.py").write_text(EXIT_HOOK)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path), str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], cwd=GOLDEN, env=env, capture_output=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == returncode, proc.stderr.decode(errors="replace")
     return proc, {name.removeprefix("edmsphere.") for name in (tmp_path / "loaded.txt").read_text().split()}
 
 
@@ -89,6 +97,66 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, allowed, absent
         assert loaded <= allowed, loaded - allowed
     if absent is not None:
         assert not loaded & absent, loaded & absent
+
+
+# -- the process entry: `run()` is main() with gc.freeze() before the interpreter finalizes
+
+def _elapsed_blanked(out: bytes) -> bytes:
+    """stdout with the report's elapsed_seconds, the one field that differs between runs, set to 0."""
+    return re.sub(rb'"elapsed_seconds": [-+.e0-9]+', b'"elapsed_seconds": 0', out)
+
+
+def _main_in_process(argv):
+    """main(argv)'s exit code, argparse's own SystemExit (--version, usage errors) included."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "example.txt"], 0),
+    (["validate", "notpsd.txt"], 2),
+    (["validate", "--tol-nope", "example.txt"], 2),
+    (["--version"], 0),
+], ids=["validate", "not-psd", "usage-error", "version"])
+def test_process_entry_exits_as_main_does(tmp_path, capsysbinary, monkeypatch, argv, code):
+    proc, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv], returncode=code)
+    assert "errors" in loaded  # the atexit hook ran after the entry returned
+    assert int((tmp_path / "frozen.txt").read_text()) > 0
+    monkeypatch.chdir(GOLDEN)
+    frozen = gc.get_freeze_count()
+    assert _main_in_process(argv) == code
+    assert gc.get_freeze_count() == frozen  # main() itself freezes nothing
+    own = capsysbinary.readouterr()
+    assert _elapsed_blanked(proc.stdout) == _elapsed_blanked(own.out)
+    assert proc.stderr == own.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "random-sphere", "-n", "7", "-r", "3", "--seed", "42", "--out", "out.txt"],
+    ["orthorep", str(GOLDEN / "example.graph"), "--out", "out.json"],
+], ids=["gen", "orthorep"])
+def test_process_entry_writes_the_out_bytes_of_main(tmp_path, capsysbinary, monkeypatch, argv):
+    child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+    child_dir.mkdir()
+    own_dir.mkdir()
+    proc, _ = _child(tmp_path, ["-m", "edmsphere.cli", *argv], cwd=child_dir)
+    monkeypatch.chdir(own_dir)
+    assert cli.main(argv) == 0
+    assert _elapsed_blanked(proc.stdout) == _elapsed_blanked(capsysbinary.readouterr().out)
+    assert (child_dir / argv[-1]).read_bytes() == (own_dir / argv[-1]).read_bytes()
+
+
+def test_console_script_runs_the_main_block_entry():
+    scripts = re.search(r'^\[project\.scripts\]\nedmsphere = "([\w.]+):(\w+)"$',
+                        (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    module, name = scripts.groups()
+    entry = getattr(importlib.import_module(module), name)
+    [main_block] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in main_block.body] == [f"{name}()"]
+    assert entry is cli.run
 
 
 def test_first_public_access_binds_the_whole_namespace(tmp_path):
