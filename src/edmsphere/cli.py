@@ -19,29 +19,33 @@ environment variable (default, strict, loose), overridable per run with
 rejected with exit 2.
 
 A process enters through `run()`, the target of `python -m edmsphere.cli`
-and of the `edmsphere` script: it exits with `main()`'s code after moving
-every object to the permanent generation (`gc.freeze()`), so the
-interpreter's teardown collections skip them: about a tenth of a short
-run's CPU time.  Exit codes, reports, --out bytes and atexit handlers are
-as before.  `main()` itself freezes nothing, so tests and library callers
-can call it in process.
+and of the `edmsphere` script.  It switches automatic collection off
+(`gc.disable()`) before numpy or any layer loads: this module imports only
+the stdlib and `errors` at its top, and everything else inside the
+functions that use it.  The objects numpy's import and the run allocate
+live until exit, so the young-generation collections were pure cost (5-9
+ms a run); memory stays bounded because the package makes no cyclic
+garbage, and what argparse's parser leaves does not grow with the work
+(tests/test_package.py).  It exits with `main()`'s code after moving every
+object to the permanent generation (`gc.freeze()`), so the interpreter's
+teardown collections, which run with the collector off too, skip them.
+`main()` builds the subparser its first argument names, or all five when
+it names none, with help and usage errors byte-identical to the full
+parser's (tests/golden/parser.json).  `main()` touches no collector state
+and importing this module changes none, so tests and library callers run
+it in process as before.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import sys
 import time
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
-
-import numpy as np
 
 from . import __version__
 from .errors import ConsistencyError, FormatError, PreconditionError
-from .tolerances import TOL_PROFILE_ENV, Tolerances, _env_profile, from_profile
 
 OK = 0
 REJECTED = 2
@@ -77,9 +81,9 @@ def _emit(obj, nl: str, out: list) -> None:
         out.append("true")
     elif obj is False:
         out.append("false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):
         x = float(obj)
         out.append(float.__repr__(x) if math.isfinite(x) else _quote(repr(x)))
     elif isinstance(obj, dict):
@@ -105,14 +109,18 @@ def _emit(obj, nl: str, out: list) -> None:
             _emit(v, inner, out)
             sep = "," + inner
         out.append(nl + "]")
-    elif isinstance(obj, np.ndarray):
-        if (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8 and obj.ndim and obj.size
+    else:
+        import numpy as np  # in sys.modules already: the tolerances of every report load it
+
+        if isinstance(obj, (np.integer, np.floating)):
+            _emit(int(obj) if isinstance(obj, np.integer) else float(obj), nl, out)
+        elif not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        elif (obj.dtype.kind == "f" and obj.dtype.itemsize <= 8 and obj.ndim and obj.size
                 and np.isfinite(obj).all()):
             out.append(_float_rows(obj.tolist(), obj.ndim, nl))
         else:
             _emit(obj.tolist(), nl, out)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _float_rows(rows: list, depth: int, nl: str) -> str:
@@ -165,15 +173,15 @@ def _write_out(path, result, checks):
     return text
 
 
-def _resolve_tolerances(args) -> tuple[Tolerances, str]:
+def _resolve_tolerances(args) -> tuple:
+    """(the run's Tolerances, its profile name): the profile, then each --tol-* override."""
+    from .tolerances import _env_profile, from_profile
+
     profile = args.tol_profile or _env_profile()
     base = from_profile(profile)  # PreconditionError on unknown names
-    overrides = {
-        "psd": args.tol_psd, "rank": args.tol_rank, "cluster": args.tol_cluster,
-        "sign": args.tol_sign, "unit": args.tol_unit,
-    }
+    overrides = {name: getattr(args, f"tol_{name}") for name in ("psd", "rank", "cluster", "sign", "unit")}
     for name, value in overrides.items():
-        if value is not None and not (np.isfinite(value) and value >= 0.0):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise PreconditionError(f"--tol-{name} must be finite and >= 0, got {value!r}")
     return base.with_overrides(**overrides), profile
 
@@ -196,6 +204,8 @@ def _spherical_dict(cert) -> dict:
 # it imports the layers it runs, so that a CLI process loads only those
 
 def cmd_validate(args, tol, ctx):
+    from dataclasses import asdict
+
     from .edm import EdmRejection, embedding_dim_via_delta, spherical_certificate
 
     res = _load_edm(args.matrix, tol, ctx)
@@ -401,7 +411,39 @@ def _check_rankin_sample(args, tol):
     return "ok", result, {}, OK, None
 
 
-def build_parser() -> argparse.ArgumentParser:
+# each subcommand: its help line, then its arguments as (name or flag, add_argument keywords);
+# its handler is cmd_<name>, looked up when the parser is built
+_MATRIX_HELP = "matrix file (text or JSON)"
+_COMMANDS = {
+    "validate": ("certify a matrix as an EDM and test sphericity", ("matrix", dict(help=_MATRIX_HELP))),
+    "orthorep": ("minimum-dimension orthonormal representation of a graph", ("graph", dict(help="edge list file")),
+                 ("--out", dict(help="also write the representation JSON here"))),
+    "decompose": ("split a unit spherical EDM into orthogonal simplex blocks", ("matrix", dict(help=_MATRIX_HELP)),
+                  ("--out", dict(help="also write the decomposition JSON here"))),
+    "gen": ("generate a canonical EDM", ("kind", dict(choices=list(_GEN_KINDS))),
+            ("-n", dict(type=int, help="number of points")), ("-r", dict(type=int, help="dimension")),
+            ("--gamma", dict(type=float, default=1.0, help="squared edge length (simplex)")),
+            ("--seed", dict(type=int, default=0, help="RNG seed (random-sphere)")),
+            ("--out", dict(help="write matrix text here and report JSON on stdout; "
+                                "without it the matrix text itself goes to stdout"))),
+    "check-rankin": ("extremal checks at n = r + 2 and n = 2r", ("matrix", dict(nargs="?", help=_MATRIX_HELP)),
+                     ("--sample", dict(type=int, metavar="R",
+                                       help="instead of a file: sample random unit sphere configs at n = R + 2")),
+                     ("--trials", dict(type=int, default=100, help="sample mode trial count")),
+                     ("--seed", dict(type=int, default=0, help="sample mode master seed"))),
+}
+
+
+def build_parser(command: str | None = None):
+    """The argparse parser with the subparser of `command` only, or with all five when it names none.
+
+    A lone subparser is listed in the top-level usage line as all five are,
+    so every message argparse prints for a run reads as with the full parser.
+    """
+    import argparse
+
+    from .tolerances import TOL_PROFILE_ENV
+
     tolp = argparse.ArgumentParser(add_help=False)
     g = tolp.add_argument_group("tolerances")
     g.add_argument("--tol-profile", choices=["default", "strict", "loose"], default=None,
@@ -417,50 +459,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spherical Euclidean distance matrix toolkit",
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("validate", parents=[tolp],
-                        help="certify a matrix as an EDM and test sphericity")
-    pv.add_argument("matrix", help="matrix file (text or JSON)")
-    pv.set_defaults(handler=cmd_validate)
-
-    po = sub.add_parser("orthorep", parents=[tolp],
-                        help="minimum-dimension orthonormal representation of a graph")
-    po.add_argument("graph", help="edge list file")
-    po.add_argument("--out", default=None, help="also write the representation JSON here")
-    po.set_defaults(handler=cmd_orthorep)
-
-    pd = sub.add_parser("decompose", parents=[tolp],
-                        help="split a unit spherical EDM into orthogonal simplex blocks")
-    pd.add_argument("matrix", help="matrix file (text or JSON)")
-    pd.add_argument("--out", default=None, help="also write the decomposition JSON here")
-    pd.set_defaults(handler=cmd_decompose)
-
-    pg = sub.add_parser("gen", parents=[tolp], help="generate a canonical EDM")
-    pg.add_argument("kind", choices=list(_GEN_KINDS))
-    pg.add_argument("-n", type=int, default=None, help="number of points")
-    pg.add_argument("-r", type=int, default=None, help="dimension")
-    pg.add_argument("--gamma", type=float, default=1.0, help="squared edge length (simplex)")
-    pg.add_argument("--seed", type=int, default=0, help="RNG seed (random-sphere)")
-    pg.add_argument("--out", default=None,
-                    help="write matrix text here and report JSON on stdout; "
-                         "without it the matrix text itself goes to stdout")
-    pg.set_defaults(handler=cmd_gen)
-
-    pr = sub.add_parser("check-rankin", parents=[tolp],
-                        help="extremal checks at n = r + 2 and n = 2r")
-    pr.add_argument("matrix", nargs="?", default=None, help="matrix file (text or JSON)")
-    pr.add_argument("--sample", type=int, default=None, metavar="R",
-                    help="instead of a file: sample random unit sphere configs at n = R + 2")
-    pr.add_argument("--trials", type=int, default=100, help="sample mode trial count")
-    pr.add_argument("--seed", type=int, default=0, help="sample mode master seed")
-    pr.set_defaults(handler=cmd_check_rankin)
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=None if len(names) > 1 else "{" + ",".join(_COMMANDS) + "}")
+    for name in names:
+        help_line, *arguments = _COMMANDS[name]
+        ps = sub.add_parser(name, parents=[tolp], help=help_line)
+        for flag, keywords in arguments:
+            ps.add_argument(flag, **keywords)
+        ps.set_defaults(handler=globals()["cmd_" + name.replace("-", "_")])
     return p
 
 
 def main(argv=None) -> int:
+    from dataclasses import asdict
+
     echo = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser().parse_args(argv)
+    args = build_parser(echo[0] if echo else None).parse_args(echo)
     t0 = time.perf_counter()
     ctx = {"inputs": {}}
     profile = "default"
@@ -506,11 +521,14 @@ def main(argv=None) -> int:
 def run():
     """Process entry of `python -m edmsphere.cli` and the `edmsphere` script: exit with `main()`'s code.
 
-    Objects frozen before the interpreter finalizes are skipped by its
-    teardown collections (`gc.disable()` does not stop those), and the OS
-    reclaims their memory at exit.  The `finally` covers argparse's own
-    SystemExit (--help, --version, usage errors) too.
+    The collector is off for the whole run: numpy and the layers load after
+    `gc.disable()`, and the process frees its memory by exiting.  Objects
+    frozen before the interpreter finalizes are skipped by its teardown
+    collections (`gc.disable()` does not stop those), and the OS reclaims
+    their memory at exit.  The `finally` covers argparse's own SystemExit
+    (--help, --version, usage errors) too.
     """
+    gc.disable()
     try:
         sys.exit(main())
     finally:

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConsistencyError, PreconditionError
-from .graphs import _split
 from .spectral import (
     EigenSystem,
     _block_index,
@@ -763,6 +762,8 @@ def _delta_support(D: Edm) -> tuple:
     support: its blocks are Delta's irreducible blocks.  PreconditionError
     when D's least off-diagonal entry is below 2 - tol.sign.
     """
+    from .graphs import _split  # here, so that a run that forms no Delta loads no graph code
+
     delta = nonnegative_delta(dm := delta_of(D), D.tol)
     return dm, delta, _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
 

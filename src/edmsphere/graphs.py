@@ -4,7 +4,7 @@ Nodes are 1-based externally (matrix row i holds node i+1 internally).  The
 edge-list text format is: first non-comment line ``n``, then one ``i j`` pair
 per line with ``1 <= i < j <= n``; ``#`` starts a comment.  `matrixio`'s
 text matrices share that frame of comments, blank lines and a count line,
-read by one helper (`_count_headed`).
+read by one helper (`errors._count_headed`).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, _count_headed
 from .tolerances import DEFAULT_TOL, Tolerances, _within
 
 __all__ = [
@@ -52,28 +52,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-def _count_headed(text: str, what: str, least: int) -> tuple:
-    """The frame of the count-headed text formats, graphs' and `matrixio`'s: (n, the later lines).
-
-    ``#`` starts a comment anywhere on a line, and lines blank without it
-    are skipped; the first other line holds the count, named `what`, an
-    integer >= `least` (0 or 1).  The later lines come as (line number,
-    stripped line) pairs.  FormatError on empty input or a bad count line.
-    """
-    lines = ((lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (line := raw.split("#", 1)[0].strip()))
-    lineno, head = next(lines, (None, None))
-    if head is None:
-        raise FormatError(f"empty input: no {what} found")
-    try:
-        n = int(head)
-    except ValueError:
-        raise FormatError(f"expected {what}, got {head!r}", lineno) from None
-    if n < least:
-        raise FormatError(f"{what} must be {'positive' if least else 'nonnegative'}, got {n}", lineno)
-    return n, lines
 
 
 def parse_graph(text: str) -> Graph:

@@ -3,7 +3,7 @@
 Text format: first non-comment line holds the order ``n``, followed by ``n``
 lines of ``n`` whitespace-separated decimal floats.  ``#`` starts a comment
 anywhere on a line.  Comments, blank lines and the order line are read as
-the graph format reads its node count (`graphs._count_headed`).  A JSON
+the graph format reads its node count (`errors._count_headed`).  A JSON
 alternative ``{"n": int, "rows": [[...], ...]}`` is accepted
 interchangeably; the loader sniffs for a leading ``{``.
 
@@ -17,8 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import FormatError
-from .graphs import _count_headed
+from .errors import FormatError, _count_headed
 
 __all__ = [
     "parse_matrix_text",

@@ -54,7 +54,8 @@ GOLDEN = ROOT / "tests" / "golden"
 
 # imported first by the child's site module; writes the edmsphere modules, and the
 # digest modules (OpenSSL's _hashlib costs milliseconds to load), loaded at exit,
-# and the number of objects in the permanent generation then
+# the number of objects in the permanent generation then, and whether the
+# collector was enabled then
 EXIT_HOOK = """\
 import atexit, gc, os, sys
 
@@ -65,6 +66,8 @@ def _write_loaded():
         fh.write("\\n".join(loaded))
     with open(os.path.join(os.path.dirname(__file__), "frozen.txt"), "w") as fh:
         fh.write(str(gc.get_freeze_count()))
+    with open(os.path.join(os.path.dirname(__file__), "enabled.txt"), "w") as fh:
+        fh.write(str(gc.isenabled()))
 
 atexit.register(_write_loaded)
 """
@@ -83,15 +86,19 @@ def _child(tmp_path, args, cwd=GOLDEN, returncode=0):
 DIGESTS = {"hashlib", "_hashlib"}
 
 
-@pytest.mark.parametrize("argv, allowed, absent", [
-    (["--version"], {"errors", "tolerances"}, DIGESTS),
-    (["validate", "example.txt"], None, {"decomposition", "orthorep"}),
-    (["orthorep", "example.graph"], None, {"decomposition", "matrixio"}),
+@pytest.mark.parametrize("argv, code, allowed, absent", [
+    (["--version"], 0, {"errors", "tolerances"}, DIGESTS),
+    (["validate", "example.txt"], 0, None, {"decomposition", "orthorep"}),
+    # a rejected matrix forms no Delta, and a text matrix is read without the graph layer
+    (["validate", "notpsd.txt"], 2, None, {"decomposition", "orthorep", "graphs"}),
+    (["gen", "crosspolytope", "-r", "3", "--out", "{tmp}/gen.txt"], 0, None, {"decomposition", "orthorep", "graphs"}),
+    (["orthorep", "example.graph"], 0, None, {"decomposition", "matrixio"}),
     # numpy.random imports `secrets`, which loads _hashlib, so only the layers are asserted
-    (["check-rankin", "--sample", "4", "--trials", "10"], None, {"orthorep", "matrixio"}),
-], ids=["version", "validate", "orthorep", "check-rankin-sample"])
-def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, allowed, absent):
-    _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv])
+    (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio"}),
+], ids=["version", "validate", "validate-rejected", "gen-out", "orthorep", "check-rankin-sample"])
+def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, absent):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv], returncode=code)
     assert "errors" in loaded and "tolerances" in loaded
     if allowed is not None:
         assert loaded <= allowed, loaded - allowed
@@ -99,7 +106,8 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, allowed, absent
         assert not loaded & absent, loaded & absent
 
 
-# -- the process entry: `run()` is main() with gc.freeze() before the interpreter finalizes
+# -- the process entry: `run()` is main() with the collector off, and gc.freeze() before the
+# interpreter finalizes
 
 def _elapsed_blanked(out: bytes) -> bytes:
     """stdout with the report's elapsed_seconds, the one field that differs between runs, set to 0."""
@@ -124,13 +132,50 @@ def test_process_entry_exits_as_main_does(tmp_path, capsysbinary, monkeypatch, a
     proc, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv], returncode=code)
     assert "errors" in loaded  # the atexit hook ran after the entry returned
     assert int((tmp_path / "frozen.txt").read_text()) > 0
+    assert (tmp_path / "enabled.txt").read_text() == "False"
     monkeypatch.chdir(GOLDEN)
-    frozen = gc.get_freeze_count()
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
     assert _main_in_process(argv) == code
-    assert gc.get_freeze_count() == frozen  # main() itself freezes nothing
+    # main() itself freezes nothing and leaves the collector as it found it
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)
     own = capsysbinary.readouterr()
     assert _elapsed_blanked(proc.stdout) == _elapsed_blanked(own.out)
     assert proc.stderr == own.err
+
+
+def _garbage_after_collector_off_runs(trials: int) -> int:
+    """What gc.collect() finds unreachable after main() ran four subcommands with the collector off."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in (["validate", "example.txt"], ["decompose", "cross.json"], ["orthorep", "example.graph"],
+                     ["check-rankin", "--sample", "4", "--trials", str(trials)]):
+            assert cli.main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_collector_off_runs_leave_garbage_that_does_not_grow_with_the_work(monkeypatch, capsys):
+    # a CLI process runs with the collector off, so its memory is bounded only if the
+    # package makes no cyclic garbage: what is left (argparse's parsers) is the same
+    # for 10 trials and for 1000
+    monkeypatch.chdir(GOLDEN)
+    _garbage_after_collector_off_runs(10)  # first imports and caches
+    assert _garbage_after_collector_off_runs(10) == _garbage_after_collector_off_runs(1000)
+
+
+def test_importing_the_package_leaves_the_collector_alone(tmp_path):
+    script = """\
+import gc
+before = (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())
+import edmsphere, edmsphere.cli
+print(before == (gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()), gc.isenabled())
+"""
+    proc, _ = _child(tmp_path, ["-c", script])
+    assert proc.stdout.decode().split() == ["True", "True"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -174,7 +219,7 @@ print(json.dumps([before, after, sorted(set(namespace) - {"__builtins__"}), expo
 """
     proc, _ = _child(tmp_path, ["-c", script])
     before, after, star, exported = json.loads(proc.stdout)
-    assert before == ["edmsphere.cli", "edmsphere.errors", "edmsphere.tolerances"]
+    assert before == ["edmsphere.cli", "edmsphere.errors"]
     assert {f"edmsphere.{layer}" for layer in tracer_layers} <= set(after)
     assert star == exported == PUBLIC_NAMES
 
