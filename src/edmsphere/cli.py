@@ -23,17 +23,17 @@ and of the `edmsphere` script.  It switches automatic collection off
 (`gc.disable()`) before numpy or any layer loads: this module imports only
 the stdlib and `errors` at its top, and everything else inside the
 functions that use it.  The objects numpy's import and the run allocate
-live until exit, so the young-generation collections were pure cost (5-9
-ms a run); memory stays bounded because the package makes no cyclic
-garbage, and what argparse's parser leaves does not grow with the work
-(tests/test_package.py).  It exits with `main()`'s code after moving every
-object to the permanent generation (`gc.freeze()`), so the interpreter's
-teardown collections, which run with the collector off too, skip them.
-`main()` builds the subparser its first argument names, or all five when
-it names none, with help and usage errors byte-identical to the full
-parser's (tests/golden/parser.json).  `main()` touches no collector state
-and importing this module changes none, so tests and library callers run
-it in process as before.
+live until exit, so collecting them is pure cost (about 30 young
+collections, 5-10 ms a run); memory stays bounded because the package
+makes no cyclic garbage, and what argparse's parser leaves does not grow
+with the work (tests/test_package.py).  It exits with `main()`'s code
+after moving every object to the permanent generation (`gc.freeze()`), so
+the interpreter's teardown collections, which run with the collector off
+too, skip them.  `main()` builds the subparser its first argument names,
+or all five when it names none, with help and usage errors byte-identical
+to the full parser's (tests/golden/parser.json).  `main()` touches no
+collector state and importing this module changes none, so tests and
+library callers run it in process as before.
 """
 
 from __future__ import annotations
@@ -412,7 +412,8 @@ def _check_rankin_sample(args, tol):
 
 
 # each subcommand: its help line, then its arguments as (name or flag, add_argument keywords);
-# its handler is cmd_<name>, looked up when the parser is built
+# its handler is cmd_<name>, looked up in this module when the parser is built, so that a
+# wrapper bound over it there (bench/tracer.py's spans) is the one that runs
 _MATRIX_HELP = "matrix file (text or JSON)"
 _COMMANDS = {
     "validate": ("certify a matrix as an EDM and test sphericity", ("matrix", dict(help=_MATRIX_HELP))),
