@@ -31,6 +31,7 @@ import pytest
 
 GOLDEN = Path(__file__).with_name("golden") / "parser.json"
 COMMANDS = ("validate", "orthorep", "decompose", "gen", "check-rankin")
+PYTHON = "%d.%d" % sys.version_info[:2]
 
 CASES = {
     "help": ["--help"],
@@ -60,7 +61,7 @@ def record() -> dict:
     from edmsphere.cli import main
 
     return {
-        "python": "%d.%d" % sys.version_info[:2],
+        "python": PYTHON,
         "cases": {name: {"argv": argv, **parse_output(main, argv)} for name, argv in CASES.items()},
     }
 
@@ -75,7 +76,7 @@ def test_parser_output_matches_the_recording(name):
     from edmsphere.cli import main
 
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    if golden["python"] != "%d.%d" % sys.version_info[:2]:
+    if golden["python"] != PYTHON:
         pytest.skip(f"recorded with Python {golden['python']}, whose argparse may word it differently")
     case = golden["cases"][name]
     assert case["argv"] == CASES[name]
