@@ -34,6 +34,14 @@ or all five when it names none, with help and usage errors byte-identical
 to the full parser's (tests/golden/parser.json).  `main()` touches no
 collector state and importing this module changes none, so tests and
 library callers run it in process as before.
+
+Nor does a process load what it does not run.  Input and --out digests are
+made by the interpreter's built-in SHA-256 (`_sha2` from Python 3.12 on,
+`_sha256` before it, `hashlib` where neither imports), so OpenSSL's
+`_hashlib` loads only where numpy.random imports it (gen random-sphere,
+check-rankin --sample).  `_dumps` quotes strings with `_json`'s encoder
+(`json.encoder`'s where the C module is missing), so the `json` package and
+its decoder load only where `matrixio` parses a JSON matrix.
 """
 
 from __future__ import annotations
@@ -42,7 +50,11 @@ import gc
 import math
 import sys
 import time
-from json.encoder import encode_basestring_ascii as _quote
+
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .errors import ConsistencyError, FormatError, PreconditionError
@@ -133,13 +145,20 @@ def _float_rows(rows: list, depth: int, nl: str) -> str:
     return "[" + inner + ("," + inner).join(body) + nl + "]"
 
 
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 of data, by the interpreter's built-in hash, so that OpenSSL's `_hashlib` is not loaded."""
+    for name in ("_sha2", "_sha256", "hashlib"):  # built in from Python 3.12 on, before it, and any other build
+        try:
+            return __import__(name).sha256(data).hexdigest()
+        except ImportError:
+            pass
+
+
 def _read_input(path: str, ctx) -> str:
     """Read an input file once; its report digest covers exactly the bytes parsed."""
-    import hashlib  # OpenSSL's _hashlib loads only where a digest is made
-
     with open(path, "rb") as fh:
         data = fh.read()
-    ctx["inputs"][path] = hashlib.sha256(data).hexdigest()
+    ctx["inputs"][path] = _sha256(data)
     return data.decode("utf-8")
 
 
@@ -204,8 +223,6 @@ def _spherical_dict(cert) -> dict:
 # it imports the layers it runs, so that a CLI process loads only those
 
 def cmd_validate(args, tol, ctx):
-    from dataclasses import asdict
-
     from .edm import EdmRejection, embedding_dim_via_delta, spherical_certificate
 
     res = _load_edm(args.matrix, tol, ctx)
@@ -221,7 +238,7 @@ def cmd_validate(args, tol, ctx):
     }
     checks = {}
     if cert.unit_spherical:
-        checks["delta_dimension"] = asdict(embedding_dim_via_delta(res, cert))
+        checks["delta_dimension"] = vars(embedding_dim_via_delta(res, cert))
     return "ok", result, checks, OK, None
 
 
@@ -296,8 +313,6 @@ _GEN_KINDS = {
 
 
 def cmd_gen(args, tol, ctx):
-    import hashlib
-
     from . import edm, matrixio
 
     kind = args.kind
@@ -326,7 +341,7 @@ def cmd_gen(args, tol, ctx):
         "radius": cert.radius,
         "unit_spherical": cert.unit_spherical,
         "out": args.out,
-        "sha256": hashlib.sha256(data).hexdigest(),
+        "sha256": _sha256(data),
     }
     return "ok", result, {}, OK, None
 
@@ -473,8 +488,6 @@ def build_parser(command: str | None = None):
 
 
 def main(argv=None) -> int:
-    from dataclasses import asdict
-
     echo = list(sys.argv[1:] if argv is None else argv)
     args = build_parser(echo[0] if echo else None).parse_args(echo)
     t0 = time.perf_counter()
@@ -484,7 +497,7 @@ def main(argv=None) -> int:
     raw = None
     try:
         tol, profile = _resolve_tolerances(args)
-        tol_dict = asdict(tol)
+        tol_dict = vars(tol)  # a record's fields, as `dataclasses.asdict` lists them
         status, result, checks, code, raw = args.handler(args, tol, ctx)
     except FormatError as exc:
         status, result, checks, code = "precondition-failed", {"error": str(exc)}, {}, REJECTED

@@ -31,8 +31,6 @@ stacked chunks (`_sample_codimension2`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .edm import (
@@ -52,7 +50,7 @@ from .edm import (
     _validate_stack,
     spherical_certificate,
 )
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, _record
 from .graphs import apply_permutation
 from .spectral import _block_index, _perron_blocks
 from .tolerances import Tolerances, _interior, _over_two, _perron_hypothesis, _top_at_one, _within
@@ -95,7 +93,7 @@ def _spread_support(D: Edm, what: str) -> tuple:
     return _require_unit_spherical(D, what), *_delta_support(D)[1:]
 
 
-@dataclass(eq=False)
+@_record
 class SimplexCertificate:
     """Is this unit spherical configuration a simplex, and how was it decided?
 
@@ -179,7 +177,7 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     )
 
 
-@dataclass(eq=False)
+@_record
 class RankinReport:
     """Outcome of the n = r + 2 closeness check.
 
@@ -304,7 +302,7 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
     return outcome
 
 
-@dataclass(eq=False)
+@_record
 class DecompositionBlock:
     """One diagonal block: original node indices, its sub-EDM, its certificate."""
 
@@ -321,7 +319,7 @@ class DecompositionBlock:
         return len(self.indices) - 1
 
 
-@dataclass(eq=False)
+@_record
 class Decomposition:
     """Permutation of a unit spherical EDM into orthogonal simplex blocks.
 
@@ -486,7 +484,7 @@ def _crosspolytope_deviation(M: np.ndarray) -> float:
     return float(max(dev, np.abs(M, out=M).max()))
 
 
-@dataclass(eq=False)
+@_record
 class CrosspolytopeResult:
     """Recognition verdict for the n = 2r extremal case; falsy when declined."""
 

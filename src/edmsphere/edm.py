@@ -43,11 +43,12 @@ the Rankin sampler's chunks give each matrix the bits of its own call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+from dataclasses import field
 
 import numpy as np
 
-from .errors import ConsistencyError, PreconditionError
+from .errors import ConsistencyError, PreconditionError, _record
 from .spectral import (
     EigenSystem,
     _block_index,
@@ -96,7 +97,7 @@ E_NOT_IN_COLSPACE = "e-not-in-colspace"
 NOT_EDM = "not-edm"
 
 
-@dataclass(eq=False)
+@_record
 class Edm:
     """A validated EDM: zero diagonal, nonnegative entries, PSD double-centering.
 
@@ -130,7 +131,7 @@ class Edm:
         return self.dist2.shape[0]
 
 
-@dataclass(eq=False)
+@_record
 class EdmRejection:
     """Why a candidate matrix is not an EDM; falsy so callers can branch on it."""
 
@@ -335,7 +336,7 @@ def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
     return res
 
 
-@dataclass(eq=False)
+@_record
 class GramFactor:
     """Gram matrix B = P P^T with the configuration rows and centering vector.
 
@@ -474,7 +475,7 @@ def _factor_at(D: Edm, s: np.ndarray, B: np.ndarray) -> np.ndarray | None:
     return F if _within(residual, shift + _recon_band(n, unit, tol))[0] else None
 
 
-@dataclass(eq=False)
+@_record
 class SphericalCertificate:
     """Outcome of the sphericity test: a solution w of D w = e.
 
@@ -653,7 +654,7 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
     return out
 
 
-@dataclass(eq=False)
+@_record
 class DeltaMatrix:
     """The shift Delta = D/2 + I - E, with the source's min off-diagonal.
 
@@ -690,7 +691,7 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
     return np.where(_within(dm.delta, tol.sign / 2.0, above=True, strict=True, slack=False)[0], dm.delta, 0.0)
 
 
-@dataclass(eq=False)
+@_record
 class DeltaDimReport:
     """Embedding dimension through the top of Delta's spectrum, with checks.
 
@@ -785,10 +786,22 @@ def unit_simplex_gamma(n: int) -> float:
     return 2.0 * n / (n - 1.0)
 
 
+def _fits_in_memory(n: int) -> None:
+    """PreconditionError, before a generator allocates, when one n x n float64 matrix exceeds physical memory.
+
+    Skipped where there is no `os.sysconf` to tell the size of physical memory.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 0
+    if 0 < memory < 8 * n * n:
+        raise PreconditionError(f"order {n} needs {8 * n * n} bytes for one n x n float64 matrix, "
+                                f"more than the {memory} bytes of physical memory")
+
+
 def gen_regular_simplex(n: int, gamma: float, tol: Tolerances = DEFAULT_TOL) -> Edm:
     """EDM of the regular simplex: gamma * (E - I), circumradius sqrt(gamma(n-1)/(2n))."""
     if n < 1:
         raise PreconditionError(f"order must be >= 1, got {n}")
+    _fits_in_memory(n)
     if not gamma > 0:
         raise PreconditionError(f"gamma must be positive, got {gamma}")
     D = gamma * (np.ones((n, n)) - np.eye(n))
@@ -808,6 +821,7 @@ def gen_crosspolytope(r: int, tol: Tolerances = DEFAULT_TOL) -> Edm:
     """
     if r < 1:
         raise PreconditionError(f"crosspolytope dimension must be >= 1, got {r}")
+    _fits_in_memory(2 * r)
     return require_edm(_crosspolytope_dist2(r), tol)
 
 
@@ -845,8 +859,11 @@ def _sphere_points(rngs: list, n: int, r: int) -> np.ndarray:
     """Per generator, n points drawn uniformly on the unit (r-1)-sphere, as a (len(rngs), n, r) stack.
 
     The rows are standard-normal draws normalized to unit length; a row
-    of norm below 1e-12 is drawn again from its generator.
+    of norm below 1e-12 is drawn again from its generator.  PreconditionError
+    first when the n x n distance matrix of one stack entry would not fit in
+    physical memory.
     """
+    _fits_in_memory(n)
     X = np.stack([rng.standard_normal((n, r)) for rng in rngs])
     norms = np.linalg.norm(X, axis=-1)
     for t in np.flatnonzero(np.any(norms < 1e-12, axis=-1)):  # probability ~0; keep determinism per seed

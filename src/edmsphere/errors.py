@@ -1,9 +1,27 @@
-"""Exception hierarchy shared across the package, and the frame of its count-headed text formats.
+"""Exception hierarchy shared across the package, the frame of its count-headed text formats, and its records.
 
 `_count_headed` reads the comments, blank lines and count line that the
 graph and matrix text formats share; it lives here, with the FormatError it
 raises, so that reading a matrix imports no graph code.
+
+`_record` makes a class one of the package's result records, in place of
+`@dataclass(eq=False)`, or of `@dataclass(frozen=True)` as
+`_record(frozen=True)`.  A record is a dataclass: `dataclasses.dataclass`
+binds its fields with no generated method, so `fields`, `asdict`, `replace`,
+`is_dataclass`, `__match_args__`, `__dataclass_params__`, the class
+attributes and every message are those of the decorator it replaces
+(tests/test_records.py).  What it saves is generated code, which costs a
+CLI process milliseconds to compile: every record shares one `__repr__`,
+the frozen ones one `__eq__` and `__hash__` over the compared fields and
+one guard against assigning and deleting attributes, and a class's
+`__init__` is generated the first time an instance is built, as that of a
+field-less `dataclasses.make_dataclass` subclass, and bound on the class.
+After that an instance builds as fast as with the decorator.  Before it,
+`inspect.signature` reads `(*args, **kwargs)`.  A record defines none of
+the methods above itself, has no `hash=` field, and is not subclassed.
 """
+
+from reprlib import recursive_repr
 
 __all__ = [
     "EdmSphereError",
@@ -66,3 +84,48 @@ def _count_headed(text: str, what: str, least: int) -> tuple:
     if n < least:
         raise FormatError(f"{what} must be {'positive' if least else 'nonnegative'}, got {n}", lineno)
     return n, lines
+
+
+def _record(cls=None, /, *, frozen: bool = False):
+    """Make cls a dataclass record, equal and hashed by identity, or by its compared fields when frozen."""
+    if cls is None:
+        return lambda cls: _record(cls, frozen=frozen)
+    from dataclasses import dataclass, make_dataclass
+
+    def __init__(self, *args, **kwargs):  # until the first instance: generate cls's own, bind it and run it
+        cls.__init__ = make_dataclass(cls.__name__, [], bases=(cls,), repr=False, eq=False, frozen=frozen,
+                                      namespace={"__module__": cls.__module__, "__doc__": cls.__doc__}).__init__
+        cls.__init__(self, *args, **kwargs)
+
+    dataclass(cls, init=False, repr=False, eq=False)  # binds the fields and generates no method
+    params = cls.__dataclass_params__
+    params.init, params.repr, params.eq, params.frozen = True, True, frozen, frozen
+    cls.__init__, cls.__repr__ = __init__, _repr
+    if frozen:
+        cls.__eq__, cls.__hash__, cls.__setattr__, cls.__delattr__ = _eq, _hash, _frozen, _frozen
+    return cls
+
+
+@recursive_repr()
+def _repr(self) -> str:
+    shown = (f"{f.name}={getattr(self, f.name)!r}" for f in self.__dataclass_fields__.values() if f.repr)
+    return f"{self.__class__.__qualname__}({', '.join(shown)})"
+
+
+def _key(record) -> tuple:
+    return tuple(getattr(record, f.name) for f in record.__dataclass_fields__.values() if f.compare)
+
+
+def _eq(self, other):
+    return _key(self) == _key(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_key(self))
+
+
+def _frozen(self, name, *value):
+    """`__setattr__` (given a value) and `__delattr__` of a frozen record."""
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")

@@ -9,12 +9,12 @@ read by one helper (`errors._count_headed`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, _count_headed
+from .errors import FormatError, _count_headed, _record
 from .tolerances import DEFAULT_TOL, Tolerances, _within
 
 __all__ = [
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Graph:
     """Simple undirected graph: no self-loops, no duplicate edges."""
 
@@ -78,7 +78,7 @@ def parse_graph(text: str) -> Graph:
     return Graph(node_count=n, edges=frozenset(edges))
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class ComponentSplit:
     """Connected components plus the canonical block permutation.
 
@@ -162,15 +162,11 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
         colour[u - 1] = -1
     nontrivial = [c for c in comps if len(c) >= 2]
     isolated = [c[0] for c in comps if len(c) == 1]
-    order: list[int] = []
-    for c in nontrivial:
-        order.extend(c)
-    order.extend(isolated)
     return ComponentSplit(
         components=tuple(comps),
         nontrivial_count=len(nontrivial),
         isolated=tuple(isolated),
-        permutation=tuple(order),
+        permutation=tuple(u for c in nontrivial for u in c) + tuple(isolated),
         colour=tuple(colour),
     )
 

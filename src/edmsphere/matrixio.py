@@ -5,15 +5,14 @@ lines of ``n`` whitespace-separated decimal floats.  ``#`` starts a comment
 anywhere on a line.  Comments, blank lines and the order line are read as
 the graph format reads its node count (`errors._count_headed`).  A JSON
 alternative ``{"n": int, "rows": [[...], ...]}`` is accepted
-interchangeably; the loader sniffs for a leading ``{``.
+interchangeably; the loader sniffs for a leading ``{``, and only the JSON
+form imports `json`.
 
 Floats are written with Python's shortest round-trip repr, so write/read is
 bit-exact for doubles and output bytes are deterministic.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -49,6 +48,8 @@ def parse_matrix_text(text: str) -> np.ndarray:
 
 def parse_matrix_json(text: str) -> np.ndarray:
     """Parse the {"n": ..., "rows": ...} JSON matrix form."""
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:

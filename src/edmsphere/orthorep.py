@@ -40,12 +40,10 @@ residual; `verify_sign_pattern` reads D a bounded block of rows at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .edm import Edm, EdmRejection, _circumcenter_edm, centering_gram, validate_edm
-from .errors import ConsistencyError
+from .errors import ConsistencyError, _record
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
 from .spectral import EigenSystem, _block_index, _column_signs, _perron_blocks, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, _over_two, _recon_band, _within, scale
@@ -62,7 +60,7 @@ __all__ = [
 _SIGN_BLOCK_BYTES = 1 << 18  # the |d_ij - 2| that a row block of `verify_sign_pattern` holds at a time
 
 
-@dataclass(eq=False)
+@_record
 class OrthoRep:
     """An orthonormal representation with its spectral support data.
 
@@ -276,7 +274,7 @@ def _check_construction(rep: OrthoRep, tol: Tolerances, recon: float) -> None:
         raise ConsistencyError("construction self-check failed: " + "; ".join(problems))
 
 
-@dataclass(eq=False)
+@_record
 class SignPatternReport:
     """Distance-level check of the representation property.
 
@@ -359,7 +357,7 @@ def _pairs(M: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> tuple:
     return tuple((int(i) + 1, int(j) + 1, float(M[i, j])) for i, j in zip(rows, cols))
 
 
-@dataclass(eq=False)
+@_record
 class MinimalityReport:
     """Dimension lower bound through the multiplicity of lambda_max(Delta).
 

@@ -35,12 +35,11 @@ and call `_decompose` or `_eigh_stack`, which check finiteness only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, SpectralError
+from .errors import ConsistencyError, SpectralError, _record
 from .tolerances import DEFAULT_TOL, Tolerances, _top_at_one, _within, scale
 
 __all__ = [
@@ -76,7 +75,7 @@ def as_symmetric(M, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return lower + np.tril(M, -1).T
 
 
-@dataclass(eq=False)
+@_record
 class EigenSystem:
     """Full spectral decomposition of a symmetric matrix.
 
@@ -254,7 +253,7 @@ def _gram_exceeds(F: np.ndarray, floor: float) -> bool:
     return True
 
 
-@dataclass(eq=False)
+@_record
 class PsdResult:
     """Outcome of a PSD test; on failure carries the offending eigenpair."""
 

@@ -23,11 +23,11 @@ finiteness off the scale.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, _record
 
 __all__ = [
     "Tolerances",
@@ -40,7 +40,7 @@ __all__ = [
 TOL_PROFILE_ENV = "EDM_SPHERE_TOL_PROFILE"
 
 
-@dataclass(frozen=True)
+@_record(frozen=True)
 class Tolerances:
     """Threshold bundle used by every numerical predicate.
 

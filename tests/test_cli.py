@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 
 import numpy as np
 import numpy.testing as npt
@@ -415,6 +416,22 @@ class TestExitCodes:
         code, report, _ = run_json(capsys, argv)
         assert code == 2
         assert report["status"] == "precondition-failed"
+
+    # one n x n float64 matrix at an order of 1e10 or more holds 8e20 bytes: no host has the
+    # memory, so the check refuses it before anything is allocated
+    @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the check needs os.sysconf for the memory size")
+    @pytest.mark.parametrize("argv, order", [
+        (["gen", "crosspolytope", "-r", "10000000000"], 20000000000),
+        (["gen", "unit-simplex", "-n", "10000000000"], 10000000000),
+        (["gen", "random-sphere", "-n", "10000000000", "-r", "3"], 10000000000),
+        (["check-rankin", "--sample", "10000000000", "--trials", "1"], 10000000002),
+    ], ids=["crosspolytope", "unit-simplex", "random-sphere", "rankin-sample"])
+    def test_an_order_beyond_physical_memory_is_rejected(self, capsys, argv, order):
+        code, report, err = run_json(capsys, argv)
+        assert code == 2
+        assert report["status"] == "precondition-failed"
+        assert f"order {order} needs {8 * order * order} bytes" in report["result"]["error"]
+        assert "physical memory" in err
 
 
 def test_failure_reports_are_valid_json(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -52,16 +53,16 @@ def test_module_helpers_are_not_package_attributes():
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-# imported first by the child's site module; writes the edmsphere modules, and the
-# digest modules (OpenSSL's _hashlib costs milliseconds to load), loaded at exit,
-# the number of objects in the permanent generation then, and whether the
-# collector was enabled then
+# imported first by the child's site module; writes the edmsphere modules, the
+# digest modules (OpenSSL's _hashlib costs milliseconds to load) and the JSON
+# decoder loaded at exit, the number of objects in the permanent generation
+# then, and whether the collector was enabled then
 EXIT_HOOK = """\
 import atexit, gc, os, sys
 
 def _write_loaded():
     loaded = sorted(name for name in sys.modules
-                    if name.startswith("edmsphere.") or name in ("hashlib", "_hashlib"))
+                    if name.startswith("edmsphere.") or name in ("hashlib", "_hashlib", "json.decoder"))
     with open(os.path.join(os.path.dirname(__file__), "loaded.txt"), "w") as fh:
         fh.write("\\n".join(loaded))
     with open(os.path.join(os.path.dirname(__file__), "frozen.txt"), "w") as fh:
@@ -83,19 +84,25 @@ def _child(tmp_path, args, cwd=GOLDEN, returncode=0):
     return proc, {name.removeprefix("edmsphere.") for name in (tmp_path / "loaded.txt").read_text().split()}
 
 
+# inputs and --out files are digested by the interpreter's built-in SHA-256, and
+# only a JSON matrix is read with the JSON decoder
 DIGESTS = {"hashlib", "_hashlib"}
+TEXT = DIGESTS | {"json.decoder"}
 
 
 @pytest.mark.parametrize("argv, code, allowed, absent", [
-    (["--version"], 0, {"errors", "tolerances"}, DIGESTS),
-    (["validate", "example.txt"], 0, None, {"decomposition", "orthorep"}),
+    (["--version"], 0, {"errors", "tolerances"}, TEXT),
+    (["validate", "example.txt"], 0, None, {"decomposition", "orthorep"} | TEXT),
     # a rejected matrix forms no Delta, and a text matrix is read without the graph layer
-    (["validate", "notpsd.txt"], 2, None, {"decomposition", "orthorep", "graphs"}),
-    (["gen", "crosspolytope", "-r", "3", "--out", os.devnull], 0, None, {"decomposition", "orthorep", "graphs"}),
-    (["orthorep", "example.graph"], 0, None, {"decomposition", "matrixio"}),
-    # numpy.random imports `secrets`, which loads _hashlib, so only the layers are asserted
-    (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio"}),
-], ids=["version", "validate", "validate-rejected", "gen-out", "orthorep", "check-rankin-sample"])
+    (["validate", "notpsd.txt"], 2, None, {"decomposition", "orthorep", "graphs"} | TEXT),
+    (["gen", "crosspolytope", "-r", "3", "--out", os.devnull], 0, None, {"decomposition", "orthorep", "graphs"} | TEXT),
+    (["orthorep", "example.graph"], 0, None, {"decomposition", "matrixio"} | TEXT),
+    (["decompose", "cross.json"], 0, None, {"orthorep"} | DIGESTS),
+    (["check-rankin", "compose.txt"], 0, None, {"orthorep"} | TEXT),
+    # numpy.random imports `secrets`, which loads _hashlib, so only the layers and the decoder are asserted
+    (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio", "json.decoder"}),
+], ids=["version", "validate", "validate-rejected", "gen-out", "orthorep", "decompose-json", "check-rankin-text",
+        "check-rankin-sample"])
 def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, absent):
     _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv], returncode=code)
     assert "errors" in loaded and "tolerances" in loaded
@@ -103,6 +110,21 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, 
         assert loaded <= allowed, loaded - allowed
     if absent is not None:
         assert not loaded & absent, loaded & absent
+    assert ("json.decoder" in loaded) == argv[-1].endswith(".json")
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["built-in", "hashlib"])
+def test_digest_is_the_sha256_of_hashlib(monkeypatch, builtin):
+    inputs = [b""] + [path.read_bytes() for path in sorted(GOLDEN.iterdir()) if path.is_file()]
+    expected = [hashlib.sha256(data).hexdigest() for data in inputs]
+    calls = []
+    if not builtin:
+        for name in ("_sha2", "_sha256"):  # Python 3.12 and later, and before
+            monkeypatch.setitem(sys.modules, name, None)
+        sha256 = hashlib.sha256
+        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+    assert [cli._sha256(data) for data in inputs] == expected
+    assert len(calls) == (0 if builtin else len(inputs))
 
 
 # -- the process entry: `run()` is main() with the collector off, and gc.freeze() before the

@@ -12,7 +12,8 @@ The messages are the interpreter's, so the recording in
 tests/golden/records.json holds for the Python minor version it was made
 with; on any version, every record must behave as the dataclass that
 `dataclasses.make_dataclass` builds from the record's own fields and
-flags.
+flags.  A fresh process checks that a record's `__init__` is generated
+when its first instance is built, with the dataclass signature.
 
 After an intended change to a record, re-record with
 
@@ -22,7 +23,10 @@ After an intended change to a record, re-record with
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -55,10 +59,15 @@ def _default(f) -> str | None:
     return None
 
 
+def sample(cls) -> dict:
+    """The keyword arguments of a sample instance of record class cls."""
+    return SAMPLES.get(cls.__name__) or {f.name: f"<{f.name}>" for f in dataclasses.fields(cls) if f.init}
+
+
 def observe(cls) -> dict:
     """What a caller can see of record class cls, as JSON."""
     fields = dataclasses.fields(cls)
-    kwargs = SAMPLES.get(cls.__name__) or {f.name: f"<{f.name}>" for f in fields if f.init}
+    kwargs = sample(cls)
     record, twin = cls(**kwargs), cls(*kwargs.values())
     first = next(iter(kwargs))
     required = [f.name for f in fields
@@ -118,6 +127,32 @@ def test_record_matches_the_recording(name):
 def test_record_behaves_as_the_stdlib_dataclass(name):
     cls = getattr(edmsphere, name)
     assert observe(cls) == observe(reference(cls))
+
+
+def test_a_record_generates_its_init_when_its_first_instance_is_built():
+    # in a fresh process: importing every layer builds only the default Tolerances, so every
+    # other record still has the initializer that generates its own
+    script = """\
+import inspect, json
+import test_records as t
+
+def signatures():
+    return {name: str(inspect.signature(getattr(t.edmsphere, name))) for name in t.RECORDS}
+
+before = signatures()
+for name in t.RECORDS:
+    cls = getattr(t.edmsphere, name)
+    cls(**t.sample(cls))
+print(json.dumps([before, signatures()]))
+"""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout)
+    dataclass_signatures = {name: str(inspect.signature(reference(getattr(edmsphere, name)))) for name in RECORDS}
+    assert before == {name: "(*args, **kwargs)" for name in RECORDS} | {"Tolerances": dataclass_signatures["Tolerances"]}
+    assert after == dataclass_signatures
 
 
 if __name__ == "__main__":
