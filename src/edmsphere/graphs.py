@@ -162,11 +162,15 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
         colour[u - 1] = -1
     nontrivial = [c for c in comps if len(c) >= 2]
     isolated = [c[0] for c in comps if len(c) == 1]
+    order: list[int] = []
+    for c in nontrivial:
+        order.extend(c)
+    order.extend(isolated)
     return ComponentSplit(
         components=tuple(comps),
         nontrivial_count=len(nontrivial),
         isolated=tuple(isolated),
-        permutation=tuple(u for c in nontrivial for u in c) + tuple(isolated),
+        permutation=tuple(order),
         colour=tuple(colour),
     )
 
