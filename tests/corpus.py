@@ -11,7 +11,12 @@ profile, whose bands their noise matches.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
 of a unit spherical input and the type of any exception raised; and, for every
 accepted input, `factor_dim`, the column count of `gram_factor` at its default
-centering, or in `factor_error` the type of the exception it raised.
+centering, or in `factor_error` the type of the exception it raised.  A unit
+spherical record also holds what the other readers of Delta give, or the type of
+the exception each raised: `simplex`, the method and `is_simplex` of
+`certify_simplex`; where 2 <= n - r <= r, `kuperberg`, the block count of
+`kuperberg_decompose`; and where n = 2r, `crosspolytope`, the `ok` of
+`crosspolytope_recognize`.
 
 After an intended change of verdicts, re-record with
 
@@ -34,9 +39,12 @@ from edmsphere import (
     Edm,
     EdmRejection,
     Graph,
+    certify_simplex,
     construct_orthorep,
+    crosspolytope_recognize,
     embedding_dim_via_delta,
     gram_factor,
+    kuperberg_decompose,
     spherical_certificate,
     validate_edm,
 )
@@ -70,12 +78,27 @@ def verdict(M: np.ndarray, tol) -> dict:
             record["delta_dim"] = embedding_dim_via_delta(edm, cert).dimension
     except Exception as exc:  # recorded: a verdict may be an exception
         record["error"] = type(exc).__name__
+    if record["unit_spherical"]:
+        n, r = edm.n, edm.embedding_dim
+        record["simplex"] = outcome(lambda: f"{(c := certify_simplex(edm)).method} {c.is_simplex}")
+        if 2 <= n - r <= r:
+            record["kuperberg"] = outcome(lambda: kuperberg_decompose(edm).block_count)
+        if n == 2 * r:
+            record["crosspolytope"] = outcome(lambda: crosspolytope_recognize(edm).ok)
     if isinstance(edm, Edm):
         try:
             record["factor_dim"] = int(gram_factor(edm).config.shape[1])
         except Exception as exc:
             record["factor_error"] = type(exc).__name__
     return record
+
+
+def outcome(read):
+    """What `read()` returns, or the type of the exception it raises."""
+    try:
+        return read()
+    except Exception as exc:
+        return type(exc).__name__
 
 
 def digest() -> dict:
