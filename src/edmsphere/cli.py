@@ -57,7 +57,7 @@ except ImportError:  # an interpreter without the C accelerator
     from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .errors import ConsistencyError, FormatError, PreconditionError
+from .errors import TOL_PROFILE_ENV, ConsistencyError, FormatError, PreconditionError
 
 OK = 0
 REJECTED = 2
@@ -457,8 +457,6 @@ def build_parser(command: str | None = None):
     so every message argparse prints for a run reads as with the full parser.
     """
     import argparse
-
-    from .tolerances import TOL_PROFILE_ENV
 
     tolp = argparse.ArgumentParser(add_help=False)
     g = tolp.add_argument_group("tolerances")

@@ -14,17 +14,15 @@ constrained.  With n points in dimension r:
 - at n = 2r the split forces antipodal pairs: the configuration is the
   regular crosspolytope (crosspolytope_recognize).
 
-The first, third and fourth share one hypothesis gate and one block walk.
-`_spread_support` checks that D is unit spherical with Delta nonnegative
-and splits Delta's support (`edm._delta_support`, as
-`embedding_dim_via_delta` does); `_simplex_blocks` folds the zero rows into
-the last component and certifies each block from the eigensystem of its
-core's Delta.  The cores of one order share one stacked eigendecomposition
-(`spectral._perron_blocks`), and their blocks' Edms are built and checked
-over the stack (`edm._circumcenter_edms`); a connected core is the
-one-block case.  The rank route of `certify_simplex` reads lambda_max(Delta)
-off the same cores' spectra, as `embedding_dim_via_delta` does
-(`edm._perron_top`).
+The first, third and fourth require a unit spherical D and read Delta as
+`embedding_dim_via_delta` does, through `edm._delta_blocks`: Delta snapped
+by the sign band, the split of its support, its cores decomposed with one
+stacked eigendecomposition per order, and lambda_max(Delta) with its
+multiplicity.  The rank route of `certify_simplex` reads only that top.
+`_simplex_blocks` certifies the cores (`spectral._check_perron`), folds the
+zero rows into the last component, and builds and checks the blocks' Edms
+over the stack of each order (`edm._circumcenter_edms`); a connected core
+is the one-block case.
 `check-rankin --sample` runs the n = r + 2 check on random samples in
 stacked chunks (`_sample_codimension2`).
 """
@@ -41,9 +39,8 @@ from .edm import (
     _certify,
     _circumcenter_edm,
     _circumcenter_edms,
-    _delta_support,
+    _delta_blocks,
     _inf_diagonal,
-    _perron_top,
     _sample_rejected,
     _sphere_dist2,
     _sphere_points,
@@ -52,7 +49,7 @@ from .edm import (
 )
 from .errors import ConsistencyError, PreconditionError, _record
 from .graphs import apply_permutation
-from .spectral import _block_index, _perron_blocks
+from .spectral import _block_index, _check_perron
 from .tolerances import Tolerances, _interior, _over_two, _perron_hypothesis, _top_at_one, _within
 
 __all__ = [
@@ -82,15 +79,6 @@ def _not_unit_spherical(cert: SphericalCertificate, what: str) -> PreconditionEr
     if not cert.unit_spherical:
         return PreconditionError(f"{what} requires circumradius 1, got radius {cert.radius:.17g}")
     return None
-
-
-def _spread_support(D: Edm, what: str) -> tuple:
-    """(certificate, nonnegative Delta, support split) of D, once D meets the Perron hypotheses.
-
-    PreconditionError unless D is unit spherical with every squared distance
-    at least 2 - tol.sign.
-    """
-    return _require_unit_spherical(D, what), *_delta_support(D)[1:]
 
 
 @_record
@@ -145,9 +133,10 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
     """
     tol = D.tol
     n = D.n
-    cert, delta, split = _spread_support(D, "certify_simplex")
+    cert = _require_unit_spherical(D, "certify_simplex")
+    _, split, groups, lam, _ = _delta_blocks(D)
     if split.nontrivial_count == 1:
-        simplex = _simplex_blocks(D, delta, split)[0].certificate
+        simplex = _simplex_blocks(D, split, groups)[0].certificate
         if D.embedding_dim != n - 1:
             raise ConsistencyError(
                 f"connected support forces a simplex, but embedding dimension is "
@@ -157,7 +146,6 @@ def certify_simplex(D: Edm) -> SimplexCertificate:
 
     # Disconnected support: connectivity no longer forces anything, the
     # embedding dimension alone decides.
-    lam = _perron_top(delta, split, tol)[0]
     if not _top_at_one(lam, tol)[0]:
         raise ConsistencyError(
             f"lambda_max(Delta) = {lam:.17g} for a unit spherical input; expected 1"
@@ -346,13 +334,14 @@ class Decomposition:
         return len(self.blocks)
 
 
-def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock]:
+def _simplex_blocks(D: Edm, split, groups: list) -> list[DecompositionBlock]:
     """One simplex block per nontrivial support component, each certified from its core's Delta.
 
-    `delta` is the nonnegative Delta of the unit spherical D.  By
+    `split` and `groups` are the support split and Perron blocks of the
+    unit spherical D's Delta (`edm._delta_blocks`).  By
     Perron-Frobenius each core's top eigenvalue is 1 and simple with a
     positive eigenvector xi, and its block of I - Delta is PSD of rank
-    m - 1 (`_perron_blocks` certifies all four, one eigh per core order), so
+    m - 1 (`spectral._check_perron` certifies all four), so
     w = xi / (2 e^T xi), and the core's 1 - mu is the eigensystem of the
     block's I - Delta, D's Gram matrix at 2w, from which the block's Edm is
     built (`_circumcenter_edms`, over the blocks of one order).  The zero
@@ -364,7 +353,7 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
     comps = split.nontrivial
     last = len(comps) - 1 if split.isolated else None  # the block that takes the zero rows
     outcome = [None] * len(comps)
-    for g in _perron_blocks(delta, split, tol):
+    for g in _check_perron(groups):
         xi, values, vectors = g.xi, g.gram_values, g.gram_vectors
         w = xi / (2.0 * xi.sum(axis=1, keepdims=True))
         stacked = [t for t, p in enumerate(g.pos) if p != last]
@@ -382,13 +371,9 @@ def _simplex_blocks(D: Edm, delta: np.ndarray, split) -> list[DecompositionBlock
             wt = np.zeros(len(members))
             wt[idx] = w[t]
             block = np.asarray(members) - 1
-            try:
-                edm = _circumcenter_edm(
-                    D.dist2[np.ix_(block, block)], wt,
-                    [(idx[None], np.arange(idx.size)[None], values[t:t + 1], vectors[t:t + 1])],
-                    zero, float(g.gram_scales[t]), tol)
-            except ConsistencyError as exc:
-                edm = exc
+            edm = _circumcenter_edm(D.dist2[np.ix_(block, block)], wt,
+                                    [(idx[None], np.arange(idx.size)[None], values[t:t + 1], vectors[t:t + 1])],
+                                    zero, float(g.gram_scales[t]), tol)
             outcome[-1] = (tuple(members), tuple(int(i) + 1 for i in zero), float(g.lam[t]), edm,
                            _interior(wt, tol)[0])
     blocks = []
@@ -441,12 +426,13 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         raise PreconditionError(f"need n - r >= 2, got n = {n}, r = {r}")
     if not n - r <= r:
         raise PreconditionError(f"need n - r <= r, got n = {n}, r = {r}")
-    _, delta, split = _spread_support(D, "kuperberg_decompose")
+    _require_unit_spherical(D, "kuperberg_decompose")
+    _, split, groups = _delta_blocks(D)[:3]
     if split.nontrivial_count != n - r:
         raise ConsistencyError(
             f"support splits into {split.nontrivial_count} block(s), expected n - r = {n - r}"
         )
-    blocks = _simplex_blocks(D, delta, split)
+    blocks = _simplex_blocks(D, split, groups)
     off = D.dist2 - 2.0  # |d_ij - 2|, zeroed on the diagonal blocks below
     np.abs(off, out=off)
     by_order: dict[int, list] = {}

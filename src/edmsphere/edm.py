@@ -22,18 +22,23 @@ At another centering s, `gram_factor` factors the Gram matrix
 X - e (s^T X), with no eigendecomposition: a bound on the dropped
 eigenvalues, one Cholesky of order rank(B) and a residual certify it, and
 only when they do not is the Gram matrix at s decomposed.
-`embedding_dim_via_delta` reads the top of Delta and its multiplicity from
-Delta's irreducible blocks, one eigh per block order
-(`spectral._perron_blocks`), as the Kuperberg decomposition does.  The
-blocks are the components of Delta's nonzero pattern once
-`nonnegative_delta` has set every entry within tol.sign / 2 of zero to 0
-(`_delta_support`): tol.sign alone decides which pairs are orthogonal.
+Delta is read in one place, `_delta_blocks`, for its four readers:
+`embedding_dim_via_delta` here and `certify_simplex`, `kuperberg_decompose`
+and, through it, `crosspolytope_recognize` in `decomposition`.  It forms
+Delta, sets every entry within tol.sign / 2 of zero to 0
+(`nonnegative_delta`), so tol.sign alone decides which pairs are
+orthogonal, splits the nonzero pattern into Delta's irreducible blocks,
+decomposes them, one eigh or SVD per block order
+(`spectral._perron_blocks`), and reads the top of Delta and its
+multiplicity off their spectra.  The blocks come unchecked: only the
+readers that build Edms on them certify them (`spectral._check_perron`).
 
 `_circumcenter_edm` builds, with no validation, the Edm of a unit spherical
 D at its circumcenter 2w from the blocks of I - Delta, its Gram matrix there,
 for orthonormal representations and Kuperberg blocks; `_circumcenter_edms`
 checks (D w = e, the unit radius, the rank) and builds a stack of them, for
-the Kuperberg blocks of one order.
+the Kuperberg blocks of one order.  Both return a failing check's
+ConsistencyError in place of the Edm.
 
 Validation and the sphere fit run over a (T, n, n) stack
 (`_validate_stack`, `_certify`), with one eigh of the Gram matrices per
@@ -588,19 +593,20 @@ def _certify(D: np.ndarray, grams: list, tol: Tolerances) -> list:
 
 
 def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarray,
-                      unit: float, tol: Tolerances) -> Edm:
+                      unit: float, tol: Tolerances) -> Edm | ConsistencyError:
     """The Edm of a unit spherical D centered at its circumcenter 2w, with no eigendecomposition.
 
     There the Gram matrix is B = E - D/2 = I - Delta, block diagonal, with
     the eigensystem of the `blocks`, stacks (rows, cols, values, vectors):
     rows (T, m) of D, the columns (T, m) their pairs take before sorting,
     and (T, m), (T, m, m) eigenpairs, each of rank m - 1 (certified by
-    `spectral._perron_blocks`); each `lone` row (a zero row of Delta) adds
+    `spectral._check_perron`); each `lone` row (a zero row of Delta) adds
     eigenvalue 1 in the last columns, which the rank rule at `unit`, the
     scale, must count, so the rank must be n less the block count.  Sorted
     descending (stably: ties keep their column order), each block's vectors
     go straight to their sorted columns.  Checked as `_circumcenter_edms`
-    checks; ConsistencyError on failure.
+    checks, and, as it does, returns the ConsistencyError of the first
+    failing check in place of the Edm.
     """
     n = D.shape[0]
     values = np.ones(n)
@@ -614,10 +620,7 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
         vectors[_block_index(rows, place[cols])] = vecs
     vectors[lone, place[n - lone.size:]] = 1.0
     expected = n - sum(len(rows) for rows, *_ in blocks)
-    edm = _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], expected, tol)[0]
-    if isinstance(edm, Exception):
-        raise edm
-    return edm
+    return _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], expected, tol)[0]
 
 
 def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray, units, expected: int,
@@ -626,7 +629,7 @@ def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray
 
     The Gram matrix there, I - Delta, has the descending eigensystem
     (values[t], vectors[t]) at scale units[t], whose blocks passed the PSD
-    and rank rules in `spectral._perron_blocks`; the rank rule gives the
+    and rank rules in `spectral._check_perron`; the rank rule gives the
     embedding dimension.  `w` is a (T, n) array or T vectors.  Over the
     stack, max|D w - e| <= tol.solve and |2 e^T w - 1| <= tol.unit must
     hold, and the rank must be `expected`; a matrix gets the
@@ -679,7 +682,7 @@ def nonnegative_delta(dm: DeltaMatrix, tol: Tolerances) -> np.ndarray:
 
     Delta_ij = (d_ij - 2)/2, so these are the pairs with |d_ij - 2| <= tol.sign,
     which the sign rule reads as orthogonal; Delta's support graph is the
-    nonzero pattern of the result (`_delta_support`), so it agrees with it.
+    nonzero pattern of the result (`_delta_blocks`), so it agrees with it.
     Valid only when the source min off-diagonal is >= 2 - tol.sign, so
     every negative entry is one of them; otherwise the Perron reasoning
     does not apply and PreconditionError is raised.
@@ -720,8 +723,8 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     inapplicable and the report falls back to rank(B) with a note.
 
     lambda_max(Delta) and its multiplicity are read off Delta's irreducible
-    blocks (`_perron_top`); the reported lambda_max is Delta's computed top,
-    so `lambda_max_ok` checks it.
+    blocks, unchecked (`_delta_blocks`); the reported lambda_max is Delta's
+    computed top, so `lambda_max_ok` checks it.
 
     Raises
     ------
@@ -741,9 +744,8 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
                 "does not apply; reporting rank of the centered Gram matrix instead"
             ),
         )
-    dm, delta, split = _delta_support(D)
-    lambda_max, multiplicity = _perron_top(delta, split, tol)
-    residual = float(np.max(np.abs(dm.delta @ cert.w - cert.w)))
+    delta, _, _, lambda_max, multiplicity = _delta_blocks(D)
+    residual = float(np.max(np.abs(delta @ cert.w - cert.w)))
     return DeltaDimReport(
         dimension=D.n - multiplicity,
         used_perron=True,
@@ -755,28 +757,29 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     )
 
 
-def _delta_support(D: Edm) -> tuple:
-    """(Delta of D, Delta by `nonnegative_delta`, the split of its support graph): what the Perron steps read.
+def _delta_blocks(D: Edm) -> tuple:
+    """(Delta, the split of its support, its Perron blocks, lambda_max(Delta), its multiplicity): Delta read once.
 
-    The support is the nonzero pattern of the snapped Delta, so tol.sign
-    alone decides which pairs are orthogonal, and the split is Delta's exact
-    support: its blocks are Delta's irreducible blocks.  PreconditionError
-    when D's least off-diagonal entry is below 2 - tol.sign.
+    Delta = D/2 + I - E is formed (`delta_of`) and snapped by the sign band
+    (`nonnegative_delta`); the split is the nonzero pattern of the snapped
+    Delta, so tol.sign alone decides which pairs are orthogonal, and its
+    components are Delta's irreducible blocks.  Each is decomposed with the
+    others of its order, one eigh or SVD per order
+    (`spectral._perron_blocks`), and not certified: a reader that builds on
+    the blocks passes them to `spectral._check_perron`.  lambda_max and its
+    multiplicity by the cluster rule are read off the blocks' spectra and
+    one zero per zero row (`spectral._union_top`).  The Delta returned is
+    the one formed, before the snap.  PreconditionError when D's least
+    off-diagonal entry is below 2 - tol.sign; the decomposition error of the
+    first block whose eigh fails.
     """
     from .graphs import _split  # here, so that a run that forms no Delta loads no graph code
 
-    delta = nonnegative_delta(dm := delta_of(D), D.tol)
-    return dm, delta, _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
-
-
-def _perron_top(delta: np.ndarray, split, tol: Tolerances) -> tuple[float, int]:
-    """lambda_max of a nonnegative Delta and its multiplicity, from the irreducible blocks of its support `split`.
-
-    Each nontrivial component's block is decomposed with the others of its
-    order (`_perron_blocks`, unchecked); each zero row adds eigenvalue 0.
-    """
-    groups = _perron_blocks(delta, split, tol, check=False)
-    return _union_top([g.values for g in groups], len(split.isolated), tol.cluster)
+    dm = delta_of(D)
+    delta = nonnegative_delta(dm, D.tol)
+    split = _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
+    groups = _perron_blocks(delta, split, D.tol)
+    return dm.delta, split, groups, *_union_top([g.values for g in groups], len(split.isolated), D.tol.cluster)
 
 
 def unit_simplex_gamma(n: int) -> float:

@@ -1,5 +1,10 @@
 """Exception hierarchy shared across the package, the frame of its count-headed text formats, and its records.
 
+`TOL_PROFILE_ENV` names the environment variable that selects the
+tolerance preset.  It lives here, in the one layer the CLI imports at its
+top, so that `--help` can print it and `--version` run without loading
+`tolerances` and numpy.
+
 `_count_headed` reads the comments, blank lines and count line that the
 graph and matrix text formats share; it lives here, with the FormatError it
 raises, so that reading a matrix imports no graph code.
@@ -30,6 +35,8 @@ __all__ = [
     "ConsistencyError",
     "FormatError",
 ]
+
+TOL_PROFILE_ENV = "EDM_SPHERE_TOL_PROFILE"
 
 
 class EdmSphereError(Exception):

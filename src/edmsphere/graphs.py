@@ -105,7 +105,7 @@ def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
     """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support.
 
     No decision of the library calls it: Delta's support is its nonzero
-    pattern after the sign band (`edm._delta_support`).  The arcs come in
+    pattern after the sign band (`edm._delta_blocks`).  The arcs come in
     row-major order from one scan of the flat indices of the support:
     row = index // n, column = index % n.
     """
@@ -131,7 +131,7 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
 
     The arcs are in row-major order, both directions of each edge present.
     The one traversal behind `components`, `support_components` and
-    `edm._delta_support`: it colours each node it reaches opposite to the
+    `edm._delta_blocks`: it colours each node it reaches opposite to the
     node it is reached from and notes an arc between nodes of one colour,
     which closes an odd cycle.
     """

@@ -22,7 +22,6 @@ __all__ = [
     "parse_matrix_text",
     "parse_matrix_json",
     "parse_matrix",
-    "load_matrix",
     "format_matrix_text",
 ]
 
@@ -83,11 +82,6 @@ def parse_matrix(text: str) -> np.ndarray:
     if stripped.startswith("{"):
         return parse_matrix_json(text)
     return parse_matrix_text(text)
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
 
 
 def format_matrix_text(M: np.ndarray, comment: str | None = None) -> str:

@@ -9,8 +9,9 @@ adjacency block A_c of each such component gives its top eigenvalue
 lambda_c and positive Perron vector, the spectrum mu / lambda_c of the
 Delta block A_c / lambda_c, and the spectrum 1 - mu / lambda_c of the block
 of B = I - Delta, all on the eigenvectors of A_c; components of one order
-share one stacked eigendecomposition (`spectral._perron_blocks`), and the
-points and residual are assembled per order.  That is one decomposition
+share one stacked eigendecomposition (`spectral._perron_blocks`), certified
+by `spectral._check_perron`, and the points and residual are assembled per
+order.  That is one decomposition
 per component order; bipartite groups by the SVD: paths, stars, trees and
 even cycles of one order and part sizes take their eigensystems from one
 SVD of their biadjacency blocks, which the 2-colouring of the component
@@ -45,7 +46,7 @@ import numpy as np
 from .edm import Edm, EdmRejection, _circumcenter_edm, centering_gram, validate_edm
 from .errors import ConsistencyError, _record
 from .graphs import ComponentSplit, Graph, _edge_index, adjacency, components
-from .spectral import EigenSystem, _block_index, _column_signs, _perron_blocks, _union_top
+from .spectral import EigenSystem, _block_index, _check_perron, _column_signs, _perron_blocks, _union_top
 from .tolerances import DEFAULT_TOL, Tolerances, _over_two, _recon_band, _within, scale
 
 __all__ = [
@@ -157,7 +158,7 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     split = components(G)
     k = split.nontrivial_count
     iso = np.asarray(split.isolated, dtype=int) - 1
-    groups = _perron_blocks(A, split, tol, normalize=True)
+    groups = _check_perron(_perron_blocks(A, split, tol, normalize=True))
     lam = np.ones(n)  # per row: its component's lambda_c; A's isolated rows are zero
     xi = np.zeros(n)
     lams, spectra = [None] * k, [None] * k
@@ -175,6 +176,8 @@ def construct_orthorep(G: Graph, tol: Tolerances = DEFAULT_TOL) -> OrthoRep:
     if k:
         w, note = xi / (2.0 * xi.sum()), None
         res = _circumcenter_edm(D, w, blocks, iso, 1.0, tol)
+        if isinstance(res, ConsistencyError):
+            raise res
     else:
         # No edges: the standard basis is optimal and d = n cannot be improved
         # (any two distinct nodes need independent vectors).  D = 2(E - I) is
@@ -219,7 +222,7 @@ def _points(D: np.ndarray, groups: list, split: ComponentSplit, iso: np.ndarray)
     """(P, blocks of B for `_circumcenter_edm`, reconstruction residual) from the component groups.
 
     A component of order m takes the m - 1 columns of the pairs of its
-    block of B above zero, which `_perron_blocks` certified as its rank, in
+    block of B above zero, which `_check_perron` certified as its rank, in
     split order, then each isolated node one.  max|D - 2(E - P P^T)| is
     taken on the diagonal blocks: off them D = 2 and P P^T = 0, and
     0 - 2 + 2 on an isolated node's diagonal.

@@ -3,9 +3,12 @@
 Everything downstream (EDM certification, Perron data of nonnegative
 matrices, embedding dimensions) consumes `eig`, `_decompose`, `_eigh_stack`
 or `_perron_blocks`, the Perron-Frobenius step that orthonormal
-representations and Kuperberg blocks share.  The top of Delta and its
-multiplicity are read in one place, `_union_top`, from the spectra of
-Delta's irreducible blocks.  One driver decomposes: a
+representations and every reader of Delta share.  It decomposes the
+irreducible blocks and checks nothing; `_check_perron` certifies them for
+the callers that build points or Edms on them (orthonormal representations
+and Kuperberg blocks), so a caller that reads only the tops skips it.  The
+top of Delta and its multiplicity are read in one place, `_union_top`,
+from the spectra of Delta's irreducible blocks.  One driver decomposes: a
 (T, n, n) stack goes through `_eigh_stack`, one eigh call, and a single
 matrix is a stack of one (`_decompose`); `_gram_exceeds` bounds the least
 eigenvalue of F^T F from below by one Cholesky.  `_perron_blocks` makes one
@@ -23,7 +26,7 @@ top) each have one body, over stacks of descending spectra: `_psd_stack`,
 `_rank_stack` and `_cluster_stack`, each a call of `tolerances._within`.
 `EigenSystem.psd`, `.rank_mask` and `.multiplicity` read them on a stack of
 one.  A check over a stack names each matrix's first failing check
-(`_first_failures`), as `_perron_blocks` and `edm._circumcenter_edms` do.
+(`_first_failures`), as `_check_perron` and `edm._circumcenter_edms` do.
 
 Matrices enter as plain ndarrays.  `as_symmetric` is the constructor for the
 "symmetric matrix" contract: it checks finiteness and near-symmetry, then
@@ -321,6 +324,8 @@ class PerronBlocks(NamedTuple):
     vector xi[t]; its block of I - Delta has (gram_values[t],
     gram_vectors[t]), the same pairs reversed, at scale gram_scales[t] =
     max(1, scales[t]): its diagonal is 1 and its other entries are -Delta's.
+    `normalized`: M is an adjacency matrix, whose blocks divided by their
+    tops are Delta's.
     """
 
     pos: list
@@ -330,6 +335,7 @@ class PerronBlocks(NamedTuple):
     vectors: np.ndarray
     scales: np.ndarray
     tol: Tolerances
+    normalized: bool
 
     @property
     def xi(self) -> np.ndarray:
@@ -351,9 +357,8 @@ class PerronBlocks(NamedTuple):
         return EigenSystem(self.values[t], self.vectors[t], self.tol, float(self.scales[t]))
 
 
-def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = False,
-                   check: bool = True) -> list[PerronBlocks]:
-    """The Perron-Frobenius step on the nontrivial components of `split`, the support graph of a nonnegative M.
+def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = False) -> list[PerronBlocks]:
+    """The Perron-Frobenius blocks of the nontrivial components of `split`, the support graph of a nonnegative M.
 
     `split` must be M's exact support, the graph of its nonzero entries (an
     adjacency matrix and its graph's components; Delta snapped by
@@ -366,18 +371,13 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     (`_bipartite_stack`); every other order through one eigh of the
     gathered (T, m, m) stack.  Stacked and looped calls agree bitwise.
     Order 2 stays on eigh, where both are closed forms.  With `normalize`, M is an adjacency
-    matrix: Delta's block is M_c / lambda_c, lambda_c > 0 is required, and
-    the spectra are mu / lambda_c at scale 1 / lambda_c, the largest entry
-    of M_c / lambda_c (lambda_c >= 1, so I - Delta's block is at scale 1).
-    Otherwise M is Delta: lambda_c must be within tol.cluster of 1 and
-    simple (the cluster rule).  Every Perron vector must be positive, and
-    every block of I - Delta must pass the PSD rule and have rank m - 1 by
-    the rank rule, at its own scale max(1, scale of Delta's block), since
-    its diagonal is 1: the certificate the blocks' Edms and points are
-    built on.  The first failing component in `split.nontrivial` order
-    raises its first failing check's ConsistencyError (or its
-    decomposition error), naming it; `check=False` skips the checks, for a
-    caller that reads only the tops.
+    matrix: Delta's block is M_c / lambda_c, and the spectra are
+    mu / lambda_c at scale 1 / lambda_c, the largest entry of
+    M_c / lambda_c (lambda_c >= 1, so I - Delta's block is at scale 1).
+    Otherwise M is Delta.  The first component in `split.nontrivial` order
+    whose decomposition fails raises its error; nothing else is checked
+    here: `_check_perron` certifies the blocks for a caller that builds on
+    them, and a caller that reads only the tops skips it.
     """
     comps = split.nontrivial
     colour = np.array(split.colour, dtype=int)
@@ -391,37 +391,57 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
         if route is None:
             S = M[_block_index(rows, rows)]
             values, vectors, errors = _eigh_stack(S)
+            failures.update((pos[t], error) for t, error in enumerate(errors) if error is not None)
         else:  # S is the biadjacency stack, at the scale of the blocks
             values, vectors, S = route
-            errors = [None] * len(pos)
         lam = values[:, 0]
         scales = scale(S)
         if normalize:  # Delta's block is M_c / lambda_c; lambda_c <= 0 fails its check
             with np.errstate(divide="ignore", invalid="ignore"):
                 values, scales = values / lam[:, None], scales / lam
-        g = PerronBlocks(pos, rows, lam, values, vectors, scales, tol)
-        checks, name = [], lambda t: f"component {comps[pos[t]]}"
-        if check:
-            if normalize:
-                checks = [(lam > 0.0, lambda t: f"{name(t)} has an edge but adjacency eigenvalue {lam[t]:g}")]
-            else:
-                mult = _cluster_stack(values, tol.cluster)
-                checks = [
-                    (_top_at_one(lam, tol)[0], lambda t: f"core lambda_max of {name(t)} = {lam[t]:.17g}, expected 1"),
-                    (mult == 1, lambda t: f"top eigenvalue of {name(t)} has multiplicity {mult[t]}, expected 1"),
-                ]
-            gram = g.gram_values
-            rank = np.count_nonzero(_rank_stack(gram, g.gram_scales, tol), axis=1)
-            checks += [
-                (np.all(vectors[:, :, 0] > 0.0, axis=1), lambda t: f"Perron vector of {name(t)} is not positive"),
-                (_psd_stack(gram, g.gram_scales, tol),
-                 lambda t: f"I - Delta of {name(t)} is not PSD (eigenvalue {gram[t, -1]:g})"),
-                (rank == m - 1, lambda t: f"I - Delta of {name(t)} has rank {rank[t]}, expected {m - 1}"),
+        groups.append(PerronBlocks(pos, rows, lam, values, vectors, scales, tol, normalize))
+    if failures:
+        raise failures[min(failures)]
+    return groups
+
+
+def _check_perron(groups: list[PerronBlocks]) -> list[PerronBlocks]:
+    """The Perron certificate of the blocks `_perron_blocks` gives, which are returned when every one passes.
+
+    Of an adjacency matrix's blocks, lambda_c > 0 is required; of Delta's,
+    lambda_c must be within tol.cluster of 1 and simple (the cluster rule).
+    Every Perron vector must be positive, and every block of I - Delta
+    must pass the PSD rule and have rank m - 1 by the rank rule, at its own
+    scale max(1, scale of Delta's block), since its diagonal is 1: the
+    certificate the blocks' Edms and points are built on.  The first
+    failing component in `split.nontrivial` order raises its first failing
+    check's ConsistencyError, naming it.
+    """
+    failures = {}
+    for g in groups:
+        tol, lam, values, m = g.tol, g.lam, g.values, g.rows.shape[1]
+
+        def name(t):
+            return f"component {tuple((g.rows[t] + 1).tolist())}"
+
+        if g.normalized:
+            checks = [(lam > 0.0, lambda t: f"{name(t)} has an edge but adjacency eigenvalue {lam[t]:g}")]
+        else:
+            mult = _cluster_stack(values, tol.cluster)
+            checks = [
+                (_top_at_one(lam, tol)[0], lambda t: f"core lambda_max of {name(t)} = {lam[t]:.17g}, expected 1"),
+                (mult == 1, lambda t: f"top eigenvalue of {name(t)} has multiplicity {mult[t]}, expected 1"),
             ]
-        for t, error in enumerate(_first_failures(checks, len(pos))):
-            if (error := errors[t] or error) is not None:  # a decomposition error comes first
-                failures[pos[t]] = error
-        groups.append(g)
+        gram = g.gram_values
+        rank = np.count_nonzero(_rank_stack(gram, g.gram_scales, tol), axis=1)
+        checks += [
+            (np.all(g.xi > 0.0, axis=1), lambda t: f"Perron vector of {name(t)} is not positive"),
+            (_psd_stack(gram, g.gram_scales, tol),
+             lambda t: f"I - Delta of {name(t)} is not PSD (eigenvalue {gram[t, -1]:g})"),
+            (rank == m - 1, lambda t: f"I - Delta of {name(t)} has rank {rank[t]}, expected {m - 1}"),
+        ]
+        failures.update((g.pos[t], error) for t, error in enumerate(_first_failures(checks, len(g.pos)))
+                        if error is not None)
     if failures:
         raise failures[min(failures)]
     return groups

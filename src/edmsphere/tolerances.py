@@ -4,7 +4,9 @@ Exact statements about distance matrices (PSD-ness, eigenvalue multiplicity,
 "equal to 2") only survive floating point as tolerance bands.  Every predicate
 in the package reads its band from one `Tolerances` record so the whole stack
 can be tightened or relaxed coherently, e.g. when probing sensitivity from the
-command line or the ``EDM_SPHERE_TOL_PROFILE`` environment variable.
+command line or the ``EDM_SPHERE_TOL_PROFILE`` environment variable, whose
+name, `TOL_PROFILE_ENV`, is defined in `errors` so that the CLI's help
+prints it without loading this module and numpy.
 
 Every decision against a band is one call of `_within(value, band)`, which
 returns whether the value passes and its signed slack, with NaN failing; no
@@ -27,17 +29,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import PreconditionError, _record
+from .errors import TOL_PROFILE_ENV, PreconditionError, _record
 
 __all__ = [
     "Tolerances",
     "DEFAULT_TOL",
     "PROFILES",
     "from_profile",
-    "profile_from_env",
 ]
-
-TOL_PROFILE_ENV = "EDM_SPHERE_TOL_PROFILE"
 
 
 @_record(frozen=True)
@@ -82,7 +81,7 @@ class Tolerances:
     sphericity and the unit circumradius in `edm._certify`; the support
     band in `graphs.support_components`, and Delta's orthogonal pairs by
     the sign band in `edm.nonnegative_delta`; the Perron checks in
-    `spectral._perron_blocks` and `edm._circumcenter_edms`; the sign band
+    `spectral._check_perron` and `edm._circumcenter_edms`; the sign band
     in `orthorep.verify_sign_pattern` and `decomposition`.
     """
 
@@ -127,14 +126,9 @@ def from_profile(name: str) -> Tolerances:
         raise PreconditionError(f"unknown tolerance profile {name!r} (known: {known})") from None
 
 
-def _env_profile(environ: dict[str, str] | None = None) -> str:
-    """The preset name ``EDM_SPHERE_TOL_PROFILE`` selects, "default" if unset; read by the library and the CLI."""
-    return (os.environ if environ is None else environ).get(TOL_PROFILE_ENV, "default")
-
-
-def profile_from_env(environ: dict[str, str] | None = None) -> Tolerances:
-    """Resolve the preset selected by ``EDM_SPHERE_TOL_PROFILE`` (default preset if unset)."""
-    return from_profile(_env_profile(environ))
+def _env_profile() -> str:
+    """The preset name ``EDM_SPHERE_TOL_PROFILE`` selects, "default" if unset; read by the CLI."""
+    return os.environ.get(TOL_PROFILE_ENV, "default")
 
 
 def _within(value, band, above: bool = False, strict: bool = False, slack: bool = True) -> tuple:

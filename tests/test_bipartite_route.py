@@ -25,15 +25,17 @@ from edmsphere import (
     Graph,
     adjacency,
     construct_orthorep,
+    delta_of,
     embedding_dim_via_delta,
     kuperberg_decompose,
     minimality_bound,
+    nonnegative_delta,
     require_edm,
     spherical_certificate,
 )
 from edmsphere import spectral as spectral_module
-from edmsphere.edm import _delta_support
-from edmsphere.spectral import _decompose, _perron_blocks
+from edmsphere.edm import _delta_blocks
+from edmsphere.spectral import _decompose
 from oracles import bipartite_sides
 
 
@@ -225,10 +227,11 @@ def test_delta_entries_within_a_part_follow_the_sign_band():
     # Delta_13 = 0.0 and the path bipartite; d_13 = 2 + 3 tol.sign is an edge closing a triangle
     D = construct_orthorep(Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)])).edm.dist2
     for excess, colour, expected in [(1e-7, (0, 1, 0, 1, 0), ["svd"]), (3e-7, (-1,) * 5, ["eigh"])]:
-        _, delta, split = _delta_support(require_edm(helpers.with_distance(D, 1, 3, 2.0 + excess)))
-        assert split.colour == colour and (delta[0, 2] == 0.0) == (expected == ["svd"])
+        edm = require_edm(helpers.with_distance(D, 1, 3, 2.0 + excess))
         with _decompositions() as calls:
-            (group,) = _perron_blocks(delta, split, DEFAULT_TOL, check=False)
+            _, split, (group,) = _delta_blocks(edm)[:3]
+        delta = nonnegative_delta(delta_of(edm), DEFAULT_TOL)
+        assert split.colour == colour and (delta[0, 2] == 0.0) == (expected == ["svd"])
         assert [name for name, _ in calls] == expected
         ref = _decompose(delta, DEFAULT_TOL)
         assert np.max(np.abs(group.values[0] - ref.values)) <= 1e-12

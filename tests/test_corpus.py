@@ -4,8 +4,8 @@ import pytest
 
 import corpus
 import helpers
-from edmsphere import PROFILES, spherical_certificate, support_components, validate_edm
-from edmsphere.edm import _delta_support
+from edmsphere import PROFILES, delta_of, nonnegative_delta, spherical_certificate, support_components, validate_edm
+from edmsphere.edm import _delta_blocks
 from edmsphere.tolerances import _perron_hypothesis
 
 
@@ -33,7 +33,6 @@ def test_delta_split_is_the_support_graph_of_snapped_delta(profile):
         edm = validate_edm(M, tol)
         if not (edm and spherical_certificate(edm).unit_spherical and _perron_hypothesis(edm.min_offdiagonal, tol)[0]):
             continue
-        _, delta, split = _delta_support(edm)
-        assert split == support_components(delta, tol)
+        assert _delta_blocks(edm)[1] == support_components(nonnegative_delta(delta_of(edm), tol), tol)
         checked += 1
     assert checked >= 150

@@ -28,8 +28,11 @@ from edmsphere import (
     validate_edm,
 )
 from edmsphere import decomposition as decomposition_module
+from edmsphere import edm as edm_module
+from edmsphere import graphs as graphs_module
+from edmsphere import orthorep as orthorep_module
 from edmsphere import spectral as spectral_module
-from edmsphere.edm import _delta_support
+from edmsphere.edm import _delta_blocks
 from oracles import perron, simplex_blocks_looped
 
 # the (3,4,5) principal block of the worked five-node example
@@ -232,7 +235,7 @@ class TestSupportBySignRule:
         tol = Tolerances(sign=1e-13)
         D = require_edm(helpers.with_distance(helpers.compose_block_edm([3, 3]), 1, 4, 2.0 + 2e-13), tol)
         assert spherical_certificate(D).unit_spherical and D.embedding_dim == 4
-        assert _delta_support(D)[2].components == ((1, 2, 3, 4, 5, 6),)
+        assert _delta_blocks(D)[1].components == ((1, 2, 3, 4, 5, 6),)
         message = "top eigenvalue of component (1, 2, 3, 4, 5, 6) has multiplicity 2, expected 1"
         with pytest.raises(ConsistencyError, match=re.escape(message)):
             certify_simplex(D)
@@ -309,6 +312,55 @@ class TestDeltaTopReadings:
         assert simplex.method == "rank"
         assert rep.lambda_max == simplex.lambda_max  # bit for bit
         assert rep.lambda_max_ok and rep.dimension == edm.embedding_dim
+
+
+class TestOneReadingOfDelta:
+    """The four readers of Delta read it through one function, and only those that build blocks certify them."""
+
+    def test_top_readers_skip_the_block_certificate(self, monkeypatch):
+        def refused(groups):
+            raise AssertionError("the blocks were certified")
+
+        for module in (spectral_module, decomposition_module, orthorep_module):
+            monkeypatch.setattr(module, "_check_perron", refused)
+        edm = require_edm(BLOCK_CASES["blocks-3-2-lone-2"])
+        assert embedding_dim_via_delta(edm, spherical_certificate(edm)).dimension == edm.embedding_dim
+        assert certify_simplex(edm).method == "rank"
+        with pytest.raises(AssertionError, match="certified"):
+            kuperberg_decompose(edm)
+
+    @pytest.mark.parametrize("reader, cases", [
+        (lambda edm: embedding_dim_via_delta(edm, spherical_certificate(edm)), ["blocks-3-2-lone-2", "cross-5"]),
+        (certify_simplex, ["blocks-3-2-lone-2", "cross-5"]),
+        (kuperberg_decompose, ["blocks-3-2-lone-2", "cross-5"]),
+        (crosspolytope_recognize, ["cross-2", "cross-5"]),
+    ], ids=["delta-dimension", "simplex", "kuperberg", "crosspolytope"])
+    def test_each_reader_splits_the_support_once(self, monkeypatch, reader, cases):
+        calls, split = [], graphs_module._split
+        monkeypatch.setattr(graphs_module, "_split", lambda *args: calls.append(args[0]) or split(*args))
+        for case in cases:
+            edm = require_edm(BLOCK_CASES[case])
+            calls.clear()
+            reader(edm)
+            assert calls == [edm.n]
+
+    def test_the_last_block_raises_in_block_order(self, monkeypatch):
+        # blocks (1, 2) and (3, 4, 5) with the zero rows 6 and 7: the last block's Edm is built alone
+        # (`edm._circumcenter_edm`), the others over their stack; a failing check of either is raised
+        # in block order
+        edm = require_edm(helpers.compose_block_edm([2, 3], 2))
+        assert [b.indices for b in kuperberg_decompose(edm).blocks] == [(1, 2), (3, 4, 5, 6, 7)]
+        stacked = edm_module._circumcenter_edms
+
+        def one_rank_more(D, w, values, vectors, units, expected, tol):
+            return stacked(D, w, values, vectors, units, expected + 1, tol)
+
+        monkeypatch.setattr(edm_module, "_circumcenter_edms", one_rank_more)  # the last block only
+        with pytest.raises(ConsistencyError, match=r"^I - Delta has rank 4, expected 5$"):
+            kuperberg_decompose(edm)
+        monkeypatch.setattr(decomposition_module, "_circumcenter_edms", one_rank_more)
+        with pytest.raises(ConsistencyError, match=r"^I - Delta has rank 1, expected 2$"):
+            kuperberg_decompose(edm)
 
 
 class TestBlockPath:
@@ -446,8 +498,7 @@ class TestStackedAgainstLooped:
     def test_bitwise(self, D):
         edm = validate_edm(D)
         dec = kuperberg_decompose(edm)
-        _, delta, split = decomposition_module._spread_support(edm, "test")
-        ref = simplex_blocks_looped(edm, delta, split)
+        ref = simplex_blocks_looped(edm, nonnegative_delta(delta_of(edm), edm.tol), _delta_blocks(edm)[1])
         assert len(dec.blocks) == len(ref)
         for mine, theirs in zip(dec.blocks, ref):
             assert mine.indices == theirs.indices
@@ -467,7 +518,7 @@ class TestStackedAgainstLooped:
 
     def test_non_positive_perron_vector_names_its_block(self, monkeypatch):
         D = require_edm(relabelled(helpers.compose_block_edm([3, 2, 3, 3], 1), 9))
-        split = decomposition_module._spread_support(D, "test")[2]
+        split = _delta_blocks(D)[1]
         eigh_stack = spectral_module._eigh_stack
 
         def corrupted(S):

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from edmsphere import FormatError
 from edmsphere.matrixio import (
     format_matrix_text,
-    load_matrix,
     parse_matrix,
     parse_matrix_json,
     parse_matrix_text,
@@ -95,11 +94,3 @@ def test_parse_dispatches_on_leading_brace():
     npt.assert_array_equal(parse_matrix('  {"n": 1, "rows": [[7]]}'), [[7.0]])
     npt.assert_array_equal(parse_matrix("1\n7\n"), [[7.0]])
 
-
-def test_load_matrix(tmp_path):
-    p = tmp_path / "m.txt"
-    p.write_text("2\n0 3\n3 0\n")
-    npt.assert_array_equal(load_matrix(p), [[0.0, 3.0], [3.0, 0.0]])
-    q = tmp_path / "m.json"
-    q.write_text('{"n": 1, "rows": [[0]]}')
-    npt.assert_array_equal(load_matrix(q), [[0.0]])

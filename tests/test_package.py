@@ -28,16 +28,16 @@ PUBLIC_NAMES = [
     "crosspolytope_recognize", "delta_of", "eig", "embedding_dim_via_delta",
     "format_matrix_text", "from_profile", "gen_crosspolytope", "gen_random_spherical",
     "gen_regular_simplex", "gen_unit_simplex", "gram_factor", "kuperberg_decompose",
-    "load_matrix", "min_offdiagonal", "minimality_bound",
+    "min_offdiagonal", "minimality_bound",
     "nonnegative_delta", "parse_graph", "parse_matrix", "parse_matrix_json",
-    "parse_matrix_text", "profile_from_env", "rankin_codimension2_check",
+    "parse_matrix_text", "rankin_codimension2_check",
     "require_edm", "spherical_certificate", "support_components", "unit_simplex_gamma",
     "validate_edm", "verify_sign_pattern",
 ]
 
 
 def test_public_names():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 63
     assert sorted(edmsphere.__all__) == PUBLIC_NAMES
     assert all(hasattr(edmsphere, name) for name in PUBLIC_NAMES)
 
@@ -53,8 +53,8 @@ def test_module_helpers_are_not_package_attributes():
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-# imported first by the child's site module; writes the edmsphere modules, the
-# digest modules (OpenSSL's _hashlib costs milliseconds to load) and the JSON
+# imported first by the child's site module; writes the edmsphere modules, numpy,
+# the digest modules (OpenSSL's _hashlib costs milliseconds to load) and the JSON
 # decoder loaded at exit, the number of objects in the permanent generation
 # then, and whether the collector was enabled then
 EXIT_HOOK = """\
@@ -62,7 +62,7 @@ import atexit, gc, os, sys
 
 def _write_loaded():
     loaded = sorted(name for name in sys.modules
-                    if name.startswith("edmsphere.") or name in ("hashlib", "_hashlib", "json.decoder"))
+                    if name.startswith("edmsphere.") or name in ("numpy", "hashlib", "_hashlib", "json.decoder"))
     with open(os.path.join(os.path.dirname(__file__), "loaded.txt"), "w") as fh:
         fh.write("\\n".join(loaded))
     with open(os.path.join(os.path.dirname(__file__), "frozen.txt"), "w") as fh:
@@ -90,7 +90,9 @@ DIGESTS = {"hashlib", "_hashlib"}
 
 
 @pytest.mark.parametrize("argv, code, allowed, absent", [
-    (["--version"], 0, {"errors", "tolerances"}, DIGESTS),
+    # the help names the profile variable, read from `errors`: neither loads the tolerances or numpy
+    (["--version"], 0, {"errors"}, {"tolerances", "numpy"} | DIGESTS),
+    (["--help"], 0, {"errors"}, {"tolerances", "numpy"} | DIGESTS),
     (["validate", "example.txt"], 0, None, {"decomposition", "orthorep"} | DIGESTS),
     # a rejected matrix forms no Delta, and a text matrix is read without the graph layer
     (["validate", "notpsd.txt"], 2, None, {"decomposition", "orthorep", "graphs"} | DIGESTS),
@@ -101,13 +103,15 @@ DIGESTS = {"hashlib", "_hashlib"}
     (["check-rankin", "compose.txt"], 0, None, {"orthorep"} | DIGESTS),
     # numpy.random imports `secrets`, which loads _hashlib, so only the layers are asserted
     (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio"}),
-], ids=["version", "validate", "validate-rejected", "gen-out", "orthorep", "decompose-json", "check-rankin-text",
+], ids=["version", "help", "validate", "validate-rejected", "gen-out", "orthorep", "decompose-json", "check-rankin-text",
         "check-rankin-sample"])
 def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, absent):
     _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv], returncode=code)
-    assert "errors" in loaded and "tolerances" in loaded
+    assert "errors" in loaded
     if allowed is not None:
         assert loaded <= allowed, loaded - allowed
+    else:  # a subcommand that runs reads its tolerances, and loads numpy with them
+        assert {"tolerances", "numpy"} <= loaded
     if absent is not None:
         assert not loaded & absent, loaded & absent
     assert ("json.decoder" in loaded) == argv[-1].endswith(".json")

@@ -8,10 +8,8 @@ import pytest
 from edmsphere.tolerances import (
     DEFAULT_TOL,
     PROFILES,
-    TOL_PROFILE_ENV,
     Tolerances,
     from_profile,
-    profile_from_env,
     scale,
 )
 
@@ -47,13 +45,6 @@ def test_profiles_ordering():
 def test_from_profile_unknown():
     with pytest.raises(ValueError, match="unknown tolerance profile"):
         from_profile("nope")
-
-
-def test_profile_from_env():
-    assert profile_from_env({}) == DEFAULT_TOL
-    assert profile_from_env({TOL_PROFILE_ENV: "strict"}) == PROFILES["strict"]
-    with pytest.raises(ValueError):
-        profile_from_env({TOL_PROFILE_ENV: "bogus"})
 
 
 def test_scale():
