@@ -775,8 +775,7 @@ def _delta_blocks(D: Edm) -> tuple:
     """
     from .graphs import _split  # here, so that a run that forms no Delta loads no graph code
 
-    dm = delta_of(D)
-    delta = nonnegative_delta(dm, D.tol)
+    delta = nonnegative_delta(dm := delta_of(D), D.tol)
     split = _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
     groups = _perron_blocks(delta, split, D.tol)
     return dm.delta, split, groups, *_union_top([g.values for g in groups], len(split.isolated), D.tol.cluster)
