@@ -7,7 +7,10 @@ and the distance matrix of the orthonormal representation of the path on 40 node
 Each runs under every tolerance profile, as given and relabelled by one fixed
 permutation, at scales c = 1e-6, 1 and 1e6.  The 300 strict-noise compositions
 (`helpers.strict_noise_compositions`) run as given, at c = 1, under the strict
-profile, whose bands their noise matches.  A record holds the sphericity status
+profile, whose bands their noise matches.  The sign-edge family puts +-p, +-q on
+the unit circle with their cross distances at the float of 2 - tol.sign and of
+2 + tol.sign, and at each one's two neighbours (`helpers.sign_edges`); each runs
+as given, at c = 1, under the profile whose tol.sign it reads.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
 of a unit spherical input and the type of any exception raised; and, for every
 accepted input, `factor_dim`, the column count of `gram_factor` at its default
@@ -111,6 +114,9 @@ def digest() -> dict:
                     records[f"{name} {labels} c={c:g} {profile}"] = verdict(c * M, tol)
     for k, M in enumerate(helpers.strict_noise_compositions()):
         records[f"strict-noise-{k:03d} given c=1 strict"] = verdict(M, PROFILES["strict"])
+    for profile, tol in sorted(PROFILES.items()):
+        for (a, b), M in helpers.sign_edges(tol.sign).items():
+            records[f"sign-edge lo{a:+d} hi{b:+d} given c=1 {profile}"] = verdict(M, tol)
     return records
 
 

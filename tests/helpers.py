@@ -174,6 +174,24 @@ def _tilted_pair(eps: float) -> np.ndarray:
 TILTED_PAIR = _tilted_pair(4.5e-8)
 
 
+def tilted_pairs(lo: float, hi: float) -> np.ndarray:
+    """+-p, +-q on the unit circle, given as their distances: 4 within each pair, lo between p and q
+    (and -p and -q), hi between p and -q (and -p and q); unit spherical of rank 2 when lo + hi = 4."""
+    return np.array([[0.0, 4.0, lo, hi], [4.0, 0.0, hi, lo], [lo, hi, 0.0, 4.0], [hi, lo, 4.0, 0.0]])
+
+
+def sign_edges(sign: float) -> dict:
+    """The tilted pairs with lo at fl(2 - sign) and hi at fl(2 + sign), and at each one's two neighbours.
+
+    Keyed by (a, b), the steps in floats of lo and hi from those values.
+    """
+    def steps(x):
+        return {-1: float(np.nextafter(x, -np.inf)), 0: x, 1: float(np.nextafter(x, np.inf))}
+
+    lows, highs = steps(2.0 - sign), steps(2.0 + sign)
+    return {(a, b): tilted_pairs(lows[a], highs[b]) for a in lows for b in highs}
+
+
 def certificate_families() -> dict:
     """Named distance matrices for the sphericity certificate: spheres, clouds, rank 0 to 20."""
     rng = np.random.default_rng(11)
