@@ -24,7 +24,9 @@ zero rows into the last component, and builds and checks the blocks' Edms
 over the stack of each order (`edm._circumcenter_edms`); a connected core
 is the one-block case.
 `check-rankin --sample` runs the n = r + 2 check on random samples in
-stacked chunks (`_sample_codimension2`).
+stacked chunks (`_sample_codimension2`).  The distance checks read what is
+certified already: Rankin's the least distance that validation stored,
+Kuperberg's the Delta it split, and the crosspolytope's Kuperberg's check.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .edm import (
     _circumcenter_edm,
     _circumcenter_edms,
     _delta_blocks,
-    _inf_diagonal,
     _sample_rejected,
     _sphere_dist2,
     _sphere_points,
@@ -48,7 +49,6 @@ from .edm import (
     spherical_certificate,
 )
 from .errors import ConsistencyError, PreconditionError, _record
-from .graphs import apply_permutation
 from .spectral import _block_index, _check_perron
 from .tolerances import Tolerances, _interior, _over_two, _perron_hypothesis, _top_at_one, _within
 
@@ -204,21 +204,23 @@ def rankin_codimension2_check(D: Edm) -> RankinReport:
     if n != r + 2:
         raise PreconditionError(f"check needs n = r + 2, got n = {n}, r = {r}")
     _require_unit_spherical(D, "rankin_codimension2_check")
-    m, i, j = _closest_pairs(D.dist2)
-    return _rankin_report(n, r, float(m), int(i), int(j), tol)
+    i, j = _closest_pairs(D.dist2, np.float64(D.min_offdiagonal))
+    return _rankin_report(n, r, D.min_offdiagonal, int(i), int(j), tol)
 
 
-def _closest_pairs(D: np.ndarray) -> tuple:
-    """(m, i, j) per matrix of a (..., n, n) stack: its least off-diagonal entry m = D[i, j], i < j.
+def _closest_pairs(D: np.ndarray, least: np.ndarray) -> tuple:
+    """(i, j), i < j, per matrix of a (..., n, n) stack, n >= 2: where its least off-diagonal entry sits.
 
-    The pair is the first least entry in row-major order, mirrored above the diagonal.
+    `least` holds those entries, as validation stored them (`Edm.min_offdiagonal`);
+    the pair is the first of them in row-major order, mirrored above the
+    diagonal.  It is found on the view that `edm.min_offdiagonal` reads:
+    past the first entry, n - 1 rows of n + 1, each ending on the diagonal.
     """
-    n = D.shape[-1]
-    off = _inf_diagonal(D).reshape(D.shape[:-2] + (n * n,))
-    i, j = np.divmod(off.argmin(axis=-1), n)
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    m = np.take_along_axis(off, (i * n + j)[..., None], axis=-1)[..., 0]
-    return m, i, j
+    n, stack = D.shape[-1], D.shape[:-2]
+    rows = D.reshape(stack + (n * n,))[..., 1:].reshape(stack + (n - 1, n + 1))[..., :n]
+    k = (rows == least[..., None, None]).reshape(stack + ((n - 1) * n,)).argmax(axis=-1)
+    i, j = np.divmod(k + k // n + 1, n)  # entry k of the view is entry k + k // n + 1 of D
+    return np.minimum(i, j), np.maximum(i, j)
 
 
 def _rankin_report(n: int, r: int, m: float, i: int, j: int, tol: Tolerances) -> RankinReport:
@@ -283,7 +285,8 @@ def _codimension2_stack(M: np.ndarray, r: int, tol: Tolerances) -> list:
                 certify.append((t, res))  # the rank is replaced by the report below
     D = np.array([res.dist2 for _, res in certify]).reshape(-1, n, n)
     certs = _certify(D, [res.gram_eig for _, res in certify], tol)
-    m, i, j = (v.tolist() for v in _closest_pairs(D))
+    m = [res.min_offdiagonal for _, res in certify]
+    i, j = (v.tolist() for v in _closest_pairs(D, np.array(m)))
     for k, (t, _) in enumerate(certify):
         error = _not_unit_spherical(certs[k], "rankin_codimension2_check")
         outcome[t] = _rankin_report(n, r, m[k], i[k], j[k], tol) if error is None else error
@@ -427,21 +430,20 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
     if not n - r <= r:
         raise PreconditionError(f"need n - r <= r, got n = {n}, r = {r}")
     _require_unit_spherical(D, "kuperberg_decompose")
-    _, split, groups = _delta_blocks(D)[:3]
+    off, split, groups = _delta_blocks(D)[:3]
     if split.nontrivial_count != n - r:
         raise ConsistencyError(
             f"support splits into {split.nontrivial_count} block(s), expected n - r = {n - r}"
         )
     blocks = _simplex_blocks(D, split, groups)
-    off = D.dist2 - 2.0  # |d_ij - 2|, zeroed on the diagonal blocks below
-    np.abs(off, out=off)
+    np.abs(off, out=off)  # |Delta_ij| = |d_ij - 2| / 2, zeroed on the diagonal blocks below
     by_order: dict[int, list] = {}
     for b in blocks:
         by_order.setdefault(b.order, []).append(b.indices)
     for members in by_order.values():
         rows = np.array(members) - 1
         off[_block_index(rows, rows)] = 0.0
-    cross_check = float(off.max())
+    cross_check = 2.0 * float(off.max())  # fl(d - 2) = 2 fl(d/2 - 1): the bits of max|d_ij - 2|
     if not _within(cross_check, tol.sign)[0]:
         raise ConsistencyError(
             f"cross-block squared distances deviate from 2 by {cross_check:g}"
@@ -453,21 +455,6 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
         isolated_assignment=tuple(split.isolated), subspace_dims=tuple(b.dim for b in blocks),
         cross_check=cross_check, cross_gram_max=cross_check / 2.0,
     )
-
-
-def _crosspolytope_deviation(M: np.ndarray) -> float:
-    """max|M - C| for C the canonical crosspolytope pattern, with no C made; M is overwritten.
-
-    C has 0 on the diagonal, 4 within each consecutive pair (2k, 2k + 1) and
-    2 elsewhere.
-    """
-    i = np.arange(0, M.shape[0], 2)
-    dev = max(np.abs(np.diagonal(M)).max(), np.abs(M[i, i + 1] - 4.0).max(),
-              np.abs(M[i + 1, i] - 4.0).max())
-    np.fill_diagonal(M, 2.0)
-    M[i, i + 1] = M[i + 1, i] = 2.0
-    M -= 2.0
-    return float(max(dev, np.abs(M, out=M).max()))
 
 
 @_record
@@ -491,7 +478,8 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     distance 2, antipodal pairs are forced.  The returned permutation lists
     the pairs consecutively (smallest-first order), so applying it to D
     yields the canonical form: diagonal 2x2 blocks with 4 off the diagonal,
-    2 everywhere else.
+    2 everywhere else.  Its deviation from that form is Kuperberg's cross
+    check with max|d - 4| over the r pairs, read with no permuted copy.
 
     Parameters
     ----------
@@ -510,20 +498,22 @@ def crosspolytope_recognize(D: Edm) -> CrosspolytopeResult:
     if n != 2 * r:
         raise PreconditionError(f"recognition needs n = 2r, got n = {n}, r = {r}")
     try:
-        if r == 1:  # a single antipodal pair; too small for the block machinery
+        if r == 1:  # a single antipodal pair, with no cross pair; too small for the block machinery
             _require_unit_spherical(D, "crosspolytope_recognize")
-            permutation = (1, 2)
+            permutation, cross = (1, 2), 0.0
         elif not _perron_hypothesis(D.min_offdiagonal, tol)[0]:
             return CrosspolytopeResult(
                 ok=False, r=r, permutation=None, max_deviation=None,
                 reason=f"min squared distance {D.min_offdiagonal:.17g} is below 2",
             )
         else:
-            permutation = kuperberg_decompose(D).permutation
+            dec = kuperberg_decompose(D)
+            permutation, cross = dec.permutation, dec.cross_check
     except PreconditionError as exc:
         return CrosspolytopeResult(ok=False, r=r, permutation=None,
                                    max_deviation=None, reason=str(exc))
-    dev = _crosspolytope_deviation(apply_permutation(D.dist2, permutation))
+    pairs = np.array(permutation).reshape(r, 2) - 1
+    dev = max(cross, float(np.abs(D.dist2[pairs[:, 0], pairs[:, 1]] - 4.0).max()))
     ok = _within(dev, tol.sign)[0]
     return CrosspolytopeResult(ok=ok, r=r, permutation=permutation, max_deviation=dev,
                                reason=None if ok else f"permuted matrix deviates from the canonical form by {dev:g}")

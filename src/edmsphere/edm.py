@@ -166,11 +166,6 @@ def min_offdiagonal(M: np.ndarray):
     return float(m) if m.ndim == 0 else m
 
 
-def _inf_diagonal(M: np.ndarray) -> np.ndarray:
-    """M, a (..., n, n) stack, with +inf on each diagonal: only off-diagonal entries can be least."""
-    return np.where(np.eye(M.shape[-1], dtype=bool), np.inf, M)
-
-
 def _centroid(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n) if n else np.zeros(0)
 

@@ -15,6 +15,10 @@ Each oracle below is the direct formula, kept as the reference:
 - `orthorep._points`: each block of P formed apart and copied into P;
 - `edm._certify`: the non-spherical witness formed for every matrix of the
   stack and selected where the matrix is not spherical;
+- the distance checks of `decomposition`: Kuperberg's cross check as
+  max|d_ij - 2| on D - 2 formed apart, the crosspolytope's deviation on the
+  permuted n x n copy, and Rankin's closest pair as the argmin of D with +inf
+  on its diagonal;
 - each tolerance comparison that `tolerances._within` and its rules replaced:
   the comparison as the site wrote it, with one change, that a NaN operand
   fails every rule (two sites let it pass).
@@ -33,9 +37,11 @@ import helpers
 import edmsphere.edm as edm_module
 import edmsphere.orthorep as orthorep_module
 import edmsphere.spectral as spectral_module
-from edmsphere import (DEFAULT_TOL, NON_SPHERICAL, PROFILES, SPHERICAL, Edm, Graph, PreconditionError, adjacency,
-                       components, construct_orthorep, min_offdiagonal, require_edm, verify_sign_pattern)
-from edmsphere.decomposition import _rankin_report
+from edmsphere import (DEFAULT_TOL, NON_SPHERICAL, PROFILES, SPHERICAL, ConsistencyError, Edm, Graph, PreconditionError,
+                       RankinReport, adjacency, components, construct_orthorep, crosspolytope_recognize, gen_crosspolytope,
+                       kuperberg_decompose, min_offdiagonal, rankin_codimension2_check, require_edm,
+                       validate_edm, verify_sign_pattern)
+from edmsphere.decomposition import _closest_pairs, _codimension2_stack, _rankin_report
 from edmsphere.edm import _DIFF_BLOCK_BYTES, _FLOAT_MAX, _certify, _crosspolytope_dist2, _entry_rejection, _entry_stats
 from edmsphere.edm import DeltaMatrix, SphericalCertificate, _sphere_dist2, _sphere_points, centering_gram
 from edmsphere.edm import nonnegative_delta
@@ -730,3 +736,139 @@ class TestWitnessOnlyOffTheSphere:
         for t, cert in enumerate(certs):
             assert isinstance(cert, SphericalCertificate) and same_bits(cert.w, w[t])
             assert same_bits(np.float64(cert.residual), residual[t])
+
+
+def cross_check_oracle(D, blocks):
+    """max|d_ij - 2| over the pairs in different blocks, on D - 2 formed apart and zeroed on each block."""
+    off = np.abs(D - 2.0)
+    for b in blocks:
+        rows = np.array(b.indices) - 1
+        off[np.ix_(rows, rows)] = 0.0
+    return float(off.max())
+
+
+def crosspolytope_deviation_oracle(D, permutation):
+    """max|M - C| on the permuted copy M of D, for C the canonical crosspolytope pattern."""
+    M = helpers.permute_1based(D, permutation)
+    i = np.arange(0, M.shape[0], 2)
+    dev = max(np.abs(np.diagonal(M)).max(), np.abs(M[i, i + 1] - 4.0).max(), np.abs(M[i + 1, i] - 4.0).max())
+    np.fill_diagonal(M, 2.0)
+    M[i, i + 1] = M[i + 1, i] = 2.0
+    M -= 2.0
+    return float(max(dev, np.abs(M, out=M).max()))
+
+
+def closest_pairs_oracle(D):
+    """(m, i, j) per matrix of a stack: the first argmin of D with +inf on its diagonal, mirrored above it."""
+    n = D.shape[-1]
+    off = np.where(np.eye(n, dtype=bool), np.inf, D).reshape(D.shape[:-2] + (n * n,))
+    i, j = np.divmod(off.argmin(axis=-1), n)
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    return np.take_along_axis(off, (i * n + j)[..., None], axis=-1)[..., 0], i, j
+
+
+def noisy_crosspolytopes():
+    """+-e_1, ..., +-e_r turned by a random rotation, r = 1..6, each point moved along the sphere by about
+    1e-9 and the rows shuffled: (matrix, default profile)."""
+    rng = np.random.default_rng(29)
+    for r in range(1, 7):
+        for _ in range(3):
+            Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
+            X = np.vstack([Q, -Q])[rng.permutation(2 * r)]
+            X += 1e-9 * rng.standard_normal(X.shape)
+            X /= np.linalg.norm(X, axis=1)[:, None]
+            yield helpers.edm_from_points(X), DEFAULT_TOL
+
+
+def decomposable():
+    """Inputs whose cross-block distances are not all 2, and the tolerances they are read with."""
+    yield helpers.TILTED_PAIR, DEFAULT_TOL
+    yield helpers.NEAR_TWO_CROSS, DEFAULT_TOL
+    yield helpers.NEAR_TWO_BLOCKS, DEFAULT_TOL
+    for M in helpers.strict_noise_compositions():
+        yield M, PROFILES["strict"]
+    yield from noisy_crosspolytopes()
+
+
+def decompositions():
+    """(Edm, Decomposition) of each input of `decomposable` that decomposes."""
+    for M, tol in decomposable():
+        edm = validate_edm(M, tol)
+        if not (edm and 2 <= edm.n - edm.embedding_dim <= edm.embedding_dim):
+            continue
+        try:
+            yield edm, kuperberg_decompose(edm)
+        except (PreconditionError, ConsistencyError):
+            continue
+
+
+class TestDistanceChecksReadCertifiedFacts:
+    def test_cross_check_is_max_distance_from_two(self):
+        seen = 0
+        for edm, dec in decompositions():
+            expected = cross_check_oracle(edm.dist2, dec.blocks)
+            assert same_bits(np.float64(dec.cross_check), np.float64(expected))
+            assert same_bits(np.float64(dec.cross_gram_max), np.float64(expected / 2.0))
+            seen += expected > 0.0
+        assert seen >= 20  # the named inputs and most noisy ones deviate from 2
+
+    def test_named_inputs_deviate(self):
+        for M in (helpers.TILTED_PAIR, helpers.NEAR_TWO_CROSS, helpers.NEAR_TWO_BLOCKS):
+            dec = kuperberg_decompose(require_edm(M))
+            assert dec.cross_check > 0.0
+            assert dec.cross_check == cross_check_oracle(require_edm(M).dist2, dec.blocks)
+
+    def test_crosspolytope_deviation_matches_the_permuted_copy(self):
+        inputs = [(helpers.NEAR_TWO_CROSS, DEFAULT_TOL), (np.array([[0.0, 4.0 + 3e-8], [4.0 + 3e-8, 0.0]]), DEFAULT_TOL),
+                  *noisy_crosspolytopes()]
+        seen = set()
+        for M, tol in inputs:
+            edm = validate_edm(M, tol)
+            if not (edm and edm.n == 2 * edm.embedding_dim):
+                continue
+            res = crosspolytope_recognize(edm)
+            if res.max_deviation is None:
+                continue
+            expected = crosspolytope_deviation_oracle(edm.dist2, res.permutation)
+            assert type(res.max_deviation) is float and same_bits(np.float64(res.max_deviation), np.float64(expected))
+            seen.add(edm.embedding_dim)
+        assert {1, 2, 3} <= seen
+
+    @given(D=st.integers(2, 7).flatmap(lambda n: arrays(np.float64, (3, n, n),
+                                                         elements=st.sampled_from([2.0, 2.5, 3.0, 4.0]))))
+    @settings(max_examples=200, deadline=None)
+    def test_closest_pairs_on_a_stack_with_ties(self, D):
+        D = np.tril(D, -1) + np.swapaxes(np.tril(D, -1), -1, -2)  # symmetric, zero diagonal, entries tied
+        m, i, j = closest_pairs_oracle(D)
+        least = min_offdiagonal(D)
+        assert same_bits(least, m)
+        got = _closest_pairs(D, least)
+        assert got[0].tolist() == i.tolist() and got[1].tolist() == j.tolist()
+        one = _closest_pairs(D[0], np.float64(least[0]))
+        assert (int(one[0]), int(one[1])) == (int(i[0]), int(j[0]))
+
+    @staticmethod
+    def rankin_inputs():
+        """n = r + 2 = 6 configurations, relabelled: two blocks, pairs with lone points, and a random sample."""
+        rng = np.random.default_rng(31)
+        tied = [helpers.compose_block_edm([3, 3]), helpers.compose_block_edm([4, 2]),
+                helpers.compose_block_edm([2, 2], 2), helpers.compose_block_edm([3, 2], 1)]
+        sample = helpers.edm_from_points(helpers.random_sphere_points(rng, 6, 4))
+        return [M[np.ix_(order, order)] for M in [*tied, sample] for order in (rng.permutation(6), np.arange(6))]
+
+    def test_rankin_pair_on_single_matrices(self):
+        for M in self.rankin_inputs():
+            edm = require_edm(M)
+            m, i, j = closest_pairs_oracle(edm.dist2)
+            rpt = rankin_codimension2_check(edm)
+            assert same_bits(np.float64(rpt.min_offdiag), m) and type(rpt.min_offdiag) is float
+            assert rpt.witness == (int(i) + 1, int(j) + 1)
+
+    def test_rankin_pair_on_a_sampler_stack(self):
+        M = np.stack(self.rankin_inputs())
+        outcome = _codimension2_stack(M, 4, DEFAULT_TOL)
+        assert all(isinstance(rpt, RankinReport) for rpt in outcome)
+        m, i, j = closest_pairs_oracle(np.stack([require_edm(D).dist2 for D in M]))
+        assert [rpt.witness for rpt in outcome] == list(zip((i + 1).tolist(), (j + 1).tolist()))
+        assert same_bits(np.array([rpt.min_offdiag for rpt in outcome]), m)
+        assert len(set(rpt.witness for rpt in outcome)) > 2  # the relabellings move the tied minima

@@ -100,9 +100,10 @@ DIGESTS = {"hashlib", "_hashlib"}
      {"decomposition", "orthorep", "graphs"} | DIGESTS),
     (["orthorep", "example.graph"], 0, None, {"decomposition", "matrixio"} | DIGESTS),
     (["decompose", "cross.json"], 0, None, {"orthorep"} | DIGESTS),
-    (["check-rankin", "compose.txt"], 0, None, {"orthorep"} | DIGESTS),
+    # Rankin's check at n = r + 2 reads the least distance that validation stored, and no graph code
+    (["check-rankin", "compose.txt"], 0, None, {"orthorep", "graphs"} | DIGESTS),
     # numpy.random imports `secrets`, which loads _hashlib, so only the layers are asserted
-    (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio"}),
+    (["check-rankin", "--sample", "4", "--trials", "10"], 0, None, {"orthorep", "matrixio", "graphs"}),
 ], ids=["version", "help", "validate", "validate-rejected", "gen-out", "orthorep", "decompose-json", "check-rankin-text",
         "check-rankin-sample"])
 def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, absent):
