@@ -160,8 +160,12 @@ def _unit_radius(etw, tol: Tolerances) -> tuple:
 
 
 def _perron_hypothesis(min_offdiagonal, tol: Tolerances) -> tuple:
-    """Every squared distance at least 2 - tol.sign, so Delta is nonnegative up to the sign band."""
-    return _within(min_offdiagonal, 2.0 - tol.sign, above=True)
+    """Every squared distance at least 2 - tol.sign, so Delta is nonnegative up to the sign band: 2 - d <= tol.sign.
+
+    Read as the sign band reads |d - 2| <= tol.sign, on 2 - d, which is exact for d in [1, 4]; the
+    rounded 2.0 - tol.sign may lie below 2 - tol.sign and pass a d that the band reads as "< 2".
+    """
+    return _within(2.0 - min_offdiagonal, tol.sign)
 
 
 def _interior(w, tol: Tolerances) -> tuple:
@@ -170,8 +174,11 @@ def _interior(w, tol: Tolerances) -> tuple:
 
 
 def _over_two(d, tol: Tolerances, over: bool = True) -> tuple:
-    """The sign band's upper edge: d > 2 + tol.sign reads "> 2"; with `over` False, d <= 2 + tol.sign, "not > 2"."""
-    return _within(d, 2.0 + tol.sign, above=over, strict=over)
+    """The sign band's upper edge: d - 2 > tol.sign reads "> 2"; with `over` False, d - 2 <= tol.sign, "not > 2".
+
+    d - 2 is exact for d in [1, 4], as in the band's |d - 2| <= tol.sign and in Delta = (d - 2) / 2.
+    """
+    return _within(d - 2.0, tol.sign, above=over, strict=over)
 
 
 def _recon_band(n: int, unit, tol: Tolerances):

@@ -20,12 +20,15 @@ Each oracle below is the direct formula, kept as the reference:
   permuted n x n copy, and Rankin's closest pair as the argmin of D with +inf
   on its diagonal;
 - each tolerance comparison that `tolerances._within` and its rules replaced:
-  the comparison as the site wrote it, with one change, that a NaN operand
-  fails every rule (two sites let it pass).
+  the comparison as the site wrote it, with two changes: a NaN operand fails
+  every rule (two sites let it pass), and the four sites on the sign band's
+  edges compare 2 - d or d - 2 with tol.sign, as the band's |d - 2| <= tol.sign
+  does, where they compared d with the rounded 2 -+ tol.sign.
 """
 
 import dataclasses
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -309,10 +312,10 @@ RULE_SITES = {
         site(lambda x, f, s: np.abs(2.0 * np.array([x]) - 1.0)[0], operator.gt, lambda x, f, s: f, "fail")),
     "edm.nonnegative_delta hypothesis": (
         lambda x, f, s: _perron_hypothesis(x, tol_with(sign=f))[0],
-        site(lambda x, f, s: x, operator.lt, lambda x, f, s: 2.0 - f, "fail")),
+        site(lambda x, f, s: 2.0 - x, operator.gt, lambda x, f, s: f, "fail")),
     "decomposition.crosspolytope_recognize hypothesis": (
         lambda x, f, s: _perron_hypothesis(x, tol_with(sign=f))[0],
-        site(lambda x, f, s: x, operator.lt, lambda x, f, s: 2.0 - f, "fail")),
+        site(lambda x, f, s: 2.0 - x, operator.gt, lambda x, f, s: f, "fail")),
     "decomposition.certify_simplex interior": (
         lambda x, f, s: _interior(np.array([s, x]), tol_with(sign=f))[0],
         site(lambda x, f, s: float(np.array([s, x]).min()), operator.gt, lambda x, f, s: f)),
@@ -321,10 +324,10 @@ RULE_SITES = {
         site(lambda x, f, s: np.array([[x, s]]).min(axis=1)[0], operator.gt, lambda x, f, s: f)),
     "orthorep.verify_sign_pattern edge": (
         lambda x, f, s: _over_two(np.array([x]), tol_with(sign=f))[0][0],
-        site(lambda x, f, s: np.array([x])[0], operator.gt, lambda x, f, s: 2.0 + f)),
+        site(lambda x, f, s: np.array([x])[0] - 2.0, operator.gt, lambda x, f, s: f)),
     "decomposition._rankin_report closest pair": (
         lambda x, f, s: _over_two(x, tol_with(sign=f), over=False)[0],
-        site(lambda x, f, s: x, operator.le, lambda x, f, s: 2.0 + f)),
+        site(lambda x, f, s: x - 2.0, operator.le, lambda x, f, s: f)),
     "decomposition.kuperberg_decompose cross check": (
         lambda x, f, s: _within(x, tol_with(sign=f).sign)[0],
         site(lambda x, f, s: x, operator.gt, lambda x, f, s: f, "fail")),
@@ -371,6 +374,33 @@ class TestThresholdRules:
             got = bool(new(x, f, s))
         assert got == parent(x, f, s)
 
+    # the sign band's edge sites, and what each reads in exact arithmetic from d - 2 and tol.sign
+    SIGN_EDGE_SITES = {
+        "edm.nonnegative_delta hypothesis": lambda exact, f: -exact <= f,
+        "decomposition.crosspolytope_recognize hypothesis": lambda exact, f: -exact <= f,
+        "orthorep.verify_sign_pattern edge": lambda exact, f: exact > f,
+        "decomposition._rankin_report closest pair": lambda exact, f: exact <= f,
+    }
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    @pytest.mark.parametrize("name", sorted(SIGN_EDGE_SITES))
+    def test_sign_band_edges_read_exactly(self, name, profile):
+        """At the floats of 2 -+ tol.sign and their neighbours each edge site decides as |d - 2| <= tol.sign."""
+        f = PROFILES[profile].sign
+        new, parent = RULE_SITES[name]
+        for edge in (2.0 - f, 2.0 + f):
+            for x in (float(np.nextafter(edge, -np.inf)), edge, float(np.nextafter(edge, np.inf))):
+                got = bool(new(x, f, 0.0))
+                assert got == parent(x, f, 0.0)
+                assert got == self.SIGN_EDGE_SITES[name](Fraction(x) - 2, Fraction(f)), x
+
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_rounded_lower_edge_is_outside_the_band(self, profile):
+        # fl(2 - tol.sign) < 2 - tol.sign in every profile: the Perron hypothesis reads it as "< 2"
+        f = PROFILES[profile].sign
+        assert Fraction(2.0 - f) < 2 - Fraction(f)
+        assert not _perron_hypothesis(2.0 - f, PROFILES[profile])[0]
+
     @given(finite=st.just(True), s=special, skew=special, diag_max=special, off_min=special, f=special, g=special)
     @settings(max_examples=150, deadline=None)
     def test_entry_rejection(self, finite, s, skew, diag_max, off_min, f, g):
@@ -416,7 +446,7 @@ class TestThresholdRules:
     @settings(max_examples=150, deadline=None)
     def test_nonnegative_delta(self, delta, min_off, f):
         tol = tol_with(sign=f)
-        if not site(lambda *a: min_off, operator.lt, lambda *a: 2.0 - f, "fail")(0, 0, 0):
+        if not site(lambda *a: 2.0 - min_off, operator.gt, lambda *a: f, "fail")(0, 0, 0):
             with pytest.raises(PreconditionError):
                 nonnegative_delta(DeltaMatrix(delta, min_off), tol)
             return
@@ -425,7 +455,7 @@ class TestThresholdRules:
     @given(m=special, f=special)
     @settings(max_examples=200, deadline=None)
     def test_rankin_report(self, m, f):
-        assert _rankin_report(6, 4, m, 0, 1, tol_with(sign=f)).ok is bool(m <= 2.0 + f)
+        assert _rankin_report(6, 4, m, 0, 1, tol_with(sign=f)).ok is bool(m - 2.0 <= f)
 
     @given(edge=special, nonedge=special, f=special)
     @settings(max_examples=150, deadline=None)
@@ -437,7 +467,7 @@ class TestThresholdRules:
         M[0, 2] = M[2, 0] = nonedge
         with np.errstate(invalid="ignore", over="ignore"):
             rpt = verify_sign_pattern(M, G, tol_with(sign=f))
-            edge_ok = site(lambda *a: edge, operator.gt, lambda *a: 2.0 + f)(0, 0, 0)
+            edge_ok = site(lambda *a: edge - 2.0, operator.gt, lambda *a: f)(0, 0, 0)
             nonedge_ok = site(lambda *a: abs(nonedge - 2.0), operator.gt, lambda *a: f, "fail")(0, 0, 0)
             other_ok = site(lambda *a: 0.0, operator.gt, lambda *a: f, "fail")(0, 0, 0)  # |2 - 2| at (2, 3)
         assert (rpt.edge_violations == ()) == edge_ok

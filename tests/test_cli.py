@@ -269,6 +269,15 @@ class TestSupportBySignRule:
         assert [b["indices"] for b in report["result"]["blocks"]] == [[1, 2, 3], [4, 5]]
         npt.assert_allclose(report["result"]["cross_check"], 9e-8, rtol=1e-6)
 
+    @pytest.mark.parametrize("command", ["decompose", "check-rankin"])
+    def test_cross_distances_at_the_rounded_band_edges_exit_2(self, capsys, tmp_path, command):
+        # lo = fl(2 - tol.sign) is below the band, so the input is declined rather than a fault
+        path = tmp_path / "edges.txt"
+        path.write_text(format_matrix_text(helpers.tilted_pairs(2.0 - 1e-7, 2.0 + 1e-7)))
+        code, report, err = run_json(capsys, [command, str(path)])
+        assert code == 2 and "deviate from 2" not in err
+        assert "below 2" in err or "not nonnegative" in err
+
     def test_validate_near_two_composition(self, capsys, tmp_path):
         path = tmp_path / "blocks.txt"
         path.write_text(format_matrix_text(helpers.NEAR_TWO_BLOCKS))

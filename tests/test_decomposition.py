@@ -228,6 +228,17 @@ class TestSupportBySignRule:
         npt.assert_allclose(dec.cross_check, 9e-8, rtol=1e-6)
         assert dec.cross_gram_max == dec.cross_check / 2.0
 
+    def test_cross_distances_at_the_rounded_band_edges(self):
+        # +-p, +-q with p.q = 5e-8: lo = fl(2 - 1e-7) lies below 2 - tol.sign, so the band reads it
+        # as "< 2", and the Perron hypothesis now reads it the same way: Kuperberg declines the input
+        # (exit 2) where it raised that the cross distances deviate from 2 (exit 1)
+        D = require_edm(helpers.tilted_pairs(2.0 - 1e-7, 2.0 + 1e-7))
+        assert (D.n, D.embedding_dim) == (4, 2) and spherical_certificate(D).unit_spherical
+        with pytest.raises(PreconditionError, match="Delta is not nonnegative"):
+            kuperberg_decompose(D)
+        res = crosspolytope_recognize(D)
+        assert not res.ok and res.reason == f"min squared distance {2.0 - 1e-7:.17g} is below 2"
+
     def test_an_entry_the_sign_band_keeps_fails_loudly(self):
         # d_14 = 2 + 2e-13 reads "> 2" under tol.sign = 1e-13, though Delta_14 = 1e-13 is below
         # tol.support: Delta's support is then one component, whose top eigenvalue 1 is double,
