@@ -783,15 +783,24 @@ def unit_simplex_gamma(n: int) -> float:
     return 2.0 * n / (n - 1.0)
 
 
-def _fits_in_memory(n: int) -> None:
-    """PreconditionError, before a generator allocates, when one n x n float64 matrix exceeds physical memory.
+_PEAK_ARRAYS = 10  # n x n float64 matrices that a generator of order n holds at its peak
 
-    Skipped where there is no `os.sysconf` to tell the size of physical memory.
+
+def _fits_in_memory(n: int) -> None:
+    """PreconditionError, before a generator allocates, when its peak exceeds physical memory.
+
+    The peak is `_PEAK_ARRAYS` n x n float64 matrices: the matrix, the
+    validation's centered Gram matrix and eigenvectors, and the
+    eigensolver's workspace.  Measured as the growth of `ru_maxrss` over one
+    call, in units of 8 n^2 bytes, at n = 1000, 2000 and 3000 (numpy 2.4 with
+    OpenBLAS, one thread): 7.2-7.8 for `gen_crosspolytope` and `gen_unit_simplex`,
+    and 8.2-9.5 for `gen_random_spherical(n, n // 2)`.  Skipped where there
+    is no `os.sysconf` to tell the size of physical memory.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 0
-    if 0 < memory < 8 * n * n:
-        raise PreconditionError(f"order {n} needs {8 * n * n} bytes for one n x n float64 matrix, "
-                                f"more than the {memory} bytes of physical memory")
+    if 0 < memory < (need := _PEAK_ARRAYS * 8 * n * n):
+        raise PreconditionError(f"order {n} needs about {need} bytes, {_PEAK_ARRAYS} n x n float64 matrices "
+                                f"at a generator's peak, more than the {memory} bytes of physical memory")
 
 
 def gen_regular_simplex(n: int, gamma: float, tol: Tolerances = DEFAULT_TOL) -> Edm:

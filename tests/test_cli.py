@@ -10,6 +10,7 @@ import helpers
 from conftest import EXAMPLE_EDM
 from edmsphere import gen_crosspolytope, gen_unit_simplex, parse_matrix
 from edmsphere.cli import main
+from edmsphere.edm import _PEAK_ARRAYS
 from edmsphere.matrixio import format_matrix_text
 
 EXAMPLE_GRAPH_TEXT = "5\n1 2\n3 4\n"
@@ -427,7 +428,7 @@ class TestExitCodes:
         assert report["status"] == "precondition-failed"
 
     # one n x n float64 matrix at an order of 1e10 or more holds 8e20 bytes: no host has the
-    # memory, so the check refuses it before anything is allocated
+    # memory, so the check refuses it before anything is allocated, naming the generator's peak
     @pytest.mark.skipif(not hasattr(os, "sysconf"), reason="the check needs os.sysconf for the memory size")
     @pytest.mark.parametrize("argv, order", [
         (["gen", "crosspolytope", "-r", "10000000000"], 20000000000),
@@ -439,7 +440,7 @@ class TestExitCodes:
         code, report, err = run_json(capsys, argv)
         assert code == 2
         assert report["status"] == "precondition-failed"
-        assert f"order {order} needs {8 * order * order} bytes" in report["result"]["error"]
+        assert f"order {order} needs about {_PEAK_ARRAYS * 8 * order * order} bytes" in report["result"]["error"]
         assert "physical memory" in err
 
 

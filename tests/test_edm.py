@@ -993,3 +993,30 @@ class TestUnderflow:
     def test_matrices_with_no_nonzero_entry_pass(self, M):
         edm = validate_edm(M)
         assert isinstance(edm, Edm) and edm.embedding_dim == 0
+
+
+class TestMemoryCheck:
+    """The generators refuse an order whose peak, not just one n x n matrix, exceeds physical memory."""
+
+    @staticmethod
+    def report_memory(monkeypatch, arrays, n):
+        """os.sysconf reporting `arrays` n x n float64 matrices of physical memory, in 4096-byte pages."""
+        pages = int(arrays * 8 * n * n) // 4096
+        monkeypatch.setattr(edm_module.os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+    @pytest.mark.skipif(not hasattr(edm_module.os, "sysconf"), reason="the check needs os.sysconf")
+    @pytest.mark.parametrize("arrays", [1.5, 5.0, 9.5])
+    def test_memory_for_one_matrix_but_not_the_peak(self, monkeypatch, arrays):
+        assert 1 < arrays < edm_module._PEAK_ARRAYS
+        self.report_memory(monkeypatch, arrays, 1000)
+        with pytest.raises(PreconditionError, match="order 1000 needs about 80000000 bytes"):
+            edm_module._fits_in_memory(1000)
+        for generate in (lambda: gen_crosspolytope(500), lambda: gen_unit_simplex(1000),
+                         lambda: gen_random_spherical(1000, 500, 0)):
+            with pytest.raises(PreconditionError, match="physical memory"):
+                generate()  # refused before anything is allocated
+
+    @pytest.mark.skipif(not hasattr(edm_module.os, "sysconf"), reason="the check needs os.sysconf")
+    def test_memory_for_the_peak(self, monkeypatch):
+        self.report_memory(monkeypatch, edm_module._PEAK_ARRAYS + 0.5, 1000)
+        assert edm_module._fits_in_memory(1000) is None
