@@ -197,7 +197,7 @@ def rankin_codimension2_check(D: Edm) -> RankinReport:
     -------
     RankinReport
         The witness is the 1-based argmin pair (i, j); ok is
-        min d_ij <= 2 + tol.sign.
+        min d_ij - 2 <= tol.sign.
     """
     tol = D.tol
     n, r = D.n, D.embedding_dim
@@ -421,7 +421,11 @@ def kuperberg_decompose(D: Edm) -> Decomposition:
     ConsistencyError
         If the support component count differs from n - r, a block fails
         its simplex certificate, or a cross-block entry strays from 2 by
-        more than tol.sign, the band that splits Delta's support.
+        more than tol.sign, the band that splits Delta's support.  The last
+        is unreachable, and kept as a check with exit 1: a cross pair is a
+        zero of the snapped Delta, so (d - 2)/2 = Delta <= tol.sign/2, and
+        the precondition gives 2 - d <= tol.sign; for d in [1, 4], d - 2 and
+        d/2 - 1 are exact, so the check reads |d - 2| <= tol.sign.
     """
     tol = D.tol
     n, r = D.n, D.embedding_dim
