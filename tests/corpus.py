@@ -10,7 +10,10 @@ permutation, at scales c = 1e-6, 1 and 1e6.  The 300 strict-noise compositions
 profile, whose bands their noise matches.  The sign-edge family puts +-p, +-q on
 the unit circle with their cross distances at the float of 2 - tol.sign and of
 2 + tol.sign, and at each one's two neighbours (`helpers.sign_edges`); each runs
-as given, at c = 1, under the profile whose tol.sign it reads.  A record holds the sphericity status
+as given, at c = 1, under the profile whose tol.sign it reads.  The route-edge family gives block-diagonal
+centered Gram matrices whose first block has an eigenvalue at 0.3, 0.9, 1.1 and 1.5 times the rank cut, or at
+as many times minus the PSD slack (`helpers.route_edges`); each runs as given, at c = 1, under the profile
+whose bands it reads.  A record holds the sphericity status
 (or the rejection reason), `unit_spherical`, `embedding_dim`, the Delta dimension
 of a unit spherical input and the type of any exception raised; and, for every
 accepted input, `factor_dim`, the column count of `gram_factor` at its default
@@ -117,6 +120,8 @@ def digest() -> dict:
     for profile, tol in sorted(PROFILES.items()):
         for (a, b), M in helpers.sign_edges(tol.sign).items():
             records[f"sign-edge lo{a:+d} hi{b:+d} given c=1 {profile}"] = verdict(M, tol)
+        for (rule, t), M in helpers.route_edges(tol).items():
+            records[f"route-edge {rule} t={t:g} given c=1 {profile}"] = verdict(M, tol)
     return records
 
 

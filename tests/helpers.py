@@ -192,6 +192,46 @@ def sign_edges(sign: float) -> dict:
     return {(a, b): tilted_pairs(lows[a], highs[b]) for a in lows for b in highs}
 
 
+ROUTE_EDGE_TIMES = (0.3, 0.9, 1.1, 1.5)
+
+
+def route_edges(tol) -> dict:
+    """Reducible centered Gram matrices at the edges of the PSD and rank rules, given as their distances.
+
+    B = blockdiag(B_1, B_2, B_3) of orders 4, 3 and 3, each with B_k e = 0 (its eigenvectors span
+    e-perp of the block, from default_rng(5)), rows interleaved by a fixed relabelling, and
+    D_ij = B_ii + B_jj - 2 B_ij, whose Gram matrix at the centroid is B.  Keyed by (rule, t), for t in
+    `ROUTE_EDGE_TIMES`: ("rank", t) puts the first block's least eigenvalue on e-perp at t times the rank
+    cut, t * tol.rank * scale(B), and ("psd", t) at -t * tol.psd * scale(B); the other eigenvalues lie in
+    [0.5, 1], and each block has one zero, on e.
+    """
+    rng = np.random.default_rng(5)
+    orders = (4, 3, 3)
+    bases = [np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0][:, 1:] for m in orders]
+    spectra = [rng.uniform(0.5, 1.0, m - 1) for m in orders]
+    order = rng.permutation(sum(orders))
+
+    def gram(edge):
+        B = np.zeros((sum(orders), sum(orders)))
+        pos = 0
+        for k, (Q, values) in enumerate(zip(bases, spectra)):
+            values = np.append(values[:-1], edge) if k == 0 else values
+            m = len(Q)
+            B[pos:pos + m, pos:pos + m] = (Q * values) @ Q.T
+            pos += m
+        return (B + B.T)[np.ix_(order, order)] / 2.0  # exactly symmetric, so D is
+
+    def dist2(B):
+        g = np.diag(B)
+        D = g[:, None] + g[None, :] - 2.0 * B
+        np.fill_diagonal(D, 0.0)
+        return D
+
+    unit = float(np.max(np.abs(gram(0.0))))  # the edge moves scale(B) by a relative 1e-8 at most
+    return {(rule, t): dist2(gram(t * edge)) for t in ROUTE_EDGE_TIMES
+            for rule, edge in (("rank", tol.rank * unit), ("psd", -tol.psd * unit))}
+
+
 def certificate_families() -> dict:
     """Named distance matrices for the sphericity certificate: spheres, clouds, rank 0 to 20."""
     rng = np.random.default_rng(11)
