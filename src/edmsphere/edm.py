@@ -12,7 +12,12 @@ configurations (regular simplices, crosspolytopes, random sphere samples).
 The PSD and rank rules live in `spectral`; validation applies both to its
 one eigensystem of B, which the returned `Edm` keeps for later stages, with
 B itself: `gram_factor` at the Edm's own centering returns a copy of it
-rather than centering D again.  The sphericity certificate reads the
+rather than centering D again.  A reducible B, as that of a crosspolytope or
+of a composition without lone points (whose centroid is the circumcenter,
+where B = I - Delta is block diagonal), has that eigensystem read off its
+blocks, one eigh per block order, when a Weyl margin shows that the PSD and
+rank rules decide on it as on eigh(B) (`_reducible_eigh`); otherwise, and
+for every irreducible B, B is decomposed whole.  The sphericity certificate reads the
 eigensystem too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so a
 sphere fitted to the points U L^(1/2) that B's pairs above the rank cut give
 yields w, or the residual that puts the points off every sphere, in O(n^2)
@@ -41,9 +46,10 @@ the Kuperberg blocks of one order.  Both return a failing check's
 ConsistencyError in place of the Edm.
 
 Validation and the sphere fit run over a (T, n, n) stack
-(`_validate_stack`, `_certify`), with one eigh of the Gram matrices per
-stack; `validate_edm` and `spherical_certificate` run a stack of one, so
-the Rankin sampler's chunks give each matrix the bits of its own call.
+(`_validate_stack`, `_certify`), with one eigh of the Gram matrices that
+are decomposed whole per stack; `validate_edm` and `spherical_certificate`
+run a stack of one, so the Rankin sampler's chunks give each matrix the
+bits of its own call.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ import numpy as np
 from .errors import ConsistencyError, PreconditionError, _record
 from .spectral import (
     EigenSystem,
+    _assemble,
+    _by_order,
     _block_index,
     _decompose,
     _eigh_stack,
@@ -64,6 +72,7 @@ from .spectral import (
     _perron_blocks,
     _psd_stack,
     _rank_stack,
+    _split,
     _union_top,
 )
 from .tolerances import (DEFAULT_TOL, Tolerances, _perron_hypothesis, _recon_band, _top_at_one, _unit_radius,
@@ -272,7 +281,11 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
         magnitude, symmetry, zero diagonal (within tol.psd * scale),
         nonnegative off-diagonal entries, and PSD double-centering with
         s = e/n.  Rejection is a value carrying the violated condition
-        and, for the PSD case, the offending eigenpair as witness.
+        and, for the PSD case, the offending eigenpair as witness.  The
+        eigensystem of the centered Gram matrix is one eigh of it, or, when
+        it is reducible and a Weyl margin shows that the PSD and rank
+        verdicts are those of that eigh, one eigh per order of its diagonal
+        blocks (`_reducible_eigh`).
 
     Raises
     ------
@@ -291,11 +304,12 @@ def validate_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm | EdmRejection:
 def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     """What `validate_edm` gives for each matrix of a (T, n, n) stack: its Edm, EdmRejection or exception.
 
-    The entry rules reject first, in the order of `_entry_rejection`; the
-    centered Gram matrices of the rest go through one eigh, and the PSD
-    and rank rules read their spectra over the stack.  Each Edm holds its
-    row of the stacked arrays, with the bits of a stack of one, its centered
-    Gram matrix B included (read-only).
+    The entry rules reject first, in the order of `_entry_rejection`.  The
+    centered Gram matrix B of each of the rest is read off its blocks when
+    it is reducible and the blocks decide (`_reducible_eigh`), and the others
+    go through one eigh; the PSD and rank rules read the spectra over the
+    stack.  Each matrix gets the bits of a stack of one, since stacked and
+    looped eighs agree bitwise, and each Edm holds its row of B (read-only).
     """
     finite, s, skew, D, diag_max, off_min = _entry_stats(M)
     off_min = off_min.tolist()
@@ -309,23 +323,92 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     centroid = _centroid(M.shape[-1])
     B = centering_gram(D, centroid)
     B.flags.writeable = False  # each Edm keeps its row
-    values, vectors, errors = _eigh_stack(B)
     scales = scale(B)
+    eigs = [_reducible_eigh(b, unit, tol) for b, unit in zip(B, scales.tolist())]
+    if full := [k for k, eig in enumerate(eigs) if eig is None]:  # one eigh of the rest, stacked
+        for k, *eig in zip(full, *_eigh_stack(B if len(full) == len(B) else B[full])):
+            eigs[k] = eig
+    values = np.stack([eig[0] for eig in eigs])
     psd = _psd_stack(values, scales, tol).tolist()
     rank = np.count_nonzero(_rank_stack(values, scales, tol), axis=1).tolist()
     for k, t in enumerate(todo):
-        if errors[k] is not None:
-            out[t] = errors[k]
+        _, vectors, error = eigs[k]
+        if error is not None:
+            out[t] = error
         elif not psd[k]:
             least = float(values[k, -1])
             out[t] = EdmRejection("not-psd", f"centered Gram has eigenvalue {least:g}",
-                                  witness_eigenvalue=least, witness_vector=vectors[k, :, -1].copy())
+                                  witness_eigenvalue=least, witness_vector=vectors[:, -1].copy())
         else:
-            gram = EigenSystem(values[k], vectors[k], tol, float(scales[k]))
+            gram = EigenSystem(values[k], vectors, tol, float(scales[k]))
             out[t] = edm = Edm(dist2=D[k], embedding_dim=rank[k], tol=tol, gram_eig=gram, centering=centroid,
                                min_offdiagonal=off_min[t])
             edm._gram = B[k]
     return out
+
+
+def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None:
+    """The eigensystem (values, vectors, None) of a centered Gram matrix B read off its blocks, or None.
+
+    B is `centering_gram` of D at the centroid, at scale `unit`; None means
+    that B is decomposed whole, by `_eigh_stack`, as `_validate_stack` does.
+    - Pattern: with u = D e / n, an entry of B is 1/2 (((u_i + u_j) - d_ij)
+      - e^T u / n), whose two dot products of n terms and four sums err by
+      at most (n + 4) eps max|D| to first order, and max|D| <= 4 scale(B),
+      as d_ij = b_ii + b_jj - 2 b_ij.  So an entry that is 0 in exact
+      arithmetic reads at most tau = 8 n eps scale(B) (for n >= 4), and B's
+      pattern is that of the off-diagonal entries above tau in magnitude.
+      tau only finds the blocks; the margin below decides.
+    - Irreducible: a row 0 above tau throughout meets every row, which is
+      the one O(n) test that points on a sphere and clouds pay; a row that
+      meets every other row above tau leaves one block and rows alone.
+      Either way B is decomposed whole.
+    - Blocks: the components of the pattern (`spectral._split`) are the
+      diagonal blocks of B~, which keeps B's entries within them and drops
+      the rest.  The blocks of each order go through one stacked eigh, a
+      row alone is a block of order 1 (its diagonal entry on e_i), and the
+      eigensystem is assembled descending and sign-normalized
+      (`spectral._assemble`).
+    - Margin: |B - B~|_2 <= |B - B~|_F <= epsilon = n max|dropped entry|.
+      A symmetric eigensolver's eigenvalues are those of its input M to
+      within p(n) eps |M|_2, p(n) a modestly growing function of n (LAPACK
+      Users' Guide, 3rd ed., section 4.7, whose own estimate takes p(n) = 1).
+      rho = n eps |B|_F takes p(n) = n, and covers eigh(B) and each block's
+      eigh, as |B~_c|_2 <= |B|_F.  By Weyl's inequality the sorted spectra of
+      B and B~ differ by at most epsilon, so the sorted eigenvalues of
+      eigh(B) lie within epsilon + 2 rho of the assembled ones.  The blocks
+      decide only when every assembled eigenvalue lies farther than that
+      from the PSD band, -tol.psd * scale(B), and from the rank cut,
+      tol.rank * scale(B): the PSD and rank rules then give what eigh(B)
+      gives.  A not-PSD witness is an eigenvector of one block, on whose
+      rows B and B~ agree, so v^T B v is that block's least eigenvalue.
+    """
+    n = len(B)
+    eps = np.finfo(float).eps
+    tau = 8.0 * n * eps * unit
+    if n < 2 or (np.abs(B[0, 1:]) > tau).all():
+        return None
+    big = (B > tau) | (B < -tau)  # with no |B|
+    np.fill_diagonal(big, False)
+    degree = np.count_nonzero(big, axis=1)
+    if degree.max() == np.count_nonzero(degree) - 1:  # one block of every row that is not zero
+        return None
+    split = _split(n, *np.divmod(np.flatnonzero(big), n))
+    sizes = [len(c) for c in split.nontrivial] + [1] * len(split.isolated)
+    label = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(split.permutation)]  # each row's block
+    epsilon = n * float(np.abs(np.where(label[:, None] != label[None, :], B, 0.0)).max())  # of B - B~
+    first = np.cumsum(sizes) - sizes
+    blocks = []
+    for pos, rows in _by_order(split.nontrivial):
+        values, vectors, errors = _eigh_stack(B[_block_index(rows, rows)])
+        if any(error is not None for error in errors):
+            return None
+        blocks.append((rows, first[pos][:, None] + np.arange(rows.shape[1]), values, vectors))
+    lone = np.array(split.isolated, dtype=int) - 1
+    values, vectors = _assemble(n, blocks, lone, B[lone, lone])
+    band = epsilon + 2.0 * n * eps * float(np.linalg.norm(B))  # epsilon + 2 rho
+    edges = np.abs(values[:, None] - [-tol.psd * unit, tol.rank * unit])
+    return (values, vectors, None) if _within(float(edges.min()), band, above=True, strict=True)[0] else None
 
 
 def require_edm(M, tol: Tolerances = DEFAULT_TOL) -> Edm:
@@ -597,25 +680,16 @@ def _circumcenter_edm(D: np.ndarray, w: np.ndarray, blocks: list, lone: np.ndarr
     and (T, m), (T, m, m) eigenpairs, each of rank m - 1 (certified by
     `spectral._check_perron`); each `lone` row (a zero row of Delta) adds
     eigenvalue 1 in the last columns, which the rank rule at `unit`, the
-    scale, must count, so the rank must be n less the block count.  Sorted
-    descending (stably: ties keep their column order), each block's vectors
-    go straight to their sorted columns.  Checked as `_circumcenter_edms`
+    scale, must count, so the rank must be n less the block count.  The
+    eigensystem is assembled as validation assembles a reducible B's
+    (`spectral._assemble`).  Checked as `_circumcenter_edms`
     checks, and, as it does, returns the ConsistencyError of the first
     failing check in place of the Edm.
     """
     n = D.shape[0]
-    values = np.ones(n)
-    for _, cols, vals, _ in blocks:
-        values[cols] = vals
-    order = np.argsort(-values, kind="stable")
-    place = np.empty(n, dtype=int)
-    place[order] = np.arange(n)
-    vectors = np.zeros((n, n))
-    for rows, cols, _, vecs in blocks:
-        vectors[_block_index(rows, place[cols])] = vecs
-    vectors[lone, place[n - lone.size:]] = 1.0
+    values, vectors = _assemble(n, blocks, lone, 1.0)
     expected = n - sum(len(rows) for rows, *_ in blocks)
-    return _circumcenter_edms(D[None], [w], values[order][None], vectors[None], [unit], expected, tol)[0]
+    return _circumcenter_edms(D[None], [w], values[None], vectors[None], [unit], expected, tol)[0]
 
 
 def _circumcenter_edms(D: np.ndarray, w, values: np.ndarray, vectors: np.ndarray, units, expected: int,
@@ -721,6 +795,13 @@ def embedding_dim_via_delta(D: Edm, cert: SphericalCertificate) -> DeltaDimRepor
     blocks, unchecked (`_delta_blocks`); the reported lambda_max is Delta's
     computed top, so `lambda_max_ok` checks it.
 
+    Delta w - w = (1/2 - e^T w) e + (D w - e) / 2, so the certificate
+    (max|D w - e| <= tol.solve, |2 e^T w - 1| <= tol.unit) bounds
+    max|Delta w - w| by (tol.unit + tol.solve) / 2, up to rounding: under
+    the shipped profiles, where tol.unit <= tol.solve, `eigvec_ok` follows
+    from the certificate.  Only a wider tol.unit lets it fail, as on a
+    crosspolytope at radius 1 + 2e-8 with tol.unit = 1e-6.
+
     Raises
     ------
     PreconditionError
@@ -768,8 +849,6 @@ def _delta_blocks(D: Edm) -> tuple:
     off-diagonal entry is below 2 - tol.sign; the decomposition error of the
     first block whose eigh fails.
     """
-    from .graphs import _split  # here, so that a run that forms no Delta loads no graph code
-
     delta = nonnegative_delta(dm := delta_of(D), D.tol)
     split = _split(len(delta), *np.divmod(np.flatnonzero(delta != 0.0), len(delta)))
     groups = _perron_blocks(delta, split, D.tol)
@@ -793,9 +872,11 @@ def _fits_in_memory(n: int) -> None:
     validation's centered Gram matrix and eigenvectors, and the
     eigensolver's workspace.  Measured as the growth of `ru_maxrss` over one
     call, in units of 8 n^2 bytes, at n = 1000, 2000 and 3000 (numpy 2.4 with
-    OpenBLAS, one thread): 7.2-7.8 for `gen_crosspolytope` and `gen_unit_simplex`,
-    and 8.2-9.5 for `gen_random_spherical(n, n // 2)`.  Skipped where there
-    is no `os.sysconf` to tell the size of physical memory.
+    OpenBLAS, one thread): 4.3 for `gen_crosspolytope`, whose Gram matrix is
+    read off its 2 x 2 blocks with no eigh of order n (7.1-7.2 when it was
+    decomposed whole), 7.0-7.2 for `gen_unit_simplex`, and 8.0-9.5 for
+    `gen_random_spherical(n, n // 2)`.  Skipped where there is no
+    `os.sysconf` to tell the size of physical memory.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if hasattr(os, "sysconf") else 0
     if 0 < memory < (need := _PEAK_ARRAYS * 8 * n * n):

@@ -4,7 +4,9 @@ Nodes are 1-based externally (matrix row i holds node i+1 internally).  The
 edge-list text format is: first non-comment line ``n``, then one ``i j`` pair
 per line with ``1 <= i < j <= n``; ``#`` starts a comment.  `matrixio`'s
 text matrices share that frame of comments, blank lines and a count line,
-read by one helper (`errors._count_headed`).
+read by one helper (`errors._count_headed`).  The one traversal behind every
+split, `_split`, and its record `ComponentSplit` live in `spectral`, so that
+validation splits a centered Gram matrix with no graph code loaded.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import FormatError, _count_headed, _record
+from .spectral import ComponentSplit, _split
 from .tolerances import DEFAULT_TOL, Tolerances, _within
 
 __all__ = [
@@ -78,29 +81,6 @@ def parse_graph(text: str) -> Graph:
     return Graph(node_count=n, edges=frozenset(edges))
 
 
-@_record(frozen=True)
-class ComponentSplit:
-    """Connected components plus the canonical block permutation.
-
-    `components` partition 1..n, each sorted ascending, ordered by smallest
-    member.  `permutation` lists original node labels in the permuted order:
-    nontrivial components first (each contiguous), isolated nodes last.
-    `colour[i]` is node i+1's side in the 2-colouring of its component
-    that puts the component's smallest member on side 0, or -1 throughout
-    a component with an odd cycle.
-    """
-
-    components: tuple
-    nontrivial_count: int
-    isolated: tuple
-    permutation: tuple
-    colour: tuple
-
-    @property
-    def nontrivial(self) -> tuple:
-        return tuple(c for c in self.components if len(c) >= 2)
-
-
 def support_components(M, tol: Tolerances = DEFAULT_TOL) -> ComponentSplit:
     """Components of the support graph of M: off-diagonal entries with |m_ij| > tol.support.
 
@@ -124,55 +104,6 @@ def components(G: Graph) -> ComponentSplit:
     key = np.concatenate((i * n + j, j * n + i))  # each edge in both directions
     key.sort()
     return _split(n, *np.divmod(key, n))
-
-
-def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
-    """Components and 2-colouring of the n-node graph with 0-based arcs (rows[a], cols[a]), in `ComponentSplit` order.
-
-    The arcs are in row-major order, both directions of each edge present.
-    The one traversal behind `components`, `support_components` and
-    `edm._delta_blocks`: it colours each node it reaches opposite to the
-    node it is reached from and notes an arc between nodes of one colour,
-    which closes an odd cycle.
-    """
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()  # u's neighbours: cols[bounds[u]:bounds[u + 1]]
-    cols = cols.tolist()
-    colour = [-1] * n  # -1: not reached yet
-    comps: list[tuple] = []
-    odd: list[int] = []  # the members of the components with an odd cycle
-    for start in range(n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        stack, members, clash = [start], [], False
-        while stack:
-            u = stack.pop()
-            members.append(u + 1)
-            other = 1 - colour[u]
-            for v in cols[bounds[u]:bounds[u + 1]]:
-                if colour[v] < 0:
-                    colour[v] = other
-                    stack.append(v)
-                elif colour[v] != other:
-                    clash = True
-        comps.append(tuple(sorted(members)))
-        if clash:
-            odd.extend(members)
-    for u in odd:
-        colour[u - 1] = -1
-    nontrivial = [c for c in comps if len(c) >= 2]
-    isolated = [c[0] for c in comps if len(c) == 1]
-    order: list[int] = []
-    for c in nontrivial:
-        order.extend(c)
-    order.extend(isolated)
-    return ComponentSplit(
-        components=tuple(comps),
-        nontrivial_count=len(nontrivial),
-        isolated=tuple(isolated),
-        permutation=tuple(order),
-        colour=tuple(colour),
-    )
 
 
 def adjacency(G: Graph) -> np.ndarray:

@@ -15,7 +15,12 @@ eigenvalue of F^T F from below by one Cholesky.  `_perron_blocks` makes one
 decomposition per component order; bipartite groups by the SVD: the
 blocks [[0, C], [C^T, 0]] of a group whose components are all bipartite
 with the same part sizes get their eigensystems from one SVD of the
-stacked biadjacencies C (`_bipartite_stack`).  This module alone calls
+stacked biadjacencies C (`_bipartite_stack`).  The one component
+traversal, `_split`, lives here with its record `ComponentSplit`, for the
+graph layer, Delta's support and validation's split of a reducible
+centered Gram matrix, which then loads no graph code; `_assemble` builds
+the descending eigensystem of a block-diagonal matrix from its blocks', for
+that validation and for the Edms built at a circumcenter.  This module alone calls
 `numpy.linalg` to decompose.  All are pure functions of their
 inputs and deterministic for identical input bits, so results are safe to
 share across threads.
@@ -276,6 +281,112 @@ def _block_index(rows: np.ndarray, cols: np.ndarray) -> tuple:
     return rows[:, :, None], cols[:, None, :]
 
 
+@_record(frozen=True)
+class ComponentSplit:
+    """Connected components plus the canonical block permutation.
+
+    `components` partition 1..n, each sorted ascending, ordered by smallest
+    member.  `permutation` lists original node labels in the permuted order:
+    nontrivial components first (each contiguous), isolated nodes last.
+    `colour[i]` is node i+1's side in the 2-colouring of its component
+    that puts the component's smallest member on side 0, or -1 throughout
+    a component with an odd cycle.
+    """
+
+    components: tuple
+    nontrivial_count: int
+    isolated: tuple
+    permutation: tuple
+    colour: tuple
+
+    @property
+    def nontrivial(self) -> tuple:
+        return tuple(c for c in self.components if len(c) >= 2)
+
+
+def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
+    """Components and 2-colouring of the n-node graph with 0-based arcs (rows[a], cols[a]), in `ComponentSplit` order.
+
+    The arcs are in row-major order, both directions of each edge present.
+    The one traversal behind `graphs.components`, `graphs.support_components`,
+    `edm._delta_blocks` and validation's split of a centered Gram matrix
+    (`edm._reducible_eigh`): it colours each node it reaches opposite to the
+    node it is reached from and notes an arc between nodes of one colour,
+    which closes an odd cycle.
+    """
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()  # u's neighbours: cols[bounds[u]:bounds[u + 1]]
+    cols = cols.tolist()
+    colour = [-1] * n  # -1: not reached yet
+    comps: list[tuple] = []
+    odd: list[int] = []  # the members of the components with an odd cycle
+    for start in range(n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        stack, members, clash = [start], [], False
+        while stack:
+            u = stack.pop()
+            members.append(u + 1)
+            other = 1 - colour[u]
+            for v in cols[bounds[u]:bounds[u + 1]]:
+                if colour[v] < 0:
+                    colour[v] = other
+                    stack.append(v)
+                elif colour[v] != other:
+                    clash = True
+        comps.append(tuple(sorted(members)))
+        if clash:
+            odd.extend(members)
+    for u in odd:
+        colour[u - 1] = -1
+    nontrivial = [c for c in comps if len(c) >= 2]
+    isolated = [c[0] for c in comps if len(c) == 1]
+    order: list[int] = []
+    for c in nontrivial:
+        order.extend(c)
+    order.extend(isolated)
+    return ComponentSplit(
+        components=tuple(comps),
+        nontrivial_count=len(nontrivial),
+        isolated=tuple(isolated),
+        permutation=tuple(order),
+        colour=tuple(colour),
+    )
+
+
+def _by_order(comps) -> list[tuple[list, np.ndarray]]:
+    """The components (1-based tuples) grouped by order, ascending: (their positions in comps, rows (T, m), 0-based)."""
+    by_order: dict[int, list] = {}
+    for p, comp in enumerate(comps):
+        by_order.setdefault(len(comp), []).append(p)
+    return [(pos, np.array([comps[p] for p in pos]) - 1) for _, pos in sorted(by_order.items())]
+
+
+def _assemble(n: int, blocks: list, lone: np.ndarray, lone_values) -> tuple[np.ndarray, np.ndarray]:
+    """The descending eigensystem (values, vectors) of an order-n block-diagonal matrix, from its blocks.
+
+    `blocks` are stacks (rows, cols, values, vectors): rows (T, m) of the
+    matrix, the columns (T, m) their pairs take before sorting, and (T, m),
+    (T, m, m) eigenpairs, descending and sign-normalized per block; each
+    `lone` row, a block of order 1, takes `lone_values` on e_i in the last
+    columns.  Sorted descending (stably: ties keep their column order),
+    each block's vectors go straight to their sorted columns, zero off the
+    block's rows, so each column keeps its block's largest entry, positive.
+    """
+    values = np.empty(n)
+    values[n - lone.size:] = lone_values
+    for _, cols, vals, _ in blocks:
+        values[cols] = vals
+    order = np.argsort(-values, kind="stable")
+    place = np.empty(n, dtype=int)
+    place[order] = np.arange(n)
+    vectors = np.zeros((n, n))
+    for rows, cols, _, vecs in blocks:
+        vectors[_block_index(rows, place[cols])] = vecs
+    vectors[lone, place[n - lone.size:]] = 1.0
+    return values[order], vectors
+
+
 def _psd_stack(values: np.ndarray, scales, tol: Tolerances) -> np.ndarray:
     """The PSD rule over a (T, m) stack of descending spectra at per-matrix scales: a (T,) mask.
 
@@ -379,15 +490,10 @@ def _perron_blocks(M: np.ndarray, split, tol: Tolerances, normalize: bool = Fals
     here: `_check_perron` certifies the blocks for a caller that builds on
     them, and a caller that reads only the tops skips it.
     """
-    comps = split.nontrivial
     colour = np.array(split.colour, dtype=int)
-    by_order: dict[int, list] = {}
-    for p, comp in enumerate(comps):
-        by_order.setdefault(len(comp), []).append(p)
     groups, failures = [], {}
-    for m, pos in sorted(by_order.items()):
-        rows = np.array([comps[p] for p in pos]) - 1
-        route = _bipartite_stack(M, rows, colour[rows]) if m >= 3 else None
+    for pos, rows in _by_order(split.nontrivial):
+        route = _bipartite_stack(M, rows, colour[rows]) if rows.shape[1] >= 3 else None
         if route is None:
             S = M[_block_index(rows, rows)]
             values, vectors, errors = _eigh_stack(S)
@@ -416,6 +522,16 @@ def _check_perron(groups: list[PerronBlocks]) -> list[PerronBlocks]:
     certificate the blocks' Edms and points are built on.  The first
     failing component in `split.nontrivial` order raises its first failing
     check's ConsistencyError, naming it.
+
+    The positivity check is reachable by input (ROADMAP item 9): eigh
+    resolves a Perron vector's entries only to about eps times its largest,
+    and returns the smaller ones as zeros of either sign.  K_30 with a path
+    of 61 more nodes hanging from one of its nodes (n = 91) has Perron
+    entries falling by about 1/29 per node along the path, and eigh returns
+    41 of them as -0.0: the check refuses the component, and `orthorep`
+    exits 1, though with xi >= 0 read instead the construction passes every
+    other check (d = 90).  The check and its exit code stay until item 9
+    reads such input as near-threshold.
     """
     failures = {}
     for g in groups:

@@ -195,13 +195,13 @@ def sign_edges(sign: float) -> dict:
 ROUTE_EDGE_TIMES = (0.3, 0.9, 1.1, 1.5)
 
 
-def route_edges(tol) -> dict:
+def route_edges(tol, times=ROUTE_EDGE_TIMES) -> dict:
     """Reducible centered Gram matrices at the edges of the PSD and rank rules, given as their distances.
 
     B = blockdiag(B_1, B_2, B_3) of orders 4, 3 and 3, each with B_k e = 0 (its eigenvectors span
     e-perp of the block, from default_rng(5)), rows interleaved by a fixed relabelling, and
     D_ij = B_ii + B_jj - 2 B_ij, whose Gram matrix at the centroid is B.  Keyed by (rule, t), for t in
-    `ROUTE_EDGE_TIMES`: ("rank", t) puts the first block's least eigenvalue on e-perp at t times the rank
+    `times`: ("rank", t) puts the first block's least eigenvalue on e-perp at t times the rank
     cut, t * tol.rank * scale(B), and ("psd", t) at -t * tol.psd * scale(B); the other eigenvalues lie in
     [0.5, 1], and each block has one zero, on e.
     """
@@ -228,8 +228,25 @@ def route_edges(tol) -> dict:
         return D
 
     unit = float(np.max(np.abs(gram(0.0))))  # the edge moves scale(B) by a relative 1e-8 at most
-    return {(rule, t): dist2(gram(t * edge)) for t in ROUTE_EDGE_TIMES
+    return {(rule, t): dist2(gram(t * edge)) for t in times
             for rule, edge in (("rank", tol.rank * unit), ("psd", -tol.psd * unit))}
+
+
+def route_edge_on_the_band(tol, rule: str) -> np.ndarray:
+    """The `route_edges` input of `rule` whose edge eigenvalue lies on the rank cut or the PSD band itself.
+
+    t = 1 puts it there at the scale of B without the edge; one correction of t for the scale that the
+    edge moves puts it within a relative 1e-12 or so of the band of its own B.
+    """
+    t = 1.0
+    for _ in range(2):
+        D = route_edges(tol, (t,))[(rule, t)]
+        n = len(D)
+        B = -0.5 * (np.eye(n) - 1.0 / n) @ D @ (np.eye(n) - 1.0 / n)
+        band = tol.rank * np.max(np.abs(B)) if rule == "rank" else -tol.psd * np.max(np.abs(B))
+        values = np.linalg.eigvalsh((B + B.T) / 2.0)
+        t *= band / values[np.argmin(np.abs(values - band))]
+    return D
 
 
 def certificate_families() -> dict:

@@ -29,7 +29,6 @@ from edmsphere import (
 )
 from edmsphere import decomposition as decomposition_module
 from edmsphere import edm as edm_module
-from edmsphere import graphs as graphs_module
 from edmsphere import orthorep as orthorep_module
 from edmsphere import spectral as spectral_module
 from edmsphere.edm import _delta_blocks
@@ -347,8 +346,9 @@ class TestOneReadingOfDelta:
         (crosspolytope_recognize, ["cross-2", "cross-5"]),
     ], ids=["delta-dimension", "simplex", "kuperberg", "crosspolytope"])
     def test_each_reader_splits_the_support_once(self, monkeypatch, reader, cases):
-        calls, split = [], graphs_module._split
-        monkeypatch.setattr(graphs_module, "_split", lambda *args: calls.append(args[0]) or split(*args))
+        # the traversal lives in `spectral`; `edm` binds it for `_delta_blocks` and validation
+        calls, split = [], spectral_module._split
+        monkeypatch.setattr(edm_module, "_split", lambda *args: calls.append(args[0]) or split(*args))
         for case in cases:
             edm = require_edm(BLOCK_CASES[case])
             calls.clear()

@@ -340,6 +340,18 @@ class TestEmbeddingDimViaDelta:
         assert rep.dimension == 2  # rank fallback
         assert rep.lambda_max is None and rep.note is not None
 
+    def test_eigvec_check_reads_tol_solve_when_tol_unit_is_wider(self):
+        # the crosspolytope at radius 1 + 2e-8: 2 e^T w = 1 - 4e-8 passes tol.unit = 1e-6, and
+        # Delta w - w = (1/2 - e^T w) e + (D w - e) / 2 has max|.| = 2e-8, past tol.solve = 1e-8
+        tol = DEFAULT_TOL.with_overrides(unit=1e-6)
+        D = require_edm(helpers.CROSS_3 * (1.0 + 4e-8), tol)
+        cert = spherical_certificate(D)
+        assert cert.unit_spherical and cert.residual <= tol.solve
+        rep = embedding_dim_via_delta(D, cert)
+        assert rep.used_perron and rep.dimension == 3
+        assert abs(rep.eigvec_residual - 2e-8) <= 1e-15
+        assert not rep.eigvec_ok
+
     def test_requires_unit_certificate(self):
         D = gen_regular_simplex(4, 1.0)
         with pytest.raises(PreconditionError, match="unit spherical"):

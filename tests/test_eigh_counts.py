@@ -3,7 +3,9 @@
 `numpy.linalg.eigh`, `numpy.linalg.svd` and `numpy.linalg.cholesky` are counted through a
 monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
-validation, none for the certificate of D w = e (the sphere fit on B's kept
+validation, or, for a reducible B whose blocks decide the PSD and rank rules
+(a crosspolytope's, a composition's without lone points, B = 0), one stacked
+eigh per order of its diagonal blocks and none of order n; none for the certificate of D w = e (the sphere fit on B's kept
 eigenpairs, and a closed form at rank(B) = 0), and none for `gram_factor`:
 at a centering other than the Edm's own, such as the circumcenter 2w, it
 moves the stored factor there and certifies its rank by one Cholesky of
@@ -139,36 +141,60 @@ def gaussian_cloud(n, r):
     return helpers.edm_from_points(np.random.default_rng(n).standard_normal((n, r)))
 
 
+def centroid_point(n, r):
+    X = np.random.default_rng(n).standard_normal((n, r))
+    X[0] = 0.0
+    X[1:] -= X[1:].mean(axis=0)  # the first point at the centroid: B's row 0 is zero
+    return helpers.edm_from_points(X)
+
+
 NOT_PSD = np.array([[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]])
 
 
-@pytest.mark.parametrize("D", [cross(5), composition([3, 2], 2), unit_sphere(16, 8),
-                               gaussian_cloud(16, 8), NOT_PSD])
-def test_validate_edm_is_one_eigh(eighs, D):
+@pytest.mark.parametrize("D, expected", [
+    (cross(5), [(2, 5)]),                # B = I - Delta: one stacked eigh of its five 2 x 2 blocks
+    (composition([3, 2], 2), [(7, 1)]),  # lone points move the centroid off the center: B is irreducible
+    (unit_sphere(16, 8), [(16, 1)]), (gaussian_cloud(16, 8), [(16, 1)]), (NOT_PSD, [(3, 1)]),
+])
+def test_validate_edm_is_one_eigh(eighs, D, expected):
     validate_edm(D)
-    assert len(eighs) == 1
+    assert list(zip(eighs, eighs.matrices)) == expected
     assert eighs.choleskys == []
 
 
-@pytest.mark.parametrize("D, delta, gram", [
-    (cross(8), [(2, 8)], []),            # the centroid solves D s = 2e: gram_factor reads B there
-    (composition([4, 3, 2, 2]), [(2, 2), (3, 1), (4, 1)], []),  # the centroid is the center
-    (unit_sphere(16, 8), [], [8]),       # B's factor moved to 2w; Delta skipped: a distance < 2
-    (gaussian_cloud(16, 8), [], []),     # non-spherical: gram_factor reuses B's eigh
-    (composition([4, 3, 2], 2), [(2, 1), (3, 1), (4, 1)], [8]),  # B's factor moved to 2w
-    (cross(37), [(2, 37)], []),          # the centroid misses D s = 2e by rounding only
+@pytest.mark.parametrize("D, expected", [
+    (composition([4, 3, 3, 2, 2]), [(2, 2), (3, 2), (4, 1)]),  # one stacked eigh per block order, ascending
+    (cross(1), [(2, 1)]),                                       # row 0 meets every row: B is decomposed whole
+    (centroid_point(8, 3), [(8, 1)]),  # row 0 is zero and row 1 meets every other: one block, decomposed whole
+    (np.zeros((6, 6)), []),                                     # six rows alone: B's diagonal is its spectrum
+    (helpers.route_edge_on_the_band(DEFAULT_TOL, "rank"), [(3, 2), (4, 1), (10, 1)]),  # at the cut: eigh(B)
 ])
-def test_dense_certify_chain(eighs, D, delta, gram):
-    # validation's eigh of B; none for D w = e; one stacked eigh per core order
-    # of Delta, ascending; none for gram_factor, whose factor moved to 2w takes one
-    # Cholesky of order rank(B)
+def test_reducible_validation_is_one_eigh_per_block_order(eighs, D, expected):
+    validate_edm(D)
+    assert list(zip(eighs, eighs.matrices)) == expected
+    assert eighs.choleskys == [] and eighs.svds == []
+
+
+@pytest.mark.parametrize("D, valid, delta, gram", [
+    # the centroid solves D s = 2e: B = I - Delta there, validated by its blocks; gram_factor reads B
+    (cross(8), [(2, 8)], [(2, 8)], []),
+    (composition([4, 3, 2, 2]), [(2, 2), (3, 1), (4, 1)], [(2, 2), (3, 1), (4, 1)], []),  # the centroid is the center
+    (unit_sphere(16, 8), [(16, 1)], [], [8]),  # B's factor moved to 2w; Delta skipped: a distance < 2
+    (gaussian_cloud(16, 8), [(16, 1)], [], []),  # non-spherical: gram_factor reuses B's eigh
+    (composition([4, 3, 2], 2), [(11, 1)], [(2, 1), (3, 1), (4, 1)], [8]),  # B's factor moved to 2w
+    (cross(37), [(2, 37)], [(2, 37)], []),  # the centroid misses D s = 2e by rounding only
+])
+def test_dense_certify_chain(eighs, D, valid, delta, gram):
+    # validation's eigh of B, or of its blocks; none for D w = e; one stacked eigh per
+    # core order of Delta, ascending; none for gram_factor, whose factor moved to 2w
+    # takes one Cholesky of order rank(B)
     edm = validate_edm(D)
     cert = spherical_certificate(edm)
     if cert.unit_spherical:
         embedding_dim_via_delta(edm, cert)
     assert eighs.choleskys == []
     gram_factor(edm)
-    assert list(zip(eighs, eighs.matrices)) == [(edm.n, 1)] + delta
+    assert list(zip(eighs, eighs.matrices)) == valid + delta
     assert eighs.svds == []
     assert (eighs.choleskys, eighs.cholesky_matrices) == (gram, [1] * len(gram))
 

@@ -118,6 +118,15 @@ def test_cli_loads_only_what_its_subcommand_runs(tmp_path, argv, code, allowed, 
     assert ("json.decoder" in loaded) == argv[-1].endswith(".json")
 
 
+@pytest.mark.parametrize("argv", [["validate", "cross.json"], ["decompose", "cross.json"]])
+def test_a_reducible_gram_matrix_and_delta_split_with_no_graph_code(tmp_path, argv):
+    # the crosspolytope's centered Gram matrix is validated block by block, and its Delta is split,
+    # by the one traversal, which lives in `spectral`
+    _, loaded = _child(tmp_path, ["-m", "edmsphere.cli", *argv])
+    assert {"spectral", "edm"} <= loaded
+    assert "graphs" not in loaded and "orthorep" not in loaded
+
+
 @pytest.mark.parametrize("builtin", [True, False], ids=["built-in", "hashlib"])
 def test_digest_is_the_sha256_of_hashlib(monkeypatch, builtin):
     inputs = [b""] + [path.read_bytes() for path in sorted(GOLDEN.iterdir()) if path.is_file()]

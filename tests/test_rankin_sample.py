@@ -144,8 +144,10 @@ def test_first_failing_trial_decides(monkeypatch, per_chunk):
     assert stacked[0] is cli.PreconditionError
 
 
-def coincident(X):
-    return np.zeros((len(X), len(X)))  # a zero Gram matrix, on which eigh is made to fail
+def regular(X):
+    # the regular simplex: its Gram matrix I - E/n is irreducible, so validation decomposes it
+    # whole, and its diagonal is constant, which no sample's is: eigh is made to fail on it
+    return 2.0 * (np.ones((len(X), len(X))) - np.eye(len(X)))
 
 
 @pytest.mark.parametrize("per_chunk", [None, 3, 1])
@@ -155,14 +157,15 @@ def test_eigh_failure_keeps_trial_order(monkeypatch, per_chunk, earlier, expecte
     real = np.linalg.eigh
 
     def eigh(S):
-        if not S.any(axis=(-2, -1)).all():
+        diagonal = np.diagonal(S, axis1=-2, axis2=-1)
+        if (diagonal == diagonal[..., :1]).all(axis=-1).any():
             raise np.linalg.LinAlgError("no convergence")
         return real(S)
 
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     if per_chunk:
         chunk_of(4, monkeypatch, per_chunk)
-    distort(monkeypatch, 5, coincident)
+    distort(monkeypatch, 5, regular)
     if earlier:
         distort(monkeypatch, 2, earlier)
     stacked, looped = both(4, 10, 3)

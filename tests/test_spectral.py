@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from edmsphere import SpectralError, Tolerances
-from edmsphere.spectral import _eigh_stack, _gram_exceeds, _sign_normalize_columns, as_symmetric, eig
+from edmsphere import DEFAULT_TOL, ConsistencyError, Graph, SpectralError, Tolerances, adjacency, components
+from edmsphere import construct_orthorep
+from edmsphere.spectral import (_check_perron, _eigh_stack, _gram_exceeds, _perron_blocks, _sign_normalize_columns,
+                                as_symmetric, eig)
 from oracles import perron, reconstruction_residual, sign_normalize, solve_linear
 
 SQRT2 = float(np.sqrt(2.0))
@@ -251,6 +253,32 @@ class TestPerron:
         assert es.multiplicity() == 2  # default band tol.cluster = 1e-8
         assert es.multiplicity(band=1e-12) == 1
         assert es.multiplicity(band=0.6) == 3
+
+
+def lollipop(clique: int, path: int) -> Graph:
+    """K_clique with a path of `path` more nodes hanging from its last node."""
+    edges = [(i, j) for i in range(1, clique + 1) for j in range(i + 1, clique + 1)]
+    return Graph.from_edges(clique + path, edges + [(clique + k, clique + k + 1) for k in range(path)])
+
+
+class TestCheckPerron:
+    @pytest.mark.parametrize("G", [Graph.from_edges(5, [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)]), lollipop(4, 3)],
+                             ids=["triangle-tail", "lollipop-4-3"])
+    def test_a_zero_perron_entry_is_rejected(self, G):
+        groups = _perron_blocks(adjacency(G), components(G), DEFAULT_TOL, normalize=True)
+        assert _check_perron(groups) is groups  # the real blocks pass
+        groups[0].vectors[0, -1, 0] = 0.0  # the Perron entry of the last node
+        with pytest.raises(ConsistencyError, match=r"^Perron vector of component \(1, .*\) is not positive$"):
+            _check_perron(groups)
+
+    def test_eigh_returns_zero_perron_entries_on_a_long_tail(self):
+        # reachable by input: along the path the Perron entries fall by about 1 / 29 per node, and
+        # those below eps times the largest come back from eigh as zeros, which the check refuses
+        G = lollipop(30, 61)
+        [group] = _perron_blocks(adjacency(G), components(G), DEFAULT_TOL, normalize=True)
+        assert np.count_nonzero(group.xi == 0.0) > 0 and np.all(group.xi >= 0.0)
+        with pytest.raises(ConsistencyError, match="is not positive"):
+            construct_orthorep(G)
 
 
 class TestSolveLinear:
