@@ -17,8 +17,8 @@ of a composition without lone points (whose centroid is the circumcenter,
 where B = I - Delta is block diagonal), has that eigensystem read off its
 blocks, one eigh per block order, when a Weyl margin shows that the PSD and
 rank rules decide on it as on eigh(B) (`_reducible_eigh`); otherwise, and
-for every irreducible B, B is decomposed whole.  The sphericity certificate reads the
-eigensystem too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so a
+for every irreducible B, B is decomposed whole.  The sphericity
+certificate reads the eigensystem too: D = g e^T + e g^T - 2B with g = diag(B) (Gower 1985), so a
 sphere fitted to the points U L^(1/2) that B's pairs above the rank cut give
 yields w, or the residual that puts the points off every sphere, in O(n^2)
 with no eigendecomposition (`spherical_certificate`).
@@ -352,16 +352,16 @@ def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None
 
     B is `centering_gram` of D at the centroid, at scale `unit`; None means
     that B is decomposed whole, by `_eigh_stack`, as `_validate_stack` does.
-    - Pattern: with u = D e / n, an entry of B is 1/2 (((u_i + u_j) - d_ij)
-      - e^T u / n), whose two dot products of n terms and four sums err by
-      at most (n + 4) eps max|D| to first order, and max|D| <= 4 scale(B),
+    - Pattern: with u = D e / n, an entry of B is (((u_i + u_j) - d_ij) -
+      e^T u / n) / 2, whose two dot products of n terms and four sums err
+      by at most (n + 4) eps max|D| to first order, and max|D| <= 4 scale(B),
       as d_ij = b_ii + b_jj - 2 b_ij.  So an entry that is 0 in exact
       arithmetic reads at most tau = 8 n eps scale(B) (for n >= 4), and B's
       pattern is that of the off-diagonal entries above tau in magnitude.
       tau only finds the blocks; the margin below decides.
     - Irreducible: a row 0 above tau throughout meets every row, which is
       the one O(n) test that points on a sphere and clouds pay; a row that
-      meets every other row above tau leaves one block and rows alone.
+      meets every row that meets any leaves one block beside rows alone.
       Either way B is decomposed whole.
     - Blocks: the components of the pattern (`spectral._split`) are the
       diagonal blocks of B~, which keeps B's entries within them and drops
@@ -872,7 +872,7 @@ def _fits_in_memory(n: int) -> None:
     validation's centered Gram matrix and eigenvectors, and the
     eigensolver's workspace.  Measured as the growth of `ru_maxrss` over one
     call, in units of 8 n^2 bytes, at n = 1000, 2000 and 3000 (numpy 2.4 with
-    OpenBLAS, one thread): 4.3 for `gen_crosspolytope`, whose Gram matrix is
+    OpenBLAS, one thread): 5.3 for `gen_crosspolytope`, whose Gram matrix is
     read off its 2 x 2 blocks with no eigh of order n (7.1-7.2 when it was
     decomposed whole), 7.0-7.2 for `gen_unit_simplex`, and 8.0-9.5 for
     `gen_random_spherical(n, n // 2)`.  Skipped where there is no

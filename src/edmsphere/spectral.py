@@ -355,7 +355,7 @@ def _split(n: int, rows: np.ndarray, cols: np.ndarray) -> ComponentSplit:
 
 
 def _by_order(comps) -> list[tuple[list, np.ndarray]]:
-    """The components (1-based tuples) grouped by order, ascending: (their positions in comps, rows (T, m), 0-based)."""
+    """The components (1-based tuples) by order, ascending: (their positions in comps, rows (T, m), 0-based)."""
     by_order: dict[int, list] = {}
     for p, comp in enumerate(comps):
         by_order.setdefault(len(comp), []).append(p)
@@ -525,13 +525,13 @@ def _check_perron(groups: list[PerronBlocks]) -> list[PerronBlocks]:
 
     The positivity check is reachable by input (ROADMAP item 9): eigh
     resolves a Perron vector's entries only to about eps times its largest,
-    and returns the smaller ones as zeros of either sign.  K_30 with a path
-    of 61 more nodes hanging from one of its nodes (n = 91) has Perron
-    entries falling by about 1/29 per node along the path, and eigh returns
-    41 of them as -0.0: the check refuses the component, and `orthorep`
-    exits 1, though with xi >= 0 read instead the construction passes every
-    other check (d = 90).  The check and its exit code stay until item 9
-    reads such input as near-threshold.
+    and can return the smaller ones as zeros.  K_30 with a path of 61 more
+    nodes hanging from one of its nodes (n = 91) has Perron entries falling
+    by about 1/29 per node along the path, and eigh (numpy 2.4 with
+    OpenBLAS) returns 41 of them as -0.0: the check refuses the component,
+    and `orthorep` exits 1, though with xi >= 0 read instead the
+    construction passes every other check (d = 90).  The check and its exit
+    code stay until item 9 reads such input as near-threshold.
     """
     failures = {}
     for g in groups:

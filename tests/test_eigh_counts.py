@@ -4,8 +4,9 @@
 monkeypatch.  The pinned counts are
 what the analysis needs with every consistency check kept: one eigh of B per
 validation, or, for a reducible B whose blocks decide the PSD and rank rules
-(a crosspolytope's, a composition's without lone points, B = 0), one stacked
-eigh per order of its diagonal blocks and none of order n; none for the certificate of D w = e (the sphere fit on B's kept
+(a crosspolytope's, a composition's without lone points, B = 0), one
+stacked eigh per order of its diagonal blocks and none of order n; none for
+the certificate of D w = e (the sphere fit on B's kept
 eigenpairs, and a closed form at rank(B) = 0), and none for `gram_factor`:
 at a centering other than the Edm's own, such as the circumcenter 2w, it
 moves the stored factor there and certifies its rank by one Cholesky of

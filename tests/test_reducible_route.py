@@ -24,7 +24,8 @@ def relabelled(D, seed):
 
 
 def cross(r):
-    return relabelled(2.0 * (np.ones((2 * r, 2 * r)) - np.eye(2 * r)) + np.kron(np.eye(r), [[0.0, 2.0], [2.0, 0.0]]), r)
+    n = 2 * r
+    return relabelled(2.0 * (np.ones((n, n)) - np.eye(n)) + np.kron(np.eye(r), [[0.0, 2.0], [2.0, 0.0]]), r)
 
 
 def gram_of(D):
