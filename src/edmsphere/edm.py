@@ -324,7 +324,10 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     B = centering_gram(D, centroid)
     B.flags.writeable = False  # each Edm keeps its row
     scales = scale(B)
-    eigs = [_reducible_eigh(b, unit, tol) for b, unit in zip(B, scales.tolist())]
+    taus = 8.0 * B.shape[-1] * np.finfo(float).eps * scales  # `_reducible_eigh`'s pattern threshold
+    sparse = ~(np.abs(B[:, :1, 1:]) > taus[:, None, None]).all(axis=(1, 2))  # a row 0 entry within tau
+    eigs = [_reducible_eigh(b, unit, tau, tol) if row else None
+            for b, unit, tau, row in zip(B, scales.tolist(), taus.tolist(), sparse.tolist())]
     if full := [k for k, eig in enumerate(eigs) if eig is None]:  # one eigh of the rest, stacked
         for k, *eig in zip(full, *_eigh_stack(B if len(full) == len(B) else B[full])):
             eigs[k] = eig
@@ -347,11 +350,12 @@ def _validate_stack(M: np.ndarray, tol: Tolerances) -> list:
     return out
 
 
-def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None:
+def _reducible_eigh(B: np.ndarray, unit: float, tau: float, tol: Tolerances) -> tuple | None:
     """The eigensystem (values, vectors, None) of a centered Gram matrix B read off its blocks, or None.
 
-    B is `centering_gram` of D at the centroid, at scale `unit`; None means
-    that B is decomposed whole, by `_eigh_stack`, as `_validate_stack` does.
+    B is `centering_gram` of D at the centroid, at scale `unit`, with an
+    entry of its row 0 within `tau` of 0; None means that B is decomposed
+    whole, by `_eigh_stack`, as `_validate_stack` does.
     - Pattern: with u = D e / n, an entry of B is (((u_i + u_j) - d_ij) -
       e^T u / n) / 2, whose two dot products of n terms and four sums err
       by at most (n + 4) eps max|D| to first order, and max|D| <= 4 scale(B),
@@ -360,9 +364,9 @@ def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None
       pattern is that of the off-diagonal entries above tau in magnitude.
       tau only finds the blocks; the margin below decides.
     - Irreducible: a row 0 above tau throughout meets every row, which is
-      the one O(n) test that points on a sphere and clouds pay; a row that
-      meets every row that meets any leaves one block beside rows alone.
-      Either way B is decomposed whole.
+      the one O(n) test, over the stack, that points on a sphere and clouds
+      pay (`_validate_stack`); a row that meets every row that meets any
+      leaves one block beside rows alone.  Either way B is decomposed whole.
     - Blocks: the components of the pattern (`spectral._split`) are the
       diagonal blocks of B~, which keeps B's entries within them and drops
       the rest.  The blocks of each order go through one stacked eigh, a
@@ -384,10 +388,6 @@ def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None
       rows B and B~ agree, so v^T B v is that block's least eigenvalue.
     """
     n = len(B)
-    eps = np.finfo(float).eps
-    tau = 8.0 * n * eps * unit
-    if n < 2 or (np.abs(B[0, 1:]) > tau).all():
-        return None
     big = (B > tau) | (B < -tau)  # with no |B|
     np.fill_diagonal(big, False)
     degree = np.count_nonzero(big, axis=1)
@@ -406,7 +406,7 @@ def _reducible_eigh(B: np.ndarray, unit: float, tol: Tolerances) -> tuple | None
         blocks.append((rows, first[pos][:, None] + np.arange(rows.shape[1]), values, vectors))
     lone = np.array(split.isolated, dtype=int) - 1
     values, vectors = _assemble(n, blocks, lone, B[lone, lone])
-    band = epsilon + 2.0 * n * eps * float(np.linalg.norm(B))  # epsilon + 2 rho
+    band = epsilon + 2.0 * n * np.finfo(float).eps * float(np.linalg.norm(B))  # epsilon + 2 rho
     edges = np.abs(values[:, None] - [-tol.psd * unit, tol.rank * unit])
     return (values, vectors, None) if _within(float(edges.min()), band, above=True, strict=True)[0] else None
 

@@ -66,6 +66,12 @@ REDUCIBLE = {
 }
 
 
+def route(B, tol):
+    """`_reducible_eigh` at B's own scale and threshold, as `_validate_stack` calls it."""
+    unit = scale(B)
+    return _reducible_eigh(B, unit, 8.0 * len(B) * EPS * unit, tol)
+
+
 def full_eigh(B):
     values, vectors, errors = _eigh_stack(B[None])
     assert errors == [None]
@@ -100,7 +106,7 @@ def reducible_cases():
 def test_blocks_decide_as_eigh_of_b_does(label, D, tol):
     B = gram_of(D)
     unit = scale(B)
-    eig = _reducible_eigh(B, unit, tol)
+    eig = route(B, tol)
     assert eig is not None  # read off the blocks
     values, vectors, error = eig
     assert error is None
@@ -125,7 +131,7 @@ def test_a_margin_that_fails_falls_back_to_eigh_of_b(profile, rule):
     tol = PROFILES[profile]
     D = helpers.route_edge_on_the_band(tol, rule)
     B = gram_of(D)
-    assert _reducible_eigh(B, scale(B), tol) is None
+    assert route(B, tol) is None
     values, vectors = full_eigh(B)
     res = validate_edm(D, tol)
     if isinstance(res, Edm):
@@ -145,7 +151,7 @@ def test_a_margin_that_fails_falls_back_to_eigh_of_b(profile, rule):
 ], ids=["sphere", "cloud", "compose-lone", "not-psd", "n2"])
 def test_an_irreducible_b_keeps_the_single_eigh(D):
     B = gram_of(D)
-    assert _reducible_eigh(B, scale(B), DEFAULT_TOL) is None
+    assert route(B, DEFAULT_TOL) is None
     values, vectors = full_eigh(B)
     res = validate_edm(D)
     if isinstance(res, Edm):
@@ -160,7 +166,7 @@ def test_the_not_psd_witness_of_a_reducible_b():
     D = REDUCIBLE["indefinite"]
     assert D.min() >= 0.0
     B = gram_of(D)
-    assert _reducible_eigh(B, scale(B), DEFAULT_TOL) is not None
+    assert route(B, DEFAULT_TOL) is not None
     res = validate_edm(D)
     assert isinstance(res, EdmRejection) and res.reason == "not-psd"
     v = res.witness_vector
